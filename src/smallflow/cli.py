@@ -72,15 +72,14 @@ def build_parser():
     _add_common(p)
     p.add_argument("--isolation-range", "-r", default=None,
                    help="int, or 'paper' for n^2 m (default desk-scale "
-                        "max(64, 4m))")
+                        "max(64, 4m)); --strategy isolation only")
     p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--strategy", choices=("auto", "isolation", "deletion"),
-                   default="auto")
+    p.add_argument("--strategy", choices=("deletion", "isolation"),
+                   default="deletion")
 
     p = sub.add_parser("flow", help="minimum-cost flow of the target value")
     _add_common(p)
     p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--isolation-range", "-r", default=None)
     p.add_argument("--dump-gadget", default=None,
                    help="also write the gadget network as a paths instance")
 
@@ -213,20 +212,19 @@ def _cmd_mincost(args):
     return _finish(args, report, t0, code)
 
 
-def _resolve_r(arg, instance):
-    if arg is None:
-        return None, []
-    if arg == "paper":
-        return extraction.paper_isolation_range(instance), []
-    return int(arg), []
-
-
 def _cmd_find(args):
     t0 = time.perf_counter()
     instance = parse_paths_instance(_read_input(args.input))
     params = _params(args, instance.n)
-    r, deviations = _resolve_r(args.isolation_range, instance)
-    if r is None:
+    r, deviations = None, []
+    if args.strategy != "isolation":
+        if args.isolation_range is not None:
+            raise ValueError("--isolation-range needs --strategy isolation")
+    elif args.isolation_range == "paper":
+        r = extraction.paper_isolation_range(instance)
+    elif args.isolation_range is not None:
+        r = int(args.isolation_range)
+    else:
         r = extraction.desk_isolation_range(instance)
         paper_r = extraction.paper_isolation_range(instance)
         if r != paper_r:
@@ -268,15 +266,11 @@ def _cmd_flow(args):
     K = parse_dimacs_flow(_read_input(args.input))
     params = _params(args, K.n)
     deviations = []
-    r = None
-    if args.isolation_range not in (None, "paper"):
-        r = int(args.isolation_range)
     if args.dump_gadget:
         gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
             fh.write(serialize_paths_instance(gadget.instance))
-    res = flow_mod.min_cost_flow(K, params, max_retries=args.max_retries,
-                                 r=r)
+    res = flow_mod.min_cost_flow(K, params, max_retries=args.max_retries)
     if res is None:
         cost, rows = None, None
     else:
@@ -384,8 +378,6 @@ def _cmd_bench(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "memory_limit_mib", None):
-        evaluator.set_default_memory_limit(args.memory_limit_mib << 20)
     handler = {
         "decide": _cmd_decide,
         "mincost": _cmd_mincost,
@@ -395,6 +387,11 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
     }[args.subcommand]
     try:
+        limit_mib = getattr(args, "memory_limit_mib", None)
+        if limit_mib is not None:
+            if limit_mib < 1:
+                raise ValueError(f"--memory-limit-mib {limit_mib} below 1")
+            evaluator.set_default_memory_limit(limit_mib << 20)
         return handler(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -91,8 +91,8 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
-    params.check_degree(u)
     cap = min(u, instance.simple_cost_cap())
+    params.check_degree(cap)
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "decide-cost", rep)
         f = random_assignment(params.field, instance.m, rng)
@@ -114,8 +114,8 @@ def min_cost_disjoint_paths(instance: PathInstance,
         u_max = instance.max_cost() * instance.n * instance.n
     if u_max < instance.k:
         raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
-    params.check_degree(u_max)
     cap = min(u_max, instance.simple_cost_cap())
+    params.check_degree(cap)
     best = None
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "min-cost", rep)

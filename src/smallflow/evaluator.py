@@ -1,30 +1,34 @@
 """Dynamic-programming evaluation of the cancellation polynomials.
 
-Given an assignment of field values to edge variables, three families of
-values are computed:
+Given an assignment of field values to edge variables, exact-measure
+slice values are computed: for each total cost p, the field value of the
+sum over proper walk sets of total cost exactly p.  Length is the
+unit-cost case, and the cumulative XOR of the slices up to a bound l is
+the length-bounded walk polynomial.  Two engines compute them:
 
-* length slices: for each total length p, the field value of the sum over
-  proper walk sets of total length exactly p (their cumulative XOR up to a
-  bound l is the length-bounded walk polynomial).  Two routes exist: the
-  sequential pair recurrence (extend walks one edge at a time) and the
-  doubling recurrence (concatenate half-length walk tables), which is the
-  data-parallel route.  Both produce bit-identical values.
+* the table engine: the cost-indexed pair recurrence (_pair_by_cost, one
+  walk extended one edge at a time, q -> q + c(e)) followed by the subset
+  recurrence over sink masks.  Edge costs are handled implicitly instead
+  of materializing the subdivided network (an edge of cost c replaced by
+  a unit-cost path of length c); subdivide_costs builds the explicit
+  subdivision as a test oracle for this equivalence.
 
-* cost slices: the same with exact total cost in place of length.  Edge
-  costs are handled implicitly: the pair recurrence steps q -> q + c(e)
-  instead of materializing the subdivided network (an edge of cost c
-  replaced by a unit-cost path of length c).  subdivide_costs builds the
-  explicit subdivision as a test oracle for this equivalence.
+* the scan engine (scan_slices): one walk-at-a-time pass over a combined
+  state space (finished-sinks mask, current walk position), exact cost
+  as the layer index and an optional second cost (isolation weights) as
+  a packed vector per state.  Its readers stop at the first nonzero
+  slice, which serves minimum-cost queries and edge-essentiality tests
+  without materializing full tables.
 
-* scan engines: single-pass exact-cost scans over a combined state space
-  (finished-sinks mask, current walk position) that stop at the first
-  nonzero slice.  These power minimum-cost queries and edge-essentiality
-  tests where materializing full tables would be wasteful; they are
-  cross-checked against the table route.
+The doubling recurrence (concatenate half-length walk tables, optionally
+across forked worker processes) is the one other route to the length
+slices; it serves as the independent cross-check of the table engine and
+as the data-parallel evaluation.  All routes produce bit-identical
+values.
 
-Layer tables live in packed-vector form (see field.vec_*) so that a layer
-update is a handful of big-int operations instead of a Python loop per
-cell.
+Layer tables and scan states live in packed-vector form (see field.vec_*)
+so that an update is a handful of big-int operations instead of a Python
+loop per cell.
 """
 
 from __future__ import annotations
@@ -117,9 +121,9 @@ def _wave_task(args):
 class LengthEvaluation:
     """One evaluation of the length-slice tables for (instance, l, f).
 
-    doubling=False follows the sequential pair recurrence (start vertices
-    restricted to X); doubling=True follows the half-length concatenation
-    recurrence over all start vertices, optionally split row-wise across
+    doubling=False follows the sequential pair recurrence at unit costs
+    (start vertices restricted to X); doubling=True follows the half-length
+    concatenation recurrence over all start vertices, split row-wise across
     `parallelism` worker processes.  The two agree exactly, and the result
     is bit-identical for every parallelism degree: layer cells only ever
     combine by XOR, which is order-independent, and the row order is fixed.
@@ -148,7 +152,8 @@ class LengthEvaluation:
         if doubling:
             pair_sink_vals = self._pair_doubling(assignment, parallelism)
         else:
-            pair_sink_vals = self._pair_sequential(assignment)
+            pair_sink_vals = _pair_by_cost(instance, self.l_pair, assignment,
+                                           field, [1] * instance.m)
         self.slices = _subset_phase(instance, l, self.l_pair,
                                     pair_sink_vals, field)
 
@@ -158,43 +163,6 @@ class LengthEvaluation:
         for p in range(self.instance.k, self.l + 1):
             acc ^= self.slices[p]
         return acc
-
-    # -- sequential pair recurrence ------------------------------------
-
-    def _pair_sequential(self, f):
-        inst = self.instance
-        field = self.field
-        n, k = inst.n, inst.k
-        source_index = inst.source_index
-        # Edges usable as walk extensions: tail non-terminal, head not a source.
-        relax = [(eid, u, v) for eid, (u, v) in enumerate(inst.edges)
-                 if not inst.is_terminal(u) and v not in source_index]
-        base = [[0] * n for _ in range(k)]
-        for xi, x in enumerate(inst.sources):
-            for eid in inst.out_edges[x]:
-                v = inst.edges[eid][1]
-                if v not in source_index:
-                    base[xi][v] ^= f[eid]
-        layers = [None, base]
-        mul = field.mul
-        for _q in range(2, self.l_pair + 1):
-            prev = layers[-1]
-            cur = [[0] * n for _ in range(k)]
-            for xi in range(k):
-                prow = prev[xi]
-                crow = cur[xi]
-                for eid, u, v in relax:
-                    a = prow[u]
-                    if a:
-                        crow[v] ^= mul(a, f[eid])
-            layers.append(cur)
-        # Pair values at sinks: [q][source index][sink index]
-        sinks = inst.sinks
-        out = []
-        for q in range(1, self.l_pair + 1):
-            layer = layers[q]
-            out.append([[layer[xi][y] for y in sinks] for xi in range(k)])
-        return out
 
     # -- doubling pair recurrence ---------------------------------------
 
@@ -263,6 +231,48 @@ class LengthEvaluation:
                 vals.append([elems[y] for y in sinks])
             out.append(vals)
         return out
+
+
+def _pair_by_cost(instance, depth, assignment, field, costs):
+    """Walk-table values at the sinks: out[q-1][i][j] sums the walks of
+    exact cost q (1..depth) from source i to sink j.
+
+    One walk is extended one edge at a time, q -> q + c(e): the network
+    with every cost-c edge implicitly replaced by a unit-cost path of
+    length c (first edge carrying the variable, the rest carrying one).
+    Relaxable edges (tail non-terminal, head not a source) are grouped by
+    cost; within a group, source rows run outer and edges inner.
+    """
+    n, k = instance.n, instance.k
+    source_index = instance.source_index
+    groups = {}
+    for eid, (u, v) in enumerate(instance.edges):
+        if not instance.is_terminal(u) and v not in source_index:
+            groups.setdefault(costs[eid], []).append((u, v, assignment[eid]))
+    groups = sorted(groups.items())
+    pair = [[[0] * n for _ in range(k)] for _ in range(depth + 1)]
+    for xi, x in enumerate(instance.sources):
+        for eid in instance.out_edges[x]:
+            v = instance.edges[eid][1]
+            if v not in source_index and costs[eid] <= depth:
+                pair[costs[eid]][xi][v] ^= assignment[eid]
+    mul = field.mul
+    for q in range(2, depth + 1):
+        layer = pair[q]
+        for c, relax in groups:
+            if c >= q:
+                break
+            src = pair[q - c]
+            for xi in range(k):
+                prow = src[xi]
+                crow = layer[xi]
+                for u, v, fe in relax:
+                    a = prow[u]
+                    if a:
+                        crow[v] ^= mul(a, fe)
+    sinks = instance.sinks
+    return [[[pair[q][xi][y] for y in sinks] for xi in range(k)]
+            for q in range(1, depth + 1)]
 
 
 def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
@@ -363,51 +373,17 @@ class CostSlices:
 def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
                      field: GF2Field,
                      memory_limit: int | None = None) -> CostSlices:
-    """Exact-cost slices via cost-indexed pair recurrence + subset phase.
-
-    The pair recurrence steps q -> q + c(e), which evaluates the network
-    with every edge of cost c implicitly replaced by a unit-cost path of
-    length c (first edge carrying the variable, the rest carrying one).
-    """
+    """Exact-cost slices via the cost-indexed pair recurrence + subset
+    phase."""
     k = instance.k
     if u_max < k:
         raise ValueError(f"cost bound {u_max} below k = {k}")
     _check_assignment(instance, assignment)
-    n = instance.n
-    costs = instance.cost_list()
-    _check_budget(k * n * (u_max + 1) + subset_table_cells(k, u_max),
+    _check_budget(k * instance.n * (u_max + 1) + subset_table_cells(k, u_max),
                   memory_limit if memory_limit is not None
                   else DEFAULT_MEMORY_LIMIT)
-    source_index = instance.source_index
-    relax = [(eid, u, v, costs[eid])
-             for eid, (u, v) in enumerate(instance.edges)
-             if not instance.is_terminal(u) and v not in source_index]
-    start = [[] for _ in range(u_max + 1)]
-    for xi, x in enumerate(instance.sources):
-        for eid in instance.out_edges[x]:
-            v = instance.edges[eid][1]
-            if v not in source_index and costs[eid] <= u_max:
-                start[costs[eid]].append((xi, v, assignment[eid]))
-    mul = field.mul
-    # pair[q][xi][z]
-    pair = [[[0] * n for _ in range(k)] for _ in range(u_max + 1)]
-    for q in range(1, u_max + 1):
-        layer = pair[q]
-        for xi, v, val in start[q]:
-            layer[xi][v] ^= val
-        for eid, u, v, c in relax:
-            if c < q:
-                src = pair[q - c]
-                fe = assignment[eid]
-                for xi in range(k):
-                    a = src[xi][u]
-                    if a:
-                        layer[xi][v] ^= mul(a, fe)
-    sinks = instance.sinks
-    pair_sink_vals = [
-        [[pair[q][xi][y] for y in sinks] for xi in range(k)]
-        for q in range(1, u_max + 1)
-    ]
+    pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field,
+                                   instance.cost_list())
     slices = _subset_phase(instance, u_max, u_max, pair_sink_vals, field)
     return CostSlices(slices, k)
 
@@ -462,100 +438,23 @@ def subdivision_assignment(subdivided: PathInstance, carry, assignment):
 
 
 # ---------------------------------------------------------------------------
-# Combined-state scan engines
+# Combined-state scan engine
 # ---------------------------------------------------------------------------
 
-def scan_cost_slices(instance: PathInstance, assignment, field: GF2Field,
-                     cap: int, costs=None, stop_at_first: bool = False):
-    """Exact-cost slices 0..cap by a single walk-at-a-time scan.
+def scan_slices(instance: PathInstance, assignment, field: GF2Field,
+                costs, weights, d_cap: int, w_cap: int):
+    """Yield (d, packed weight vector) for each nonzero exact-cost layer
+    d <= d_cap, in increasing d, by a single walk-at-a-time scan.
 
     State (B, z): sinks in B are finished (walks are built in source
     order), the current walk stands at z (the next unstarted source when
     between walks).  Costs >= 1 make layers strictly increasing, so each
-    layer is complete when reached.  With stop_at_first the scan returns
-    at the first nonzero slice: [(p, value)]; otherwise the full list.
-    """
-    _check_assignment(instance, assignment)
-    costs = instance.cost_list() if costs is None else list(costs)
-    k = instance.k
-    sources = instance.sources
-    sink_index = instance.sink_index
-    out_edges = instance.out_edges
-    heads = instance.edges
-    is_term = instance.is_terminal
-    mul = field.mul
-    full = (1 << k) - 1
-    pending = {0: {(0, sources[0]): 1}}
-    slices = []
-    answers = {}
-    for d in range(cap + 1):
-        val = answers.pop(d, 0)
-        if stop_at_first and val:
-            return [(d, val)]
-        slices.append(val)
-        states = pending.pop(d, None)
-        if not states:
-            continue
-        for (bmask, z), amount in states.items():
-            nexti = bin(bmask).count("1")
-            for eid in out_edges[z]:
-                fe = assignment[eid]
-                if fe == 0:
-                    continue
-                d2 = d + costs[eid]
-                if d2 > cap:
-                    continue
-                w = heads[eid][1]
-                carried = mul(amount, fe)
-                if not is_term(w):
-                    key = (bmask, w)
-                    tgt = pending.setdefault(d2, {})
-                    tgt[key] = tgt.get(key, 0) ^ carried
-                else:
-                    j = sink_index.get(w)
-                    if j is None or bmask & (1 << j):
-                        continue
-                    b2 = bmask | (1 << j)
-                    if b2 == full:
-                        answers[d2] = answers.get(d2, 0) ^ carried
-                    else:
-                        key = (b2, sources[nexti + 1])
-                        tgt = pending.setdefault(d2, {})
-                        tgt[key] = tgt.get(key, 0) ^ carried
-    return slices if not stop_at_first else []
-
-
-def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
-                        cap: int | None = None, costs=None):
-    """Least exact-cost index with a nonzero slice, scanning at most `cap`.
-
-    The default cap is the instance's simple-set cost bound: the least
-    nonzero slice, when one exists at all, is always certified by a set of
-    k vertex-disjoint simple paths, whose cost that bound dominates.
-    Returns (p, value) or None.
-    """
-    if cap is None:
-        cap = instance.simple_cost_cap(costs)
-    res = scan_cost_slices(instance, assignment, field, cap, costs=costs,
-                           stop_at_first=True)
-    return res[0] if res else None
-
-
-def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
-                   costs, weights, d_cap: int, w_cap: int,
-                   stop_d: int | None = None, stop_w: int | None = None):
-    """Scan over two-part costs (c(e), w(e)) with packed weight vectors.
-
-    A slice at (d, w) collects walk sets whose edge multiset sums to cost
-    d and weight w; under isolation-perturbed costs c'(e) = c(e)*scale +
-    w(e) the slice at perturbed cost d*scale + w is exactly this (d, w)
-    slice, and numeric order on perturbed costs equals lexicographic order
-    on (d, w) as long as w_cap <= scale.  States follow scan_cost_slices;
-    the weight dimension rides along as one packed vector per state.
-
-    Without stop bounds: returns the least (d, w) with a nonzero slice, or
-    None.  With stop bounds: returns True iff no nonzero slice exists at
-    any (d, w) lexicographically at or below (stop_d, stop_w).
+    layer is complete when reached.  The second cost (weight) rides along
+    as one packed vector of slots 0..w_cap per state; slot w of a yielded
+    vector is the reduced slice value at (d, w).  Weights past w_cap are
+    dropped, so with zero weights and w_cap = 0 the vector is the plain
+    exact-cost slice value.  The memory ceiling is checked once per layer
+    against the states still pending.
     """
     _check_assignment(instance, assignment)
     k = instance.k
@@ -567,29 +466,19 @@ def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
     full = (1 << k) - 1
     wsize = w_cap + 1
     wmask = (1 << (SLOT_BITS * wsize)) - 1
-    checking = stop_d is not None
-    d_last = stop_d if checking else d_cap
-    pending = {0: {(0, sources[0]): 1}}  # packed weight vectors, reduced
+    pending = {0: {(0, sources[0]): 1}}  # packed weight vectors, unreduced
     answers = {}
-    for d in range(d_last + 1):
+    for d in range(d_cap + 1):
         acc = answers.pop(d, 0)
         if acc:
             vec = vec_reduce(acc, wsize, field)
             if vec:
-                if not checking:
-                    vals = vec_unpack(vec, wsize)
-                    for w, v in enumerate(vals):
-                        if v:
-                            return (d, w)
-                elif d < stop_d:
-                    return False
-                else:
-                    low = vec & ((1 << (SLOT_BITS * (stop_w + 1))) - 1)
-                    if low:
-                        return False
+                yield d, vec
         states = pending.pop(d, None)
         if not states:
             continue
+        _check_budget(wsize * (len(states) + sum(map(len, pending.values()))),
+                      DEFAULT_MEMORY_LIMIT)
         for (bmask, z), raw in states.items():
             vec = vec_reduce(raw, wsize, field)
             if not vec:
@@ -601,7 +490,7 @@ def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
                 if fe == 0:
                     continue
                 d2 = d + costs[eid]
-                if d2 > d_last:
+                if d2 > d_cap:
                     continue
                 w = heads[eid][1]
                 if not is_term(w):
@@ -623,4 +512,48 @@ def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
                 else:
                     tgt = pending.setdefault(d2, {})
                     tgt[key] = tgt.get(key, 0) ^ carried
-    return None if not checking else True
+
+
+def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
+                        cap: int | None = None, costs=None):
+    """Least exact-cost index with a nonzero slice, scanning at most `cap`.
+
+    The default cap is the instance's simple-set cost bound: the least
+    nonzero slice, when one exists at all, is always certified by a set of
+    k vertex-disjoint simple paths, whose cost that bound dominates.
+    Returns (p, value) or None.
+    """
+    if cap is None:
+        cap = instance.simple_cost_cap(costs)
+    costs = instance.cost_list() if costs is None else costs
+    return next(scan_slices(instance, assignment, field, costs,
+                            [0] * instance.m, cap, 0), None)
+
+
+def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
+                   costs, weights, d_cap: int, w_cap: int,
+                   stop_d: int | None = None, stop_w: int | None = None):
+    """Scan over two-part costs (c(e), w(e)) in lexicographic order.
+
+    A slice at (d, w) collects walk sets whose edge multiset sums to cost
+    d and weight w; under isolation-perturbed costs c'(e) = c(e)*scale +
+    w(e) the slice at perturbed cost d*scale + w is exactly this (d, w)
+    slice, and numeric order on perturbed costs equals lexicographic order
+    on (d, w) as long as w_cap < scale.
+
+    Without stop bounds: returns the least (d, w) with a nonzero slice, or
+    None.  With stop bounds: returns True iff no nonzero slice exists at
+    any (d, w) lexicographically at or below (stop_d, stop_w).
+    """
+    if stop_d is None:
+        for d, vec in scan_slices(instance, assignment, field, costs,
+                                  weights, d_cap, w_cap):
+            vals = vec_unpack(vec, w_cap + 1)
+            return d, next(w for w, v in enumerate(vals) if v)
+        return None
+    low = (1 << (SLOT_BITS * (stop_w + 1))) - 1
+    for d, vec in scan_slices(instance, assignment, field, costs, weights,
+                              stop_d, w_cap):
+        if d < stop_d or vec & low:
+            return False
+    return True

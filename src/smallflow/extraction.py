@@ -2,18 +2,19 @@
 
 Two strategies produce the same object:
 
-* isolation: perturb edge costs to c'(e) = c(e)*r*m + w(e) with random
-  weights w(e) in [1, r], making the minimum-cost set unique with
-  probability >= 1 - m/r; find the minimum perturbed cost U*; mark an edge
-  essential when deleting it kills every slice at or below U*; assemble
-  the essential edges into paths.  All per-edge tests in one repetition
-  share a fresh assignment.
+* deletion (the default): with the optimum D0 known, walk the edges in
+  id order and delete each one whose removal still leaves a cost-D0 set
+  among the survivors.  What remains is the support of a single optimal
+  set.  It needs no perturbed costs, and it was the faster strategy on
+  every input measured, gadget networks and small path instances alike.
 
-* deletion: with the (unperturbed) optimum D0 known, walk the edges in id
-  order and delete each one whose removal still leaves a cost-D0 set among
-  the survivors.  What remains is the support of a single optimal set.
-  Slower in rounds but immune to the perturbed-cost blowup, so it is the
-  choice for cost-inflated inputs such as flow gadget networks.
+* isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
+  perturb edge costs to c'(e) = c(e)*r*m + w(e) with random weights w(e)
+  in [1, r], making the minimum-cost set unique with probability
+  >= 1 - m/r; find the minimum perturbed cost U*; mark an edge essential
+  when deleting it kills every slice at or below U*; assemble the
+  essential edges into paths.  All per-edge tests in one repetition share
+  a fresh assignment.
 
 Either way a failed assembly (a rare false zero, or a perturbation that
 failed to isolate) is detected structurally and retried with fresh
@@ -268,24 +269,20 @@ def _deletion_attempt(instance, params, attempt, d0):
 
 def find_disjoint_paths(instance: PathInstance, params: TestParams,
                         max_retries: int = 3, r: int | None = None,
-                        strategy: str = "auto",
+                        strategy: str = "deletion",
                         report: dict | None = None) -> PathSet | None:
     """Minimum original-cost PathSet, or None when no k disjoint paths exist.
 
-    r defaults to the desk-scale isolation range; pass
-    paper_isolation_range(instance) for the n^2 m setting.  strategy picks
-    "isolation" or "deletion"; "auto" switches to deletion when the
-    perturbed weight tables would be large (gadget-sized inputs).  A dict
-    passed as `report` receives attempts/strategy/r for reporting.
+    strategy is "deletion" (the default) or "isolation", the paper's
+    route.  r is the isolation range, used by "isolation" only: it
+    defaults to the desk-scale range; pass paper_isolation_range(instance)
+    for the n^2 m setting.  A dict passed as `report` receives
+    attempts/strategy/r for reporting.
     """
-    if strategy not in ("auto", "isolation", "deletion"):
+    if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
     d0 = min_cost_disjoint_paths(instance, params)
     r_eff = desk_isolation_range(instance) if r is None else r
-    if strategy == "auto":
-        w_cells = (instance.max_path_edges() * r_eff + 1)
-        strategy = "isolation" if w_cells <= 4096 and instance.m <= 64 \
-            else "deletion"
     if report is not None:
         report.update(strategy=strategy, r=r_eff, attempts=0)
     if d0 is None:

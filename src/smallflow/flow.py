@@ -174,13 +174,16 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
     """(cost, Flow) of a minimum-cost value-k flow, or None if infeasible.
 
     Pipeline: clamp capacities, build the gadget network, extract a
-    minimum-cost disjoint path set on it, read the flow off the transport
-    edges, validate.
+    minimum-cost disjoint path set on it (deletion strategy), read the
+    flow off the transport edges, validate.  r, an isolation range, is
+    accepted only as None: no flow query uses isolation.
     """
+    if r is not None:
+        raise ValueError("min_cost_flow takes no isolation range")
     clamped = clamp_capacities(K)
     gadget = build_gadget_network(clamped)
     paths = find_disjoint_paths(gadget.instance, params,
-                                max_retries=max_retries, r=r)
+                                max_retries=max_retries)
     if paths is None:
         return None
     flow = recover_flow(paths, gadget)

@@ -100,7 +100,7 @@ def test_find(capsys, paths_file):
     assert code == 0
     assert rep["cost"] == 2
     assert sorted(rep["paths"]) == [[1, 3], [2, 4]]
-    assert rep["strategy"] == "isolation"
+    assert rep["strategy"] == "deletion"
     assert rep["retries_used"] == 0
     assert rep["verify"]["match"] is True
 
@@ -200,8 +200,33 @@ def test_memory_limit_flag(capsys, paths_file):
                            "--memory-limit-mib", "64")
         assert code == 0
         assert evaluator.DEFAULT_MEMORY_LIMIT == 64 << 20
+        for value in ("0", "-5"):
+            code = cli.main(["mincost", "-i", paths_file,
+                             "--memory-limit-mib", value])
+            assert code == 2
+            assert "memory-limit-mib" in capsys.readouterr().err
+        assert evaluator.DEFAULT_MEMORY_LIMIT == 64 << 20
     finally:
         evaluator.set_default_memory_limit(before)
+
+
+def test_isolation_range_options(capsys, paths_file, tmp_path):
+    p = tmp_path / "k.dimacs"
+    p.write_text(TWO_ROUTES)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "-i", str(p), "-r", "paper"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code = cli.main(["find", "-i", paths_file, "-r", "paper"])
+    assert code == 2
+    assert "--strategy isolation" in capsys.readouterr().err
+    code, rep = run_json(capsys, "find", "-i", paths_file, "-r", "paper",
+                         "--strategy", "isolation")
+    assert code == 0
+    assert rep["isolation_range"] == 4 * 4 * 4
+    assert rep["deviations"] == []
+    code, rep = run_json(capsys, "find", "-i", paths_file)
+    assert rep["isolation_range"] is None and rep["deviations"] == []
 
 
 def test_bench_csv(capsys):

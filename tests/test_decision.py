@@ -108,6 +108,17 @@ def test_param_validation(single_edge):
     assert default_repetitions(1000) == 10
 
 
+def test_degree_checked_after_capping():
+    # C n^2 = 400 and u = 300 exceed GF(2^8), but the scan stops at the
+    # simple-set cost cap, so the field only has to exceed that degree
+    inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
+    assert inst.simple_cost_cap() < 256
+    small = TestParams(field=GF2Field(8), repetitions=3, seed=4)
+    want = oracle.disjoint_paths_min_cost_via_flow(inst)
+    assert min_cost_disjoint_paths(inst, small) == want
+    assert decide_cost_bounded(inst, 300, small).nonzero
+
+
 def test_agreement_battery():
     rng = random.Random(31)
     for _ in range(40):

@@ -17,11 +17,21 @@ from smallflow import (
 )
 from smallflow.evaluator import (
     LengthEvaluation,
-    scan_cost_slices,
+    perturbed_scan,
     scan_min_cost_slice,
+    scan_slices,
     subset_table_cells,
 )
 from smallflow import oracle
+
+
+def scan_cost_slices(inst, f, field, cap):
+    """Exact-cost slices 0..cap read off the scan engine, zero weights."""
+    slices = [0] * (cap + 1)
+    for d, vec in scan_slices(inst, f, field, inst.cost_list(),
+                              [0] * inst.m, cap, 0):
+        slices[d] = vec
+    return slices
 
 
 def test_single_edge(single_edge, field64):
@@ -174,19 +184,58 @@ def test_implicit_matches_explicit_subdivision(field64):
         assert cs.slices == ls[: u + 1]
 
 
-def test_scan_engine_matches_tables(field64):
-    rng = random.Random(15)
-    for _ in range(15):
-        n = rng.randint(3, 7)
-        k = rng.randint(1, min(3, n // 2))
-        inst = random_paths_instance(rng, n, k, extra_edges=rng.randint(0, n),
-                                     cost_max=4)
-        u = min(inst.simple_cost_cap(), 25)
-        f = random_assignment(field64, inst.m, rng)
-        cs = eval_cost_slices(inst, u, f, field64)
-        assert scan_cost_slices(inst, f, field64, u) == cs.slices
-        hit = scan_min_cost_slice(inst, f, field64, cap=u)
-        assert (hit[0] if hit else None) == cs.first_nonzero()
+def test_scan_engine_matches_tables(field64, field8):
+    # GF(2^8) makes false zeros common, so cancellation inside a scan
+    # state and zero-valued edges are both exercised
+    for field in (field64, field8):
+        rng = random.Random(15)
+        for _ in range(15):
+            n = rng.randint(3, 7)
+            k = rng.randint(1, min(3, n // 2))
+            inst = random_paths_instance(rng, n, k,
+                                         extra_edges=rng.randint(0, n),
+                                         cost_max=4)
+            u = min(inst.simple_cost_cap(), 25)
+            f = random_assignment(field, inst.m, rng)
+            cs = eval_cost_slices(inst, u, f, field)
+            assert scan_cost_slices(inst, f, field, u) == cs.slices
+            hit = scan_min_cost_slice(inst, f, field, cap=u)
+            assert (hit[0] if hit else None) == cs.first_nonzero()
+
+
+def test_perturbed_scan_matches_tables(field64, field8):
+    # Two-part costs (c, w) against the table engine at the perturbed
+    # costs c * scale + w, with scale > w_cap so that every (d, w) with
+    # w <= w_cap has its own perturbed index.
+    for field in (field64, field8):
+        rng = random.Random(19)
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            k = rng.randint(1, min(2, n // 2))
+            inst = random_paths_instance(rng, n, k,
+                                         extra_edges=rng.randint(0, n),
+                                         cost_max=3)
+            costs = inst.cost_list()
+            weights = [rng.randint(1, 3) for _ in range(inst.m)]
+            d_cap = inst.simple_cost_cap()
+            w_cap = inst.max_path_edges() * 3
+            scale = w_cap + 1
+            perturbed = inst.with_costs(
+                [c * scale + w for c, w in zip(costs, weights)])
+            u = max(d_cap * scale + w_cap, k)
+            f = random_assignment(field, inst.m, rng)
+            cs = eval_cost_slices(perturbed, u, f, field)
+            hit = perturbed_scan(inst, f, field, costs, weights, d_cap,
+                                 w_cap)
+            first = cs.first_nonzero()
+            assert (None if hit is None else hit[0] * scale + hit[1]) \
+                == first
+            for _ in range(6):
+                d = rng.randint(k, d_cap)
+                w = rng.randint(0, w_cap)
+                clear = not any(cs.slices[:d * scale + w + 1])
+                assert perturbed_scan(inst, f, field, costs, weights, d_cap,
+                                      w_cap, stop_d=d, stop_w=w) is clear
 
 
 def test_small_field_matches_symbolic(field8):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from smallflow import (
+    BudgetError,
     GF2Field,
     PathInstance,
     RetriesExhaustedError,
@@ -11,6 +12,7 @@ from smallflow import (
     classify_edges,
     find_disjoint_paths,
     find_min_perturbed_cost,
+    min_cost_disjoint_paths,
     perturb_costs,
     random_paths_instance,
 )
@@ -19,7 +21,7 @@ from smallflow.extraction import (
     desk_isolation_range,
     paper_isolation_range,
 )
-from smallflow import oracle
+from smallflow import evaluator, oracle
 
 
 def params64(seed=0, reps=1):
@@ -231,6 +233,25 @@ def test_report_dict():
     inst = costed_bipartite()
     report = {}
     find_disjoint_paths(inst, params64(12), report=report)
-    assert report["strategy"] == "isolation"
+    assert report["strategy"] == "deletion"
     assert report["attempts"] == 1
     assert report["r"] == 64
+
+
+def test_scans_enforce_memory_ceiling():
+    inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
+    before = evaluator.DEFAULT_MEMORY_LIMIT
+    evaluator.set_default_memory_limit(1)
+    try:
+        with pytest.raises(BudgetError):
+            min_cost_disjoint_paths(inst, params64(13))
+        for strategy in ("deletion", "isolation"):
+            with pytest.raises(BudgetError):
+                find_disjoint_paths(inst, params64(13), strategy=strategy)
+    finally:
+        evaluator.set_default_memory_limit(before)
+
+
+def test_auto_strategy_rejected():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        find_disjoint_paths(costed_bipartite(), params64(14), strategy="auto")

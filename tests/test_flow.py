@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from smallflow import (
     Flow,
     FlowInstance,
@@ -148,6 +150,11 @@ def test_min_cost_flow_two_routes():
     cost, flow = res
     assert cost == 4
     assert flow.amounts == [1, 1, 1, 1]
+
+
+def test_min_cost_flow_rejects_isolation_range():
+    with pytest.raises(ValueError, match="isolation range"):
+        min_cost_flow(two_routes(), params64(2), r=64)
 
 
 def test_min_cost_flow_infeasible():
