@@ -145,19 +145,8 @@ def _cmd_decide(args):
         l = instance.k * (instance.n - 1)
         deviations.append(f"length bound defaulted to k(n-1) = {l}")
     params = _params(args, instance.n)
-    if args.parallelism > 1:
-        verdict = decision.Verdict(decision.ZERO)
-        for rep in range(params.repetitions):
-            f = evaluator.random_assignment(
-                params.field, instance.m,
-                derive_rng(params.seed, "decide-length", rep))
-            if evaluator.eval_length_bounded_par(
-                    instance, l, f, params.field,
-                    parallelism=args.parallelism):
-                verdict = decision.Verdict(decision.NONZERO, tuple(f))
-                break
-    else:
-        verdict = decision.decide_disjoint_paths(instance, l, params)
+    verdict = decision.decide_disjoint_paths(
+        instance, l, params, parallelism=args.parallelism)
     report = {
         "schema": 1,
         "subcommand": "decide",

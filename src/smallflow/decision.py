@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .evaluator import (
+    eval_length_bounded_par,
     eval_length_bounded_seq,
     random_assignment,
     scan_min_cost_slice,
@@ -63,10 +64,12 @@ class Verdict:
 
 
 def decide_disjoint_paths(instance: PathInstance, l: int,
-                          params: TestParams) -> Verdict:
+                          params: TestParams, parallelism: int = 1) -> Verdict:
     """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
 
     NONZERO is certain; ZERO errs with probability at most (l / 2^s)^t.
+    parallelism > 1 evaluates by the doubling recurrence across that many
+    worker processes; the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
@@ -75,7 +78,12 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "decide-length", rep)
         f = random_assignment(params.field, instance.m, rng)
-        if eval_length_bounded_seq(instance, l, f, params.field):
+        if parallelism > 1:
+            value = eval_length_bounded_par(instance, l, f, params.field,
+                                            parallelism=parallelism)
+        else:
+            value = eval_length_bounded_seq(instance, l, f, params.field)
+        if value:
             return Verdict(NONZERO, tuple(f))
     return Verdict(ZERO)
 

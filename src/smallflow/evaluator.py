@@ -18,7 +18,9 @@ the length-bounded walk polynomial.  Two engines compute them:
   as the layer index and an optional second cost (isolation weights) as
   a packed vector per state.  Its readers stop at the first nonzero
   slice, which serves minimum-cost queries and edge-essentiality tests
-  without materializing full tables.
+  without materializing full tables.  slice_support walks the same state
+  graph without field values, to find the edges a slice can contain at
+  all: the per-edge tests skip the others.
 
 The doubling recurrence (concatenate half-length walk tables, optionally
 across forked worker processes) is the one other route to the length
@@ -512,6 +514,70 @@ def scan_slices(instance: PathInstance, assignment, field: GF2Field,
                 else:
                     tgt = pending.setdefault(d2, {})
                     tgt[key] = tgt.get(key, 0) ^ carried
+
+
+def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
+    """Mask of the alive edges that lie on some walk set of exact cost d
+    built from alive edges only (alive[e] is true for a usable edge).
+
+    One forward pass collects the states of the scan_slices state graph
+    (finished-sinks mask, position, cost) reachable from the start, with
+    their moves; one backward pass keeps the moves that still reach a
+    finished walk set at cost exactly d.  No field arithmetic is done.
+    Every monomial of the cost-d slice over alive edges is the product
+    along one such walk set, so zeroing the variable of an edge outside
+    the mask leaves that slice's value unchanged at every assignment.  The
+    memory ceiling is checked once per layer against the states kept.
+    """
+    k = instance.k
+    sources = instance.sources
+    sink_index = instance.sink_index
+    out_edges = instance.out_edges
+    heads = instance.edges
+    is_term = instance.is_terminal
+    full = (1 << k) - 1
+    layers = {0: {(0, sources[0]): None}}  # cost -> state -> its moves
+    stored = 1
+    for at in range(d + 1):
+        states = layers.get(at)
+        if not states:
+            continue
+        _check_budget(stored, DEFAULT_MEMORY_LIMIT)
+        for bmask, z in states:
+            moves = []
+            for eid in out_edges[z]:
+                d2 = at + costs[eid]
+                if not alive[eid] or d2 > d:
+                    continue
+                w = heads[eid][1]
+                if not is_term(w):
+                    key = (bmask, w)
+                else:
+                    j = sink_index.get(w)
+                    if j is None or bmask & (1 << j):
+                        continue
+                    b2 = bmask | (1 << j)
+                    if b2 == full:
+                        if d2 == d:
+                            moves.append((eid, d2, None))
+                        continue
+                    key = (b2, sources[bin(bmask).count("1") + 1])
+                moves.append((eid, d2, key))
+                tgt = layers.setdefault(d2, {})
+                if key not in tgt:
+                    tgt[key] = None
+                    stored += 1
+            states[bmask, z] = moves
+    support = [False] * instance.m
+    finishing = {}  # cost -> states that reach a finished set at cost d
+    for at in sorted(layers, reverse=True):
+        here = finishing[at] = set()
+        for state, moves in layers[at].items():
+            for eid, d2, key in moves:
+                if key is None or key in finishing.get(d2, ()):
+                    support[eid] = True
+                    here.add(state)
+    return support
 
 
 def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,

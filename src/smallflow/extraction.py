@@ -7,14 +7,21 @@ Two strategies produce the same object:
   among the survivors.  What remains is the support of a single optimal
   set.  It needs no perturbed costs, and it was the faster strategy on
   every input measured, gadget networks and small path instances alike.
+  Most edges lie on no walk set of cost D0 at all (evaluator.slice_support,
+  a boolean pass over the scan's state graph).  Their variables do not
+  occur in the D0 slice, so deleting one leaves the slice's values as
+  they were, and the test would pass: such edges are deleted without a
+  scan, before the first test and again after each deletion, as the
+  support shrinks.  The result is the one the edge-by-edge tests give.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
-  perturb edge costs to c'(e) = c(e)*r*m + w(e) with random weights w(e)
-  in [1, r], making the minimum-cost set unique with probability
+  perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
+  w(e) in [1, r], making the minimum-cost set unique with probability
   >= 1 - m/r; find the minimum perturbed cost U*; mark an edge essential
   when deleting it kills every slice at or below U*; assemble the
   essential edges into paths.  All per-edge tests in one repetition share
-  a fresh assignment.
+  a fresh assignment, and edges off the support of the original cost
+  D* = U* // (r*m + 1) are non-essential without a test.
 
 Either way a failed assembly (a rare false zero, or a perturbation that
 failed to isolate) is detected structurally and retried with fresh
@@ -26,7 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import TestParams, min_cost_disjoint_paths
-from .evaluator import perturbed_scan, random_assignment, scan_min_cost_slice
+from .evaluator import (
+    perturbed_scan,
+    random_assignment,
+    scan_min_cost_slice,
+    slice_support,
+)
 from .field import derive_rng
 from .network import PathInstance
 
@@ -41,10 +53,12 @@ class RetriesExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class PerturbedCosts:
-    """Isolation-perturbed costs c'(e) = c(e)*r*m + w(e), w uniform on [1, r].
+    """Isolation-perturbed costs c'(e) = c(e)*scale + w(e), w uniform on
+    [1, r], scale = r*m + 1.
 
-    scale = r*m dominates any weight sum over distinct edges, so a set's
-    perturbed total decomposes as original_cost * scale + weight_sum.
+    The scale exceeds any weight sum over distinct edges (at most r*m), so
+    a set's perturbed total decomposes as original_cost * scale +
+    weight_sum.
     """
 
     r: int
@@ -54,7 +68,7 @@ class PerturbedCosts:
 
     @property
     def scale(self) -> int:
-        return self.r * self.m
+        return self.r * self.m + 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ def perturb_costs(instance: PathInstance, r: int, rng) -> PerturbedCosts:
     m = instance.m
     weights = tuple(rng.randint(1, r) for _ in range(m))
     costs = instance.cost_list()
-    perturbed = tuple(costs[e] * r * m + weights[e] for e in range(m))
+    perturbed = tuple(costs[e] * (r * m + 1) + weights[e] for e in range(m))
     return PerturbedCosts(r=r, m=m, weights=weights, perturbed=perturbed)
 
 
@@ -129,7 +143,9 @@ def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
     Under a unique perturbed optimum these are exactly the optimum's
     edges.  A false zero can only add edges (never drop one), which the
     assembly checks catch.  One fresh assignment per repetition is shared
-    by all m per-edge tests.
+    by all per-edge tests; edges off the support of the original cost
+    d* = U* // scale are non-essential without a test, since deleting one
+    leaves every (d*, w) slice as it was.
     """
     costs = instance.cost_list()
     weights = list(pc.weights)
@@ -140,8 +156,11 @@ def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "classify", rep)
         assignments.append(random_assignment(params.field, instance.m, rng))
+    support = slice_support(instance, [True] * instance.m, costs, d_star)
     essential = set()
     for eid in range(instance.m):
+        if not support[eid]:
+            continue
         survives = False
         for f in assignments:
             patched = list(f)
@@ -245,25 +264,29 @@ def _deletion_attempt(instance, params, attempt, d0):
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "deletion", attempt, rep)
         assignments.append(random_assignment(field, instance.m, rng))
-    removed = [False] * instance.m
     costs = instance.cost_list()
+    # Edges off the cost-d0 support pass their test without a scan: the
+    # d0 slice does not contain their variable.
+    live = slice_support(instance, [True] * instance.m, costs, d0)
 
-    def survives(without):
+    def survives():
         # Subgraphs only ever raise the optimum, so any hit means == d0.
         for f in assignments:
-            patched = list(f)
-            for e in range(instance.m):
-                if removed[e] or e == without:
-                    patched[e] = 0
+            patched = [fe if keep else 0 for fe, keep in zip(f, live)]
             if scan_min_cost_slice(instance, patched, field, cap=d0,
                                    costs=costs):
                 return True
         return False
 
     for eid in range(instance.m):
-        if survives(eid):
-            removed[eid] = True
-    kept = [e for e in range(instance.m) if not removed[e]]
+        if not live[eid]:
+            continue
+        live[eid] = False
+        if survives():
+            live = slice_support(instance, live, costs, d0)
+        else:
+            live[eid] = True
+    kept = [e for e in range(instance.m) if live[e]]
     return assemble_paths(instance, kept, costs, d0)
 
 

@@ -9,19 +9,30 @@ from smallflow import (
     RetriesExhaustedError,
     TestParams,
     assemble_paths,
+    build_gadget_network,
+    clamp_capacities,
     classify_edges,
     find_disjoint_paths,
     find_min_perturbed_cost,
     min_cost_disjoint_paths,
     perturb_costs,
+    random_flow_instance,
     random_paths_instance,
 )
 from smallflow.extraction import (
     AssemblyError,
+    _deletion_attempt,
+    _perturbed_caps,
     desk_isolation_range,
     paper_isolation_range,
 )
-from smallflow import evaluator, oracle
+from smallflow import evaluator, extraction, oracle
+from smallflow.evaluator import (
+    perturbed_scan,
+    random_assignment,
+    scan_min_cost_slice,
+)
+from smallflow.field import derive_rng
 
 
 def params64(seed=0, reps=1):
@@ -60,8 +71,8 @@ def check_path_set(instance, ps):
 def test_perturb_formula():
     inst = PathInstance(7, [(0, 2)] * 5, [0], [1], costs=[2] * 5)
     pc = perturb_costs(inst, 10, FixedRng(7))
-    assert pc.m == 5 and pc.scale == 50
-    assert pc.perturbed == (107,) * 5
+    assert pc.m == 5 and pc.scale == 51
+    assert pc.perturbed == (109,) * 5
     assert pc.weights == (7,) * 5
 
 
@@ -248,6 +259,9 @@ def test_scans_enforce_memory_ceiling():
         for strategy in ("deletion", "isolation"):
             with pytest.raises(BudgetError):
                 find_disjoint_paths(inst, params64(13), strategy=strategy)
+        with pytest.raises(BudgetError):
+            evaluator.slice_support(inst, [True] * inst.m, inst.cost_list(),
+                                    inst.simple_cost_cap())
     finally:
         evaluator.set_default_memory_limit(before)
 
@@ -255,3 +269,141 @@ def test_scans_enforce_memory_ceiling():
 def test_auto_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strategy"):
         find_disjoint_paths(costed_bipartite(), params64(14), strategy="auto")
+
+
+def test_isolation_scale_exceeds_full_weight_sum():
+    # Both edges at weight r = 1 sum to r*m = 2; with scale r*m the
+    # optimum decoded to cost 3 on every attempt.
+    inst = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3])
+    ps = find_disjoint_paths(inst, params64(15), r=1, strategy="isolation")
+    assert ps.total_cost == 2
+
+
+# -- reference routes without support pruning -------------------------------
+
+def sequential_deletion_attempt(instance, params, attempt, d0):
+    """_deletion_attempt with one scan per edge and repetition, every edge
+    tested in id order."""
+    field = params.field
+    assignments = []
+    for rep in range(params.repetitions):
+        rng = derive_rng(params.seed, "deletion", attempt, rep)
+        assignments.append(random_assignment(field, instance.m, rng))
+    removed = [False] * instance.m
+    costs = instance.cost_list()
+
+    def survives(without):
+        for f in assignments:
+            patched = list(f)
+            for e in range(instance.m):
+                if removed[e] or e == without:
+                    patched[e] = 0
+            if scan_min_cost_slice(instance, patched, field, cap=d0,
+                                   costs=costs):
+                return True
+        return False
+
+    for eid in range(instance.m):
+        if survives(eid):
+            removed[eid] = True
+    kept = [e for e in range(instance.m) if not removed[e]]
+    return assemble_paths(instance, kept, costs, d0)
+
+
+def patched_scan_classify(instance, pc, u_star, params):
+    """classify_edges with a patched scan for every edge."""
+    costs = instance.cost_list()
+    d_star, w_star = divmod(u_star, pc.scale)
+    _, w_cap = _perturbed_caps(instance, pc)
+    w_star = min(w_star, w_cap)
+    assignments = [random_assignment(params.field, instance.m,
+                                     derive_rng(params.seed, "classify", rep))
+                   for rep in range(params.repetitions)]
+    essential = set()
+    for eid in range(instance.m):
+        patched_all = []
+        for f in assignments:
+            patched = list(f)
+            patched[eid] = 0
+            patched_all.append(patched)
+        if all(perturbed_scan(instance, f, params.field, costs,
+                              list(pc.weights), d_star, w_cap,
+                              stop_d=d_star, stop_w=w_star)
+               for f in patched_all):
+            essential.add(eid)
+    return essential
+
+
+def _outcome(attempt, *args):
+    try:
+        return attempt(*args)
+    except AssemblyError as exc:
+        return str(exc)
+
+
+def criterion_6_gadgets():
+    """The gadget instances and query seeds of the criterion-6 battery."""
+    rng = random.Random(606)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        m = rng.randint(2, min(2 * n, 10))
+        k = rng.choice([1, 1, 2, 2, 3])
+        K = random_flow_instance(rng, n, m, k, cap_max=3, cost_max=4,
+                                 plant=rng.random() < 0.75)
+        yield (build_gadget_network(clamp_capacities(K)).instance,
+               rng.getrandbits(48))
+
+
+def test_deletion_matches_sequential_reference():
+    cases = list(criterion_6_gadgets())
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        k = rng.randint(1, min(3, n // 2))
+        inst = random_paths_instance(rng, n, k, extra_edges=rng.randint(0, n),
+                                     cost_max=4, plant=rng.random() < 0.8)
+        cases.append((inst, rng.getrandbits(48)))
+    feasible = 0
+    for inst, seed in cases:
+        p = TestParams(field=GF2Field(64), repetitions=1, seed=seed)
+        d0 = min_cost_disjoint_paths(inst, p)
+        if d0 is None:
+            continue
+        feasible += 1
+        assert _outcome(_deletion_attempt, inst, p, 0, d0) == \
+            _outcome(sequential_deletion_attempt, inst, p, 0, d0)
+    assert feasible > 150
+
+
+def criterion_5_instances():
+    """The 100 path instances of the criterion-5 battery."""
+    rng = random.Random(501)
+    out = []
+    while len(out) < 100:
+        n = rng.randint(3, 8)
+        k = rng.randint(1, min(3, n // 2))
+        extra = rng.randint(0, n)
+        inst = random_paths_instance(rng, n, k, extra_edges=extra,
+                                     cost_max=4, plant=rng.random() < 0.6)
+        if inst.m >= 1:
+            out.append(inst)
+    return out
+
+
+def test_classify_matches_patched_scan_reference(monkeypatch):
+    checked = []
+
+    def classify_and_check(instance, pc, u_star, params):
+        got = classify_edges(instance, pc, u_star, params)
+        assert got == patched_scan_classify(instance, pc, u_star, params)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(extraction, "classify_edges", classify_and_check)
+    rng = random.Random(505)
+    for inst in criterion_5_instances():
+        params = TestParams(field=GF2Field(64), repetitions=1,
+                            seed=rng.getrandbits(48))
+        find_disjoint_paths(inst, params, max_retries=3,
+                            strategy="isolation")
+    assert len(checked) > 50

@@ -1,0 +1,83 @@
+"""Property tests of evaluator.slice_support on tiny instances."""
+
+import random
+
+import pytest
+
+from smallflow import (
+    PathInstance,
+    eval_cost_slices,
+    eval_with_edge_removed,
+    random_assignment,
+)
+from smallflow.evaluator import slice_support
+from smallflow import oracle
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@st.composite
+def tiny_instances(draw):
+    """n <= 6, k <= 2, any edges between distinct vertices: parallel edges,
+    edges into sources or out of sinks, and unreachable sinks all occur."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(2, n // 2)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=10))
+    costs = draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                          max_size=len(edges)))
+    return PathInstance(n, edges, range(k), range(k, 2 * k), costs=costs)
+
+
+def _slice_bound(inst):
+    """The optimum, or the simple-set cost cap when there is none."""
+    best = oracle.brute_force_disjoint_paths(inst, mode="cost")
+    return best, (best[0] if best else max(inst.simple_cost_cap(), inst.k))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances())
+def test_optimal_systems_lie_in_support(inst):
+    best, d0 = _slice_bound(inst)
+    hypothesis.assume(best is not None)
+    support = slice_support(inst, [True] * inst.m, inst.cost_list(), d0)
+    assert all(support[e] for e in best[1].all_edge_ids())
+    # the monomials of the d0 slice are exactly the optimal systems
+    for mono in oracle.symbolic_cost_slices(inst, d0)[d0].monomials:
+        assert all(support[e] for e in mono)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
+    _, d0 = _slice_bound(inst)
+    support = slice_support(inst, [True] * inst.m, inst.cost_list(), d0)
+    rng = random.Random(seed)
+    for _ in range(2):
+        f = random_assignment(field64, inst.m, rng)
+        full = eval_cost_slices(inst, d0, f, field64).slices
+        for e in range(inst.m):
+            if not support[e]:
+                cut = eval_with_edge_removed(inst, e, d0, f, field64).slices
+                assert cut == full
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_support_under_alive_mask(field64, inst, seed):
+    # dead edges count as deleted: off the mask's support, a live edge's
+    # removal leaves the slice at d unchanged
+    rng = random.Random(seed)
+    alive = [rng.random() < 0.7 for _ in range(inst.m)]
+    d = rng.randint(inst.k, max(inst.simple_cost_cap(), inst.k))
+    support = slice_support(inst, alive, inst.cost_list(), d)
+    assert not any(s and not a for s, a in zip(support, alive))
+    f = [fe if a else 0
+         for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
+    want = eval_cost_slices(inst, d, f, field64).slices[d]
+    for e in range(inst.m):
+        if alive[e] and not support[e]:
+            assert eval_with_edge_removed(inst, e, d, f,
+                                          field64).slices[d] == want
