@@ -25,7 +25,6 @@ from .evaluator import (
     CostSlices,
     LengthEvaluation,
     eval_cost_slices,
-    eval_length_bounded_par,
     eval_length_bounded_seq,
     eval_length_slices,
     eval_with_edge_removed,

@@ -344,7 +344,6 @@ def _cmd_bench(args):
             try:
                 t0 = time.perf_counter()
                 ev = evaluator.LengthEvaluation(instance, l, f, field,
-                                                doubling=True,
                                                 parallelism=degree)
                 wall = (time.perf_counter() - t0) * 1000
                 value = ev.value()

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .evaluator import (
-    eval_length_bounded_par,
     eval_length_bounded_seq,
     random_assignment,
     scan_min_cost_slice,
@@ -68,8 +67,8 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
 
     NONZERO is certain; ZERO errs with probability at most (l / 2^s)^t.
-    parallelism > 1 evaluates by the doubling recurrence across that many
-    worker processes; the verdict is the same.
+    parallelism > 1 spreads the pair recurrence's source rows over up to
+    that many worker processes (at most k); the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
@@ -78,12 +77,8 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     for rep in range(params.repetitions):
         rng = derive_rng(params.seed, "decide-length", rep)
         f = random_assignment(params.field, instance.m, rng)
-        if parallelism > 1:
-            value = eval_length_bounded_par(instance, l, f, params.field,
-                                            parallelism=parallelism)
-        else:
-            value = eval_length_bounded_seq(instance, l, f, params.field)
-        if value:
+        if eval_length_bounded_seq(instance, l, f, params.field,
+                                   parallelism=parallelism):
             return Verdict(NONZERO, tuple(f))
     return Verdict(ZERO)
 

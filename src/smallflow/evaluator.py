@@ -22,11 +22,11 @@ the length-bounded walk polynomial.  Two engines compute them:
   graph without field values, to find the edges a slice can contain at
   all: the per-edge tests skip the others.
 
-The doubling recurrence (concatenate half-length walk tables, optionally
-across forked worker processes) is the one other route to the length
-slices; it serves as the independent cross-check of the table engine and
-as the data-parallel evaluation.  All routes produce bit-identical
-values.
+The two engines are independent routes to the same slices, and each
+checks the other in the tests.  The table engine's data parallelism is
+over source rows: walks from different sources never meet in the pair
+recurrence, so LengthEvaluation can hand each row to its own worker
+process with bit-identical results.
 
 Layer tables and scan states live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -36,12 +36,10 @@ loop per cell.
 from __future__ import annotations
 
 import multiprocessing
-import sys
 
 from .field import (
     GF2Field,
     SLOT_BITS,
-    vec_pack,
     vec_reduce,
     vec_scalar_mul_w,
     vec_unpack,
@@ -91,71 +89,49 @@ def subset_table_cells(k: int, bound: int) -> int:
 # Length-bounded evaluation (pair tables + subset table)
 # ---------------------------------------------------------------------------
 
-# Doubling-layer state shared with fork()ed workers: children inherit the
-# completed layers through copy-on-write memory, so wave tasks carry only
-# (layer, row range) and results are the only bytes shipped back.
-_WAVE_STATE: dict = {}
-
-
-def _wave_task(args):
-    """Rows [lo, hi) of doubling layer q: C[x] = sum_y A[x][y] * B[y],
-    A the ceil(q/2) layer, B the floor(q/2) layer, y over non-terminals."""
-    q, lo, hi = args
-    st = _WAVE_STATE
-    field = st["field"]
-    n = st["n"]
-    layers = st["layers"]
-    a_layer = layers[(q + 1) // 2]
-    b_layer = layers[q // 2]
-    windows = [(y, vec_window(b_layer[y])) for y in st["mids"] if b_layer[y]]
-    out = []
-    for x in st["rows"][lo:hi]:
-        elems = vec_unpack(a_layer[x], n)
-        acc = 0
-        for y, win in windows:
-            v = elems[y]
-            if v:
-                acc ^= vec_scalar_mul_w(win, v)
-        out.append((x, vec_reduce(acc, n, field) if acc else 0))
-    return q, out
-
-
 class LengthEvaluation:
     """One evaluation of the length-slice tables for (instance, l, f).
 
-    doubling=False follows the sequential pair recurrence at unit costs
-    (start vertices restricted to X); doubling=True follows the half-length
-    concatenation recurrence over all start vertices, split row-wise across
-    `parallelism` worker processes.  The two agree exactly, and the result
-    is bit-identical for every parallelism degree: layer cells only ever
-    combine by XOR, which is order-independent, and the row order is fixed.
+    The pair recurrence runs at unit costs, one table row per source.
+    Walks from different sources never meet there, so with parallelism
+    p > 1 and k > 1 the k source rows go to a fork pool of min(p, k)
+    workers (inline where fork is unavailable), and the subset phase
+    combines them.  Every row is computed by the same code either way, so
+    the result is bit-identical for every parallelism degree.
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
-                 field: GF2Field, doubling: bool = False,
-                 parallelism: int = 1,
+                 field: GF2Field, parallelism: int = 1,
                  memory_limit: int | None = None):
         if not 1 <= l <= instance.k * (instance.n - 1):
             raise ValueError(
                 f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
+        if parallelism < 1:
+            raise ValueError(f"parallelism {parallelism} below 1")
         _check_assignment(instance, assignment)
         self.instance = instance
         self.l = l
         self.field = field
+        k = instance.k
         # Deepest pair layer the subset phase can consume: the other k-1
         # walks take at least one edge each.
-        self.l_pair = max(l - instance.k + 1, 0)
-        self.pair_cells = self.l_pair * instance.n * (
-            instance.n if doubling else instance.k)
-        self.subset_cells = subset_table_cells(instance.k, l)
+        self.l_pair = max(l - k + 1, 0)
+        self.pair_cells = self.l_pair * instance.n * k
+        self.subset_cells = subset_table_cells(k, l)
         _check_budget(self.pair_cells + self.subset_cells,
                       memory_limit if memory_limit is not None
                       else DEFAULT_MEMORY_LIMIT)
-        if doubling:
-            pair_sink_vals = self._pair_doubling(assignment, parallelism)
+        args = (instance, self.l_pair, assignment, field, [1] * instance.m)
+        if parallelism > 1 and k > 1 and \
+                "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(processes=min(parallelism, k)) as pool:
+                rows = pool.starmap(_pair_by_cost,
+                                    [args + ([xi],) for xi in range(k)])
+            pair_sink_vals = [[row[q][0] for row in rows]
+                              for q in range(self.l_pair)]
         else:
-            pair_sink_vals = _pair_by_cost(instance, self.l_pair, assignment,
-                                           field, [1] * instance.m)
+            pair_sink_vals = _pair_by_cost(*args, range(k))
         self.slices = _subset_phase(instance, l, self.l_pair,
                                     pair_sink_vals, field)
 
@@ -166,98 +142,33 @@ class LengthEvaluation:
             acc ^= self.slices[p]
         return acc
 
-    # -- doubling pair recurrence ---------------------------------------
 
-    def _pair_doubling(self, f, parallelism):
-        inst = self.instance
-        field = self.field
-        n = inst.n
-        sink_set = set(inst.sinks)
-        source_set = set(inst.sources)
-        rows = [x for x in range(n) if x not in sink_set]
-        mids = [y for y in range(n) if not inst.is_terminal(y)]
-        base_rows = [[0] * n for _ in range(n)]
-        for eid, (u, v) in enumerate(inst.edges):
-            if u not in sink_set and v not in source_set:
-                base_rows[u][v] ^= f[eid]
-        layers = [None, [vec_pack(base_rows[x]) for x in range(n)]]
-        layers += [None] * max(self.l_pair - 1, 0)
-        degree = max(1, parallelism)
-        can_fork = sys.platform != "win32" and degree > 1
-        state = {"field": field, "n": n, "layers": layers, "mids": mids,
-                 "rows": rows}
-        global _WAVE_STATE
-        _WAVE_STATE = state
-        # Wave d holds layers (2^(d-1), 2^d], whose halves all lie in
-        # earlier waves: every layer of a wave is independent, so one
-        # dispatch covers the whole wave, and workers forked at the wave
-        # boundary inherit the finished layers without any shipping.
-        # Forking costs tens of milliseconds, so waves below a work
-        # threshold (slot-multiplications) run inline; the value is
-        # unaffected either way.
-        pool_threshold = 2_000_000
-        lo = 1
-        while lo < self.l_pair:
-            hi = min(2 * lo, self.l_pair)
-            wave = list(range(lo + 1, hi + 1))
-            tasks = []
-            splits = max(1, (degree + len(wave) - 1) // len(wave))
-            bounds = [len(rows) * i // splits for i in range(splits + 1)]
-            for q in wave:
-                for ci in range(splits):
-                    if bounds[ci] < bounds[ci + 1]:
-                        tasks.append((q, bounds[ci], bounds[ci + 1]))
-            wave_work = len(wave) * len(rows) * len(mids) * n
-            if can_fork and len(tasks) > 1 and wave_work >= pool_threshold:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(processes=min(degree, len(tasks))) as pool:
-                    chunk = max(1, len(tasks) // (4 * degree))
-                    results = list(pool.imap_unordered(_wave_task, tasks,
-                                                       chunksize=chunk))
-            else:
-                results = [_wave_task(t) for t in tasks]
-            for q, part in results:
-                if layers[q] is None:
-                    layers[q] = [0] * n
-                for x, row in part:
-                    layers[q][x] = row
-            lo = hi
-        sinks = inst.sinks
-        k = inst.k
-        out = []
-        for q in range(1, self.l_pair + 1):
-            layer = layers[q]
-            vals = []
-            for xi in range(k):
-                elems = vec_unpack(layer[inst.sources[xi]], n)
-                vals.append([elems[y] for y in sinks])
-            out.append(vals)
-        return out
-
-
-def _pair_by_cost(instance, depth, assignment, field, costs):
-    """Walk-table values at the sinks: out[q-1][i][j] sums the walks of
-    exact cost q (1..depth) from source i to sink j.
+def _pair_by_cost(instance, depth, assignment, field, costs, rows):
+    """Walk-table values at the sinks: out[q-1][r][j] sums the walks of
+    exact cost q (1..depth) from source rows[r] to sink j.
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
     length c (first edge carrying the variable, the rest carrying one).
     Relaxable edges (tail non-terminal, head not a source) are grouped by
-    cost; within a group, source rows run outer and edges inner.
+    cost; within a group, source rows run outer and edges inner.  Rows
+    never read one another, so any subset of sources can be computed
+    alone.
     """
-    n, k = instance.n, instance.k
+    n = instance.n
+    width = len(rows)
     source_index = instance.source_index
     groups = {}
     for eid, (u, v) in enumerate(instance.edges):
         if not instance.is_terminal(u) and v not in source_index:
             groups.setdefault(costs[eid], []).append((u, v, assignment[eid]))
     groups = sorted(groups.items())
-    pair = [[[0] * n for _ in range(k)] for _ in range(depth + 1)]
-    for xi, x in enumerate(instance.sources):
-        for eid in instance.out_edges[x]:
+    pair = [[[0] * n for _ in range(width)] for _ in range(depth + 1)]
+    for r, xi in enumerate(rows):
+        for eid in instance.out_edges[instance.sources[xi]]:
             v = instance.edges[eid][1]
             if v not in source_index and costs[eid] <= depth:
-                pair[costs[eid]][xi][v] ^= assignment[eid]
+                pair[costs[eid]][r][v] ^= assignment[eid]
     mul = field.mul
     for q in range(2, depth + 1):
         layer = pair[q]
@@ -265,15 +176,15 @@ def _pair_by_cost(instance, depth, assignment, field, costs):
             if c >= q:
                 break
             src = pair[q - c]
-            for xi in range(k):
-                prow = src[xi]
-                crow = layer[xi]
+            for r in range(width):
+                prow = src[r]
+                crow = layer[r]
                 for u, v, fe in relax:
                     a = prow[u]
                     if a:
                         crow[v] ^= mul(a, fe)
     sinks = instance.sinks
-    return [[[pair[q][xi][y] for y in sinks] for xi in range(k)]
+    return [[[pair[q][r][y] for y in sinks] for r in range(width)]
             for q in range(1, depth + 1)]
 
 
@@ -314,24 +225,17 @@ def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
 
 
 def eval_length_slices(instance: PathInstance, l: int, assignment,
-                       field: GF2Field, doubling: bool = False,
-                       parallelism: int = 1) -> list[int]:
+                       field: GF2Field, parallelism: int = 1) -> list[int]:
     """Exact-length slice values for p = 0..l."""
-    ev = LengthEvaluation(instance, l, assignment, field,
-                          doubling=doubling, parallelism=parallelism)
-    return ev.slices
+    return LengthEvaluation(instance, l, assignment, field,
+                            parallelism=parallelism).slices
 
 
 def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
-                            field: GF2Field) -> int:
-    """Value of the length-bounded walk polynomial, sequential recurrence."""
-    return LengthEvaluation(instance, l, assignment, field).value()
-
-
-def eval_length_bounded_par(instance: PathInstance, l: int, assignment,
                             field: GF2Field, parallelism: int = 1) -> int:
-    """Same value via the doubling recurrence, optionally multi-process."""
-    return LengthEvaluation(instance, l, assignment, field, doubling=True,
+    """Value of the length-bounded walk polynomial by the sequential pair
+    recurrence, its source rows across `parallelism` processes."""
+    return LengthEvaluation(instance, l, assignment, field,
                             parallelism=parallelism).value()
 
 
@@ -385,7 +289,7 @@ def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
                   memory_limit if memory_limit is not None
                   else DEFAULT_MEMORY_LIMIT)
     pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field,
-                                   instance.cost_list())
+                                   instance.cost_list(), range(k))
     slices = _subset_phase(instance, u_max, u_max, pair_sink_vals, field)
     return CostSlices(slices, k)
 

@@ -28,7 +28,7 @@ from smallflow import (
     subdivision_assignment,
     validate_flow,
 )
-from smallflow.evaluator import LengthEvaluation
+from smallflow.evaluator import LengthEvaluation, scan_slices
 from smallflow import oracle
 
 FIELD = GF2Field(64)
@@ -148,8 +148,8 @@ def test_criterion_2_involution_machinery(capsys):
 
 
 def test_criterion_3_evaluator_correctness(capsys):
-    """(a) seq == par bit-identical; (b) implicit == explicit subdivision;
-    (c) evaluator == symbolic oracle."""
+    """(a) table engine == scan engine bit-identical; (b) implicit ==
+    explicit subdivision; (c) evaluator == symbolic oracle."""
     t0 = time.time()
     rng = random.Random(303)
     a_bad = 0
@@ -157,9 +157,12 @@ def test_criterion_3_evaluator_correctness(capsys):
         l = rng.randint(1, inst.k * (inst.n - 1))
         for _ in range(5):
             f = random_assignment(FIELD, inst.m, rng)
-            seq = eval_length_slices(inst, l, f, FIELD)
-            par = eval_length_slices(inst, l, f, FIELD, doubling=True)
-            a_bad += seq != par
+            table = eval_length_slices(inst, l, f, FIELD)
+            scan = [0] * (l + 1)
+            for d, vec in scan_slices(inst, f, FIELD, [1] * inst.m,
+                                      [0] * inst.m, l, 0):
+                scan[d] = vec
+            a_bad += table != scan
 
     b_bad = b_n = 0
     rng_b = random.Random(302)
@@ -348,8 +351,9 @@ def _burn_helper(n):
 
 
 def test_criterion_7_scaling_smoke(capsys):
-    """Subset-table work doubles exactly per unit of k; parallel doubling
-    at degree >= 4 is >= 1.5x faster than degree 1 with identical output."""
+    """Subset-table work doubles exactly per unit of k; degree-4 evaluation
+    (source rows across worker processes) is >= 1.5x faster than the
+    serial route, the fastest single-process one, with identical output."""
     rng = random.Random(707)
     inst16 = {k: random_paths_instance(random.Random(70 + k), 16, k,
                                        extra_edges=32)
@@ -359,31 +363,30 @@ def test_criterion_7_scaling_smoke(capsys):
         f = random_assignment(FIELD, inst.m, rng)
         ev = LengthEvaluation(inst, 15, f, FIELD)
         cells[k] = ev.subset_cells
-    doubling_exact = cells[2] == 2 * cells[1] and cells[3] == 2 * cells[2]
+    cells_double = cells[2] == 2 * cells[1] and cells[3] == 2 * cells[2]
 
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
     f = random_assignment(FIELD, inst.m, random.Random(72))
     l = 4 * 63
     t0 = time.time()
-    v1 = LengthEvaluation(inst, l, f, FIELD, doubling=True,
-                          parallelism=1).value()
+    v1 = LengthEvaluation(inst, l, f, FIELD, parallelism=1).value()
     t1 = time.time()
-    v4 = LengthEvaluation(inst, l, f, FIELD, doubling=True,
-                          parallelism=4).value()
+    v4 = LengthEvaluation(inst, l, f, FIELD, parallelism=4).value()
     t2 = time.time()
     speedup = (t1 - t0) / (t2 - t1)
     identical = v1 == v4
     ceiling = _parallel_ceiling()
-    ok = doubling_exact and identical and speedup >= 1.5
+    ok = cells_double and identical and speedup >= 1.5
     _report(capsys, 7, ok,
-            f"subset cells {cells} exact-doubling={doubling_exact}; "
-            f"n=64 k=4 degree-4 speedup {speedup:.2f}x "
+            f"subset cells {cells} doubling per unit of k: {cells_double}; "
+            f"n=64 k=4 degree-4 speedup over the serial route "
+            f"{speedup:.2f}x "
             f"(need >= 1.5x; this host's 2-process IPC-free ceiling "
             f"measures {ceiling:.2f}x), outputs identical={identical}")
-    assert doubling_exact
+    assert cells_double
     assert identical
     assert speedup >= 1.5, (
         f"environment limitation: measured {speedup:.2f}x at degree 4 vs "
-        f"degree 1; the host caps two pure-CPU processes at "
+        f"the serial route; the host caps two pure-CPU processes at "
         f"{ceiling:.2f}x, so the 1.5x criterion is unattainable here "
         f"(see the decisions ledger)")

@@ -192,6 +192,13 @@ def test_decide_parallelism_same_answer(capsys, paths_file):
     assert strip(a) == strip(b)
 
 
+def test_parallelism_below_one_exit(capsys, paths_file):
+    assert run_cli(capsys, "decide", "-i", paths_file, "-l", "2",
+                   "--parallelism", "0")[0] == 2
+    assert run_cli(capsys, "bench", "--sizes", "6,2,1",
+                   "--degrees", "0")[0] == 2
+
+
 def test_memory_limit_flag(capsys, paths_file):
     from smallflow import evaluator
     before = evaluator.DEFAULT_MEMORY_LIMIT

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from smallflow import (
     BudgetError,
     PathInstance,
     eval_cost_slices,
-    eval_length_bounded_par,
     eval_length_bounded_seq,
     eval_length_slices,
     eval_with_edge_removed,
@@ -37,7 +37,8 @@ def scan_cost_slices(inst, f, field, cap):
 def test_single_edge(single_edge, field64):
     a = 0xABCDEF
     assert eval_length_bounded_seq(single_edge, 1, [a], field64) == a
-    assert eval_length_bounded_par(single_edge, 1, [a], field64) == a
+    assert eval_length_bounded_seq(single_edge, 1, [a], field64,
+                                   parallelism=2) == a
 
 
 def test_two_route_cancellation(field64):
@@ -65,10 +66,39 @@ def test_seq_par_equivalence_battery(field64):
                                      plant=rng.random() < 0.7)
         l = rng.randint(1, k * (n - 1))
         f = random_assignment(field64, inst.m, rng)
-        seq = eval_length_bounded_seq(inst, l, f, field64)
-        assert eval_length_bounded_par(inst, l, f, field64) == seq
-        assert eval_length_bounded_par(inst, l, f, field64,
+        seq = eval_length_bounded_seq(inst, l, f, field64, parallelism=1)
+        assert eval_length_bounded_seq(inst, l, f, field64,
                                        parallelism=3) == seq
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="rows run inline without fork")
+def test_pool_workers_bounded_by_sources(field64, monkeypatch):
+    # a recording stand-in for the fork pool: rows run inline, no process
+    # starts, and the requested worker count is kept
+    asked = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                        InlinePool)
+    inst = random_paths_instance(random.Random(5), 8, 2, extra_edges=12)
+    f = random_assignment(field64, inst.m, random.Random(6))
+    serial = eval_length_slices(inst, 14, f, field64)
+    assert eval_length_slices(inst, 14, f, field64,
+                              parallelism=10 ** 6) == serial
+    assert asked == [2]
 
 
 def test_length_slices_match_symbolic(field64):
@@ -285,6 +315,10 @@ def test_bound_validation(single_edge, field64):
         eval_cost_slices(single_edge, 0, [1], field64)
     with pytest.raises(ValueError, match="assignment covers"):
         eval_length_bounded_seq(single_edge, 1, [1, 2], field64)
+    for degree in (0, -3):
+        with pytest.raises(ValueError, match="parallelism"):
+            eval_length_bounded_seq(single_edge, 1, [1], field64,
+                                    parallelism=degree)
 
 
 def test_memory_budget(field64):

@@ -1,4 +1,5 @@
-"""Property tests of evaluator.slice_support on tiny instances."""
+"""Property tests of evaluator.slice_support and of the table engine
+against the scan engine on tiny instances."""
 
 import random
 
@@ -7,10 +8,11 @@ import pytest
 from smallflow import (
     PathInstance,
     eval_cost_slices,
+    eval_length_slices,
     eval_with_edge_removed,
     random_assignment,
 )
-from smallflow.evaluator import slice_support
+from smallflow.evaluator import scan_slices, slice_support
 from smallflow import oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -81,3 +83,17 @@ def test_support_under_alive_mask(field64, inst, seed):
         if alive[e] and not support[e]:
             assert eval_with_edge_removed(inst, e, d, f,
                                           field64).slices[d] == want
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_length_tables_match_unit_cost_scan(field64, inst, seed):
+    # every length bound, l < k included; serial only (no pool per example)
+    top = inst.k * (inst.n - 1)
+    f = random_assignment(field64, inst.m, random.Random(seed))
+    scan = [0] * (top + 1)
+    for d, vec in scan_slices(inst, f, field64, [1] * inst.m, [0] * inst.m,
+                              top, 0):
+        scan[d] = vec
+    for l in range(1, top + 1):
+        assert eval_length_slices(inst, l, f, field64) == scan[:l + 1]
