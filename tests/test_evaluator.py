@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -96,9 +97,14 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     inst = random_paths_instance(random.Random(5), 8, 2, extra_edges=12)
     f = random_assignment(field64, inst.m, random.Random(6))
     serial = eval_length_slices(inst, 14, f, field64)
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else None
     assert eval_length_slices(inst, 14, f, field64,
                               parallelism=10 ** 6) == serial
     assert asked == [2]
+    # a row task gives its process back the cores it was allowed
+    if cores is not None:
+        assert os.sched_getaffinity(0) == cores
 
 
 def test_length_slices_match_symbolic(field64):
