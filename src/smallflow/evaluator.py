@@ -35,7 +35,6 @@ loop per cell.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 
@@ -98,8 +97,7 @@ class LengthEvaluation:
     Walks from different sources never meet there, so with parallelism
     p > 1 and k > 1 the k source rows go to a fork pool of min(p, k)
     workers, each started on its own core (rows run inline where fork is
-    unavailable).  The subset phase that combines them runs its batches
-    of independent terms on the same pool.  Every row and term is
+    unavailable), and the subset phase combines them.  Every row is
     computed by the same code either way, so the result is bit-identical
     for every parallelism degree.
     """
@@ -135,15 +133,12 @@ class LengthEvaluation:
                 rows = pool.starmap(
                     _pair_row_on_core,
                     [(cores[xi % len(cores)], args, xi) for xi in range(k)])
-                pair_sink_vals = [[row[q][0] for row in rows]
-                                  for q in range(self.l_pair)]
-                self.slices = _subset_phase(instance, l, self.l_pair,
-                                            pair_sink_vals, field,
-                                            pool.starmap)
+            pair_sink_vals = [[row[q][0] for row in rows]
+                              for q in range(self.l_pair)]
         else:
             pair_sink_vals = _pair_by_cost(*args, range(k))
-            self.slices = _subset_phase(instance, l, self.l_pair,
-                                        pair_sink_vals, field)
+        self.slices = _subset_phase(instance, l, self.l_pair,
+                                    pair_sink_vals, field)
 
     def value(self) -> int:
         """Cumulative value: XOR of slices k..l."""
@@ -154,17 +149,20 @@ class LengthEvaluation:
 
 
 def _pair_row_on_core(core, args, xi):
-    """Pool task: source row xi, its worker started on the given core.
+    """Pool task: source row xi, its worker first moved to the given core.
 
-    Forked workers start on the caller's core, and the kernel can take
-    longer than a whole evaluation to move them apart, so each worker
-    first moves itself to its core (rows round-robin over the usable
-    cores) and then lets the kernel balance it as usual.
+    Forked workers start on the caller's core and can stay stacked there
+    for a whole evaluation, so each moves itself to its core (rows go
+    round-robin over the usable cores), then lets the kernel balance it.
+    The move is only a hint: if the host refuses it, the row runs anyway.
     """
     if core is not None:
-        allowed = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {core})
-        os.sched_setaffinity(0, allowed)
+        try:
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {core})
+            os.sched_setaffinity(0, allowed)
+        except OSError:
+            pass
     return _pair_by_cost(*args, [xi])
 
 
@@ -213,63 +211,40 @@ def _pair_by_cost(instance, depth, assignment, field, costs, rows):
             for q in range(1, depth + 1)]
 
 
-def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field,
-                  starmap=itertools.starmap):
+def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
     """Subset recurrence over sink masks, index = exact length or cost.
 
     pair_sink_vals[q-1][i][j] is the walk-table value for walks of measure
     q from source i to sink j.  The table for mask B peels source |B|-1
     (0-based) against each sink in B; vectors over the index dimension are
     packed, so one (B, sink, q) contribution is a scalar product plus a
-    slot shift.  The masks of one size read only the masks one smaller,
-    so each size is one batch of (mask, sink) terms handed to `starmap`
-    (a pool's, to spread the batch over its workers).  Returns the full
-    slice list for the Y mask, indices 0..bound.
+    slot shift.  Returns the full slice list for the Y mask, indices
+    0..bound.
     """
     k = instance.k
     size = bound + 1
-    depth = min(deepest_pair, bound)
+    full_mask = (1 << (SLOT_BITS * size)) - 1
     tables = [0] * (1 << k)
     tables[0] = 1  # slot 0 holds field one: empty set at index 0
-    for i in range(k):  # masks of i + 1 sinks peel source i
-        masks = [mask for mask in range(1, 1 << k)
-                 if bin(mask).count("1") == i + 1]
-        owners, terms = [], []
-        for mask in masks:
-            for j in range(k):
-                if mask & (1 << j) and tables[mask ^ (1 << j)]:
-                    owners.append(mask)
-                    terms.append((tables[mask ^ (1 << j)],
-                                  [pair_sink_vals[q][i][j]
-                                   for q in range(depth)], size))
-        acc = dict.fromkeys(masks, 0)
-        for mask, term in zip(owners, starmap(_subset_term, terms)):
-            acc[mask] ^= term
-        for mask in masks:
-            tables[mask] = vec_reduce(acc[mask], size, field) \
-                if acc[mask] else 0
+    for mask in range(1, 1 << k):
+        i = bin(mask).count("1") - 1  # 0-based index of the peeled source
+        acc = 0
+        for j in range(k):
+            if not mask & (1 << j):
+                continue
+            prev = tables[mask ^ (1 << j)]
+            if prev == 0:
+                continue
+            win = vec_window(prev)
+            for q in range(1, deepest_pair + 1):
+                if q > bound:
+                    break
+                a = pair_sink_vals[q - 1][i][j]
+                if a:
+                    acc ^= (vec_scalar_mul_w(win, a) << (SLOT_BITS * q)) \
+                        & full_mask
+        tables[mask] = vec_reduce(acc, size, field) if acc else 0
     return vec_unpack(tables[(1 << k) - 1], size)
-
-
-def _subset_term(prev, vals, size):
-    """Unreduced sum over q of vals[q-1] * prev shifted up q slots, cut to
-    `size` slots.
-
-    Only the low size - q slots of prev can land below the cut, so prev
-    is re-windowed, truncated, each time that count halves.
-    """
-    keep = size
-    win = vec_window(prev)
-    acc = 0
-    for q, a in enumerate(vals, 1):
-        if not a:
-            continue
-        need = size - q
-        if 2 * need <= keep:
-            keep = need
-            win = vec_window(prev & ((1 << (SLOT_BITS * keep)) - 1))
-        acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * q)
-    return acc & ((1 << (SLOT_BITS * size)) - 1)
 
 
 def eval_length_slices(instance: PathInstance, l: int, assignment,

@@ -38,8 +38,6 @@ def scan_cost_slices(inst, f, field, cap):
 def test_single_edge(single_edge, field64):
     a = 0xABCDEF
     assert eval_length_bounded_seq(single_edge, 1, [a], field64) == a
-    assert eval_length_bounded_seq(single_edge, 1, [a], field64,
-                                   parallelism=2) == a
 
 
 def test_two_route_cancellation(field64):
