@@ -18,19 +18,13 @@ from .network import (
     random_paths_instance,
     serialize_dimacs_flow,
     serialize_paths_instance,
-    validate_walk_set,
 )
 from .evaluator import (
     BudgetError,
-    CostSlices,
     LengthEvaluation,
     eval_cost_slices,
     eval_length_bounded_seq,
-    eval_length_slices,
-    eval_with_edge_removed,
     random_assignment,
-    subdivide_costs,
-    subdivision_assignment,
 )
 from .decision import (
     NONZERO,

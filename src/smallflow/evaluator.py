@@ -10,8 +10,10 @@ the length-bounded walk polynomial.  Two engines compute them:
   walk extended one edge at a time, q -> q + c(e)) followed by the subset
   recurrence over sink masks.  Edge costs are handled implicitly instead
   of materializing the subdivided network (an edge of cost c replaced by
-  a unit-cost path of length c); subdivide_costs builds the explicit
-  subdivision as a test oracle for this equivalence.
+  a unit-cost path of length c); oracle.subdivide_costs builds the
+  explicit subdivision as the ground truth for this equivalence.
+  LengthEvaluation runs it at unit costs, eval_cost_slices at the edge
+  costs; both give the plain list of slice values.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask, current walk position), exact cost
@@ -57,7 +59,7 @@ class BudgetError(RuntimeError):
 
 
 def set_default_memory_limit(limit_bytes: int):
-    """Process-wide table ceiling used when calls pass no explicit limit."""
+    """Process-wide ceiling that every table and scan is checked against."""
     global DEFAULT_MEMORY_LIMIT
     DEFAULT_MEMORY_LIMIT = limit_bytes
 
@@ -74,11 +76,11 @@ def _check_assignment(instance, assignment):
             f"{instance.m}")
 
 
-def _check_budget(cells: int, memory_limit: int):
-    if cells * _CELL_BYTES > memory_limit:
+def _check_budget(cells: int):
+    if cells * _CELL_BYTES > DEFAULT_MEMORY_LIMIT:
         raise BudgetError(
             f"{cells} table cells (~{cells * _CELL_BYTES >> 20} MiB) exceed "
-            f"the {memory_limit >> 20} MiB ceiling")
+            f"the {DEFAULT_MEMORY_LIMIT >> 20} MiB ceiling")
 
 
 def subset_table_cells(k: int, bound: int) -> int:
@@ -103,8 +105,7 @@ class LengthEvaluation:
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
-                 field: GF2Field, parallelism: int = 1,
-                 memory_limit: int | None = None):
+                 field: GF2Field, parallelism: int = 1):
         if not 1 <= l <= instance.k * (instance.n - 1):
             raise ValueError(
                 f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
@@ -120,9 +121,7 @@ class LengthEvaluation:
         self.l_pair = max(l - k + 1, 0)
         self.pair_cells = self.l_pair * instance.n * k
         self.subset_cells = subset_table_cells(k, l)
-        _check_budget(self.pair_cells + self.subset_cells,
-                      memory_limit if memory_limit is not None
-                      else DEFAULT_MEMORY_LIMIT)
+        _check_budget(self.pair_cells + self.subset_cells)
         args = (instance, self.l_pair, assignment, field, [1] * instance.m)
         if parallelism > 1 and k > 1 and \
                 "fork" in multiprocessing.get_all_start_methods():
@@ -148,21 +147,28 @@ class LengthEvaluation:
         return acc
 
 
-def _pair_row_on_core(core, args, xi):
-    """Pool task: source row xi, its worker first moved to the given core.
+def _move_to_core(core):
+    """Move this process to the given core, then let the kernel balance it.
 
     Forked workers start on the caller's core and can stay stacked there
-    for a whole evaluation, so each moves itself to its core (rows go
-    round-robin over the usable cores), then lets the kernel balance it.
-    The move is only a hint: if the host refuses it, the row runs anyway.
+    for a whole evaluation.  The move is only a hint: with core None (no
+    affinity calls on this platform), or where the host refuses it, the
+    process stays where it is.
     """
-    if core is not None:
-        try:
-            allowed = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {core})
-            os.sched_setaffinity(0, allowed)
-        except OSError:
-            pass
+    if core is None:
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {core})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _pair_row_on_core(core, args, xi):
+    """Pool task: source row xi, its worker first moved to the given core
+    (rows go round-robin over the usable cores)."""
+    _move_to_core(core)
     return _pair_by_cost(*args, [xi])
 
 
@@ -247,13 +253,6 @@ def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
     return vec_unpack(tables[(1 << k) - 1], size)
 
 
-def eval_length_slices(instance: PathInstance, l: int, assignment,
-                       field: GF2Field, parallelism: int = 1) -> list[int]:
-    """Exact-length slice values for p = 0..l."""
-    return LengthEvaluation(instance, l, assignment, field,
-                            parallelism=parallelism).slices
-
-
 def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
                             field: GF2Field, parallelism: int = 1) -> int:
     """Value of the length-bounded walk polynomial by the sequential pair
@@ -266,104 +265,18 @@ def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
 # Cost slices (implicit subdivision)
 # ---------------------------------------------------------------------------
 
-class CostSlices:
-    """Exact-cost slice values, indices 0..u_max.
-
-    The cumulative value at U is the XOR of slices k..U; every monomial
-    lives in exactly one exact-cost slice.
-    """
-
-    def __init__(self, slices, k):
-        self.slices = slices
-        self.k = k
-
-    @property
-    def u_max(self):
-        return len(self.slices) - 1
-
-    def value_at(self, u: int) -> int:
-        acc = 0
-        for p in range(self.k, min(u, self.u_max) + 1):
-            acc ^= self.slices[p]
-        return acc
-
-    def first_nonzero(self, limit: int | None = None):
-        stop = self.u_max if limit is None else min(limit, self.u_max)
-        for p in range(stop + 1):
-            if self.slices[p]:
-                return p
-        return None
-
-    def __eq__(self, other):
-        return isinstance(other, CostSlices) and \
-            (self.slices, self.k) == (other.slices, other.k)
-
-
 def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
-                     field: GF2Field,
-                     memory_limit: int | None = None) -> CostSlices:
-    """Exact-cost slices via the cost-indexed pair recurrence + subset
-    phase."""
+                     field: GF2Field) -> list[int]:
+    """Exact-cost slice values for p = 0..u_max, via the cost-indexed pair
+    recurrence + subset phase."""
     k = instance.k
     if u_max < k:
         raise ValueError(f"cost bound {u_max} below k = {k}")
     _check_assignment(instance, assignment)
-    _check_budget(k * instance.n * (u_max + 1) + subset_table_cells(k, u_max),
-                  memory_limit if memory_limit is not None
-                  else DEFAULT_MEMORY_LIMIT)
+    _check_budget(k * instance.n * (u_max + 1) + subset_table_cells(k, u_max))
     pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field,
                                    instance.cost_list(), range(k))
-    slices = _subset_phase(instance, u_max, u_max, pair_sink_vals, field)
-    return CostSlices(slices, k)
-
-
-def eval_with_edge_removed(instance: PathInstance, removed: int, u_max: int,
-                           assignment, field: GF2Field,
-                           memory_limit: int | None = None) -> CostSlices:
-    """Cost slices of the instance with one edge deleted.
-
-    Deleting an edge equals assigning zero to its variable: every walk set
-    through the edge picks up a zero factor, and no other term changes.
-    """
-    if not 0 <= removed < instance.m:
-        raise ValueError(f"unknown edge id {removed}")
-    patched = list(assignment)
-    patched[removed] = 0
-    return eval_cost_slices(instance, u_max, patched, field,
-                            memory_limit=memory_limit)
-
-
-def subdivide_costs(instance: PathInstance):
-    """Explicitly replace each cost-c edge by a unit-cost path of length c.
-
-    Returns (unit-cost instance, carry map original edge id -> id of the
-    first edge on its replacement path).  Retained as the test oracle for
-    the implicit stepping used by eval_cost_slices.
-    """
-    costs = instance.cost_list()
-    edges = []
-    carry = {}
-    next_vertex = instance.n
-    for eid, (u, v) in enumerate(instance.edges):
-        c = costs[eid]
-        carry[eid] = len(edges)
-        chain = [u] + [next_vertex + i for i in range(c - 1)] + [v]
-        next_vertex += c - 1
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b))
-    return (
-        PathInstance(next_vertex, edges, instance.sources, instance.sinks),
-        carry,
-    )
-
-
-def subdivision_assignment(subdivided: PathInstance, carry, assignment):
-    """Lift an assignment through subdivide_costs: the first edge of each
-    replacement path carries the original value, the rest carry one."""
-    lifted = [1] * subdivided.m
-    for orig, first in carry.items():
-        lifted[first] = assignment[orig]
-    return lifted
+    return _subset_phase(instance, u_max, u_max, pair_sink_vals, field)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +319,7 @@ def scan_slices(instance: PathInstance, assignment, field: GF2Field,
         states = pending.pop(d, None)
         if not states:
             continue
-        _check_budget(wsize * (len(states) + sum(map(len, pending.values()))),
-                      DEFAULT_MEMORY_LIMIT)
+        _check_budget(wsize * (len(states) + sum(map(len, pending.values()))))
         for (bmask, z), raw in states.items():
             vec = vec_reduce(raw, wsize, field)
             if not vec:
@@ -469,7 +381,7 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
         states = layers.get(at)
         if not states:
             continue
-        _check_budget(stored, DEFAULT_MEMORY_LIMIT)
+        _check_budget(stored)
         for bmask, z in states:
             moves = []
             for eid in out_edges[z]:
@@ -508,16 +420,14 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
 
 
 def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
-                        cap: int | None = None, costs=None):
+                        cap: int, costs=None):
     """Least exact-cost index with a nonzero slice, scanning at most `cap`.
 
-    The default cap is the instance's simple-set cost bound: the least
-    nonzero slice, when one exists at all, is always certified by a set of
-    k vertex-disjoint simple paths, whose cost that bound dominates.
-    Returns (p, value) or None.
+    Callers cap the scan at most at the instance's simple-set cost bound:
+    the least nonzero slice, when one exists at all, is always certified
+    by a set of k vertex-disjoint simple paths, whose cost that bound
+    dominates.  Returns (p, value) or None.
     """
-    if cap is None:
-        cap = instance.simple_cost_cap(costs)
     costs = instance.cost_list() if costs is None else costs
     return next(scan_slices(instance, assignment, field, costs,
                             [0] * instance.m, cap, 0), None)

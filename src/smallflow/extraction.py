@@ -297,17 +297,22 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     """Minimum original-cost PathSet, or None when no k disjoint paths exist.
 
     strategy is "deletion" (the default) or "isolation", the paper's
-    route.  r is the isolation range, used by "isolation" only: it
+    route.  r is the isolation range, accepted with "isolation" only: it
     defaults to the desk-scale range; pass paper_isolation_range(instance)
     for the n^2 m setting.  A dict passed as `report` receives
-    attempts/strategy/r for reporting.
+    attempts/strategy for reporting, and r under isolation.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if r is not None and strategy != "isolation":
+        raise ValueError("an isolation range needs strategy='isolation'")
+    if strategy == "isolation" and r is None:
+        r = desk_isolation_range(instance)
     d0 = min_cost_disjoint_paths(instance, params)
-    r_eff = desk_isolation_range(instance) if r is None else r
     if report is not None:
-        report.update(strategy=strategy, r=r_eff, attempts=0)
+        report.update(strategy=strategy, attempts=0)
+        if r is not None:
+            report["r"] = r
     if d0 is None:
         return None
     failures = []
@@ -316,7 +321,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
             report["attempts"] = attempt + 1
         try:
             if strategy == "isolation":
-                ps = _isolation_attempt(instance, params, attempt, r_eff, d0)
+                ps = _isolation_attempt(instance, params, attempt, r, d0)
             else:
                 ps = _deletion_attempt(instance, params, attempt, d0)
         except AssemblyError as exc:
@@ -327,6 +332,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
                 f"attempt {attempt}: assembled cost {ps.total_cost} != {d0}")
             continue
         return ps
+    how = strategy if r is None else f"{strategy}, r={r}"
     raise RetriesExhaustedError(
         f"no attempt succeeded in {max_retries + 1} tries "
-        f"(strategy={strategy}, r={r_eff}): " + "; ".join(failures))
+        f"(strategy={how}): " + "; ".join(failures))

@@ -125,10 +125,6 @@ class GF2Field:
     def __hash__(self):
         return hash((self.exponent, self.poly))
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition: XOR of representations (characteristic two)."""
-        return a ^ b
-
     def reduce(self, p: int) -> int:
         """Fold a carryless product back below 2^s."""
         s = self.exponent
@@ -168,20 +164,6 @@ class GF2Field:
             shift += 4
         return self.reduce(p)
 
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, self.order - 2)
-
     def random_element(self, rng: random.Random) -> int:
         """Uniform element of the field; deterministic given rng state."""
         return rng.getrandbits(self.exponent)
@@ -214,16 +196,6 @@ def _low_mask(count: int, s: int) -> int:
         m = int.from_bytes(chunk * count, "little")
         _LOW_MASKS[key] = m
     return m
-
-
-def vec_pack(values) -> int:
-    """Pack a sequence of reduced elements into slot form."""
-    buf = bytearray(SLOT_BYTES * len(values))
-    for i, v in enumerate(values):
-        if v:
-            off = SLOT_BYTES * i
-            buf[off:off + 8] = v.to_bytes(8, "little")
-    return int.from_bytes(buf, "little")
 
 
 def vec_unpack(packed: int, count: int) -> list[int]:
@@ -267,14 +239,6 @@ def vec_scalar_mul_w(window, scalar: int) -> int:
         scalar >>= 4
         shift += 4
     return p
-
-
-def vec_scalar_mul(packed: int, scalar: int) -> int:
-    if scalar == 0 or packed == 0:
-        return 0
-    if scalar == 1:
-        return packed
-    return vec_scalar_mul_w(vec_window(packed), scalar)
 
 
 def vec_reduce(packed: int, count: int, field: GF2Field) -> int:

@@ -3,9 +3,9 @@
 Two instance kinds are handled:
 
 * PathInstance: a directed graph with k source terminals X, k sink
-  terminals Y (disjoint), optional positive integer edge costs, and an
-  optional total-length bound.  Parallel edges are allowed and keep
-  distinct ids; self-loops are rejected.
+  terminals Y (disjoint), and optional positive integer edge costs.
+  Parallel edges are allowed and keep distinct ids; self-loops are
+  rejected.
 
 * FlowInstance: a directed network with a source, a sink, integral
   capacities >= 1, costs >= 1, and a target flow value.
@@ -46,8 +46,7 @@ class PathInstance:
     makes total cost coincide with total length.
     """
 
-    def __init__(self, vertex_count, edges, sources, sinks, costs=None,
-                 length_bound=None):
+    def __init__(self, vertex_count, edges, sources, sinks, costs=None):
         n = vertex_count
         if n < 2:
             raise ValueError(f"need at least 2 vertices, got {n}")
@@ -78,10 +77,6 @@ class PathInstance:
             for c in costs:
                 if c < 1:
                     raise ValueError(f"cost below 1: {c}")
-        if length_bound is not None and length_bound > k * (n - 1):
-            raise ValueError(
-                f"length bound {length_bound} exceeds k(n-1) = {k * (n - 1)}"
-            )
         self.n = n
         self.m = len(edges)
         self.k = k
@@ -89,7 +84,6 @@ class PathInstance:
         self.sources = sources
         self.sinks = sinks
         self.costs = costs
-        self.length_bound = length_bound
         self.source_index = {v: i for i, v in enumerate(sources)}
         self.sink_index = {v: i for i, v in enumerate(sinks)}
         self._terminal = set(terminals)
@@ -112,10 +106,6 @@ class PathInstance:
     def max_cost(self) -> int:
         return 1 if self.costs is None else max(self.costs, default=1)
 
-    def with_costs(self, costs) -> "PathInstance":
-        return PathInstance(self.n, self.edges, self.sources, self.sinks,
-                           costs=costs, length_bound=self.length_bound)
-
     def max_path_edges(self) -> int:
         """Edges usable by k vertex-disjoint simple paths: min(m, k(n-1))."""
         return min(self.m, self.k * (self.n - 1))
@@ -134,10 +124,9 @@ class PathInstance:
     def __eq__(self, other):
         return (
             isinstance(other, PathInstance)
-            and (self.n, self.edges, self.sources, self.sinks, self.costs,
-                 self.length_bound)
+            and (self.n, self.edges, self.sources, self.sinks, self.costs)
             == (other.n, other.edges, other.sources, other.sinks,
-                other.costs, other.length_bound)
+                other.costs)
         )
 
     def __repr__(self):
@@ -218,34 +207,6 @@ class ProperWalkSet:
         for w in self.walks:
             ids.extend(w.edge_ids)
         return tuple(sorted(ids))
-
-
-def validate_walk_set(instance: PathInstance, walk_set: ProperWalkSet) -> bool:
-    """Check every proper-walk-set invariant against the instance."""
-    walks = walk_set.walks
-    if len(walks) != instance.k:
-        return False
-    starts = [w.vertices[0] for w in walks]
-    ends = [w.vertices[-1] for w in walks]
-    if sorted(starts) != sorted(instance.sources):
-        return False
-    if sorted(ends) != sorted(instance.sinks):
-        return False
-    total = 0
-    for w in walks:
-        vs, es = w.vertices, w.edge_ids
-        if len(vs) != len(es) + 1 or len(es) < 1:
-            return False
-        for v in vs[1:-1]:
-            if instance.is_terminal(v):
-                return False
-        for i, eid in enumerate(es):
-            if not 0 <= eid < instance.m:
-                return False
-            if instance.edges[eid] != (vs[i], vs[i + 1]):
-                return False
-        total += len(es)
-    return total <= instance.k * (instance.n - 1)
 
 
 # ---------------------------------------------------------------------------

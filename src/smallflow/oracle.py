@@ -5,6 +5,9 @@ randomized components on desk-scale instances:
 
 * exhaustive enumeration of proper walk sets (by length bound or exact cost),
 * symbolic characteristic-two polynomials (XOR-sets of monomials),
+* the explicit cost subdivision (each cost-c edge replaced by a unit-cost
+  path of length c), against which the evaluator's implicit cost steps
+  are checked,
 * the suffix-swap involution on walk sets and its signature,
 * exhaustive search for minimum k vertex-disjoint simple paths,
 * a classical successive-shortest-path min-cost flow solver, plus a
@@ -182,6 +185,42 @@ def symbolic_cost_slices(instance: PathInstance, up_to: int,
         p: SymbolicPolynomial(frozenset(monos))
         for p, monos in buckets.items() if monos
     }
+
+
+# ---------------------------------------------------------------------------
+# Explicit cost subdivision
+# ---------------------------------------------------------------------------
+
+def subdivide_costs(instance: PathInstance):
+    """Explicitly replace each cost-c edge by a unit-cost path of length c.
+
+    Returns (unit-cost instance, carry map original edge id -> id of the
+    first edge on its replacement path).
+    """
+    costs = instance.cost_list()
+    edges = []
+    carry = {}
+    next_vertex = instance.n
+    for eid, (u, v) in enumerate(instance.edges):
+        c = costs[eid]
+        carry[eid] = len(edges)
+        chain = [u] + [next_vertex + i for i in range(c - 1)] + [v]
+        next_vertex += c - 1
+        for a, b in zip(chain, chain[1:]):
+            edges.append((a, b))
+    return (
+        PathInstance(next_vertex, edges, instance.sources, instance.sinks),
+        carry,
+    )
+
+
+def subdivision_assignment(subdivided: PathInstance, carry, assignment):
+    """Lift an assignment through subdivide_costs: the first edge of each
+    replacement path carries the original value, the rest carry one."""
+    lifted = [1] * subdivided.m
+    for orig, first in carry.items():
+        lifted[first] = assignment[orig]
+    return lifted
 
 
 # ---------------------------------------------------------------------------

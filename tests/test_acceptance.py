@@ -16,7 +16,6 @@ from smallflow import (
     decide_cost_bounded,
     decide_disjoint_paths,
     eval_cost_slices,
-    eval_length_slices,
     extract_cost,
     find_disjoint_paths,
     min_cost_disjoint_paths,
@@ -24,12 +23,11 @@ from smallflow import (
     random_assignment,
     random_flow_instance,
     random_paths_instance,
-    subdivide_costs,
-    subdivision_assignment,
     validate_flow,
 )
-from smallflow.evaluator import LengthEvaluation, scan_slices
+from smallflow.evaluator import LengthEvaluation, _move_to_core, scan_slices
 from smallflow import oracle
+from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 FIELD = GF2Field(64)
 
@@ -157,7 +155,7 @@ def test_criterion_3_evaluator_correctness(capsys):
         l = rng.randint(1, inst.k * (inst.n - 1))
         for _ in range(5):
             f = random_assignment(FIELD, inst.m, rng)
-            table = eval_length_slices(inst, l, f, FIELD)
+            table = LengthEvaluation(inst, l, f, FIELD).slices
             scan = [0] * (l + 1)
             for d, vec in scan_slices(inst, f, FIELD, [1] * inst.m,
                                       [0] * inst.m, l, 0):
@@ -180,8 +178,8 @@ def test_criterion_3_evaluator_correctness(capsys):
         lifted = subdivision_assignment(sub, carry, f)
         u = min(sum(inst.costs), k * (sub.n - 1))
         cost_slices = eval_cost_slices(inst, u, f, FIELD)
-        length_slices = eval_length_slices(sub, u, lifted, FIELD)
-        b_bad += cost_slices.slices != length_slices[: u + 1]
+        length_slices = LengthEvaluation(sub, u, lifted, FIELD).slices
+        b_bad += cost_slices != length_slices[: u + 1]
 
     c_bad = 0
     for inst in _small_instances(303, 50, n_hi=6, k_hi=3, cost_max=3,
@@ -193,7 +191,7 @@ def test_criterion_3_evaluator_correctness(capsys):
             slices = eval_cost_slices(inst, u, f, FIELD)
             want = [sym[p].evaluate(FIELD, f) if p in sym else 0
                     for p in range(u + 1)]
-            c_bad += slices.slices != want
+            c_bad += slices != want
     elapsed = time.time() - t0
     ok = a_bad == b_bad == c_bad == 0 and elapsed < 120
     _report(capsys, 3, ok, f"a: {a_bad}/1000 b: {b_bad}/100 c: {c_bad}/1250 "
@@ -321,8 +319,10 @@ def test_criterion_6_flow_pipeline(capsys):
 
 
 def _parallel_ceiling():
-    """Measured speedup of two IPC-free CPU-bound processes on this host."""
+    """Measured speedup of two IPC-free CPU-bound processes on this host,
+    each first moved to its own core as the row workers are."""
     import multiprocessing
+    import os
 
     def burn(n):
         s = 0
@@ -334,16 +334,20 @@ def _parallel_ceiling():
     t0 = time.time()
     burn(n), burn(n)
     serial = time.time() - t0
+    cores = sorted(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else [None]
+    placed = [cores[0], cores[1 % len(cores)]]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(2) as pool:
-        pool.map(_burn_helper, [1000, 1000])
+        pool.starmap(_burn_helper, [(core, 1000) for core in placed])
         t0 = time.time()
-        pool.map(_burn_helper, [n, n])
+        pool.starmap(_burn_helper, [(core, n) for core in placed])
         par = time.time() - t0
     return serial / par
 
 
-def _burn_helper(n):
+def _burn_helper(core, n):
+    _move_to_core(core)
     s = 0
     for i in range(n):
         s += i * i

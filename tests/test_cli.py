@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +263,19 @@ def test_bench_csv(capsys):
         parts = row.split(",")
         values.setdefault(int(parts[1]), set()).add(parts[8])
     assert all(len(v) == 1 for v in values.values())
+
+
+def test_readme_cli_examples_parse():
+    # every `smallflow ...` line in the README's CLI block uses only
+    # subcommands and flags that the parser still has
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("smallflow ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

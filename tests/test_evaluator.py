@@ -9,13 +9,10 @@ from smallflow import (
     PathInstance,
     eval_cost_slices,
     eval_length_bounded_seq,
-    eval_length_slices,
-    eval_with_edge_removed,
     random_assignment,
     random_paths_instance,
-    subdivide_costs,
-    subdivision_assignment,
 )
+from smallflow import evaluator
 from smallflow.evaluator import (
     LengthEvaluation,
     perturbed_scan,
@@ -24,6 +21,7 @@ from smallflow.evaluator import (
     subset_table_cells,
 )
 from smallflow import oracle
+from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
 def scan_cost_slices(inst, f, field, cap):
@@ -33,6 +31,16 @@ def scan_cost_slices(inst, f, field, cap):
                               [0] * inst.m, cap, 0):
         slices[d] = vec
     return slices
+
+
+def first_nonzero(slices):
+    """Least index with a nonzero slice, or None."""
+    return next((p for p, v in enumerate(slices) if v), None)
+
+
+def zeroed(f, e):
+    """The assignment with edge e deleted: its variable set to zero."""
+    return f[:e] + [0] + f[e + 1:]
 
 
 def test_single_edge(single_edge, field64):
@@ -94,11 +102,11 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
                         InlinePool)
     inst = random_paths_instance(random.Random(5), 8, 2, extra_edges=12)
     f = random_assignment(field64, inst.m, random.Random(6))
-    serial = eval_length_slices(inst, 14, f, field64)
+    serial = LengthEvaluation(inst, 14, f, field64).slices
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else None
-    assert eval_length_slices(inst, 14, f, field64,
-                              parallelism=10 ** 6) == serial
+    assert LengthEvaluation(inst, 14, f, field64,
+                            parallelism=10 ** 6).slices == serial
     assert asked == [2]
     # a row task gives its process back the cores it was allowed
     if cores is not None:
@@ -113,7 +121,7 @@ def test_length_slices_match_symbolic(field64):
         inst = random_paths_instance(rng, n, k, extra_edges=rng.randint(0, n))
         l = k * (n - 1)
         f = random_assignment(field64, inst.m, rng)
-        slices = eval_length_slices(inst, l, f, field64)
+        slices = LengthEvaluation(inst, l, f, field64).slices
         for p in range(l + 1):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost",
                                                    costs=[1] * inst.m)
@@ -125,12 +133,10 @@ def test_cost_slices_bipartite_example(field64):
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
     cs = eval_cost_slices(inst, 8, f, field64)
-    assert cs.slices[2] == field64.mul(3, 9)
-    assert cs.slices[4] == field64.mul(5, 7)
-    assert all(v == 0 for p, v in enumerate(cs.slices) if p not in (2, 4))
-    assert cs.value_at(2) == cs.slices[2]
-    assert cs.value_at(8) == cs.slices[2] ^ cs.slices[4]
-    assert cs.first_nonzero() == 2
+    assert len(cs) == 9
+    assert cs[2] == field64.mul(3, 9)
+    assert cs[4] == field64.mul(5, 7)
+    assert all(v == 0 for p, v in enumerate(cs) if p not in (2, 4))
 
 
 def test_unit_costs_match_length_slices(field64):
@@ -143,14 +149,13 @@ def test_unit_costs_match_length_slices(field64):
         l = k * (n - 1)
         f = random_assignment(field64, inst.m, rng)
         cs = eval_cost_slices(inst, l, f, field64)
-        ls = eval_length_slices(inst, l, f, field64)
-        assert cs.slices == ls
+        assert cs == LengthEvaluation(inst, l, f, field64).slices
 
 
 def test_empty_edge_set(field64):
     inst = PathInstance(2, [], [0], [1])
     cs = eval_cost_slices(inst, 4, [], field64)
-    assert all(v == 0 for v in cs.slices)
+    assert all(v == 0 for v in cs)
 
 
 def test_edge_removed_matches_deleted_instance(field64):
@@ -163,27 +168,24 @@ def test_edge_removed_matches_deleted_instance(field64):
         eid = rng.randrange(inst.m)
         u = inst.simple_cost_cap()
         f = random_assignment(field64, inst.m, rng)
-        got = eval_with_edge_removed(inst, eid, u, f, field64)
+        got = eval_cost_slices(inst, u, zeroed(f, eid), field64)
         kept = [i for i in range(inst.m) if i != eid]
         smaller = PathInstance(inst.n, [inst.edges[i] for i in kept],
                                inst.sources, inst.sinks,
                                costs=[inst.costs[i] for i in kept])
         f2 = [f[i] for i in kept]
-        want = eval_cost_slices(smaller, u, f2, field64)
-        assert got.slices == want.slices
+        assert got == eval_cost_slices(smaller, u, f2, field64)
 
 
 def test_edge_removed_cases(single_edge, field64):
-    cs = eval_with_edge_removed(single_edge, 0, 3, [7], field64)
-    assert all(v == 0 for v in cs.slices)
-    with pytest.raises(ValueError, match="unknown edge"):
-        eval_with_edge_removed(single_edge, 5, 3, [7], field64)
+    cs = eval_cost_slices(single_edge, 3, zeroed([7], 0), field64)
+    assert all(v == 0 for v in cs)
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
-    cs = eval_with_edge_removed(inst, 0, 8, f, field64)
-    assert cs.slices[4] == field64.mul(5, 7)
-    assert all(v == 0 for p, v in enumerate(cs.slices) if p != 4)
+    cs = eval_cost_slices(inst, 8, zeroed(f, 0), field64)
+    assert cs[4] == field64.mul(5, 7)
+    assert all(v == 0 for p, v in enumerate(cs) if p != 4)
 
 
 def test_subdivide_costs():
@@ -214,8 +216,8 @@ def test_implicit_matches_explicit_subdivision(field64):
         lifted = subdivision_assignment(sub, carry, f)
         u = min(inst.simple_cost_cap(), k * (sub.n - 1), 30)
         cs = eval_cost_slices(inst, u, f, field64)
-        ls = eval_length_slices(sub, u, lifted, field64)
-        assert cs.slices == ls[: u + 1]
+        ls = LengthEvaluation(sub, u, lifted, field64).slices
+        assert cs == ls[: u + 1]
 
 
 def test_scan_engine_matches_tables(field64, field8):
@@ -232,9 +234,9 @@ def test_scan_engine_matches_tables(field64, field8):
             u = min(inst.simple_cost_cap(), 25)
             f = random_assignment(field, inst.m, rng)
             cs = eval_cost_slices(inst, u, f, field)
-            assert scan_cost_slices(inst, f, field, u) == cs.slices
+            assert scan_cost_slices(inst, f, field, u) == cs
             hit = scan_min_cost_slice(inst, f, field, cap=u)
-            assert (hit[0] if hit else None) == cs.first_nonzero()
+            assert (hit[0] if hit else None) == first_nonzero(cs)
 
 
 def test_perturbed_scan_matches_tables(field64, field8):
@@ -254,20 +256,21 @@ def test_perturbed_scan_matches_tables(field64, field8):
             d_cap = inst.simple_cost_cap()
             w_cap = inst.max_path_edges() * 3
             scale = w_cap + 1
-            perturbed = inst.with_costs(
-                [c * scale + w for c, w in zip(costs, weights)])
+            perturbed = PathInstance(
+                inst.n, inst.edges, inst.sources, inst.sinks,
+                costs=[c * scale + w for c, w in zip(costs, weights)])
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
             cs = eval_cost_slices(perturbed, u, f, field)
             hit = perturbed_scan(inst, f, field, costs, weights, d_cap,
                                  w_cap)
-            first = cs.first_nonzero()
+            first = first_nonzero(cs)
             assert (None if hit is None else hit[0] * scale + hit[1]) \
                 == first
             for _ in range(6):
                 d = rng.randint(k, d_cap)
                 w = rng.randint(0, w_cap)
-                clear = not any(cs.slices[:d * scale + w + 1])
+                clear = not any(cs[:d * scale + w + 1])
                 assert perturbed_scan(inst, f, field, costs, weights, d_cap,
                                       w_cap, stop_d=d, stop_w=w) is clear
 
@@ -288,7 +291,7 @@ def test_small_field_matches_symbolic(field8):
         cs = eval_cost_slices(inst, u, f, field8)
         want = [sym[p].evaluate(field8, f) if p in sym else 0
                 for p in range(u + 1)]
-        assert cs.slices == want
+        assert cs == want
 
 
 def test_monotone_support_under_edge_addition(field64):
@@ -325,14 +328,31 @@ def test_bound_validation(single_edge, field64):
                                     parallelism=degree)
 
 
-def test_memory_budget(field64):
+def test_memory_budget(field64, monkeypatch):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 1, 1, 1])
     with pytest.raises(BudgetError):
         eval_cost_slices(inst, 10 ** 9, [1, 1, 1, 1], field64)
-    with pytest.raises(BudgetError):
-        eval_cost_slices(inst, 100, [1, 1, 1, 1], field64,
-                         memory_limit=1024)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
+    before = evaluator.DEFAULT_MEMORY_LIMIT
+    evaluator.set_default_memory_limit(1024)
+    try:
+        with pytest.raises(BudgetError):
+            eval_cost_slices(inst, 100, [1, 1, 1, 1], field64)
+        # the ceiling is checked before the pair rows run, so at degree 2
+        # it fires before any worker is forked
+        for degree in (1, 2):
+            with pytest.raises(BudgetError):
+                LengthEvaluation(inst, 6, [1, 1, 1, 1], field64,
+                                 parallelism=degree)
+    finally:
+        evaluator.set_default_memory_limit(before)
 
 
 def test_cell_count_formula(field64):

@@ -232,7 +232,8 @@ def test_retries_exhausted_on_degenerate_isolation():
     # instance stay tied, classification returns no essential edges, and
     # every attempt fails the same way.
     inst = costed_bipartite((1, 1, 1, 1))
-    with pytest.raises(RetriesExhaustedError):
+    with pytest.raises(RetriesExhaustedError,
+                       match=r"strategy=isolation, r=1\)"):
         find_disjoint_paths(inst, params64(11), max_retries=2, r=1,
                             strategy="isolation")
     # the deletion strategy does not rely on isolation and succeeds
@@ -246,7 +247,16 @@ def test_report_dict():
     find_disjoint_paths(inst, params64(12), report=report)
     assert report["strategy"] == "deletion"
     assert report["attempts"] == 1
+    # deletion uses no isolation range, so the report names none
+    assert "r" not in report
+    report = {}
+    find_disjoint_paths(inst, params64(12), strategy="isolation",
+                        report=report)
+    assert report["strategy"] == "isolation"
     assert report["r"] == 64
+    # and a range passed with deletion is refused, not ignored
+    with pytest.raises(ValueError, match="isolation range"):
+        find_disjoint_paths(inst, params64(12), r=64)
 
 
 def test_scans_enforce_memory_ceiling():

@@ -5,11 +5,12 @@ import pytest
 
 from smallflow import GF2Field, derive_rng
 from smallflow.field import (
+    SLOT_BITS,
     is_irreducible,
-    vec_pack,
     vec_reduce,
-    vec_scalar_mul,
+    vec_scalar_mul_w,
     vec_unpack,
+    vec_window,
 )
 
 
@@ -25,13 +26,30 @@ def schoolbook_mul(a, b, poly, s):
     return prod
 
 
+def field_pow(field, a, e):
+    """a^e by square-and-multiply over field.mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = field.mul(r, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return r
+
+
+def pack(values):
+    """Reduced elements in packed-vector form, slot i holding values[i]."""
+    return sum(v << (SLOT_BITS * i) for i, v in enumerate(values))
+
+
 def test_add_is_xor_char_two(field8):
+    # addition is XOR, so squaring is additive: (a + b)^2 = a^2 + b^2
+    # holds exactly in characteristic two
     rng = random.Random(1)
     for _ in range(200):
-        a = field8.random_element(rng)
-        assert field8.add(a, a) == 0
-        assert field8.add(a, 0) == a
-    assert field8.add(0x57, 0x83) == 0xD4
+        a, b = field8.random_element(rng), field8.random_element(rng)
+        assert field8.mul(a ^ b, a ^ b) == \
+            field8.mul(a, a) ^ field8.mul(b, b)
 
 
 def test_mul_identities(field64):
@@ -60,15 +78,13 @@ def test_field_axioms_random_triples(field64):
     rng = random.Random(3)
     for _ in range(10_000):
         a, b, c = (field64.random_element(rng) for _ in range(3))
-        assert field64.add(field64.add(a, b), c) == \
-            field64.add(a, field64.add(b, c))
         assert field64.mul(a, b) == field64.mul(b, a)
     for _ in range(2_000):
         a, b, c = (field64.random_element(rng) for _ in range(3))
         assert field64.mul(field64.mul(a, b), c) == \
             field64.mul(a, field64.mul(b, c))
-        assert field64.mul(a, field64.add(b, c)) == \
-            field64.add(field64.mul(a, b), field64.mul(a, c))
+        assert field64.mul(a, b ^ c) == \
+            field64.mul(a, b) ^ field64.mul(a, c)
 
 
 def test_inverses(field64):
@@ -77,15 +93,15 @@ def test_inverses(field64):
         a = field64.random_element(rng)
         if a == 0:
             continue
-        inv = field64.pow(a, field64.order - 2)
+        inv = field_pow(field64, a, field64.order - 2)
         assert field64.mul(inv, a) == 1
-    with pytest.raises(ZeroDivisionError):
-        field64.inv(0)
 
 
 def test_addition_order_independence(field64):
+    # a sum of products, XORed up in any order, is the product of the sum
     rng = random.Random(5)
     elems = [field64.random_element(rng) for _ in range(50)]
+    c = field64.random_element(rng)
     total = 0
     for e in elems:
         total ^= e
@@ -93,8 +109,8 @@ def test_addition_order_independence(field64):
         rng.shuffle(elems)
         acc = 0
         for e in elems:
-            acc = field64.add(acc, e)
-        assert acc == total
+            acc ^= field64.mul(e, c)
+        assert acc == field64.mul(total, c)
 
 
 def test_random_element_replay(field64):
@@ -163,10 +179,11 @@ def test_packed_vectors_match_elementwise(s):
     rng = random.Random(s + 10)
     for count in (1, 3, 17):
         vals = [f.random_element(rng) for _ in range(count)]
-        packed = vec_pack(vals)
+        packed = pack(vals)
         assert vec_unpack(packed, count) == vals
         scalar = f.random_element(rng)
-        prod = vec_reduce(vec_scalar_mul(packed, scalar), count, f)
+        prod = vec_reduce(vec_scalar_mul_w(vec_window(packed), scalar),
+                          count, f)
         assert vec_unpack(prod, count) == [f.mul(scalar, v) for v in vals]
 
 
@@ -178,7 +195,7 @@ def test_packed_accumulation_reduces_like_field(field64):
     scalars = [field64.random_element(rng) for _ in range(4)]
     acc = 0
     for row, s in zip(vals, scalars):
-        acc ^= vec_scalar_mul(vec_pack(row), s)
+        acc ^= vec_scalar_mul_w(vec_window(pack(row)), s)
     got = vec_unpack(vec_reduce(acc, count, field64), count)
     want = [0] * count
     for row, s in zip(vals, scalars):

@@ -11,9 +11,7 @@ from smallflow import (
     random_paths_instance,
     serialize_dimacs_flow,
     serialize_paths_instance,
-    validate_walk_set,
 )
-from smallflow.network import ProperWalkSet, Walk
 
 PATHS_TEXT = """\
 # tiny chain
@@ -123,31 +121,6 @@ def test_dimacs_roundtrip():
     assert parse_dimacs_flow(text) == K
 
 
-def test_validate_walk_set(single_edge, bipartite22):
-    good = ProperWalkSet((Walk((0, 1), (0,)),))
-    assert validate_walk_set(single_edge, good)
-    # two walks from the same source
-    dup = ProperWalkSet((Walk((0, 2), (0,)), Walk((0, 3), (1,))))
-    assert not validate_walk_set(bipartite22, dup)
-    # ends not a permutation of Y
-    same_sink = ProperWalkSet((Walk((0, 2), (0,)), Walk((1, 2), (2,))))
-    assert not validate_walk_set(bipartite22, same_sink)
-    # wrong edge id for the hop
-    lie = ProperWalkSet((Walk((0, 1), (0,)),))
-    bad_inst = PathInstance(2, [(1, 0)], [1], [0])
-    assert not validate_walk_set(bad_inst, lie)
-
-
-def test_validate_walk_set_length_cap():
-    # k(n-1) = 3; a length-4 walk set must be rejected
-    inst = PathInstance(4, [(0, 1), (1, 2), (2, 1), (1, 3)], [0], [3])
-    walk = Walk((0, 1, 2, 1, 3), (0, 1, 2, 3))
-    assert walk.length == 4
-    assert not validate_walk_set(inst, ProperWalkSet((walk,)))
-    short = Walk((0, 1, 3), (0, 3))
-    assert validate_walk_set(inst, ProperWalkSet((short,)))
-
-
 def test_instance_invariant_errors():
     with pytest.raises(ValueError, match="self-loop"):
         PathInstance(2, [(0, 0)], [0], [1])
@@ -155,8 +128,6 @@ def test_instance_invariant_errors():
         PathInstance(3, [(0, 1)], [0], [0])
     with pytest.raises(ValueError, match="terminal"):
         PathInstance(2, [(0, 1)], [], [])
-    with pytest.raises(ValueError, match="length bound"):
-        PathInstance(3, [(0, 1)], [0], [1], length_bound=99)
     with pytest.raises(ValueError, match="cost list"):
         PathInstance(2, [(0, 1)], [0], [1], costs=[1, 2])
 

@@ -6,10 +6,9 @@ import random
 import pytest
 
 from smallflow import (
+    LengthEvaluation,
     PathInstance,
     eval_cost_slices,
-    eval_length_slices,
-    eval_with_edge_removed,
     random_assignment,
 )
 from smallflow.evaluator import scan_slices, slice_support
@@ -31,6 +30,11 @@ def tiny_instances(draw):
     costs = draw(st.lists(st.integers(1, 3), min_size=len(edges),
                           max_size=len(edges)))
     return PathInstance(n, edges, range(k), range(k, 2 * k), costs=costs)
+
+
+def _zeroed(f, e):
+    """The assignment with edge e deleted: its variable set to zero."""
+    return f[:e] + [0] + f[e + 1:]
 
 
 def _slice_bound(inst):
@@ -59,11 +63,11 @@ def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
     rng = random.Random(seed)
     for _ in range(2):
         f = random_assignment(field64, inst.m, rng)
-        full = eval_cost_slices(inst, d0, f, field64).slices
+        full = eval_cost_slices(inst, d0, f, field64)
         for e in range(inst.m):
             if not support[e]:
-                cut = eval_with_edge_removed(inst, e, d0, f, field64).slices
-                assert cut == full
+                assert eval_cost_slices(inst, d0, _zeroed(f, e),
+                                        field64) == full
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -78,11 +82,11 @@ def test_support_under_alive_mask(field64, inst, seed):
     assert not any(s and not a for s, a in zip(support, alive))
     f = [fe if a else 0
          for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
-    want = eval_cost_slices(inst, d, f, field64).slices[d]
+    want = eval_cost_slices(inst, d, f, field64)[d]
     for e in range(inst.m):
         if alive[e] and not support[e]:
-            assert eval_with_edge_removed(inst, e, d, f,
-                                          field64).slices[d] == want
+            assert eval_cost_slices(inst, d, _zeroed(f, e),
+                                    field64)[d] == want
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -96,4 +100,4 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
                               top, 0):
         scan[d] = vec
     for l in range(1, top + 1):
-        assert eval_length_slices(inst, l, f, field64) == scan[:l + 1]
+        assert LengthEvaluation(inst, l, f, field64).slices == scan[:l + 1]
