@@ -32,7 +32,8 @@ def default_repetitions(n: int) -> int:
 
 @dataclass(frozen=True)
 class TestParams:
-    """Field, repetition count, and root seed for one randomized query."""
+    """Field, repetition count, and root seed for one randomized query;
+    assignments() draws the query's random points from them."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -50,6 +51,15 @@ class TestParams:
             raise ValueError(
                 f"field of size 2^{self.field.exponent} too small for a "
                 f"degree-{degree} polynomial test")
+
+    def assignments(self, m: int, *stream):
+        """One random point per repetition: the assignment of m edges
+        drawn from derive_rng(seed, *stream, rep).  Each query names its
+        own stream, so its points are independent of other queries' and
+        reproducible byte for byte."""
+        for rep in range(self.repetitions):
+            yield random_assignment(self.field, m,
+                                    derive_rng(self.seed, *stream, rep))
 
 
 @dataclass(frozen=True)
@@ -74,9 +84,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
     params.check_degree(l)
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "decide-length", rep)
-        f = random_assignment(params.field, instance.m, rng)
+    for f in params.assignments(instance.m, "decide-length"):
         if eval_length_bounded_seq(instance, l, f, params.field,
                                    parallelism=parallelism):
             return Verdict(NONZERO, tuple(f))
@@ -96,9 +104,7 @@ def decide_cost_bounded(instance: PathInstance, u: int,
         raise ValueError(f"cost bound {u} must be >= 1")
     cap = min(u, instance.simple_cost_cap())
     params.check_degree(cap)
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "decide-cost", rep)
-        f = random_assignment(params.field, instance.m, rng)
+    for f in params.assignments(instance.m, "decide-cost"):
         if scan_min_cost_slice(instance, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f))
     return Verdict(ZERO)
@@ -119,11 +125,6 @@ def min_cost_disjoint_paths(instance: PathInstance,
         raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
     cap = min(u_max, instance.simple_cost_cap())
     params.check_degree(cap)
-    best = None
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "min-cost", rep)
-        f = random_assignment(params.field, instance.m, rng)
-        hit = scan_min_cost_slice(instance, f, params.field, cap=cap)
-        if hit is not None and (best is None or hit[0] < best):
-            best = hit[0]
-    return best
+    hits = (scan_min_cost_slice(instance, f, params.field, cap=cap)
+            for f in params.assignments(instance.m, "min-cost"))
+    return min((hit[0] for hit in hits if hit), default=None)

@@ -18,11 +18,13 @@ the length-bounded walk polynomial.  Two engines compute them:
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask, current walk position), exact cost
   as the layer index and an optional second cost (isolation weights) as
-  a packed vector per state.  Its readers stop at the first nonzero
-  slice, which serves minimum-cost queries and edge-essentiality tests
-  without materializing full tables.  slice_support walks the same state
-  graph without field values, to find the edges a slice can contain at
-  all: the per-edge tests skip the others.
+  a packed vector per state.  _state_moves is the one transition rule of
+  that state graph.  The readers scan_min_cost_slice and perturbed_scan
+  scan at the instance's costs and stop at the first nonzero slice,
+  which serves minimum-cost queries and edge-essentiality tests without
+  materializing full tables.  slice_support walks the same state graph
+  without field values, to find the edges a slice can contain at all:
+  the per-edge tests skip the others.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -283,74 +285,85 @@ def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
 # Combined-state scan engine
 # ---------------------------------------------------------------------------
 
+def _state_moves(instance: PathInstance, state):
+    """Moves out of scan state (B, z) as (edge id, next state) pairs.
+
+    Walks are built in source order, and a walk passes only through
+    non-terminals: an edge into a non-terminal extends it, an edge into an
+    unfinished sink finishes it and starts the next source's walk, and
+    every other edge is no move.  The next state is None when the edge
+    finishes the last walk.
+    """
+    bmask, z = state
+    moves = []
+    for eid in instance.out_edges[z]:
+        w = instance.edges[eid][1]
+        if not instance.is_terminal(w):
+            moves.append((eid, (bmask, w)))
+            continue
+        j = instance.sink_index.get(w)
+        if j is None or bmask & (1 << j):
+            continue
+        b2 = bmask | (1 << j)
+        moves.append((eid, None if b2 == (1 << instance.k) - 1 else
+                      (b2, instance.sources[bin(bmask).count("1") + 1])))
+    return moves
+
+
 def scan_slices(instance: PathInstance, assignment, field: GF2Field,
                 costs, weights, d_cap: int, w_cap: int):
     """Yield (d, packed weight vector) for each nonzero exact-cost layer
     d <= d_cap, in increasing d, by a single walk-at-a-time scan.
 
-    State (B, z): sinks in B are finished (walks are built in source
-    order), the current walk stands at z (the next unstarted source when
-    between walks).  Costs >= 1 make layers strictly increasing, so each
-    layer is complete when reached.  The second cost (weight) rides along
-    as one packed vector of slots 0..w_cap per state; slot w of a yielded
-    vector is the reduced slice value at (d, w).  Weights past w_cap are
-    dropped, so with zero weights and w_cap = 0 the vector is the plain
-    exact-cost slice value.  The memory ceiling is checked once per layer
-    against the states still pending.
+    State (B, z): sinks in B are finished, the current walk stands at z
+    (the next unstarted source when between walks); _state_moves gives the
+    moves, memoized for the scan.  Costs >= 1 make layers strictly
+    increasing, so each layer is complete when reached.  The second cost
+    (weight) rides along as one packed vector of slots 0..w_cap per state;
+    slot w of a yielded vector is the reduced slice value at (d, w).
+    Weights past w_cap are dropped, so with zero weights and w_cap = 0 the
+    vector is the plain exact-cost slice value.  The memory ceiling is
+    checked once per layer against the states still pending plus the
+    memoized moves.
     """
     _check_assignment(instance, assignment)
-    k = instance.k
-    sources = instance.sources
-    sink_index = instance.sink_index
-    out_edges = instance.out_edges
-    heads = instance.edges
-    is_term = instance.is_terminal
-    full = (1 << k) - 1
     wsize = w_cap + 1
     wmask = (1 << (SLOT_BITS * wsize)) - 1
-    pending = {0: {(0, sources[0]): 1}}  # packed weight vectors, unreduced
-    answers = {}
+    # state -> packed weight vector (unreduced) per layer; the key None
+    # holds the layer's finished walk sets
+    pending = {0: {(0, instance.sources[0]): 1}}
+    memo = {}
+    memo_cells = 0
     for d in range(d_cap + 1):
-        acc = answers.pop(d, 0)
-        if acc:
-            vec = vec_reduce(acc, wsize, field)
-            if vec:
-                yield d, vec
         states = pending.pop(d, None)
         if not states:
             continue
-        _check_budget(wsize * (len(states) + sum(map(len, pending.values()))))
-        for (bmask, z), raw in states.items():
+        done = states.pop(None, 0)
+        if done:
+            vec = vec_reduce(done, wsize, field)
+            if vec:
+                yield d, vec
+        _check_budget(wsize * (len(states) + sum(map(len, pending.values())))
+                      + memo_cells)
+        for state, raw in states.items():
             vec = vec_reduce(raw, wsize, field)
             if not vec:
                 continue
+            moves = memo.get(state)
+            if moves is None:
+                moves = memo[state] = _state_moves(instance, state)
+                memo_cells += len(moves)
             win = None
-            nexti = bin(bmask).count("1")
-            for eid in out_edges[z]:
+            for eid, key in moves:
                 fe = assignment[eid]
-                if fe == 0:
-                    continue
                 d2 = d + costs[eid]
-                if d2 > d_cap:
+                if not fe or d2 > d_cap:
                     continue
-                w = heads[eid][1]
-                if not is_term(w):
-                    key = (bmask, w)
-                else:
-                    j = sink_index.get(w)
-                    if j is None or bmask & (1 << j):
-                        continue
-                    b2 = bmask | (1 << j)
-                    key = None if b2 == full else (b2, sources[nexti + 1])
                 if win is None:
                     win = vec_window(vec)
                 carried = (vec_scalar_mul_w(win, fe)
                            << (SLOT_BITS * weights[eid])) & wmask
-                if not carried:
-                    continue
-                if key is None:
-                    answers[d2] = answers.get(d2, 0) ^ carried
-                else:
+                if carried:
                     tgt = pending.setdefault(d2, {})
                     tgt[key] = tgt.get(key, 0) ^ carried
 
@@ -359,54 +372,35 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
     """Mask of the alive edges that lie on some walk set of exact cost d
     built from alive edges only (alive[e] is true for a usable edge).
 
-    One forward pass collects the states of the scan_slices state graph
-    (finished-sinks mask, position, cost) reachable from the start, with
-    their moves; one backward pass keeps the moves that still reach a
-    finished walk set at cost exactly d.  No field arithmetic is done.
-    Every monomial of the cost-d slice over alive edges is the product
-    along one such walk set, so zeroing the variable of an edge outside
-    the mask leaves that slice's value unchanged at every assignment.  The
-    memory ceiling is checked once per layer against the states kept.
+    One forward pass collects the states of the scan's state graph
+    (finished-sinks mask, position, cost; moves from _state_moves)
+    reachable from the start; one backward pass keeps the moves that
+    still reach a finished walk set at cost exactly d.  No field
+    arithmetic is done.  Every monomial of the cost-d slice over alive
+    edges is the product along one such walk set, so zeroing the variable
+    of an edge outside the mask leaves that slice's value unchanged at
+    every assignment.  The memory ceiling is checked once per layer
+    against the states kept.
     """
-    k = instance.k
-    sources = instance.sources
-    sink_index = instance.sink_index
-    out_edges = instance.out_edges
-    heads = instance.edges
-    is_term = instance.is_terminal
-    full = (1 << k) - 1
-    layers = {0: {(0, sources[0]): None}}  # cost -> state -> its moves
+    layers = {0: {(0, instance.sources[0]): None}}  # cost -> state -> moves
     stored = 1
     for at in range(d + 1):
         states = layers.get(at)
         if not states:
             continue
         _check_budget(stored)
-        for bmask, z in states:
+        for state in states:
             moves = []
-            for eid in out_edges[z]:
+            for eid, key in _state_moves(instance, state):
                 d2 = at + costs[eid]
-                if not alive[eid] or d2 > d:
+                if not alive[eid] or d2 > d or (key is None and d2 != d):
                     continue
-                w = heads[eid][1]
-                if not is_term(w):
-                    key = (bmask, w)
-                else:
-                    j = sink_index.get(w)
-                    if j is None or bmask & (1 << j):
-                        continue
-                    b2 = bmask | (1 << j)
-                    if b2 == full:
-                        if d2 == d:
-                            moves.append((eid, d2, None))
-                        continue
-                    key = (b2, sources[bin(bmask).count("1") + 1])
                 moves.append((eid, d2, key))
                 tgt = layers.setdefault(d2, {})
-                if key not in tgt:
+                if key is not None and key not in tgt:
                     tgt[key] = None
                     stored += 1
-            states[bmask, z] = moves
+            states[state] = moves
     support = [False] * instance.m
     finishing = {}  # cost -> states that reach a finished set at cost d
     for at in sorted(layers, reverse=True):
@@ -420,7 +414,7 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
 
 
 def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
-                        cap: int, costs=None):
+                        cap: int):
     """Least exact-cost index with a nonzero slice, scanning at most `cap`.
 
     Callers cap the scan at most at the instance's simple-set cost bound:
@@ -428,35 +422,23 @@ def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
     by a set of k vertex-disjoint simple paths, whose cost that bound
     dominates.  Returns (p, value) or None.
     """
-    costs = instance.cost_list() if costs is None else costs
-    return next(scan_slices(instance, assignment, field, costs,
+    return next(scan_slices(instance, assignment, field, instance.cost_list(),
                             [0] * instance.m, cap, 0), None)
 
 
 def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
-                   costs, weights, d_cap: int, w_cap: int,
-                   stop_d: int | None = None, stop_w: int | None = None):
-    """Scan over two-part costs (c(e), w(e)) in lexicographic order.
+                   weights, d_cap: int, w_cap: int):
+    """Least (d, w) in lexicographic order with a nonzero slice, d <= d_cap,
+    or None: a scan over two-part costs (c(e), w(e)), c the instance's
+    costs.
 
     A slice at (d, w) collects walk sets whose edge multiset sums to cost
     d and weight w; under isolation-perturbed costs c'(e) = c(e)*scale +
     w(e) the slice at perturbed cost d*scale + w is exactly this (d, w)
     slice, and numeric order on perturbed costs equals lexicographic order
     on (d, w) as long as w_cap < scale.
-
-    Without stop bounds: returns the least (d, w) with a nonzero slice, or
-    None.  With stop bounds: returns True iff no nonzero slice exists at
-    any (d, w) lexicographically at or below (stop_d, stop_w).
     """
-    if stop_d is None:
-        for d, vec in scan_slices(instance, assignment, field, costs,
-                                  weights, d_cap, w_cap):
-            vals = vec_unpack(vec, w_cap + 1)
-            return d, next(w for w, v in enumerate(vals) if v)
-        return None
-    low = (1 << (SLOT_BITS * (stop_w + 1))) - 1
-    for d, vec in scan_slices(instance, assignment, field, costs, weights,
-                              stop_d, w_cap):
-        if d < stop_d or vec & low:
-            return False
-    return True
+    for d, vec in scan_slices(instance, assignment, field,
+                              instance.cost_list(), weights, d_cap, w_cap):
+        return d, ((vec & -vec).bit_length() - 1) // SLOT_BITS
+    return None

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .decision import TestParams, min_cost_disjoint_paths
 from .evaluator import (
     perturbed_scan,
-    random_assignment,
     scan_min_cost_slice,
     slice_support,
 )
@@ -120,20 +119,13 @@ def find_min_perturbed_cost(instance: PathInstance, pc: PerturbedCosts,
     coincides with perturbed-cost order because weight sums stay below the
     scale; the minimum over repetitions is reported.
     """
-    costs = instance.cost_list()
     d_cap, w_cap = _perturbed_caps(instance, pc)
     params.check_degree(d_cap * pc.scale + w_cap)
-    best = None
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "find-perturbed", rep)
-        f = random_assignment(params.field, instance.m, rng)
-        hit = perturbed_scan(instance, f, params.field, costs,
-                             list(pc.weights), d_cap, w_cap)
-        if hit is not None:
-            u = hit[0] * pc.scale + hit[1]
-            if best is None or u < best:
-                best = u
-    return best
+    hits = (perturbed_scan(instance, f, params.field, list(pc.weights),
+                           d_cap, w_cap)
+            for f in params.assignments(instance.m, "find-perturbed"))
+    return min((d * pc.scale + w for d, w in filter(None, hits)),
+               default=None)
 
 
 def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
@@ -147,30 +139,25 @@ def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
     d* = U* // scale are non-essential without a test, since deleting one
     leaves every (d*, w) slice as it was.
     """
-    costs = instance.cost_list()
     weights = list(pc.weights)
     d_star, w_star = divmod(u_star, pc.scale)
     _, w_cap = _perturbed_caps(instance, pc)
-    w_star = min(w_star, w_cap)
-    assignments = []
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "classify", rep)
-        assignments.append(random_assignment(params.field, instance.m, rng))
-    support = slice_support(instance, [True] * instance.m, costs, d_star)
+    optimum = (d_star, min(w_star, w_cap))
+    assignments = list(params.assignments(instance.m, "classify"))
+    support = slice_support(instance, [True] * instance.m,
+                            instance.cost_list(), d_star)
     essential = set()
     for eid in range(instance.m):
         if not support[eid]:
             continue
-        survives = False
         for f in assignments:
             patched = list(f)
             patched[eid] = 0
-            if not perturbed_scan(instance, patched, params.field, costs,
-                                  weights, d_star, w_cap,
-                                  stop_d=d_star, stop_w=w_star):
-                survives = True
-                break
-        if not survives:
+            hit = perturbed_scan(instance, patched, params.field, weights,
+                                 d_star, w_cap)
+            if hit is not None and hit <= optimum:
+                break  # a slice at or below U* survives the deletion
+        else:
             essential.add(eid)
     return essential
 
@@ -259,11 +246,7 @@ def _isolation_attempt(instance, params, attempt, r, d0):
 
 
 def _deletion_attempt(instance, params, attempt, d0):
-    field = params.field
-    assignments = []
-    for rep in range(params.repetitions):
-        rng = derive_rng(params.seed, "deletion", attempt, rep)
-        assignments.append(random_assignment(field, instance.m, rng))
+    assignments = list(params.assignments(instance.m, "deletion", attempt))
     costs = instance.cost_list()
     # Edges off the cost-d0 support pass their test without a scan: the
     # d0 slice does not contain their variable.
@@ -271,12 +254,9 @@ def _deletion_attempt(instance, params, attempt, d0):
 
     def survives():
         # Subgraphs only ever raise the optimum, so any hit means == d0.
-        for f in assignments:
-            patched = [fe if keep else 0 for fe, keep in zip(f, live)]
-            if scan_min_cost_slice(instance, patched, field, cap=d0,
-                                   costs=costs):
-                return True
-        return False
+        return any(scan_min_cost_slice(
+            instance, [fe if keep else 0 for fe, keep in zip(f, live)],
+            params.field, cap=d0) for f in assignments)
 
     for eid in range(instance.m):
         if not live[eid]:
@@ -306,6 +286,8 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
         raise ValueError(f"unknown strategy {strategy!r}")
     if r is not None and strategy != "isolation":
         raise ValueError("an isolation range needs strategy='isolation'")
+    if max_retries < 0:
+        raise ValueError(f"max_retries {max_retries} below 0")
     if strategy == "isolation" and r is None:
         r = desk_isolation_range(instance)
     d0 = min_cost_disjoint_paths(instance, params)

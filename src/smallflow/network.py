@@ -237,10 +237,10 @@ def parse_paths_instance(text: str) -> PathInstance:
                     raise ParseError(
                         f"line {lineno}: expected 'q paths <n> <m> <k>'")
                 header = tuple(int(t) for t in toks[2:])
-            elif tag == "x":
-                sources.append(int(toks[1]) - 1)
-            elif tag == "y":
-                sinks.append(int(toks[1]) - 1)
+            elif tag in ("x", "y"):
+                if len(toks) != 2:
+                    raise ParseError(f"line {lineno}: expected '{tag} <v>'")
+                (sources if tag == "x" else sinks).append(int(toks[1]) - 1)
             elif tag == "e":
                 if len(toks) not in (3, 4):
                     raise ParseError(
@@ -303,6 +303,9 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
                         f"line {lineno}: expected 'p min <n> <m>'")
                 header = (int(toks[2]), int(toks[3]))
             elif tag == "n":
+                if len(toks) != 3:
+                    raise ParseError(
+                        f"line {lineno}: expected 'n <v> <supply>'")
                 v, supply = int(toks[1]) - 1, int(toks[2])
                 if v in supplies:
                     raise ParseError(

@@ -125,6 +125,20 @@ def test_find_retries_exhausted_exit(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_negative_max_retries_exit(capsys, paths_file, tmp_path):
+    # exit 2 (input error), not 3 with "no attempt succeeded in 0 tries"
+    code = cli.main(["find", "-i", paths_file, "--max-retries", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_retries -1 below 0" in err
+    p = tmp_path / "k.dimacs"
+    p.write_text(TWO_ROUTES)
+    code = cli.main(["flow", "-i", str(p), "--max-retries", "-2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_retries -2 below 0" in err
+
+
 def test_flow_verify(capsys, tmp_path):
     p = tmp_path / "k.dimacs"
     p.write_text(TWO_ROUTES)

@@ -262,8 +262,7 @@ def test_perturbed_scan_matches_tables(field64, field8):
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
             cs = eval_cost_slices(perturbed, u, f, field)
-            hit = perturbed_scan(inst, f, field, costs, weights, d_cap,
-                                 w_cap)
+            hit = perturbed_scan(inst, f, field, weights, d_cap, w_cap)
             first = first_nonzero(cs)
             assert (None if hit is None else hit[0] * scale + hit[1]) \
                 == first
@@ -271,8 +270,8 @@ def test_perturbed_scan_matches_tables(field64, field8):
                 d = rng.randint(k, d_cap)
                 w = rng.randint(0, w_cap)
                 clear = not any(cs[:d * scale + w + 1])
-                assert perturbed_scan(inst, f, field, costs, weights, d_cap,
-                                      w_cap, stop_d=d, stop_w=w) is clear
+                low = perturbed_scan(inst, f, field, weights, d, w_cap)
+                assert (low is None or low > (d, w)) is clear
 
 
 def test_small_field_matches_symbolic(field8):

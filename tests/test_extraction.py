@@ -4,6 +4,7 @@ import pytest
 
 from smallflow import (
     BudgetError,
+    FlowInstance,
     GF2Field,
     PathInstance,
     RetriesExhaustedError,
@@ -15,6 +16,7 @@ from smallflow import (
     find_disjoint_paths,
     find_min_perturbed_cost,
     min_cost_disjoint_paths,
+    min_cost_flow,
     perturb_costs,
     random_flow_instance,
     random_paths_instance,
@@ -28,11 +30,11 @@ from smallflow.extraction import (
 )
 from smallflow import evaluator, extraction, oracle
 from smallflow.evaluator import (
-    perturbed_scan,
     random_assignment,
     scan_min_cost_slice,
+    scan_slices,
 )
-from smallflow.field import derive_rng
+from smallflow.field import SLOT_BITS, derive_rng
 
 
 def params64(seed=0, reps=1):
@@ -241,6 +243,21 @@ def test_retries_exhausted_on_degenerate_isolation():
     assert ps.total_cost == 2
 
 
+def test_negative_retry_count_rejected():
+    # -1 retries used to mean zero attempts, reported as "0 tries"
+    for strategy in ("deletion", "isolation"):
+        with pytest.raises(ValueError, match="max_retries -1 below 0"):
+            find_disjoint_paths(costed_bipartite(), params64(17),
+                                max_retries=-1, strategy=strategy)
+    # infeasible instances are refused too, not answered with None
+    infeasible = PathInstance(4, [(0, 2)], [0, 1], [2, 3])
+    with pytest.raises(ValueError, match="below 0"):
+        find_disjoint_paths(infeasible, params64(17), max_retries=-1)
+    K = FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 1)
+    with pytest.raises(ValueError, match="max_retries -2 below 0"):
+        min_cost_flow(K, params64(17), max_retries=-2)
+
+
 def test_report_dict():
     inst = costed_bipartite()
     report = {}
@@ -308,8 +325,7 @@ def sequential_deletion_attempt(instance, params, attempt, d0):
             for e in range(instance.m):
                 if removed[e] or e == without:
                     patched[e] = 0
-            if scan_min_cost_slice(instance, patched, field, cap=d0,
-                                   costs=costs):
+            if scan_min_cost_slice(instance, patched, field, cap=d0):
                 return True
         return False
 
@@ -321,25 +337,26 @@ def sequential_deletion_attempt(instance, params, attempt, d0):
 
 
 def patched_scan_classify(instance, pc, u_star, params):
-    """classify_edges with a patched scan for every edge."""
+    """classify_edges with a patched scan for every edge: an edge is
+    essential when, at every assignment with its variable zeroed, no
+    (d, w) slice at or below (d*, w*) is nonzero."""
     costs = instance.cost_list()
     d_star, w_star = divmod(u_star, pc.scale)
     _, w_cap = _perturbed_caps(instance, pc)
-    w_star = min(w_star, w_cap)
+    low = (1 << (SLOT_BITS * (min(w_star, w_cap) + 1))) - 1
     assignments = [random_assignment(params.field, instance.m,
                                      derive_rng(params.seed, "classify", rep))
                    for rep in range(params.repetitions)]
+
+    def cleared(f):
+        return not any(d < d_star or vec & low
+                       for d, vec in scan_slices(instance, f, params.field,
+                                                 costs, list(pc.weights),
+                                                 d_star, w_cap))
+
     essential = set()
     for eid in range(instance.m):
-        patched_all = []
-        for f in assignments:
-            patched = list(f)
-            patched[eid] = 0
-            patched_all.append(patched)
-        if all(perturbed_scan(instance, f, params.field, costs,
-                              list(pc.weights), d_star, w_cap,
-                              stop_d=d_star, stop_w=w_star)
-               for f in patched_all):
+        if all(cleared(f[:eid] + [0] + f[eid + 1:]) for f in assignments):
             essential.add(eid)
     return essential
 

@@ -50,6 +50,9 @@ def test_parse_paths_costs():
     ("q paths 2 9 1\nx 1\ny 2\ne 1 2\n", "edge count mismatch"),
     ("q paths 2 1 2\nx 1\ny 2\ne 1 2\n", "terminal count mismatch"),
     ("q paths 2 1 1\nz 1\n", "unknown record"),
+    ("q paths 2 1 1\nx 1 2\ny 2\ne 1 2\n", "line 2: expected 'x <v>'"),
+    ("q paths 2 1 1\nx 1\ny 2 7\ne 1 2\n", "line 3: expected 'y <v>'"),
+    ("q paths 2 1 1\nx\ny 2\ne 1 2\n", "line 2: expected 'x <v>'"),
 ])
 def test_parse_paths_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -109,6 +112,10 @@ def test_parse_dimacs_basic():
     ("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 1 -3\n", "cost below 1"),
     ("p min 2 1\nn 1 1\nn 2 -1\na 1 2 1 1 1\n", "lower bound"),
     ("p min 2 2\nn 1 1\nn 2 -1\na 1 2 0 1 1\n", "arc count mismatch"),
+    ("p min 2 1\nn 1 1 7\nn 2 -1\na 1 2 0 1 1\n",
+     "line 2: expected 'n <v> <supply>'"),
+    ("p min 2 1\nn 1 1\nn 2\na 1 2 0 1 1\n",
+     "line 3: expected 'n <v> <supply>'"),
 ])
 def test_parse_dimacs_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -149,3 +156,61 @@ def test_planted_instances_feasible():
         k = rng.randint(1, min(3, n // 2))
         inst = random_paths_instance(rng, n, k, extra_edges=0, plant=True)
         assert oracle.brute_force_disjoint_paths(inst) is not None
+
+
+# -- fuzz: any token soup parses or raises ParseError ------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+_ARG = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.sampled_from(["paths", "min", "0x2", "1.5", "nan", "#"]),
+    st.text(max_size=2),
+)
+_LINE = st.tuples(
+    st.sampled_from(["q", "x", "y", "e", "p", "n", "a", "c", "#", "z", ""]),
+    st.lists(_ARG, max_size=6)).map(lambda t: " ".join([t[0], *t[1]]))
+_PREFIXES = ["", "q paths 3 2 1\n", "q paths 3 2 1\nx 1\ny 3\n",
+             "p min 3 2\n", "p min 3 2\nn 1 1\nn 3 -1\n"]
+
+
+@st.composite
+def _token_soup(draw):
+    return draw(st.sampled_from(_PREFIXES)) + "\n".join(
+        draw(st.lists(_LINE, max_size=8)))
+
+
+@st.composite
+def _edited_valid_text(draw):
+    """A valid instance text with one to three edits: a line dropped, cut
+    short or doubled, or a token added or replaced."""
+    lines = [line.split() for line in draw(st.sampled_from(
+        [PATHS_TEXT, DIMACS_TEXT, "q paths 2 1 1\nx 1\ny 2\ne 1 2 5\n"]))
+        .splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i]
+        op = draw(st.sampled_from(["drop", "cut", "twice", "add", "swap"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "twice":
+            lines.insert(i, list(toks))
+        elif op == "cut":
+            lines[i] = toks[:draw(st.integers(0, max(len(toks) - 1, 0)))]
+        else:
+            at = draw(st.integers(0, len(toks)))
+            lines[i] = toks[:at] + [draw(_ARG)] + toks[at + (op == "swap"):]
+    return "\n".join(map(" ".join, lines))
+
+
+@hypothesis.settings(max_examples=1000, deadline=None)
+@hypothesis.given(st.one_of(_token_soup(), _edited_valid_text()))
+def test_parsers_accept_or_raise_parse_error(text):
+    for parse in (parse_paths_instance, parse_dimacs_flow):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -1,5 +1,5 @@
-"""Property tests of evaluator.slice_support and of the table engine
-against the scan engine on tiny instances."""
+"""Property tests on tiny instances: evaluator.slice_support, the table
+engine against the scan engine, and the queries' one-sided error."""
 
 import random
 
@@ -8,7 +8,11 @@ import pytest
 from smallflow import (
     LengthEvaluation,
     PathInstance,
+    TestParams,
+    decide_cost_bounded,
+    decide_disjoint_paths,
     eval_cost_slices,
+    min_cost_disjoint_paths,
     random_assignment,
 )
 from smallflow.evaluator import scan_slices, slice_support
@@ -101,3 +105,23 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
         scan[d] = vec
     for l in range(1, top + 1):
         assert LengthEvaluation(inst, l, f, field64).slices == scan[:l + 1]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_one_sided_error_over_gf256(field8, inst, seed):
+    # Over GF(2^8) one repetition misses often; an answer may be a false
+    # ZERO (or a cost above the optimum), but never a false NONZERO.
+    params = TestParams(field=field8, repetitions=1, seed=seed)
+    shortest = oracle.brute_force_disjoint_paths(inst, mode="length")
+    for l in range(1, inst.k * (inst.n - 1) + 1):
+        if decide_disjoint_paths(inst, l, params).nonzero:
+            assert shortest is not None and shortest[0] <= l
+    best = oracle.brute_force_disjoint_paths(inst, mode="cost")
+    got = min_cost_disjoint_paths(inst, params)
+    if best is None:
+        assert got is None
+        return
+    assert got is None or got >= best[0]
+    if best[0] > 1:
+        assert not decide_cost_bounded(inst, best[0] - 1, params).nonzero
