@@ -152,6 +152,7 @@ def _cmd_decide(args):
         "subcommand": "decide",
         "answer": verdict.answer,
         "length_bound": l,
+        "evaluated_degree": min(l, instance.max_path_edges()),
         "seed": args.seed,
         "field_exponent": args.field_exp,
         "repetitions": params.repetitions,

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .evaluator import (
+    ScanGraph,
     eval_length_bounded_seq,
     random_assignment,
     scan_min_cost_slice,
@@ -76,16 +77,25 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
                           params: TestParams, parallelism: int = 1) -> Verdict:
     """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
 
-    NONZERO is certain; ZERO errs with probability at most (l / 2^s)^t.
+    The tables are evaluated at degree min(l, max_path_edges()): slices
+    are homogeneous of distinct degrees, and the least nonzero one, when
+    there is one, is certified by k disjoint simple paths, which have at
+    most that many edges.  So the polynomial at l is nonzero exactly when
+    it is nonzero at the clamped degree.  A clamped degree below k is
+    ZERO without an evaluation (k walks take at least k edges).  NONZERO
+    is certain; ZERO errs with probability at most (degree / 2^s)^t.
     parallelism > 1 spreads the pair recurrence's source rows over up to
     that many worker processes (at most k); the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
-    params.check_degree(l)
+    degree = min(l, instance.max_path_edges())
+    if degree < instance.k:
+        return Verdict(ZERO)
+    params.check_degree(degree)
     for f in params.assignments(instance.m, "decide-length"):
-        if eval_length_bounded_seq(instance, l, f, params.field,
+        if eval_length_bounded_seq(instance, degree, f, params.field,
                                    parallelism=parallelism):
             return Verdict(NONZERO, tuple(f))
     return Verdict(ZERO)
@@ -104,8 +114,9 @@ def decide_cost_bounded(instance: PathInstance, u: int,
         raise ValueError(f"cost bound {u} must be >= 1")
     cap = min(u, instance.simple_cost_cap())
     params.check_degree(cap)
+    graph = ScanGraph(instance, instance.cost_list())
     for f in params.assignments(instance.m, "decide-cost"):
-        if scan_min_cost_slice(instance, f, params.field, cap=cap):
+        if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f))
     return Verdict(ZERO)
 
@@ -115,9 +126,15 @@ def min_cost_disjoint_paths(instance: PathInstance,
                             u_max: int | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
-    One slice scan per repetition; the least nonzero slice index is the
-    answer for that repetition (each monomial lives in exactly one
-    exact-cost slice), and repetitions combine by taking the minimum.
+    One slice scan per repetition, all over one ScanGraph; the least
+    nonzero slice index is the answer for that repetition (each monomial
+    lives in exactly one exact-cost slice), and repetitions combine by
+    taking the minimum.  After a hit at cost `best`, later repetitions
+    scan only to best - 1, since only a lower hit changes the minimum;
+    each still tests the true least nonzero slice when it lies below the
+    cap, so the error bound is that of the initial cap.  No walk set
+    costs less than the graph's floor, so once the cap is below it no
+    repetition is left that could hit, and none is run.
     """
     if u_max is None:
         u_max = instance.max_cost() * instance.n * instance.n
@@ -125,6 +142,13 @@ def min_cost_disjoint_paths(instance: PathInstance,
         raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
     cap = min(u_max, instance.simple_cost_cap())
     params.check_degree(cap)
-    hits = (scan_min_cost_slice(instance, f, params.field, cap=cap)
-            for f in params.assignments(instance.m, "min-cost"))
-    return min((hit[0] for hit in hits if hit), default=None)
+    graph = ScanGraph(instance, instance.cost_list())
+    best = None
+    for f in params.assignments(instance.m, "min-cost"):
+        if graph.floor is None or cap < graph.floor:
+            break
+        hit = scan_min_cost_slice(graph, f, params.field, cap=cap)
+        if hit:
+            best = hit[0]
+            cap = best - 1
+    return best

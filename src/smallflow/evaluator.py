@@ -19,12 +19,22 @@ the length-bounded walk polynomial.  Two engines compute them:
   state space (finished-sinks mask, current walk position), exact cost
   as the layer index and an optional second cost (isolation weights) as
   a packed vector per state.  _state_moves is the one transition rule of
-  that state graph.  The readers scan_min_cost_slice and perturbed_scan
-  scan at the instance's costs and stop at the first nonzero slice,
-  which serves minimum-cost queries and edge-essentiality tests without
-  materializing full tables.  slice_support walks the same state graph
-  without field values, to find the edges a slice can contain at all:
-  the per-edge tests skip the others.
+  that state graph, and ScanGraph builds the graph once per query: its
+  reachable states, their moves, and for each state togo, the least cost
+  that finishes every remaining walk (one backward shortest-path pass,
+  the exact lower bound of A*).  Every scan skips a move out of a state
+  at cost d into a state with d + c(e) + togo > cap.  That is exact:
+  a walk set of cost <= cap has, at each of its states, a prefix cost d
+  and a remainder of cost at least togo, so it passes only through moves
+  that are kept, and a skipped move carries no walk set the scan could
+  yield.  States that cannot finish at all are dropped from the graph.
+  The readers scan_min_cost_slice and perturbed_scan scan at the graph's
+  costs and stop at the first nonzero slice, which serves minimum-cost
+  queries and edge-essentiality tests without materializing full
+  tables; a cap below the graph's floor (the start state's togo)
+  expands nothing.  slice_support walks the same graph without field
+  values, to find the edges a slice can contain at all: the per-edge
+  tests skip the others.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -226,7 +236,10 @@ def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
     q from source i to sink j.  The table for mask B peels source |B|-1
     (0-based) against each sink in B; vectors over the index dimension are
     packed, so one (B, sink, q) contribution is a scalar product plus a
-    slot shift.  Returns the full slice list for the Y mask, indices
+    slot shift.  A shift by q needs only the low size - q slots of the
+    previous table; its window is rebuilt from just those slots whenever
+    that count halves, and the slots shifted past the bound are masked off
+    once per mask.  Returns the full slice list for the Y mask, indices
     0..bound.
     """
     k = instance.k
@@ -243,14 +256,17 @@ def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
             prev = tables[mask ^ (1 << j)]
             if prev == 0:
                 continue
-            win = vec_window(prev)
-            for q in range(1, deepest_pair + 1):
-                if q > bound:
-                    break
+            win = None
+            for q in range(1, min(deepest_pair, bound) + 1):
                 a = pair_sink_vals[q - 1][i][j]
-                if a:
-                    acc ^= (vec_scalar_mul_w(win, a) << (SLOT_BITS * q)) \
-                        & full_mask
+                if not a:
+                    continue
+                need = size - q  # slots of prev that land at or below bound
+                if win is None or 2 * need <= slots:
+                    slots = need
+                    win = vec_window(prev & ((1 << (SLOT_BITS * need)) - 1))
+                acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * q)
+        acc &= full_mask
         tables[mask] = vec_reduce(acc, size, field) if acc else 0
     return vec_unpack(tables[(1 << k) - 1], size)
 
@@ -310,90 +326,146 @@ def _state_moves(instance: PathInstance, state):
     return moves
 
 
-def scan_slices(instance: PathInstance, assignment, field: GF2Field,
-                costs, weights, d_cap: int, w_cap: int):
+class ScanGraph:
+    """The scan engine's state graph for one instance and one cost vector,
+    with the exact cost still to go from every state.
+
+    One forward pass collects the states (finished-sinks mask, position)
+    reachable from the start (0, first source), at most 2^k * n of them,
+    with their moves from _state_moves.  One backward pass from the
+    finished state, a bucket queue over the integer costs (Dial), gives
+    togo[state]: the least cost of moves that finishes every remaining
+    walk.  A state that cannot finish has no entry, and no move into it
+    is kept.  moves[state] lists (edge id, cost, next state, reach), where
+    reach = cost + togo[next state] (just the cost when the move finishes
+    the last walk), and floor = togo[start], or None when no walk set
+    exists at all.  The memory ceiling is checked once, against the
+    states and moves of the forward pass.
+    """
+
+    def __init__(self, instance: PathInstance, costs):
+        self.instance = instance
+        self.start = (0, instance.sources[0])
+        succ = {self.start: _state_moves(instance, self.start)}
+        stack = [self.start]
+        while stack:
+            for _, key in succ[stack.pop()]:
+                if key is not None and key not in succ:
+                    succ[key] = _state_moves(instance, key)
+                    stack.append(key)
+        _check_budget(len(succ) + sum(map(len, succ.values())))
+        preds = {}
+        for state, moves in succ.items():
+            for eid, key in moves:
+                preds.setdefault(key, []).append((state, costs[eid]))
+        togo = {}
+        buckets = {0: [None]}
+        at = 0
+        while buckets:
+            for key in buckets.pop(at, ()):
+                if key in togo:
+                    continue
+                togo[key] = at
+                for state, c in preds.get(key, ()):
+                    if state not in togo:
+                        buckets.setdefault(at + c, []).append(state)
+            at += 1
+        self.moves = {
+            state: [(eid, costs[eid], key, costs[eid] + togo[key])
+                    for eid, key in moves if key in togo]
+            for state, moves in succ.items() if state in togo}
+        del togo[None]
+        self.togo = togo
+        self.floor = togo.get(self.start)
+        self.cells = len(self.moves) + sum(map(len, self.moves.values()))
+
+
+def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
+                d_cap: int, w_cap: int):
     """Yield (d, packed weight vector) for each nonzero exact-cost layer
-    d <= d_cap, in increasing d, by a single walk-at-a-time scan.
+    d <= d_cap, in increasing d, by a single walk-at-a-time pass over the
+    graph's states at the graph's costs.
 
     State (B, z): sinks in B are finished, the current walk stands at z
-    (the next unstarted source when between walks); _state_moves gives the
-    moves, memoized for the scan.  Costs >= 1 make layers strictly
-    increasing, so each layer is complete when reached.  The second cost
-    (weight) rides along as one packed vector of slots 0..w_cap per state;
-    slot w of a yielded vector is the reduced slice value at (d, w).
-    Weights past w_cap are dropped, so with zero weights and w_cap = 0 the
-    vector is the plain exact-cost slice value.  The memory ceiling is
-    checked once per layer against the states still pending plus the
-    memoized moves.
+    (the next unstarted source when between walks).  Costs >= 1 make
+    layers strictly increasing, so each layer is complete when reached.
+    A move out of a state at cost d is skipped when d + reach > d_cap:
+    no walk set through it finishes within the cap, so every walk set of
+    cost <= d_cap passes only through expanded states and the yielded
+    slices are exact; with d_cap below graph.floor nothing is expanded.
+    The second cost (weight) rides along as one packed vector of slots
+    0..w_cap per state; slot w of a yielded vector is the reduced slice
+    value at (d, w).  Weights past w_cap are dropped, so with zero weights
+    and w_cap = 0 the vector is the plain exact-cost slice value.  The
+    memory ceiling is checked once per layer against the states still
+    pending plus the graph's cells.
     """
-    _check_assignment(instance, assignment)
+    _check_assignment(graph.instance, assignment)
     wsize = w_cap + 1
     wmask = (1 << (SLOT_BITS * wsize)) - 1
-    # state -> packed weight vector (unreduced) per layer; the key None
+    moves_of = graph.moves
+    # cost -> state -> packed weight vector (unreduced); the key None
     # holds the layer's finished walk sets
-    pending = {0: {(0, instance.sources[0]): 1}}
-    memo = {}
-    memo_cells = 0
-    for d in range(d_cap + 1):
-        states = pending.pop(d, None)
-        if not states:
-            continue
+    pending = {}
+    if graph.floor is not None and graph.floor <= d_cap:
+        pending[0] = {graph.start: 1}
+    while pending:
+        d = min(pending)
+        states = pending.pop(d)
         done = states.pop(None, 0)
         if done:
             vec = vec_reduce(done, wsize, field)
             if vec:
                 yield d, vec
         _check_budget(wsize * (len(states) + sum(map(len, pending.values())))
-                      + memo_cells)
+                      + graph.cells)
         for state, raw in states.items():
             vec = vec_reduce(raw, wsize, field)
             if not vec:
                 continue
-            moves = memo.get(state)
-            if moves is None:
-                moves = memo[state] = _state_moves(instance, state)
-                memo_cells += len(moves)
             win = None
-            for eid, key in moves:
+            for eid, c, key, reach in moves_of[state]:
                 fe = assignment[eid]
-                d2 = d + costs[eid]
-                if not fe or d2 > d_cap:
+                if not fe or d + reach > d_cap:
                     continue
                 if win is None:
                     win = vec_window(vec)
                 carried = (vec_scalar_mul_w(win, fe)
                            << (SLOT_BITS * weights[eid])) & wmask
                 if carried:
-                    tgt = pending.setdefault(d2, {})
+                    tgt = pending.setdefault(d + c, {})
                     tgt[key] = tgt.get(key, 0) ^ carried
 
 
-def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
+def slice_support(graph: ScanGraph, alive, d: int) -> list:
     """Mask of the alive edges that lie on some walk set of exact cost d
     built from alive edges only (alive[e] is true for a usable edge).
 
-    One forward pass collects the states of the scan's state graph
-    (finished-sinks mask, position, cost; moves from _state_moves)
-    reachable from the start; one backward pass keeps the moves that
-    still reach a finished walk set at cost exactly d.  No field
-    arithmetic is done.  Every monomial of the cost-d slice over alive
-    edges is the product along one such walk set, so zeroing the variable
-    of an edge outside the mask leaves that slice's value unchanged at
-    every assignment.  The memory ceiling is checked once per layer
-    against the states kept.
+    One forward pass collects the graph's states (finished-sinks mask,
+    position, cost) reachable from the start, skipping moves that cannot
+    finish by cost d (the bound of scan_slices); one backward pass keeps
+    the moves that still reach a finished walk set at cost exactly d.  No
+    field arithmetic is done.  Every monomial of the cost-d slice over
+    alive edges is the product along one such walk set, so zeroing the
+    variable of an edge outside the mask leaves that slice's value
+    unchanged at every assignment.  The memory ceiling is checked once
+    per layer against the states kept plus the graph's cells.
     """
-    layers = {0: {(0, instance.sources[0]): None}}  # cost -> state -> moves
+    layers = {}  # cost -> state -> moves
+    if graph.floor is not None and graph.floor <= d:
+        layers[0] = {graph.start: None}
     stored = 1
     for at in range(d + 1):
         states = layers.get(at)
         if not states:
             continue
-        _check_budget(stored)
+        _check_budget(stored + graph.cells)
         for state in states:
             moves = []
-            for eid, key in _state_moves(instance, state):
-                d2 = at + costs[eid]
-                if not alive[eid] or d2 > d or (key is None and d2 != d):
+            for eid, c, key, reach in graph.moves[state]:
+                d2 = at + c
+                if not alive[eid] or at + reach > d or \
+                        (key is None and d2 != d):
                     continue
                 moves.append((eid, d2, key))
                 tgt = layers.setdefault(d2, {})
@@ -401,7 +473,7 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
                     tgt[key] = None
                     stored += 1
             states[state] = moves
-    support = [False] * instance.m
+    support = [False] * graph.instance.m
     finishing = {}  # cost -> states that reach a finished set at cost d
     for at in sorted(layers, reverse=True):
         here = finishing[at] = set()
@@ -413,24 +485,24 @@ def slice_support(instance: PathInstance, alive, costs, d: int) -> list:
     return support
 
 
-def scan_min_cost_slice(instance: PathInstance, assignment, field: GF2Field,
+def scan_min_cost_slice(graph: ScanGraph, assignment, field: GF2Field,
                         cap: int):
     """Least exact-cost index with a nonzero slice, scanning at most `cap`.
 
     Callers cap the scan at most at the instance's simple-set cost bound:
     the least nonzero slice, when one exists at all, is always certified
     by a set of k vertex-disjoint simple paths, whose cost that bound
-    dominates.  Returns (p, value) or None.
+    dominates.  Returns (p, value) or None; with cap below graph.floor it
+    returns None without expanding a state.
     """
-    return next(scan_slices(instance, assignment, field, instance.cost_list(),
-                            [0] * instance.m, cap, 0), None)
+    return next(scan_slices(graph, assignment, field,
+                            [0] * graph.instance.m, cap, 0), None)
 
 
-def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
+def perturbed_scan(graph: ScanGraph, assignment, field: GF2Field,
                    weights, d_cap: int, w_cap: int):
     """Least (d, w) in lexicographic order with a nonzero slice, d <= d_cap,
-    or None: a scan over two-part costs (c(e), w(e)), c the instance's
-    costs.
+    or None: a scan over two-part costs (c(e), w(e)), c the graph's costs.
 
     A slice at (d, w) collects walk sets whose edge multiset sums to cost
     d and weight w; under isolation-perturbed costs c'(e) = c(e)*scale +
@@ -438,7 +510,7 @@ def perturbed_scan(instance: PathInstance, assignment, field: GF2Field,
     slice, and numeric order on perturbed costs equals lexicographic order
     on (d, w) as long as w_cap < scale.
     """
-    for d, vec in scan_slices(instance, assignment, field,
-                              instance.cost_list(), weights, d_cap, w_cap):
+    for d, vec in scan_slices(graph, assignment, field, weights, d_cap,
+                              w_cap):
         return d, ((vec & -vec).bit_length() - 1) // SLOT_BITS
     return None

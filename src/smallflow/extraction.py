@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from .decision import TestParams, min_cost_disjoint_paths
 from .evaluator import (
+    ScanGraph,
     perturbed_scan,
     scan_min_cost_slice,
     slice_support,
@@ -117,15 +118,21 @@ def find_min_perturbed_cost(instance: PathInstance, pc: PerturbedCosts,
 
     Scans (original cost, weight) slices in lexicographic order, which
     coincides with perturbed-cost order because weight sums stay below the
-    scale; the minimum over repetitions is reported.
+    scale; the minimum over repetitions is reported.  All repetitions scan
+    one ScanGraph, and after a hit at (d, w) later ones scan only to cost
+    d, where a lower hit can still lie.
     """
     d_cap, w_cap = _perturbed_caps(instance, pc)
     params.check_degree(d_cap * pc.scale + w_cap)
-    hits = (perturbed_scan(instance, f, params.field, list(pc.weights),
-                           d_cap, w_cap)
-            for f in params.assignments(instance.m, "find-perturbed"))
-    return min((d * pc.scale + w for d, w in filter(None, hits)),
-               default=None)
+    graph = ScanGraph(instance, instance.cost_list())
+    weights = list(pc.weights)
+    best = None
+    for f in params.assignments(instance.m, "find-perturbed"):
+        hit = perturbed_scan(graph, f, params.field, weights, d_cap, w_cap)
+        if hit is not None and (best is None or hit < best):
+            best = hit
+            d_cap = hit[0]
+    return None if best is None else best[0] * pc.scale + best[1]
 
 
 def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
@@ -135,17 +142,18 @@ def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
     Under a unique perturbed optimum these are exactly the optimum's
     edges.  A false zero can only add edges (never drop one), which the
     assembly checks catch.  One fresh assignment per repetition is shared
-    by all per-edge tests; edges off the support of the original cost
-    d* = U* // scale are non-essential without a test, since deleting one
-    leaves every (d*, w) slice as it was.
+    by all per-edge tests, and one ScanGraph by all scans; edges off the
+    support of the original cost d* = U* // scale are non-essential
+    without a test, since deleting one leaves every (d*, w) slice as it
+    was.
     """
     weights = list(pc.weights)
     d_star, w_star = divmod(u_star, pc.scale)
     _, w_cap = _perturbed_caps(instance, pc)
     optimum = (d_star, min(w_star, w_cap))
     assignments = list(params.assignments(instance.m, "classify"))
-    support = slice_support(instance, [True] * instance.m,
-                            instance.cost_list(), d_star)
+    graph = ScanGraph(instance, instance.cost_list())
+    support = slice_support(graph, [True] * instance.m, d_star)
     essential = set()
     for eid in range(instance.m):
         if not support[eid]:
@@ -153,7 +161,7 @@ def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
         for f in assignments:
             patched = list(f)
             patched[eid] = 0
-            hit = perturbed_scan(instance, patched, params.field, weights,
+            hit = perturbed_scan(graph, patched, params.field, weights,
                                  d_star, w_cap)
             if hit is not None and hit <= optimum:
                 break  # a slice at or below U* survives the deletion
@@ -248,14 +256,15 @@ def _isolation_attempt(instance, params, attempt, r, d0):
 def _deletion_attempt(instance, params, attempt, d0):
     assignments = list(params.assignments(instance.m, "deletion", attempt))
     costs = instance.cost_list()
+    graph = ScanGraph(instance, costs)
     # Edges off the cost-d0 support pass their test without a scan: the
     # d0 slice does not contain their variable.
-    live = slice_support(instance, [True] * instance.m, costs, d0)
+    live = slice_support(graph, [True] * instance.m, d0)
 
     def survives():
         # Subgraphs only ever raise the optimum, so any hit means == d0.
         return any(scan_min_cost_slice(
-            instance, [fe if keep else 0 for fe, keep in zip(f, live)],
+            graph, [fe if keep else 0 for fe, keep in zip(f, live)],
             params.field, cap=d0) for f in assignments)
 
     for eid in range(instance.m):
@@ -263,7 +272,7 @@ def _deletion_attempt(instance, params, attempt, d0):
             continue
         live[eid] = False
         if survives():
-            live = slice_support(instance, live, costs, d0)
+            live = slice_support(graph, live, d0)
         else:
             live[eid] = True
     kept = [e for e in range(instance.m) if live[e]]

@@ -107,8 +107,10 @@ class PathInstance:
         return 1 if self.costs is None else max(self.costs, default=1)
 
     def max_path_edges(self) -> int:
-        """Edges usable by k vertex-disjoint simple paths: min(m, k(n-1))."""
-        return min(self.m, self.k * (self.n - 1))
+        """Most edges a set of k vertex-disjoint simple paths can use:
+        min(m, n - k).  The k paths hold at most n vertices between them,
+        and a path has one edge fewer than it has vertices."""
+        return min(self.m, self.n - self.k)
 
     def simple_cost_cap(self, costs=None) -> int:
         """Upper bound on the cost of any set of k disjoint simple paths.

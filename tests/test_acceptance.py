@@ -25,7 +25,12 @@ from smallflow import (
     random_paths_instance,
     validate_flow,
 )
-from smallflow.evaluator import LengthEvaluation, _move_to_core, scan_slices
+from smallflow.evaluator import (
+    LengthEvaluation,
+    ScanGraph,
+    _move_to_core,
+    scan_slices,
+)
 from smallflow import oracle
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
@@ -157,8 +162,8 @@ def test_criterion_3_evaluator_correctness(capsys):
             f = random_assignment(FIELD, inst.m, rng)
             table = LengthEvaluation(inst, l, f, FIELD).slices
             scan = [0] * (l + 1)
-            for d, vec in scan_slices(inst, f, FIELD, [1] * inst.m,
-                                      [0] * inst.m, l, 0):
+            for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f,
+                                      FIELD, [0] * inst.m, l, 0):
                 scan[d] = vec
             a_bad += table != scan
 

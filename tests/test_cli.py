@@ -87,6 +87,8 @@ def test_decide_zero_exit(capsys, tmp_path):
     assert code == 1
     assert rep["answer"] == "ZERO"
     assert rep["verify"]["match"] is True
+    # l defaults to k(n-1) = 8; the tables run to min(l, m, n - k) = 3
+    assert (rep["length_bound"], rep["evaluated_degree"]) == (8, 3)
 
 
 def test_mincost(capsys, paths_file):

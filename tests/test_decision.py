@@ -12,7 +12,7 @@ from smallflow import (
     min_cost_disjoint_paths,
     random_paths_instance,
 )
-from smallflow import oracle
+from smallflow import decision, evaluator, oracle
 
 
 def params64(seed=0, reps=3):
@@ -98,8 +98,11 @@ def test_param_validation(single_edge):
         TestParams(repetitions=0)
     with pytest.raises(ValueError, match="too small"):
         small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
-        inst = random_paths_instance(random.Random(1), 90, 3, extra_edges=10)
-        decide_disjoint_paths(inst, 3 * 89, small)
+        # the field is checked against the clamped degree min(l, n - k):
+        # n - k = 297 here (m >= 300), beyond GF(2^8)
+        inst = random_paths_instance(random.Random(1), 300, 3,
+                                     extra_edges=300)
+        decide_disjoint_paths(inst, 3 * 299, small)
     with pytest.raises(ValueError, match="outside"):
         decide_disjoint_paths(single_edge, 9, params64())
     with pytest.raises(ValueError, match=">= 1"):
@@ -135,3 +138,32 @@ def test_agreement_battery():
             assert decide_cost_bounded(inst, want, p).nonzero
             if want > 1:
                 assert not decide_cost_bounded(inst, want - 1, p).nonzero
+
+
+def test_min_cost_at_floor_scans_once(monkeypatch):
+    # the optimum equals the scan graph's floor: after the first hit the
+    # cap drops below the floor, so no other repetition makes a product
+    inst = random_paths_instance(random.Random(3), 12, 2, extra_edges=16,
+                                 cost_max=4)
+    assert evaluator.ScanGraph(inst, inst.cost_list()).floor == 9
+    products = 0
+    real_mul = evaluator.vec_scalar_mul_w
+
+    def counted(win, scalar):
+        nonlocal products
+        products += 1
+        return real_mul(win, scalar)
+
+    per_scan = []
+    real_scan = decision.scan_min_cost_slice
+
+    def scan(*args, **kwargs):
+        before = products
+        hit = real_scan(*args, **kwargs)
+        per_scan.append(products - before)
+        return hit
+
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted)
+    monkeypatch.setattr(decision, "scan_min_cost_slice", scan)
+    assert min_cost_disjoint_paths(inst, params64(8, reps=5)) == 9
+    assert sum(1 for n in per_scan if n) == 1

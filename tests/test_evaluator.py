@@ -15,6 +15,7 @@ from smallflow import (
 from smallflow import evaluator
 from smallflow.evaluator import (
     LengthEvaluation,
+    ScanGraph,
     perturbed_scan,
     scan_min_cost_slice,
     scan_slices,
@@ -27,7 +28,7 @@ from smallflow.oracle import subdivide_costs, subdivision_assignment
 def scan_cost_slices(inst, f, field, cap):
     """Exact-cost slices 0..cap read off the scan engine, zero weights."""
     slices = [0] * (cap + 1)
-    for d, vec in scan_slices(inst, f, field, inst.cost_list(),
+    for d, vec in scan_slices(ScanGraph(inst, inst.cost_list()), f, field,
                               [0] * inst.m, cap, 0):
         slices[d] = vec
     return slices
@@ -235,7 +236,8 @@ def test_scan_engine_matches_tables(field64, field8):
             f = random_assignment(field, inst.m, rng)
             cs = eval_cost_slices(inst, u, f, field)
             assert scan_cost_slices(inst, f, field, u) == cs
-            hit = scan_min_cost_slice(inst, f, field, cap=u)
+            graph = ScanGraph(inst, inst.cost_list())
+            hit = scan_min_cost_slice(graph, f, field, cap=u)
             assert (hit[0] if hit else None) == first_nonzero(cs)
 
 
@@ -262,7 +264,8 @@ def test_perturbed_scan_matches_tables(field64, field8):
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
             cs = eval_cost_slices(perturbed, u, f, field)
-            hit = perturbed_scan(inst, f, field, weights, d_cap, w_cap)
+            graph = ScanGraph(inst, costs)
+            hit = perturbed_scan(graph, f, field, weights, d_cap, w_cap)
             first = first_nonzero(cs)
             assert (None if hit is None else hit[0] * scale + hit[1]) \
                 == first
@@ -270,7 +273,7 @@ def test_perturbed_scan_matches_tables(field64, field8):
                 d = rng.randint(k, d_cap)
                 w = rng.randint(0, w_cap)
                 clear = not any(cs[:d * scale + w + 1])
-                low = perturbed_scan(inst, f, field, weights, d, w_cap)
+                low = perturbed_scan(graph, f, field, weights, d, w_cap)
                 assert (low is None or low > (d, w)) is clear
 
 
@@ -360,3 +363,42 @@ def test_cell_count_formula(field64):
     ev = LengthEvaluation(inst, 9, f, field64)
     assert ev.subset_cells == subset_table_cells(2, 9) == 4 * 10
     assert ev.pair_cells == (9 - 2 + 1) * inst.n * inst.k
+
+
+def test_scan_below_floor_makes_no_products(field64, monkeypatch):
+    # no walk set costs less than the floor, so a scan capped below it
+    # expands no state: the cost-to-go bound skips the start's moves
+    inst = random_paths_instance(random.Random(3), 12, 2, extra_edges=16,
+                                 cost_max=4)
+    graph = ScanGraph(inst, inst.cost_list())
+    assert graph.floor == 9
+    f = random_assignment(field64, inst.m, random.Random(4))
+    products = 0
+    real = evaluator.vec_scalar_mul_w
+
+    def counted(win, scalar):
+        nonlocal products
+        products += 1
+        return real(win, scalar)
+
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted)
+    assert scan_min_cost_slice(graph, f, field64, graph.floor - 1) is None
+    assert perturbed_scan(graph, f, field64, [1] * inst.m, graph.floor - 1,
+                          inst.max_path_edges()) is None
+    assert products == 0
+    assert scan_min_cost_slice(graph, f, field64, graph.floor)[0] == 9
+    assert products > 0
+
+
+def test_scan_graph_keeps_only_states_that_finish(bottleneck):
+    # x1, x2 -> v -> y1, y2 plus an edge into a dead end u: walk sets
+    # exist (they collide at v), and u cannot finish
+    inst = PathInstance(6, bottleneck.edges + [(2, 5)], [0, 1], [3, 4])
+    graph = ScanGraph(inst, [1, 1, 1, 1, 1])
+    assert graph.floor == 4
+    assert graph.togo[(0, 0)] == 4 and graph.togo[(0, 2)] == 3
+    assert not any(key == (0, 5) for moves in graph.moves.values()
+                   for _, _, key, _ in moves)
+    assert (0, 5) not in graph.togo
+    assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
+                     [1]).floor is None

@@ -30,6 +30,7 @@ from smallflow.extraction import (
 )
 from smallflow import evaluator, extraction, oracle
 from smallflow.evaluator import (
+    ScanGraph,
     random_assignment,
     scan_min_cost_slice,
     scan_slices,
@@ -278,6 +279,8 @@ def test_report_dict():
 
 def test_scans_enforce_memory_ceiling():
     inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
+    graph = ScanGraph(inst, inst.cost_list())
+    f = random_assignment(params64().field, inst.m, random.Random(6))
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1)
     try:
@@ -287,8 +290,14 @@ def test_scans_enforce_memory_ceiling():
             with pytest.raises(BudgetError):
                 find_disjoint_paths(inst, params64(13), strategy=strategy)
         with pytest.raises(BudgetError):
-            evaluator.slice_support(inst, [True] * inst.m, inst.cost_list(),
+            ScanGraph(inst, inst.cost_list())
+        # a graph built under the old ceiling: its readers check it too
+        with pytest.raises(BudgetError):
+            evaluator.slice_support(graph, [True] * inst.m,
                                     inst.simple_cost_cap())
+        with pytest.raises(BudgetError):
+            scan_min_cost_slice(graph, f, params64().field,
+                                inst.simple_cost_cap())
     finally:
         evaluator.set_default_memory_limit(before)
 
@@ -318,6 +327,7 @@ def sequential_deletion_attempt(instance, params, attempt, d0):
         assignments.append(random_assignment(field, instance.m, rng))
     removed = [False] * instance.m
     costs = instance.cost_list()
+    graph = ScanGraph(instance, costs)
 
     def survives(without):
         for f in assignments:
@@ -325,7 +335,7 @@ def sequential_deletion_attempt(instance, params, attempt, d0):
             for e in range(instance.m):
                 if removed[e] or e == without:
                     patched[e] = 0
-            if scan_min_cost_slice(instance, patched, field, cap=d0):
+            if scan_min_cost_slice(graph, patched, field, cap=d0):
                 return True
         return False
 
@@ -340,7 +350,7 @@ def patched_scan_classify(instance, pc, u_star, params):
     """classify_edges with a patched scan for every edge: an edge is
     essential when, at every assignment with its variable zeroed, no
     (d, w) slice at or below (d*, w*) is nonzero."""
-    costs = instance.cost_list()
+    graph = ScanGraph(instance, instance.cost_list())
     d_star, w_star = divmod(u_star, pc.scale)
     _, w_cap = _perturbed_caps(instance, pc)
     low = (1 << (SLOT_BITS * (min(w_star, w_cap) + 1))) - 1
@@ -350,9 +360,9 @@ def patched_scan_classify(instance, pc, u_star, params):
 
     def cleared(f):
         return not any(d < d_star or vec & low
-                       for d, vec in scan_slices(instance, f, params.field,
-                                                 costs, list(pc.weights),
-                                                 d_star, w_cap))
+                       for d, vec in scan_slices(graph, f, params.field,
+                                                 list(pc.weights), d_star,
+                                                 w_cap))
 
     essential = set()
     for eid in range(instance.m):

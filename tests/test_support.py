@@ -1,5 +1,6 @@
-"""Property tests on tiny instances: evaluator.slice_support, the table
-engine against the scan engine, and the queries' one-sided error."""
+"""Property tests on tiny instances: evaluator.slice_support, the scan
+graph's cost-to-go bound, the table engine against the scan engine, the
+simple-set degree bounds, and the queries' one-sided error."""
 
 import random
 
@@ -15,7 +16,7 @@ from smallflow import (
     min_cost_disjoint_paths,
     random_assignment,
 )
-from smallflow.evaluator import scan_slices, slice_support
+from smallflow.evaluator import ScanGraph, scan_slices, slice_support
 from smallflow import oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -52,7 +53,8 @@ def _slice_bound(inst):
 def test_optimal_systems_lie_in_support(inst):
     best, d0 = _slice_bound(inst)
     hypothesis.assume(best is not None)
-    support = slice_support(inst, [True] * inst.m, inst.cost_list(), d0)
+    support = slice_support(ScanGraph(inst, inst.cost_list()),
+                            [True] * inst.m, d0)
     assert all(support[e] for e in best[1].all_edge_ids())
     # the monomials of the d0 slice are exactly the optimal systems
     for mono in oracle.symbolic_cost_slices(inst, d0)[d0].monomials:
@@ -63,7 +65,8 @@ def test_optimal_systems_lie_in_support(inst):
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
     _, d0 = _slice_bound(inst)
-    support = slice_support(inst, [True] * inst.m, inst.cost_list(), d0)
+    support = slice_support(ScanGraph(inst, inst.cost_list()),
+                            [True] * inst.m, d0)
     rng = random.Random(seed)
     for _ in range(2):
         f = random_assignment(field64, inst.m, rng)
@@ -82,7 +85,7 @@ def test_support_under_alive_mask(field64, inst, seed):
     rng = random.Random(seed)
     alive = [rng.random() < 0.7 for _ in range(inst.m)]
     d = rng.randint(inst.k, max(inst.simple_cost_cap(), inst.k))
-    support = slice_support(inst, alive, inst.cost_list(), d)
+    support = slice_support(ScanGraph(inst, inst.cost_list()), alive, d)
     assert not any(s and not a for s, a in zip(support, alive))
     f = [fe if a else 0
          for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
@@ -100,8 +103,8 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
     top = inst.k * (inst.n - 1)
     f = random_assignment(field64, inst.m, random.Random(seed))
     scan = [0] * (top + 1)
-    for d, vec in scan_slices(inst, f, field64, [1] * inst.m, [0] * inst.m,
-                              top, 0):
+    for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f, field64,
+                              [0] * inst.m, top, 0):
         scan[d] = vec
     for l in range(1, top + 1):
         assert LengthEvaluation(inst, l, f, field64).slices == scan[:l + 1]
@@ -125,3 +128,56 @@ def test_one_sided_error_over_gf256(field8, inst, seed):
     assert got is None or got >= best[0]
     if best[0] > 1:
         assert not decide_cost_bounded(inst, best[0] - 1, params).nonzero
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_pruned_scan_matches_tables_at_every_cap(field64, inst, seed):
+    # tight caps are where the cost-to-go bound prunes
+    top = max(inst.simple_cost_cap(), inst.k)
+    f = random_assignment(field64, inst.m, random.Random(seed))
+    slices = eval_cost_slices(inst, top, f, field64)
+    graph = ScanGraph(inst, inst.cost_list())
+    for d_cap in range(inst.k, top + 1):
+        want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
+        assert list(scan_slices(graph, f, field64, [0] * inst.m, d_cap,
+                                0)) == want
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_floor_bounds_the_optimum(field64, inst, seed):
+    graph = ScanGraph(inst, inst.cost_list())
+    best = oracle.brute_force_disjoint_paths(inst, mode="cost")
+    if best is not None:
+        assert graph.floor is not None and graph.floor <= best[0]
+        return
+    top = max(inst.simple_cost_cap(), inst.k)
+    f = random_assignment(field64, inst.m, random.Random(seed))
+    assert graph.floor is None or not any(
+        eval_cost_slices(inst, top, f, field64))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances())
+def test_least_slice_within_n_minus_k_largest_costs(inst):
+    # k disjoint simple paths use at most n - k edges
+    bound = sum(sorted(inst.cost_list(), reverse=True)[:inst.n - inst.k])
+    assert inst.simple_cost_cap() <= bound
+    sym = oracle.symbolic_cost_slices(inst, max(bound, inst.k))
+    least = min((p for p, poly in sym.items() if not poly.is_zero()),
+                default=None)
+    best = oracle.brute_force_disjoint_paths(inst, mode="cost")
+    assert least == (best[0] if best else None)
+    assert least is None or least <= bound
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_clamped_decide_matches_oracle(field64, inst, seed):
+    # every l up to k(n-1), most of them above the clamp min(m, n - k)
+    params = TestParams(field=field64, repetitions=2, seed=seed)
+    shortest = oracle.brute_force_disjoint_paths(inst, mode="length")
+    for l in range(1, inst.k * (inst.n - 1) + 1):
+        want = shortest is not None and shortest[0] <= l
+        assert decide_disjoint_paths(inst, l, params).nonzero == want
