@@ -19,6 +19,8 @@ from .evaluator import (
     eval_length_bounded_seq,
     random_assignment,
     scan_min_cost_slice,
+    sink_distances,
+    source_floors,
 )
 from .field import GF2Field, derive_rng
 from .network import PathInstance
@@ -81,17 +83,21 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     are homogeneous of distinct degrees, and the least nonzero one, when
     there is one, is certified by k disjoint simple paths, which have at
     most that many edges.  So the polynomial at l is nonzero exactly when
-    it is nonzero at the clamped degree.  A clamped degree below k is
-    ZERO without an evaluation (k walks take at least k edges).  NONZERO
-    is certain; ZERO errs with probability at most (degree / 2^s)^t.
-    parallelism > 1 spreads the pair recurrence's source rows over up to
-    that many worker processes (at most k); the verdict is the same.
+    it is nonzero at the clamped degree.  No walk set is shorter than the
+    sum of the sources' least lengths to a sink, so a clamped degree below
+    that sum, or a source that reaches no sink, is ZERO without an
+    evaluation, and that ZERO is exact.  NONZERO is certain; an evaluated
+    ZERO errs with probability at most (degree / 2^s)^t.  parallelism > 1
+    spreads the pair recurrence's source rows over up to that many worker
+    processes (at most k); the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
     degree = min(l, instance.max_path_edges())
-    if degree < instance.k:
+    floors = source_floors(instance,
+                           sink_distances(instance, [1] * instance.m))
+    if floors is None or degree < sum(floors):
         return Verdict(ZERO)
     params.check_degree(degree)
     for f in params.assignments(instance.m, "decide-length"):
@@ -123,7 +129,8 @@ def decide_cost_bounded(instance: PathInstance, u: int,
 
 def min_cost_disjoint_paths(instance: PathInstance,
                             params: TestParams,
-                            u_max: int | None = None) -> int | None:
+                            u_max: int | None = None, *,
+                            _graph: ScanGraph | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
     One slice scan per repetition, all over one ScanGraph; the least
@@ -134,7 +141,10 @@ def min_cost_disjoint_paths(instance: PathInstance,
     each still tests the true least nonzero slice when it lies below the
     cap, so the error bound is that of the initial cap.  No walk set
     costs less than the graph's floor, so once the cap is below it no
-    repetition is left that could hit, and none is run.
+    repetition is left that could hit, and none is run.  `_graph` is
+    internal: a query that scans the same graph again (find_disjoint_paths)
+    passes the ScanGraph it built at the instance's costs, so that it is
+    built once.
     """
     if u_max is None:
         u_max = instance.max_cost() * instance.n * instance.n
@@ -142,7 +152,8 @@ def min_cost_disjoint_paths(instance: PathInstance,
         raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
     cap = min(u_max, instance.simple_cost_cap())
     params.check_degree(cap)
-    graph = ScanGraph(instance, instance.cost_list())
+    graph = ScanGraph(instance, instance.cost_list()) if _graph is None \
+        else _graph
     best = None
     for f in params.assignments(instance.m, "min-cost"):
         if graph.floor is None or cap < graph.floor:

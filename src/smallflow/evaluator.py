@@ -12,8 +12,20 @@ the length-bounded walk polynomial.  Two engines compute them:
   of materializing the subdivided network (an edge of cost c replaced by
   a unit-cost path of length c); oracle.subdivide_costs builds the
   explicit subdivision as the ground truth for this equivalence.
-  LengthEvaluation runs it at unit costs, eval_cost_slices at the edge
-  costs; both give the plain list of slice values.
+  LengthEvaluation runs it at unit costs up to bound l, eval_cost_slices
+  at the edge costs up to bound u_max; both give the plain list of slice
+  values.  The pair tables hold only the cells that can still finish
+  within the bound.  sink_distances gives togo(v), the least cost from v
+  to a sink along the recurrence's edges, and d_i = togo(source i) (one
+  backward bucket-queue pass, shared with the scan graph).  A walk set of
+  total cost <= bound holds its source-r walk at cost at most
+  budget_r = bound - sum_{i != r} d_i, and a prefix of that walk at
+  (q, v) still needs at least togo(v): so row r computes cell (q, v) only
+  when q + togo(v) <= budget_r, and a source that reaches no sink leaves
+  every row empty.  Every kept cell reads only kept cells, because
+  togo(u) <= c(e) + togo(v) on each edge e = (u, v), so its value is the
+  unpruned one, and every dropped cell lies on walk sets of total cost
+  above the bound only: no slice at or below the bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask, current walk position), exact cost
@@ -51,6 +63,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from bisect import bisect_right
 
 from .field import (
     GF2Field,
@@ -107,13 +120,17 @@ def subset_table_cells(k: int, bound: int) -> int:
 class LengthEvaluation:
     """One evaluation of the length-slice tables for (instance, l, f).
 
-    The pair recurrence runs at unit costs, one table row per source.
-    Walks from different sources never meet there, so with parallelism
-    p > 1 and k > 1 the k source rows go to a fork pool of min(p, k)
-    workers, each started on its own core (rows run inline where fork is
-    unavailable), and the subset phase combines them.  Every row is
-    computed by the same code either way, so the result is bit-identical
-    for every parallelism degree.
+    The pair recurrence runs at unit costs, one table row per source, each
+    row only as deep as its budget l - sum of the other sources' least
+    lengths to a sink (see _pair_by_cost).  Walks from different sources
+    never meet there, so with parallelism p > 1 and k > 1 the k source
+    rows go to a fork pool of min(p, k) workers, each started on its own
+    core (rows run inline where fork is unavailable), and the subset phase
+    combines them.  Every row is computed by the same code either way, so
+    the result is bit-identical for every parallelism degree.  The memory
+    ceiling is checked against pair_cells, the unpruned table of l - k + 1
+    layers (each other walk takes at least one edge), which bounds what the
+    pruned rows allocate.
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
@@ -128,13 +145,12 @@ class LengthEvaluation:
         self.l = l
         self.field = field
         k = instance.k
-        # Deepest pair layer the subset phase can consume: the other k-1
-        # walks take at least one edge each.
-        self.l_pair = max(l - k + 1, 0)
-        self.pair_cells = self.l_pair * instance.n * k
+        self.pair_cells = max(l - k + 1, 0) * instance.n * k
         self.subset_cells = subset_table_cells(k, l)
         _check_budget(self.pair_cells + self.subset_cells)
-        args = (instance, self.l_pair, assignment, field, [1] * instance.m)
+        unit = [1] * instance.m
+        args = (instance, l, assignment, field, unit,
+                sink_distances(instance, unit))
         if parallelism > 1 and k > 1 and \
                 "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
@@ -144,12 +160,11 @@ class LengthEvaluation:
                 rows = pool.starmap(
                     _pair_row_on_core,
                     [(cores[xi % len(cores)], args, xi) for xi in range(k)])
-            pair_sink_vals = [[row[q][0] for row in rows]
-                              for q in range(self.l_pair)]
+            pair_sink_vals = [[row[0] for row in layer]
+                              for layer in zip(*rows)]
         else:
             pair_sink_vals = _pair_by_cost(*args, range(k))
-        self.slices = _subset_phase(instance, l, self.l_pair,
-                                    pair_sink_vals, field)
+        self.slices = _subset_phase(instance, l, pair_sink_vals, field)
 
     def value(self) -> int:
         """Cumulative value: XOR of slices k..l."""
@@ -184,43 +199,114 @@ def _pair_row_on_core(core, args, xi):
     return _pair_by_cost(*args, [xi])
 
 
-def _pair_by_cost(instance, depth, assignment, field, costs, rows):
+def _backward_costs(targets, preds):
+    """Least cost from every node to the nearest of `targets`, where
+    preds[w] lists (v, c) for each arc v -> w of integer cost c >= 1.
+
+    One backward pass with a bucket queue over the integer costs (Dial):
+    buckets are settled in increasing cost, so each node's first pop is
+    its least cost.  A node that reaches no target has no entry.
+    """
+    togo = {}
+    buckets = {0: list(targets)}
+    at = 0
+    while buckets:
+        for key in buckets.pop(at, ()):
+            if key in togo:
+                continue
+            togo[key] = at
+            for node, c in preds.get(key, ()):
+                if node not in togo:
+                    buckets.setdefault(at + c, []).append(node)
+        at += 1
+    return togo
+
+
+def sink_distances(instance: PathInstance, costs) -> dict:
+    """togo[v]: the least cost of a walk from v to a sink along the pair
+    recurrence's edges (tail not a sink, inner vertices non-terminal,
+    head not a source); sinks have 0, and a vertex with no such walk has
+    no entry.  At a source it is d_i, the least cost of any walk from
+    source i, so no walk set costs less than sum(d_i)."""
+    preds = {}
+    for eid, (u, v) in enumerate(instance.edges):
+        if u not in instance.sink_index and v not in instance.source_index:
+            preds.setdefault(v, []).append((u, costs[eid]))
+    return _backward_costs(instance.sinks, preds)
+
+
+def source_floors(instance: PathInstance, togo) -> list | None:
+    """d_i for every source i in order, or None when some source reaches
+    no sink (then no walk set exists at all)."""
+    floors = [togo.get(x) for x in instance.sources]
+    return None if None in floors else floors
+
+
+def _pair_by_cost(instance, bound, assignment, field, costs, togo, rows):
     """Walk-table values at the sinks: out[q-1][r][j] sums the walks of
-    exact cost q (1..depth) from source rows[r] to sink j.
+    exact cost q from source rows[r] to sink j, for every q a walk set of
+    total cost <= bound can use; togo is sink_distances at these costs.
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
     length c (first edge carrying the variable, the rest carrying one).
     Relaxable edges (tail non-terminal, head not a source) are grouped by
-    cost; within a group, source rows run outer and edges inner.  Rows
-    never read one another, so any subset of sources can be computed
-    alone.
+    cost; within a group, source rows run outer and edges inner.
+
+    Only cells that can still finish within the bound are computed.  The
+    other k - 1 walks of a set cost at least their sources' d_i, so row r
+    needs walks of cost at most budget_r = bound - sum_{i != r} d_i, and
+    a prefix at (q, v) still needs togo(v) more: cell (q, v) of row r is
+    computed only when q + togo(v) <= budget_r.  Every cell that passes
+    is exact, since it reads only cells (q - c(e), u) that pass too
+    (togo(u) <= c(e) + togo(v)), so every slice at or below the bound is
+    unchanged.  With a source that reaches no sink every row is empty.
+    Rows never read one another, so any subset of sources can be
+    computed alone; every subset returns max(budget_r) layers.
     """
+    floors = source_floors(instance, togo)
+    if floors is None:
+        return []
+    rest = bound - sum(floors)
+    budgets = [rest + floors[xi] for xi in rows]
+    depth = rest + max(floors)
     n = instance.n
     width = len(rows)
     source_index = instance.source_index
+    # per cost: relaxable edges into vertices that reach a sink, in
+    # increasing togo(head), and those togo values to cut a row's prefix
     groups = {}
     for eid, (u, v) in enumerate(instance.edges):
-        if not instance.is_terminal(u) and v not in source_index:
-            groups.setdefault(costs[eid], []).append((u, v, assignment[eid]))
-    groups = sorted(groups.items())
+        if not instance.is_terminal(u) and v not in source_index \
+                and v in togo:
+            groups.setdefault(costs[eid], []).append(
+                (togo[v], u, v, assignment[eid]))
+    relax_by_cost = []
+    for c, relax in sorted(groups.items()):
+        relax.sort(key=lambda edge: edge[0])
+        relax_by_cost.append((c, [edge[0] for edge in relax],
+                              [edge[1:] for edge in relax]))
     pair = [[[0] * n for _ in range(width)] for _ in range(depth + 1)]
     for r, xi in enumerate(rows):
         for eid in instance.out_edges[instance.sources[xi]]:
             v = instance.edges[eid][1]
-            if v not in source_index and costs[eid] <= depth:
+            if v not in source_index and v in togo and \
+                    costs[eid] + togo[v] <= budgets[r]:
                 pair[costs[eid]][r][v] ^= assignment[eid]
     mul = field.mul
     for q in range(2, depth + 1):
         layer = pair[q]
-        for c, relax in groups:
+        for c, keys, relax in relax_by_cost:
             if c >= q:
                 break
             src = pair[q - c]
             for r in range(width):
+                cut = bisect_right(keys, budgets[r] - q)
+                if not cut:
+                    continue
                 prow = src[r]
                 crow = layer[r]
-                for u, v, fe in relax:
+                for u, v, fe in relax[:cut]:
                     a = prow[u]
                     if a:
                         crow[v] ^= mul(a, fe)
@@ -229,17 +315,17 @@ def _pair_by_cost(instance, depth, assignment, field, costs, rows):
             for q in range(1, depth + 1)]
 
 
-def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
+def _subset_phase(instance, bound, pair_sink_vals, field):
     """Subset recurrence over sink masks, index = exact length or cost.
 
     pair_sink_vals[q-1][i][j] is the walk-table value for walks of measure
-    q from source i to sink j.  The table for mask B peels source |B|-1
-    (0-based) against each sink in B; vectors over the index dimension are
-    packed, so one (B, sink, q) contribution is a scalar product plus a
-    slot shift.  A shift by q needs only the low size - q slots of the
-    previous table; its window is rebuilt from just those slots whenever
-    that count halves, and the slots shifted past the bound are masked off
-    once per mask.  Returns the full slice list for the Y mask, indices
+    q from source i to sink j, read as zero past the table's depth.  The
+    table for mask B peels source |B|-1 (0-based) against each sink in B;
+    vectors over the index dimension are packed, so one (B, sink, q)
+    contribution is a scalar product plus a slot shift.  A shift by q
+    needs only the low size - q slots of the previous table; its window is
+    rebuilt from just those slots whenever that count halves, and the
+    slots shifted past the bound are masked off once per mask.  Returns the full slice list for the Y mask, indices
     0..bound.
     """
     k = instance.k
@@ -257,7 +343,7 @@ def _subset_phase(instance, bound, deepest_pair, pair_sink_vals, field):
             if prev == 0:
                 continue
             win = None
-            for q in range(1, min(deepest_pair, bound) + 1):
+            for q in range(1, min(len(pair_sink_vals), bound) + 1):
                 a = pair_sink_vals[q - 1][i][j]
                 if not a:
                     continue
@@ -286,15 +372,17 @@ def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
 def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
                      field: GF2Field) -> list[int]:
     """Exact-cost slice values for p = 0..u_max, via the cost-indexed pair
-    recurrence + subset phase."""
+    recurrence (pruned by the cost still to go, bound u_max) + subset
+    phase."""
     k = instance.k
     if u_max < k:
         raise ValueError(f"cost bound {u_max} below k = {k}")
     _check_assignment(instance, assignment)
     _check_budget(k * instance.n * (u_max + 1) + subset_table_cells(k, u_max))
-    pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field,
-                                   instance.cost_list(), range(k))
-    return _subset_phase(instance, u_max, u_max, pair_sink_vals, field)
+    costs = instance.cost_list()
+    pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field, costs,
+                                   sink_distances(instance, costs), range(k))
+    return _subset_phase(instance, u_max, pair_sink_vals, field)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +446,7 @@ class ScanGraph:
         for state, moves in succ.items():
             for eid, key in moves:
                 preds.setdefault(key, []).append((state, costs[eid]))
-        togo = {}
-        buckets = {0: [None]}
-        at = 0
-        while buckets:
-            for key in buckets.pop(at, ()):
-                if key in togo:
-                    continue
-                togo[key] = at
-                for state, c in preds.get(key, ()):
-                    if state not in togo:
-                        buckets.setdefault(at + c, []).append(state)
-            at += 1
+        togo = _backward_costs([None], preds)
         self.moves = {
             state: [(eid, costs[eid], key, costs[eid] + togo[key])
                     for eid, key in moves if key in togo]

@@ -253,10 +253,8 @@ def _isolation_attempt(instance, params, attempt, r, d0):
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 
-def _deletion_attempt(instance, params, attempt, d0):
+def _deletion_attempt(instance, params, attempt, d0, graph):
     assignments = list(params.assignments(instance.m, "deletion", attempt))
-    costs = instance.cost_list()
-    graph = ScanGraph(instance, costs)
     # Edges off the cost-d0 support pass their test without a scan: the
     # d0 slice does not contain their variable.
     live = slice_support(graph, [True] * instance.m, d0)
@@ -276,7 +274,7 @@ def _deletion_attempt(instance, params, attempt, d0):
         else:
             live[eid] = True
     kept = [e for e in range(instance.m) if live[e]]
-    return assemble_paths(instance, kept, costs, d0)
+    return assemble_paths(instance, kept, instance.cost_list(), d0)
 
 
 def find_disjoint_paths(instance: PathInstance, params: TestParams,
@@ -299,7 +297,10 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
         raise ValueError(f"max_retries {max_retries} below 0")
     if strategy == "isolation" and r is None:
         r = desk_isolation_range(instance)
-    d0 = min_cost_disjoint_paths(instance, params)
+    # one state graph at the instance's costs serves the optimum and every
+    # deletion attempt
+    graph = ScanGraph(instance, instance.cost_list())
+    d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     if report is not None:
         report.update(strategy=strategy, attempts=0)
         if r is not None:
@@ -314,7 +315,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
             if strategy == "isolation":
                 ps = _isolation_attempt(instance, params, attempt, r, d0)
             else:
-                ps = _deletion_attempt(instance, params, attempt, d0)
+                ps = _deletion_attempt(instance, params, attempt, d0, graph)
         except AssemblyError as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue

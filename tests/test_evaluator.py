@@ -6,6 +6,7 @@ import pytest
 
 from smallflow import (
     BudgetError,
+    GF2Field,
     PathInstance,
     eval_cost_slices,
     eval_length_bounded_seq,
@@ -363,6 +364,53 @@ def test_cell_count_formula(field64):
     ev = LengthEvaluation(inst, 9, f, field64)
     assert ev.subset_cells == subset_table_cells(2, 9) == 4 * 10
     assert ev.pair_cells == (9 - 2 + 1) * inst.n * inst.k
+
+
+def looped_chains():
+    """Two disjoint chains x_i -> a_i -> b_i -> y_i at unit costs, each with
+    a loop b_i -> c_i -> a_i and a dead-end spur a_i -> z_i, so d_i = 3.
+
+    Vertices: x 0, 1; y 2, 3; chain i has a, b, c, z = 4 + 4i .. 7 + 4i.
+    """
+    edges = []
+    for i in range(2):
+        a, b, c, z = range(4 + 4 * i, 8 + 4 * i)
+        edges += [(i, a), (a, b), (b, 2 + i), (b, c), (c, a), (a, z)]
+    return PathInstance(12, edges, [0, 1], [2, 3])
+
+
+def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
+    # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
+    # z reaches no sink.  A walk from x_i stands at a at q = 1, 4, 7, ...,
+    # at b at 2, 5, ... and at c at 3, 6, ...; cell (q, v) is computed
+    # from it only when q + togo(v) <= l - 3.  Per row, at l = 11 (budget
+    # 8): q=2 a->b, q=3 b->y and b->c, q=4 c->a, q=5 a->b, q=6 b->y (b->c
+    # would need 9): 6 products, against 15 in the unpruned 10-layer
+    # table.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 = d_0 + d_1,
+    # none.
+    inst = looped_chains()
+    f = [3 + e for e in range(inst.m)]
+    products = 0
+    real = GF2Field.mul
+
+    def counted(self, a, b):
+        nonlocal products
+        products += 1
+        return real(self, a, b)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
+    monkeypatch.setattr(GF2Field, "mul", counted)
+    for l, want in ((1, 0), (5, 0), (6, 2 * 2), (11, 2 * 6)):
+        products = 0
+        slices = LengthEvaluation(inst, l, f, field64).slices
+        assert products == want, l
+        assert slices == scan_cost_slices(inst, f, field64, l)
+    assert slices[6] and slices[9] and not any(slices[:6])
 
 
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):

@@ -28,7 +28,7 @@ from smallflow.extraction import (
     desk_isolation_range,
     paper_isolation_range,
 )
-from smallflow import evaluator, extraction, oracle
+from smallflow import decision, evaluator, extraction, oracle
 from smallflow.evaluator import (
     ScanGraph,
     random_assignment,
@@ -277,6 +277,39 @@ def test_report_dict():
         find_disjoint_paths(inst, params64(12), r=64)
 
 
+def test_deletion_query_builds_one_scan_graph(monkeypatch):
+    # the optimum and every deletion attempt share one state graph, also
+    # when the first attempt fails assembly and a second one runs
+    built = []
+
+    class CountingGraph(ScanGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    failed = []
+    real_assemble = extraction.assemble_paths
+
+    def fail_once(*args):
+        if not failed:
+            failed.append(True)
+            raise AssemblyError("forced")
+        return real_assemble(*args)
+
+    monkeypatch.setattr(extraction, "ScanGraph", CountingGraph)
+    monkeypatch.setattr(decision, "ScanGraph", CountingGraph)
+    monkeypatch.setattr(extraction, "assemble_paths", fail_once)
+    report = {}
+    ps = find_disjoint_paths(costed_bipartite(), params64(8), report=report)
+    assert ps is not None and ps.total_cost == 2
+    assert report["attempts"] == 2 and len(built) == 1
+    built.clear()
+    assert find_disjoint_paths(PathInstance(5, [(0, 2), (1, 2), (2, 3),
+                                                (2, 4)], [0, 1], [3, 4]),
+                               params64(8)) is None
+    assert len(built) == 1
+
+
 def test_scans_enforce_memory_ceiling():
     inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
     graph = ScanGraph(inst, inst.cost_list())
@@ -407,7 +440,8 @@ def test_deletion_matches_sequential_reference():
         if d0 is None:
             continue
         feasible += 1
-        assert _outcome(_deletion_attempt, inst, p, 0, d0) == \
+        graph = ScanGraph(inst, inst.cost_list())
+        assert _outcome(_deletion_attempt, inst, p, 0, d0, graph) == \
             _outcome(sequential_deletion_attempt, inst, p, 0, d0)
     assert feasible > 150
 

@@ -1,6 +1,7 @@
 """Property tests on tiny instances: evaluator.slice_support, the scan
-graph's cost-to-go bound, the table engine against the scan engine, the
-simple-set degree bounds, and the queries' one-sided error."""
+graph's cost-to-go bound, the pruned table engine against the scan engine,
+the sink-distance floor, the simple-set degree bounds, and the queries'
+one-sided error."""
 
 import random
 
@@ -16,19 +17,26 @@ from smallflow import (
     min_cost_disjoint_paths,
     random_assignment,
 )
-from smallflow.evaluator import ScanGraph, scan_slices, slice_support
-from smallflow import oracle
+from smallflow import decision, oracle
+from smallflow.evaluator import (
+    ScanGraph,
+    scan_slices,
+    sink_distances,
+    slice_support,
+    source_floors,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
 @st.composite
-def tiny_instances(draw):
-    """n <= 6, k <= 2, any edges between distinct vertices: parallel edges,
-    edges into sources or out of sinks, and unreachable sinks all occur."""
+def tiny_instances(draw, max_k=2):
+    """n <= 6, k <= max_k, any edges between distinct vertices: parallel
+    edges, edges into sources or out of sinks, unreachable sinks and
+    sources with no route to a sink all occur."""
     n = draw(st.integers(2, 6))
-    k = draw(st.integers(1, min(2, n // 2)))
+    k = draw(st.integers(1, min(max_k, n // 2)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda e: e[0] != e[1])
     edges = draw(st.lists(pair, max_size=10))
@@ -96,18 +104,79 @@ def test_support_under_alive_mask(field64, inst, seed):
                                     field64)[d] == want
 
 
+def _scan(inst, costs, f, field, top):
+    """Exact-cost slices 0..top at `costs`, read off the scan engine."""
+    slices = [0] * (top + 1)
+    for d, vec in scan_slices(ScanGraph(inst, costs), f, field,
+                              [0] * inst.m, top, 0):
+        slices[d] = vec
+    return slices
+
+
+def _floor(inst, costs):
+    """Sum of the sources' least costs to a sink, or None."""
+    floors = source_floors(inst, sink_distances(inst, costs))
+    return None if floors is None else sum(floors)
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_length_tables_match_unit_cost_scan(field64, inst, seed):
-    # every length bound, l < k included; serial only (no pool per example)
+    # every length bound, l < k included, so every row budget from below
+    # zero up to unpruned; serial only (no pool per example)
     top = inst.k * (inst.n - 1)
     f = random_assignment(field64, inst.m, random.Random(seed))
-    scan = [0] * (top + 1)
-    for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f, field64,
-                              [0] * inst.m, top, 0):
-        scan[d] = vec
+    scan = _scan(inst, [1] * inst.m, f, field64, top)
     for l in range(1, top + 1):
         assert LengthEvaluation(inst, l, f, field64).slices == scan[:l + 1]
+    # no walk set is shorter than the sum of the sources' least lengths
+    floor = _floor(inst, [1] * inst.m)
+    assert not any(scan[:top + 1 if floor is None else floor])
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_cost_tables_match_scan_at_every_bound(field64, inst, seed):
+    # costs up to 3: the row budgets and per-cell cuts at every u_max
+    top = max(inst.simple_cost_cap(), inst.k)
+    f = random_assignment(field64, inst.m, random.Random(seed))
+    scan = _scan(inst, inst.cost_list(), f, field64, top)
+    for u_max in range(inst.k, top + 1):
+        assert eval_cost_slices(inst, u_max, f, field64) == scan[:u_max + 1]
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3), st.integers(0, 2**32), st.data())
+def test_pruned_rows_identical_across_parallelism(field64, inst, seed, data):
+    # each pool worker prunes its own row with the same budgets
+    l = data.draw(st.integers(1, inst.k * (inst.n - 1)))
+    f = random_assignment(field64, inst.m, random.Random(seed))
+    assert LengthEvaluation(inst, l, f, field64, parallelism=3).slices == \
+        LengthEvaluation(inst, l, f, field64, parallelism=1).slices
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3))
+def test_distance_floor_answers_zero_exactly(field64, inst):
+    unit = [1] * inst.m
+    floor = _floor(inst, unit)
+    shortest = oracle.disjoint_paths_min_cost_via_flow(inst, unit)
+    if floor is None:
+        assert shortest is None
+    else:
+        assert shortest is None or shortest >= floor
+        if inst.k == 1:
+            assert shortest == floor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated below the distance floor")
+
+    params = TestParams(field=field64, repetitions=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decision, "eval_length_bounded_seq", refuse)
+        for l in range(1, inst.k * (inst.n - 1) + 1):
+            if floor is None or min(l, inst.max_path_edges()) < floor:
+                assert not decide_disjoint_paths(inst, l, params).nonzero
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
