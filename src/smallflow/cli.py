@@ -136,6 +136,30 @@ def _finish(args, report, t0, exit_code):
     return exit_code
 
 
+def _report(args, t0, params, deviations, fields, answered, got,
+            oracle_key, oracle_answer):
+    """Emit the report of decide, mincost, find or flow and return its exit
+    code: the subcommand's own fields with the common ones, exit 0 when
+    answered and 1 otherwise.  With --verify, the report's verify block
+    holds oracle_answer() under oracle_key and whether it matches got, and
+    a mismatch exits 4."""
+    report = {"schema": 1, "subcommand": args.subcommand, **fields,
+              "seed": args.seed, "field_exponent": args.field_exp,
+              "repetitions": params.repetitions, "deviations": deviations}
+    code = EXIT_ANSWERED if answered else EXIT_ABSENT
+    if args.verify:
+        want = oracle_answer()
+        report["verify"] = {oracle_key: want, "match": want == got}
+        if want != got:
+            code = EXIT_MISMATCH
+    return _finish(args, report, t0, code)
+
+
+def _cost(found):
+    """The cost of an oracle answer, None when it found nothing."""
+    return found[0] if found else None
+
+
 def _cmd_decide(args):
     t0 = time.perf_counter()
     instance = parse_paths_instance(_read_input(args.input))
@@ -147,28 +171,13 @@ def _cmd_decide(args):
     params = _params(args, instance.n)
     verdict = decision.decide_disjoint_paths(
         instance, l, params, parallelism=args.parallelism)
-    report = {
-        "schema": 1,
-        "subcommand": "decide",
-        "answer": verdict.answer,
-        "length_bound": l,
-        "evaluated_degree": min(l, instance.max_path_edges()),
-        "seed": args.seed,
-        "field_exponent": args.field_exp,
-        "repetitions": params.repetitions,
-        "deviations": deviations,
-    }
-    code = EXIT_ANSWERED if verdict.nonzero else EXIT_ABSENT
-    if args.verify:
-        found = oracle.brute_force_disjoint_paths(instance, mode="length",
-                                                  bound=l)
-        report["verify"] = {
-            "oracle_answer": "NONZERO" if found else "ZERO",
-            "match": (found is not None) == verdict.nonzero,
-        }
-        if not report["verify"]["match"]:
-            code = EXIT_MISMATCH
-    return _finish(args, report, t0, code)
+    fields = {"answer": verdict.answer, "length_bound": l,
+              "evaluated_degree": verdict.degree}
+    return _report(
+        args, t0, params, deviations, fields, verdict.nonzero,
+        verdict.answer, "oracle_answer",
+        lambda: "NONZERO" if oracle.brute_force_disjoint_paths(
+            instance, mode="length", bound=l) else "ZERO")
 
 
 def _cmd_mincost(args):
@@ -181,25 +190,11 @@ def _cmd_mincost(args):
         u_max = instance.max_cost() * instance.n * instance.n
         deviations.append(f"cost ceiling defaulted to C n^2 = {u_max}")
     cost = decision.min_cost_disjoint_paths(instance, params, u_max=u_max)
-    report = {
-        "schema": 1,
-        "subcommand": "mincost",
-        "cost": cost,
-        "u_max": u_max,
-        "seed": args.seed,
-        "field_exponent": args.field_exp,
-        "repetitions": params.repetitions,
-        "deviations": deviations,
-    }
-    code = EXIT_ANSWERED if cost is not None else EXIT_ABSENT
-    if args.verify:
-        found = oracle.brute_force_disjoint_paths(instance, mode="cost")
-        oracle_cost = found[0] if found else None
-        report["verify"] = {"oracle_cost": oracle_cost,
-                            "match": oracle_cost == cost}
-        if not report["verify"]["match"]:
-            code = EXIT_MISMATCH
-    return _finish(args, report, t0, code)
+    return _report(
+        args, t0, params, deviations, {"cost": cost, "u_max": u_max},
+        cost is not None, cost, "oracle_cost",
+        lambda: _cost(oracle.brute_force_disjoint_paths(instance,
+                                                        mode="cost")))
 
 
 def _cmd_find(args):
@@ -226,36 +221,25 @@ def _cmd_find(args):
                                         max_retries=args.max_retries,
                                         r=r, strategy=args.strategy,
                                         report=stats)
-    report = {
-        "schema": 1,
-        "subcommand": "find",
-        "cost": ps.total_cost if ps else None,
+    cost = ps.total_cost if ps else None
+    fields = {
+        "cost": cost,
         "paths": _one_indexed(ps.paths) if ps else None,
         "isolation_range": r,
         "strategy": stats.get("strategy"),
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
-        "seed": args.seed,
-        "field_exponent": args.field_exp,
-        "repetitions": params.repetitions,
-        "deviations": deviations,
     }
-    code = EXIT_ANSWERED if ps is not None else EXIT_ABSENT
-    if args.verify:
-        found = oracle.brute_force_disjoint_paths(instance, mode="cost")
-        oracle_cost = found[0] if found else None
-        got = ps.total_cost if ps else None
-        report["verify"] = {"oracle_cost": oracle_cost,
-                            "match": oracle_cost == got}
-        if not report["verify"]["match"]:
-            code = EXIT_MISMATCH
-    return _finish(args, report, t0, code)
+    return _report(
+        args, t0, params, deviations, fields, ps is not None, cost,
+        "oracle_cost",
+        lambda: _cost(oracle.brute_force_disjoint_paths(instance,
+                                                        mode="cost")))
 
 
 def _cmd_flow(args):
     t0 = time.perf_counter()
     K = parse_dimacs_flow(_read_input(args.input))
     params = _params(args, K.n)
-    deviations = []
     if args.dump_gadget:
         gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
@@ -268,26 +252,10 @@ def _cmd_flow(args):
         rows = [[u + 1, v + 1, f.amounts[eid], c]
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
-    report = {
-        "schema": 1,
-        "subcommand": "flow",
-        "cost": cost,
-        "flow": rows,
-        "target_value": K.target_value,
-        "seed": args.seed,
-        "field_exponent": args.field_exp,
-        "repetitions": params.repetitions,
-        "deviations": deviations,
-    }
-    code = EXIT_ANSWERED if cost is not None else EXIT_ABSENT
-    if args.verify:
-        found = oracle.classic_min_cost_flow(K)
-        oracle_cost = found[0] if found else None
-        report["verify"] = {"oracle_cost": oracle_cost,
-                            "match": oracle_cost == cost}
-        if not report["verify"]["match"]:
-            code = EXIT_MISMATCH
-    return _finish(args, report, t0, code)
+    fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
+    return _report(args, t0, params, [], fields, cost is not None, cost,
+                   "oracle_cost",
+                   lambda: _cost(oracle.classic_min_cost_flow(K)))
 
 
 def _cmd_oracle(args):

@@ -69,6 +69,9 @@ class TestParams:
 class Verdict:
     answer: str  # NONZERO (certain) or ZERO (probabilistic)
     witness_assignment: tuple | None = None
+    # degree of the polynomial the query evaluated; None for an exact ZERO
+    # answered without an evaluation
+    degree: int | None = None
 
     @property
     def nonzero(self) -> bool:
@@ -86,10 +89,11 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     it is nonzero at the clamped degree.  No walk set is shorter than the
     sum of the sources' least lengths to a sink, so a clamped degree below
     that sum, or a source that reaches no sink, is ZERO without an
-    evaluation, and that ZERO is exact.  NONZERO is certain; an evaluated
-    ZERO errs with probability at most (degree / 2^s)^t.  parallelism > 1
-    spreads the pair recurrence's source rows over up to that many worker
-    processes (at most k); the verdict is the same.
+    evaluation, and that ZERO is exact (its verdict has degree None; every
+    other verdict has the clamped degree).  NONZERO is certain; an
+    evaluated ZERO errs with probability at most (degree / 2^s)^t.
+    parallelism > 1 spreads the pair recurrence's source rows over up to
+    that many worker processes (at most k); the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
@@ -103,8 +107,8 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     for f in params.assignments(instance.m, "decide-length"):
         if eval_length_bounded_seq(instance, degree, f, params.field,
                                    parallelism=parallelism):
-            return Verdict(NONZERO, tuple(f))
-    return Verdict(ZERO)
+            return Verdict(NONZERO, tuple(f), degree)
+    return Verdict(ZERO, degree=degree)
 
 
 def decide_cost_bounded(instance: PathInstance, u: int,
@@ -123,8 +127,8 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     graph = ScanGraph(instance, instance.cost_list())
     for f in params.assignments(instance.m, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
-            return Verdict(NONZERO, tuple(f))
-    return Verdict(ZERO)
+            return Verdict(NONZERO, tuple(f), cap)
+    return Verdict(ZERO, degree=cap)
 
 
 def min_cost_disjoint_paths(instance: PathInstance,

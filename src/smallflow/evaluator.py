@@ -6,26 +6,28 @@ sum over proper walk sets of total cost exactly p.  Length is the
 unit-cost case, and the cumulative XOR of the slices up to a bound l is
 the length-bounded walk polynomial.  Two engines compute them:
 
-* the table engine: the cost-indexed pair recurrence (_pair_by_cost, one
-  walk extended one edge at a time, q -> q + c(e)) followed by the subset
-  recurrence over sink masks.  Edge costs are handled implicitly instead
-  of materializing the subdivided network (an edge of cost c replaced by
-  a unit-cost path of length c); oracle.subdivide_costs builds the
-  explicit subdivision as the ground truth for this equivalence.
-  LengthEvaluation runs it at unit costs up to bound l, eval_cost_slices
-  at the edge costs up to bound u_max; both give the plain list of slice
-  values.  The pair tables hold only the cells that can still finish
-  within the bound.  sink_distances gives togo(v), the least cost from v
-  to a sink along the recurrence's edges, and d_i = togo(source i) (one
-  backward bucket-queue pass, shared with the scan graph).  A walk set of
-  total cost <= bound holds its source-r walk at cost at most
-  budget_r = bound - sum_{i != r} d_i, and a prefix of that walk at
-  (q, v) still needs at least togo(v): so row r computes cell (q, v) only
-  when q + togo(v) <= budget_r, and a source that reaches no sink leaves
-  every row empty.  Every kept cell reads only kept cells, because
-  togo(u) <= c(e) + togo(v) on each edge e = (u, v), so its value is the
-  unpruned one, and every dropped cell lies on walk sets of total cost
-  above the bound only: no slice at or below the bound changes.
+* the table engine (_table_slices): one pipeline that produces each
+  source row's table by the cost-indexed pair recurrence (_pair_by_cost,
+  one walk extended one edge at a time, q -> q + c(e)) and combines the
+  rows by the subset recurrence over sink masks.  Edge costs are handled
+  implicitly instead of materializing the subdivided network (an edge of
+  cost c replaced by a unit-cost path of length c); oracle.subdivide_costs
+  builds the explicit subdivision as the ground truth for this
+  equivalence.  LengthEvaluation runs it at unit costs up to bound l,
+  eval_cost_slices at the edge costs up to bound u_max; both give the
+  plain list of slice values.  A row's table holds only the cells that
+  can still finish within the bound.  sink_distances gives togo(v), the
+  least cost from v to a sink along the recurrence's edges, and
+  d_i = togo(source i) (one backward bucket-queue pass, shared with the
+  scan graph).  A walk set of total cost <= bound holds its source-r walk
+  at cost at most budget_r = bound - sum_{i != r} d_i, and a prefix of
+  that walk at (q, v) still needs at least togo(v): so row r is budget_r
+  layers deep and computes cell (q, v) only when q + togo(v) <= budget_r,
+  and a source that reaches no sink leaves every row empty.  Every kept
+  cell reads only kept cells, because togo(u) <= c(e) + togo(v) on each
+  edge e = (u, v), so its value is the unpruned one, and every dropped
+  cell lies on walk sets of total cost above the bound only: no slice at
+  or below the bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask, current walk position), exact cost
@@ -51,8 +53,8 @@ the length-bounded walk polynomial.  Two engines compute them:
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
 over source rows: walks from different sources never meet in the pair
-recurrence, so LengthEvaluation can hand each row to its own worker
-process with bit-identical results.
+recurrence, so the pipeline maps the row producer over the rows in this
+process or over a pool of worker processes, with bit-identical results.
 
 Layer tables and scan states live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -120,17 +122,18 @@ def subset_table_cells(k: int, bound: int) -> int:
 class LengthEvaluation:
     """One evaluation of the length-slice tables for (instance, l, f).
 
-    The pair recurrence runs at unit costs, one table row per source, each
-    row only as deep as its budget l - sum of the other sources' least
-    lengths to a sink (see _pair_by_cost).  Walks from different sources
-    never meet there, so with parallelism p > 1 and k > 1 the k source
-    rows go to a fork pool of min(p, k) workers, each started on its own
-    core (rows run inline where fork is unavailable), and the subset phase
-    combines them.  Every row is computed by the same code either way, so
-    the result is bit-identical for every parallelism degree.  The memory
-    ceiling is checked against pair_cells, the unpruned table of l - k + 1
-    layers (each other walk takes at least one edge), which bounds what the
-    pruned rows allocate.
+    The table pipeline (_table_slices) at unit costs up to bound l: one
+    pair table per source row, each only as deep as its budget l - sum of
+    the other sources' least lengths to a sink (see _pair_by_cost), then
+    the subset phase.  Walks from different sources never meet in the
+    pair recurrence, so with parallelism p > 1 and k > 1 the k source rows
+    go to a fork pool of min(p, k) workers, each started on its own core
+    (rows run inline where fork is unavailable).  Every row is computed by
+    the same code either way, so the result is bit-identical for every
+    parallelism degree.  The memory ceiling is checked against pair_cells,
+    the unpruned table of l - k + 1 layers (each other walk takes at least
+    one edge), which bounds what the pruned rows allocate, plus
+    subset_cells.
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
@@ -140,31 +143,11 @@ class LengthEvaluation:
                 f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
-        _check_assignment(instance, assignment)
         self.instance = instance
         self.l = l
         self.field = field
-        k = instance.k
-        self.pair_cells = max(l - k + 1, 0) * instance.n * k
-        self.subset_cells = subset_table_cells(k, l)
-        _check_budget(self.pair_cells + self.subset_cells)
-        unit = [1] * instance.m
-        args = (instance, l, assignment, field, unit,
-                sink_distances(instance, unit))
-        if parallelism > 1 and k > 1 and \
-                "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-            cores = sorted(os.sched_getaffinity(0)) \
-                if hasattr(os, "sched_getaffinity") else [None]
-            with ctx.Pool(processes=min(parallelism, k)) as pool:
-                rows = pool.starmap(
-                    _pair_row_on_core,
-                    [(cores[xi % len(cores)], args, xi) for xi in range(k)])
-            pair_sink_vals = [[row[0] for row in layer]
-                              for layer in zip(*rows)]
-        else:
-            pair_sink_vals = _pair_by_cost(*args, range(k))
-        self.slices = _subset_phase(instance, l, pair_sink_vals, field)
+        (self.pair_cells, self.subset_cells), self.slices = _table_slices(
+            instance, l, assignment, field, [1] * instance.m, parallelism)
 
     def value(self) -> int:
         """Cumulative value: XOR of slices k..l."""
@@ -172,6 +155,54 @@ class LengthEvaluation:
         for p in range(self.instance.k, self.l + 1):
             acc ^= self.slices[p]
         return acc
+
+
+def _table_slices(instance, bound, assignment, field, costs, parallelism):
+    """The table engine: ((pair_cells, subset_cells), slices 0..bound) at
+    the given edge costs, for LengthEvaluation and eval_cost_slices.
+
+    The memory ceiling is checked against the pair rows unpruned at
+    bound - k + 1 layers each, plus the subset table.  That bounds the
+    pruned rows at any costs >= 1: every other source's walk costs at
+    least d_i >= 1, so no row's budget exceeds bound - k + 1.  What every
+    row reads is built once: the distances to a sink and the relaxable
+    edges by cost.  The source rows (_pair_by_cost) are computed here, or
+    with parallelism > 1 and k > 1 on a fork pool of min(parallelism, k)
+    workers, round-robin over the usable cores; the subset phase combines
+    them.
+    """
+    _check_assignment(instance, assignment)
+    k = instance.k
+    cells = (max(bound - k + 1, 0) * instance.n * k,
+             subset_table_cells(k, bound))
+    _check_budget(sum(cells))
+    togo = sink_distances(instance, costs)
+    # per cost: relaxable edges into vertices that reach a sink, in
+    # increasing togo(head), and those togo values to cut a row's prefix
+    groups = {}
+    for eid, (u, v) in enumerate(instance.edges):
+        if not instance.is_terminal(u) and v not in instance.source_index \
+                and v in togo:
+            groups.setdefault(costs[eid], []).append(
+                (togo[v], u, v, assignment[eid]))
+    relax_by_cost = []
+    for c, relax in sorted(groups.items()):
+        relax.sort(key=lambda edge: edge[0])
+        relax_by_cost.append((c, [edge[0] for edge in relax],
+                              [edge[1:] for edge in relax]))
+    args = (instance, bound, assignment, field, costs, togo, relax_by_cost)
+    if parallelism > 1 and k > 1 and \
+            "fork" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("fork")
+        cores = sorted(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else [None]
+        with ctx.Pool(processes=min(parallelism, k)) as pool:
+            rows = pool.starmap(
+                _pair_row_on_core,
+                [(cores[xi % len(cores)], args, xi) for xi in range(k)])
+    else:
+        rows = [_pair_by_cost(*args, xi) for xi in range(k)]
+    return cells, _subset_phase(instance, bound, rows, field)
 
 
 def _move_to_core(core):
@@ -196,7 +227,7 @@ def _pair_row_on_core(core, args, xi):
     """Pool task: source row xi, its worker first moved to the given core
     (rows go round-robin over the usable cores)."""
     _move_to_core(core)
-    return _pair_by_cost(*args, [xi])
+    return _pair_by_cost(*args, xi)
 
 
 def _backward_costs(targets, preds):
@@ -242,91 +273,67 @@ def source_floors(instance: PathInstance, togo) -> list | None:
     return None if None in floors else floors
 
 
-def _pair_by_cost(instance, bound, assignment, field, costs, togo, rows):
-    """Walk-table values at the sinks: out[q-1][r][j] sums the walks of
-    exact cost q from source rows[r] to sink j, for every q a walk set of
-    total cost <= bound can use; togo is sink_distances at these costs.
+def _pair_by_cost(instance, bound, assignment, field, costs, togo,
+                  relax_by_cost, xi):
+    """Walk-table values at the sinks for source row xi: out[q-1][j] sums
+    the walks of exact cost q from source xi to sink j, for every q that
+    the row's walk in a set of total cost <= bound can have; togo is
+    sink_distances at these costs, and relax_by_cost the relaxable edges
+    (tail non-terminal, head not a source) grouped by cost, which every
+    row shares (built by _table_slices).
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
     length c (first edge carrying the variable, the rest carrying one).
-    Relaxable edges (tail non-terminal, head not a source) are grouped by
-    cost; within a group, source rows run outer and edges inner.
 
     Only cells that can still finish within the bound are computed.  The
-    other k - 1 walks of a set cost at least their sources' d_i, so row r
-    needs walks of cost at most budget_r = bound - sum_{i != r} d_i, and
-    a prefix at (q, v) still needs togo(v) more: cell (q, v) of row r is
-    computed only when q + togo(v) <= budget_r.  Every cell that passes
-    is exact, since it reads only cells (q - c(e), u) that pass too
-    (togo(u) <= c(e) + togo(v)), so every slice at or below the bound is
-    unchanged.  With a source that reaches no sink every row is empty.
-    Rows never read one another, so any subset of sources can be
-    computed alone; every subset returns max(budget_r) layers.
+    other k - 1 walks of a set cost at least their sources' d_i, so the
+    row needs walks of cost at most budget = bound - sum_{i != xi} d_i,
+    and a prefix at (q, v) still needs togo(v) more: cell (q, v) is
+    computed only when q + togo(v) <= budget, and the row is budget
+    layers deep.  Every cell that passes is exact, since it reads only
+    cells (q - c(e), u) that pass too (togo(u) <= c(e) + togo(v)), so
+    every slice at or below the bound is unchanged.  With a source that
+    reaches no sink the row is empty.  Rows never read one another, so
+    each is computed alone, in any process.
     """
     floors = source_floors(instance, togo)
     if floors is None:
         return []
-    rest = bound - sum(floors)
-    budgets = [rest + floors[xi] for xi in rows]
-    depth = rest + max(floors)
-    n = instance.n
-    width = len(rows)
-    source_index = instance.source_index
-    # per cost: relaxable edges into vertices that reach a sink, in
-    # increasing togo(head), and those togo values to cut a row's prefix
-    groups = {}
-    for eid, (u, v) in enumerate(instance.edges):
-        if not instance.is_terminal(u) and v not in source_index \
-                and v in togo:
-            groups.setdefault(costs[eid], []).append(
-                (togo[v], u, v, assignment[eid]))
-    relax_by_cost = []
-    for c, relax in sorted(groups.items()):
-        relax.sort(key=lambda edge: edge[0])
-        relax_by_cost.append((c, [edge[0] for edge in relax],
-                              [edge[1:] for edge in relax]))
-    pair = [[[0] * n for _ in range(width)] for _ in range(depth + 1)]
-    for r, xi in enumerate(rows):
-        for eid in instance.out_edges[instance.sources[xi]]:
-            v = instance.edges[eid][1]
-            if v not in source_index and v in togo and \
-                    costs[eid] + togo[v] <= budgets[r]:
-                pair[costs[eid]][r][v] ^= assignment[eid]
+    budget = bound - sum(floors) + floors[xi]
+    pair = [[0] * instance.n for _ in range(budget + 1)]
+    for eid in instance.out_edges[instance.sources[xi]]:
+        v = instance.edges[eid][1]
+        if v not in instance.source_index and v in togo and \
+                costs[eid] + togo[v] <= budget:
+            pair[costs[eid]][v] ^= assignment[eid]
     mul = field.mul
-    for q in range(2, depth + 1):
+    for q in range(2, budget + 1):
         layer = pair[q]
         for c, keys, relax in relax_by_cost:
             if c >= q:
                 break
-            src = pair[q - c]
-            for r in range(width):
-                cut = bisect_right(keys, budgets[r] - q)
-                if not cut:
-                    continue
-                prow = src[r]
-                crow = layer[r]
-                for u, v, fe in relax[:cut]:
-                    a = prow[u]
-                    if a:
-                        crow[v] ^= mul(a, fe)
+            prev = pair[q - c]
+            for u, v, fe in relax[:bisect_right(keys, budget - q)]:
+                a = prev[u]
+                if a:
+                    layer[v] ^= mul(a, fe)
     sinks = instance.sinks
-    return [[[pair[q][r][y] for y in sinks] for r in range(width)]
-            for q in range(1, depth + 1)]
+    return [[pair[q][y] for y in sinks] for q in range(1, budget + 1)]
 
 
-def _subset_phase(instance, bound, pair_sink_vals, field):
+def _subset_phase(instance, bound, rows, field):
     """Subset recurrence over sink masks, index = exact length or cost.
 
-    pair_sink_vals[q-1][i][j] is the walk-table value for walks of measure
-    q from source i to sink j, read as zero past the table's depth.  The
-    table for mask B peels source |B|-1 (0-based) against each sink in B;
-    vectors over the index dimension are packed, so one (B, sink, q)
+    rows[i][q-1][j] is the walk-table value for walks of measure q from
+    source i to sink j, read as zero past row i's depth (at most bound).
+    The table for mask B peels source |B|-1 (0-based) against each sink in
+    B; vectors over the index dimension are packed, so one (B, sink, q)
     contribution is a scalar product plus a slot shift.  A shift by q
     needs only the low size - q slots of the previous table; its window is
     rebuilt from just those slots whenever that count halves, and the
-    slots shifted past the bound are masked off once per mask.  Returns the full slice list for the Y mask, indices
-    0..bound.
+    slots shifted past the bound are masked off once per mask.  Returns
+    the full slice list for the Y mask, indices 0..bound.
     """
     k = instance.k
     size = bound + 1
@@ -343,8 +350,8 @@ def _subset_phase(instance, bound, pair_sink_vals, field):
             if prev == 0:
                 continue
             win = None
-            for q in range(1, min(len(pair_sink_vals), bound) + 1):
-                a = pair_sink_vals[q - 1][i][j]
+            for q, at_q in enumerate(rows[i], 1):
+                a = at_q[j]
                 if not a:
                     continue
                 need = size - q  # slots of prev that land at or below bound
@@ -359,8 +366,8 @@ def _subset_phase(instance, bound, pair_sink_vals, field):
 
 def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
                             field: GF2Field, parallelism: int = 1) -> int:
-    """Value of the length-bounded walk polynomial by the sequential pair
-    recurrence, its source rows across `parallelism` processes."""
+    """Value of the length-bounded walk polynomial: LengthEvaluation's
+    cumulative value, its source rows across `parallelism` processes."""
     return LengthEvaluation(instance, l, assignment, field,
                             parallelism=parallelism).value()
 
@@ -371,18 +378,13 @@ def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
 
 def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
                      field: GF2Field) -> list[int]:
-    """Exact-cost slice values for p = 0..u_max, via the cost-indexed pair
-    recurrence (pruned by the cost still to go, bound u_max) + subset
-    phase."""
+    """Exact-cost slice values for p = 0..u_max: the table pipeline at the
+    edge costs (pair rows pruned by the cost still to go, bound u_max)."""
     k = instance.k
     if u_max < k:
         raise ValueError(f"cost bound {u_max} below k = {k}")
-    _check_assignment(instance, assignment)
-    _check_budget(k * instance.n * (u_max + 1) + subset_table_cells(k, u_max))
-    costs = instance.cost_list()
-    pair_sink_vals = _pair_by_cost(instance, u_max, assignment, field, costs,
-                                   sink_distances(instance, costs), range(k))
-    return _subset_phase(instance, u_max, pair_sink_vals, field)
+    return _table_slices(instance, u_max, assignment, field,
+                         instance.cost_list(), 1)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -112,19 +112,20 @@ def _perturbed_caps(instance: PathInstance, pc: PerturbedCosts):
     return instance.simple_cost_cap(), edges * pc.r
 
 
-def find_min_perturbed_cost(instance: PathInstance, pc: PerturbedCosts,
+def find_min_perturbed_cost(graph: ScanGraph, pc: PerturbedCosts,
                             params: TestParams) -> int | None:
     """Least perturbed cost of a disjoint path set, or None if infeasible.
 
-    Scans (original cost, weight) slices in lexicographic order, which
-    coincides with perturbed-cost order because weight sums stay below the
-    scale; the minimum over repetitions is reported.  All repetitions scan
-    one ScanGraph, and after a hit at (d, w) later ones scan only to cost
-    d, where a lower hit can still lie.
+    graph is the query's ScanGraph at the instance's costs.  Scans
+    (original cost, weight) slices in lexicographic order, which coincides
+    with perturbed-cost order because weight sums stay below the scale;
+    the minimum over repetitions is reported.  All repetitions scan the
+    graph, and after a hit at (d, w) later ones scan only to cost d, where
+    a lower hit can still lie.
     """
+    instance = graph.instance
     d_cap, w_cap = _perturbed_caps(instance, pc)
     params.check_degree(d_cap * pc.scale + w_cap)
-    graph = ScanGraph(instance, instance.cost_list())
     weights = list(pc.weights)
     best = None
     for f in params.assignments(instance.m, "find-perturbed"):
@@ -135,24 +136,24 @@ def find_min_perturbed_cost(instance: PathInstance, pc: PerturbedCosts,
     return None if best is None else best[0] * pc.scale + best[1]
 
 
-def classify_edges(instance: PathInstance, pc: PerturbedCosts, u_star: int,
+def classify_edges(graph: ScanGraph, pc: PerturbedCosts, u_star: int,
                    params: TestParams) -> set:
     """Edges whose removal kills every slice at or below the optimum U*.
 
     Under a unique perturbed optimum these are exactly the optimum's
     edges.  A false zero can only add edges (never drop one), which the
     assembly checks catch.  One fresh assignment per repetition is shared
-    by all per-edge tests, and one ScanGraph by all scans; edges off the
-    support of the original cost d* = U* // scale are non-essential
-    without a test, since deleting one leaves every (d*, w) slice as it
-    was.
+    by all per-edge tests, and graph, the query's ScanGraph at the
+    instance's costs, by all scans; edges off the support of the original
+    cost d* = U* // scale are non-essential without a test, since
+    deleting one leaves every (d*, w) slice as it was.
     """
+    instance = graph.instance
     weights = list(pc.weights)
     d_star, w_star = divmod(u_star, pc.scale)
     _, w_cap = _perturbed_caps(instance, pc)
     optimum = (d_star, min(w_star, w_cap))
     assignments = list(params.assignments(instance.m, "classify"))
-    graph = ScanGraph(instance, instance.cost_list())
     support = slice_support(graph, [True] * instance.m, d_star)
     essential = set()
     for eid in range(instance.m):
@@ -236,20 +237,20 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
                    total_cost=original)
 
 
-def _isolation_attempt(instance, params, attempt, r, d0):
+def _isolation_attempt(instance, params, attempt, r, d0, graph):
     rng = derive_rng(params.seed, "perturb", attempt)
     pc = perturb_costs(instance, r, rng)
     sub = TestParams(field=params.field, repetitions=params.repetitions,
                      seed=derive_rng(params.seed, "attempt", attempt)
                      .getrandbits(63))
-    u_star = find_min_perturbed_cost(instance, pc, sub)
+    u_star = find_min_perturbed_cost(graph, pc, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
     if u_star // pc.scale != d0:
         raise AssemblyError(
             f"perturbed optimum decodes to cost {u_star // pc.scale}, "
             f"expected {d0}")
-    essential = classify_edges(instance, pc, u_star, sub)
+    essential = classify_edges(graph, pc, u_star, sub)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 
@@ -298,7 +299,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     if strategy == "isolation" and r is None:
         r = desk_isolation_range(instance)
     # one state graph at the instance's costs serves the optimum and every
-    # deletion attempt
+    # attempt
     graph = ScanGraph(instance, instance.cost_list())
     d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     if report is not None:
@@ -313,7 +314,8 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
             report["attempts"] = attempt + 1
         try:
             if strategy == "isolation":
-                ps = _isolation_attempt(instance, params, attempt, r, d0)
+                ps = _isolation_attempt(instance, params, attempt, r, d0,
+                                        graph)
             else:
                 ps = _deletion_attempt(instance, params, attempt, d0, graph)
         except AssemblyError as exc:

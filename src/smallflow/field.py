@@ -138,31 +138,15 @@ class GF2Field:
         return p
 
     def mul(self, a: int, b: int) -> int:
-        """Carryless product of a and b, reduced.  4-bit window method."""
+        """Carryless product of a and b, reduced: b as a one-slot packed
+        vector times the scalar a (4-bit window method)."""
         if a == 0 or b == 0:
             return 0
         if a == 1:
             return b
         if b == 1:
             return a
-        t2 = b << 1
-        t4 = b << 2
-        t8 = b << 3
-        t6 = t4 ^ t2
-        table = (
-            0, b, t2, t2 ^ b, t4, t4 ^ b, t6, t6 ^ b,
-            t8, t8 ^ b, t8 ^ t2, t8 ^ t2 ^ b, t8 ^ t4, t8 ^ t4 ^ b,
-            t8 ^ t6, t8 ^ t6 ^ b,
-        )
-        p = 0
-        shift = 0
-        while a:
-            w = a & 15
-            if w:
-                p ^= table[w] << shift
-            a >>= 4
-            shift += 4
-        return self.reduce(p)
+        return self.reduce(vec_scalar_mul_w(vec_window(b), a))
 
     def random_element(self, rng: random.Random) -> int:
         """Uniform element of the field; deterministic given rng state."""

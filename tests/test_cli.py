@@ -87,8 +87,16 @@ def test_decide_zero_exit(capsys, tmp_path):
     assert code == 1
     assert rep["answer"] == "ZERO"
     assert rep["verify"]["match"] is True
-    # l defaults to k(n-1) = 8; the tables run to min(l, m, n - k) = 3
-    assert (rep["length_bound"], rep["evaluated_degree"]) == (8, 3)
+    # l defaults to k(n-1) = 8, and min(l, m, n - k) = 3 is below 4, the
+    # sum of the sources' least lengths to a sink: an exact ZERO that
+    # evaluates no table, so no degree is reported
+    assert (rep["length_bound"], rep["evaluated_degree"]) == (8, None)
+    # an isolated sixth vertex lifts min(l, m, n - k) to 4: the tables run
+    # at degree 4 and answer ZERO
+    p.write_text(BOTTLENECK.replace("q paths 5", "q paths 6"))
+    code, rep = run_json(capsys, "decide", "-i", str(p), "--verify")
+    assert (code, rep["answer"], rep["evaluated_degree"]) == (1, "ZERO", 4)
+    assert rep["verify"]["match"] is True
 
 
 def test_mincost(capsys, paths_file):
@@ -295,3 +303,56 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# -- golden reports -----------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden_cli"
+
+# name -> (instance text, subcommand and flags); every case runs with
+# --verify, in both formats.  tests/golden_cli holds the reports (without
+# timing_ms) and exit codes that each case gave before the subcommands
+# shared one report path.
+GOLDEN_CASES = {
+    "decide_nonzero": (BIPARTITE, ["decide", "-l", "2"]),
+    "decide_floor_zero": (BOTTLENECK, ["decide"]),
+    "mincost": (BIPARTITE, ["mincost"]),
+    "find_deletion": (BIPARTITE, ["find"]),
+    "find_isolation": (BIPARTITE, ["find", "--strategy", "isolation"]),
+    "flow": (TWO_ROUTES, ["flow"]),
+    "oracle": (BIPARTITE, ["oracle"]),
+}
+
+# Fields that differ from the recordings by design: a floor ZERO runs no
+# table, so it reports no evaluated degree (the recording has min(l, m,
+# n - k) = 3).
+GOLDEN_CHANGED = {"decide_floor_zero": {"evaluated_degree": None}}
+
+
+def golden_run(capsys, tmp_path, name, fmt):
+    """Exit code and report text of one golden case, timing line removed."""
+    text, argv = GOLDEN_CASES[name]
+    p = tmp_path / f"{name}.in"
+    p.write_text(text)
+    code, out = run_cli(capsys, *argv, "-i", str(p), "--verify",
+                        "--format", fmt)
+    if fmt == "json":
+        rep = json.loads(out)
+        rep.pop("timing_ms")
+        return code, rep
+    return code, [ln for ln in out.splitlines()
+                  if not ln.startswith("timing_ms: ")]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_reports_match_golden(capsys, tmp_path, name):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    changed = GOLDEN_CHANGED.get(name, {})
+    code, rep = golden_run(capsys, tmp_path, name, "json")
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert (code, rep) == (codes[name], {**want, **changed})
+    code, lines = golden_run(capsys, tmp_path, name, "text")
+    want = (GOLDEN / f"{name}.txt").read_text().splitlines()
+    want = [f"{key}: {changed[key]}" if key in changed else ln
+            for ln in want for key in [ln.split(": ", 1)[0]]]
+    assert (code, lines) == (codes[name], want)

@@ -23,12 +23,15 @@ def test_single_edge_nonzero(single_edge):
     v = decide_disjoint_paths(single_edge, 1, params64())
     assert v.nonzero
     assert v.witness_assignment is not None
+    assert v.degree == 1
 
 
 def test_bottleneck_zero(bottleneck):
     v = decide_disjoint_paths(bottleneck, 4, params64())
     assert not v.nonzero
     assert v.witness_assignment is None
+    # min(l, m, n - k) = 3 is below the floor 2 + 2: no table ran
+    assert v.degree is None
 
 
 def test_bipartite_nonzero(bipartite22):
@@ -119,7 +122,8 @@ def test_degree_checked_after_capping():
     small = TestParams(field=GF2Field(8), repetitions=3, seed=4)
     want = oracle.disjoint_paths_min_cost_via_flow(inst)
     assert min_cost_disjoint_paths(inst, small) == want
-    assert decide_cost_bounded(inst, 300, small).nonzero
+    v = decide_cost_bounded(inst, 300, small)
+    assert v.nonzero and v.degree == inst.simple_cost_cap()
 
 
 def test_agreement_battery():

@@ -141,7 +141,8 @@ def test_find_min_perturbed_cost_matches_oracle():
                                      extra_edges=rng.randint(0, n),
                                      cost_max=3, plant=rng.random() < 0.8)
         pc = perturb_costs(inst, 16, rng)
-        got = find_min_perturbed_cost(inst, pc, params64(rng.getrandbits(32)))
+        got = find_min_perturbed_cost(ScanGraph(inst, inst.cost_list()), pc,
+                                      params64(rng.getrandbits(32)))
         bf = oracle.brute_force_disjoint_paths(inst, mode="cost",
                                                costs=list(pc.perturbed))
         assert got == (bf[0] if bf else None)
@@ -149,7 +150,8 @@ def test_find_min_perturbed_cost_matches_oracle():
 
 def test_find_min_perturbed_absent(bottleneck):
     pc = perturb_costs(bottleneck, 8, random.Random(6))
-    assert find_min_perturbed_cost(bottleneck, pc, params64()) is None
+    graph = ScanGraph(bottleneck, bottleneck.cost_list())
+    assert find_min_perturbed_cost(graph, pc, params64()) is None
 
 
 def test_unique_path_instance_pipeline():
@@ -160,9 +162,10 @@ def test_unique_path_instance_pipeline():
     rng = random.Random(8)
     pc = perturb_costs(inst, 32, rng)
     p = params64(77)
-    u_star = find_min_perturbed_cost(inst, pc, p)
+    graph = ScanGraph(inst, inst.cost_list())
+    u_star = find_min_perturbed_cost(graph, pc, p)
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
-    essential = classify_edges(inst, pc, u_star, p)
+    essential = classify_edges(graph, pc, u_star, p)
     assert essential == {0, 1, 2}
 
 
@@ -171,7 +174,8 @@ def test_classify_unique_optimum():
     rng = random.Random(7)
     pc = perturb_costs(inst, 64, rng)
     u_star = pc.perturbed[0] + pc.perturbed[3]
-    essential = classify_edges(inst, pc, u_star, params64(123))
+    essential = classify_edges(ScanGraph(inst, inst.cost_list()), pc,
+                               u_star, params64(123))
     assert essential == {0, 3}
 
 
@@ -278,8 +282,9 @@ def test_report_dict():
 
 
 def test_deletion_query_builds_one_scan_graph(monkeypatch):
-    # the optimum and every deletion attempt share one state graph, also
-    # when the first attempt fails assembly and a second one runs
+    # the optimum and every attempt share one state graph, under either
+    # strategy, also when the first attempt fails assembly and a second
+    # one runs
     built = []
 
     class CountingGraph(ScanGraph):
@@ -287,27 +292,30 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
             built.append(args)
             super().__init__(*args)
 
-    failed = []
     real_assemble = extraction.assemble_paths
-
-    def fail_once(*args):
-        if not failed:
-            failed.append(True)
-            raise AssemblyError("forced")
-        return real_assemble(*args)
-
     monkeypatch.setattr(extraction, "ScanGraph", CountingGraph)
     monkeypatch.setattr(decision, "ScanGraph", CountingGraph)
-    monkeypatch.setattr(extraction, "assemble_paths", fail_once)
-    report = {}
-    ps = find_disjoint_paths(costed_bipartite(), params64(8), report=report)
-    assert ps is not None and ps.total_cost == 2
-    assert report["attempts"] == 2 and len(built) == 1
-    built.clear()
-    assert find_disjoint_paths(PathInstance(5, [(0, 2), (1, 2), (2, 3),
-                                                (2, 4)], [0, 1], [3, 4]),
-                               params64(8)) is None
-    assert len(built) == 1
+    for strategy in ("deletion", "isolation"):
+        failed = []
+
+        def fail_once(*args):
+            if not failed:
+                failed.append(True)
+                raise AssemblyError("forced")
+            return real_assemble(*args)
+
+        monkeypatch.setattr(extraction, "assemble_paths", fail_once)
+        built.clear()
+        report = {}
+        ps = find_disjoint_paths(costed_bipartite(), params64(8),
+                                 strategy=strategy, report=report)
+        assert ps is not None and ps.total_cost == 2
+        assert report["attempts"] == 2 and len(built) == 1, strategy
+        built.clear()
+        assert find_disjoint_paths(PathInstance(5, [(0, 2), (1, 2), (2, 3),
+                                                    (2, 4)], [0, 1], [3, 4]),
+                                   params64(8), strategy=strategy) is None
+        assert len(built) == 1, strategy
 
 
 def test_scans_enforce_memory_ceiling():
@@ -464,9 +472,10 @@ def criterion_5_instances():
 def test_classify_matches_patched_scan_reference(monkeypatch):
     checked = []
 
-    def classify_and_check(instance, pc, u_star, params):
-        got = classify_edges(instance, pc, u_star, params)
-        assert got == patched_scan_classify(instance, pc, u_star, params)
+    def classify_and_check(graph, pc, u_star, params):
+        got = classify_edges(graph, pc, u_star, params)
+        assert got == patched_scan_classify(graph.instance, pc, u_star,
+                                            params)
         checked.append(got)
         return got
 

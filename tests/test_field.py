@@ -61,12 +61,16 @@ def test_mul_identities(field64):
 
 
 def test_mul_matches_schoolbook_oracle():
-    for s in (8, 16):
+    for s in (8, 16, 64):
         f = GF2Field(s)
         rng = random.Random(s)
         for _ in range(500):
             a, b = f.random_element(rng), f.random_element(rng)
             assert f.mul(a, b) == schoolbook_mul(a, b, f.poly, s)
+    f = GF2Field(8)
+    for a in range(256):
+        for b in range(256):
+            assert f.mul(a, b) == schoolbook_mul(a, b, f.poly, 8)
 
 
 def test_known_aes_product(field8):
