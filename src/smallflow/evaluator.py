@@ -9,19 +9,24 @@ the length-bounded walk polynomial.  Two engines compute them:
 * the table engine (_table_slices): one pipeline that produces each
   source row's table by the cost-indexed pair recurrence (_pair_by_cost,
   one walk extended one edge at a time, q -> q + c(e)) and combines the
-  rows by the subset recurrence over sink masks.  Edge costs are handled
-  implicitly instead of materializing the subdivided network (an edge of
-  cost c replaced by a unit-cost path of length c); oracle.subdivide_costs
-  builds the explicit subdivision as the ground truth for this
-  equivalence.  LengthEvaluation runs it at unit costs up to bound l,
-  eval_cost_slices at the edge costs up to bound u_max; both give the
-  plain list of slice values.  A row's table holds only the cells that
-  can still finish within the bound.  sink_distances gives togo(v), the
-  least cost from v to a sink along the recurrence's edges, and
-  d_i = togo(source i) (one backward bucket-queue pass, shared with the
-  scan graph).  A walk set of total cost <= bound holds its source-r walk
-  at cost at most budget_r = bound - sum_{i != r} d_i, and a prefix of
-  that walk at (q, v) still needs at least togo(v): so row r is budget_r
+  rows by the subset recurrence over sink masks (_subset_phase).  Edge
+  costs are handled implicitly instead of materializing the subdivided
+  network (an edge of cost c replaced by a unit-cost path of length c);
+  oracle.subdivide_costs builds the explicit subdivision as the ground
+  truth for this equivalence.  LengthEvaluation runs it at unit costs up
+  to bound l, eval_cost_slices at the edge costs up to bound u_max; both
+  give the plain list of slice values.  The edges a row relaxes are
+  grouped by cost and tail into fans, whose values are packed one per
+  slot and windowed once per evaluation, so one scalar product per
+  (layer, tail, cost) gives every out-edge's product; the products go
+  unreduced into their heads' cells, and each cell is reduced once, when
+  its layer is complete.  A row's table holds only the cells that can
+  still finish within the bound.  sink_distances gives togo(v), the
+  least cost from v to a sink along the recurrence's edges, and d_i =
+  togo(source i) (one backward bucket-queue pass, shared with the scan
+  graph).  A walk set of total cost <= bound holds its source-r walk at
+  cost at most budget_r = bound - sum_{i != r} d_i, and a prefix of that
+  walk at (q, v) still needs at least togo(v): so row r is budget_r
   layers deep and computes cell (q, v) only when q + togo(v) <= budget_r,
   and a source that reaches no sink leaves every row empty.  Every kept
   cell reads only kept cells, because togo(u) <= c(e) + togo(v) on each
@@ -52,9 +57,11 @@ the length-bounded walk polynomial.  Two engines compute them:
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
-over source rows: walks from different sources never meet in the pair
-recurrence, so the pipeline maps the row producer over the rows in this
-process or over a pool of worker processes, with bit-identical results.
+over source rows, and then over the sink masks of one popcount: walks
+from different sources never meet in the pair recurrence, and a level of
+the subset recurrence reads only the level below.  So the pipeline maps
+the rows, then the subset levels one at a time, either in this process
+or over one pool of worker processes, with bit-identical results.
 
 Layer tables and scan states live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -66,6 +73,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from bisect import bisect_right
+from itertools import starmap
 
 from .field import (
     GF2Field,
@@ -79,6 +87,8 @@ from .network import PathInstance
 
 DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+_PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
 
 
 class BudgetError(RuntimeError):
@@ -126,14 +136,15 @@ class LengthEvaluation:
     pair table per source row, each only as deep as its budget l - sum of
     the other sources' least lengths to a sink (see _pair_by_cost), then
     the subset phase.  Walks from different sources never meet in the
-    pair recurrence, so with parallelism p > 1 and k > 1 the k source rows
-    go to a fork pool of min(p, k) workers, each started on its own core
-    (rows run inline where fork is unavailable).  Every row is computed by
-    the same code either way, so the result is bit-identical for every
-    parallelism degree.  The memory ceiling is checked against pair_cells,
-    the unpruned table of l - k + 1 layers (each other walk takes at least
-    one edge), which bounds what the pruned rows allocate, plus
-    subset_cells.
+    pair recurrence, and masks of one popcount never read one another in
+    the subset phase, so with parallelism p > 1 and k > 1 one fork pool of
+    min(p, k) workers, each started on its own core, computes the k source
+    rows and then each subset level (everything runs inline where fork is
+    unavailable).  Every row and every subset term is computed by the same
+    code either way, so the result is bit-identical for every parallelism
+    degree.  The memory ceiling is checked against pair_cells, the
+    unpruned table of l - k + 1 layers (each other walk takes at least one
+    edge), which bounds what the pruned rows allocate, plus subset_cells.
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
@@ -165,11 +176,14 @@ def _table_slices(instance, bound, assignment, field, costs, parallelism):
     bound - k + 1 layers each, plus the subset table.  That bounds the
     pruned rows at any costs >= 1: every other source's walk costs at
     least d_i >= 1, so no row's budget exceeds bound - k + 1.  What every
-    row reads is built once: the distances to a sink and the relaxable
-    edges by cost.  The source rows (_pair_by_cost) are computed here, or
-    with parallelism > 1 and k > 1 on a fork pool of min(parallelism, k)
-    workers, round-robin over the usable cores; the subset phase combines
-    them.
+    row reads, the row plan, is built once: the distances to a sink and
+    the fans (_fans_by_cost).  With parallelism > 1 and k > 1, one fork
+    pool of min(parallelism, k) workers serves the whole evaluation: the
+    workers inherit the plan when they fork (the pool's initializer), so
+    no task carries it, and the pool maps first the source rows
+    (_pair_by_cost, round-robin over the usable cores), then each level
+    of the subset phase.  Otherwise both phases map inline, in this
+    process, by the same code.
     """
     _check_assignment(instance, assignment)
     k = instance.k
@@ -177,32 +191,59 @@ def _table_slices(instance, bound, assignment, field, costs, parallelism):
              subset_table_cells(k, bound))
     _check_budget(sum(cells))
     togo = sink_distances(instance, costs)
-    # per cost: relaxable edges into vertices that reach a sink, in
-    # increasing togo(head), and those togo values to cut a row's prefix
-    groups = {}
-    for eid, (u, v) in enumerate(instance.edges):
-        if not instance.is_terminal(u) and v not in instance.source_index \
-                and v in togo:
-            groups.setdefault(costs[eid], []).append(
-                (togo[v], u, v, assignment[eid]))
-    relax_by_cost = []
-    for c, relax in sorted(groups.items()):
-        relax.sort(key=lambda edge: edge[0])
-        relax_by_cost.append((c, [edge[0] for edge in relax],
-                              [edge[1:] for edge in relax]))
-    args = (instance, bound, assignment, field, costs, togo, relax_by_cost)
+    plan = (instance, bound, assignment, field, costs, togo,
+            _fans_by_cost(instance, assignment, costs, togo))
     if parallelism > 1 and k > 1 and \
             "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
         cores = sorted(os.sched_getaffinity(0)) \
             if hasattr(os, "sched_getaffinity") else [None]
-        with ctx.Pool(processes=min(parallelism, k)) as pool:
+        with ctx.Pool(processes=min(parallelism, k), initializer=_set_plan,
+                      initargs=(plan,)) as pool:
             rows = pool.starmap(
                 _pair_row_on_core,
-                [(cores[xi % len(cores)], args, xi) for xi in range(k)])
-    else:
-        rows = [_pair_by_cost(*args, xi) for xi in range(k)]
-    return cells, _subset_phase(instance, bound, rows, field)
+                [(cores[xi % len(cores)], xi) for xi in range(k)])
+            return cells, _subset_phase(k, bound, rows, field, pool.starmap)
+    rows = [_pair_by_cost(*plan, xi) for xi in range(k)]
+    return cells, _subset_phase(k, bound, rows, field, starmap)
+
+
+def _fans_by_cost(instance, assignment, costs, togo):
+    """The relaxable edges (tail non-terminal, head not a source and
+    reaching a sink), grouped by cost and then by tail: [(c, fans)] in
+    increasing c, each fan (first key, u, keys, heads, window) for the
+    cost-c out-edges of tail u.  The heads are in increasing togo(head),
+    keys holds those togo values, and the edges' values sit one per
+    128-bit slot of one packed vector, windowed once (vec_window), so
+    that one scalar product gives every edge's product at once.  The
+    fans of one cost are in increasing first key."""
+    groups = {}
+    for eid, (u, v) in enumerate(instance.edges):
+        if not instance.is_terminal(u) and v not in instance.source_index \
+                and v in togo:
+            groups.setdefault(costs[eid], {}).setdefault(u, []).append(
+                (togo[v], v, assignment[eid]))
+    fans_by_cost = []
+    for c, tails in sorted(groups.items()):
+        fans = []
+        for u, fan in tails.items():
+            fan.sort(key=lambda edge: edge[0])
+            packed = 0
+            for slot, (_, _, fe) in enumerate(fan):
+                packed |= fe << (SLOT_BITS * slot)
+            keys = [edge[0] for edge in fan]
+            fans.append((keys[0], u, keys, [edge[1] for edge in fan],
+                         vec_window(packed)))
+        fans.sort(key=lambda fan: fan[0])
+        fans_by_cost.append((c, fans))
+    return fans_by_cost
+
+
+def _set_plan(plan):
+    """Pool initializer: the row plan, inherited by fork, for the row
+    tasks of this worker."""
+    global _PLAN
+    _PLAN = plan
 
 
 def _move_to_core(core):
@@ -223,11 +264,12 @@ def _move_to_core(core):
         pass
 
 
-def _pair_row_on_core(core, args, xi):
-    """Pool task: source row xi, its worker first moved to the given core
-    (rows go round-robin over the usable cores)."""
+def _pair_row_on_core(core, xi):
+    """Pool task: source row xi of the inherited plan, its worker first
+    moved to the given core (rows go round-robin over the usable
+    cores)."""
     _move_to_core(core)
-    return _pair_by_cost(*args, xi)
+    return _pair_by_cost(*_PLAN, xi)
 
 
 def _backward_costs(targets, preds):
@@ -274,32 +316,41 @@ def source_floors(instance: PathInstance, togo) -> list | None:
 
 
 def _pair_by_cost(instance, bound, assignment, field, costs, togo,
-                  relax_by_cost, xi):
-    """Walk-table values at the sinks for source row xi: out[q-1][j] sums
+                  fans_by_cost, xi):
+    """Walk-table values at the sinks for source row xi: out[j][q-1] sums
     the walks of exact cost q from source xi to sink j, for every q that
     the row's walk in a set of total cost <= bound can have; togo is
-    sink_distances at these costs, and relax_by_cost the relaxable edges
-    (tail non-terminal, head not a source) grouped by cost, which every
-    row shares (built by _table_slices).
+    sink_distances at these costs, and fans_by_cost the relaxable edges
+    by cost and tail (_fans_by_cost), which every row shares.
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
     length c (first edge carrying the variable, the rest carrying one).
+    Layer q reads the cells (q - c, u) of every cost-c fan of tail u: one
+    scalar product of the fan's window by the cell gives all of its
+    edges' products, one per slot, and each slot is XORed unreduced into
+    its head's cell.  Both operands are reduced (< 2^64), so a slot stays
+    below 2^127 and never spills into the next one.  Once layer q is
+    complete, each of its nonzero cells is reduced once (field.reduce),
+    before any later layer reads it; reduction is GF(2)-linear, so this
+    equals reducing every product.
 
     Only cells that can still finish within the bound are computed.  The
     other k - 1 walks of a set cost at least their sources' d_i, so the
     row needs walks of cost at most budget = bound - sum_{i != xi} d_i,
     and a prefix at (q, v) still needs togo(v) more: cell (q, v) is
-    computed only when q + togo(v) <= budget, and the row is budget
-    layers deep.  Every cell that passes is exact, since it reads only
-    cells (q - c(e), u) that pass too (togo(u) <= c(e) + togo(v)), so
-    every slice at or below the bound is unchanged.  With a source that
-    reaches no sink the row is empty.  Rows never read one another, so
-    each is computed alone, in any process.
+    computed only when q + togo(v) <= budget, that is, a fan scatters to
+    the prefix of its heads with key <= budget - q, and a fan whose first
+    head fails is skipped; the row is budget layers deep.  Every cell
+    that passes is exact, since it reads only cells (q - c(e), u) that
+    pass too (togo(u) <= c(e) + togo(v)), so every slice at or below the
+    bound is unchanged.  With a source that reaches no sink every column
+    is empty.  Rows never read one another, so each is computed alone,
+    in any process.
     """
     floors = source_floors(instance, togo)
     if floors is None:
-        return []
+        return [[] for _ in instance.sinks]
     budget = bound - sum(floors) + floors[xi]
     pair = [[0] * instance.n for _ in range(budget + 1)]
     for eid in instance.out_edges[instance.sources[xi]]:
@@ -307,61 +358,80 @@ def _pair_by_cost(instance, bound, assignment, field, costs, togo,
         if v not in instance.source_index and v in togo and \
                 costs[eid] + togo[v] <= budget:
             pair[costs[eid]][v] ^= assignment[eid]
-    mul = field.mul
+    reduce = field.reduce
     for q in range(2, budget + 1):
         layer = pair[q]
-        for c, keys, relax in relax_by_cost:
+        cut = budget - q
+        for c, fans in fans_by_cost:
             if c >= q:
                 break
             prev = pair[q - c]
-            for u, v, fe in relax[:bisect_right(keys, budget - q)]:
+            for first, u, keys, heads, win in fans:
+                if first > cut:
+                    break
                 a = prev[u]
-                if a:
-                    layer[v] ^= mul(a, fe)
-    sinks = instance.sinks
-    return [[pair[q][y] for y in sinks] for q in range(1, budget + 1)]
-
-
-def _subset_phase(instance, bound, rows, field):
-    """Subset recurrence over sink masks, index = exact length or cost.
-
-    rows[i][q-1][j] is the walk-table value for walks of measure q from
-    source i to sink j, read as zero past row i's depth (at most bound).
-    The table for mask B peels source |B|-1 (0-based) against each sink in
-    B; vectors over the index dimension are packed, so one (B, sink, q)
-    contribution is a scalar product plus a slot shift.  A shift by q
-    needs only the low size - q slots of the previous table; its window is
-    rebuilt from just those slots whenever that count halves, and the
-    slots shifted past the bound are masked off once per mask.  Returns
-    the full slice list for the Y mask, indices 0..bound.
-    """
-    k = instance.k
-    size = bound + 1
-    full_mask = (1 << (SLOT_BITS * size)) - 1
-    tables = [0] * (1 << k)
-    tables[0] = 1  # slot 0 holds field one: empty set at index 0
-    for mask in range(1, 1 << k):
-        i = bin(mask).count("1") - 1  # 0-based index of the peeled source
-        acc = 0
-        for j in range(k):
-            if not mask & (1 << j):
-                continue
-            prev = tables[mask ^ (1 << j)]
-            if prev == 0:
-                continue
-            win = None
-            for q, at_q in enumerate(rows[i], 1):
-                a = at_q[j]
                 if not a:
                     continue
-                need = size - q  # slots of prev that land at or below bound
-                if win is None or 2 * need <= slots:
-                    slots = need
-                    win = vec_window(prev & ((1 << (SLOT_BITS * need)) - 1))
-                acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * q)
-        acc &= full_mask
-        tables[mask] = vec_reduce(acc, size, field) if acc else 0
-    return vec_unpack(tables[(1 << k) - 1], size)
+                products = vec_scalar_mul_w(win, a)
+                for v in heads[:bisect_right(keys, cut)]:
+                    layer[v] ^= products & _SLOT_MASK
+                    products >>= SLOT_BITS
+        pair[q] = [reduce(x) if x else 0 for x in layer]
+    return [[pair[q][y] for q in range(1, budget + 1)]
+            for y in instance.sinks]
+
+
+def _subset_phase(k, bound, rows, field, mapper):
+    """Subset recurrence over sink masks, index = exact length or cost.
+
+    rows[i][j][q-1] is the walk-table value for walks of measure q from
+    source i to sink j, read as zero past row i's depth (at most bound).
+    The table for mask B peels source |B|-1 (0-based) against each sink j
+    in B: one (B, j) term (_subset_term) multiplies the table of B - {j}
+    by the column rows[|B|-1][j].  Masks of one popcount read only the
+    level below, so the phase runs level by level: mapper (a pool's
+    starmap, or itertools.starmap inline) computes the level's terms, and
+    each mask XORs its terms and is reduced once.  Returns the full slice list for the Y
+    mask, indices 0..bound.
+    """
+    size = bound + 1
+    tables = [0] * (1 << k)
+    tables[0] = 1  # slot 0 holds field one: empty set at index 0
+    levels = [[] for _ in range(k)]
+    for mask in range(1, 1 << k):
+        levels[bin(mask).count("1") - 1].append(mask)
+    for row, level in zip(rows, levels):
+        owners, terms = [], []
+        for mask in level:
+            for j, column in enumerate(row):
+                if mask >> j & 1 and tables[mask ^ (1 << j)] and any(column):
+                    owners.append(mask)
+                    terms.append((tables[mask ^ (1 << j)], column, size))
+        for mask, term in zip(owners, mapper(_subset_term, terms)):
+            tables[mask] ^= term
+        for mask in level:
+            if tables[mask]:
+                tables[mask] = vec_reduce(tables[mask], size, field)
+    return vec_unpack(tables[-1], size)
+
+
+def _subset_term(prev, column, size):
+    """One (mask, sink) term of the subset phase, unreduced: the sum over
+    q of column[q-1] times the packed table prev shifted up q slots, cut
+    to `size` slots.  A shift by q needs only the low size - q slots of
+    prev; its window is rebuilt from just those slots whenever that count
+    halves."""
+    acc = 0
+    win = None
+    for q, a in enumerate(column, 1):
+        if not a:
+            continue
+        need = size - q  # slots of prev that land at or below bound
+        if win is None or 2 * need <= slots:
+            slots = need
+            win = vec_window(prev & ((1 << (SLOT_BITS * need)) - 1))
+        acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * q)
+    return acc & ((1 << (SLOT_BITS * size)) - 1)
 
 
 def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,11 +27,12 @@ from smallflow import oracle
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
-def scan_cost_slices(inst, f, field, cap):
-    """Exact-cost slices 0..cap read off the scan engine, zero weights."""
+def scan_cost_slices(inst, f, field, cap, costs=None):
+    """Exact-cost slices 0..cap read off the scan engine, zero weights, at
+    the given costs (the instance's by default)."""
     slices = [0] * (cap + 1)
-    for d, vec in scan_slices(ScanGraph(inst, inst.cost_list()), f, field,
-                              [0] * inst.m, cap, 0):
+    graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
+    for d, vec in scan_slices(graph, f, field, [0] * inst.m, cap, 0):
         slices[d] = vec
     return slices
 
@@ -66,30 +68,34 @@ def test_bipartite_two_monomials(bipartite22, field64):
 
 
 def test_seq_par_equivalence_battery(field64):
+    # k up to 5, so the subset phase runs up to five levels on the pool,
+    # at fewer workers than rows, as many, and more than rows
     rng = random.Random(10)
     for _ in range(60):
         n = rng.randint(3, 12)
-        k = rng.randint(1, min(3, n // 2))
+        k = rng.randint(1, min(5, n // 2))
         inst = random_paths_instance(rng, n, k,
                                      extra_edges=rng.randint(0, 2 * n),
                                      plant=rng.random() < 0.7)
         l = rng.randint(1, k * (n - 1))
         f = random_assignment(field64, inst.m, rng)
-        seq = eval_length_bounded_seq(inst, l, f, field64, parallelism=1)
-        assert eval_length_bounded_seq(inst, l, f, field64,
-                                       parallelism=3) == seq
+        seq = LengthEvaluation(inst, l, f, field64, parallelism=1).slices
+        for degree in (2, 3, k + 2):
+            assert LengthEvaluation(inst, l, f, field64,
+                                    parallelism=degree).slices == seq
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="rows run inline without fork")
 def test_pool_workers_bounded_by_sources(field64, monkeypatch):
-    # a recording stand-in for the fork pool: rows run inline, no process
-    # starts, and the requested worker count is kept
-    asked = []
+    # a recording stand-in for the fork pool: tasks run inline, no process
+    # starts, and the requested worker count and every map are kept
+    asked, mapped = [], []
 
     class InlinePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             asked.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -98,18 +104,27 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
             return False
 
         def starmap(self, fn, tasks):
+            mapped.append(fn.__name__)
             return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
                         InlinePool)
-    inst = random_paths_instance(random.Random(5), 8, 2, extra_edges=12)
-    f = random_assignment(field64, inst.m, random.Random(6))
-    serial = LengthEvaluation(inst, 14, f, field64).slices
+    monkeypatch.setattr(evaluator, "_PLAN", None)
     cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else None
-    assert LengthEvaluation(inst, 14, f, field64,
-                            parallelism=10 ** 6).slices == serial
-    assert asked == [2]
+    for k, degrees in ((2, (10 ** 6,)), (3, (2, 3, 5))):
+        inst = random_paths_instance(random.Random(5), 8, k, extra_edges=12)
+        f = random_assignment(field64, inst.m, random.Random(6))
+        serial = LengthEvaluation(inst, 14, f, field64).slices
+        assert any(serial)
+        for degree in degrees:
+            asked.clear()
+            mapped.clear()
+            assert LengthEvaluation(inst, 14, f, field64,
+                                    parallelism=degree).slices == serial
+            # one pool per evaluation: the rows, then one map per level
+            assert asked == [min(degree, k)]
+            assert mapped == ["_pair_row_on_core"] + ["_subset_term"] * k
     # a row task gives its process back the cores it was allowed
     if cores is not None:
         assert os.sched_getaffinity(0) == cores
@@ -381,36 +396,125 @@ def looped_chains():
 
 def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
     # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
-    # z reaches no sink.  A walk from x_i stands at a at q = 1, 4, 7, ...,
-    # at b at 2, 5, ... and at c at 3, 6, ...; cell (q, v) is computed
-    # from it only when q + togo(v) <= l - 3.  Per row, at l = 11 (budget
-    # 8): q=2 a->b, q=3 b->y and b->c, q=4 c->a, q=5 a->b, q=6 b->y (b->c
-    # would need 9): 6 products, against 15 in the unpruned 10-layer
-    # table.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 = d_0 + d_1,
-    # none.
+    # z reaches no sink, so a -> z is in no fan.  The fans: a -> {b},
+    # b -> {y, c} (keys 0, 3) and c -> {a}, one product each.  A walk
+    # from x_i stands at a at q = 1, 4, 7, ..., at b at 2, 5, ... and at
+    # c at 3, 6, ...; cell (q, v) is written only when q + togo(v) <=
+    # l - 3.  Per row, at l = 11 (budget 8): q=2 a->b, q=3 b->y and b->c,
+    # q=4 c->a, q=5 a->b, q=6 b->y (b->c would need 9): 5 products
+    # writing 6 cells.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 =
+    # d_0 + d_1, none.  Each written cell is reduced once.
     inst = looped_chains()
     f = [3 + e for e in range(inst.m)]
-    products = 0
-    real = GF2Field.mul
+    products = cells = 0
+    in_pairs = False
+    real_row = evaluator._pair_by_cost
+    real_product = evaluator.vec_scalar_mul_w
+    real_reduce = GF2Field.reduce
 
-    def counted(self, a, b):
+    def row(*args):
+        nonlocal in_pairs
+        in_pairs = True
+        try:
+            return real_row(*args)
+        finally:
+            in_pairs = False
+
+    def product(win, scalar):
         nonlocal products
-        products += 1
-        return real(self, a, b)
+        products += in_pairs
+        return real_product(win, scalar)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def reduce(self, p):
+        nonlocal cells
+        cells += in_pairs
+        return real_reduce(self, p)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a worker pool was started or GF2Field.mul "
+                             "was called")
 
     if "fork" in multiprocessing.get_all_start_methods():
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
-                            no_pool)
-    monkeypatch.setattr(GF2Field, "mul", counted)
-    for l, want in ((1, 0), (5, 0), (6, 2 * 2), (11, 2 * 6)):
-        products = 0
+                            no_call)
+    monkeypatch.setattr(evaluator, "_pair_by_cost", row)
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", product)
+    monkeypatch.setattr(GF2Field, "reduce", reduce)
+    monkeypatch.setattr(GF2Field, "mul", no_call)
+    for l, want_products, want_cells in ((1, 0, 0), (5, 0, 0),
+                                         (6, 2 * 2, 2 * 2),
+                                         (11, 2 * 5, 2 * 6)):
+        products = cells = 0
         slices = LengthEvaluation(inst, l, f, field64).slices
-        assert products == want, l
+        assert (products, cells) == (want_products, want_cells), l
         assert slices == scan_cost_slices(inst, f, field64, l)
     assert slices[6] and slices[9] and not any(slices[:6])
+
+
+def spill_instance():
+    """Sources 0, 1, sinks 5, 6, inner 2, 3, 4, at mixed costs 1..3.  Tail
+    2 has four cost-1 out-edges, two of them parallel edges to 4, and a
+    cost-2 edge; 3 and 4 have out-edges of two costs each."""
+    edges = [(0, 2), (1, 3), (2, 4), (2, 4), (2, 3), (2, 5), (2, 6),
+             (3, 4), (3, 6), (4, 5), (4, 6), (4, 2), (3, 2), (0, 3)]
+    costs = [1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 3, 1, 2, 2]
+    return PathInstance(7, edges, [0, 1], [5, 6], costs=costs)
+
+
+@pytest.mark.parametrize("s", [8, 64])
+def test_full_slots_do_not_spill(s):
+    # every edge value 2^s - 1: the largest unreduced products, which at
+    # s = 64 fill a slot up to bit 126, next to the slots of the fan's
+    # other heads
+    field = GF2Field(s)
+    inst = spill_instance()
+    unit = [1] * inst.m
+    for costs in (unit, inst.cost_list()):
+        fans = evaluator._fans_by_cost(inst, unit, costs,
+                                       evaluator.sink_distances(inst, costs))
+        assert any(len(heads) >= 3 and len(set(heads)) < len(heads)
+                   for _, group in fans for _, _, _, heads, _ in group)
+    assert len(fans) == 3
+    l = inst.k * (inst.n - 1)
+    u = 10
+    for f in ([field.mask] * inst.m,
+              random_assignment(field, inst.m, random.Random(s))):
+        lengths = LengthEvaluation(inst, l, f, field).slices
+        assert lengths == scan_cost_slices(inst, f, field, l, unit)
+        for p in range(l + 1):
+            sym = oracle.symbolic_char2_polynomial(inst, p, "cost",
+                                                   costs=unit)
+            assert lengths[p] == sym.evaluate(field, f), p
+        slices = eval_cost_slices(inst, u, f, field)
+        assert slices == scan_cost_slices(inst, f, field, u)
+        for p in range(u + 1):
+            sym = oracle.symbolic_char2_polynomial(inst, p, "cost")
+            assert slices[p] == sym.evaluate(field, f), p
+        assert any(lengths) and any(slices)
+
+
+def test_memory_ceiling_bounds_the_tables(field64):
+    # Dense and unpruned: every inner vertex has an edge to every other
+    # inner vertex and to every sink, so togo is 1 at each, and nearly
+    # every inner cell of every row is written, unreduced up to 128 bits
+    # until its layer is complete.  One serial evaluation allocates no
+    # more than the ceiling charges for its cells.
+    n, k = 14, 3
+    inner = range(2 * k, n)
+    edges = [(x, v) for x in range(k) for v in inner]
+    edges += [(u, v) for u in inner for v in inner if u != v]
+    edges += [(u, y) for u in inner for y in range(k, 2 * k)]
+    inst = PathInstance(n, edges, range(k), range(k, 2 * k))
+    f = random_assignment(field64, inst.m, random.Random(8))
+    l = k * (n - 1)
+    tracemalloc.start()
+    try:
+        ev = LengthEvaluation(inst, l, f, field64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ev.slices[2 * k:])
+    assert peak <= (ev.pair_cells + ev.subset_cells) * evaluator._CELL_BYTES
 
 
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):
