@@ -391,8 +391,8 @@ def _subset_phase(k, bound, rows, field, mapper):
     by the column rows[|B|-1][j].  Masks of one popcount read only the
     level below, so the phase runs level by level: mapper (a pool's
     starmap, or itertools.starmap inline) computes the level's terms, and
-    each mask XORs its terms and is reduced once.  Returns the full slice list for the Y
-    mask, indices 0..bound.
+    each mask XORs its terms and is reduced once.  Returns the full slice
+    list for the Y mask, indices 0..bound.
     """
     size = bound + 1
     tables = [0] * (1 << k)
