@@ -139,13 +139,15 @@ def _finish(args, report, t0, exit_code):
 def _report(args, t0, params, deviations, fields, answered, got,
             oracle_key, oracle_answer):
     """Emit the report of decide, mincost, find or flow and return its exit
-    code: the subcommand's own fields with the common ones, exit 0 when
-    answered and 1 otherwise.  With --verify, the report's verify block
-    holds oracle_answer() under oracle_key and whether it matches got, and
-    a mismatch exits 4."""
-    report = {"schema": 1, "subcommand": args.subcommand, **fields,
-              "seed": args.seed, "field_exponent": args.field_exp,
-              "repetitions": params.repetitions, "deviations": deviations}
+    code: the subcommand's own fields with the common ones (a field of the
+    subcommand's takes the place of a common one of the same name), exit 0
+    when answered and 1 otherwise.  With --verify, the report's verify
+    block holds oracle_answer() under oracle_key and whether it matches
+    got, and a mismatch exits 4."""
+    report = {"schema": 1, "subcommand": args.subcommand, "seed": args.seed,
+              "field_exponent": args.field_exp,
+              "repetitions": params.repetitions, "deviations": deviations,
+              **fields}
     code = EXIT_ANSWERED if answered else EXIT_ABSENT
     if args.verify:
         want = oracle_answer()
@@ -173,6 +175,8 @@ def _cmd_decide(args):
         instance, l, params, parallelism=args.parallelism)
     fields = {"answer": verdict.answer, "length_bound": l,
               "evaluated_degree": verdict.degree}
+    if verdict.degree is None:  # a floor ZERO ran no repetition
+        fields["repetitions"] = 0
     return _report(
         args, t0, params, deviations, fields, verdict.nonzero,
         verdict.answer, "oracle_answer",

@@ -46,14 +46,19 @@ the length-bounded walk polynomial.  Two engines compute them:
   a walk set of cost <= cap has, at each of its states, a prefix cost d
   and a remainder of cost at least togo, so it passes only through moves
   that are kept, and a skipped move carries no walk set the scan could
-  yield.  States that cannot finish at all are dropped from the graph.
-  The readers scan_min_cost_slice and perturbed_scan scan at the graph's
-  costs and stop at the first nonzero slice, which serves minimum-cost
-  queries and edge-essentiality tests without materializing full
-  tables; a cap below the graph's floor (the start state's togo)
-  expands nothing.  slice_support walks the same graph without field
-  values, to find the edges a slice can contain at all: the per-edge
-  tests skip the others.
+  yield.  Each state's moves are sorted by c(e) + togo, so a scan stops
+  at the first one past its cap.  States that cannot finish at all are
+  dropped from the graph.  Without the second cost a state's value is
+  one field element, and the scan takes the table engine's fan layout:
+  the values of a position's out-edges are packed one per slot and
+  windowed once per scan, one scalar product per expanded state gives
+  every move's product, and each state is reduced once.  The readers
+  scan_min_cost_slice and perturbed_scan scan at the graph's costs and
+  stop at the first nonzero slice, which serves minimum-cost queries and
+  edge-essentiality tests without materializing full tables; a cap
+  below the graph's floor (the start state's togo) expands nothing.
+  slice_support walks the same graph without field values, to find the
+  edges a slice can contain at all: the per-edge tests skip the others.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -87,6 +92,7 @@ from .network import PathInstance
 
 DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
+_FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
 
@@ -120,6 +126,15 @@ def _check_budget(cells: int):
             f"the {DEFAULT_MEMORY_LIMIT >> 20} MiB ceiling")
 
 
+def _fan_cells(slots: int) -> int:
+    """Cells charged for one windowed fan of `slots` packed edges: 5 per
+    edge and 10 for the window.  A window of D slots takes about 450 +
+    240 D bytes, a table fan holds two lists of its heads beside it, and
+    building the table fans and the sink distances holds about 140 bytes
+    more per edge (tracemalloc, 64-bit CPython 3.11)."""
+    return _FAN_CELLS * (slots + 2)
+
+
 def subset_table_cells(k: int, bound: int) -> int:
     """Exact subset-table size: one cell per (B subset of Y, index 0..bound)."""
     return (1 << k) * (bound + 1)
@@ -144,7 +159,8 @@ class LengthEvaluation:
     code either way, so the result is bit-identical for every parallelism
     degree.  The memory ceiling is checked against pair_cells, the
     unpruned table of l - k + 1 layers (each other walk takes at least one
-    edge), which bounds what the pruned rows allocate, plus subset_cells.
+    edge), which bounds what the pruned rows allocate, plus subset_cells
+    and fan_cells, the charge for the windowed fans (_fan_cells).
     """
 
     def __init__(self, instance: PathInstance, l: int, assignment,
@@ -157,8 +173,9 @@ class LengthEvaluation:
         self.instance = instance
         self.l = l
         self.field = field
-        (self.pair_cells, self.subset_cells), self.slices = _table_slices(
-            instance, l, assignment, field, [1] * instance.m, parallelism)
+        (self.pair_cells, self.subset_cells, self.fan_cells), self.slices = \
+            _table_slices(instance, l, assignment, field, [1] * instance.m,
+                          parallelism)
 
     def value(self) -> int:
         """Cumulative value: XOR of slices k..l."""
@@ -169,15 +186,17 @@ class LengthEvaluation:
 
 
 def _table_slices(instance, bound, assignment, field, costs, parallelism):
-    """The table engine: ((pair_cells, subset_cells), slices 0..bound) at
-    the given edge costs, for LengthEvaluation and eval_cost_slices.
+    """The table engine: ((pair_cells, subset_cells, fan_cells), slices
+    0..bound) at the given edge costs, for LengthEvaluation and
+    eval_cost_slices.
 
-    The memory ceiling is checked against the pair rows unpruned at
-    bound - k + 1 layers each, plus the subset table.  That bounds the
-    pruned rows at any costs >= 1: every other source's walk costs at
-    least d_i >= 1, so no row's budget exceeds bound - k + 1.  What every
-    row reads, the row plan, is built once: the distances to a sink and
-    the fans (_fans_by_cost).  With parallelism > 1 and k > 1, one fork
+    What every row reads, the row plan, is built once: the distances to
+    a sink and the fans (_fans_by_cost).  Then the memory ceiling is
+    checked, before any row runs, against the pair rows unpruned at
+    bound - k + 1 layers each, the subset table and the fans
+    (_fan_cells of each).  The first bounds the pruned rows at any costs
+    >= 1: every other source's walk costs at least d_i >= 1, so no row's
+    budget exceeds bound - k + 1.  With parallelism > 1 and k > 1, one fork
     pool of min(parallelism, k) workers serves the whole evaluation: the
     workers inherit the plan when they fork (the pool's initializer), so
     no task carries it, and the pool maps first the source rows
@@ -187,12 +206,14 @@ def _table_slices(instance, bound, assignment, field, costs, parallelism):
     """
     _check_assignment(instance, assignment)
     k = instance.k
-    cells = (max(bound - k + 1, 0) * instance.n * k,
-             subset_table_cells(k, bound))
-    _check_budget(sum(cells))
     togo = sink_distances(instance, costs)
-    plan = (instance, bound, assignment, field, costs, togo,
-            _fans_by_cost(instance, assignment, costs, togo))
+    fans_by_cost = _fans_by_cost(instance, assignment, costs, togo)
+    cells = (max(bound - k + 1, 0) * instance.n * k,
+             subset_table_cells(k, bound),
+             sum(_fan_cells(len(fan[3]))
+                 for _, fans in fans_by_cost for fan in fans))
+    _check_budget(sum(cells))
+    plan = (instance, bound, assignment, field, costs, togo, fans_by_cost)
     if parallelism > 1 and k > 1 and \
             "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
@@ -462,7 +483,8 @@ def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
 # ---------------------------------------------------------------------------
 
 def _state_moves(instance: PathInstance, state):
-    """Moves out of scan state (B, z) as (edge id, next state) pairs.
+    """Moves out of scan state (B, z) as (edge id, next state, slot)
+    triples, slot the edge's index in instance.out_edges[z].
 
     Walks are built in source order, and a walk passes only through
     non-terminals: an edge into a non-terminal extends it, an edge into an
@@ -472,17 +494,18 @@ def _state_moves(instance: PathInstance, state):
     """
     bmask, z = state
     moves = []
-    for eid in instance.out_edges[z]:
+    for slot, eid in enumerate(instance.out_edges[z]):
         w = instance.edges[eid][1]
         if not instance.is_terminal(w):
-            moves.append((eid, (bmask, w)))
+            moves.append((eid, (bmask, w), slot))
             continue
         j = instance.sink_index.get(w)
         if j is None or bmask & (1 << j):
             continue
         b2 = bmask | (1 << j)
         moves.append((eid, None if b2 == (1 << instance.k) - 1 else
-                      (b2, instance.sources[bin(bmask).count("1") + 1])))
+                      (b2, instance.sources[bin(bmask).count("1") + 1]),
+                      slot))
     return moves
 
 
@@ -496,11 +519,14 @@ class ScanGraph:
     finished state, a bucket queue over the integer costs (Dial), gives
     togo[state]: the least cost of moves that finishes every remaining
     walk.  A state that cannot finish has no entry, and no move into it
-    is kept.  moves[state] lists (edge id, cost, next state, reach), where
-    reach = cost + togo[next state] (just the cost when the move finishes
-    the last walk), and floor = togo[start], or None when no walk set
-    exists at all.  The memory ceiling is checked once, against the
-    states and moves of the forward pass.
+    is kept.  moves[state] lists (edge id, cost, next state, reach, slot)
+    in increasing reach, where reach = cost + togo[next state] (just the
+    cost when the move finishes the last walk) and slot is the edge's
+    index among its tail's out-edges (its slot in the scan's fan at that
+    position), so a reader with a cut stops at the first move past it.
+    The first move's reach is togo[state].  floor = togo[start], or None
+    when no walk set exists at all.  The memory ceiling is checked once,
+    against the states and moves of the forward pass.
     """
 
     def __init__(self, instance: PathInstance, costs):
@@ -509,19 +535,21 @@ class ScanGraph:
         succ = {self.start: _state_moves(instance, self.start)}
         stack = [self.start]
         while stack:
-            for _, key in succ[stack.pop()]:
+            for _, key, _ in succ[stack.pop()]:
                 if key is not None and key not in succ:
                     succ[key] = _state_moves(instance, key)
                     stack.append(key)
         _check_budget(len(succ) + sum(map(len, succ.values())))
         preds = {}
         for state, moves in succ.items():
-            for eid, key in moves:
+            for eid, key, _ in moves:
                 preds.setdefault(key, []).append((state, costs[eid]))
         togo = _backward_costs([None], preds)
         self.moves = {
-            state: [(eid, costs[eid], key, costs[eid] + togo[key])
-                    for eid, key in moves if key in togo]
+            state: sorted(
+                ((eid, costs[eid], key, costs[eid] + togo[key], slot)
+                 for eid, key, slot in moves if key in togo),
+                key=lambda move: move[3])
             for state, moves in succ.items() if state in togo}
         del togo[None]
         self.togo = togo
@@ -544,15 +572,35 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
     slices are exact; with d_cap below graph.floor nothing is expanded.
     The second cost (weight) rides along as one packed vector of slots
     0..w_cap per state; slot w of a yielded vector is the reduced slice
-    value at (d, w).  Weights past w_cap are dropped, so with zero weights
-    and w_cap = 0 the vector is the plain exact-cost slice value.  The
-    memory ceiling is checked once per layer against the states still
-    pending plus the graph's cells.
+    value at (d, w).  Weights past w_cap are dropped, so with w_cap = 0
+    the vector is the plain exact-cost slice value of the weight-0 edges.
+
+    Each state is reduced once, when its layer is popped, and a move's
+    contribution goes unreduced into its target.  At w_cap = 0 a state's
+    value is one field element, so the scan packs the values of position
+    z's weight-0 out-edges one per 128-bit slot (in instance.out_edges[z]
+    order, a zero slot for every other edge), windows that fan the first
+    time a state at z is expanded, and makes one scalar product per
+    expanded state: each kept move takes its slot of it.  A fan whose
+    slots are all zero (every out-edge deleted or weighted) is not
+    windowed, and its states make no product.  Both operands
+    are field elements (< 2^s, s <= 64), so a slot stays below 2^127 and
+    never spills into the next one.  With w_cap > 0 a state is a wide
+    vector that a fan cannot pack, so it is windowed and multiplied by
+    each kept move's value in turn.  Moves come in increasing reach, so
+    each state's scan stops at its first move past the cap.  The memory
+    ceiling is checked once per layer against the states still pending,
+    the graph's cells and the fans windowed so far.
     """
-    _check_assignment(graph.instance, assignment)
+    instance = graph.instance
+    _check_assignment(instance, assignment)
     wsize = w_cap + 1
     wmask = (1 << (SLOT_BITS * wsize)) - 1
+    reduce = field.reduce if not w_cap else \
+        lambda raw: vec_reduce(raw, wsize, field)
     moves_of = graph.moves
+    fans = {}  # position -> window of its packed out-edge values, or 0
+    fan_cells = 0
     # cost -> state -> packed weight vector (unreduced); the key None
     # holds the layer's finished walk sets
     pending = {}
@@ -563,24 +611,43 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
         states = pending.pop(d)
         done = states.pop(None, 0)
         if done:
-            vec = vec_reduce(done, wsize, field)
+            vec = reduce(done)
             if vec:
                 yield d, vec
         _check_budget(wsize * (len(states) + sum(map(len, pending.values())))
-                      + graph.cells)
+                      + graph.cells + fan_cells)
+        cut = d_cap - d
         for state, raw in states.items():
-            vec = vec_reduce(raw, wsize, field)
+            vec = reduce(raw)
             if not vec:
                 continue
             win = None
-            for eid, c, key, reach in moves_of[state]:
-                fe = assignment[eid]
-                if not fe or d + reach > d_cap:
-                    continue
+            if not w_cap:
+                z = state[1]
+                win = fans.get(z)
                 if win is None:
-                    win = vec_window(vec)
-                carried = (vec_scalar_mul_w(win, fe)
-                           << (SLOT_BITS * weights[eid])) & wmask
+                    packed = 0
+                    for slot, eid in enumerate(instance.out_edges[z]):
+                        if not weights[eid]:
+                            packed |= assignment[eid] << (SLOT_BITS * slot)
+                    win = fans[z] = packed and vec_window(packed)
+                    fan_cells += _fan_cells(len(instance.out_edges[z]))
+                if not win:
+                    continue  # every out-edge of z carries zero
+                products = vec_scalar_mul_w(win, vec)
+            for eid, c, key, reach, slot in moves_of[state]:
+                if reach > cut:
+                    break
+                if not w_cap:
+                    carried = products >> (SLOT_BITS * slot) & _SLOT_MASK
+                else:
+                    fe = assignment[eid]
+                    if not fe:
+                        continue
+                    if win is None:
+                        win = vec_window(vec)
+                    carried = (vec_scalar_mul_w(win, fe)
+                               << (SLOT_BITS * weights[eid])) & wmask
                 if carried:
                     tgt = pending.setdefault(d + c, {})
                     tgt[key] = tgt.get(key, 0) ^ carried
@@ -611,10 +678,11 @@ def slice_support(graph: ScanGraph, alive, d: int) -> list:
         _check_budget(stored + graph.cells)
         for state in states:
             moves = []
-            for eid, c, key, reach in graph.moves[state]:
+            for eid, c, key, reach, _ in graph.moves[state]:
+                if at + reach > d:
+                    break
                 d2 = at + c
-                if not alive[eid] or at + reach > d or \
-                        (key is None and d2 != d):
+                if not alive[eid] or (key is None and d2 != d):
                     continue
                 moves.append((eid, d2, key))
                 tgt = layers.setdefault(d2, {})

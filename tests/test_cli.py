@@ -89,13 +89,15 @@ def test_decide_zero_exit(capsys, tmp_path):
     assert rep["verify"]["match"] is True
     # l defaults to k(n-1) = 8, and min(l, m, n - k) = 3 is below 4, the
     # sum of the sources' least lengths to a sink: an exact ZERO that
-    # evaluates no table, so no degree is reported
-    assert (rep["length_bound"], rep["evaluated_degree"]) == (8, None)
+    # evaluates no table, so no degree and no repetition is reported
+    assert (rep["length_bound"], rep["evaluated_degree"],
+            rep["repetitions"]) == (8, None, 0)
     # an isolated sixth vertex lifts min(l, m, n - k) to 4: the tables run
     # at degree 4 and answer ZERO
     p.write_text(BOTTLENECK.replace("q paths 5", "q paths 6"))
     code, rep = run_json(capsys, "decide", "-i", str(p), "--verify")
-    assert (code, rep["answer"], rep["evaluated_degree"]) == (1, "ZERO", 4)
+    assert (code, rep["answer"], rep["evaluated_degree"],
+            rep["repetitions"]) == (1, "ZERO", 4, 3)
     assert rep["verify"]["match"] is True
 
 
@@ -325,8 +327,9 @@ GOLDEN_CASES = {
 
 # Fields that differ from the recordings by design: a floor ZERO runs no
 # table, so it reports no evaluated degree (the recording has min(l, m,
-# n - k) = 3).
-GOLDEN_CHANGED = {"decide_floor_zero": {"evaluated_degree": None}}
+# n - k) = 3) and no repetition (the recording has the configured 3).
+GOLDEN_CHANGED = {"decide_floor_zero": {"evaluated_degree": None,
+                                        "repetitions": 0}}
 
 
 def golden_run(capsys, tmp_path, name, fmt):

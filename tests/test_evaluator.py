@@ -517,6 +517,30 @@ def test_memory_ceiling_bounds_the_tables(field64):
     assert peak <= (ev.pair_cells + ev.subset_cells) * evaluator._CELL_BYTES
 
 
+@pytest.mark.parametrize("l", [1, 2, 13])
+def test_memory_ceiling_charges_the_fans(field64, l):
+    # Dense with one source: each of the 12 inner vertices is one fan of
+    # 12 heads, so the fans outweigh the shallow tables, and the ceiling
+    # must charge them too.
+    n = 14
+    inner = range(2, n)
+    edges = [(0, v) for v in inner]
+    edges += [(u, v) for u in inner for v in inner if u != v]
+    edges += [(u, 1) for u in inner]
+    inst = PathInstance(n, edges, [0], [1])
+    f = random_assignment(field64, inst.m, random.Random(8))
+    tracemalloc.start()
+    try:
+        ev = LengthEvaluation(inst, l, f, field64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.fan_cells == 12 * evaluator._fan_cells(12)
+    assert not any(ev.slices[:2]) and all(ev.slices[2:])
+    assert peak <= (ev.pair_cells + ev.subset_cells + ev.fan_cells) * \
+        evaluator._CELL_BYTES
+
+
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):
     # no walk set costs less than the floor, so a scan capped below it
     # expands no state: the cost-to-go bound skips the start's moves
@@ -542,6 +566,60 @@ def test_scan_below_floor_makes_no_products(field64, monkeypatch):
     assert products > 0
 
 
+def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
+    # source 0, sink 1, inner 2, 3, 4 at unit costs; edges 0 and 1 are
+    # parallel edges 0 -> 2, and 2 is also reached through 3:
+    #   d = 0: (0, 0)                      moves to 3 (edge 2) and 2
+    #   d = 1: (0, 3), (0, 2)              3 finishes (edge 6) or goes to 2
+    #   d = 2: finished, (0, 2), (0, 4)
+    #   d = 3: finished, (0, 4)
+    #   d = 4: finished
+    inst = PathInstance(5, [(0, 2), (0, 2), (0, 3), (3, 2), (2, 4), (4, 1),
+                            (3, 1)], [0], [1])
+    graph = ScanGraph(inst, inst.cost_list())
+    products = windows = 0
+    real_mul, real_window = evaluator.vec_scalar_mul_w, evaluator.vec_window
+
+    def counted_mul(win, scalar):
+        nonlocal products
+        products += 1
+        return real_mul(win, scalar)
+
+    def counted_window(packed):
+        nonlocal windows
+        windows += 1
+        return real_window(packed)
+
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted_mul)
+    monkeypatch.setattr(evaluator, "vec_window", counted_window)
+    f = [3, 5, 7, 9, 11, 13, 15]
+    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    # six expanded states, (0, 2) and (0, 4) at two costs each, and one
+    # window per position 0, 3, 2, 4
+    assert (products, windows) == (6, 4)
+    assert got == [(d, v) for d, v in
+                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+    # equal values on the parallel edges cancel at (0, 2) at cost 1: that
+    # state has value zero and is not expanded, and (0, 4) is reached at
+    # cost 3 only
+    products = windows = 0
+    f = [3, 3, 7, 9, 11, 13, 15]
+    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    assert (products, windows) == (4, 4)
+    assert [d for d, _ in got] == [2, 4]
+    assert got == [(d, v) for d, v in
+                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+    # both out-edges of 3 deleted: its fan is all zero, so (0, 3) makes no
+    # product and position 3 is not windowed
+    products = windows = 0
+    f = [3, 5, 7, 0, 11, 13, 0]
+    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    assert (products, windows) == (3, 3)
+    assert got == [(d, v) for d, v in
+                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+    assert [d for d, _ in got] == [3]
+
+
 def test_scan_graph_keeps_only_states_that_finish(bottleneck):
     # x1, x2 -> v -> y1, y2 plus an edge into a dead end u: walk sets
     # exist (they collide at v), and u cannot finish
@@ -550,7 +628,7 @@ def test_scan_graph_keeps_only_states_that_finish(bottleneck):
     assert graph.floor == 4
     assert graph.togo[(0, 0)] == 4 and graph.togo[(0, 2)] == 3
     assert not any(key == (0, 5) for moves in graph.moves.values()
-                   for _, _, key, _ in moves)
+                   for _, _, key, _, _ in moves)
     assert (0, 5) not in graph.togo
     assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
                      [1]).floor is None

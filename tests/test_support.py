@@ -8,6 +8,7 @@ import random
 import pytest
 
 from smallflow import (
+    GF2Field,
     LengthEvaluation,
     PathInstance,
     TestParams,
@@ -43,6 +44,22 @@ def tiny_instances(draw, max_k=2):
     costs = draw(st.lists(st.integers(1, 3), min_size=len(edges),
                           max_size=len(edges)))
     return PathInstance(n, edges, range(k), range(k, 2 * k), costs=costs)
+
+
+@st.composite
+def hub_instances(draw):
+    """tiny_instances with 17 to 24 more out-edges at one vertex (parallel
+    edges and edges into terminals among them), so that the scan's fan at
+    that position spans more than 16 slots."""
+    inst = draw(tiny_instances())
+    hub = draw(st.integers(0, inst.n - 1))
+    heads = draw(st.lists(st.integers(0, inst.n - 1).filter(
+        lambda v: v != hub), min_size=17, max_size=24))
+    costs = draw(st.lists(st.integers(1, 3), min_size=len(heads),
+                          max_size=len(heads)))
+    return PathInstance(inst.n, list(inst.edges) + [(hub, v) for v in heads],
+                        inst.sources, inst.sinks,
+                        costs=list(inst.costs) + costs)
 
 
 def _zeroed(f, e):
@@ -250,3 +267,33 @@ def test_clamped_decide_matches_oracle(field64, inst, seed):
     for l in range(1, inst.k * (inst.n - 1) + 1):
         want = shortest is not None and shortest[0] <= l
         assert decide_disjoint_paths(inst, l, params).nonzero == want
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(hub_instances(), st.sampled_from([8, 64]),
+                  st.integers(0, 2**32))
+def test_fan_scan_matches_tables(inst, s, seed):
+    # the scan's w_cap = 0 route (one packed product per expanded state)
+    # against the table engine, at drawn values, at full-width values
+    # (2^s - 1, the largest slot products), and at a drawn point patched
+    # as a deletion attempt patches it, with the dead edges zeroed
+    field = GF2Field(s)
+    rng = random.Random(seed)
+    top = max(inst.simple_cost_cap(), inst.k)
+    graph = ScanGraph(inst, inst.cost_list())
+    zero = [0] * inst.m
+    drawn = random_assignment(field, inst.m, rng)
+    live = [rng.random() < 0.7 for _ in range(inst.m)]
+    for f in (drawn, [field.mask] * inst.m,
+              [fe if keep else 0 for fe, keep in zip(drawn, live)]):
+        slices = eval_cost_slices(inst, top, f, field)
+        for d_cap in {inst.k, graph.floor or top, top}:
+            want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
+            assert list(scan_slices(graph, f, field, zero, d_cap, 0)) == want
+    # a nonzero weight carries nothing at w_cap = 0: the scan equals the
+    # tables with those edges deleted
+    weights = [rng.randint(0, 2) for _ in range(inst.m)]
+    slices = eval_cost_slices(
+        inst, top, [0 if w else fe for fe, w in zip(drawn, weights)], field)
+    assert list(scan_slices(graph, drawn, field, weights, top, 0)) == \
+        [(d, v) for d, v in enumerate(slices) if v]
