@@ -590,7 +590,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
     each kept move's value in turn.  Moves come in increasing reach, so
     each state's scan stops at its first move past the cap.  The memory
     ceiling is checked once per layer against the states still pending,
-    the graph's cells and the fans windowed so far.
+    the graph's cells and the fans built so far.
     """
     instance = graph.instance
     _check_assignment(instance, assignment)
