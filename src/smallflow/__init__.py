@@ -21,8 +21,7 @@ from .network import (
 )
 from .evaluator import (
     BudgetError,
-    LengthEvaluation,
-    eval_cost_slices,
+    TablePlan,
     eval_length_bounded_seq,
     random_assignment,
 )

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: decide, mincost, find (paths instances), flow (DIMACS
-instances), oracle (brute-force answers), bench (timing/scaling table).
+instances), oracle (brute-force answers).
 Reports are JSON (default) or text; identical config and seed give a
 byte-identical report apart from the timing fields.
 
@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import decision, evaluator, extraction, flow as flow_mod, oracle
-from .field import GF2Field, derive_rng
+from .field import GF2Field
 from .network import (
     ParseError,
     parse_dimacs_flow,
     parse_paths_instance,
-    random_paths_instance,
     serialize_paths_instance,
 )
 
@@ -88,15 +86,6 @@ def build_parser():
     p.add_argument("--kind", choices=("paths", "flow"), default="paths")
     p.add_argument("--length-bound", "-l", type=int, default=None)
 
-    p = sub.add_parser("bench", help="timing and table-size scaling")
-    p.add_argument("--sizes", default="16,1,1;16,2,1;16,3,1;64,4,1",
-                   help="semicolon-separated n,k,C triples")
-    p.add_argument("--degrees", default="1,2,4,max",
-                   help="comma-separated parallelism degrees")
-    p.add_argument("--length-bound", "-l", type=int, default=None,
-                   help="fixed length bound for every size (default k(n-1))")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     return ap
 
 
@@ -294,49 +283,6 @@ def _cmd_oracle(args):
     return _finish(args, report, t0, code)
 
 
-def _cmd_bench(args):
-    field = GF2Field(64)
-    sizes = []
-    for part in args.sizes.split(";"):
-        n, k, c = (int(x) for x in part.split(","))
-        sizes.append((n, k, c))
-    degrees = []
-    for part in args.degrees.split(","):
-        degrees.append(os.cpu_count() or 1 if part == "max" else int(part))
-    lines = ["n,k,C,l,degree,pair_cells,subset_cells,wall_ms,value,"
-             "speedup_vs_degree1,error"]
-    for idx, (n, k, c) in enumerate(sizes):
-        rng = derive_rng(args.seed, "bench", idx)
-        instance = random_paths_instance(
-            rng, n, k, extra_edges=4 * n, cost_max=None if c <= 1 else c)
-        l = args.length_bound or k * (n - 1)
-        l = min(l, k * (n - 1))
-        f = evaluator.random_assignment(field, instance.m, rng)
-        base_ms = None
-        for degree in degrees:
-            try:
-                t0 = time.perf_counter()
-                ev = evaluator.LengthEvaluation(instance, l, f, field,
-                                                parallelism=degree)
-                wall = (time.perf_counter() - t0) * 1000
-                value = ev.value()
-                if degree == 1:
-                    base_ms = wall
-                speedup = f"{base_ms / wall:.2f}" if base_ms else ""
-                lines.append(
-                    f"{n},{k},{c},{l},{degree},{ev.pair_cells},"
-                    f"{ev.subset_cells},{wall:.1f},{value:#x},{speedup},")
-            except evaluator.BudgetError as exc:
-                lines.append(f"{n},{k},{c},{l},{degree},,,,,,{exc}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_ANSWERED
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -345,7 +291,6 @@ def main(argv=None) -> int:
         "find": _cmd_find,
         "flow": _cmd_flow,
         "oracle": _cmd_oracle,
-        "bench": _cmd_bench,
     }[args.subcommand]
     try:
         limit_mib = getattr(args, "memory_limit_mib", None)

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .evaluator import (
     ScanGraph,
+    TablePlan,
     eval_length_bounded_seq,
     random_assignment,
     scan_min_cost_slice,
-    sink_distances,
-    source_floors,
 )
 from .field import GF2Field, derive_rng
 from .network import PathInstance
@@ -82,13 +81,14 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
                           params: TestParams, parallelism: int = 1) -> Verdict:
     """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
 
-    The tables are evaluated at degree min(l, max_path_edges()): slices
-    are homogeneous of distinct degrees, and the least nonzero one, when
-    there is one, is certified by k disjoint simple paths, which have at
-    most that many edges.  So the polynomial at l is nonzero exactly when
-    it is nonzero at the clamped degree.  No walk set is shorter than the
-    sum of the sources' least lengths to a sink, so a clamped degree below
-    that sum, or a source that reaches no sink, is ZERO without an
+    One TablePlan at unit costs serves every repetition.  The tables are
+    evaluated at degree min(l, max_path_edges()): slices are homogeneous
+    of distinct degrees, and the least nonzero one, when there is one, is
+    certified by k disjoint simple paths, which have at most that many
+    edges.  So the polynomial at l is nonzero exactly when it is nonzero
+    at the clamped degree.  No walk set is shorter than the plan's floor,
+    the sum of the sources' least lengths to a sink, so a clamped degree
+    below it, or a source that reaches no sink, is ZERO without an
     evaluation, and that ZERO is exact (its verdict has degree None; every
     other verdict has the clamped degree).  NONZERO is certain; an
     evaluated ZERO errs with probability at most (degree / 2^s)^t.
@@ -99,14 +99,14 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
     degree = min(l, instance.max_path_edges())
-    floors = source_floors(instance,
-                           sink_distances(instance, [1] * instance.m))
-    if floors is None or degree < sum(floors):
+    if not degree:  # no edges at all
+        return Verdict(ZERO)
+    plan = TablePlan(instance, degree, [1] * instance.m)
+    if plan.floor is None or degree < plan.floor:
         return Verdict(ZERO)
     params.check_degree(degree)
     for f in params.assignments(instance.m, "decide-length"):
-        if eval_length_bounded_seq(instance, degree, f, params.field,
-                                   parallelism=parallelism):
+        if eval_length_bounded_seq(plan, f, params.field, parallelism):
             return Verdict(NONZERO, tuple(f), degree)
     return Verdict(ZERO, degree=degree)
 

@@ -6,16 +6,18 @@ sum over proper walk sets of total cost exactly p.  Length is the
 unit-cost case, and the cumulative XOR of the slices up to a bound l is
 the length-bounded walk polynomial.  Two engines compute them:
 
-* the table engine (_table_slices): one pipeline that produces each
-  source row's table by the cost-indexed pair recurrence (_pair_by_cost,
-  one walk extended one edge at a time, q -> q + c(e)) and combines the
-  rows by the subset recurrence over sink masks (_subset_phase).  Edge
-  costs are handled implicitly instead of materializing the subdivided
-  network (an edge of cost c replaced by a unit-cost path of length c);
+* the table engine (TablePlan): one pipeline that produces each source
+  row's table by the cost-indexed pair recurrence (_pair_by_cost, one
+  walk extended one edge at a time, q -> q + c(e)) and combines the rows
+  by the subset recurrence over sink masks (_subset_phase).  Edge costs
+  are handled implicitly instead of materializing the subdivided network
+  (an edge of cost c replaced by a unit-cost path of length c);
   oracle.subdivide_costs builds the explicit subdivision as the ground
-  truth for this equivalence.  LengthEvaluation runs it at unit costs up
-  to bound l, eval_cost_slices at the edge costs up to bound u_max; both
-  give the plain list of slice values.  The edges a row relaxes are
+  truth for this equivalence.  A TablePlan holds what does not depend on
+  the edge values and is built once per query, the table engine's
+  counterpart of ScanGraph; plan.slices(assignment, field) is one
+  evaluation, the plain list of slice values up to the plan's bound (l
+  at unit costs, eval_length_bounded_seq).  The edges a row relaxes are
   grouped by cost and tail into fans, whose values are packed one per
   slot and windowed once per evaluation, so one scalar product per
   (layer, tail, cost) gives every out-edge's product; the products go
@@ -141,123 +143,110 @@ def subset_table_cells(k: int, bound: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Length-bounded evaluation (pair tables + subset table)
+# Table engine (pair tables + subset table)
 # ---------------------------------------------------------------------------
 
-class LengthEvaluation:
-    """One evaluation of the length-slice tables for (instance, l, f).
+class TablePlan:
+    """The table engine's plan for one instance, bound and cost vector:
+    everything an evaluation reads that does not depend on the edge
+    values, built once per query.
 
-    The table pipeline (_table_slices) at unit costs up to bound l: one
-    pair table per source row, each only as deep as its budget l - sum of
-    the other sources' least lengths to a sink (see _pair_by_cost), then
-    the subset phase.  Walks from different sources never meet in the
-    pair recurrence, and masks of one popcount never read one another in
-    the subset phase, so with parallelism p > 1 and k > 1 one fork pool of
-    min(p, k) workers, each started on its own core, computes the k source
-    rows and then each subset level (everything runs inline where fork is
-    unavailable).  Every row and every subset term is computed by the same
-    code either way, so the result is bit-identical for every parallelism
-    degree.  The memory ceiling is checked against pair_cells, the
-    unpruned table of l - k + 1 layers (each other walk takes at least one
-    edge), which bounds what the pruned rows allocate, plus subset_cells
-    and fan_cells, the charge for the windowed fans (_fan_cells).
+    togo is sink_distances at these costs, and floor = sum of the
+    sources' d_i = togo(source i), or None when some source reaches no
+    sink (then no walk set exists at all).  Row i's walk in a set of
+    total cost <= bound costs at most budgets[i] = bound - floor + d_i,
+    since every other walk costs at least its own d (-1, an empty row,
+    when floor is None).  fans groups the relaxable edges (tail
+    non-terminal, head not a source and reaching a sink) by cost and then
+    by tail: [(c, fans)] in increasing c, each fan (first key, u, keys,
+    heads, edge ids) for the cost-c out-edges of tail u, heads in
+    increasing togo(head), keys those togo values, and the fans of one
+    cost in increasing first key.  The fans are built at every bound.
+
+    The memory ceiling is charged pair_cells, the pair rows unpruned at
+    bound - k + 1 layers each (each other walk costs at least d_i >= 1,
+    so no budget exceeds that), subset_cells and fan_cells (_fan_cells
+    of each fan), and checked once per evaluation, before any row runs.
     """
 
-    def __init__(self, instance: PathInstance, l: int, assignment,
-                 field: GF2Field, parallelism: int = 1):
-        if not 1 <= l <= instance.k * (instance.n - 1):
-            raise ValueError(
-                f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
+    def __init__(self, instance: PathInstance, bound: int, costs):
+        if bound < 1:
+            raise ValueError(f"bound {bound} below 1")
+        k = instance.k
+        self.instance = instance
+        self.bound = bound
+        self.costs = costs
+        self.togo = togo = sink_distances(instance, costs)
+        floors = [togo.get(x) for x in instance.sources]
+        self.floor = None if None in floors else sum(floors)
+        self.budgets = [-1] * k if self.floor is None else \
+            [bound - self.floor + d for d in floors]
+        groups = {}
+        for eid, (u, v) in enumerate(instance.edges):
+            if not instance.is_terminal(u) and \
+                    v not in instance.source_index and v in togo:
+                groups.setdefault(costs[eid], {}).setdefault(u, []).append(
+                    (togo[v], v, eid))
+        self.fans = []
+        for c, tails in sorted(groups.items()):
+            fans = []
+            for u, fan in tails.items():
+                fan.sort(key=lambda edge: edge[0])
+                keys = [edge[0] for edge in fan]
+                fans.append((keys[0], u, keys, [edge[1] for edge in fan],
+                             [edge[2] for edge in fan]))
+            fans.sort(key=lambda fan: fan[0])
+            self.fans.append((c, fans))
+        self.pair_cells = max(bound - k + 1, 0) * instance.n * k
+        self.subset_cells = subset_table_cells(k, bound)
+        self.fan_cells = sum(_fan_cells(len(fan[3]))
+                             for _, fans in self.fans for fan in fans)
+
+    def slices(self, assignment, field: GF2Field,
+               parallelism: int = 1) -> list[int]:
+        """One evaluation: the slice values 0..bound at the given edge
+        values.
+
+        Each fan's values are packed one per 128-bit slot and windowed
+        once (vec_window), so that one scalar product gives every edge's
+        product at once.  With parallelism > 1 and k > 1, one fork pool of
+        min(parallelism, k) workers serves the whole evaluation: the
+        workers inherit the windowed plan when they fork (the pool's
+        initializer), so no task carries it, and the pool maps first the
+        source rows (_pair_by_cost, round-robin over the usable cores),
+        then each level of the subset phase.  Otherwise both phases map
+        inline, in this process, by the same code, so the result is
+        bit-identical for every parallelism degree.
+        """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
-        self.instance = instance
-        self.l = l
-        self.field = field
-        (self.pair_cells, self.subset_cells, self.fan_cells), self.slices = \
-            _table_slices(instance, l, assignment, field, [1] * instance.m,
-                          parallelism)
-
-    def value(self) -> int:
-        """Cumulative value: XOR of slices k..l."""
-        acc = 0
-        for p in range(self.instance.k, self.l + 1):
-            acc ^= self.slices[p]
-        return acc
-
-
-def _table_slices(instance, bound, assignment, field, costs, parallelism):
-    """The table engine: ((pair_cells, subset_cells, fan_cells), slices
-    0..bound) at the given edge costs, for LengthEvaluation and
-    eval_cost_slices.
-
-    What every row reads, the row plan, is built once: the distances to
-    a sink and the fans (_fans_by_cost).  Then the memory ceiling is
-    checked, before any row runs, against the pair rows unpruned at
-    bound - k + 1 layers each, the subset table and the fans
-    (_fan_cells of each).  The first bounds the pruned rows at any costs
-    >= 1: every other source's walk costs at least d_i >= 1, so no row's
-    budget exceeds bound - k + 1.  With parallelism > 1 and k > 1, one fork
-    pool of min(parallelism, k) workers serves the whole evaluation: the
-    workers inherit the plan when they fork (the pool's initializer), so
-    no task carries it, and the pool maps first the source rows
-    (_pair_by_cost, round-robin over the usable cores), then each level
-    of the subset phase.  Otherwise both phases map inline, in this
-    process, by the same code.
-    """
-    _check_assignment(instance, assignment)
-    k = instance.k
-    togo = sink_distances(instance, costs)
-    fans_by_cost = _fans_by_cost(instance, assignment, costs, togo)
-    cells = (max(bound - k + 1, 0) * instance.n * k,
-             subset_table_cells(k, bound),
-             sum(_fan_cells(len(fan[3]))
-                 for _, fans in fans_by_cost for fan in fans))
-    _check_budget(sum(cells))
-    plan = (instance, bound, assignment, field, costs, togo, fans_by_cost)
-    if parallelism > 1 and k > 1 and \
-            "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-        cores = sorted(os.sched_getaffinity(0)) \
-            if hasattr(os, "sched_getaffinity") else [None]
-        with ctx.Pool(processes=min(parallelism, k), initializer=_set_plan,
-                      initargs=(plan,)) as pool:
-            rows = pool.starmap(
-                _pair_row_on_core,
-                [(cores[xi % len(cores)], xi) for xi in range(k)])
-            return cells, _subset_phase(k, bound, rows, field, pool.starmap)
-    rows = [_pair_by_cost(*plan, xi) for xi in range(k)]
-    return cells, _subset_phase(k, bound, rows, field, starmap)
-
-
-def _fans_by_cost(instance, assignment, costs, togo):
-    """The relaxable edges (tail non-terminal, head not a source and
-    reaching a sink), grouped by cost and then by tail: [(c, fans)] in
-    increasing c, each fan (first key, u, keys, heads, window) for the
-    cost-c out-edges of tail u.  The heads are in increasing togo(head),
-    keys holds those togo values, and the edges' values sit one per
-    128-bit slot of one packed vector, windowed once (vec_window), so
-    that one scalar product gives every edge's product at once.  The
-    fans of one cost are in increasing first key."""
-    groups = {}
-    for eid, (u, v) in enumerate(instance.edges):
-        if not instance.is_terminal(u) and v not in instance.source_index \
-                and v in togo:
-            groups.setdefault(costs[eid], {}).setdefault(u, []).append(
-                (togo[v], v, assignment[eid]))
-    fans_by_cost = []
-    for c, tails in sorted(groups.items()):
-        fans = []
-        for u, fan in tails.items():
-            fan.sort(key=lambda edge: edge[0])
-            packed = 0
-            for slot, (_, _, fe) in enumerate(fan):
-                packed |= fe << (SLOT_BITS * slot)
-            keys = [edge[0] for edge in fan]
-            fans.append((keys[0], u, keys, [edge[1] for edge in fan],
-                         vec_window(packed)))
-        fans.sort(key=lambda fan: fan[0])
-        fans_by_cost.append((c, fans))
-    return fans_by_cost
+        _check_assignment(self.instance, assignment)
+        k, bound = self.instance.k, self.bound
+        _check_budget(self.pair_cells + self.subset_cells + self.fan_cells)
+        windowed = []
+        for c, fans in self.fans:
+            group = []
+            for first, u, keys, heads, eids in fans:
+                packed = 0
+                for slot, eid in enumerate(eids):
+                    packed |= assignment[eid] << (SLOT_BITS * slot)
+                group.append((first, u, keys, heads, vec_window(packed)))
+            windowed.append((c, group))
+        rows_plan = (self, assignment, field, windowed)
+        if parallelism > 1 and k > 1 and \
+                "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            cores = sorted(os.sched_getaffinity(0)) \
+                if hasattr(os, "sched_getaffinity") else [None]
+            with ctx.Pool(processes=min(parallelism, k),
+                          initializer=_set_plan,
+                          initargs=(rows_plan,)) as pool:
+                rows = pool.starmap(
+                    _pair_row_on_core,
+                    [(cores[xi % len(cores)], xi) for xi in range(k)])
+                return _subset_phase(k, bound, rows, field, pool.starmap)
+        rows = [_pair_by_cost(*rows_plan, xi) for xi in range(k)]
+        return _subset_phase(k, bound, rows, field, starmap)
 
 
 def _set_plan(plan):
@@ -329,20 +318,12 @@ def sink_distances(instance: PathInstance, costs) -> dict:
     return _backward_costs(instance.sinks, preds)
 
 
-def source_floors(instance: PathInstance, togo) -> list | None:
-    """d_i for every source i in order, or None when some source reaches
-    no sink (then no walk set exists at all)."""
-    floors = [togo.get(x) for x in instance.sources]
-    return None if None in floors else floors
-
-
-def _pair_by_cost(instance, bound, assignment, field, costs, togo,
-                  fans_by_cost, xi):
+def _pair_by_cost(plan, assignment, field, fans_by_cost, xi):
     """Walk-table values at the sinks for source row xi: out[j][q-1] sums
     the walks of exact cost q from source xi to sink j, for every q that
-    the row's walk in a set of total cost <= bound can have; togo is
-    sink_distances at these costs, and fans_by_cost the relaxable edges
-    by cost and tail (_fans_by_cost), which every row shares.
+    the row's walk in a set of total cost <= plan.bound can have, at the
+    plan's costs; fans_by_cost is plan.fans with each fan's edge ids
+    replaced by the window of its packed values, which every row shares.
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
@@ -357,22 +338,19 @@ def _pair_by_cost(instance, bound, assignment, field, costs, togo,
     equals reducing every product.
 
     Only cells that can still finish within the bound are computed.  The
-    other k - 1 walks of a set cost at least their sources' d_i, so the
-    row needs walks of cost at most budget = bound - sum_{i != xi} d_i,
-    and a prefix at (q, v) still needs togo(v) more: cell (q, v) is
-    computed only when q + togo(v) <= budget, that is, a fan scatters to
-    the prefix of its heads with key <= budget - q, and a fan whose first
+    row needs walks of cost at most budget = plan.budgets[xi], and a
+    prefix at (q, v) still needs togo(v) more: cell (q, v) is computed
+    only when q + togo(v) <= budget, that is, a fan scatters to the
+    prefix of its heads with key <= budget - q, and a fan whose first
     head fails is skipped; the row is budget layers deep.  Every cell
     that passes is exact, since it reads only cells (q - c(e), u) that
     pass too (togo(u) <= c(e) + togo(v)), so every slice at or below the
-    bound is unchanged.  With a source that reaches no sink every column
-    is empty.  Rows never read one another, so each is computed alone,
-    in any process.
+    bound is unchanged.  With a source that reaches no sink the budget
+    is -1 and every column is empty.  Rows never read one another, so
+    each is computed alone, in any process.
     """
-    floors = source_floors(instance, togo)
-    if floors is None:
-        return [[] for _ in instance.sinks]
-    budget = bound - sum(floors) + floors[xi]
+    instance, costs, togo = plan.instance, plan.costs, plan.togo
+    budget = plan.budgets[xi]
     pair = [[0] * instance.n for _ in range(budget + 1)]
     for eid in instance.out_edges[instance.sources[xi]]:
         v = instance.edges[eid][1]
@@ -455,27 +433,15 @@ def _subset_term(prev, column, size):
     return acc & ((1 << (SLOT_BITS * size)) - 1)
 
 
-def eval_length_bounded_seq(instance: PathInstance, l: int, assignment,
-                            field: GF2Field, parallelism: int = 1) -> int:
-    """Value of the length-bounded walk polynomial: LengthEvaluation's
-    cumulative value, its source rows across `parallelism` processes."""
-    return LengthEvaluation(instance, l, assignment, field,
-                            parallelism=parallelism).value()
-
-
-# ---------------------------------------------------------------------------
-# Cost slices (implicit subdivision)
-# ---------------------------------------------------------------------------
-
-def eval_cost_slices(instance: PathInstance, u_max: int, assignment,
-                     field: GF2Field) -> list[int]:
-    """Exact-cost slice values for p = 0..u_max: the table pipeline at the
-    edge costs (pair rows pruned by the cost still to go, bound u_max)."""
-    k = instance.k
-    if u_max < k:
-        raise ValueError(f"cost bound {u_max} below k = {k}")
-    return _table_slices(instance, u_max, assignment, field,
-                         instance.cost_list(), 1)[1]
+def eval_length_bounded_seq(plan: TablePlan, assignment, field: GF2Field,
+                            parallelism: int = 1) -> int:
+    """Value of the length-bounded walk polynomial at a unit-cost plan:
+    the XOR of its slices k..bound, the source rows across `parallelism`
+    processes."""
+    acc = 0
+    for value in plan.slices(assignment, field, parallelism)[plan.instance.k:]:
+        acc ^= value
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -70,46 +70,23 @@ class GF2Field:
     Parameters
     ----------
     exponent : int
-        s >= 1; the field has 2^s elements.
-    reduction_poly : int or None
-        Full polynomial bitmask including the x^s term.  None selects the
-        built-in default for s in {8, 16, 64}.  For s <= 16 irreducibility
-        is verified exhaustively at construction; for larger s the
-        polynomial must be one of the shipped defaults.
+        s, one of the built-ins in DEFAULT_POLYS (8, 16 or 64); the field
+        has 2^s elements and reduces by DEFAULT_POLYS[s].
     """
 
-    def __init__(self, exponent: int, reduction_poly: int | None = None):
-        if exponent < 1:
-            raise ValueError(f"field exponent must be >= 1, got {exponent}")
-        if reduction_poly is None:
-            if exponent not in DEFAULT_POLYS:
-                raise ValueError(
-                    f"no built-in reduction polynomial for s={exponent}; "
-                    f"built-ins: {sorted(DEFAULT_POLYS)}"
-                )
-            reduction_poly = DEFAULT_POLYS[exponent]
-        if _poly_degree(reduction_poly) != exponent:
+    def __init__(self, exponent: int):
+        if exponent not in DEFAULT_POLYS:
             raise ValueError(
-                f"reduction polynomial 0x{reduction_poly:x} does not have "
-                f"degree {exponent}"
-            )
-        if exponent <= 16:
-            if not is_irreducible(reduction_poly, exponent):
-                raise ValueError(
-                    f"reduction polynomial 0x{reduction_poly:x} is reducible"
-                )
-        elif DEFAULT_POLYS.get(exponent) != reduction_poly:
-            raise ValueError(
-                f"degree-{exponent} polynomials cannot be checked exhaustively; "
-                f"use the shipped default"
+                f"no built-in reduction polynomial for s={exponent}; "
+                f"built-ins: {sorted(DEFAULT_POLYS)}"
             )
         self.exponent = exponent
-        self.poly = reduction_poly
+        self.poly = DEFAULT_POLYS[exponent]
         self.order = 1 << exponent
         self.mask = self.order - 1
         # Bit positions of the reduction tail (poly minus the x^s term).
         self.tail = tuple(
-            i for i in range(exponent) if (reduction_poly >> i) & 1
+            i for i in range(exponent) if (self.poly >> i) & 1
         )
 
     def __repr__(self):

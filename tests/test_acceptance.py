@@ -15,7 +15,6 @@ from smallflow import (
     clamp_capacities,
     decide_cost_bounded,
     decide_disjoint_paths,
-    eval_cost_slices,
     extract_cost,
     find_disjoint_paths,
     min_cost_disjoint_paths,
@@ -26,8 +25,8 @@ from smallflow import (
     validate_flow,
 )
 from smallflow.evaluator import (
-    LengthEvaluation,
     ScanGraph,
+    TablePlan,
     _move_to_core,
     scan_slices,
 )
@@ -160,7 +159,7 @@ def test_criterion_3_evaluator_correctness(capsys):
         l = rng.randint(1, inst.k * (inst.n - 1))
         for _ in range(5):
             f = random_assignment(FIELD, inst.m, rng)
-            table = LengthEvaluation(inst, l, f, FIELD).slices
+            table = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD)
             scan = [0] * (l + 1)
             for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f,
                                       FIELD, [0] * inst.m, l, 0):
@@ -182,8 +181,8 @@ def test_criterion_3_evaluator_correctness(capsys):
         f = random_assignment(FIELD, inst.m, rng_b)
         lifted = subdivision_assignment(sub, carry, f)
         u = min(sum(inst.costs), k * (sub.n - 1))
-        cost_slices = eval_cost_slices(inst, u, f, FIELD)
-        length_slices = LengthEvaluation(sub, u, lifted, FIELD).slices
+        cost_slices = TablePlan(inst, u, inst.cost_list()).slices(f, FIELD)
+        length_slices = TablePlan(sub, u, [1] * sub.m).slices(lifted, FIELD)
         b_bad += cost_slices != length_slices[: u + 1]
 
     c_bad = 0
@@ -193,7 +192,7 @@ def test_criterion_3_evaluator_correctness(capsys):
         sym = oracle.symbolic_cost_slices(inst, u, budget=400_000)
         for _ in range(25):
             f = random_assignment(FIELD, inst.m, rng)
-            slices = eval_cost_slices(inst, u, f, FIELD)
+            slices = TablePlan(inst, u, inst.cost_list()).slices(f, FIELD)
             want = [sym[p].evaluate(FIELD, f) if p in sym else 0
                     for p in range(u + 1)]
             c_bad += slices != want
@@ -368,24 +367,21 @@ def test_criterion_7_scaling_smoke(capsys):
     """Subset-table work doubles exactly per unit of k; degree-4 evaluation
     (source rows across worker processes) is >= 1.5x faster than the
     serial route, the fastest single-process one, with identical output."""
-    rng = random.Random(707)
     inst16 = {k: random_paths_instance(random.Random(70 + k), 16, k,
                                        extra_edges=32)
               for k in (1, 2, 3)}
-    cells = {}
-    for k, inst in inst16.items():
-        f = random_assignment(FIELD, inst.m, rng)
-        ev = LengthEvaluation(inst, 15, f, FIELD)
-        cells[k] = ev.subset_cells
+    cells = {k: TablePlan(inst, 15, [1] * inst.m).subset_cells
+             for k, inst in inst16.items()}
     cells_double = cells[2] == 2 * cells[1] and cells[3] == 2 * cells[2]
 
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
     f = random_assignment(FIELD, inst.m, random.Random(72))
     l = 4 * 63
+    # each side times its plan's construction and its evaluation
     t0 = time.time()
-    v1 = LengthEvaluation(inst, l, f, FIELD, parallelism=1).value()
+    v1 = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD, parallelism=1)
     t1 = time.time()
-    v4 = LengthEvaluation(inst, l, f, FIELD, parallelism=4).value()
+    v4 = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD, parallelism=4)
     t2 = time.time()
     speedup = (t1 - t0) / (t2 - t1)
     identical = v1 == v4

@@ -223,8 +223,6 @@ def test_decide_parallelism_same_answer(capsys, paths_file):
 def test_parallelism_below_one_exit(capsys, paths_file):
     assert run_cli(capsys, "decide", "-i", paths_file, "-l", "2",
                    "--parallelism", "0")[0] == 2
-    assert run_cli(capsys, "bench", "--sizes", "6,2,1",
-                   "--degrees", "0")[0] == 2
 
 
 def test_memory_limit_flag(capsys, paths_file):
@@ -262,33 +260,6 @@ def test_isolation_range_options(capsys, paths_file, tmp_path):
     assert rep["deviations"] == []
     code, rep = run_json(capsys, "find", "-i", paths_file)
     assert rep["isolation_range"] is None and rep["deviations"] == []
-
-
-def test_bench_csv(capsys):
-    code, out = run_cli(capsys, "bench", "--sizes", "10,1,1;10,2,1;10,3,1",
-                        "--degrees", "1,2", "-l", "6", "--seed", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    header, rows = lines[0], lines[1:]
-    assert header.startswith("n,k,C,l,degree")
-    assert len(rows) == 3 * 2
-    cells = {}
-    for row in rows:
-        parts = row.split(",")
-        n, k, c, l, degree = (int(x) for x in parts[:5])
-        cells[(k, degree)] = int(parts[6])
-        assert parts[8].startswith("0x")
-    # fixed l: subset table doubles exactly per unit of k
-    assert cells[(2, 1)] == 2 * cells[(1, 1)]
-    assert cells[(3, 1)] == 2 * cells[(2, 1)]
-    # identical values across degrees
-    for row in rows:
-        parts = row.split(",")
-    values = {}
-    for row in rows:
-        parts = row.split(",")
-        values.setdefault(int(parts[1]), set()).add(parts[8])
-    assert all(len(v) == 1 for v in values.values())
 
 
 def test_readme_cli_examples_parse():

@@ -1,7 +1,9 @@
+import json
 import multiprocessing
 import os
 import random
-import tracemalloc
+import subprocess
+import sys
 
 import pytest
 
@@ -9,14 +11,15 @@ from smallflow import (
     BudgetError,
     GF2Field,
     PathInstance,
-    eval_cost_slices,
+    TablePlan,
+    TestParams,
+    decide_disjoint_paths,
     eval_length_bounded_seq,
     random_assignment,
     random_paths_instance,
 )
 from smallflow import evaluator
 from smallflow.evaluator import (
-    LengthEvaluation,
     ScanGraph,
     perturbed_scan,
     scan_min_cost_slice,
@@ -37,6 +40,16 @@ def scan_cost_slices(inst, f, field, cap, costs=None):
     return slices
 
 
+def length_plan(inst, l):
+    """The unit-cost table plan of inst at length bound l."""
+    return TablePlan(inst, l, [1] * inst.m)
+
+
+def cost_plan(inst, u):
+    """The table plan of inst at its own costs and cost bound u."""
+    return TablePlan(inst, u, inst.cost_list())
+
+
 def first_nonzero(slices):
     """Least index with a nonzero slice, or None."""
     return next((p for p, v in enumerate(slices) if v), None)
@@ -49,21 +62,24 @@ def zeroed(f, e):
 
 def test_single_edge(single_edge, field64):
     a = 0xABCDEF
-    assert eval_length_bounded_seq(single_edge, 1, [a], field64) == a
+    plan = length_plan(single_edge, 1)
+    assert eval_length_bounded_seq(plan, [a], field64) == a
 
 
 def test_two_route_cancellation(field64):
     # x->y directly and x->u->y: with f == 1 both monomials evaluate to one
     # and cancel at l = 2
     inst = PathInstance(3, [(0, 2), (0, 1), (1, 2)], [0], [2])
-    assert eval_length_bounded_seq(inst, 2, [1, 1, 1], field64) == 0
+    f = [1, 1, 1]
+    assert eval_length_bounded_seq(length_plan(inst, 2), f, field64) == 0
     # at l = 1 only the direct edge contributes
-    assert eval_length_bounded_seq(inst, 1, [1, 1, 1], field64) == 1
+    assert eval_length_bounded_seq(length_plan(inst, 1), f, field64) == 1
 
 
 def test_bipartite_two_monomials(bipartite22, field64):
     g = 0xDEADBEEF
-    got = eval_length_bounded_seq(bipartite22, 2, [g, 1, 1, 1], field64)
+    got = eval_length_bounded_seq(length_plan(bipartite22, 2),
+                                  [g, 1, 1, 1], field64)
     assert got == g ^ 1
 
 
@@ -79,10 +95,10 @@ def test_seq_par_equivalence_battery(field64):
                                      plant=rng.random() < 0.7)
         l = rng.randint(1, k * (n - 1))
         f = random_assignment(field64, inst.m, rng)
-        seq = LengthEvaluation(inst, l, f, field64, parallelism=1).slices
+        plan = length_plan(inst, l)
+        seq = plan.slices(f, field64, parallelism=1)
         for degree in (2, 3, k + 2):
-            assert LengthEvaluation(inst, l, f, field64,
-                                    parallelism=degree).slices == seq
+            assert plan.slices(f, field64, parallelism=degree) == seq
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -115,13 +131,13 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     for k, degrees in ((2, (10 ** 6,)), (3, (2, 3, 5))):
         inst = random_paths_instance(random.Random(5), 8, k, extra_edges=12)
         f = random_assignment(field64, inst.m, random.Random(6))
-        serial = LengthEvaluation(inst, 14, f, field64).slices
+        serial = length_plan(inst, 14).slices(f, field64)
         assert any(serial)
         for degree in degrees:
             asked.clear()
             mapped.clear()
-            assert LengthEvaluation(inst, 14, f, field64,
-                                    parallelism=degree).slices == serial
+            assert length_plan(inst, 14).slices(f, field64,
+                                            parallelism=degree) == serial
             # one pool per evaluation: the rows, then one map per level
             assert asked == [min(degree, k)]
             assert mapped == ["_pair_row_on_core"] + ["_subset_term"] * k
@@ -138,7 +154,7 @@ def test_length_slices_match_symbolic(field64):
         inst = random_paths_instance(rng, n, k, extra_edges=rng.randint(0, n))
         l = k * (n - 1)
         f = random_assignment(field64, inst.m, rng)
-        slices = LengthEvaluation(inst, l, f, field64).slices
+        slices = length_plan(inst, l).slices(f, field64)
         for p in range(l + 1):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost",
                                                    costs=[1] * inst.m)
@@ -149,7 +165,7 @@ def test_cost_slices_bipartite_example(field64):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
-    cs = eval_cost_slices(inst, 8, f, field64)
+    cs = cost_plan(inst, 8).slices(f, field64)
     assert len(cs) == 9
     assert cs[2] == field64.mul(3, 9)
     assert cs[4] == field64.mul(5, 7)
@@ -165,13 +181,13 @@ def test_unit_costs_match_length_slices(field64):
                                      cost_max=1)
         l = k * (n - 1)
         f = random_assignment(field64, inst.m, rng)
-        cs = eval_cost_slices(inst, l, f, field64)
-        assert cs == LengthEvaluation(inst, l, f, field64).slices
+        cs = cost_plan(inst, l).slices(f, field64)
+        assert cs == length_plan(inst, l).slices(f, field64)
 
 
 def test_empty_edge_set(field64):
     inst = PathInstance(2, [], [0], [1])
-    cs = eval_cost_slices(inst, 4, [], field64)
+    cs = cost_plan(inst, 4).slices([], field64)
     assert all(v == 0 for v in cs)
 
 
@@ -185,22 +201,22 @@ def test_edge_removed_matches_deleted_instance(field64):
         eid = rng.randrange(inst.m)
         u = inst.simple_cost_cap()
         f = random_assignment(field64, inst.m, rng)
-        got = eval_cost_slices(inst, u, zeroed(f, eid), field64)
+        got = cost_plan(inst, u).slices(zeroed(f, eid), field64)
         kept = [i for i in range(inst.m) if i != eid]
         smaller = PathInstance(inst.n, [inst.edges[i] for i in kept],
                                inst.sources, inst.sinks,
                                costs=[inst.costs[i] for i in kept])
         f2 = [f[i] for i in kept]
-        assert got == eval_cost_slices(smaller, u, f2, field64)
+        assert got == cost_plan(smaller, u).slices(f2, field64)
 
 
 def test_edge_removed_cases(single_edge, field64):
-    cs = eval_cost_slices(single_edge, 3, zeroed([7], 0), field64)
+    cs = cost_plan(single_edge, 3).slices(zeroed([7], 0), field64)
     assert all(v == 0 for v in cs)
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
-    cs = eval_cost_slices(inst, 8, zeroed(f, 0), field64)
+    cs = cost_plan(inst, 8).slices(zeroed(f, 0), field64)
     assert cs[4] == field64.mul(5, 7)
     assert all(v == 0 for p, v in enumerate(cs) if p != 4)
 
@@ -232,8 +248,8 @@ def test_implicit_matches_explicit_subdivision(field64):
         f = random_assignment(field64, inst.m, rng)
         lifted = subdivision_assignment(sub, carry, f)
         u = min(inst.simple_cost_cap(), k * (sub.n - 1), 30)
-        cs = eval_cost_slices(inst, u, f, field64)
-        ls = LengthEvaluation(sub, u, lifted, field64).slices
+        cs = cost_plan(inst, u).slices(f, field64)
+        ls = length_plan(sub, u).slices(lifted, field64)
         assert cs == ls[: u + 1]
 
 
@@ -250,7 +266,7 @@ def test_scan_engine_matches_tables(field64, field8):
                                          cost_max=4)
             u = min(inst.simple_cost_cap(), 25)
             f = random_assignment(field, inst.m, rng)
-            cs = eval_cost_slices(inst, u, f, field)
+            cs = cost_plan(inst, u).slices(f, field)
             assert scan_cost_slices(inst, f, field, u) == cs
             graph = ScanGraph(inst, inst.cost_list())
             hit = scan_min_cost_slice(graph, f, field, cap=u)
@@ -279,7 +295,7 @@ def test_perturbed_scan_matches_tables(field64, field8):
                 costs=[c * scale + w for c, w in zip(costs, weights)])
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
-            cs = eval_cost_slices(perturbed, u, f, field)
+            cs = cost_plan(perturbed, u).slices(f, field)
             graph = ScanGraph(inst, costs)
             hit = perturbed_scan(graph, f, field, weights, d_cap, w_cap)
             first = first_nonzero(cs)
@@ -306,7 +322,7 @@ def test_small_field_matches_symbolic(field8):
         u = max(inst.simple_cost_cap(), k)
         sym = oracle.symbolic_cost_slices(inst, u)
         f = random_assignment(field8, inst.m, rng)
-        cs = eval_cost_slices(inst, u, f, field8)
+        cs = cost_plan(inst, u).slices(f, field8)
         want = [sym[p].evaluate(field8, f) if p in sym else 0
                 for p in range(u + 1)]
         assert cs == want
@@ -332,25 +348,28 @@ def test_monotone_support_under_edge_addition(field64):
 
 
 def test_bound_validation(single_edge, field64):
-    with pytest.raises(ValueError, match="outside"):
-        eval_length_bounded_seq(single_edge, 0, [1], field64)
-    with pytest.raises(ValueError, match="outside"):
-        eval_length_bounded_seq(single_edge, 2, [1], field64)
-    with pytest.raises(ValueError, match="below k"):
-        eval_cost_slices(single_edge, 0, [1], field64)
+    # the length range 1..k(n-1) is the query's check; the plan's is
+    # bound >= 1, at any costs
+    params = TestParams(field=field64)
+    for l in (0, 2):
+        with pytest.raises(ValueError, match="outside"):
+            decide_disjoint_paths(single_edge, l, params)
+    for costs in ([1], [2]):
+        with pytest.raises(ValueError, match="below 1"):
+            TablePlan(single_edge, 0, costs)
+    plan = length_plan(single_edge, 1)
     with pytest.raises(ValueError, match="assignment covers"):
-        eval_length_bounded_seq(single_edge, 1, [1, 2], field64)
+        eval_length_bounded_seq(plan, [1, 2], field64)
     for degree in (0, -3):
         with pytest.raises(ValueError, match="parallelism"):
-            eval_length_bounded_seq(single_edge, 1, [1], field64,
-                                    parallelism=degree)
+            eval_length_bounded_seq(plan, [1], field64, parallelism=degree)
 
 
 def test_memory_budget(field64, monkeypatch):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 1, 1, 1])
     with pytest.raises(BudgetError):
-        eval_cost_slices(inst, 10 ** 9, [1, 1, 1, 1], field64)
+        cost_plan(inst, 10 ** 9).slices([1, 1, 1, 1], field64)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -362,23 +381,22 @@ def test_memory_budget(field64, monkeypatch):
     evaluator.set_default_memory_limit(1024)
     try:
         with pytest.raises(BudgetError):
-            eval_cost_slices(inst, 100, [1, 1, 1, 1], field64)
+            cost_plan(inst, 100).slices([1, 1, 1, 1], field64)
         # the ceiling is checked before the pair rows run, so at degree 2
         # it fires before any worker is forked
         for degree in (1, 2):
             with pytest.raises(BudgetError):
-                LengthEvaluation(inst, 6, [1, 1, 1, 1], field64,
-                                 parallelism=degree)
+                length_plan(inst, 6).slices([1, 1, 1, 1], field64,
+                                            parallelism=degree)
     finally:
         evaluator.set_default_memory_limit(before)
 
 
 def test_cell_count_formula(field64):
     inst = random_paths_instance(random.Random(1), 10, 2, extra_edges=8)
-    f = random_assignment(field64, inst.m, random.Random(2))
-    ev = LengthEvaluation(inst, 9, f, field64)
-    assert ev.subset_cells == subset_table_cells(2, 9) == 4 * 10
-    assert ev.pair_cells == (9 - 2 + 1) * inst.n * inst.k
+    plan = length_plan(inst, 9)
+    assert plan.subset_cells == subset_table_cells(2, 9) == 4 * 10
+    assert plan.pair_cells == (9 - 2 + 1) * inst.n * inst.k
 
 
 def looped_chains():
@@ -445,7 +463,7 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
                                          (6, 2 * 2, 2 * 2),
                                          (11, 2 * 5, 2 * 6)):
         products = cells = 0
-        slices = LengthEvaluation(inst, l, f, field64).slices
+        slices = length_plan(inst, l).slices(f, field64)
         assert (products, cells) == (want_products, want_cells), l
         assert slices == scan_cost_slices(inst, f, field64, l)
     assert slices[6] and slices[9] and not any(slices[:6])
@@ -470,8 +488,7 @@ def test_full_slots_do_not_spill(s):
     inst = spill_instance()
     unit = [1] * inst.m
     for costs in (unit, inst.cost_list()):
-        fans = evaluator._fans_by_cost(inst, unit, costs,
-                                       evaluator.sink_distances(inst, costs))
+        fans = TablePlan(inst, 10, costs).fans
         assert any(len(heads) >= 3 and len(set(heads)) < len(heads)
                    for _, group in fans for _, _, _, heads, _ in group)
     assert len(fans) == 3
@@ -479,46 +496,74 @@ def test_full_slots_do_not_spill(s):
     u = 10
     for f in ([field.mask] * inst.m,
               random_assignment(field, inst.m, random.Random(s))):
-        lengths = LengthEvaluation(inst, l, f, field).slices
-        assert lengths == scan_cost_slices(inst, f, field, l, unit)
+        length_slices = length_plan(inst, l).slices(f, field)
+        assert length_slices == scan_cost_slices(inst, f, field, l, unit)
         for p in range(l + 1):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost",
                                                    costs=unit)
-            assert lengths[p] == sym.evaluate(field, f), p
-        slices = eval_cost_slices(inst, u, f, field)
+            assert length_slices[p] == sym.evaluate(field, f), p
+        slices = cost_plan(inst, u).slices(f, field)
         assert slices == scan_cost_slices(inst, f, field, u)
         for p in range(u + 1):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost")
             assert slices[p] == sym.evaluate(field, f), p
-        assert any(lengths) and any(slices)
+        assert any(length_slices) and any(slices)
 
 
-def test_memory_ceiling_bounds_the_tables(field64):
+_FRESH_PEAK = """
+import json, random, sys, tracemalloc
+from smallflow import GF2Field, PathInstance, TablePlan, random_assignment
+n, edges, sources, sinks, l = json.load(sys.stdin)
+inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks)
+field = GF2Field(64)
+f = random_assignment(field, inst.m, random.Random(8))
+tracemalloc.start()
+plan = TablePlan(inst, l, [1] * inst.m)
+slices = plan.slices(f, field)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+json.dump([peak, plan.pair_cells, plan.subset_cells, plan.fan_cells,
+           [bool(v) for v in slices]], sys.stdout)
+"""
+
+
+def fresh_peak(inst, l):
+    """Build inst's unit-cost plan at bound l and evaluate it once, at the
+    values random_assignment draws from random.Random(8), as the first
+    evaluation of a fresh interpreter: (tracemalloc peak, pair_cells,
+    subset_cells, fan_cells, which slices are nonzero).  Later evaluations
+    in one process read lower: they take tuples from CPython's free lists,
+    which tracemalloc does not count again."""
+    src = os.path.dirname(os.path.dirname(evaluator.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    spec = [inst.n, inst.edges, inst.sources, inst.sinks, l]
+    out = subprocess.run([sys.executable, "-c", _FRESH_PEAK],
+                         input=json.dumps(spec), capture_output=True,
+                         text=True, env=env, check=True).stdout
+    return json.loads(out)
+
+
+def test_memory_ceiling_bounds_the_tables():
     # Dense and unpruned: every inner vertex has an edge to every other
     # inner vertex and to every sink, so togo is 1 at each, and nearly
     # every inner cell of every row is written, unreduced up to 128 bits
-    # until its layer is complete.  One serial evaluation allocates no
-    # more than the ceiling charges for its cells.
+    # until its layer is complete.  Building the plan and one serial
+    # evaluation allocate no more than the ceiling charges for its cells.
     n, k = 14, 3
     inner = range(2 * k, n)
     edges = [(x, v) for x in range(k) for v in inner]
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     inst = PathInstance(n, edges, range(k), range(k, 2 * k))
-    f = random_assignment(field64, inst.m, random.Random(8))
-    l = k * (n - 1)
-    tracemalloc.start()
-    try:
-        ev = LengthEvaluation(inst, l, f, field64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(ev.slices[2 * k:])
-    assert peak <= (ev.pair_cells + ev.subset_cells) * evaluator._CELL_BYTES
+    peak, pair_cells, subset_cells, _, nonzero = \
+        fresh_peak(inst, k * (n - 1))
+    assert all(nonzero[2 * k:])
+    assert peak <= (pair_cells + subset_cells) * evaluator._CELL_BYTES
 
 
 @pytest.mark.parametrize("l", [1, 2, 13])
-def test_memory_ceiling_charges_the_fans(field64, l):
+def test_memory_ceiling_charges_the_fans(l):
     # Dense with one source: each of the 12 inner vertices is one fan of
     # 12 heads, so the fans outweigh the shallow tables, and the ceiling
     # must charge them too.
@@ -528,16 +573,10 @@ def test_memory_ceiling_charges_the_fans(field64, l):
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, 1) for u in inner]
     inst = PathInstance(n, edges, [0], [1])
-    f = random_assignment(field64, inst.m, random.Random(8))
-    tracemalloc.start()
-    try:
-        ev = LengthEvaluation(inst, l, f, field64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ev.fan_cells == 12 * evaluator._fan_cells(12)
-    assert not any(ev.slices[:2]) and all(ev.slices[2:])
-    assert peak <= (ev.pair_cells + ev.subset_cells + ev.fan_cells) * \
+    peak, pair_cells, subset_cells, fan_cells, nonzero = fresh_peak(inst, l)
+    assert fan_cells == 12 * evaluator._fan_cells(12)
+    assert not any(nonzero[:2]) and all(nonzero[2:])
+    assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
 
 
@@ -598,7 +637,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     # window per position 0, 3, 2, 4
     assert (products, windows) == (6, 4)
     assert got == [(d, v) for d, v in
-                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
     # equal values on the parallel edges cancel at (0, 2) at cost 1: that
     # state has value zero and is not expanded, and (0, 4) is reached at
     # cost 3 only
@@ -608,7 +647,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     assert (products, windows) == (4, 4)
     assert [d for d, _ in got] == [2, 4]
     assert got == [(d, v) for d, v in
-                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
     # both out-edges of 3 deleted: its fan is all zero, so (0, 3) makes no
     # product and position 3 is not windowed
     products = windows = 0
@@ -616,7 +655,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
     assert (products, windows) == (3, 3)
     assert got == [(d, v) for d, v in
-                   enumerate(eval_cost_slices(inst, 4, f, field64)) if v]
+                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
     assert [d for d, _ in got] == [3]
 
 

@@ -9,22 +9,19 @@ import pytest
 
 from smallflow import (
     GF2Field,
-    LengthEvaluation,
     PathInstance,
+    TablePlan,
     TestParams,
     decide_cost_bounded,
     decide_disjoint_paths,
-    eval_cost_slices,
     min_cost_disjoint_paths,
     random_assignment,
 )
-from smallflow import decision, oracle
+from smallflow import decision, evaluator, oracle
 from smallflow.evaluator import (
     ScanGraph,
     scan_slices,
-    sink_distances,
     slice_support,
-    source_floors,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,13 +90,13 @@ def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
     support = slice_support(ScanGraph(inst, inst.cost_list()),
                             [True] * inst.m, d0)
     rng = random.Random(seed)
+    plan = TablePlan(inst, d0, inst.cost_list())
     for _ in range(2):
         f = random_assignment(field64, inst.m, rng)
-        full = eval_cost_slices(inst, d0, f, field64)
+        full = plan.slices(f, field64)
         for e in range(inst.m):
             if not support[e]:
-                assert eval_cost_slices(inst, d0, _zeroed(f, e),
-                                        field64) == full
+                assert plan.slices(_zeroed(f, e), field64) == full
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -114,11 +111,11 @@ def test_support_under_alive_mask(field64, inst, seed):
     assert not any(s and not a for s, a in zip(support, alive))
     f = [fe if a else 0
          for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
-    want = eval_cost_slices(inst, d, f, field64)[d]
+    plan = TablePlan(inst, d, inst.cost_list())
+    want = plan.slices(f, field64)[d]
     for e in range(inst.m):
         if alive[e] and not support[e]:
-            assert eval_cost_slices(inst, d, _zeroed(f, e),
-                                    field64)[d] == want
+            assert plan.slices(_zeroed(f, e), field64)[d] == want
 
 
 def _scan(inst, costs, f, field, top):
@@ -132,8 +129,7 @@ def _scan(inst, costs, f, field, top):
 
 def _floor(inst, costs):
     """Sum of the sources' least costs to a sink, or None."""
-    floors = source_floors(inst, sink_distances(inst, costs))
-    return None if floors is None else sum(floors)
+    return TablePlan(inst, 1, costs).floor
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -145,7 +141,8 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
     f = random_assignment(field64, inst.m, random.Random(seed))
     scan = _scan(inst, [1] * inst.m, f, field64, top)
     for l in range(1, top + 1):
-        assert LengthEvaluation(inst, l, f, field64).slices == scan[:l + 1]
+        assert TablePlan(inst, l, [1] * inst.m).slices(f, field64) == \
+            scan[:l + 1]
     # no walk set is shorter than the sum of the sources' least lengths
     floor = _floor(inst, [1] * inst.m)
     assert not any(scan[:top + 1 if floor is None else floor])
@@ -159,7 +156,8 @@ def test_cost_tables_match_scan_at_every_bound(field64, inst, seed):
     f = random_assignment(field64, inst.m, random.Random(seed))
     scan = _scan(inst, inst.cost_list(), f, field64, top)
     for u_max in range(inst.k, top + 1):
-        assert eval_cost_slices(inst, u_max, f, field64) == scan[:u_max + 1]
+        assert TablePlan(inst, u_max, inst.cost_list()).slices(
+            f, field64) == scan[:u_max + 1]
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -168,8 +166,65 @@ def test_pruned_rows_identical_across_parallelism(field64, inst, seed, data):
     # each pool worker prunes its own row with the same budgets
     l = data.draw(st.integers(1, inst.k * (inst.n - 1)))
     f = random_assignment(field64, inst.m, random.Random(seed))
-    assert LengthEvaluation(inst, l, f, field64, parallelism=3).slices == \
-        LengthEvaluation(inst, l, f, field64, parallelism=1).slices
+    plan = TablePlan(inst, l, [1] * inst.m)
+    assert plan.slices(f, field64, parallelism=3) == \
+        plan.slices(f, field64, parallelism=1)
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3), st.integers(0, 2**32), st.data())
+def test_one_plan_serves_every_assignment(field64, inst, seed, data):
+    # a plan holds no edge value: evaluated at one assignment after
+    # another, serially and on the pool, it gives what a plan built for
+    # that assignment alone gives
+    costs = data.draw(st.sampled_from([[1] * inst.m, inst.cost_list()]))
+    bound = data.draw(st.integers(1, inst.k * (inst.n - 1)))
+    plan = TablePlan(inst, bound, costs)
+    rng = random.Random(seed)
+    for _ in range(3):
+        f = random_assignment(field64, inst.m, rng)
+        for degree in (1, 3):
+            assert plan.slices(f, field64, parallelism=degree) == \
+                TablePlan(inst, bound, costs).slices(f, field64,
+                                                     parallelism=degree)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+@hypothesis.example(PathInstance(6, [(0, 2), (1, 2), (2, 3), (2, 4)],
+                                 [0, 1], [3, 4]), 0)
+def test_decide_computes_sink_distances_once(field64, inst, seed):
+    # one plan per query: the sink distances are computed once, and every
+    # repetition evaluates that plan (no distances for an instance
+    # without edges, answered before any plan is built).  In the example,
+    # x1, x2 -> v -> y1, y2 with two spare vertices, the degree min(l, m,
+    # n - k) = 4 reaches the floor 2 + 2 at l >= 4, and every walk set
+    # meets at v, so all three repetitions evaluate.
+    counts = {"distances": 0}
+    plans = []
+    real_distances = evaluator.sink_distances
+    real_evaluation = decision.eval_length_bounded_seq
+
+    def distances(*args):
+        counts["distances"] += 1
+        return real_distances(*args)
+
+    def evaluation(plan, *args):
+        plans.append(plan)
+        return real_evaluation(plan, *args)
+
+    params = TestParams(field=field64, repetitions=3, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "sink_distances", distances)
+        mp.setattr(decision, "eval_length_bounded_seq", evaluation)
+        for l in range(1, inst.k * (inst.n - 1) + 1):
+            counts["distances"] = 0
+            plans.clear()
+            verdict = decide_disjoint_paths(inst, l, params)
+            assert counts["distances"] == (1 if inst.m else 0)
+            assert len(plans) <= 3 and all(p is plans[0] for p in plans)
+            if verdict.degree is not None and not verdict.nonzero:
+                assert len(plans) == 3
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -222,7 +277,7 @@ def test_pruned_scan_matches_tables_at_every_cap(field64, inst, seed):
     # tight caps are where the cost-to-go bound prunes
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
-    slices = eval_cost_slices(inst, top, f, field64)
+    slices = TablePlan(inst, top, inst.cost_list()).slices(f, field64)
     graph = ScanGraph(inst, inst.cost_list())
     for d_cap in range(inst.k, top + 1):
         want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
@@ -241,7 +296,7 @@ def test_floor_bounds_the_optimum(field64, inst, seed):
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
     assert graph.floor is None or not any(
-        eval_cost_slices(inst, top, f, field64))
+        TablePlan(inst, top, inst.cost_list()).slices(f, field64))
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -281,19 +336,20 @@ def test_fan_scan_matches_tables(inst, s, seed):
     rng = random.Random(seed)
     top = max(inst.simple_cost_cap(), inst.k)
     graph = ScanGraph(inst, inst.cost_list())
+    plan = TablePlan(inst, top, inst.cost_list())
     zero = [0] * inst.m
     drawn = random_assignment(field, inst.m, rng)
     live = [rng.random() < 0.7 for _ in range(inst.m)]
     for f in (drawn, [field.mask] * inst.m,
               [fe if keep else 0 for fe, keep in zip(drawn, live)]):
-        slices = eval_cost_slices(inst, top, f, field)
+        slices = plan.slices(f, field)
         for d_cap in {inst.k, graph.floor or top, top}:
             want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
             assert list(scan_slices(graph, f, field, zero, d_cap, 0)) == want
     # a nonzero weight carries nothing at w_cap = 0: the scan equals the
     # tables with those edges deleted
     weights = [rng.randint(0, 2) for _ in range(inst.m)]
-    slices = eval_cost_slices(
-        inst, top, [0 if w else fe for fe, w in zip(drawn, weights)], field)
+    slices = plan.slices([0 if w else fe for fe, w in zip(drawn, weights)],
+                         field)
     assert list(scan_slices(graph, drawn, field, weights, top, 0)) == \
         [(d, v) for d, v in enumerate(slices) if v]
