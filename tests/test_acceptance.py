@@ -367,11 +367,15 @@ def test_criterion_7_scaling_smoke(capsys):
     """Subset-table work doubles exactly per unit of k; degree-4 evaluation
     (source rows across worker processes) is >= 1.5x faster than the
     serial route, the fastest single-process one, with identical output."""
+    rng = random.Random(707)
     inst16 = {k: random_paths_instance(random.Random(70 + k), 16, k,
                                        extra_edges=32)
               for k in (1, 2, 3)}
-    cells = {k: TablePlan(inst, 15, [1] * inst.m).subset_cells
-             for k, inst in inst16.items()}
+    cells = {}
+    for k, inst in inst16.items():
+        plan = TablePlan(inst, 15, [1] * inst.m)
+        plan.slices(random_assignment(FIELD, inst.m, rng), FIELD)
+        cells[k] = plan.subset_cells
     cells_double = cells[2] == 2 * cells[1] and cells[3] == 2 * cells[2]
 
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)

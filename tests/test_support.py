@@ -183,10 +183,9 @@ def test_one_plan_serves_every_assignment(field64, inst, seed, data):
     rng = random.Random(seed)
     for _ in range(3):
         f = random_assignment(field64, inst.m, rng)
+        fresh = TablePlan(inst, bound, costs).slices(f, field64)
         for degree in (1, 3):
-            assert plan.slices(f, field64, parallelism=degree) == \
-                TablePlan(inst, bound, costs).slices(f, field64,
-                                                     parallelism=degree)
+            assert plan.slices(f, field64, parallelism=degree) == fresh
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
