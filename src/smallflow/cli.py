@@ -151,6 +151,13 @@ def _cost(found):
     return found[0] if found else None
 
 
+def _mark_exact_none(fields, answer, instance):
+    """A None answer for an instance without k disjoint paths is exact:
+    the query ran no repetition, so report 0 of them."""
+    if answer is None and not instance.has_disjoint_paths():
+        fields["repetitions"] = 0
+
+
 def _cmd_decide(args):
     t0 = time.perf_counter()
     instance = parse_paths_instance(_read_input(args.input))
@@ -183,8 +190,10 @@ def _cmd_mincost(args):
         u_max = instance.max_cost() * instance.n * instance.n
         deviations.append(f"cost ceiling defaulted to C n^2 = {u_max}")
     cost = decision.min_cost_disjoint_paths(instance, params, u_max=u_max)
+    fields = {"cost": cost, "u_max": u_max}
+    _mark_exact_none(fields, cost, instance)
     return _report(
-        args, t0, params, deviations, {"cost": cost, "u_max": u_max},
+        args, t0, params, deviations, fields,
         cost is not None, cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -222,6 +231,7 @@ def _cmd_find(args):
         "strategy": stats.get("strategy"),
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
+    _mark_exact_none(fields, ps, instance)
     return _report(
         args, t0, params, deviations, fields, ps is not None, cost,
         "oracle_cost",

@@ -7,6 +7,13 @@ of zero evaluations is a probabilistic ZERO with per-repetition failure at
 most degree / field size.  Repetitions draw independent derived streams
 from (seed, repetition), so verdicts are reproducible byte for byte and
 monotone in the repetition count.
+
+Before any evaluation, after its input checks, every query asks
+PathInstance.has_disjoint_paths() whether k disjoint paths exist at all.
+When they do not, the polynomial is identically zero, and the query
+answers an exact "none" (a ZERO verdict with degree None, or None) in
+one linear pass, without building a scan graph, evaluating a table plan
+or drawing an assignment.
 """
 
 from __future__ import annotations
@@ -66,10 +73,11 @@ class TestParams:
 
 @dataclass(frozen=True)
 class Verdict:
-    answer: str  # NONZERO (certain) or ZERO (probabilistic)
+    answer: str  # NONZERO (certain) or ZERO
     witness_assignment: tuple | None = None
-    # degree of the polynomial the query evaluated; None for an exact ZERO
-    # answered without an evaluation
+    # degree of the polynomial the query evaluated, whose ZERO errs with
+    # probability at most (degree / 2^s)^t; None for an exact ZERO answered
+    # without an evaluation (below a floor, or no k disjoint paths at all)
     degree: int | None = None
 
     @property
@@ -89,9 +97,11 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     at the clamped degree.  No walk set is shorter than the plan's floor,
     the sum of the sources' least lengths to a sink, so a clamped degree
     below it, or a source that reaches no sink, is ZERO without an
-    evaluation, and that ZERO is exact (its verdict has degree None; every
-    other verdict has the clamped degree).  NONZERO is certain; an
-    evaluated ZERO errs with probability at most (degree / 2^s)^t.
+    evaluation; so is an instance without k disjoint paths at any length
+    (has_disjoint_paths).  Those ZEROs are exact (their verdict has degree
+    None; every other verdict has the clamped degree).  NONZERO is
+    certain; an evaluated ZERO errs with probability at most
+    (degree / 2^s)^t.
     parallelism > 1 spreads the pair recurrence's source rows over up to
     that many worker processes (at most k); the verdict is the same.
     """
@@ -102,7 +112,8 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     if not degree:  # no edges at all
         return Verdict(ZERO)
     plan = TablePlan(instance, degree, [1] * instance.m)
-    if plan.floor is None or degree < plan.floor:
+    if plan.floor is None or degree < plan.floor \
+            or not instance.has_disjoint_paths():
         return Verdict(ZERO)
     params.check_degree(degree)
     for f in params.assignments(instance.m, "decide-length"):
@@ -118,13 +129,21 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     Scans exact-cost slices upward, capped by min(u, simple-set cost
     bound): when the cost-bounded polynomial is nonzero at all, its least
     nonzero slice is witnessed by simple paths and lies under that cap.
-    Bounds below k are allowed and trivially ZERO (k walks cost >= k).
+    The ZERO is exact, with degree None and no assignment drawn, when no k
+    disjoint paths exist at all (has_disjoint_paths, checked before the
+    scan graph is built) or when the cap is below the graph's floor, the
+    least cost of any walk set; bounds below k are such a case (k walks
+    cost >= k).  Otherwise the verdict's degree is the cap.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
     cap = min(u, instance.simple_cost_cap())
     params.check_degree(cap)
+    if not instance.has_disjoint_paths():
+        return Verdict(ZERO)
     graph = ScanGraph(instance, instance.cost_list())
+    if cap < graph.floor:
+        return Verdict(ZERO)
     for f in params.assignments(instance.m, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f), cap)
@@ -137,6 +156,8 @@ def min_cost_disjoint_paths(instance: PathInstance,
                             _graph: ScanGraph | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
+    None is exact, and no scan graph is built, when has_disjoint_paths()
+    finds no k disjoint paths at all; otherwise it is probabilistic.
     One slice scan per repetition, all over one ScanGraph; the least
     nonzero slice index is the answer for that repetition (each monomial
     lives in exactly one exact-cost slice), and repetitions combine by
@@ -148,7 +169,8 @@ def min_cost_disjoint_paths(instance: PathInstance,
     repetition is left that could hit, and none is run.  `_graph` is
     internal: a query that scans the same graph again (find_disjoint_paths)
     passes the ScanGraph it built at the instance's costs, so that it is
-    built once.
+    built once; that query has already run has_disjoint_paths(), so it is
+    not run again.
     """
     if u_max is None:
         u_max = instance.max_cost() * instance.n * instance.n
@@ -156,8 +178,11 @@ def min_cost_disjoint_paths(instance: PathInstance,
         raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
     cap = min(u_max, instance.simple_cost_cap())
     params.check_degree(cap)
-    graph = ScanGraph(instance, instance.cost_list()) if _graph is None \
-        else _graph
+    graph = _graph
+    if graph is None:
+        if not instance.has_disjoint_paths():
+            return None
+        graph = ScanGraph(instance, instance.cost_list())
     best = None
     for f in params.assignments(instance.m, "min-cost"):
         if graph.floor is None or cap < graph.floor:

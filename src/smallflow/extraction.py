@@ -288,7 +288,10 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     route.  r is the isolation range, accepted with "isolation" only: it
     defaults to the desk-scale range; pass paper_isolation_range(instance)
     for the n^2 m setting.  A dict passed as `report` receives
-    attempts/strategy for reporting, and r under isolation.
+    attempts/strategy for reporting, and r under isolation.  None is
+    exact, with 0 attempts and no scan graph built, when
+    has_disjoint_paths() finds no k disjoint paths at all; after the
+    search for the optimum found none, it is probabilistic.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -298,14 +301,19 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
         raise ValueError(f"max_retries {max_retries} below 0")
     if strategy == "isolation" and r is None:
         r = desk_isolation_range(instance)
-    # one state graph at the instance's costs serves the optimum and every
-    # attempt
-    graph = ScanGraph(instance, instance.cost_list())
-    d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     if report is not None:
         report.update(strategy=strategy, attempts=0)
         if r is not None:
             report["r"] = r
+    # the field check min_cost_disjoint_paths makes at its default ceiling,
+    # due before any answer
+    params.check_degree(instance.simple_cost_cap())
+    if not instance.has_disjoint_paths():
+        return None
+    # one state graph at the instance's costs serves the optimum and every
+    # attempt
+    graph = ScanGraph(instance, instance.cost_list())
+    d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     if d0 is None:
         return None
     failures = []

@@ -123,6 +123,69 @@ class PathInstance:
                     reverse=True)
         return sum(cs[: self.max_path_edges()])
 
+    def has_disjoint_paths(self) -> bool:
+        """Whether k vertex-disjoint X->Y paths exist, at any cost.
+
+        By Menger's theorem, exactly when k augmenting paths exist in the
+        vertex-split graph (Ford-Fulkerson).  Vertex v has the states
+        IN(v) and OUT(v); a non-terminal passes at most one path from IN
+        to OUT, and edges into a source or out of a sink carry none.
+        fin[v] and fout[v] are the edges carrying a path into and out of v
+        (-1: none).  Each search is a DFS over the residual states: at a
+        vertex on a path, a used sink included, it may back out along that
+        path's edge into it, which reroutes the path.  O(k (n + m)) time;
+        the lists hold O(n) entries, within the O(n + m) of the instance
+        itself, so nothing is charged against the memory ceiling.
+        """
+        edges, out_edges = self.edges, self.out_edges
+        sources, sinks = self.source_index, self.sink_index
+        fin, fout = [-1] * self.n, [-1] * self.n
+        for _ in range(self.k):
+            # back[w]: the edge by which the search entered IN(w), or -1
+            # when it came from OUT(w) against the path through w.  IN(w)
+            # leads on to OUT(w) when w is free, and else back along its
+            # path to OUT(tail), so the stack holds only OUT(u), as u.
+            back, seen_out = [None] * self.n, [False] * self.n
+            stack = [x for x in self.sources if fout[x] < 0]
+            end = -1
+            while stack and end < 0:
+                s = stack.pop()
+                if seen_out[s]:
+                    continue
+                seen_out[s] = True
+                for e in out_edges[s]:
+                    w = edges[e][1]
+                    if back[w] is None and e != fout[s] and w not in sources:
+                        back[w] = e
+                        if fin[w] >= 0:
+                            stack.append(edges[fin[w]][0])
+                        elif w in sinks:
+                            end = w
+                            break
+                        else:
+                            stack.append(w)
+                if fin[s] >= 0 and back[s] is None:
+                    back[s] = -1
+                    stack.append(edges[fin[s]][0])
+            if end < 0:
+                return False
+            v = end  # augment, from the free sink back to a free source
+            while True:
+                e = back[v]
+                if e < 0:  # the search crossed v against its path: v is freed
+                    e, fin[v], fout[v] = fout[v], -1, -1
+                    v = edges[e][1]
+                    continue
+                u = edges[e][0]
+                old, fin[v], fout[u] = fout[u], e, e
+                if old >= 0:
+                    v = edges[old][1]
+                elif u in sources:
+                    break
+                else:
+                    v = u
+        return True
+
     def __eq__(self, other):
         return (
             isinstance(other, PathInstance)

@@ -52,6 +52,16 @@ e 3 4
 e 3 5
 """
 
+# BOTTLENECK plus a long route x1 -> 6 -> 7 -> 8 -> y1: feasible, but
+# every walk set of length 4 meets at vertex 3, and the disjoint paths
+# have length 6
+HUB_BELOW = BOTTLENECK.replace("q paths 5 4 2", "q paths 8 8 2") + """\
+e 1 6
+e 6 7
+e 7 8
+e 8 4
+"""
+
 
 @pytest.fixture
 def paths_file(tmp_path):
@@ -92,10 +102,18 @@ def test_decide_zero_exit(capsys, tmp_path):
     # evaluates no table, so no degree and no repetition is reported
     assert (rep["length_bound"], rep["evaluated_degree"],
             rep["repetitions"]) == (8, None, 0)
-    # an isolated sixth vertex lifts min(l, m, n - k) to 4: the tables run
-    # at degree 4 and answer ZERO
+    # an isolated sixth vertex lifts min(l, m, n - k) to 4, the floor, but
+    # the instance still has no two disjoint paths: an exact ZERO again
     p.write_text(BOTTLENECK.replace("q paths 5", "q paths 6"))
     code, rep = run_json(capsys, "decide", "-i", str(p), "--verify")
+    assert (code, rep["answer"], rep["evaluated_degree"],
+            rep["repetitions"]) == (1, "ZERO", None, 0)
+    assert rep["verify"]["match"] is True
+    # feasible, with every walk set of length <= 4 meeting at vertex 3: the
+    # tables run at degree 4, all 3 repetitions, and answer ZERO
+    p.write_text(HUB_BELOW)
+    code, rep = run_json(capsys, "decide", "-i", str(p), "-l", "4",
+                         "--verify")
     assert (code, rep["answer"], rep["evaluated_degree"],
             rep["repetitions"]) == (1, "ZERO", 4, 3)
     assert rep["verify"]["match"] is True
@@ -107,6 +125,19 @@ def test_mincost(capsys, paths_file):
     assert rep["cost"] == 2
     assert rep["verify"] == {"oracle_cost": 2, "match": True}
     assert any("C n^2" in d for d in rep["deviations"])
+
+
+def test_mincost_exact_none(capsys, tmp_path):
+    # no two disjoint paths: an exact None, reported as 0 repetitions
+    p = tmp_path / "b.paths"
+    p.write_text(BOTTLENECK)
+    code, rep = run_json(capsys, "mincost", "-i", str(p), "--verify")
+    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
+    assert rep["verify"] == {"oracle_cost": None, "match": True}
+    # feasible but above the ceiling: the configured count stays
+    p.write_text(HUB_BELOW)
+    code, rep = run_json(capsys, "mincost", "-i", str(p), "--u-max", "5")
+    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 3)
 
 
 def test_find(capsys, paths_file):
@@ -122,9 +153,12 @@ def test_find(capsys, paths_file):
 def test_find_infeasible_exit(capsys, tmp_path):
     p = tmp_path / "b.paths"
     p.write_text(BOTTLENECK)
-    code, rep = run_json(capsys, "find", "-i", str(p))
+    code, rep = run_json(capsys, "find", "-i", str(p), "--verify")
     assert code == 1
     assert rep["cost"] is None and rep["paths"] is None
+    # no two disjoint paths: an exact None that ran no repetition
+    assert rep["repetitions"] == 0 and rep["retries_used"] is None
+    assert rep["verify"] == {"oracle_cost": None, "match": True}
 
 
 def test_find_retries_exhausted_exit(capsys, tmp_path):

@@ -3,16 +3,25 @@ import random
 import pytest
 
 from smallflow import (
+    FlowInstance,
     GF2Field,
     PathInstance,
     TestParams,
     decide_cost_bounded,
     decide_disjoint_paths,
     default_repetitions,
+    find_disjoint_paths,
     min_cost_disjoint_paths,
+    min_cost_flow,
     random_paths_instance,
 )
-from smallflow import decision, evaluator, oracle
+from smallflow import decision, evaluator, extraction, oracle
+from smallflow.evaluator import (
+    ScanGraph,
+    TablePlan,
+    eval_length_bounded_seq,
+    scan_min_cost_slice,
+)
 
 
 def params64(seed=0, reps=3):
@@ -26,12 +35,31 @@ def test_single_edge_nonzero(single_edge):
     assert v.degree == 1
 
 
+def _assert_polynomials_vanish(inst, l, params):
+    """The cancellation theorem, at the engines: on an instance without k
+    disjoint paths, the length tables at l and the cost scan to the
+    simple-set cap are zero at every assignment the query would draw."""
+    plan = TablePlan(inst, l, [1] * inst.m)
+    graph = ScanGraph(inst, inst.cost_list())
+    for f in params.assignments(inst.m, "decide-length"):
+        assert eval_length_bounded_seq(plan, f, params.field) == 0
+        assert scan_min_cost_slice(graph, f, params.field,
+                                   cap=inst.simple_cost_cap()) is None
+        # the cap may lie below every walk set; cap l reaches those the
+        # tables count
+        assert scan_min_cost_slice(graph, f, params.field,
+                                   cap=max(l, inst.k)) is None
+
+
 def test_bottleneck_zero(bottleneck):
     v = decide_disjoint_paths(bottleneck, 4, params64())
     assert not v.nonzero
     assert v.witness_assignment is None
-    # min(l, m, n - k) = 3 is below the floor 2 + 2: no table ran
+    # min(l, m, n - k) = 3 is below the floor 2 + 2, and no two disjoint
+    # paths exist: an exact ZERO, no table ran
     assert v.degree is None
+    # the tables at l = 4 reach the floor, and every walk set meets at v
+    _assert_polynomials_vanish(bottleneck, 4, params64())
 
 
 def test_bipartite_nonzero(bipartite22):
@@ -46,6 +74,88 @@ def test_cost_bounded_examples():
     nowhere = PathInstance(4, [(2, 0), (3, 1)], [0, 1], [2, 3],
                            costs=[1, 1])
     assert not decide_cost_bounded(nowhere, 50, params64()).nonzero
+
+
+def test_cost_bounded_floor_zero_is_exact(monkeypatch):
+    # two disjoint paths of cost 6 exist, and every walk set of cost 4 or 5
+    # meets at vertex 2; no walk set costs less than the floor 2 + 2
+    inst = PathInstance(8, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5), (5, 6),
+                            (6, 7), (7, 3)], [0, 1], [3, 4])
+    drawn = []
+    real_draw = decision.random_assignment
+
+    def draw(*args):
+        drawn.append(args)
+        return real_draw(*args)
+
+    monkeypatch.setattr(decision, "random_assignment", draw)
+    got = {u: decide_cost_bounded(inst, u, params64()) for u in (1, 3, 4, 6)}
+    assert [(got[u].answer, got[u].degree) for u in (1, 3, 4, 6)] == [
+        ("ZERO", None), ("ZERO", None), ("ZERO", 4), ("NONZERO", 6)]
+    # u = 1 and 3 lie below the floor: no assignment drawn; u = 4 draws
+    # all three, and u = 6 draws until its first hit
+    assert 3 < len(drawn) <= 6
+
+
+def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
+                                                         bottleneck):
+    # no k disjoint paths: every query kind answers exactly, and builds no
+    # scan graph, evaluates no table and draws no assignment; decide's
+    # plan computes the sink distances once, for its floor
+    built, distances = [], []
+    real_distances = evaluator.sink_distances
+
+    class CountingGraph(evaluator.ScanGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def count_distances(*args):
+        distances.append(args)
+        return real_distances(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated an infeasible instance")
+
+    for module in (decision, extraction):
+        monkeypatch.setattr(module, "ScanGraph", CountingGraph)
+    monkeypatch.setattr(evaluator, "sink_distances", count_distances)
+    for name in ("random_assignment", "eval_length_bounded_seq",
+                 "scan_min_cost_slice"):
+        monkeypatch.setattr(decision, name, refuse)
+    # the six-vertex bottleneck reaches the floor at l = 4, so the check
+    # alone answers it; the battery adds instances of every kind
+    rng = random.Random(41)
+    battery = [PathInstance(6, bottleneck.edges, [0, 1], [3, 4])]
+    while len(battery) < 30:
+        n = rng.randint(4, 9)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(3, n // 2)),
+                                     extra_edges=rng.randint(0, n),
+                                     cost_max=3, plant=False)
+        if oracle.disjoint_paths_min_cost_via_flow(inst) is None:
+            battery.append(inst)
+    p = params64()
+    for inst in battery:
+        distances.clear()
+        v = decide_disjoint_paths(inst, inst.k * (inst.n - 1), p)
+        assert (v.answer, v.degree) == ("ZERO", None)
+        assert len(distances) == (1 if inst.m else 0)
+        distances.clear()
+        v = decide_cost_bounded(inst, inst.k * inst.n * inst.max_cost(), p)
+        assert (v.answer, v.degree) == ("ZERO", None)
+        assert min_cost_disjoint_paths(inst, p) is None
+        for strategy in ("deletion", "isolation"):
+            report = {}
+            assert find_disjoint_paths(inst, p, strategy=strategy,
+                                       report=report) is None
+            assert report["attempts"] == 0
+        assert built == [] and distances == []
+    # one value-2 flow cannot pass a capacity-1 cut: the gadget has no two
+    # disjoint paths
+    cut = FlowInstance(3, [(0, 1, 1, 1), (1, 2, 1, 1)], source=0, sink=2,
+                       target_value=2)
+    assert min_cost_flow(cut, p) is None
+    assert built == [] and distances == []
 
 
 def test_min_cost_examples(bottleneck):
@@ -69,9 +179,13 @@ def test_one_sidedness_exhaustive():
         l = k * (n - 1)
         feasible = oracle.brute_force_disjoint_paths(
             inst, mode="length", bound=l) is not None
-        verdict = decide_disjoint_paths(inst, l, params64(seed=rng.random()))
+        params = params64(seed=rng.random())
+        verdict = decide_disjoint_paths(inst, l, params)
         if not feasible:
-            assert not verdict.nonzero  # exact: the polynomial is zero
+            # exact: no k disjoint paths, so the polynomial is zero, and
+            # the query answers without evaluating it
+            assert not verdict.nonzero and verdict.degree is None
+            _assert_polynomials_vanish(inst, l, params)
         else:
             assert verdict.nonzero  # GF(2^64) false zero: < 1e-15
 

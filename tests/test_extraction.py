@@ -284,7 +284,7 @@ def test_report_dict():
 def test_deletion_query_builds_one_scan_graph(monkeypatch):
     # the optimum and every attempt share one state graph, under either
     # strategy, also when the first attempt fails assembly and a second
-    # one runs
+    # one runs; an instance without k disjoint paths builds none
     built = []
 
     class CountingGraph(ScanGraph):
@@ -312,10 +312,13 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
         assert ps is not None and ps.total_cost == 2
         assert report["attempts"] == 2 and len(built) == 1, strategy
         built.clear()
+        report = {}
+        # no two disjoint paths: answered exactly, before any graph
         assert find_disjoint_paths(PathInstance(5, [(0, 2), (1, 2), (2, 3),
                                                     (2, 4)], [0, 1], [3, 4]),
-                                   params64(8), strategy=strategy) is None
-        assert len(built) == 1, strategy
+                                   params64(8), strategy=strategy,
+                                   report=report) is None
+        assert report["attempts"] == 0 and len(built) == 0, strategy
 
 
 def test_scans_enforce_memory_ceiling():

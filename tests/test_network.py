@@ -156,6 +156,43 @@ def test_planted_instances_feasible():
         k = rng.randint(1, min(3, n // 2))
         inst = random_paths_instance(rng, n, k, extra_edges=0, plant=True)
         assert oracle.brute_force_disjoint_paths(inst) is not None
+        assert inst.has_disjoint_paths()
+
+
+def test_has_disjoint_paths_matches_the_flow_oracle():
+    # sparse instances, most of them infeasible: the augmenting-path check
+    # agrees with the oracle's min-cost flow on the split graph
+    from smallflow import oracle
+    rng = random.Random(14)
+    infeasible = 0
+    for _ in range(1500):
+        n = rng.randint(4, 12)
+        k = rng.randint(1, min(4, n // 2))
+        inst = random_paths_instance(rng, n, k,
+                                     extra_edges=rng.randint(0, 2 * n),
+                                     plant=rng.random() < 0.3)
+        want = oracle.disjoint_paths_min_cost_via_flow(inst) is not None
+        assert inst.has_disjoint_paths() == want
+        infeasible += not want
+    assert infeasible > 750
+
+
+def test_has_disjoint_paths_reroutes_through_a_used_sink():
+    # the first search takes x2 -> y1 (x2's first out-edge); x1's only edge
+    # leads into y1, so the second search must back out of the used sink
+    # along x2's edge and move x2 on to y2
+    edges = [(0, 2), (1, 2), (1, 3)]
+    assert PathInstance(4, edges, [0, 1], [2, 3]).has_disjoint_paths()
+    assert not PathInstance(4, edges[:2], [0, 1], [2, 3]).has_disjoint_paths()
+    # the same through a used inner vertex: x2 -> v -> y1 first (v is the
+    # last head x2 pushes), then x1 reaches v, backs out along x2's edge
+    # into it, and x2 moves on to y2 via w
+    edges = [(0, 4), (1, 5), (1, 4), (4, 2), (5, 3)]
+    assert PathInstance(6, edges, [0, 1], [2, 3]).has_disjoint_paths()
+    # x2's only routes pass through a terminal: a sink or a source is
+    # never an inner vertex
+    for edges in ([(0, 2), (1, 2), (2, 3)], [(0, 2), (1, 0), (0, 3)]):
+        assert not PathInstance(4, edges, [0, 1], [2, 3]).has_disjoint_paths()
 
 
 # -- fuzz: any token soup parses or raises ParseError ------------------------

@@ -190,15 +190,17 @@ def test_one_plan_serves_every_assignment(field64, inst, seed, data):
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-@hypothesis.example(PathInstance(6, [(0, 2), (1, 2), (2, 3), (2, 4)],
+@hypothesis.example(PathInstance(8, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5),
+                                     (5, 6), (6, 7), (7, 3)],
                                  [0, 1], [3, 4]), 0)
 def test_decide_computes_sink_distances_once(field64, inst, seed):
     # one plan per query: the sink distances are computed once, and every
     # repetition evaluates that plan (no distances for an instance
     # without edges, answered before any plan is built).  In the example,
-    # x1, x2 -> v -> y1, y2 with two spare vertices, the degree min(l, m,
-    # n - k) = 4 reaches the floor 2 + 2 at l >= 4, and every walk set
-    # meets at v, so all three repetitions evaluate.
+    # x1, x2 -> v -> y1, y2 plus a route x1 -> 5 -> 6 -> 7 -> y1, two
+    # disjoint paths exist, of length 6; at l = 4 and 5 the degree reaches
+    # the floor 2 + 2, every walk set that short meets at v, and all three
+    # repetitions evaluate to ZERO.
     counts = {"distances": 0}
     plans = []
     real_distances = evaluator.sink_distances
@@ -224,6 +226,13 @@ def test_decide_computes_sink_distances_once(field64, inst, seed):
             assert len(plans) <= 3 and all(p is plans[0] for p in plans)
             if verdict.degree is not None and not verdict.nonzero:
                 assert len(plans) == 3
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3))
+def test_has_disjoint_paths_is_the_oracles_feasibility(inst):
+    assert inst.has_disjoint_paths() == \
+        (oracle.disjoint_paths_min_cost_via_flow(inst) is not None)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
