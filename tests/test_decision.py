@@ -105,7 +105,7 @@ def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
     built, distances = [], []
     real_distances = evaluator.sink_distances
 
-    class CountingGraph(evaluator.ScanGraph):
+    class CountingGraph(ScanGraph):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
