@@ -192,6 +192,12 @@ def _cmd_mincost(args):
     cost = decision.min_cost_disjoint_paths(instance, params, u_max=u_max)
     fields = {"cost": cost, "u_max": u_max}
     _mark_exact_none(fields, cost, instance)
+    if cost is None and "repetitions" not in fields:
+        # feasible, but a cap below every walk set's cost (the scan graph's
+        # floor) is exact too: the query ran no repetition
+        graph = evaluator.ScanGraph(instance, instance.cost_list())
+        if min(u_max, instance.simple_cost_cap()) < graph.floor:
+            fields["repetitions"] = 0
     return _report(
         args, t0, params, deviations, fields,
         cost is not None, cost, "oracle_cost",
@@ -243,8 +249,8 @@ def _cmd_flow(args):
     t0 = time.perf_counter()
     K = parse_dimacs_flow(_read_input(args.input))
     params = _params(args, K.n)
+    gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
     if args.dump_gadget:
-        gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
             fh.write(serialize_paths_instance(gadget.instance))
     res = flow_mod.min_cost_flow(K, params, max_retries=args.max_retries)
@@ -256,6 +262,7 @@ def _cmd_flow(args):
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
     fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
+    _mark_exact_none(fields, res, gadget.instance)
     return _report(args, t0, params, [], fields, cost is not None, cost,
                    "oracle_cost",
                    lambda: _cost(oracle.classic_min_cost_flow(K)))

@@ -60,7 +60,9 @@ the length-bounded walk polynomial.  Two engines compute them:
   edge-essentiality tests without materializing full tables; a cap
   below the graph's floor (the start state's togo) expands nothing.
   slice_support walks the same graph without field values, to find the
-  edges a slice can contain at all: the per-edge tests skip the others.
+  edges a slice can contain at all and those each of its monomials
+  contains: the per-edge tests skip every edge outside the first set and
+  every edge in the second.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -619,9 +621,10 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
                     tgt[key] = tgt.get(key, 0) ^ carried
 
 
-def slice_support(graph: ScanGraph, alive, d: int) -> list:
-    """Mask of the alive edges that lie on some walk set of exact cost d
-    built from alive edges only (alive[e] is true for a usable edge).
+def slice_support(graph: ScanGraph, alive, d: int):
+    """(support, forced): masks of the alive edges that lie on some, and
+    on every, walk set of exact cost d built from alive edges only
+    (alive[e] is true for a usable edge).
 
     One forward pass collects the graph's states (finished-sinks mask,
     position, cost) reachable from the start, skipping moves that cannot
@@ -629,20 +632,31 @@ def slice_support(graph: ScanGraph, alive, d: int) -> list:
     the moves that still reach a finished walk set at cost exactly d.  No
     field arithmetic is done.  Every monomial of the cost-d slice over
     alive edges is the product along one such walk set, so zeroing the
-    variable of an edge outside the mask leaves that slice's value
-    unchanged at every assignment.  The memory ceiling is checked once
-    per layer against the states kept plus the graph's cells.
+    variable of an edge outside the support leaves that slice's value
+    unchanged at every assignment.  The forward pass also carries, for
+    each (cost, state), an int bitmask of the edges that some prefix
+    reaching it avoids: the start holds all m bits, and a move clears its
+    edge's bit and ORs the rest into its target, or into `done` when it
+    finishes at cost exactly d.  An edge of the support whose bit is
+    clear in `done` is forced: every monomial of the slice holds its
+    variable, so zeroing it makes the slice an empty sum, zero at every
+    assignment.  The memory ceiling is checked once per layer against the
+    graph's cells and the states kept, each charged one cell for itself
+    and 1 + m // 540 for its mask (an m-bit int takes about 24 + m/7.5
+    bytes).
     """
-    layers = {}  # cost -> state -> moves
+    m = graph.instance.m
+    layers = {}  # cost -> state -> avoided-edge mask, then its moves
     if graph.floor is not None and graph.floor <= d:
-        layers[0] = {graph.start: None}
+        layers[0] = {graph.start: (1 << m) - 1}
     stored = 1
+    done = 0
     for at in range(d + 1):
         states = layers.get(at)
         if not states:
             continue
-        _check_budget(stored + graph.cells)
-        for state in states:
+        _check_budget(stored * (2 + m // 540) + graph.cells)
+        for state, bits in states.items():
             moves = []
             for eid, c, key, reach, _ in graph.moves[state]:
                 if at + reach > d:
@@ -651,12 +665,16 @@ def slice_support(graph: ScanGraph, alive, d: int) -> list:
                 if not alive[eid] or (key is None and d2 != d):
                     continue
                 moves.append((eid, d2, key))
+                avoided = bits & ~(1 << eid)
+                if key is None:
+                    done |= avoided
+                    continue
                 tgt = layers.setdefault(d2, {})
-                if key is not None and key not in tgt:
-                    tgt[key] = None
+                if key not in tgt:
                     stored += 1
+                tgt[key] = tgt.get(key, 0) | avoided
             states[state] = moves
-    support = [False] * graph.instance.m
+    support = [False] * m
     finishing = {}  # cost -> states that reach a finished set at cost d
     for at in sorted(layers, reverse=True):
         here = finishing[at] = set()
@@ -665,7 +683,7 @@ def slice_support(graph: ScanGraph, alive, d: int) -> list:
                 if key is None or key in finishing.get(d2, ()):
                     support[eid] = True
                     here.add(state)
-    return support
+    return support, [s and not done >> e & 1 for e, s in enumerate(support)]
 
 
 def scan_min_cost_slice(graph: ScanGraph, assignment, field: GF2Field,

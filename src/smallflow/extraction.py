@@ -12,7 +12,11 @@ Two strategies produce the same object:
   occur in the D0 slice, so deleting one leaves the slice's values as
   they were, and the test would pass: such edges are deleted without a
   scan, before the first test and again after each deletion, as the
-  support shrinks.  The result is the one the edge-by-edge tests give.
+  support shrinks.  The same pass finds the forced edges, those on every
+  walk set of cost D0: deleting one leaves the D0 slice an empty sum,
+  and the slices below D0 are zero at the optimum, so the test would
+  fail, and they are kept without a scan.  The result is the one the
+  edge-by-edge tests give.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
@@ -21,7 +25,8 @@ Two strategies produce the same object:
   when deleting it kills every slice at or below U*; assemble the
   essential edges into paths.  All per-edge tests in one repetition share
   a fresh assignment, and edges off the support of the original cost
-  D* = U* // (r*m + 1) are non-essential without a test.
+  D* = U* // (r*m + 1) are non-essential without a test, and edges on
+  every walk set of cost D* essential without one.
 
 Either way a failed assembly (a rare false zero, or a perturbation that
 failed to isolate) is detected structurally and retried with fresh
@@ -146,7 +151,9 @@ def classify_edges(graph: ScanGraph, pc: PerturbedCosts, u_star: int,
     by all per-edge tests, and graph, the query's ScanGraph at the
     instance's costs, by all scans; edges off the support of the original
     cost d* = U* // scale are non-essential without a test, since
-    deleting one leaves every (d*, w) slice as it was.
+    deleting one leaves every (d*, w) slice as it was, and forced edges
+    (on every walk set of cost d*) are essential without one, since
+    deleting one zeroes every (d*, w) slice.
     """
     instance = graph.instance
     weights = list(pc.weights)
@@ -154,10 +161,10 @@ def classify_edges(graph: ScanGraph, pc: PerturbedCosts, u_star: int,
     _, w_cap = _perturbed_caps(instance, pc)
     optimum = (d_star, min(w_star, w_cap))
     assignments = list(params.assignments(instance.m, "classify"))
-    support = slice_support(graph, [True] * instance.m, d_star)
-    essential = set()
+    support, forced = slice_support(graph, [True] * instance.m, d_star)
+    essential = {e for e in range(instance.m) if forced[e]}
     for eid in range(instance.m):
-        if not support[eid]:
+        if not support[eid] or forced[eid]:
             continue
         for f in assignments:
             patched = list(f)
@@ -257,8 +264,9 @@ def _isolation_attempt(instance, params, attempt, r, d0, graph):
 def _deletion_attempt(instance, params, attempt, d0, graph):
     assignments = list(params.assignments(instance.m, "deletion", attempt))
     # Edges off the cost-d0 support pass their test without a scan: the
-    # d0 slice does not contain their variable.
-    live = slice_support(graph, [True] * instance.m, d0)
+    # d0 slice does not contain their variable.  Forced edges, on every
+    # walk set of cost d0, fail it without one: every monomial holds them.
+    live, forced = slice_support(graph, [True] * instance.m, d0)
 
     def survives():
         # Subgraphs only ever raise the optimum, so any hit means == d0.
@@ -267,11 +275,11 @@ def _deletion_attempt(instance, params, attempt, d0, graph):
             params.field, cap=d0) for f in assignments)
 
     for eid in range(instance.m):
-        if not live[eid]:
+        if not live[eid] or forced[eid]:
             continue
         live[eid] = False
         if survives():
-            live = slice_support(graph, live, d0)
+            live, forced = slice_support(graph, live, d0)
         else:
             live[eid] = True
     kept = [e for e in range(instance.m) if live[e]]

@@ -138,6 +138,9 @@ def test_mincost_exact_none(capsys, tmp_path):
     p.write_text(HUB_BELOW)
     code, rep = run_json(capsys, "mincost", "-i", str(p), "--u-max", "5")
     assert (code, rep["cost"], rep["repetitions"]) == (1, None, 3)
+    # a ceiling below every walk set's cost (the floor, 4) scans nothing
+    code, rep = run_json(capsys, "mincost", "-i", str(p), "--u-max", "3")
+    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
 
 
 def test_find(capsys, paths_file):
@@ -199,6 +202,16 @@ def test_flow_verify(capsys, tmp_path):
     from smallflow.network import parse_paths_instance
     gadget = parse_paths_instance(gout.read_text())
     assert gadget.k == 2
+
+
+def test_flow_exact_none(capsys, tmp_path):
+    # 1 -> 2 -> 3 carries one unit, not two: the gadget has no two
+    # disjoint paths, an exact None that ran no repetition
+    p = tmp_path / "k.dimacs"
+    p.write_text("p min 3 2\nn 1 2\nn 3 -2\na 1 2 0 1 1\na 2 3 0 1 1\n")
+    code, rep = run_json(capsys, "flow", "-i", str(p), "--verify")
+    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
+    assert rep["verify"] == {"oracle_cost": None, "match": True}
 
 
 def test_oracle_subcommand(capsys, paths_file):

@@ -346,6 +346,31 @@ def test_scans_enforce_memory_ceiling():
         evaluator.set_default_memory_limit(before)
 
 
+def test_forced_edges_kept_without_a_scan(monkeypatch):
+    # an edge on every walk set of cost d0 would fail its test at every
+    # assignment: a single chain makes no test scan, and the two-route
+    # network's gadget (t = 3, 10 of its 14 edges kept) makes 6, where a
+    # test of every kept edge took 33
+    scans = []
+    real = extraction.scan_min_cost_slice
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "scan_min_cost_slice", counting)
+    params = TestParams(field=GF2Field(64), repetitions=3, seed=0)
+    chain = PathInstance(4, [(0, 1), (1, 2), (2, 3)], [0], [3])
+    ps = _deletion_attempt(chain, params, 0, 3,
+                           ScanGraph(chain, chain.cost_list()))
+    assert ps.paths == ((0, 1, 2, 3),) and not scans
+    two_routes = FlowInstance(4, [(0, 1, 1, 1), (1, 3, 1, 1), (0, 2, 1, 1),
+                                  (2, 3, 1, 1)], 0, 3, 2)
+    gadget = build_gadget_network(clamp_capacities(two_routes)).instance
+    ps = find_disjoint_paths(gadget, params)
+    assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (14, 10, 6)
+
+
 def test_auto_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strategy"):
         find_disjoint_paths(costed_bipartite(), params64(14), strategy="auto")

@@ -75,20 +75,22 @@ def _slice_bound(inst):
 def test_optimal_systems_lie_in_support(inst):
     best, d0 = _slice_bound(inst)
     hypothesis.assume(best is not None)
-    support = slice_support(ScanGraph(inst, inst.cost_list()),
-                            [True] * inst.m, d0)
+    support, forced = slice_support(ScanGraph(inst, inst.cost_list()),
+                                    [True] * inst.m, d0)
     assert all(support[e] for e in best[1].all_edge_ids())
-    # the monomials of the d0 slice are exactly the optimal systems
+    # the monomials of the d0 slice are exactly the optimal systems, and
+    # each holds every forced edge
     for mono in oracle.symbolic_cost_slices(inst, d0)[d0].monomials:
         assert all(support[e] for e in mono)
+        assert all(e in mono for e in range(inst.m) if forced[e])
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
     _, d0 = _slice_bound(inst)
-    support = slice_support(ScanGraph(inst, inst.cost_list()),
-                            [True] * inst.m, d0)
+    support, forced = slice_support(ScanGraph(inst, inst.cost_list()),
+                                    [True] * inst.m, d0)
     rng = random.Random(seed)
     plan = TablePlan(inst, d0, inst.cost_list())
     for _ in range(2):
@@ -97,6 +99,8 @@ def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
         for e in range(inst.m):
             if not support[e]:
                 assert plan.slices(_zeroed(f, e), field64) == full
+            elif forced[e]:  # on every walk set: the d0 slice empties
+                assert plan.slices(_zeroed(f, e), field64)[d0] == 0
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -107,7 +111,7 @@ def test_support_under_alive_mask(field64, inst, seed):
     rng = random.Random(seed)
     alive = [rng.random() < 0.7 for _ in range(inst.m)]
     d = rng.randint(inst.k, max(inst.simple_cost_cap(), inst.k))
-    support = slice_support(ScanGraph(inst, inst.cost_list()), alive, d)
+    support, _ = slice_support(ScanGraph(inst, inst.cost_list()), alive, d)
     assert not any(s and not a for s, a in zip(support, alive))
     f = [fe if a else 0
          for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
@@ -116,6 +120,22 @@ def test_support_under_alive_mask(field64, inst, seed):
     for e in range(inst.m):
         if alive[e] and not support[e]:
             assert plan.slices(_zeroed(f, e), field64)[d] == want
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3), st.integers(0, 2**32))
+def test_forced_edges_lie_on_every_walk_set(inst, seed):
+    # forced: in the support, and no walk set of cost d is left once the
+    # edge is deleted too
+    rng = random.Random(seed)
+    alive = [rng.random() < 0.8 for _ in range(inst.m)]
+    d = rng.randint(inst.k, max(inst.simple_cost_cap(), inst.k))
+    graph = ScanGraph(inst, inst.cost_list())
+    support, forced = slice_support(graph, alive, d)
+    for e in range(inst.m):
+        without = alive[:e] + [False] + alive[e + 1:]
+        assert forced[e] == (support[e] and
+                             not any(slice_support(graph, without, d)[0]))
 
 
 def _scan(inst, costs, f, field, top):
