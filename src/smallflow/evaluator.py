@@ -621,7 +621,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
                     tgt[key] = tgt.get(key, 0) ^ carried
 
 
-def slice_support(graph: ScanGraph, alive, d: int):
+def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     """(support, forced): masks of the alive edges that lie on some, and
     on every, walk set of exact cost d built from alive edges only
     (alive[e] is true for a usable edge).
