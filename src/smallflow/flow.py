@@ -1,18 +1,22 @@
 """Reduction of min-cost value-k flow to vertex-disjoint connecting paths.
 
-The gadget network replaces every vertex v of the flow network by a
-bipartite cloud of unit vertices: one in-unit per (incoming edge, capacity
-slot) and one out-unit per (outgoing edge, capacity slot), completely
-wired in-unit -> out-unit at cost 1.  Each original edge (v, w) of cost c
-becomes cap(e) parallel transport edges v_out(e,i) -> w_in(e,i) of cost
-c * M.  Fresh terminal sets X and Y attach to the source's out-units and
-the sink's in-units by cost-1 connector edges.
+The gadget network has one unit vertex per (edge e, capacity slot i) of
+the flow network.  An edge unit(e, i) -> unit(f, j) joins every unit of
+an edge into a vertex to every other unit of an edge out of it, and
+fresh terminals X enter the units of the source's out-edges: every edge
+entering unit(f, j) costs c(f) * M + 1.  The units of the sink's
+in-edges reach every terminal of Y by cost-1 connector edges.
 
-A value-k flow of cost D shipping along simple paths corresponds to k
-vertex-disjoint X->Y paths of gadget cost D* with floor(D* / M) = D: the
-transport edges contribute D * M and the unit/connector edges contribute
-one each, at most n per path.  M = k*n + 1 strictly dominates that
-residue (k*n alone could be hit exactly, which would corrupt the floor).
+A gadget path X -> unit(f1) -> ... -> unit(fr) -> Y is a source-to-sink
+walk along f1 ... fr, and vertex-disjoint paths use every unit at most
+once, so k of them form a value-k flow within the capacities; a value-k
+flow of cost D splits into k simple paths (costs are positive, so an
+optimal flow holds no cycle), which take distinct units.  A set of k
+disjoint paths has gadget cost D * M + (units entered + k): every edge
+adds 1, and a path that enters r units has r + 1 edges.  With M = (unit
+count) + k + 1 that residue stays below M for every path set, so
+floor(D* / M) = D exactly, and a minimum gadget cost decodes to a
+minimum flow cost.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ class Flow:
 class GadgetNetwork:
     """Disjoint-paths encoding of a flow instance.
 
-    backmap tags every gadget edge id: ("connector",), ("unit", v), or
-    ("transport", original edge id, capacity slot).  Vertex and edge ids
-    are assigned in a fixed order (terminals first, then per original
-    vertex ascending: in-units by (edge id, slot), out-units likewise), so
-    repeated builds are identical.
+    backmap tags every gadget edge id: ("unit", original edge id,
+    capacity slot) on an edge entering that unit, ("connector",) on a
+    unit -> Y edge.  Vertex ids run X first, then the units in (edge id,
+    slot) order, then Y; edges follow X, then each unit in order, so
+    repeated builds are identical.  scale = (unit count) + k + 1.
     """
 
     instance: PathInstance
@@ -61,28 +65,14 @@ def clamp_capacities(K: FlowInstance) -> FlowInstance:
 
 def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     k = K.target_value
-    n = K.n
-    scale = k * n + 1
-    in_units = {}   # (eid, slot) -> gadget vertex, at the edge's head
-    out_units = {}  # (eid, slot) -> gadget vertex, at the edge's tail
+    units = [(eid, slot) for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
+             for slot in range(1, cap + 1)]
+    scale = len(units) + k + 1
     xs = list(range(k))
-    next_vertex = k
-    in_at = [[] for _ in range(n)]
-    out_at = [[] for _ in range(n)]
-    for eid, (u, v, cap, _cost) in enumerate(K.edges):
-        in_at[v].append((eid, cap))
-        out_at[u].append((eid, cap))
-    for v in range(n):
-        for eid, cap in in_at[v]:
-            for slot in range(1, cap + 1):
-                in_units[(eid, slot)] = next_vertex
-                next_vertex += 1
-        for eid, cap in out_at[v]:
-            for slot in range(1, cap + 1):
-                out_units[(eid, slot)] = next_vertex
-                next_vertex += 1
-    ys = list(range(next_vertex, next_vertex + k))
-    next_vertex += k
+    ys = list(range(k + len(units), 2 * k + len(units)))
+    out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
+    for i, (eid, _slot) in enumerate(units):
+        out_at[K.edges[eid][0]].append(i)
     edges = []
     costs = []
     backmap = {}
@@ -92,28 +82,22 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
         edges.append((u, v))
         costs.append(cost)
 
-    source_outs = [(eid, slot) for eid, cap in out_at[K.source]
-                   for slot in range(1, cap + 1)]
-    sink_ins = [(eid, slot) for eid, cap in in_at[K.sink]
-                for slot in range(1, cap + 1)]
+    def enter(u, i):
+        eid, slot = units[i]
+        add(u, k + i, K.edges[eid][3] * scale + 1, ("unit", eid, slot))
+
     for x in xs:
-        for key in source_outs:
-            add(x, out_units[key], 1, ("connector",))
-    for v in range(n):
-        for ein, cin in in_at[v]:
-            for si in range(1, cin + 1):
-                for eout, cout in out_at[v]:
-                    for so in range(1, cout + 1):
-                        add(in_units[(ein, si)], out_units[(eout, so)], 1,
-                            ("unit", v))
-    for eid, (u, v, cap, cost) in enumerate(K.edges):
-        for slot in range(1, cap + 1):
-            add(out_units[(eid, slot)], in_units[(eid, slot)],
-                cost * scale, ("transport", eid, slot))
-    for key in sink_ins:
-        for y in ys:
-            add(in_units[key], y, 1, ("connector",))
-    instance = PathInstance(next_vertex, edges, xs, ys, costs=costs)
+        for j in out_at[K.source]:
+            enter(x, j)
+    for i, (eid, _slot) in enumerate(units):
+        head = K.edges[eid][1]
+        for j in out_at[head]:
+            if j != i:  # a flow self-loop's unit does not enter itself
+                enter(k + i, j)
+        if head == K.sink:
+            for y in ys:
+                add(k + i, y, 1, ("connector",))
+    instance = PathInstance(2 * k + len(units), edges, xs, ys, costs=costs)
     return GadgetNetwork(instance=instance, flow_instance=K,
                          backmap=backmap, scale=scale)
 
@@ -124,7 +108,7 @@ def extract_cost(d_star: int, scale: int) -> int:
 
 
 def recover_flow(paths: PathSet, gadget: GadgetNetwork) -> Flow:
-    """Transport-edge usage of a path set, as a flow of the original network."""
+    """Unit usage of a path set, as a flow of the original network."""
     K = gadget.flow_instance
     amounts = [0] * K.m
     gadget_total = 0
@@ -133,7 +117,7 @@ def recover_flow(paths: PathSet, gadget: GadgetNetwork) -> Flow:
         if tag is None:
             raise ValueError(f"edge {eid} is not from this gadget network")
         gadget_total += gadget.instance.cost(eid)
-        if tag[0] == "transport":
+        if tag[0] == "unit":
             amounts[tag[1]] += 1
     cost = sum(amounts[e] * K.edges[e][3] for e in range(K.m))
     if cost != extract_cost(gadget_total, gadget.scale):
@@ -175,7 +159,7 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
 
     Pipeline: clamp capacities, build the gadget network, extract a
     minimum-cost disjoint path set on it (deletion strategy), read the
-    flow off the transport edges, validate.  r, an isolation range, is
+    flow off the units it enters, validate.  r, an isolation range, is
     accepted only as None: no flow query uses isolation.  None is exact
     when the gadget has no k disjoint paths (no value-k flow exists):
     find_disjoint_paths then answers before any scan graph is built.

@@ -199,9 +199,12 @@ def test_flow_verify(capsys, tmp_path):
     assert sorted(rep["flow"]) == [[1, 2, 1, 1], [1, 3, 1, 1],
                                    [2, 4, 1, 1], [3, 4, 1, 1]]
     assert rep["verify"]["match"] is True
-    from smallflow.network import parse_paths_instance
+    from smallflow.flow import build_gadget_network, clamp_capacities
+    from smallflow.network import parse_dimacs_flow, parse_paths_instance
     gadget = parse_paths_instance(gout.read_text())
-    assert gadget.k == 2
+    K = parse_dimacs_flow(TWO_ROUTES)
+    assert gadget == build_gadget_network(clamp_capacities(K)).instance
+    assert (gadget.k, gadget.n, gadget.m) == (2, 8, 10)
 
 
 def test_flow_exact_none(capsys, tmp_path):

@@ -349,8 +349,8 @@ def test_scans_enforce_memory_ceiling():
 def test_forced_edges_kept_without_a_scan(monkeypatch):
     # an edge on every walk set of cost d0 would fail its test at every
     # assignment: a single chain makes no test scan, and the two-route
-    # network's gadget (t = 3, 10 of its 14 edges kept) makes 6, where a
-    # test of every kept edge took 33
+    # network's gadget (t = 3, 6 of its 10 edges kept) makes 6, where a
+    # test of every kept edge took 21
     scans = []
     real = extraction.scan_min_cost_slice
 
@@ -368,7 +368,7 @@ def test_forced_edges_kept_without_a_scan(monkeypatch):
                                   (2, 3, 1, 1)], 0, 3, 2)
     gadget = build_gadget_network(clamp_capacities(two_routes)).instance
     ps = find_disjoint_paths(gadget, params)
-    assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (14, 10, 6)
+    assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 6)
 
 
 def test_auto_strategy_rejected():

@@ -49,13 +49,15 @@ def test_clamp_preserves_optimum():
 
 
 def test_gadget_unit_counts():
-    # middle vertex with incoming caps {1, 2} and one outgoing cap 1:
-    # 3 in-units, 1 out-unit, 3 unit edges at that vertex
+    # middle vertex 1 with incoming caps {1, 2} and one outgoing cap 1:
+    # its 3 incoming units each have one edge into its 1 outgoing unit
     K = FlowInstance(4, [(0, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 1)], 0, 3, 3)
     g = build_gadget_network(K)
-    units_at_1 = [tag for tag in g.backmap.values()
-                  if tag[0] == "unit" and tag[1] == 1]
-    assert len(units_at_1) == 3
+    into_out = [g.instance.edges[eid] for eid, tag in g.backmap.items()
+                if tag == ("unit", 2, 1)]
+    # vertices: X = 0..2, units (0,1), (1,1), (1,2), (2,1) = 3..6, Y = 7..9
+    assert sorted(into_out) == [(3, 6), (4, 6), (5, 6)]
+    assert g.instance.n == 10
     ins_at_1 = sum(1 for eid, (u, v, cap, c) in enumerate(K.edges)
                    if v == 1 for _ in range(cap))
     outs_at_1 = sum(cap for (u, v, cap, c) in K.edges if u == 1)
@@ -66,12 +68,12 @@ def test_gadget_single_edge_costs():
     K = FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 1)
     g = build_gadget_network(K)
     M = g.scale
-    assert M == 1 * 2 + 1
+    assert M == 1 + 1 + 1
     inst = g.instance
-    # X -> s_out -> t_in -> Y: connector + transport + connector
-    assert inst.k == 1 and inst.n == 4 and inst.m == 3
+    # X -> unit(0, 1) -> Y: unit-entering edge + connector
+    assert inst.k == 1 and inst.n == 3 and inst.m == 2
     total = sum(inst.cost(e) for e in range(inst.m))
-    assert total == 1 + 1 * M + 1
+    assert total == (1 * M + 1) + 1
     assert extract_cost(total, M) == 1
 
 
@@ -102,32 +104,38 @@ def test_recover_flow_two_routes():
 
 
 def test_residue_bound_on_path_sets():
-    # every disjoint simple path set in the gadget keeps its unit+connector
-    # cost below the scale, so floor extraction is exact
-    K = FlowInstance(3, [(0, 1, 2, 2), (1, 2, 2, 1), (0, 2, 1, 3)], 0, 2, 2)
-    g = build_gadget_network(K)
-    M = g.scale
-    inst = g.instance
-    examined = 0
-    for ws in oracle.enumerate_proper_walk_sets(inst, 2 * (inst.n - 1),
-                                                mode="length"):
-        walks = ws.walks
-        if any(len(set(w.vertices)) != len(w.vertices) for w in walks):
-            continue
-        used = [set(w.vertices) for w in walks]
-        if used[0] & used[1]:
-            continue
-        examined += 1
-        total = sum(inst.cost(e) for w in walks for e in w.edge_ids)
-        residue = sum(1 for w in walks for e in w.edge_ids
-                      if g.backmap[e][0] in ("unit", "connector"))
-        assert residue == total % M
-        assert residue < M
-        flow_cost = sum(K.edges[g.backmap[e][1]][3]
-                        for w in walks for e in w.edge_ids
-                        if g.backmap[e][0] == "transport")
-        assert extract_cost(total, M) == flow_cost
-    assert examined >= 4
+    # every disjoint simple path set in the gadget keeps its residue (one
+    # per edge) below the scale, so floor extraction is exact; the cyclic
+    # network's walk 0 -> 1 -> 0 -> 2 enters 3 units, residue 4 = k*n + 1
+    cyclic = FlowInstance(3, [(0, 1, 1, 1), (1, 0, 1, 1), (0, 2, 1, 1)],
+                          0, 2, 1)
+    seen = []
+    for K, at_least in (
+            (FlowInstance(3, [(0, 1, 2, 2), (1, 2, 2, 1), (0, 2, 1, 3)],
+                          0, 2, 2), 4),
+            (cyclic, 2)):
+        g = build_gadget_network(K)
+        M = g.scale
+        inst = g.instance
+        examined = 0
+        for ws in oracle.enumerate_proper_walk_sets(
+                inst, inst.k * (inst.n - 1), mode="length"):
+            walks = ws.walks
+            vertices = [v for w in walks for v in w.vertices]
+            if len(set(vertices)) != len(vertices):
+                continue
+            examined += 1
+            total = sum(inst.cost(e) for w in walks for e in w.edge_ids)
+            residue = sum(len(w.edge_ids) for w in walks)
+            assert residue == total % M
+            assert residue < M
+            flow_cost = sum(K.edges[g.backmap[e][1]][3]
+                            for w in walks for e in w.edge_ids
+                            if g.backmap[e][0] == "unit")
+            assert extract_cost(total, M) == flow_cost
+            seen.append((K is cyclic, M, total, residue, flow_cost))
+        assert examined >= at_least
+    assert (True, 5, 19, 4, 3) in seen
 
 
 def test_validate_flow_negatives():
@@ -166,7 +174,7 @@ def test_min_cost_flow_infeasible():
 
 def test_min_cost_flow_shared_vertex_capacity():
     # both units pass through the same middle vertex on capacity-2 edges,
-    # exercising the slot-indexed transport copies
+    # exercising the slot-indexed unit copies
     K = FlowInstance(4, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 3, 1, 5)], 0, 3, 2)
     want = oracle.classic_min_cost_flow(K)[0]
     got, flow = min_cost_flow(K, params64(4))
