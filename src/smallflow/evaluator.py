@@ -37,32 +37,32 @@ the length-bounded walk polynomial.  Two engines compute them:
   or below the bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
-  state space (finished-sinks mask, current walk position), exact cost
-  as the layer index and an optional second cost (isolation weights) as
-  a packed vector per state.  _state_moves is the one transition rule of
-  that state graph, and ScanGraph builds the graph once per query: its
-  reachable states, their moves, and for each state togo, the least cost
-  that finishes every remaining walk (one backward shortest-path pass,
-  the exact lower bound of A*).  Every scan skips a move out of a state
-  at cost d into a state with d + c(e) + togo > cap.  That is exact:
-  a walk set of cost <= cap has, at each of its states, a prefix cost d
-  and a remainder of cost at least togo, so it passes only through moves
-  that are kept, and a skipped move carries no walk set the scan could
-  yield.  Each state's moves are sorted by c(e) + togo, so a scan stops
-  at the first one past its cap.  States that cannot finish at all are
-  dropped from the graph.  Without the second cost a state's value is
-  one field element, and the scan takes the table engine's fan layout:
-  the values of a position's out-edges are packed one per slot and
-  windowed once per scan, one scalar product per expanded state gives
-  every move's product, and each state is reduced once.  The readers
-  scan_min_cost_slice and perturbed_scan scan at the graph's costs and
-  stop at the first nonzero slice, which serves minimum-cost queries and
-  edge-essentiality tests without materializing full tables; a cap
-  below the graph's floor (the start state's togo) expands nothing.
-  slice_support walks the same graph without field values, to find the
-  edges a slice can contain at all and those each of its monomials
-  contains: the per-edge tests skip every edge outside the first set and
-  every edge in the second.
+  state space (finished-sinks mask, current walk position), with the
+  exact cost as the layer index and one field element per state.
+  _state_moves is the one transition rule of that state graph, and
+  ScanGraph builds the graph once per cost vector: its reachable states,
+  their moves, and for each state togo, the least cost that finishes
+  every remaining walk (one backward shortest-path pass, the exact lower
+  bound of A*).  Every scan skips a move out of a state at cost d into a
+  state with d + c(e) + togo > cap.  That is exact: a walk set of cost
+  <= cap has, at each of its states, a prefix cost d and a remainder of
+  cost at least togo, so it passes only through moves that are kept, and
+  a skipped move carries no walk set the scan could yield.  Each state's
+  moves are sorted by c(e) + togo, so a scan stops at the first one past
+  its cap.  States that cannot finish at all are dropped from the graph.
+  The scan takes the table engine's fan layout: the values of a
+  position's out-edges are packed one per slot and windowed once per
+  scan, one scalar product per expanded state gives every move's
+  product, and each state is reduced once.  Costs are visited from a
+  heap, only those that some state reaches, so a graph at sparse, large
+  costs (isolation's perturbed costs, c(e)*scale + w(e)) scans as fast
+  as one at small costs.  scan_min_cost_slice stops at the first nonzero
+  slice, which serves minimum-cost queries and edge-essentiality tests
+  without materializing full tables; a cap below the graph's floor (the
+  start state's togo) expands nothing.  slice_support walks the same
+  graph without field values, to find the edges a slice can contain at
+  all and those each of its monomials contains: the per-edge tests skip
+  every edge outside the first set and every edge in the second.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -72,7 +72,7 @@ the subset recurrence reads only the level below.  So the pipeline maps
 the rows, then the subset levels one at a time, either in this process
 or over one pool of worker processes, with bit-identical results.
 
-Layer tables and scan states live in packed-vector form (see field.vec_*)
+Layer tables and scan fans live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
 loop per cell.
 """
@@ -82,6 +82,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from bisect import bisect_right
+from heapq import heappop, heappush
 from itertools import starmap
 
 from .field import (
@@ -289,21 +290,22 @@ def _backward_costs(targets, preds):
     preds[w] lists (v, c) for each arc v -> w of integer cost c >= 1.
 
     One backward pass with a bucket queue over the integer costs (Dial):
-    buckets are settled in increasing cost, so each node's first pop is
-    its least cost.  A node that reaches no target has no entry.
+    buckets are settled in increasing cost, each time the least non-empty
+    one, so each node's first pop is its least cost, and sparse costs
+    visit only the buckets they fill.  A node that reaches no target has
+    no entry.
     """
     togo = {}
     buckets = {0: list(targets)}
-    at = 0
     while buckets:
-        for key in buckets.pop(at, ()):
+        at = min(buckets)
+        for key in buckets.pop(at):
             if key in togo:
                 continue
             togo[key] = at
             for node, c in preds.get(key, ()):
                 if node not in togo:
                     buckets.setdefault(at + c, []).append(node)
-        at += 1
     return togo
 
 
@@ -525,100 +527,94 @@ class ScanGraph:
         self.cells = len(self.moves) + sum(map(len, self.moves.values()))
 
 
-def scan_slices(graph: ScanGraph, assignment, field: GF2Field, weights,
-                d_cap: int, w_cap: int):
-    """Yield (d, packed weight vector) for each nonzero exact-cost layer
-    d <= d_cap, in increasing d, by a single walk-at-a-time pass over the
-    graph's states at the graph's costs.
+def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
+    """Yield (d, value) for each nonzero exact-cost slice d <= cap, in
+    increasing d, by a single walk-at-a-time pass over the graph's states
+    at the graph's costs.
 
     State (B, z): sinks in B are finished, the current walk stands at z
     (the next unstarted source when between walks).  Costs >= 1 make
-    layers strictly increasing, so each layer is complete when reached.
-    A move out of a state at cost d is skipped when d + reach > d_cap:
-    no walk set through it finishes within the cap, so every walk set of
-    cost <= d_cap passes only through expanded states and the yielded
-    slices are exact; with d_cap below graph.floor nothing is expanded.
-    The second cost (weight) rides along as one packed vector of slots
-    0..w_cap per state; slot w of a yielded vector is the reduced slice
-    value at (d, w).  Weights past w_cap are dropped, so with w_cap = 0
-    the vector is the plain exact-cost slice value of the weight-0 edges.
+    layers strictly increasing, so each layer is complete when popped.
+    The layers' costs are popped from a heap, so a scan visits only the
+    costs that some state reaches, however sparse and large the graph's
+    costs are.  A move out of a state at cost d is skipped when d + reach
+    > cap: no walk set through it finishes within the cap, so every walk
+    set of cost <= cap passes only through expanded states and the
+    yielded slices are exact; with cap below graph.floor nothing is
+    expanded.
 
     Each state is reduced once, when its layer is popped, and a move's
-    contribution goes unreduced into its target.  At w_cap = 0 a state's
-    value is one field element, so the scan packs the values of position
-    z's weight-0 out-edges one per 128-bit slot (in instance.out_edges[z]
-    order, a zero slot for every other edge), windows that fan the first
-    time a state at z is expanded, and makes one scalar product per
-    expanded state: each kept move takes its slot of it.  A fan whose
-    slots are all zero (every out-edge deleted or weighted) is not
-    windowed, and its states make no product.  Both operands
-    are field elements (< 2^s, s <= 64), so a slot stays below 2^127 and
-    never spills into the next one.  With w_cap > 0 a state is a wide
-    vector that a fan cannot pack, so it is windowed and multiplied by
-    each kept move's value in turn.  Moves come in increasing reach, so
-    each state's scan stops at its first move past the cap.  The memory
-    ceiling is checked once per layer against the states still pending,
-    the graph's cells and the fans built so far.
+    contribution goes unreduced into its target.  The scan packs the
+    values of position z's out-edges one per 128-bit slot (in
+    instance.out_edges[z] order), windows that fan the first time a state
+    at z is expanded, and makes one scalar product per expanded state:
+    each kept move takes its slot of it.  A fan whose slots are all zero
+    (every out-edge deleted) is not windowed, and its states make no
+    product.  Both operands are field elements (< 2^s, s <= 64), so a
+    slot stays below 2^127 and never spills into the next one.  Moves
+    come in increasing reach, so each state's scan stops at its first
+    move past the cap.  The memory ceiling is checked once per layer
+    against the states still pending (the popped layer's and every later
+    layer's, finished entries of later layers included), the graph's
+    cells and the fans built so far.
     """
     instance = graph.instance
     _check_assignment(instance, assignment)
-    wsize = w_cap + 1
-    wmask = (1 << (SLOT_BITS * wsize)) - 1
-    reduce = field.reduce if not w_cap else \
-        lambda raw: vec_reduce(raw, wsize, field)
+    reduce = field.reduce
     moves_of = graph.moves
     fans = {}  # position -> window of its packed out-edge values, or 0
     fan_cells = 0
-    # cost -> state -> packed weight vector (unreduced); the key None
-    # holds the layer's finished walk sets
+    # cost -> state -> value (unreduced); the key None holds the layer's
+    # finished walk sets.  costs is a heap of pending's keys, and queued
+    # counts the entries of all its layers.
     pending = {}
-    if graph.floor is not None and graph.floor <= d_cap:
+    costs = []
+    queued = 0
+    if graph.floor is not None and graph.floor <= cap:
         pending[0] = {graph.start: 1}
-    while pending:
-        d = min(pending)
+        costs.append(0)
+        queued = 1
+    while costs:
+        d = heappop(costs)
         states = pending.pop(d)
+        queued -= len(states)
         done = states.pop(None, 0)
         if done:
-            vec = reduce(done)
-            if vec:
-                yield d, vec
-        _check_budget(wsize * (len(states) + sum(map(len, pending.values())))
-                      + graph.cells + fan_cells)
-        cut = d_cap - d
+            value = reduce(done)
+            if value:
+                yield d, value
+        _check_budget(len(states) + queued + graph.cells + fan_cells)
+        cut = cap - d
         for state, raw in states.items():
-            vec = reduce(raw)
-            if not vec:
+            value = reduce(raw)
+            if not value:
                 continue
-            win = None
-            if not w_cap:
-                z = state[1]
-                win = fans.get(z)
-                if win is None:
-                    packed = 0
-                    for slot, eid in enumerate(instance.out_edges[z]):
-                        if not weights[eid]:
-                            packed |= assignment[eid] << (SLOT_BITS * slot)
-                    win = fans[z] = packed and vec_window(packed)
-                    fan_cells += _fan_cells(len(instance.out_edges[z]))
-                if not win:
-                    continue  # every out-edge of z carries zero
-                products = vec_scalar_mul_w(win, vec)
-            for eid, c, key, reach, slot in moves_of[state]:
+            z = state[1]
+            win = fans.get(z)
+            if win is None:
+                packed = 0
+                for slot, eid in enumerate(instance.out_edges[z]):
+                    packed |= assignment[eid] << (SLOT_BITS * slot)
+                win = fans[z] = packed and vec_window(packed)
+                fan_cells += _fan_cells(len(instance.out_edges[z]))
+            if not win:
+                continue  # every out-edge of z carries zero
+            products = vec_scalar_mul_w(win, value)
+            for _, c, key, reach, slot in moves_of[state]:
                 if reach > cut:
                     break
-                if not w_cap:
-                    carried = products >> (SLOT_BITS * slot) & _SLOT_MASK
+                carried = products >> (SLOT_BITS * slot) & _SLOT_MASK
+                if not carried:
+                    continue
+                tgt = pending.get(d + c)
+                if tgt is None:
+                    tgt = pending[d + c] = {}
+                    heappush(costs, d + c)
+                if key in tgt:
+                    tgt[key] ^= carried
                 else:
-                    fe = assignment[eid]
-                    if not fe:
-                        continue
-                    if win is None:
-                        win = vec_window(vec)
-                    carried = (vec_scalar_mul_w(win, fe)
-                               << (SLOT_BITS * weights[eid])) & wmask
-                if carried:
-                    tgt = pending.setdefault(d + c, {})
-                    tgt[key] = tgt.get(key, 0) ^ carried
+                    tgt[key] = carried
+                    queued += 1
 
 
 def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
@@ -628,8 +624,9 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
 
     One forward pass collects the graph's states (finished-sinks mask,
     position, cost) reachable from the start, skipping moves that cannot
-    finish by cost d (the bound of scan_slices); one backward pass keeps
-    the moves that still reach a finished walk set at cost exactly d.  No
+    finish by cost d (the bound of scan_slices), and visits the pending
+    costs from a heap, as scan_slices does; one backward pass keeps the
+    moves that still reach a finished walk set at cost exactly d.  No
     field arithmetic is done.  Every monomial of the cost-d slice over
     alive edges is the product along one such walk set, so zeroing the
     variable of an edge outside the support leaves that slice's value
@@ -647,14 +644,15 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     """
     m = graph.instance.m
     layers = {}  # cost -> state -> avoided-edge mask, then its moves
+    costs = []  # heap of the costs in layers not yet expanded
     if graph.floor is not None and graph.floor <= d:
         layers[0] = {graph.start: (1 << m) - 1}
+        costs.append(0)
     stored = 1
     done = 0
-    for at in range(d + 1):
-        states = layers.get(at)
-        if not states:
-            continue
+    while costs:
+        at = heappop(costs)
+        states = layers[at]
         _check_budget(stored * (2 + m // 540) + graph.cells)
         for state, bits in states.items():
             moves = []
@@ -669,7 +667,10 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
                 if key is None:
                     done |= avoided
                     continue
-                tgt = layers.setdefault(d2, {})
+                tgt = layers.get(d2)
+                if tgt is None:
+                    tgt = layers[d2] = {}
+                    heappush(costs, d2)
                 if key not in tgt:
                     stored += 1
                 tgt[key] = tgt.get(key, 0) | avoided
@@ -688,30 +689,14 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
 
 def scan_min_cost_slice(graph: ScanGraph, assignment, field: GF2Field,
                         cap: int):
-    """Least exact-cost index with a nonzero slice, scanning at most `cap`.
+    """Least exact-cost index with a nonzero slice at the graph's costs,
+    scanning at most `cap`.
 
-    Callers cap the scan at most at the instance's simple-set cost bound:
-    the least nonzero slice, when one exists at all, is always certified
-    by a set of k vertex-disjoint simple paths, whose cost that bound
-    dominates.  Returns (p, value) or None; with cap below graph.floor it
-    returns None without expanding a state.
+    Callers cap the scan at most at the instance's simple-set cost bound
+    at the graph's costs (PathInstance.simple_cost_cap): at any positive
+    integer costs, the least nonzero slice, when one exists at all, is
+    certified by a set of k vertex-disjoint simple paths, whose cost that
+    bound dominates.  Returns (p, value) or None; with cap below
+    graph.floor it returns None without expanding a state.
     """
-    return next(scan_slices(graph, assignment, field,
-                            [0] * graph.instance.m, cap, 0), None)
-
-
-def perturbed_scan(graph: ScanGraph, assignment, field: GF2Field,
-                   weights, d_cap: int, w_cap: int):
-    """Least (d, w) in lexicographic order with a nonzero slice, d <= d_cap,
-    or None: a scan over two-part costs (c(e), w(e)), c the graph's costs.
-
-    A slice at (d, w) collects walk sets whose edge multiset sums to cost
-    d and weight w; under isolation-perturbed costs c'(e) = c(e)*scale +
-    w(e) the slice at perturbed cost d*scale + w is exactly this (d, w)
-    slice, and numeric order on perturbed costs equals lexicographic order
-    on (d, w) as long as w_cap < scale.
-    """
-    for d, vec in scan_slices(graph, assignment, field, weights, d_cap,
-                              w_cap):
-        return d, ((vec & -vec).bit_length() - 1) // SLOT_BITS
-    return None
+    return next(scan_slices(graph, assignment, field, cap), None)

@@ -21,12 +21,14 @@ Two strategies produce the same object:
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
   w(e) in [1, r], making the minimum-cost set unique with probability
-  >= 1 - m/r; find the minimum perturbed cost U*; mark an edge essential
-  when deleting it kills every slice at or below U*; assemble the
-  essential edges into paths.  All per-edge tests in one repetition share
-  a fresh assignment, and edges off the support of the original cost
-  D* = U* // (r*m + 1) are non-essential without a test, and edges on
-  every walk set of cost D* essential without one.
+  >= 1 - m/r; build the scan graph at the perturbed costs, the same scan
+  that the optimum and deletion use; find the minimum perturbed cost U*,
+  its least nonzero slice; mark an edge essential when deleting it kills
+  every slice at or below U*; assemble the essential edges into paths.
+  Edges off the support of the U* slice are non-essential without a
+  test, and edges on every walk set of perturbed cost U* essential
+  without one.  The rest are tested by scans capped at U*, and all
+  per-edge tests in one repetition share a fresh assignment.
 
 Either way a failed assembly (a rare false zero, or a perturbation that
 failed to isolate) is detected structurally and retried with fresh
@@ -38,12 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import TestParams, min_cost_disjoint_paths
-from .evaluator import (
-    ScanGraph,
-    perturbed_scan,
-    scan_min_cost_slice,
-    slice_support,
-)
+from .evaluator import ScanGraph, scan_min_cost_slice, slice_support
+# isolation's scans, by the name under which perfbench traces them
+from .evaluator import scan_min_cost_slice as perturbed_scan
 from .field import derive_rng
 from .network import PathInstance
 
@@ -112,66 +111,62 @@ def desk_isolation_range(instance: PathInstance) -> int:
     return max(64, 4 * instance.m)
 
 
-def _perturbed_caps(instance: PathInstance, pc: PerturbedCosts):
-    edges = instance.max_path_edges()
-    return instance.simple_cost_cap(), edges * pc.r
-
-
-def find_min_perturbed_cost(graph: ScanGraph, pc: PerturbedCosts,
+def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts,
                             params: TestParams) -> int | None:
-    """Least perturbed cost of a disjoint path set, or None if infeasible.
+    """Least perturbed cost U* of a disjoint path set, or None if
+    infeasible.
 
-    graph is the query's ScanGraph at the instance's costs.  Scans
-    (original cost, weight) slices in lexicographic order, which coincides
-    with perturbed-cost order because weight sums stay below the scale;
-    the minimum over repetitions is reported.  All repetitions scan the
-    graph, and after a hit at (d, w) later ones scan only to cost d, where
-    a lower hit can still lie.
+    pgraph is a ScanGraph at the perturbed costs pc.perturbed, and the
+    search is min_cost_disjoint_paths' at those costs: one scan per
+    repetition, capped at the simple-set cost bound at the perturbed
+    costs, the degree the field is checked against (at any positive
+    integer costs the least nonzero slice is certified by k disjoint
+    simple paths).  After a hit at cost best, later repetitions scan only
+    to best - 1, and none runs once the cap is below the graph's floor;
+    the minimum over repetitions is reported.
     """
-    instance = graph.instance
-    d_cap, w_cap = _perturbed_caps(instance, pc)
-    params.check_degree(d_cap * pc.scale + w_cap)
-    weights = list(pc.weights)
+    instance = pgraph.instance
+    cap = instance.simple_cost_cap(pc.perturbed)
+    params.check_degree(cap)
     best = None
     for f in params.assignments(instance.m, "find-perturbed"):
-        hit = perturbed_scan(graph, f, params.field, weights, d_cap, w_cap)
-        if hit is not None and (best is None or hit < best):
-            best = hit
-            d_cap = hit[0]
-    return None if best is None else best[0] * pc.scale + best[1]
+        if pgraph.floor is None or cap < pgraph.floor:
+            break
+        hit = perturbed_scan(pgraph, f, params.field, cap)
+        if hit:
+            best = hit[0]
+            cap = best - 1
+    return best
 
 
-def classify_edges(graph: ScanGraph, pc: PerturbedCosts, u_star: int,
+def classify_edges(pgraph: ScanGraph, u_star: int,
                    params: TestParams) -> set:
     """Edges whose removal kills every slice at or below the optimum U*.
 
-    Under a unique perturbed optimum these are exactly the optimum's
-    edges.  A false zero can only add edges (never drop one), which the
-    assembly checks catch.  One fresh assignment per repetition is shared
-    by all per-edge tests, and graph, the query's ScanGraph at the
-    instance's costs, by all scans; edges off the support of the original
-    cost d* = U* // scale are non-essential without a test, since
-    deleting one leaves every (d*, w) slice as it was, and forced edges
-    (on every walk set of cost d*) are essential without one, since
-    deleting one zeroes every (d*, w) slice.
+    pgraph is the attempt's ScanGraph at the perturbed costs, and U* its
+    least nonzero slice.  Under a unique perturbed optimum these are
+    exactly the optimum's edges.  A false zero can only add edges (never
+    drop one), which the assembly checks catch.  slice_support at U*
+    settles most edges without a scan: an edge off the support of the U*
+    slice is non-essential, since deleting it leaves that slice as it
+    was, and a forced edge (on every walk set of perturbed cost U*) is
+    essential, since deleting it zeroes that slice.  Each other support
+    edge is tested by scans capped at U*, one per repetition, each at
+    that repetition's fresh assignment, which all tests share, with the
+    edge's variable zeroed: it is essential when no scan finds a nonzero
+    slice.
     """
-    instance = graph.instance
-    weights = list(pc.weights)
-    d_star, w_star = divmod(u_star, pc.scale)
-    _, w_cap = _perturbed_caps(instance, pc)
-    optimum = (d_star, min(w_star, w_cap))
-    assignments = list(params.assignments(instance.m, "classify"))
-    support, forced = slice_support(graph, [True] * instance.m, d_star)
-    essential = {e for e in range(instance.m) if forced[e]}
-    for eid in range(instance.m):
+    m = pgraph.instance.m
+    assignments = list(params.assignments(m, "classify"))
+    support, forced = slice_support(pgraph, [True] * m, u_star)
+    essential = {e for e in range(m) if forced[e]}
+    for eid in range(m):
         if not support[eid] or forced[eid]:
             continue
         for f in assignments:
             patched = list(f)
             patched[eid] = 0
-            hit = perturbed_scan(graph, patched, params.field, weights,
-                                 d_star, w_cap)
-            if hit is not None and hit <= optimum:
+            if perturbed_scan(pgraph, patched, params.field, u_star):
                 break  # a slice at or below U* survives the deletion
         else:
             essential.add(eid)
@@ -244,20 +239,21 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
                    total_cost=original)
 
 
-def _isolation_attempt(instance, params, attempt, r, d0, graph):
+def _isolation_attempt(instance, params, attempt, r, d0):
     rng = derive_rng(params.seed, "perturb", attempt)
     pc = perturb_costs(instance, r, rng)
     sub = TestParams(field=params.field, repetitions=params.repetitions,
                      seed=derive_rng(params.seed, "attempt", attempt)
                      .getrandbits(63))
-    u_star = find_min_perturbed_cost(graph, pc, sub)
+    pgraph = ScanGraph(instance, list(pc.perturbed))
+    u_star = find_min_perturbed_cost(pgraph, pc, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
     if u_star // pc.scale != d0:
         raise AssemblyError(
             f"perturbed optimum decodes to cost {u_star // pc.scale}, "
             f"expected {d0}")
-    essential = classify_edges(graph, pc, u_star, sub)
+    essential = classify_edges(pgraph, u_star, sub)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 
@@ -319,7 +315,8 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     if not instance.has_disjoint_paths():
         return None
     # one state graph at the instance's costs serves the optimum and every
-    # attempt
+    # deletion attempt; an isolation attempt builds its own at its
+    # perturbed costs
     graph = ScanGraph(instance, instance.cost_list())
     d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     if d0 is None:
@@ -330,8 +327,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
             report["attempts"] = attempt + 1
         try:
             if strategy == "isolation":
-                ps = _isolation_attempt(instance, params, attempt, r, d0,
-                                        graph)
+                ps = _isolation_attempt(instance, params, attempt, r, d0)
             else:
                 ps = _deletion_attempt(instance, params, attempt, d0, graph)
         except AssemblyError as exc:

@@ -162,7 +162,7 @@ def test_criterion_3_evaluator_correctness(capsys):
             table = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD)
             scan = [0] * (l + 1)
             for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f,
-                                      FIELD, [0] * inst.m, l, 0):
+                                      FIELD, l):
                 scan[d] = vec
             a_bad += table != scan
 

@@ -21,7 +21,6 @@ from smallflow import (
 from smallflow import evaluator
 from smallflow.evaluator import (
     ScanGraph,
-    perturbed_scan,
     scan_min_cost_slice,
     scan_slices,
     subset_table_cells,
@@ -31,11 +30,11 @@ from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
 def scan_cost_slices(inst, f, field, cap, costs=None):
-    """Exact-cost slices 0..cap read off the scan engine, zero weights, at
-    the given costs (the instance's by default)."""
+    """Exact-cost slices 0..cap read off the scan engine, at the given
+    costs (the instance's by default)."""
     slices = [0] * (cap + 1)
     graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
-    for d, vec in scan_slices(graph, f, field, [0] * inst.m, cap, 0):
+    for d, vec in scan_slices(graph, f, field, cap):
         slices[d] = vec
     return slices
 
@@ -274,9 +273,9 @@ def test_scan_engine_matches_tables(field64, field8):
 
 
 def test_perturbed_scan_matches_tables(field64, field8):
-    # Two-part costs (c, w) against the table engine at the perturbed
-    # costs c * scale + w, with scale > w_cap so that every (d, w) with
-    # w <= w_cap has its own perturbed index.
+    # The scan of a graph at the perturbed costs c * scale + w against the
+    # table engine at the same costs, with scale > w_cap so that every
+    # (d, w) with w <= w_cap has its own perturbed index.
     for field in (field64, field8):
         rng = random.Random(19)
         for _ in range(12):
@@ -296,17 +295,15 @@ def test_perturbed_scan_matches_tables(field64, field8):
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
             cs = cost_plan(perturbed, u).slices(f, field)
-            graph = ScanGraph(inst, costs)
-            hit = perturbed_scan(graph, f, field, weights, d_cap, w_cap)
-            first = first_nonzero(cs)
-            assert (None if hit is None else hit[0] * scale + hit[1]) \
-                == first
+            graph = ScanGraph(perturbed, perturbed.cost_list())
+            hit = scan_min_cost_slice(graph, f, field, u)
+            assert (None if hit is None else hit[0]) == first_nonzero(cs)
             for _ in range(6):
                 d = rng.randint(k, d_cap)
                 w = rng.randint(0, w_cap)
                 clear = not any(cs[:d * scale + w + 1])
-                low = perturbed_scan(graph, f, field, weights, d, w_cap)
-                assert (low is None or low > (d, w)) is clear
+                low = scan_min_cost_slice(graph, f, field, d * scale + w)
+                assert (low is None) is clear
 
 
 def test_small_field_matches_symbolic(field8):
@@ -598,8 +595,12 @@ def test_scan_below_floor_makes_no_products(field64, monkeypatch):
 
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted)
     assert scan_min_cost_slice(graph, f, field64, graph.floor - 1) is None
-    assert perturbed_scan(graph, f, field64, [1] * inst.m, graph.floor - 1,
-                          inst.max_path_edges()) is None
+    # and so does a graph at perturbed costs c * scale + w
+    rng = random.Random(5)
+    pgraph = ScanGraph(inst, [c * 1000 + rng.randint(1, 64)
+                              for c in inst.cost_list()])
+    assert pgraph.floor > 9000
+    assert scan_min_cost_slice(pgraph, f, field64, pgraph.floor - 1) is None
     assert products == 0
     assert scan_min_cost_slice(graph, f, field64, graph.floor)[0] == 9
     assert products > 0
@@ -632,7 +633,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted_mul)
     monkeypatch.setattr(evaluator, "vec_window", counted_window)
     f = [3, 5, 7, 9, 11, 13, 15]
-    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    got = list(scan_slices(graph, f, field64, 4))
     # six expanded states, (0, 2) and (0, 4) at two costs each, and one
     # window per position 0, 3, 2, 4
     assert (products, windows) == (6, 4)
@@ -643,7 +644,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     # cost 3 only
     products = windows = 0
     f = [3, 3, 7, 9, 11, 13, 15]
-    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    got = list(scan_slices(graph, f, field64, 4))
     assert (products, windows) == (4, 4)
     assert [d for d, _ in got] == [2, 4]
     assert got == [(d, v) for d, v in
@@ -652,7 +653,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     # product and position 3 is not windowed
     products = windows = 0
     f = [3, 5, 7, 0, 11, 13, 0]
-    got = list(scan_slices(graph, f, field64, [0] * inst.m, 4, 0))
+    got = list(scan_slices(graph, f, field64, 4))
     assert (products, windows) == (3, 3)
     assert got == [(d, v) for d, v in
                    enumerate(cost_plan(inst, 4).slices(f, field64)) if v]

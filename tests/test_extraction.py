@@ -24,7 +24,6 @@ from smallflow import (
 from smallflow.extraction import (
     AssemblyError,
     _deletion_attempt,
-    _perturbed_caps,
     desk_isolation_range,
     paper_isolation_range,
 )
@@ -33,9 +32,8 @@ from smallflow.evaluator import (
     ScanGraph,
     random_assignment,
     scan_min_cost_slice,
-    scan_slices,
 )
-from smallflow.field import SLOT_BITS, derive_rng
+from smallflow.field import derive_rng
 
 
 def params64(seed=0, reps=1):
@@ -141,8 +139,8 @@ def test_find_min_perturbed_cost_matches_oracle():
                                      extra_edges=rng.randint(0, n),
                                      cost_max=3, plant=rng.random() < 0.8)
         pc = perturb_costs(inst, 16, rng)
-        got = find_min_perturbed_cost(ScanGraph(inst, inst.cost_list()), pc,
-                                      params64(rng.getrandbits(32)))
+        got = find_min_perturbed_cost(ScanGraph(inst, list(pc.perturbed)),
+                                      pc, params64(rng.getrandbits(32)))
         bf = oracle.brute_force_disjoint_paths(inst, mode="cost",
                                                costs=list(pc.perturbed))
         assert got == (bf[0] if bf else None)
@@ -150,8 +148,8 @@ def test_find_min_perturbed_cost_matches_oracle():
 
 def test_find_min_perturbed_absent(bottleneck):
     pc = perturb_costs(bottleneck, 8, random.Random(6))
-    graph = ScanGraph(bottleneck, bottleneck.cost_list())
-    assert find_min_perturbed_cost(graph, pc, params64()) is None
+    pgraph = ScanGraph(bottleneck, list(pc.perturbed))
+    assert find_min_perturbed_cost(pgraph, pc, params64()) is None
 
 
 def test_unique_path_instance_pipeline():
@@ -162,10 +160,10 @@ def test_unique_path_instance_pipeline():
     rng = random.Random(8)
     pc = perturb_costs(inst, 32, rng)
     p = params64(77)
-    graph = ScanGraph(inst, inst.cost_list())
-    u_star = find_min_perturbed_cost(graph, pc, p)
+    pgraph = ScanGraph(inst, list(pc.perturbed))
+    u_star = find_min_perturbed_cost(pgraph, pc, p)
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
-    essential = classify_edges(graph, pc, u_star, p)
+    essential = classify_edges(pgraph, u_star, p)
     assert essential == {0, 1, 2}
 
 
@@ -174,8 +172,8 @@ def test_classify_unique_optimum():
     rng = random.Random(7)
     pc = perturb_costs(inst, 64, rng)
     u_star = pc.perturbed[0] + pc.perturbed[3]
-    essential = classify_edges(ScanGraph(inst, inst.cost_list()), pc,
-                               u_star, params64(123))
+    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star,
+                               params64(123))
     assert essential == {0, 3}
 
 
@@ -282,9 +280,10 @@ def test_report_dict():
 
 
 def test_deletion_query_builds_one_scan_graph(monkeypatch):
-    # the optimum and every attempt share one state graph, under either
-    # strategy, also when the first attempt fails assembly and a second
-    # one runs; an instance without k disjoint paths builds none
+    # under deletion the optimum and every attempt share one state graph,
+    # also when the first attempt fails assembly and a second one runs;
+    # under isolation each attempt adds one at its own perturbed costs.
+    # An instance without k disjoint paths builds none
     built = []
 
     class CountingGraph(ScanGraph):
@@ -307,10 +306,17 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
         monkeypatch.setattr(extraction, "assemble_paths", fail_once)
         built.clear()
         report = {}
-        ps = find_disjoint_paths(costed_bipartite(), params64(8),
-                                 strategy=strategy, report=report)
+        inst = costed_bipartite()
+        ps = find_disjoint_paths(inst, params64(8), strategy=strategy,
+                                 report=report)
         assert ps is not None and ps.total_cost == 2
-        assert report["attempts"] == 2 and len(built) == 1, strategy
+        assert report["attempts"] == 2, strategy
+        want = [inst.cost_list()]
+        if strategy == "isolation":
+            want += [list(perturb_costs(inst, report["r"],
+                                        derive_rng(8, "perturb", a))
+                          .perturbed) for a in range(2)]
+        assert [list(args[1]) for args in built] == want, strategy
         built.clear()
         report = {}
         # no two disjoint paths: answered exactly, before any graph
@@ -415,29 +421,18 @@ def sequential_deletion_attempt(instance, params, attempt, d0):
     return assemble_paths(instance, kept, costs, d0)
 
 
-def patched_scan_classify(instance, pc, u_star, params):
+def patched_scan_classify(pgraph, u_star, params):
     """classify_edges with a patched scan for every edge: an edge is
-    essential when, at every assignment with its variable zeroed, no
-    (d, w) slice at or below (d*, w*) is nonzero."""
-    graph = ScanGraph(instance, instance.cost_list())
-    d_star, w_star = divmod(u_star, pc.scale)
-    _, w_cap = _perturbed_caps(instance, pc)
-    low = (1 << (SLOT_BITS * (min(w_star, w_cap) + 1))) - 1
-    assignments = [random_assignment(params.field, instance.m,
+    essential when every scan of pgraph capped at U*, at an assignment
+    with its variable zeroed, returns None."""
+    m = pgraph.instance.m
+    assignments = [random_assignment(params.field, m,
                                      derive_rng(params.seed, "classify", rep))
                    for rep in range(params.repetitions)]
-
-    def cleared(f):
-        return not any(d < d_star or vec & low
-                       for d, vec in scan_slices(graph, f, params.field,
-                                                 list(pc.weights), d_star,
-                                                 w_cap))
-
-    essential = set()
-    for eid in range(instance.m):
-        if all(cleared(f[:eid] + [0] + f[eid + 1:]) for f in assignments):
-            essential.add(eid)
-    return essential
+    return {eid for eid in range(m)
+            if all(scan_min_cost_slice(pgraph, f[:eid] + [0] + f[eid + 1:],
+                                       params.field, u_star) is None
+                   for f in assignments)}
 
 
 def _outcome(attempt, *args):
@@ -500,10 +495,9 @@ def criterion_5_instances():
 def test_classify_matches_patched_scan_reference(monkeypatch):
     checked = []
 
-    def classify_and_check(graph, pc, u_star, params):
-        got = classify_edges(graph, pc, u_star, params)
-        assert got == patched_scan_classify(graph.instance, pc, u_star,
-                                            params)
+    def classify_and_check(pgraph, u_star, params):
+        got = classify_edges(pgraph, u_star, params)
+        assert got == patched_scan_classify(pgraph, u_star, params)
         checked.append(got)
         return got
 

@@ -141,8 +141,7 @@ def test_forced_edges_lie_on_every_walk_set(inst, seed):
 def _scan(inst, costs, f, field, top):
     """Exact-cost slices 0..top at `costs`, read off the scan engine."""
     slices = [0] * (top + 1)
-    for d, vec in scan_slices(ScanGraph(inst, costs), f, field,
-                              [0] * inst.m, top, 0):
+    for d, vec in scan_slices(ScanGraph(inst, costs), f, field, top):
         slices[d] = vec
     return slices
 
@@ -309,8 +308,7 @@ def test_pruned_scan_matches_tables_at_every_cap(field64, inst, seed):
     graph = ScanGraph(inst, inst.cost_list())
     for d_cap in range(inst.k, top + 1):
         want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
-        assert list(scan_slices(graph, f, field64, [0] * inst.m, d_cap,
-                                0)) == want
+        assert list(scan_slices(graph, f, field64, d_cap)) == want
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -356,16 +354,15 @@ def test_clamped_decide_matches_oracle(field64, inst, seed):
 @hypothesis.given(hub_instances(), st.sampled_from([8, 64]),
                   st.integers(0, 2**32))
 def test_fan_scan_matches_tables(inst, s, seed):
-    # the scan's w_cap = 0 route (one packed product per expanded state)
-    # against the table engine, at drawn values, at full-width values
-    # (2^s - 1, the largest slot products), and at a drawn point patched
-    # as a deletion attempt patches it, with the dead edges zeroed
+    # the scan's fans (one packed product per expanded state) against the
+    # table engine, at drawn values, at full-width values (2^s - 1, the
+    # largest slot products), and at a drawn point patched as a deletion
+    # attempt patches it, with the dead edges zeroed
     field = GF2Field(s)
     rng = random.Random(seed)
     top = max(inst.simple_cost_cap(), inst.k)
     graph = ScanGraph(inst, inst.cost_list())
     plan = TablePlan(inst, top, inst.cost_list())
-    zero = [0] * inst.m
     drawn = random_assignment(field, inst.m, rng)
     live = [rng.random() < 0.7 for _ in range(inst.m)]
     for f in (drawn, [field.mask] * inst.m,
@@ -373,11 +370,30 @@ def test_fan_scan_matches_tables(inst, s, seed):
         slices = plan.slices(f, field)
         for d_cap in {inst.k, graph.floor or top, top}:
             want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
-            assert list(scan_slices(graph, f, field, zero, d_cap, 0)) == want
-    # a nonzero weight carries nothing at w_cap = 0: the scan equals the
-    # tables with those edges deleted
-    weights = [rng.randint(0, 2) for _ in range(inst.m)]
-    slices = plan.slices([0 if w else fe for fe, w in zip(drawn, weights)],
-                         field)
-    assert list(scan_slices(graph, drawn, field, weights, top, 0)) == \
-        [(d, v) for d, v in enumerate(slices) if v]
+            assert list(scan_slices(graph, f, field, d_cap)) == want
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_scan_at_sparse_costs_matches_unscaled(field64, inst, seed):
+    # every cost times K = 10^6, as sparse as isolation's perturbed costs:
+    # the cost to go scales by K, the slices are the unscaled ones at d * K
+    # at every cap, and the support at d * K is the support at d.  A pass
+    # that stepped through every integer cost would not finish.
+    K = 10 ** 6
+    graph = ScanGraph(inst, inst.cost_list())
+    big = ScanGraph(inst, [c * K for c in inst.cost_list()])
+    assert big.togo == {state: t * K for state, t in graph.togo.items()}
+    assert big.floor == (None if graph.floor is None else graph.floor * K)
+    top = max(inst.simple_cost_cap(), inst.k)
+    rng = random.Random(seed)
+    f = random_assignment(field64, inst.m, rng)
+    want = list(scan_slices(graph, f, field64, top))
+    for d_cap in range(inst.k, top + 1):
+        for cap in (d_cap * K - 1, d_cap * K):
+            assert list(scan_slices(big, f, field64, cap)) == \
+                [(d * K, v) for d, v in want if d * K <= cap]
+    alive = [rng.random() < 0.8 for _ in range(inst.m)]
+    for d in range(inst.k, top + 1):
+        assert slice_support(big, alive, d * K) == \
+            slice_support(graph, alive, d)
