@@ -158,19 +158,11 @@ def min_cost_disjoint_paths(instance: PathInstance,
 
     None is exact, and no scan graph is built, when has_disjoint_paths()
     finds no k disjoint paths at all; otherwise it is probabilistic.
-    One slice scan per repetition, all over one ScanGraph; the least
-    nonzero slice index is the answer for that repetition (each monomial
-    lives in exactly one exact-cost slice), and repetitions combine by
-    taking the minimum.  After a hit at cost `best`, later repetitions
-    scan only to best - 1, since only a lower hit changes the minimum;
-    each still tests the true least nonzero slice when it lies below the
-    cap, so the error bound is that of the initial cap.  No walk set
-    costs less than the graph's floor, so once the cap is below it no
-    repetition is left that could hit, and none is run.  `_graph` is
-    internal: a query that scans the same graph again (find_disjoint_paths)
-    passes the ScanGraph it built at the instance's costs, so that it is
-    built once; that query has already run has_disjoint_paths(), so it is
-    not run again.
+    The search is least_nonzero_slice over one ScanGraph, capped at
+    min(u_max, simple_cost_cap()).  `_graph` is internal: a query that
+    scans the same graph again (find_disjoint_paths) passes the ScanGraph
+    it built at the instance's costs, so that it is built once; that
+    query has already run has_disjoint_paths(), so it is not run again.
     """
     if u_max is None:
         u_max = instance.max_cost() * instance.n * instance.n
@@ -183,8 +175,26 @@ def min_cost_disjoint_paths(instance: PathInstance,
         if not instance.has_disjoint_paths():
             return None
         graph = ScanGraph(instance, instance.cost_list())
+    return least_nonzero_slice(graph, params, cap, "min-cost")
+
+
+def least_nonzero_slice(graph: ScanGraph, params: TestParams, cap: int,
+                        stream: str) -> int | None:
+    """Least cost at most cap with a nonzero slice at the graph's costs,
+    over one assignment per repetition drawn from `stream`, or None.
+
+    One slice scan per repetition; the least nonzero slice index is the
+    answer for that repetition (each monomial lives in exactly one
+    exact-cost slice), and repetitions combine by taking the minimum.
+    After a hit at cost `best`, later repetitions scan only to best - 1,
+    since only a lower hit changes the minimum; each still tests the true
+    least nonzero slice when it lies below the cap, so the error bound is
+    that of the initial cap.  No walk set costs less than the graph's
+    floor, so once the cap is below it no repetition is left that could
+    hit, and none is run.
+    """
     best = None
-    for f in params.assignments(instance.m, "min-cost"):
+    for f in params.assignments(graph.instance.m, stream):
         if graph.floor is None or cap < graph.floor:
             break
         hit = scan_min_cost_slice(graph, f, params.field, cap=cap)

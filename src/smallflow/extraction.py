@@ -39,9 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import TestParams, min_cost_disjoint_paths
+from .decision import (
+    TestParams,
+    least_nonzero_slice,
+    min_cost_disjoint_paths,
+)
 from .evaluator import ScanGraph, scan_min_cost_slice, slice_support
-# isolation's scans, by the name under which perfbench traces them
+# isolation's edge-test scans, by the name under which perfbench traces them
 from .evaluator import scan_min_cost_slice as perturbed_scan
 from .field import derive_rng
 from .network import PathInstance
@@ -117,26 +121,15 @@ def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts,
     infeasible.
 
     pgraph is a ScanGraph at the perturbed costs pc.perturbed, and the
-    search is min_cost_disjoint_paths' at those costs: one scan per
-    repetition, capped at the simple-set cost bound at the perturbed
-    costs, the degree the field is checked against (at any positive
-    integer costs the least nonzero slice is certified by k disjoint
-    simple paths).  After a hit at cost best, later repetitions scan only
-    to best - 1, and none runs once the cap is below the graph's floor;
-    the minimum over repetitions is reported.
+    search is min_cost_disjoint_paths' (least_nonzero_slice) at those
+    costs, capped at the simple-set cost bound at the perturbed costs,
+    the degree the field is checked against: at any positive integer
+    costs the least nonzero slice is certified by k disjoint simple
+    paths.
     """
-    instance = pgraph.instance
-    cap = instance.simple_cost_cap(pc.perturbed)
+    cap = pgraph.instance.simple_cost_cap(pc.perturbed)
     params.check_degree(cap)
-    best = None
-    for f in params.assignments(instance.m, "find-perturbed"):
-        if pgraph.floor is None or cap < pgraph.floor:
-            break
-        hit = perturbed_scan(pgraph, f, params.field, cap)
-        if hit:
-            best = hit[0]
-            cap = best - 1
-    return best
+    return least_nonzero_slice(pgraph, params, cap, "find-perturbed")
 
 
 def classify_edges(pgraph: ScanGraph, u_star: int,
