@@ -32,7 +32,7 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 
-def _add_common(p, costed=False):
+def _add_common(p):
     p.add_argument("--input", "-i", default="-",
                    help="instance file, or - for stdin")
     p.add_argument("--field-exp", type=int, default=64,
@@ -63,14 +63,9 @@ def build_parser():
 
     p = sub.add_parser("mincost", help="minimum cost of k disjoint paths")
     _add_common(p)
-    p.add_argument("--u-max", type=int, default=None,
-                   help="cost ceiling (default C n^2)")
 
     p = sub.add_parser("find", help="construct a minimum-cost disjoint path set")
     _add_common(p)
-    p.add_argument("--isolation-range", "-r", default=None,
-                   help="int, or 'paper' for n^2 m (default desk-scale "
-                        "max(64, 4m)); --strategy isolation only")
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--strategy", choices=("deletion", "isolation"),
                    default="deletion")
@@ -184,22 +179,11 @@ def _cmd_mincost(args):
     t0 = time.perf_counter()
     instance = parse_paths_instance(_read_input(args.input))
     params = _params(args, instance.n)
-    u_max = args.u_max
-    deviations = []
-    if u_max is None:
-        u_max = instance.max_cost() * instance.n * instance.n
-        deviations.append(f"cost ceiling defaulted to C n^2 = {u_max}")
-    cost = decision.min_cost_disjoint_paths(instance, params, u_max=u_max)
-    fields = {"cost": cost, "u_max": u_max}
+    cost = decision.min_cost_disjoint_paths(instance, params)
+    fields = {"cost": cost}
     _mark_exact_none(fields, cost, instance)
-    if cost is None and "repetitions" not in fields:
-        # feasible, but a cap below every walk set's cost (the scan graph's
-        # floor) is exact too: the query ran no repetition
-        graph = evaluator.ScanGraph(instance, instance.cost_list())
-        if min(u_max, instance.simple_cost_cap()) < graph.floor:
-            fields["repetitions"] = 0
     return _report(
-        args, t0, params, deviations, fields,
+        args, t0, params, [], fields,
         cost is not None, cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -209,37 +193,22 @@ def _cmd_find(args):
     t0 = time.perf_counter()
     instance = parse_paths_instance(_read_input(args.input))
     params = _params(args, instance.n)
-    r, deviations = None, []
-    if args.strategy != "isolation":
-        if args.isolation_range is not None:
-            raise ValueError("--isolation-range needs --strategy isolation")
-    elif args.isolation_range == "paper":
-        r = extraction.paper_isolation_range(instance)
-    elif args.isolation_range is not None:
-        r = int(args.isolation_range)
-    else:
-        r = extraction.desk_isolation_range(instance)
-        paper_r = extraction.paper_isolation_range(instance)
-        if r != paper_r:
-            deviations.append(
-                f"isolation range r defaulted to desk-scale max(64, 4m) = "
-                f"{r}, not the n^2 m = {paper_r} setting")
     stats = {}
     ps = extraction.find_disjoint_paths(instance, params,
                                         max_retries=args.max_retries,
-                                        r=r, strategy=args.strategy,
+                                        strategy=args.strategy,
                                         report=stats)
     cost = ps.total_cost if ps else None
     fields = {
         "cost": cost,
         "paths": _one_indexed(ps.paths) if ps else None,
-        "isolation_range": r,
+        "isolation_range": stats.get("r"),
         "strategy": stats.get("strategy"),
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
     _mark_exact_none(fields, ps, instance)
     return _report(
-        args, t0, params, deviations, fields, ps is not None, cost,
+        args, t0, params, [], fields, ps is not None, cost,
         "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -316,7 +285,11 @@ def main(argv=None) -> int:
                 raise ValueError(f"--memory-limit-mib {limit_mib} below 1")
             evaluator.set_default_memory_limit(limit_mib << 20)
         return handler(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
+        # an OSError that names a file comes from -i, --out or
+        # --dump-gadget (missing, a directory, no permission)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (evaluator.BudgetError, extraction.RetriesExhaustedError,

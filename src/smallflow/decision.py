@@ -150,25 +150,23 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     return Verdict(ZERO, degree=cap)
 
 
-def min_cost_disjoint_paths(instance: PathInstance,
-                            params: TestParams,
-                            u_max: int | None = None, *,
+def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
                             _graph: ScanGraph | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
     None is exact, and no scan graph is built, when has_disjoint_paths()
     finds no k disjoint paths at all; otherwise it is probabilistic.
     The search is least_nonzero_slice over one ScanGraph, capped at
-    min(u_max, simple_cost_cap()).  `_graph` is internal: a query that
-    scans the same graph again (find_disjoint_paths) passes the ScanGraph
-    it built at the instance's costs, so that it is built once; that
-    query has already run has_disjoint_paths(), so it is not run again.
+    simple_cost_cap(): the least nonzero slice, when there is one, is
+    certified by k disjoint simple paths, which cost at most the cap.
+    Such paths are a walk set, so the cap is at least the graph's floor
+    and the search scans at least once.
+    `_graph` is internal: a query that scans the same graph again
+    (find_disjoint_paths) passes the ScanGraph it built at the instance's
+    costs, so that it is built once; that query has already run
+    has_disjoint_paths(), so it is not run again.
     """
-    if u_max is None:
-        u_max = instance.max_cost() * instance.n * instance.n
-    if u_max < instance.k:
-        raise ValueError(f"cost ceiling {u_max} below k = {instance.k}")
-    cap = min(u_max, instance.simple_cost_cap())
+    cap = instance.simple_cost_cap()
     params.check_degree(cap)
     graph = _graph
     if graph is None:

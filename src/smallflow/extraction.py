@@ -20,11 +20,12 @@ Two strategies produce the same object:
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
-  w(e) in [1, r], making the minimum-cost set unique with probability
-  >= 1 - m/r; build the scan graph at the perturbed costs, the same scan
-  that the optimum and deletion use; find the minimum perturbed cost U*,
-  its least nonzero slice; mark an edge essential when deleting it kills
-  every slice at or below U*; assemble the essential edges into paths.
+  w(e) in [1, r], r = n^2 m, making the minimum-cost set unique with
+  probability >= 1 - m/r = 1 - 1/n^2; build the scan graph at the
+  perturbed costs, the same scan that the optimum and deletion use; find
+  the minimum perturbed cost U*, its least nonzero slice; mark an edge
+  essential when deleting it kills every slice at or below U*; assemble
+  the essential edges into paths.
   Edges off the support of the U* slice are non-essential without a
   test, and edges on every walk set of perturbed cost U* essential
   without one.  The rest are tested by scans capped at U*, and all
@@ -106,13 +107,9 @@ def perturb_costs(instance: PathInstance, r: int, rng) -> PerturbedCosts:
 
 
 def paper_isolation_range(instance: PathInstance) -> int:
+    """The isolation range r = n^2 m: weights in [1, r] make the optimum
+    unique with probability >= 1 - m/r = 1 - 1/n^2."""
     return instance.n * instance.n * instance.m
-
-
-def desk_isolation_range(instance: PathInstance) -> int:
-    """Memory-friendly default; trades the 1 - m/r bound for table size,
-    relying on retry-on-failure."""
-    return max(64, 4 * instance.m)
 
 
 def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts,
@@ -276,34 +273,29 @@ def _deletion_attempt(instance, params, attempt, d0, graph):
 
 
 def find_disjoint_paths(instance: PathInstance, params: TestParams,
-                        max_retries: int = 3, r: int | None = None,
-                        strategy: str = "deletion",
+                        max_retries: int = 3, strategy: str = "deletion",
                         report: dict | None = None) -> PathSet | None:
     """Minimum original-cost PathSet, or None when no k disjoint paths exist.
 
     strategy is "deletion" (the default) or "isolation", the paper's
-    route.  r is the isolation range, accepted with "isolation" only: it
-    defaults to the desk-scale range; pass paper_isolation_range(instance)
-    for the n^2 m setting.  A dict passed as `report` receives
-    attempts/strategy for reporting, and r under isolation.  None is
-    exact, with 0 attempts and no scan graph built, when
+    route, which draws its weights from [1, r] with r =
+    paper_isolation_range(instance) = n^2 m.  A dict passed as `report`
+    receives attempts/strategy for reporting, and r under isolation.
+    None is exact, with 0 attempts and no scan graph built, when
     has_disjoint_paths() finds no k disjoint paths at all; after the
     search for the optimum found none, it is probabilistic.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if r is not None and strategy != "isolation":
-        raise ValueError("an isolation range needs strategy='isolation'")
     if max_retries < 0:
         raise ValueError(f"max_retries {max_retries} below 0")
-    if strategy == "isolation" and r is None:
-        r = desk_isolation_range(instance)
+    r = paper_isolation_range(instance) if strategy == "isolation" else None
     if report is not None:
         report.update(strategy=strategy, attempts=0)
         if r is not None:
             report["r"] = r
-    # the field check min_cost_disjoint_paths makes at its default ceiling,
-    # due before any answer
+    # the field check min_cost_disjoint_paths makes at its cap, due before
+    # any answer
     params.check_degree(instance.simple_cost_cap())
     if not instance.has_disjoint_paths():
         return None

@@ -159,10 +159,11 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
 
     Pipeline: clamp capacities, build the gadget network, extract a
     minimum-cost disjoint path set on it (deletion strategy), read the
-    flow off the units it enters, validate.  r, an isolation range, is
-    accepted only as None: no flow query uses isolation.  None is exact
-    when the gadget has no k disjoint paths (no value-k flow exists):
-    find_disjoint_paths then answers before any scan graph is built.
+    flow off the units it enters, validate.  No flow query uses
+    isolation, so r takes only None; it is kept because the benchmark
+    (perfbench/run.py) passes r=None.  None is exact when the gadget has
+    no k disjoint paths (no value-k flow exists): find_disjoint_paths
+    then answers before any scan graph is built.
     """
     if r is not None:
         raise ValueError("min_cost_flow takes no isolation range")

@@ -103,9 +103,6 @@ class PathInstance:
     def cost_list(self) -> list[int]:
         return [1] * self.m if self.costs is None else list(self.costs)
 
-    def max_cost(self) -> int:
-        return 1 if self.costs is None else max(self.costs, default=1)
-
     def max_path_edges(self) -> int:
         """Most edges a set of k vertex-disjoint simple paths can use:
         min(m, n - k).  The k paths hold at most n vertices between them,
@@ -233,9 +230,6 @@ class FlowInstance:
     @property
     def m(self):
         return len(self.edges)
-
-    def max_cost(self):
-        return max((e[3] for e in self.edges), default=1)
 
 
 @dataclass(frozen=True)

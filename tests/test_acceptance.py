@@ -248,7 +248,7 @@ def test_criterion_5_extraction(capsys):
     attempts = 0
     failures = 0
     bound_sum = 0.0
-    from smallflow.extraction import desk_isolation_range
+    from smallflow.extraction import paper_isolation_range
     for inst in _small_instances(501, 100, n_hi=8, k_hi=3, cost_max=4):
         runs += 1
         params = TestParams(field=FIELD, repetitions=1,
@@ -262,7 +262,7 @@ def test_criterion_5_extraction(capsys):
             continue
         feasible += 1
         attempts += report["attempts"]
-        bound_sum += inst.m / desk_isolation_range(inst)
+        bound_sum += inst.m / paper_isolation_range(inst)
         if ps is not None and _check_path_set(inst, ps) \
                 and ps.total_cost == bf[0]:
             successes += 1

@@ -124,7 +124,6 @@ def test_mincost(capsys, paths_file):
     assert code == 0
     assert rep["cost"] == 2
     assert rep["verify"] == {"oracle_cost": 2, "match": True}
-    assert any("C n^2" in d for d in rep["deviations"])
 
 
 def test_mincost_exact_none(capsys, tmp_path):
@@ -134,13 +133,6 @@ def test_mincost_exact_none(capsys, tmp_path):
     code, rep = run_json(capsys, "mincost", "-i", str(p), "--verify")
     assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
     assert rep["verify"] == {"oracle_cost": None, "match": True}
-    # feasible but above the ceiling: the configured count stays
-    p.write_text(HUB_BELOW)
-    code, rep = run_json(capsys, "mincost", "-i", str(p), "--u-max", "5")
-    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 3)
-    # a ceiling below every walk set's cost (the floor, 4) scans nothing
-    code, rep = run_json(capsys, "mincost", "-i", str(p), "--u-max", "3")
-    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
 
 
 def test_find(capsys, paths_file):
@@ -164,10 +156,13 @@ def test_find_infeasible_exit(capsys, tmp_path):
     assert rep["verify"] == {"oracle_cost": None, "match": True}
 
 
-def test_find_retries_exhausted_exit(capsys, tmp_path):
+def test_find_retries_exhausted_exit(capsys, tmp_path, monkeypatch):
+    # r = 1 leaves the two optima of SYMMETRIC tied on every attempt
+    monkeypatch.setattr(cli.extraction, "paper_isolation_range",
+                        lambda inst: 1)
     p = tmp_path / "sym.paths"
     p.write_text(SYMMETRIC)
-    code = cli.main(["find", "-i", str(p), "-r", "1",
+    code = cli.main(["find", "-i", str(p),
                      "--strategy", "isolation", "--max-retries", "1"])
     err = capsys.readouterr().err
     assert code == 3
@@ -300,16 +295,44 @@ def test_isolation_range_options(capsys, paths_file, tmp_path):
         cli.main(["flow", "-i", str(p), "-r", "paper"])
     assert exc.value.code == 2
     capsys.readouterr()
-    code = cli.main(["find", "-i", paths_file, "-r", "paper"])
-    assert code == 2
-    assert "--strategy isolation" in capsys.readouterr().err
-    code, rep = run_json(capsys, "find", "-i", paths_file, "-r", "paper",
+    code, rep = run_json(capsys, "find", "-i", paths_file,
                          "--strategy", "isolation")
     assert code == 0
     assert rep["isolation_range"] == 4 * 4 * 4
     assert rep["deviations"] == []
     code, rep = run_json(capsys, "find", "-i", paths_file)
     assert rep["isolation_range"] is None and rep["deviations"] == []
+
+
+def test_isolation_range_is_n2m(capsys, tmp_path):
+    # n = 8, m = 8: the range is n^2 m = 512, not max(64, 4m) = 64
+    p = tmp_path / "hub.paths"
+    p.write_text(HUB_BELOW)
+    code, rep = run_json(capsys, "find", "-i", str(p), "--strategy",
+                         "isolation", "--verify")
+    assert (code, rep["cost"], rep["isolation_range"]) == (0, 6, 8 * 8 * 8)
+    assert rep["verify"]["match"] is True and rep["deviations"] == []
+
+
+@pytest.mark.parametrize("argv", [["find", "-r", "64"],
+                                  ["find", "--isolation-range", "paper"],
+                                  ["mincost", "--u-max", "5"]])
+def test_removed_knobs_rejected_by_parser(capsys, paths_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "-i", paths_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-i", "--out", "--dump-gadget"])
+def test_unopenable_file_exit(capsys, tmp_path, flag):
+    # a directory cannot be opened as a file: exit 2, not a traceback
+    p = tmp_path / "k.dimacs"
+    p.write_text(TWO_ROUTES)
+    argv = ["flow", "-i", str(p), flag, str(tmp_path)]
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_readme_cli_examples_parse():
@@ -346,11 +369,15 @@ GOLDEN_CASES = {
     "oracle": (BIPARTITE, ["oracle"]),
 }
 
-# Fields that differ from the recordings by design: a floor ZERO runs no
-# table, so it reports no evaluated degree (the recording has min(l, m,
-# n - k) = 3) and no repetition (the recording has the configured 3).
+# Fields that differ from the recordings by design (DROPPED: the field is
+# gone).  A floor ZERO runs no table, so it reports no evaluated degree
+# (the recording has min(l, m, n - k) = 3) and no repetition (the
+# recording has the configured 3).  mincost has no cost ceiling option: it
+# reports no u_max, and no deviation for its C n^2 default.
+DROPPED = object()
 GOLDEN_CHANGED = {"decide_floor_zero": {"evaluated_degree": None,
-                                        "repetitions": 0}}
+                                        "repetitions": 0},
+                  "mincost": {"u_max": DROPPED, "deviations": []}}
 
 
 def golden_run(capsys, tmp_path, name, fmt):
@@ -374,9 +401,12 @@ def test_reports_match_golden(capsys, tmp_path, name):
     changed = GOLDEN_CHANGED.get(name, {})
     code, rep = golden_run(capsys, tmp_path, name, "json")
     want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert (code, rep) == (codes[name], {**want, **changed})
+    want = {key: changed.get(key, value) for key, value in want.items()
+            if changed.get(key) is not DROPPED}
+    assert (code, rep) == (codes[name], want)
     code, lines = golden_run(capsys, tmp_path, name, "text")
     want = (GOLDEN / f"{name}.txt").read_text().splitlines()
     want = [f"{key}: {changed[key]}" if key in changed else ln
-            for ln in want for key in [ln.split(": ", 1)[0]]]
+            for ln in want for key in [ln.split(": ", 1)[0]]
+            if changed.get(key) is not DROPPED]
     assert (code, lines) == (codes[name], want)

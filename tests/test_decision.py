@@ -141,7 +141,8 @@ def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
         assert (v.answer, v.degree) == ("ZERO", None)
         assert len(distances) == (1 if inst.m else 0)
         distances.clear()
-        v = decide_cost_bounded(inst, inst.k * inst.n * inst.max_cost(), p)
+        u = inst.k * inst.n * max(inst.cost_list(), default=1)
+        v = decide_cost_bounded(inst, u, p)
         assert (v.answer, v.degree) == ("ZERO", None)
         assert min_cost_disjoint_paths(inst, p) is None
         for strategy in ("deletion", "isolation"):
@@ -229,8 +230,8 @@ def test_param_validation(single_edge):
 
 
 def test_degree_checked_after_capping():
-    # C n^2 = 400 and u = 300 exceed GF(2^8), but the scan stops at the
-    # simple-set cost cap, so the field only has to exceed that degree
+    # u = 300 exceeds GF(2^8), but the scans stop at the simple-set cost
+    # cap, so the field only has to exceed that degree
     inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
     assert inst.simple_cost_cap() < 256
     small = TestParams(field=GF2Field(8), repetitions=3, seed=4)

@@ -24,7 +24,6 @@ from smallflow import (
 from smallflow.extraction import (
     AssemblyError,
     _deletion_attempt,
-    desk_isolation_range,
     paper_isolation_range,
 )
 from smallflow import decision, evaluator, extraction, oracle
@@ -105,9 +104,6 @@ def test_decoding_identity():
 def test_isolation_ranges():
     inst = costed_bipartite()
     assert paper_isolation_range(inst) == 16 * 4
-    assert desk_isolation_range(inst) == 64
-    inst_big = random_paths_instance(random.Random(3), 10, 2, extra_edges=40)
-    assert desk_isolation_range(inst_big) == 4 * inst_big.m
 
 
 def test_uniqueness_fraction_with_two_optima():
@@ -232,14 +228,15 @@ def test_find_disjoint_paths_strategies_agree():
                 check_path_set(inst, ps)
 
 
-def test_retries_exhausted_on_degenerate_isolation():
+def test_retries_exhausted_on_degenerate_isolation(monkeypatch):
     # r = 1 makes every weight 1: the two optima of the all-ones bipartite
     # instance stay tied, classification returns no essential edges, and
     # every attempt fails the same way.
+    monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
     inst = costed_bipartite((1, 1, 1, 1))
     with pytest.raises(RetriesExhaustedError,
                        match=r"strategy=isolation, r=1\)"):
-        find_disjoint_paths(inst, params64(11), max_retries=2, r=1,
+        find_disjoint_paths(inst, params64(11), max_retries=2,
                             strategy="isolation")
     # the deletion strategy does not rely on isolation and succeeds
     ps = find_disjoint_paths(inst, params64(11), strategy="deletion")
@@ -274,9 +271,6 @@ def test_report_dict():
                         report=report)
     assert report["strategy"] == "isolation"
     assert report["r"] == 64
-    # and a range passed with deletion is refused, not ignored
-    with pytest.raises(ValueError, match="isolation range"):
-        find_disjoint_paths(inst, params64(12), r=64)
 
 
 def test_deletion_query_builds_one_scan_graph(monkeypatch):
@@ -382,11 +376,12 @@ def test_auto_strategy_rejected():
         find_disjoint_paths(costed_bipartite(), params64(14), strategy="auto")
 
 
-def test_isolation_scale_exceeds_full_weight_sum():
+def test_isolation_scale_exceeds_full_weight_sum(monkeypatch):
     # Both edges at weight r = 1 sum to r*m = 2; with scale r*m the
     # optimum decoded to cost 3 on every attempt.
+    monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
     inst = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3])
-    ps = find_disjoint_paths(inst, params64(15), r=1, strategy="isolation")
+    ps = find_disjoint_paths(inst, params64(15), strategy="isolation")
     assert ps.total_cost == 2
 
 
