@@ -27,6 +27,7 @@ from .evaluator import (
 )
 from .decision import (
     NONZERO,
+    RetriesExhaustedError,
     TestParams,
     Verdict,
     ZERO,
@@ -39,7 +40,6 @@ from .extraction import (
     AssemblyError,
     PathSet,
     PerturbedCosts,
-    RetriesExhaustedError,
     assemble_paths,
     classify_edges,
     find_disjoint_paths,

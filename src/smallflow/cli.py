@@ -6,7 +6,8 @@ Reports are JSON (default) or text; identical config and seed give a
 byte-identical report apart from the timing fields.
 
 Exit codes: 0 answered, 1 infeasible or absent, 2 input error, 3 budget
-or retries exhausted, 4 oracle verification mismatch.
+or retries exhausted (false zeros on a feasible instance included), 4
+oracle verification mismatch.
 """
 
 from __future__ import annotations
@@ -125,13 +126,14 @@ def _report(args, t0, params, deviations, fields, answered, got,
     """Emit the report of decide, mincost, find or flow and return its exit
     code: the subcommand's own fields with the common ones (a field of the
     subcommand's takes the place of a common one of the same name), exit 0
-    when answered and 1 otherwise.  With --verify, the report's verify
-    block holds oracle_answer() under oracle_key and whether it matches
-    got, and a mismatch exits 4."""
+    when answered and 1 otherwise; a None answer is exact and ran no
+    repetition.  With --verify, the report's verify block holds
+    oracle_answer() under oracle_key and whether it matches got, and a
+    mismatch exits 4."""
     report = {"schema": 1, "subcommand": args.subcommand, "seed": args.seed,
               "field_exponent": args.field_exp,
-              "repetitions": params.repetitions, "deviations": deviations,
-              **fields}
+              "repetitions": 0 if got is None else params.repetitions,
+              "deviations": deviations, **fields}
     code = EXIT_ANSWERED if answered else EXIT_ABSENT
     if args.verify:
         want = oracle_answer()
@@ -144,13 +146,6 @@ def _report(args, t0, params, deviations, fields, answered, got,
 def _cost(found):
     """The cost of an oracle answer, None when it found nothing."""
     return found[0] if found else None
-
-
-def _mark_exact_none(fields, answer, instance):
-    """A None answer for an instance without k disjoint paths is exact:
-    the query ran no repetition, so report 0 of them."""
-    if answer is None and not instance.has_disjoint_paths():
-        fields["repetitions"] = 0
 
 
 def _cmd_decide(args):
@@ -180,10 +175,8 @@ def _cmd_mincost(args):
     instance = parse_paths_instance(_read_input(args.input))
     params = _params(args, instance.n)
     cost = decision.min_cost_disjoint_paths(instance, params)
-    fields = {"cost": cost}
-    _mark_exact_none(fields, cost, instance)
     return _report(
-        args, t0, params, [], fields,
+        args, t0, params, [], {"cost": cost},
         cost is not None, cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -206,7 +199,6 @@ def _cmd_find(args):
         "strategy": stats.get("strategy"),
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
-    _mark_exact_none(fields, ps, instance)
     return _report(
         args, t0, params, [], fields, ps is not None, cost,
         "oracle_cost",
@@ -218,8 +210,8 @@ def _cmd_flow(args):
     t0 = time.perf_counter()
     K = parse_dimacs_flow(_read_input(args.input))
     params = _params(args, K.n)
-    gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
     if args.dump_gadget:
+        gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
             fh.write(serialize_paths_instance(gadget.instance))
     res = flow_mod.min_cost_flow(K, params, max_retries=args.max_retries)
@@ -231,7 +223,6 @@ def _cmd_flow(args):
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
     fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
-    _mark_exact_none(fields, res, gadget.instance)
     return _report(args, t0, params, [], fields, cost is not None, cost,
                    "oracle_cost",
                    lambda: _cost(oracle.classic_min_cost_flow(K)))
@@ -292,7 +283,7 @@ def main(argv=None) -> int:
             raise
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (evaluator.BudgetError, extraction.RetriesExhaustedError,
+    except (evaluator.BudgetError, decision.RetriesExhaustedError,
             oracle.EnumerationBudgetError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -8,12 +8,13 @@ most degree / field size.  Repetitions draw independent derived streams
 from (seed, repetition), so verdicts are reproducible byte for byte and
 monotone in the repetition count.
 
-Before any evaluation, after its input checks, every query asks
+Before any field check or evaluation, every query asks
 PathInstance.has_disjoint_paths() whether k disjoint paths exist at all.
 When they do not, the polynomial is identically zero, and the query
 answers an exact "none" (a ZERO verdict with degree None, or None) in
-one linear pass, without building a scan graph, evaluating a table plan
-or drawing an assignment.
+one linear pass.  When they do, a minimum cost exists, so only a bounded
+query (decide_*) answers a probabilistic ZERO, and a minimum-cost search
+that finds no nonzero slice raises RetriesExhaustedError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .network import PathInstance
 
 NONZERO = "NONZERO"
 ZERO = "ZERO"
+
+
+class RetriesExhaustedError(RuntimeError):
+    """On an instance with k disjoint paths, every repetition was a false
+    zero, or every attempt (fresh seed each) failed assembly."""
 
 
 def default_repetitions(n: int) -> int:
@@ -94,12 +100,12 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     of distinct degrees, and the least nonzero one, when there is one, is
     certified by k disjoint simple paths, which have at most that many
     edges.  So the polynomial at l is nonzero exactly when it is nonzero
-    at the clamped degree.  No walk set is shorter than the plan's floor,
-    the sum of the sources' least lengths to a sink, so a clamped degree
-    below it, or a source that reaches no sink, is ZERO without an
-    evaluation; so is an instance without k disjoint paths at any length
-    (has_disjoint_paths).  Those ZEROs are exact (their verdict has degree
-    None; every other verdict has the clamped degree).  NONZERO is
+    at the clamped degree.  An instance without k disjoint paths at any
+    length (has_disjoint_paths, checked first) is ZERO without a plan.
+    Otherwise no walk set is shorter than the plan's floor, the sum of
+    the sources' least lengths to a sink, so a clamped degree below it is
+    ZERO without an evaluation.  Those ZEROs are exact (their verdict has
+    degree None; every other verdict has the clamped degree).  NONZERO is
     certain; an evaluated ZERO errs with probability at most
     (degree / 2^s)^t.
     parallelism > 1 spreads the pair recurrence's source rows over up to
@@ -108,12 +114,11 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
-    degree = min(l, instance.max_path_edges())
-    if not degree:  # no edges at all
+    if not instance.has_disjoint_paths():
         return Verdict(ZERO)
+    degree = min(l, instance.max_path_edges())
     plan = TablePlan(instance, degree, [1] * instance.m)
-    if plan.floor is None or degree < plan.floor \
-            or not instance.has_disjoint_paths():
+    if degree < plan.floor:
         return Verdict(ZERO)
     params.check_degree(degree)
     for f in params.assignments(instance.m, "decide-length"):
@@ -133,17 +138,18 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     disjoint paths exist at all (has_disjoint_paths, checked before the
     scan graph is built) or when the cap is below the graph's floor, the
     least cost of any walk set; bounds below k are such a case (k walks
-    cost >= k).  Otherwise the verdict's degree is the cap.
+    cost >= k).  Otherwise the field is checked against the cap, and the
+    verdict's degree is the cap.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
-    cap = min(u, instance.simple_cost_cap())
-    params.check_degree(cap)
     if not instance.has_disjoint_paths():
         return Verdict(ZERO)
+    cap = min(u, instance.simple_cost_cap())
     graph = ScanGraph(instance, instance.cost_list())
     if cap < graph.floor:
         return Verdict(ZERO)
+    params.check_degree(cap)
     for f in params.assignments(instance.m, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f), cap)
@@ -154,26 +160,30 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
                             _graph: ScanGraph | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
-    None is exact, and no scan graph is built, when has_disjoint_paths()
-    finds no k disjoint paths at all; otherwise it is probabilistic.
-    The search is least_nonzero_slice over one ScanGraph, capped at
-    simple_cost_cap(): the least nonzero slice, when there is one, is
-    certified by k disjoint simple paths, which cost at most the cap.
-    Such paths are a walk set, so the cap is at least the graph's floor
-    and the search scans at least once.
+    None is exact: has_disjoint_paths() found no k disjoint paths, before
+    any field check.  Otherwise the search is least_nonzero_slice over one
+    ScanGraph, capped at simple_cost_cap(), the degree the field is
+    checked against: the least nonzero slice is certified by k disjoint
+    simple paths, which cost at most the cap.  Such paths are a walk set,
+    so the cap is at least the graph's floor and the search scans at
+    least once.  When no repetition finds a nonzero slice, every one was a
+    false zero, and it raises RetriesExhaustedError.
     `_graph` is internal: a query that scans the same graph again
     (find_disjoint_paths) passes the ScanGraph it built at the instance's
     costs, so that it is built once; that query has already run
     has_disjoint_paths(), so it is not run again.
     """
+    if _graph is None and not instance.has_disjoint_paths():
+        return None
     cap = instance.simple_cost_cap()
     params.check_degree(cap)
-    graph = _graph
-    if graph is None:
-        if not instance.has_disjoint_paths():
-            return None
-        graph = ScanGraph(instance, instance.cost_list())
-    return least_nonzero_slice(graph, params, cap, "min-cost")
+    graph = _graph or ScanGraph(instance, instance.cost_list())
+    best = least_nonzero_slice(graph, params, cap, "min-cost")
+    if best is None:
+        raise RetriesExhaustedError(
+            f"no nonzero slice up to cost {cap} in {params.repetitions} "
+            f"repetition(s), though {instance.k} disjoint paths exist")
+    return best
 
 
 def least_nonzero_slice(graph: ScanGraph, params: TestParams, cap: int,

@@ -25,7 +25,8 @@ Two strategies produce the same object:
   perturbed costs, the same scan that the optimum and deletion use; find
   the minimum perturbed cost U*, its least nonzero slice; mark an edge
   essential when deleting it kills every slice at or below U*; assemble
-  the essential edges into paths.
+  the essential edges into paths.  The search for U* stops at
+  (D0 + 1) * (r*m + 1) - 1, above every cost-D0 set.
   Edges off the support of the U* slice are non-essential without a
   test, and edges on every walk set of perturbed cost U* essential
   without one.  The rest are tested by scans capped at U*, and all
@@ -41,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import (
+    RetriesExhaustedError,
     TestParams,
     least_nonzero_slice,
     min_cost_disjoint_paths,
@@ -54,10 +56,6 @@ from .network import PathInstance
 
 class AssemblyError(RuntimeError):
     """Essential edges do not form k disjoint paths of the expected cost."""
-
-
-class RetriesExhaustedError(RuntimeError):
-    """Every attempt (fresh seed each) failed assembly or verification."""
 
 
 @dataclass(frozen=True)
@@ -112,19 +110,20 @@ def paper_isolation_range(instance: PathInstance) -> int:
     return instance.n * instance.n * instance.m
 
 
-def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts,
+def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts, d0: int,
                             params: TestParams) -> int | None:
-    """Least perturbed cost U* of a disjoint path set, or None if
-    infeasible.
+    """Least perturbed cost U* of a disjoint path set of original cost at
+    most d0, or None when no repetition finds one.
 
     pgraph is a ScanGraph at the perturbed costs pc.perturbed, and the
     search is min_cost_disjoint_paths' (least_nonzero_slice) at those
-    costs, capped at the simple-set cost bound at the perturbed costs,
-    the degree the field is checked against: at any positive integer
-    costs the least nonzero slice is certified by k disjoint simple
-    paths.
+    costs, capped at (d0 + 1) * pc.scale - 1, the degree the field is
+    checked against.  At any positive integer costs a nonzero slice is
+    certified by k disjoint simple paths, whose weights sum to less than
+    the scale: every set of original cost d0 lies under the cap, and a
+    hit under it decodes (U* // scale) to d0 or less.
     """
-    cap = pgraph.instance.simple_cost_cap(pc.perturbed)
+    cap = (d0 + 1) * pc.scale - 1
     params.check_degree(cap)
     return least_nonzero_slice(pgraph, params, cap, "find-perturbed")
 
@@ -236,13 +235,9 @@ def _isolation_attempt(instance, params, attempt, r, d0):
                      seed=derive_rng(params.seed, "attempt", attempt)
                      .getrandbits(63))
     pgraph = ScanGraph(instance, list(pc.perturbed))
-    u_star = find_min_perturbed_cost(pgraph, pc, sub)
+    u_star = find_min_perturbed_cost(pgraph, pc, d0, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    if u_star // pc.scale != d0:
-        raise AssemblyError(
-            f"perturbed optimum decodes to cost {u_star // pc.scale}, "
-            f"expected {d0}")
     essential = classify_edges(pgraph, u_star, sub)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
@@ -281,9 +276,10 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     route, which draws its weights from [1, r] with r =
     paper_isolation_range(instance) = n^2 m.  A dict passed as `report`
     receives attempts/strategy for reporting, and r under isolation.
-    None is exact, with 0 attempts and no scan graph built, when
-    has_disjoint_paths() finds no k disjoint paths at all; after the
-    search for the optimum found none, it is probabilistic.
+    None is exact, with 0 attempts, before any field check or scan graph:
+    has_disjoint_paths() found no k disjoint paths.  False zeros in the
+    search for the optimum, or failed attempts, raise
+    RetriesExhaustedError.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -294,9 +290,6 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
         report.update(strategy=strategy, attempts=0)
         if r is not None:
             report["r"] = r
-    # the field check min_cost_disjoint_paths makes at its cap, due before
-    # any answer
-    params.check_degree(instance.simple_cost_cap())
     if not instance.has_disjoint_paths():
         return None
     # one state graph at the instance's costs serves the optimum and every
@@ -304,8 +297,6 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     # perturbed costs
     graph = ScanGraph(instance, instance.cost_list())
     d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
-    if d0 is None:
-        return None
     failures = []
     for attempt in range(max_retries + 1):
         if report is not None:

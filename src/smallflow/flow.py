@@ -161,9 +161,9 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
     minimum-cost disjoint path set on it (deletion strategy), read the
     flow off the units it enters, validate.  No flow query uses
     isolation, so r takes only None; it is kept because the benchmark
-    (perfbench/run.py) passes r=None.  None is exact when the gadget has
-    no k disjoint paths (no value-k flow exists): find_disjoint_paths
-    then answers before any scan graph is built.
+    (perfbench/run.py) passes r=None.  None is exact: the gadget has no k
+    disjoint paths (no value-k flow exists), and find_disjoint_paths
+    answers before any scan graph is built.
     """
     if r is not None:
         raise ValueError("min_cost_flow takes no isolation range")

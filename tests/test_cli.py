@@ -135,6 +135,51 @@ def test_mincost_exact_none(capsys, tmp_path):
     assert rep["verify"] == {"oracle_cost": None, "match": True}
 
 
+# one path, 4 -> 1 -> 2 at cost 4, whose slice evaluates to zero at the
+# single GF(2^8) point that seed 263 draws
+FALSE_ZERO = """\
+q paths 4 4 1
+x 4
+y 2
+e 4 1 2
+e 1 2 2
+e 3 4 3
+e 3 1 2
+"""
+
+# every edge of BOTTLENECK at cost 100: simple_cost_cap() is 300, beyond
+# GF(2^8), but no two disjoint paths exist
+BOTTLENECK_100 = "".join(
+    ln + " 100\n" if ln.startswith("e ") else ln + "\n"
+    for ln in BOTTLENECK.splitlines())
+
+
+def test_mincost_false_zero_exits_3(capsys, tmp_path):
+    # a run of false zeros on an instance with k disjoint paths is not an
+    # answer: it used to print "cost": null (a mismatch against the
+    # oracle's 4) and now exits 3, with or without --verify
+    p = tmp_path / "z.paths"
+    p.write_text(FALSE_ZERO)
+    for extra in ([], ["--verify"]):
+        code = cli.main(["mincost", "-i", str(p), "--field-exp", "8",
+                         "--reps", "1", "--seed", "263", *extra])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("budget error: no nonzero slice")
+
+
+@pytest.mark.parametrize("subcommand", ["mincost", "find"])
+def test_exact_none_before_field_check(capsys, tmp_path, subcommand):
+    # no two disjoint paths: the exact None comes before the field check,
+    # which GF(2^8) would fail at degree 300
+    p = tmp_path / "b.paths"
+    p.write_text(BOTTLENECK_100)
+    code, rep = run_json(capsys, subcommand, "-i", str(p), "--field-exp",
+                         "8", "--verify")
+    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
+    assert rep["verify"] == {"oracle_cost": None, "match": True}
+
+
 def test_find(capsys, paths_file):
     code, rep = run_json(capsys, "find", "-i", paths_file, "--verify")
     assert code == 0
@@ -210,6 +255,23 @@ def test_flow_exact_none(capsys, tmp_path):
     code, rep = run_json(capsys, "flow", "-i", str(p), "--verify")
     assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
     assert rep["verify"] == {"oracle_cost": None, "match": True}
+
+
+def test_flow_builds_gadget_once(capsys, tmp_path, monkeypatch):
+    # the gadget is built by min_cost_flow alone, unless --dump-gadget
+    # asks for it to be written
+    built = []
+    real = cli.flow_mod.build_gadget_network
+
+    def counting(K):
+        built.append(K)
+        return real(K)
+
+    monkeypatch.setattr(cli.flow_mod, "build_gadget_network", counting)
+    p = tmp_path / "k.dimacs"
+    p.write_text(TWO_ROUTES)
+    code, rep = run_json(capsys, "flow", "-i", str(p))
+    assert (code, rep["cost"], len(built)) == (0, 4, 1)
 
 
 def test_oracle_subcommand(capsys, paths_file):
@@ -302,6 +364,19 @@ def test_isolation_range_options(capsys, paths_file, tmp_path):
     assert rep["deviations"] == []
     code, rep = run_json(capsys, "find", "-i", paths_file)
     assert rep["isolation_range"] is None and rep["deviations"] == []
+
+
+def test_isolation_field_checked_below_the_optimum(capsys, tmp_path):
+    # isolation searches its perturbed costs only up to (d0 + 1) * scale
+    # - 1 = 15 * 4097 - 1 here, which GF(2^16) holds; the simple-set cap
+    # at the perturbed costs (76,093) did not
+    p = tmp_path / "chain.paths"
+    p.write_text("q paths 8 8 1\nx 6\ny 1\ne 6 5 3\ne 5 7 1\ne 7 2 2\n"
+                 "e 2 8 3\ne 8 4 3\ne 4 1 2\ne 5 7 2\ne 1 6 3\n")
+    code, rep = run_json(capsys, "find", "-i", str(p), "--strategy",
+                         "isolation", "--field-exp", "16", "--verify")
+    assert (code, rep["cost"], rep["isolation_range"]) == (0, 14, 512)
+    assert rep["verify"] == {"oracle_cost": 14, "match": True}
 
 
 def test_isolation_range_is_n2m(capsys, tmp_path):

@@ -6,6 +6,7 @@ from smallflow import (
     FlowInstance,
     GF2Field,
     PathInstance,
+    RetriesExhaustedError,
     TestParams,
     decide_cost_bounded,
     decide_disjoint_paths,
@@ -100,8 +101,8 @@ def test_cost_bounded_floor_zero_is_exact(monkeypatch):
 def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
                                                          bottleneck):
     # no k disjoint paths: every query kind answers exactly, and builds no
-    # scan graph, evaluates no table and draws no assignment; decide's
-    # plan computes the sink distances once, for its floor
+    # plan or scan graph (so computes no sink distances), evaluates no
+    # table and draws no assignment
     built, distances = [], []
     real_distances = evaluator.sink_distances
 
@@ -139,8 +140,7 @@ def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
         distances.clear()
         v = decide_disjoint_paths(inst, inst.k * (inst.n - 1), p)
         assert (v.answer, v.degree) == ("ZERO", None)
-        assert len(distances) == (1 if inst.m else 0)
-        distances.clear()
+        assert distances == []
         u = inst.k * inst.n * max(inst.cost_list(), default=1)
         v = decide_cost_bounded(inst, u, p)
         assert (v.answer, v.degree) == ("ZERO", None)
@@ -157,6 +157,40 @@ def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
                        target_value=2)
     assert min_cost_flow(cut, p) is None
     assert built == [] and distances == []
+
+
+def test_false_zero_raises_instead_of_none():
+    # one path 3 -> 0 -> 1 of cost 4, whose slice is zero at the single
+    # GF(2^8) point of seed 263: the instance has k disjoint paths, so a
+    # None would be wrong, and the search raises instead
+    inst = PathInstance(4, [(3, 0), (0, 1), (2, 3), (2, 0)], [3], [1],
+                        costs=[2, 2, 3, 2])
+    small = TestParams(field=GF2Field(8), repetitions=1, seed=263)
+    with pytest.raises(RetriesExhaustedError, match="no nonzero slice"):
+        min_cost_disjoint_paths(inst, small)
+    with pytest.raises(RetriesExhaustedError):
+        find_disjoint_paths(inst, small)
+    assert min_cost_disjoint_paths(inst, params64(263)) == 4
+
+
+def test_exact_answers_before_the_field_check(bottleneck):
+    # no two disjoint paths at cost 100 per edge: the caps (300) are
+    # beyond GF(2^8), but every query answers exactly before checking
+    inst = PathInstance(5, bottleneck.edges, [0, 1], [3, 4],
+                        costs=[100] * 4)
+    small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
+    v = decide_cost_bounded(inst, 300, small)
+    assert (v.answer, v.degree) == ("ZERO", None)
+    assert min_cost_disjoint_paths(inst, small) is None
+    for strategy in ("deletion", "isolation"):
+        assert find_disjoint_paths(inst, small, strategy=strategy) is None
+    # with the paths in place, the field check refuses as before
+    feasible = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
+                            costs=[200, 200])
+    with pytest.raises(ValueError, match="too small"):
+        min_cost_disjoint_paths(feasible, small)
+    with pytest.raises(ValueError, match="too small"):
+        decide_cost_bounded(feasible, 400, small)
 
 
 def test_min_cost_examples(bottleneck):

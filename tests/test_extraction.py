@@ -135,8 +135,12 @@ def test_find_min_perturbed_cost_matches_oracle():
                                      extra_edges=rng.randint(0, n),
                                      cost_max=3, plant=rng.random() < 0.8)
         pc = perturb_costs(inst, 16, rng)
+        # the search stops at the optimum's perturbed ceiling; any cost
+        # serves an infeasible instance
+        opt = oracle.brute_force_disjoint_paths(inst, mode="cost")
+        d0 = opt[0] if opt else 1
         got = find_min_perturbed_cost(ScanGraph(inst, list(pc.perturbed)),
-                                      pc, params64(rng.getrandbits(32)))
+                                      pc, d0, params64(rng.getrandbits(32)))
         bf = oracle.brute_force_disjoint_paths(inst, mode="cost",
                                                costs=list(pc.perturbed))
         assert got == (bf[0] if bf else None)
@@ -145,7 +149,7 @@ def test_find_min_perturbed_cost_matches_oracle():
 def test_find_min_perturbed_absent(bottleneck):
     pc = perturb_costs(bottleneck, 8, random.Random(6))
     pgraph = ScanGraph(bottleneck, list(pc.perturbed))
-    assert find_min_perturbed_cost(pgraph, pc, params64()) is None
+    assert find_min_perturbed_cost(pgraph, pc, 4, params64()) is None
 
 
 def test_unique_path_instance_pipeline():
@@ -157,7 +161,7 @@ def test_unique_path_instance_pipeline():
     pc = perturb_costs(inst, 32, rng)
     p = params64(77)
     pgraph = ScanGraph(inst, list(pc.perturbed))
-    u_star = find_min_perturbed_cost(pgraph, pc, p)
+    u_star = find_min_perturbed_cost(pgraph, pc, 4, p)  # the chain's cost
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
     essential = classify_edges(pgraph, u_star, p)
     assert essential == {0, 1, 2}
@@ -241,6 +245,46 @@ def test_retries_exhausted_on_degenerate_isolation(monkeypatch):
     # the deletion strategy does not rely on isolation and succeeds
     ps = find_disjoint_paths(inst, params64(11), strategy="deletion")
     assert ps.total_cost == 2
+
+
+def test_none_only_without_disjoint_paths():
+    # one GF(2^8) point per query makes false zeros common; each one
+    # raises RetriesExhaustedError, and a None answer always means that
+    # no k disjoint paths (no value-k flow) exist
+    rng = random.Random(19)
+    field = GF2Field(8)
+    raised = 0
+
+    def answer(query, *args):
+        nonlocal raised
+        try:
+            return query(*args)
+        except RetriesExhaustedError:
+            raised += 1
+            return RetriesExhaustedError
+
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(3, n // 2)),
+                                     extra_edges=rng.randint(0, n),
+                                     cost_max=60, plant=rng.random() < 0.8)
+        if inst.simple_cost_cap() >= field.order:
+            continue
+        p = TestParams(field=field, repetitions=1, seed=rng.getrandbits(32))
+        feasible = inst.has_disjoint_paths()
+        for query in (min_cost_disjoint_paths, find_disjoint_paths):
+            assert (answer(query, inst, p) is None) == (not feasible)
+    for _ in range(400):
+        K = random_flow_instance(rng, rng.randint(3, 5), rng.randint(2, 6),
+                                 rng.randint(1, 2), 2, 4,
+                                 plant=rng.random() < 0.7)
+        gadget = build_gadget_network(clamp_capacities(K)).instance
+        if gadget.simple_cost_cap() >= field.order:
+            continue
+        p = TestParams(field=field, repetitions=1, seed=rng.getrandbits(32))
+        assert (answer(min_cost_flow, K, p) is None) == \
+            (not gadget.has_disjoint_paths())
+    assert raised  # the battery meets false zeros
 
 
 def test_negative_retry_count_rejected():

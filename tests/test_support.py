@@ -215,7 +215,7 @@ def test_one_plan_serves_every_assignment(field64, inst, seed, data):
 def test_decide_computes_sink_distances_once(field64, inst, seed):
     # one plan per query: the sink distances are computed once, and every
     # repetition evaluates that plan (no distances for an instance
-    # without edges, answered before any plan is built).  In the example,
+    # without k disjoint paths, answered before any plan is built).  In the example,
     # x1, x2 -> v -> y1, y2 plus a route x1 -> 5 -> 6 -> 7 -> y1, two
     # disjoint paths exist, of length 6; at l = 4 and 5 the degree reaches
     # the floor 2 + 2, every walk set that short meets at v, and all three
@@ -241,7 +241,8 @@ def test_decide_computes_sink_distances_once(field64, inst, seed):
             counts["distances"] = 0
             plans.clear()
             verdict = decide_disjoint_paths(inst, l, params)
-            assert counts["distances"] == (1 if inst.m else 0)
+            assert counts["distances"] == \
+                (1 if inst.has_disjoint_paths() else 0)
             assert len(plans) <= 3 and all(p is plans[0] for p in plans)
             if verdict.degree is not None and not verdict.nonzero:
                 assert len(plans) == 3
