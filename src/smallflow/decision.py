@@ -197,9 +197,11 @@ def least_nonzero_slice(graph: ScanGraph, params: TestParams, cap: int,
     After a hit at cost `best`, later repetitions scan only to best - 1,
     since only a lower hit changes the minimum; each still tests the true
     least nonzero slice when it lies below the cap, so the error bound is
-    that of the initial cap.  No walk set costs less than the graph's
-    floor, so once the cap is below it no repetition is left that could
-    hit, and none is run.
+    that of the initial cap.  A scan that finds no hit below best expands
+    exactly the states with d + togo <= best - 1 (scan_slices' order and
+    cap), and one that hits at d* < best those with d + togo <= d*.  No
+    walk set costs less than the graph's floor, so once the cap is below
+    it no repetition is left that could hit, and none is run.
     """
     best = None
     for f in params.assignments(graph.instance.m, stream):

@@ -37,8 +37,9 @@ the length-bounded walk polynomial.  Two engines compute them:
   or below the bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
-  state space (finished-sinks mask, current walk position), with the
-  exact cost as the layer index and one field element per state.
+  state space (finished-sinks mask, current walk position), one field
+  element per (cost, state), popped best first: in increasing cost plus
+  cost to go.
   _state_moves is the one transition rule of that state graph, and
   ScanGraph builds the graph once per cost vector: its reachable states,
   their moves, and for each state togo, the least cost that finishes
@@ -53,16 +54,19 @@ the length-bounded walk polynomial.  Two engines compute them:
   The scan takes the table engine's fan layout: the values of a
   position's out-edges are packed one per slot and windowed once per
   scan, one scalar product per expanded state gives every move's
-  product, and each state is reduced once.  Costs are visited from a
-  heap, only those that some state reaches, so a graph at sparse, large
-  costs (isolation's perturbed costs, c(e)*scale + w(e)) scans as fast
-  as one at small costs.  scan_min_cost_slice stops at the first nonzero
-  slice, which serves minimum-cost queries and edge-essentiality tests
-  without materializing full tables; a cap below the graph's floor (the
-  start state's togo) expands nothing.  slice_support walks the same
-  graph without field values, to find the edges a slice can contain at
-  all and those each of its monomials contains: the per-edge tests skip
-  every edge outside the first set and every edge in the second.
+  product, and each state is reduced once.  Pending states are visited
+  from a heap keyed by (d + togo, d), so a scan visits only the costs that
+  some state reaches, and a graph at sparse, large costs (isolation's
+  perturbed costs, c(e)*scale + w(e)) scans as fast as one at small
+  costs.  Because togo is consistent, slices still come in increasing
+  cost, and scan_min_cost_slice, which stops at the first nonzero slice
+  d*, expands only the states with d + togo <= d*: it serves minimum-cost
+  queries and edge-essentiality tests without materializing full tables,
+  and a cap below the graph's floor (the start state's togo) expands
+  nothing.  slice_support walks the same graph without field values, to
+  find the edges a slice can contain at all and those each of its
+  monomials contains: the per-edge tests skip every edge outside the
+  first set and every edge in the second.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -533,17 +537,26 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     at the graph's costs.
 
     State (B, z): sinks in B are finished, the current walk stands at z
-    (the next unstarted source when between walks).  Costs >= 1 make
-    layers strictly increasing, so each layer is complete when popped.
-    The layers' costs are popped from a heap, so a scan visits only the
-    costs that some state reaches, however sparse and large the graph's
-    costs are.  A move out of a state at cost d is skipped when d + reach
-    > cap: no walk set through it finishes within the cap, so every walk
-    set of cost <= cap passes only through expanded states and the
-    yielded slices are exact; with cap below graph.floor nothing is
-    expanded.
+    (the next unstarted source when between walks).  Pending states are
+    grouped by the key (d + togo(state), d) and the least key is popped
+    first (A* order, Hart, Nilsson and Raphael 1968): a move of cost c
+    goes to group (d + reach, d + c), and a move that finishes the last
+    walk to (d', d') with d' = d + c, the group of the walk sets of cost
+    d'.  togo is consistent, togo(u) <= c(e) + togo(v) on every move, and
+    costs are >= 1, so every predecessor of a state has a smaller key:
+    no larger in its first part, and with a smaller d on a tie.  So each
+    state's value is complete when its group is popped, no group is
+    filled after it is popped, and slices are yielded in increasing d.
+    A scan that stops at its first nonzero slice d* has expanded only the
+    states with d + togo <= d*.  The keys are popped from a heap, so a
+    scan visits only the costs that some state reaches, however sparse
+    and large the graph's costs are.  A move out of a state at cost d is
+    skipped when d + reach > cap: no walk set through it finishes within
+    the cap, so every walk set of cost <= cap passes only through
+    expanded states and the yielded slices are exact; with cap below
+    graph.floor nothing is expanded.
 
-    Each state is reduced once, when its layer is popped, and a move's
+    Each state is reduced once, when its group is popped, and a move's
     contribution goes unreduced into its target.  The scan packs the
     values of position z's out-edges one per 128-bit slot (in
     instance.out_edges[z] order), windows that fan the first time a state
@@ -553,10 +566,10 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     product.  Both operands are field elements (< 2^s, s <= 64), so a
     slot stays below 2^127 and never spills into the next one.  Moves
     come in increasing reach, so each state's scan stops at its first
-    move past the cap.  The memory ceiling is checked once per layer
-    against the states still pending (the popped layer's and every later
-    layer's, finished entries of later layers included), the graph's
-    cells and the fans built so far.
+    move past the cap.  The memory ceiling is checked once per popped
+    group against the states still pending (the popped group's and every
+    later group's, finished entries included), one cell for each pending
+    group, the graph's cells and the fans built so far.
     """
     instance = graph.instance
     _check_assignment(instance, assignment)
@@ -564,26 +577,28 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     moves_of = graph.moves
     fans = {}  # position -> window of its packed out-edge values, or 0
     fan_cells = 0
-    # cost -> state -> value (unreduced); the key None holds the layer's
-    # finished walk sets.  costs is a heap of pending's keys, and queued
-    # counts the entries of all its layers.
+    # (d + togo, d) -> state -> value (unreduced); the state None holds
+    # the finished walk sets of cost d, in group (d, d).  keys is a heap of
+    # pending's keys, and queued counts the entries of all its groups.
     pending = {}
-    costs = []
+    keys = []
     queued = 0
     if graph.floor is not None and graph.floor <= cap:
-        pending[0] = {graph.start: 1}
-        costs.append(0)
+        pending[graph.floor, 0] = {graph.start: 1}
+        keys.append((graph.floor, 0))
         queued = 1
-    while costs:
-        d = heappop(costs)
-        states = pending.pop(d)
+    while keys:
+        group = heappop(keys)
+        d = group[1]
+        states = pending.pop(group)
         queued -= len(states)
         done = states.pop(None, 0)
         if done:
             value = reduce(done)
             if value:
                 yield d, value
-        _check_budget(len(states) + queued + graph.cells + fan_cells)
+        _check_budget(len(states) + queued + len(pending) + graph.cells
+                      + fan_cells)
         cut = cap - d
         for state, raw in states.items():
             value = reduce(raw)
@@ -606,10 +621,11 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
                 carried = products >> (SLOT_BITS * slot) & _SLOT_MASK
                 if not carried:
                     continue
-                tgt = pending.get(d + c)
+                to = d + reach, d + c
+                tgt = pending.get(to)
                 if tgt is None:
-                    tgt = pending[d + c] = {}
-                    heappush(costs, d + c)
+                    tgt = pending[to] = {}
+                    heappush(keys, to)
                 if key in tgt:
                     tgt[key] ^= carried
                 else:
@@ -625,7 +641,8 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     One forward pass collects the graph's states (finished-sinks mask,
     position, cost) reachable from the start, skipping moves that cannot
     finish by cost d (the bound of scan_slices), and visits the pending
-    costs from a heap, as scan_slices does; one backward pass keeps the
+    costs from a heap in increasing cost: at an exact d the order does
+    not change which states are kept; one backward pass keeps the
     moves that still reach a finished walk set at cost exactly d.  No
     field arithmetic is done.  Every monomial of the cost-d slice over
     alive edges is the product along one such walk set, so zeroing the

@@ -1,3 +1,4 @@
+import heapq
 import json
 import multiprocessing
 import os
@@ -26,6 +27,8 @@ from smallflow.evaluator import (
     subset_table_cells,
 )
 from smallflow import oracle
+from smallflow.extraction import paper_isolation_range, perturb_costs
+from smallflow.field import SLOT_BITS, vec_window
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
@@ -531,11 +534,17 @@ def fresh_peak(inst, l):
     subset_cells, fan_cells, which slices are nonzero).  Later evaluations
     in one process read lower: they take tuples from CPython's free lists,
     which tracemalloc does not count again."""
+    return _fresh(_FRESH_PEAK, [inst.n, inst.edges, inst.sources,
+                                inst.sinks, l])
+
+
+def _fresh(script, spec):
+    """Run script in a fresh interpreter on this checkout's smallflow,
+    with spec as JSON on its standard input: the JSON it prints."""
     src = os.path.dirname(os.path.dirname(evaluator.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    spec = [inst.n, inst.edges, inst.sources, inst.sinks, l]
-    out = subprocess.run([sys.executable, "-c", _FRESH_PEAK],
+    out = subprocess.run([sys.executable, "-c", script],
                          input=json.dumps(spec), capture_output=True,
                          text=True, env=env, check=True).stdout
     return json.loads(out)
@@ -575,6 +584,47 @@ def test_memory_ceiling_charges_the_fans(l):
     assert not any(nonzero[:2]) and all(nonzero[2:])
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
+
+
+_FRESH_SCAN_PEAK = """
+import json, random, sys, tracemalloc
+from smallflow import GF2Field, PathInstance, evaluator, random_assignment
+n, edges, sources, sinks, costs = json.load(sys.stdin)
+inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
+                    costs=costs)
+field = GF2Field(64)
+f = random_assignment(field, inst.m, random.Random(8))
+graph = evaluator.ScanGraph(inst, inst.cost_list())
+charges = []
+check = evaluator._check_budget
+evaluator._check_budget = lambda cells: (charges.append(cells), check(cells))
+tracemalloc.start()
+slices = list(evaluator.scan_slices(graph, f, field, inst.simple_cost_cap()))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+json.dump([peak, max(charges), graph.cells, len(charges), len(slices)],
+          sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("n, k", [(14, 2), (12, 3), (10, 3)])
+def test_memory_ceiling_bounds_the_scan(n, k):
+    # Dense and costed, scanned to simple_cost_cap(): every state goes to
+    # a (d + togo, d) group of its own, so hundreds of small groups are
+    # pending at once.  The graph is built before the measurement; the
+    # scan allocates no more than what each check charges beyond the
+    # graph's cells (its states, pending entries and groups, and fans).
+    inner = range(2 * k, n)
+    edges = [(x, v) for x in range(k) for v in inner]
+    edges += [(u, v) for u in inner for v in inner if u != v]
+    edges += [(u, y) for u in inner for y in range(k, 2 * k)]
+    rng = random.Random(3)
+    costs = [rng.randint(1, 4) for _ in edges]
+    peak, charge, graph_cells, checks, slices = _fresh(
+        _FRESH_SCAN_PEAK, [n, edges, list(range(k)), list(range(k, 2 * k)),
+                           costs])
+    assert checks > 100 and slices > 10
+    assert peak <= (charge - graph_cells) * evaluator._CELL_BYTES
 
 
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):
@@ -672,3 +722,137 @@ def test_scan_graph_keeps_only_states_that_finish(bottleneck):
     assert (0, 5) not in graph.togo
     assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
                      [1]).floor is None
+
+
+def d_ordered_scan(graph, assignment, field, cap):
+    """Reference for scan_slices: the scan that pops its pending states by
+    cost d alone, so that it expands every state whose move fits under the
+    cap.  It packs the same fans and makes one evaluator.vec_scalar_mul_w
+    per expanded state, so that both scans' products count alike; it
+    checks no memory ceiling."""
+    instance = graph.instance
+    fans = {}
+    pending = {}
+    costs = []
+    if graph.floor is not None and graph.floor <= cap:
+        pending[0] = {graph.start: 1}
+        costs.append(0)
+    while costs:
+        d = heapq.heappop(costs)
+        states = pending.pop(d)
+        done = field.reduce(states.pop(None, 0))
+        if done:
+            yield d, done
+        for state, raw in states.items():
+            value = field.reduce(raw)
+            if not value:
+                continue
+            z = state[1]
+            if z not in fans:
+                packed = 0
+                for slot, eid in enumerate(instance.out_edges[z]):
+                    packed |= assignment[eid] << (SLOT_BITS * slot)
+                fans[z] = packed and vec_window(packed)
+            if not fans[z]:
+                continue
+            products = evaluator.vec_scalar_mul_w(fans[z], value)
+            for _, c, key, reach, slot in graph.moves[state]:
+                if d + reach > cap:
+                    break
+                carried = products >> (SLOT_BITS * slot) & \
+                    ((1 << SLOT_BITS) - 1)
+                if carried:
+                    if d + c not in pending:
+                        pending[d + c] = {}
+                        heapq.heappush(costs, d + c)
+                    tgt = pending[d + c]
+                    tgt[key] = tgt.get(key, 0) ^ carried
+
+
+def scan_battery():
+    """(instance, costs, assignment) over 40 seeded random instances,
+    n 6-12, k 1-3, costs 1-4, a fifth without planted paths, each at its
+    own costs and at isolation's perturbed costs c * scale + w."""
+    field = GF2Field(64)
+    for seed in range(40):
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        inst = random_paths_instance(rng, rng.randint(max(6, 2 * k), 12), k,
+                                     extra_edges=rng.randint(4, 20),
+                                     cost_max=4, plant=seed % 5 != 0)
+        pc = perturb_costs(inst, paper_isolation_range(inst), rng)
+        f = random_assignment(field, inst.m, rng)
+        yield inst, inst.cost_list(), f
+        yield inst, list(pc.perturbed), f
+
+
+def test_best_first_scan_matches_d_ordered(field64, monkeypatch):
+    # Every slice list equals the d-ordered reference's, at caps below the
+    # floor, at the optimum and at simple_cost_cap(); a full list expands
+    # the same states, and a scan that stops at its first hit expands no
+    # more than the reference, and fewer over the battery.
+    counts = {}
+    real = evaluator.vec_scalar_mul_w
+
+    def counted(win, scalar):
+        counts[side] += 1
+        return real(win, scalar)
+
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted)
+    first_hits = {"best-first": 0, "d-ordered": 0}
+    hits = 0
+    for inst, costs, f in scan_battery():
+        graph = ScanGraph(inst, costs)
+        optimum = oracle.disjoint_paths_min_cost_via_flow(inst, costs)
+        caps = {inst.simple_cost_cap(costs)}
+        if graph.floor is not None:
+            caps.add(graph.floor - 1)
+        if optimum is not None:
+            caps.add(optimum)
+        for cap in caps:
+            lists = {}
+            for side, scan in (("best-first", scan_slices),
+                               ("d-ordered", d_ordered_scan)):
+                counts[side] = 0
+                lists[side] = list(scan(graph, f, field64, cap))
+            assert lists["best-first"] == lists["d-ordered"]
+            assert counts["best-first"] == counts["d-ordered"]
+            for side, scan in (("best-first", scan_slices),
+                               ("d-ordered", d_ordered_scan)):
+                counts[side] = 0
+                first = next(scan(graph, f, field64, cap), None)
+                assert first == next(iter(lists[side]), None)
+                first_hits[side] += counts[side]
+            assert counts["best-first"] <= counts["d-ordered"]
+        hits += optimum is not None
+    assert hits > 40
+    assert first_hits["best-first"] < first_hits["d-ordered"]
+
+
+def test_first_hit_expands_only_groups_within_it(field64, monkeypatch):
+    # the scan pops its groups by (d + togo, d): one that stops at its
+    # first hit d* pops no group past (d*, d*), so it expands no state
+    # whose d + togo exceeds d*
+    popped = []
+    real = evaluator.heappop
+
+    def recorded(heap):
+        popped.append(real(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(evaluator, "heappop", recorded)
+    for inst, costs, f in scan_battery():
+        graph = ScanGraph(inst, costs)
+        popped.clear()
+        hit = scan_min_cost_slice(graph, f, field64,
+                                  inst.simple_cost_cap(costs))
+        if hit is None:
+            assert graph.floor is None or not any(
+                d_ordered_scan(graph, f, field64,
+                               inst.simple_cost_cap(costs)))
+            continue
+        assert hit[0] == oracle.disjoint_paths_min_cost_via_flow(inst, costs)
+        assert popped[0] == (graph.floor, 0)
+        assert popped[-1] == (hit[0], hit[0])
+        assert popped == sorted(popped)
+        assert all(bound <= hit[0] for bound, _ in popped)

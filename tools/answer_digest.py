@@ -1,0 +1,113 @@
+"""Digests of the answers smallflow gives on perfbench's query batches.
+
+    python3 tools/answer_digest.py --seed 1 --seconds 10
+
+Two checkouts that print the same digests give the same answers on the
+batch.  The batches come from perfbench/workloads.py, imported read-only,
+and every query runs with the parameters perfbench/run.py gives it
+(GF(2^64), default_repetitions(n), the query's own seed, max_retries=3).
+One line is printed per digest:
+
+* `mincost`: the costs min_cost_disjoint_paths returns;
+* `flow`: the costs and amounts min_cost_flow returns, and the disjoint
+  path set (deletion strategy) it reads each flow from;
+* `isolation`: the path sets find_disjoint_paths returns with
+  strategy="isolation" on the same `flow` gadgets, with the attempts
+  made.
+
+Each line also gives the query count and the seconds spent in the
+queries (wall time on this host, not scaled like perfbench's).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from smallflow import GF2Field, decision, extraction, flow  # noqa: E402
+from smallflow.network import parse_dimacs_flow, parse_paths_instance  # noqa: E402
+from workloads import make_batch  # noqa: E402
+
+
+def _params(query, instance):
+    return decision.TestParams(
+        field=GF2Field(64),
+        repetitions=decision.default_repetitions(instance.n),
+        seed=query.seed)
+
+
+def _paths(ps):
+    return None if ps is None else [list(map(list, ps.edge_ids)),
+                                    ps.total_cost]
+
+
+def _line(name, answers, seconds, extra=""):
+    blob = json.dumps(answers, separators=(",", ":")).encode()
+    print(f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
+          f"{len(answers)} queries  {seconds:.2f} s{extra}")
+
+
+def mincost(seed, seconds):
+    answers, spent = [], 0.0
+    for q in make_batch("mincost", seed, seconds):
+        inst = parse_paths_instance(q.text)
+        start = time.perf_counter()
+        answers.append(decision.min_cost_disjoint_paths(inst, _params(q, inst)))
+        spent += time.perf_counter() - start
+    _line("mincost", answers, spent)
+
+
+def flows(seed, seconds):
+    found = []
+    find = flow.find_disjoint_paths
+
+    def recording_find(*args, **kwargs):
+        found.append(find(*args, **kwargs))
+        return found[-1]
+
+    answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
+    for q in make_batch("flow", seed, seconds):
+        inst = parse_dimacs_flow(q.text)
+        params = _params(q, inst)
+        found.clear()
+        flow.find_disjoint_paths = recording_find
+        try:
+            start = time.perf_counter()
+            answer = flow.min_cost_flow(inst, params, max_retries=3)
+            spent += time.perf_counter() - start
+        finally:
+            flow.find_disjoint_paths = find
+        answers.append(None if answer is None else
+                       [answer[0], list(answer[1].amounts),
+                        _paths(found[0])])
+        gadget = flow.build_gadget_network(flow.clamp_capacities(inst))
+        report = {}
+        start = time.perf_counter()
+        ps = extraction.find_disjoint_paths(
+            gadget.instance, params, max_retries=3, strategy="isolation",
+            report=report)
+        isolation_s += time.perf_counter() - start
+        attempts += report["attempts"]
+        isolated.append(_paths(ps))
+    _line("flow", answers, spent)
+    _line("isolation", isolated, isolation_s, f"  {attempts} attempts")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=10)
+    args = ap.parse_args(argv)
+    mincost(args.seed, args.seconds)
+    flows(args.seed, args.seconds)
+
+
+if __name__ == "__main__":
+    main()
