@@ -609,11 +609,11 @@ json.dump([peak, max(charges), graph.cells, len(charges), len(slices)],
 
 @pytest.mark.parametrize("n, k", [(14, 2), (12, 3), (10, 3)])
 def test_memory_ceiling_bounds_the_scan(n, k):
-    # Dense and costed, scanned to simple_cost_cap(): every state goes to
-    # a (d + togo, d) group of its own, so hundreds of small groups are
-    # pending at once.  The graph is built before the measurement; the
-    # scan allocates no more than what each check charges beyond the
-    # graph's cells (its states, pending entries and groups, and fans).
+    # Dense and costed, scanned to simple_cost_cap(): states at one cost
+    # spread over many (d + togo, d) groups, so hundreds of small groups
+    # are popped.  The graph is built before the measurement; the scan
+    # allocates no more than its largest check charges beyond the graph's
+    # cells (pending entries, pending groups and fans).
     inner = range(2 * k, n)
     edges = [(x, v) for x in range(k) for v in inner]
     edges += [(u, v) for u in inner for v in inner if u != v]
