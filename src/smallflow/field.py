@@ -12,9 +12,20 @@ fields (s = 8, 16) are supported for exhaustive cross-checks.
 
 The module also provides "packed vectors": many field elements stored in
 one big int, 128 bits per slot, so that a whole vector can be multiplied
-by a shared scalar with a handful of CPython big-int operations.  Products
-are left unreduced (< 128 bits per slot) and folded back to s bits with
-vec_reduce once a DP layer is complete.
+by a shared scalar with a handful of CPython big-int operations
+(vec_window once per vector, then vec_scalar_mul_w per scalar).
+Products are left unreduced (< 2^(2s-1) per slot) and may be XORed
+together before they are folded back below 2^s: the evaluator's row
+recurrence and scans fold each cell or state they take out of a product
+with GF2Field.reduce, and its subset phase folds whole packed tables with
+vec_reduce.
+
+The kernels are straight-line code with these preconditions:
+vec_scalar_mul_w takes a scalar below 2^64 (every element of every
+built-in field), and GF2Field.reduce and vec_reduce take values (per
+slot) below 2^(2s), which every product of two elements and every XOR of
+such products is.  Every built-in tail x^c + x^b + x^a + 1 has c <= s/2,
+so two folds bring such a value below 2^s.
 """
 
 from __future__ import annotations
@@ -84,10 +95,10 @@ class GF2Field:
         self.poly = DEFAULT_POLYS[exponent]
         self.order = 1 << exponent
         self.mask = self.order - 1
-        # Bit positions of the reduction tail (poly minus the x^s term).
-        self.tail = tuple(
-            i for i in range(exponent) if (self.poly >> i) & 1
-        )
+        # Shifts a < b < c of the tail x^c + x^b + x^a + 1 (poly minus its
+        # x^s term); every built-in polynomial is a pentanomial.
+        _, a, b, c = (i for i in range(exponent) if self.poly >> i & 1)
+        self._fold = (exponent, self.mask, a, b, c)
 
     def __repr__(self):
         return f"GF2Field(2^{self.exponent}, poly=0x{self.poly:x})"
@@ -103,20 +114,24 @@ class GF2Field:
         return hash((self.exponent, self.poly))
 
     def reduce(self, p: int) -> int:
-        """Fold a carryless product back below 2^s."""
-        s = self.exponent
-        mask = self.mask
-        tail = self.tail
-        while p >> s:
-            hi = p >> s
-            p &= mask
-            for j in tail:
-                p ^= hi << j
-        return p
+        """Fold p below 2^s; p must be below 2^(2s), as a carryless
+        product of two elements, or an XOR of such products, is.
+
+        Two folds by the tail: x^s = x^c + x^b + x^a + 1 turns the high
+        part h = p >> s into h ^ h<<a ^ h<<b ^ h<<c.  The first fold leaves
+        a value below 2^(s+c), the second one below 2^(2c) <= 2^s."""
+        s, mask, a, b, c = self._fold
+        hi = p >> s
+        if not hi:
+            return p
+        p = p & mask ^ hi ^ hi << a ^ hi << b ^ hi << c
+        hi = p >> s
+        return p & mask ^ hi ^ hi << a ^ hi << b ^ hi << c
 
     def mul(self, a: int, b: int) -> int:
-        """Carryless product of a and b, reduced: b as a one-slot packed
-        vector times the scalar a (4-bit window method)."""
+        """Product of the elements a and b: b as a one-slot packed
+        vector, windowed, times the scalar a (vec_scalar_mul_w), then
+        folded by reduce."""
         if a == 0 or b == 0:
             return 0
         if a == 1:
@@ -185,33 +200,34 @@ def vec_window(packed: int):
     )
 
 
-def vec_scalar_mul_w(window, scalar: int) -> int:
-    """Multiply every slot of the windowed vector by a shared scalar.
+def vec_scalar_mul_w(window, a: int) -> int:
+    """Multiply every slot of the windowed vector by a shared scalar a,
+    which must be below 2^64: one window lookup per nibble of a, shifted
+    to the nibble's place (the comb method of Lopez and Dahab, 2000).
 
-    Returns unreduced slots (< 128 bits); XOR results together freely and
-    call vec_reduce before the values feed another multiplication.
+    Returns unreduced slots: below 2^(2s-1) when the slots and a are
+    elements of GF(2^s).  XOR results together freely and fold them
+    (GF2Field.reduce or vec_reduce) before the values feed another
+    multiplication.
     """
-    p = 0
-    shift = 0
-    while scalar:
-        w = scalar & 15
-        if w:
-            p ^= window[w] << shift
-        scalar >>= 4
-        shift += 4
-    return p
+    return (window[a & 15] ^ window[a >> 4 & 15] << 4
+            ^ window[a >> 8 & 15] << 8 ^ window[a >> 12 & 15] << 12
+            ^ window[a >> 16 & 15] << 16 ^ window[a >> 20 & 15] << 20
+            ^ window[a >> 24 & 15] << 24 ^ window[a >> 28 & 15] << 28
+            ^ window[a >> 32 & 15] << 32 ^ window[a >> 36 & 15] << 36
+            ^ window[a >> 40 & 15] << 40 ^ window[a >> 44 & 15] << 44
+            ^ window[a >> 48 & 15] << 48 ^ window[a >> 52 & 15] << 52
+            ^ window[a >> 56 & 15] << 56 ^ window[a >> 60] << 60)
 
 
 def vec_reduce(packed: int, count: int, field: GF2Field) -> int:
-    """Fold every slot of a packed vector below 2^s."""
-    s = field.exponent
+    """Fold every slot of a packed vector below 2^s; each slot must be
+    below 2^(2s).  The same two folds as GF2Field.reduce, on all slots
+    at once: after a shift by s, the low-s-bit mask of each slot selects
+    that slot's high part and nothing of the next slot's (s <= 64)."""
+    s, _, a, b, c = field._fold
     low = _low_mask(count, s)
-    high_sel = _low_mask(count, SLOT_BITS - s)
-    tail = field.tail
-    while True:
-        hi = (packed >> s) & high_sel
-        if not hi:
-            return packed & low
-        packed &= low
-        for j in tail:
-            packed ^= hi << j
+    hi = packed >> s & low
+    packed = packed & low ^ hi ^ hi << a ^ hi << b ^ hi << c
+    hi = packed >> s & low
+    return packed & low ^ hi ^ hi << a ^ hi << b ^ hi << c

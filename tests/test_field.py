@@ -14,16 +14,26 @@ from smallflow.field import (
 )
 
 
-def schoolbook_mul(a, b, poly, s):
-    """Independent bit-at-a-time carryless multiply-then-reduce oracle."""
+def schoolbook_product(a, b):
+    """Independent bit-at-a-time carryless product, unreduced."""
     prod = 0
-    for i in range(s):
+    for i in range(a.bit_length()):
         if (a >> i) & 1:
             prod ^= b << i
-    for bit in range(2 * s - 2, s - 1, -1):
-        if (prod >> bit) & 1:
-            prod ^= poly << (bit - s)
     return prod
+
+
+def schoolbook_reduce(p, poly, s):
+    """Independent bit-at-a-time remainder of p (< 2^(2s)) mod poly."""
+    for bit in range(2 * s - 1, s - 1, -1):
+        if (p >> bit) & 1:
+            p ^= poly << (bit - s)
+    return p
+
+
+def schoolbook_mul(a, b, poly, s):
+    """Independent bit-at-a-time carryless multiply-then-reduce oracle."""
+    return schoolbook_reduce(schoolbook_product(a, b), poly, s)
 
 
 def field_pow(field, a, e):
@@ -202,3 +212,68 @@ def test_packed_accumulation_reduces_like_field(field64):
         for i, v in enumerate(row):
             want[i] ^= field64.mul(s, v)
     assert got == want
+
+
+def edge_elements(s, rng, extra):
+    """0, 1, 2^(s-1), 2^s - 1, then `extra` random elements of GF(2^s)."""
+    return [0, 1, 1 << (s - 1), (1 << s) - 1] + \
+        [rng.getrandbits(s) for _ in range(extra)]
+
+
+@pytest.mark.parametrize("s", [8, 16, 64])
+def test_kernels_match_schoolbook(s):
+    # the packed product against the bit-at-a-time one slot by slot,
+    # before any fold, then each fold against the bit-at-a-time remainder;
+    # f.mul is not the reference, since it runs the same kernels
+    f = GF2Field(s)
+    rng = random.Random(s + 20)
+    for count in (1, 1, 2, 2, 17):
+        vals = edge_elements(s, rng, 13)
+        rng.shuffle(vals)
+        vals = vals[:count]
+        win = vec_window(pack(vals))
+        for a in edge_elements(s, rng, 6):
+            raw = vec_scalar_mul_w(win, a)
+            slots = vec_unpack(raw, count)
+            assert slots == [schoolbook_product(a, v) for v in vals]
+            want = [schoolbook_mul(a, v, f.poly, s) for v in vals]
+            assert [f.reduce(x) for x in slots] == want
+            assert vec_unpack(vec_reduce(raw, count, f), count) == want
+
+
+def test_comb_product_takes_every_64_bit_scalar():
+    # every nibble of the scalar, the top one included
+    rng = random.Random(64)
+    vals = edge_elements(64, rng, 2)
+    win = vec_window(pack(vals))
+    for a in [(1 << 64) - 1, 1 << 63, 0xF << 60, 0x0123456789ABCDEF] + \
+            [rng.getrandbits(64) for _ in range(50)]:
+        assert vec_unpack(vec_scalar_mul_w(win, a), len(vals)) == \
+            [schoolbook_product(a, v) for v in vals]
+
+
+@pytest.mark.parametrize("s", [8, 16, 64])
+def test_folds_at_their_largest_inputs(s):
+    # reduce and vec_reduce at the largest product bound 2^(2s-1) - 1, at
+    # the precondition's limit 2^(2s) - 1, and at XORs of several
+    # unreduced products of random and extreme elements
+    f = GF2Field(s)
+    rng = random.Random(s + 30)
+    inputs = [(1 << (2 * s - 1)) - 1, (1 << (2 * s)) - 1, (1 << s) - 1,
+              1 << s, 0]
+    for terms in (2, 3, 8):
+        for _ in range(6):
+            acc = 0
+            for _ in range(terms):
+                a, b = rng.choice(edge_elements(s, rng, 4)), \
+                    f.random_element(rng)
+                acc ^= schoolbook_product(a, b)
+            inputs.append(acc)
+    want = [schoolbook_reduce(p, f.poly, s) for p in inputs]
+    assert [f.reduce(p) for p in inputs] == want
+    assert vec_unpack(vec_reduce(pack(inputs), len(inputs), f),
+                      len(inputs)) == want
+    for count in (1, 2, 17):
+        chosen = [rng.choice(inputs) for _ in range(count)]
+        assert vec_unpack(vec_reduce(pack(chosen), count, f), count) == \
+            [schoolbook_reduce(p, f.poly, s) for p in chosen]

@@ -8,6 +8,8 @@ and every query runs with the parameters perfbench/run.py gives it
 (GF(2^64), default_repetitions(n), the query's own seed, max_retries=3).
 One line is printed per digest:
 
+* `decide`: the answer, degree and witness assignment of each verdict
+  decide_disjoint_paths returns at the query's length bound;
 * `mincost`: the costs min_cost_disjoint_paths returns;
 * `flow`: the costs and amounts min_cost_flow returns, and the disjoint
   path set (deletion strategy) it reads each flow from;
@@ -52,6 +54,17 @@ def _line(name, answers, seconds, extra=""):
     blob = json.dumps(answers, separators=(",", ":")).encode()
     print(f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
           f"{len(answers)} queries  {seconds:.2f} s{extra}")
+
+
+def decide(seed, seconds):
+    answers, spent = [], 0.0
+    for q in make_batch("decide", seed, seconds):
+        inst = parse_paths_instance(q.text)
+        start = time.perf_counter()
+        v = decision.decide_disjoint_paths(inst, q.bound, _params(q, inst))
+        spent += time.perf_counter() - start
+        answers.append([v.answer, v.degree, v.witness_assignment])
+    _line("decide", answers, spent)
 
 
 def mincost(seed, seconds):
@@ -105,6 +118,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
+    decide(args.seed, args.seconds)
     mincost(args.seed, args.seconds)
     flows(args.seed, args.seconds)
 
