@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,9 +86,12 @@ def test_bipartite_two_monomials(bipartite22, field64):
     assert got == g ^ 1
 
 
-def test_seq_par_equivalence_battery(field64):
-    # k up to 5, so the subset phase runs up to five levels on the pool,
-    # at fewer workers than rows, as many, and more than rows
+def test_seq_par_equivalence_battery(field64, monkeypatch):
+    # k up to 5, so the subset phase runs up to five levels across the
+    # crew, at fewer processes than rows and as many, and degrees past k;
+    # each core is listed three times, so the crew can outgrow this host
+    listed = evaluator._usable_cores() * 3
+    monkeypatch.setattr(evaluator, "_usable_cores", lambda: listed)
     rng = random.Random(10)
     for _ in range(60):
         n = rng.randint(3, 12)
@@ -106,46 +110,95 @@ def test_seq_par_equivalence_battery(field64):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="rows run inline without fork")
 def test_pool_workers_bounded_by_sources(field64, monkeypatch):
-    # a recording stand-in for the fork pool: tasks run inline, no process
-    # starts, and the requested worker count and every map are kept
-    asked, mapped = [], []
+    # a recording crew: the processes it was asked for and every map it ran
+    crews = []
 
-    class InlinePool:
-        def __init__(self, processes, initializer, initargs):
-            asked.append(processes)
-            initializer(*initargs)
+    class RecordingCrew(evaluator._Crew):
+        def __init__(self, procs, rows_plan, cores):
+            crews.append((procs, []))
+            super().__init__(procs, rows_plan, cores)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def rows(self):
+            crews[-1][1].append("rows")
+            return super().rows()
 
         def starmap(self, fn, tasks):
-            mapped.append(fn.__name__)
-            return [fn(*t) for t in tasks]
+            crews[-1][1].append(fn.__name__)
+            return super().starmap(fn, tasks)
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
-                        InlinePool)
-    monkeypatch.setattr(evaluator, "_PLAN", None)
-    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
-        else None
-    for k, degrees in ((2, (10 ** 6,)), (3, (2, 3, 5))):
-        inst = random_paths_instance(random.Random(5), 8, k, extra_edges=12)
-        f = random_assignment(field64, inst.m, random.Random(6))
-        serial = length_plan(inst, 14).slices(f, field64)
-        assert any(serial)
-        for degree in degrees:
-            asked.clear()
-            mapped.clear()
-            assert length_plan(inst, 14).slices(f, field64,
-                                            parallelism=degree) == serial
-            # one pool per evaluation: the rows, then one map per level
-            assert asked == [min(degree, k)]
-            assert mapped == ["_pair_row_on_core"] + ["_subset_term"] * k
-    # a row task gives its process back the cores it was allowed
-    if cores is not None:
-        assert os.sched_getaffinity(0) == cores
+    monkeypatch.setattr(evaluator, "_Crew", RecordingCrew)
+    cores = evaluator._usable_cores()
+    for listed in (cores, cores * 3):
+        # listing each core three times lets the crew grow past the host
+        monkeypatch.setattr(evaluator, "_usable_cores", lambda: listed)
+        for k, degrees in ((2, (10 ** 6,)), (3, (2, 3, 5))):
+            inst = random_paths_instance(random.Random(5), 8, k,
+                                         extra_edges=12)
+            f = random_assignment(field64, inst.m, random.Random(6))
+            serial = length_plan(inst, 14).slices(f, field64)
+            assert any(serial)
+            for degree in degrees:
+                crews.clear()
+                assert length_plan(inst, 14).slices(
+                    f, field64, parallelism=degree) == serial
+                procs = min(degree, k, len(listed))
+                # one crew per evaluation: the rows, then one map per level
+                assert crews == ([] if procs == 1 else
+                                 [(procs, ["rows"] + ["_subset_term"] * k)])
+                assert multiprocessing.active_children() == []
+    # moving to a core gives this process back the cores it was allowed
+    if cores[0] is not None:
+        assert sorted(os.sched_getaffinity(0)) == cores
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="rows run inline without fork")
+def test_crew_deals_around_a_slow_helper(field64, monkeypatch):
+    # the helper placed on core "slow" takes 50 ms more per row: the others
+    # take more of the rows, rows come back out of order, and levels start
+    # while a row is still out; the slices are the serial ones
+    placed = {}
+    pair_by_cost = evaluator._pair_by_cost
+
+    def slow_row(*args):
+        if placed.get("core") == "slow":
+            time.sleep(0.05)
+        return pair_by_cost(*args)
+
+    monkeypatch.setattr(evaluator, "_move_to_core",
+                        lambda core: placed.update(core=core))
+    monkeypatch.setattr(evaluator, "_pair_by_cost", slow_row)
+    monkeypatch.setattr(evaluator, "_usable_cores",
+                        lambda: ["slow", None, None])
+    inst = random_paths_instance(random.Random(7), 10, 4, extra_edges=20)
+    f = random_assignment(field64, inst.m, random.Random(8))
+    serial = length_plan(inst, 20).slices(f, field64)
+    assert any(serial)
+    for degree in (2, 3):
+        assert length_plan(inst, 20).slices(
+            f, field64, parallelism=degree) == serial
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="rows run inline without fork")
+def test_helper_failure_raised_in_caller(field64, monkeypatch):
+    # every row is computed in a helper, and each one fails there
+    caller = os.getpid()
+    pair_by_cost = evaluator._pair_by_cost
+
+    def failing(*args):
+        if os.getpid() != caller:
+            raise ValueError("a helper's row failed")
+        return pair_by_cost(*args)
+
+    monkeypatch.setattr(evaluator, "_pair_by_cost", failing)
+    monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 2)
+    inst = random_paths_instance(random.Random(5), 8, 3, extra_edges=12)
+    f = random_assignment(field64, inst.m, random.Random(6))
+    with pytest.raises(ValueError, match="a helper's row failed"):
+        length_plan(inst, 14).slices(f, field64, parallelism=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_length_slices_match_symbolic(field64):
@@ -371,19 +424,19 @@ def test_memory_budget(field64, monkeypatch):
     with pytest.raises(BudgetError):
         cost_plan(inst, 10 ** 9).slices([1, 1, 1, 1], field64)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_helper(*args, **kwargs):
+        raise AssertionError("a helper process was started")
 
     if "fork" in multiprocessing.get_all_start_methods():
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
-                            no_pool)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                            no_helper)
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1024)
     try:
         with pytest.raises(BudgetError):
             cost_plan(inst, 100).slices([1, 1, 1, 1], field64)
         # the ceiling is checked before the pair rows run, so at degree 2
-        # it fires before any worker is forked
+        # it fires before any helper is forked
         for degree in (1, 2):
             with pytest.raises(BudgetError):
                 length_plan(inst, 6).slices([1, 1, 1, 1], field64,
@@ -449,11 +502,11 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
         return real_reduce(self, p)
 
     def no_call(*args, **kwargs):
-        raise AssertionError("a worker pool was started or GF2Field.mul "
+        raise AssertionError("a helper process was started or GF2Field.mul "
                              "was called")
 
     if "fork" in multiprocessing.get_all_start_methods():
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
                             no_call)
     monkeypatch.setattr(evaluator, "_pair_by_cost", row)
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w", product)
