@@ -109,7 +109,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     certain; an evaluated ZERO errs with probability at most
     (degree / 2^s)^t.
     parallelism > 1 spreads the table engine's source rows and subset
-    terms over up to that many helper processes (at most k and the
+    terms over up to that many worker processes (at most k and the
     usable cores); the verdict is the same.
     """
     if not 1 <= l <= instance.k * (instance.n - 1):

@@ -74,8 +74,7 @@ over source rows, and then over the sink masks of one popcount: walks
 from different sources never meet in the pair recurrence, and a level of
 the subset recurrence reads only the level below.  So the pipeline maps
 the rows, then the subset levels one at a time, either in this process
-or on helper processes forked for the evaluation, with bit-identical
-results.
+or over one pool of worker processes, with bit-identical results.
 
 Layer tables and scan fans live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -87,6 +86,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from bisect import bisect_right
+from functools import partial
 from heapq import heappop, heappush
 from itertools import starmap
 
@@ -104,6 +104,7 @@ DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
 _SLOT_MASK = (1 << SLOT_BITS) - 1
+_PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
 
 
 class BudgetError(RuntimeError):
@@ -217,12 +218,16 @@ class TablePlan:
         Each fan's values are packed one per 128-bit slot and windowed
         once (vec_window), so that one scalar product gives every edge's
         product at once.  With parallelism > 1, k > 1 and two or more
-        usable cores, min(parallelism, k, usable cores) helper processes
-        forked for the evaluation (_Crew) compute the source rows and
-        then the subset terms, dealt one at a time by this process; they
-        inherit the windowed plan when they fork.  Otherwise both phases
-        map inline.  Rows and terms are computed by the same code either
-        way, so the result is bit-identical for every parallelism degree.
+        usable cores, one fork pool of min(parallelism, k, usable cores)
+        workers serves the whole evaluation: the workers inherit the
+        windowed plan when they fork (the pool's initializer), so no task
+        carries it.  All source rows (_pair_by_cost, round-robin over the
+        usable cores) are queued first, then each level of the subset
+        phase as soon as the row it reads is in, one task at a time, so
+        a level's terms can run while a later row is still out.
+        Otherwise both phases map inline, in this process, by the same
+        code, so the result is bit-identical for every parallelism
+        degree.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
@@ -239,13 +244,18 @@ class TablePlan:
                 group.append((first, u, keys, heads, vec_window(packed)))
             windowed.append((c, group))
         rows_plan = (self, assignment, field, windowed)
-        procs = min(parallelism, k)
+        cores = _usable_cores()
+        procs = min(parallelism, k, len(cores))
         if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
-            cores = _usable_cores()
-            if len(cores) > 1:
-                with _Crew(min(procs, len(cores)), rows_plan, cores) as crew:
-                    return _subset_phase(k, bound, crew.rows(), field,
-                                         crew.starmap)
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(processes=procs, initializer=_set_plan,
+                          initargs=(rows_plan,)) as pool:
+                rows = [pool.apply_async(_pair_row_on_core,
+                                         (cores[xi % len(cores)], xi))
+                        for xi in range(k)]
+                return _subset_phase(k, bound, (row.get() for row in rows),
+                                     field, partial(pool.starmap,
+                                                    chunksize=1))
         rows = [_pair_by_cost(*rows_plan, xi) for xi in range(k)]
         return _subset_phase(k, bound, rows, field, starmap)
 
@@ -258,139 +268,20 @@ def _usable_cores() -> list:
     return [None] * (os.cpu_count() or 1)
 
 
-class _Crew:
-    """procs helper processes forked for one evaluation, dealt its tasks
-    one at a time by this process: a helper gets its next task as soon
-    as its last result is here, so a helper that the host slows down
-    takes fewer of them.
-
-    The source rows go first, in order; each helper inherits the row
-    plan when it forks, so a row task is just its index.  Then the terms
-    of each subset level: a level starts as soon as the rows it reads
-    are here, so its terms can run while a slower helper is still on a
-    later row.  A helper is sent a task only while it waits for one, so
-    no pipe fills in both directions at once.  Helper i moves to core
-    cores[i % len(cores)], because forked processes start on their
-    parent's core.  A failure in a helper is raised here.
-    """
-
-    def __init__(self, procs, rows_plan, cores):
-        ctx = multiprocessing.get_context("fork")
-        self.k = rows_plan[0].instance.k
-        self.todo = [("row", xi, None) for xi in range(self.k)][::-1]
-        self.done_rows = {}
-        self.fn, self.results, self.missing = None, [], 0
-        self.conns, self.helpers = [], []
-        try:
-            for i in range(procs):
-                conn, child = ctx.Pipe()
-                helper = ctx.Process(
-                    target=_helper, daemon=True,
-                    args=(child, rows_plan, cores[i % len(cores)]))
-                helper.start()
-                child.close()
-                self.conns.append(conn)
-                self.helpers.append(helper)
-        except BaseException:
-            self._stop()
-            raise
-        self.idle = []  # helpers waiting with nothing to deal
-        for conn in self.conns:
-            self._deal(conn)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        try:
-            if exc_type is None:
-                for conn in self.conns:
-                    conn.send(None)
-                for helper in self.helpers:
-                    helper.join()
-        finally:
-            self._stop()
-        return False
-
-    def _stop(self):
-        for helper in self.helpers:
-            if helper.is_alive():
-                helper.terminate()
-            helper.join()
-        for conn in self.conns:
-            conn.close()
-
-    def rows(self):
-        """Every source row (_pair_by_cost), in source order, each as
-        soon as it is here."""
-        for xi in range(self.k):
-            while xi not in self.done_rows:
-                self._receive()
-            yield self.done_rows.pop(xi)
-
-    def starmap(self, fn, tasks) -> list:
-        """[fn(*task) for task in tasks], dealt across the helpers after
-        any rows still to deal; fn must be a module-level function, since
-        it travels by name."""
-        self.fn = fn
-        tasks = list(tasks)
-        self.todo[:0] = [("term", i, task)
-                         for i, task in enumerate(tasks)][::-1]
-        self.results = [None] * len(tasks)
-        self.missing = len(tasks)
-        idle, self.idle = self.idle, []
-        for conn in idle:
-            self._deal(conn)
-        while self.missing:
-            self._receive()
-        return self.results
-
-    def _deal(self, conn):
-        """Send a waiting helper the next task, or keep it idle."""
-        if not self.todo:
-            self.idle.append(conn)
-            return
-        kind, key, task = self.todo.pop()
-        conn.send((kind, key, self.fn if kind == "term" else None, task))
-
-    def _receive(self):
-        """Wait for a result (a row or a term), file it, and deal its
-        helper the next task; a helper's failure is raised."""
-        from multiprocessing.connection import wait  # not at import time
-
-        for conn in wait(self.conns):
-            kind, key, value = conn.recv()
-            if kind == "row":
-                self.done_rows[key] = value
-            elif kind == "term":
-                self.results[key] = value
-                self.missing -= 1
-            else:
-                raise value
-            self._deal(conn)
-
-
-def _helper(conn, rows_plan, core):
-    """A helper's life: move to its core, then compute each task it is
-    sent, a source row by index or fn(*task) for a term, until a None
-    arrives.  A failure is sent instead of a result."""
-    _move_to_core(core)
-    try:
-        for kind, key, fn, task in iter(conn.recv, None):
-            value = _pair_by_cost(*rows_plan, key) if kind == "row" \
-                else fn(*task)
-            conn.send((kind, key, value))
-    except Exception as exc:
-        conn.send(("failed", None, exc))
+def _set_plan(plan):
+    """Pool initializer: the row plan, inherited by fork, for the row
+    tasks of this worker."""
+    global _PLAN
+    _PLAN = plan
 
 
 def _move_to_core(core):
     """Move this process to the given core, then let the kernel balance it.
 
-    Forked processes start on their parent's core and can stay stacked
-    there for a whole evaluation.  The move is only a hint: with core
-    None (no affinity calls on this platform), or where the host refuses
-    it, the process stays where it is.
+    Forked workers start on the caller's core and can stay stacked there
+    for a whole evaluation.  The move is only a hint: with core None (no
+    affinity calls on this platform), or where the host refuses it, the
+    process stays where it is.
     """
     if core is None:
         return
@@ -400,6 +291,14 @@ def _move_to_core(core):
         os.sched_setaffinity(0, allowed)
     except OSError:
         pass
+
+
+def _pair_row_on_core(core, xi):
+    """Pool task: source row xi of the inherited plan, its worker first
+    moved to the given core (rows go round-robin over the usable
+    cores)."""
+    _move_to_core(core)
+    return _pair_by_cost(*_PLAN, xi)
 
 
 def _backward_costs(targets, preds):
@@ -509,11 +408,11 @@ def _subset_phase(k, bound, rows, field, mapper):
     The table for mask B peels source |B|-1 (0-based) against each sink j
     in B: one (B, j) term (_subset_term) multiplies the table of B - {j}
     by the column rows[|B|-1][j].  Masks of one popcount read only the
-    level below, so the phase runs level by level: mapper (a crew's
+    level below, so the phase runs level by level: mapper (a pool's
     starmap, or itertools.starmap inline) computes the level's terms, and
     each mask XORs its terms and is reduced once.  Level t reads row t-1
     only, so rows is read in order, one row per level (a list, or a
-    crew's generator that waits for each row).  Returns the full slice
+    generator that waits for each of the pool's rows).  Returns the full slice
     list for the Y mask, indices 0..bound.
     """
     size = bound + 1

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -87,9 +86,9 @@ def test_bipartite_two_monomials(bipartite22, field64):
 
 
 def test_seq_par_equivalence_battery(field64, monkeypatch):
-    # k up to 5, so the subset phase runs up to five levels across the
-    # crew, at fewer processes than rows and as many, and degrees past k;
-    # each core is listed three times, so the crew can outgrow this host
+    # k up to 5, so the subset phase runs up to five levels on the pool,
+    # at fewer workers than rows, as many, and more than rows; each core
+    # is listed three times, so the pool can outgrow this host
     listed = evaluator._usable_cores() * 3
     monkeypatch.setattr(evaluator, "_usable_cores", lambda: listed)
     rng = random.Random(10)
@@ -110,26 +109,44 @@ def test_seq_par_equivalence_battery(field64, monkeypatch):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="rows run inline without fork")
 def test_pool_workers_bounded_by_sources(field64, monkeypatch):
-    # a recording crew: the processes it was asked for and every map it ran
-    crews = []
+    # a recording stand-in for the fork pool: tasks run inline, no process
+    # starts, and the requested worker count and every task are kept
+    asked, mapped = [], []
 
-    class RecordingCrew(evaluator._Crew):
-        def __init__(self, procs, rows_plan, cores):
-            crews.append((procs, []))
-            super().__init__(procs, rows_plan, cores)
+    class Done:
+        def __init__(self, value):
+            self.value = value
 
-        def rows(self):
-            crews[-1][1].append("rows")
-            return super().rows()
+        def get(self):
+            return self.value
 
-        def starmap(self, fn, tasks):
-            crews[-1][1].append(fn.__name__)
-            return super().starmap(fn, tasks)
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
 
-    monkeypatch.setattr(evaluator, "_Crew", RecordingCrew)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, fn, args):
+            mapped.append(fn.__name__)
+            return Done(fn(*args))
+
+        def starmap(self, fn, tasks, chunksize):
+            # one task at a time, so a level's terms spread over the pool
+            assert chunksize == 1
+            mapped.append(fn.__name__)
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                        InlinePool)
+    monkeypatch.setattr(evaluator, "_PLAN", None)
     cores = evaluator._usable_cores()
     for listed in (cores, cores * 3):
-        # listing each core three times lets the crew grow past the host
+        # listing each core three times lets the pool grow past the host
         monkeypatch.setattr(evaluator, "_usable_cores", lambda: listed)
         for k, degrees in ((2, (10 ** 6,)), (3, (2, 3, 5))):
             inst = random_paths_instance(random.Random(5), 8, k,
@@ -138,65 +155,40 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
             serial = length_plan(inst, 14).slices(f, field64)
             assert any(serial)
             for degree in degrees:
-                crews.clear()
+                asked.clear()
+                mapped.clear()
                 assert length_plan(inst, 14).slices(
                     f, field64, parallelism=degree) == serial
                 procs = min(degree, k, len(listed))
-                # one crew per evaluation: the rows, then one map per level
-                assert crews == ([] if procs == 1 else
-                                 [(procs, ["rows"] + ["_subset_term"] * k)])
-                assert multiprocessing.active_children() == []
-    # moving to a core gives this process back the cores it was allowed
+                # one pool per evaluation: every row, then one map per level
+                assert asked == ([] if procs == 1 else [procs])
+                assert mapped == ([] if procs == 1 else
+                                  ["_pair_row_on_core"] * k
+                                  + ["_subset_term"] * k)
+    # a row task moves this process to a core and gives it back the cores
+    # it was allowed
     if cores[0] is not None:
+        evaluator._move_to_core(cores[-1])
         assert sorted(os.sched_getaffinity(0)) == cores
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="rows run inline without fork")
-def test_crew_deals_around_a_slow_helper(field64, monkeypatch):
-    # the helper placed on core "slow" takes 50 ms more per row: the others
-    # take more of the rows, rows come back out of order, and levels start
-    # while a row is still out; the slices are the serial ones
-    placed = {}
-    pair_by_cost = evaluator._pair_by_cost
-
-    def slow_row(*args):
-        if placed.get("core") == "slow":
-            time.sleep(0.05)
-        return pair_by_cost(*args)
-
-    monkeypatch.setattr(evaluator, "_move_to_core",
-                        lambda core: placed.update(core=core))
-    monkeypatch.setattr(evaluator, "_pair_by_cost", slow_row)
-    monkeypatch.setattr(evaluator, "_usable_cores",
-                        lambda: ["slow", None, None])
-    inst = random_paths_instance(random.Random(7), 10, 4, extra_edges=20)
-    f = random_assignment(field64, inst.m, random.Random(8))
-    serial = length_plan(inst, 20).slices(f, field64)
-    assert any(serial)
-    for degree in (2, 3):
-        assert length_plan(inst, 20).slices(
-            f, field64, parallelism=degree) == serial
-        assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="rows run inline without fork")
-def test_helper_failure_raised_in_caller(field64, monkeypatch):
-    # every row is computed in a helper, and each one fails there
+def test_worker_failure_raised_in_caller(field64, monkeypatch):
+    # every row is computed in a pool worker, and each one fails there
     caller = os.getpid()
     pair_by_cost = evaluator._pair_by_cost
 
     def failing(*args):
         if os.getpid() != caller:
-            raise ValueError("a helper's row failed")
+            raise ValueError("a worker's row failed")
         return pair_by_cost(*args)
 
     monkeypatch.setattr(evaluator, "_pair_by_cost", failing)
     monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 2)
     inst = random_paths_instance(random.Random(5), 8, 3, extra_edges=12)
     f = random_assignment(field64, inst.m, random.Random(6))
-    with pytest.raises(ValueError, match="a helper's row failed"):
+    with pytest.raises(ValueError, match="a worker's row failed"):
         length_plan(inst, 14).slices(f, field64, parallelism=2)
     assert multiprocessing.active_children() == []
 
@@ -424,19 +416,19 @@ def test_memory_budget(field64, monkeypatch):
     with pytest.raises(BudgetError):
         cost_plan(inst, 10 ** 9).slices([1, 1, 1, 1], field64)
 
-    def no_helper(*args, **kwargs):
-        raise AssertionError("a helper process was started")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
 
     if "fork" in multiprocessing.get_all_start_methods():
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
-                            no_helper)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1024)
     try:
         with pytest.raises(BudgetError):
             cost_plan(inst, 100).slices([1, 1, 1, 1], field64)
         # the ceiling is checked before the pair rows run, so at degree 2
-        # it fires before any helper is forked
+        # it fires before any worker is forked
         for degree in (1, 2):
             with pytest.raises(BudgetError):
                 length_plan(inst, 6).slices([1, 1, 1, 1], field64,
@@ -502,11 +494,11 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
         return real_reduce(self, p)
 
     def no_call(*args, **kwargs):
-        raise AssertionError("a helper process was started or GF2Field.mul "
+        raise AssertionError("a worker pool was started or GF2Field.mul "
                              "was called")
 
     if "fork" in multiprocessing.get_all_start_methods():
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
                             no_call)
     monkeypatch.setattr(evaluator, "_pair_by_cost", row)
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w", product)
