@@ -50,7 +50,6 @@ from .flow import (
     Flow,
     GadgetNetwork,
     build_gadget_network,
-    clamp_capacities,
     extract_cost,
     min_cost_flow,
     recover_flow,

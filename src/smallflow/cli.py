@@ -33,16 +33,22 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 
-def _add_common(p):
+def _add_io(p):
+    """The instance and report options every subcommand reads."""
     p.add_argument("--input", "-i", default="-",
                    help="instance file, or - for stdin")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--out", default=None, help="write the report here")
+
+
+def _add_query(p):
+    """The options of the randomized queries (all subcommands but oracle)."""
+    _add_io(p)
     p.add_argument("--field-exp", type=int, default=64,
                    help="field exponent s for GF(2^s)")
     p.add_argument("--reps", type=int, default=None,
                    help="repetitions (default max(3, ceil(log2 n)))")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, help="write the report here")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force oracle")
     p.add_argument("--memory-limit-mib", type=int, default=None,
@@ -57,28 +63,28 @@ def build_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("decide", help="k disjoint paths of bounded length?")
-    _add_common(p)
+    _add_query(p)
     p.add_argument("--length-bound", "-l", type=int, default=None,
                    help="total length bound (default k(n-1))")
     p.add_argument("--parallelism", type=int, default=1)
 
     p = sub.add_parser("mincost", help="minimum cost of k disjoint paths")
-    _add_common(p)
+    _add_query(p)
 
     p = sub.add_parser("find", help="construct a minimum-cost disjoint path set")
-    _add_common(p)
+    _add_query(p)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--strategy", choices=("deletion", "isolation"),
                    default="deletion")
 
     p = sub.add_parser("flow", help="minimum-cost flow of the target value")
-    _add_common(p)
+    _add_query(p)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--dump-gadget", default=None,
                    help="also write the gadget network as a paths instance")
 
     p = sub.add_parser("oracle", help="brute-force answers for an instance")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--kind", choices=("paths", "flow"), default="paths")
     p.add_argument("--length-bound", "-l", type=int, default=None)
 
@@ -211,7 +217,7 @@ def _cmd_flow(args):
     K = parse_dimacs_flow(_read_input(args.input))
     params = _params(args, K.n)
     if args.dump_gadget:
-        gadget = flow_mod.build_gadget_network(flow_mod.clamp_capacities(K))
+        gadget = flow_mod.build_gadget_network(K)
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
             fh.write(serialize_paths_instance(gadget.instance))
     res = flow_mod.min_cost_flow(K, params, max_retries=args.max_retries)

@@ -1,9 +1,9 @@
 """Reduction of min-cost value-k flow to vertex-disjoint connecting paths.
 
-The gadget network has one unit vertex per (edge e, capacity slot i) of
-the flow network.  An edge unit(e, i) -> unit(f, j) joins every unit of
-an edge into a vertex to every other unit of an edge out of it, and
-fresh terminals X enter the units of the source's out-edges: every edge
+The gadget network has min(c(e), k) unit vertices per edge e of the flow
+network.  An edge unit(e, i) -> unit(f, j) joins every unit of an edge
+into a vertex to every other unit of an edge out of it, and fresh
+terminals X enter the units of the source's out-edges: every edge
 entering unit(f, j) costs c(f) * M + 1.  The units of the sink's
 in-edges reach every terminal of Y by cost-1 connector edges.
 
@@ -11,7 +11,8 @@ A gadget path X -> unit(f1) -> ... -> unit(fr) -> Y is a source-to-sink
 walk along f1 ... fr, and vertex-disjoint paths use every unit at most
 once, so k of them form a value-k flow within the capacities; a value-k
 flow of cost D splits into k simple paths (costs are positive, so an
-optimal flow holds no cycle), which take distinct units.  A set of k
+optimal flow holds no cycle), which take distinct units, at most k per
+edge, so capping the units at k loses no optimum.  A set of k
 disjoint paths has gadget cost D * M + (units entered + k): every edge
 adds 1, and a path that enters r units has r + 1 edges.  With M = (unit
 count) + k + 1 that residue stays below M for every path set, so
@@ -41,65 +42,40 @@ class Flow:
 class GadgetNetwork:
     """Disjoint-paths encoding of a flow instance.
 
-    backmap tags every gadget edge id: ("unit", original edge id,
-    capacity slot) on an edge entering that unit, ("connector",) on a
-    unit -> Y edge.  Vertex ids run X first, then the units in (edge id,
-    slot) order, then Y; edges follow X, then each unit in order, so
-    repeated builds are identical.  scale = (unit count) + k + 1.
+    Vertex ids run X first, then the units, min(capacity, k) per edge in
+    edge-id order, then Y: units[i] is the original edge id of unit
+    vertex k + i.  Edges follow X, then each unit in order, so repeated
+    builds are identical.  scale = (unit count) + k + 1.
     """
 
     instance: PathInstance
     flow_instance: FlowInstance
-    backmap: dict
+    units: list
     scale: int
-
-
-def clamp_capacities(K: FlowInstance) -> FlowInstance:
-    """Cap capacities at the target value; value-k flows are unchanged."""
-    k = K.target_value
-    edges = [(u, v, min(cap, k), cost) for u, v, cap, cost in K.edges]
-    if edges == list(K.edges):
-        return K
-    return FlowInstance(K.vertex_count, edges, K.source, K.sink, k)
 
 
 def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     k = K.target_value
-    units = [(eid, slot) for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
-             for slot in range(1, cap + 1)]
-    scale = len(units) + k + 1
-    xs = list(range(k))
-    ys = list(range(k + len(units), 2 * k + len(units)))
+    units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
+             for _ in range(min(cap, k))]
+    first_y = k + len(units)
+    scale = first_y + 1
     out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
-    for i, (eid, _slot) in enumerate(units):
-        out_at[K.edges[eid][0]].append(i)
-    edges = []
-    costs = []
-    backmap = {}
-
-    def add(u, v, cost, tag):
-        backmap[len(edges)] = tag
-        edges.append((u, v))
-        costs.append(cost)
-
-    def enter(u, i):
-        eid, slot = units[i]
-        add(u, k + i, K.edges[eid][3] * scale + 1, ("unit", eid, slot))
-
-    for x in xs:
-        for j in out_at[K.source]:
-            enter(x, j)
-    for i, (eid, _slot) in enumerate(units):
+    for w, eid in enumerate(units, k):
+        out_at[K.edges[eid][0]].append(w)
+    edges = [(x, w) for x in range(k) for w in out_at[K.source]]
+    for v, eid in enumerate(units, k):
         head = K.edges[eid][1]
-        for j in out_at[head]:
-            if j != i:  # a flow self-loop's unit does not enter itself
-                enter(k + i, j)
+        # a flow self-loop's unit does not enter itself
+        edges += [(v, w) for w in out_at[head] if w != v]
         if head == K.sink:
-            for y in ys:
-                add(k + i, y, 1, ("connector",))
-    instance = PathInstance(2 * k + len(units), edges, xs, ys, costs=costs)
-    return GadgetNetwork(instance=instance, flow_instance=K,
-                         backmap=backmap, scale=scale)
+            edges += [(v, y) for y in range(first_y, first_y + k)]
+    costs = [1 if w >= first_y else K.edges[units[w - k]][3] * scale + 1
+             for _v, w in edges]
+    instance = PathInstance(first_y + k, edges, list(range(k)),
+                            list(range(first_y, first_y + k)), costs=costs)
+    return GadgetNetwork(instance=instance, flow_instance=K, units=units,
+                         scale=scale)
 
 
 def extract_cost(d_star: int, scale: int) -> int:
@@ -110,15 +86,16 @@ def extract_cost(d_star: int, scale: int) -> int:
 def recover_flow(paths: PathSet, gadget: GadgetNetwork) -> Flow:
     """Unit usage of a path set, as a flow of the original network."""
     K = gadget.flow_instance
+    inst = gadget.instance
     amounts = [0] * K.m
     gadget_total = 0
     for eid in paths.all_edge_ids():
-        tag = gadget.backmap.get(eid)
-        if tag is None:
+        if not 0 <= eid < inst.m:
             raise ValueError(f"edge {eid} is not from this gadget network")
-        gadget_total += gadget.instance.cost(eid)
-        if tag[0] == "unit":
-            amounts[tag[1]] += 1
+        gadget_total += inst.cost(eid)
+        i = inst.edges[eid][1] - K.target_value  # no edge enters X
+        if i < len(gadget.units):
+            amounts[gadget.units[i]] += 1
     cost = sum(amounts[e] * K.edges[e][3] for e in range(K.m))
     if cost != extract_cost(gadget_total, gadget.scale):
         raise ValueError(
@@ -157,9 +134,9 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
                   max_retries: int = 3, r: int | None = None):
     """(cost, Flow) of a minimum-cost value-k flow, or None if infeasible.
 
-    Pipeline: clamp capacities, build the gadget network, extract a
-    minimum-cost disjoint path set on it (deletion strategy), read the
-    flow off the units it enters, validate.  No flow query uses
+    Pipeline: build the gadget network, extract a minimum-cost disjoint
+    path set on it (deletion strategy), read the flow off the units it
+    enters, validate.  No flow query uses
     isolation, so r takes only None; it is kept because the benchmark
     (perfbench/run.py) passes r=None.  None is exact: the gadget has no k
     disjoint paths (no value-k flow exists), and find_disjoint_paths
@@ -167,8 +144,7 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
     """
     if r is not None:
         raise ValueError("min_cost_flow takes no isolation range")
-    clamped = clamp_capacities(K)
-    gadget = build_gadget_network(clamped)
+    gadget = build_gadget_network(K)
     paths = find_disjoint_paths(gadget.instance, params,
                                 max_retries=max_retries)
     if paths is None:

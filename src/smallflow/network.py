@@ -87,12 +87,10 @@ class PathInstance:
         self.source_index = {v: i for i, v in enumerate(sources)}
         self.sink_index = {v: i for i, v in enumerate(sinks)}
         self._terminal = set(terminals)
-        # adjacency: edge ids grouped by endpoint
+        # adjacency: edge ids grouped by tail
         self.out_edges = [[] for _ in range(n)]
-        self.in_edges = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(edges):
+        for eid, (u, _v) in enumerate(edges):
             self.out_edges[u].append(eid)
-            self.in_edges[v].append(eid)
 
     def is_terminal(self, v) -> bool:
         return v in self._terminal

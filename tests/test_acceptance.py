@@ -12,7 +12,6 @@ from smallflow import (
     GF2Field,
     TestParams,
     build_gadget_network,
-    clamp_capacities,
     decide_cost_bounded,
     decide_disjoint_paths,
     extract_cost,
@@ -294,7 +293,7 @@ def test_criterion_6_flow_pipeline(capsys):
                                  plant=rng.random() < 0.75)
         want = oracle.classic_min_cost_flow(K)
         d_opt = want[0] if want else None
-        gadget = build_gadget_network(clamp_capacities(K))
+        gadget = build_gadget_network(K)
         d_star = oracle.disjoint_paths_min_cost_via_flow(gadget.instance)
         if d_opt is None:
             soundness_bad += d_star is not None

@@ -239,11 +239,11 @@ def test_flow_verify(capsys, tmp_path):
     assert sorted(rep["flow"]) == [[1, 2, 1, 1], [1, 3, 1, 1],
                                    [2, 4, 1, 1], [3, 4, 1, 1]]
     assert rep["verify"]["match"] is True
-    from smallflow.flow import build_gadget_network, clamp_capacities
+    from smallflow.flow import build_gadget_network
     from smallflow.network import parse_dimacs_flow, parse_paths_instance
     gadget = parse_paths_instance(gout.read_text())
     K = parse_dimacs_flow(TWO_ROUTES)
-    assert gadget == build_gadget_network(clamp_capacities(K)).instance
+    assert gadget == build_gadget_network(K).instance
     assert (gadget.k, gadget.n, gadget.m) == (2, 8, 10)
 
 
@@ -391,7 +391,12 @@ def test_isolation_range_is_n2m(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["find", "-r", "64"],
                                   ["find", "--isolation-range", "paper"],
-                                  ["mincost", "--u-max", "5"]])
+                                  ["mincost", "--u-max", "5"],
+                                  ["oracle", "--field-exp", "16"],
+                                  ["oracle", "--reps", "2"],
+                                  ["oracle", "--seed", "1"],
+                                  ["oracle", "--verify"],
+                                  ["oracle", "--memory-limit-mib", "64"]])
 def test_removed_knobs_rejected_by_parser(capsys, paths_file, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "-i", paths_file])
@@ -430,8 +435,8 @@ def test_readme_cli_examples_parse():
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 
-# name -> (instance text, subcommand and flags); every case runs with
-# --verify, in both formats.  tests/golden_cli holds the reports (without
+# name -> (instance text, subcommand and flags); every case runs in both
+# formats, and with --verify unless it is the oracle, which takes none.  tests/golden_cli holds the reports (without
 # timing_ms) and exit codes that each case gave before the subcommands
 # shared one report path.
 GOLDEN_CASES = {
@@ -460,7 +465,8 @@ def golden_run(capsys, tmp_path, name, fmt):
     text, argv = GOLDEN_CASES[name]
     p = tmp_path / f"{name}.in"
     p.write_text(text)
-    code, out = run_cli(capsys, *argv, "-i", str(p), "--verify",
+    verify = [] if argv[0] == "oracle" else ["--verify"]
+    code, out = run_cli(capsys, *argv, "-i", str(p), *verify,
                         "--format", fmt)
     if fmt == "json":
         rep = json.loads(out)

@@ -11,7 +11,6 @@ from smallflow import (
     TestParams,
     assemble_paths,
     build_gadget_network,
-    clamp_capacities,
     classify_edges,
     find_disjoint_paths,
     find_min_perturbed_cost,
@@ -278,7 +277,7 @@ def test_none_only_without_disjoint_paths():
         K = random_flow_instance(rng, rng.randint(3, 5), rng.randint(2, 6),
                                  rng.randint(1, 2), 2, 4,
                                  plant=rng.random() < 0.7)
-        gadget = build_gadget_network(clamp_capacities(K)).instance
+        gadget = build_gadget_network(K).instance
         if gadget.simple_cost_cap() >= field.order:
             continue
         p = TestParams(field=field, repetitions=1, seed=rng.getrandbits(32))
@@ -410,7 +409,7 @@ def test_forced_edges_kept_without_a_scan(monkeypatch):
     assert ps.paths == ((0, 1, 2, 3),) and not scans
     two_routes = FlowInstance(4, [(0, 1, 1, 1), (1, 3, 1, 1), (0, 2, 1, 1),
                                   (2, 3, 1, 1)], 0, 3, 2)
-    gadget = build_gadget_network(clamp_capacities(two_routes)).instance
+    gadget = build_gadget_network(two_routes).instance
     ps = find_disjoint_paths(gadget, params)
     assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 6)
 
@@ -490,7 +489,7 @@ def criterion_6_gadgets():
         k = rng.choice([1, 1, 2, 2, 3])
         K = random_flow_instance(rng, n, m, k, cap_max=3, cost_max=4,
                                  plant=rng.random() < 0.75)
-        yield (build_gadget_network(clamp_capacities(K)).instance,
+        yield (build_gadget_network(K).instance,
                rng.getrandbits(48))
 
 

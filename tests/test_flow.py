@@ -8,7 +8,6 @@ from smallflow import (
     GF2Field,
     TestParams,
     build_gadget_network,
-    clamp_capacities,
     extract_cost,
     min_cost_flow,
     random_flow_instance,
@@ -17,7 +16,7 @@ from smallflow import (
     validate_flow,
 )
 from smallflow import oracle
-from smallflow.extraction import find_disjoint_paths
+from smallflow.extraction import PathSet, find_disjoint_paths
 from smallflow.network import parse_paths_instance
 
 
@@ -30,22 +29,33 @@ def two_routes():
                             (2, 3, 1, 1)], 0, 3, 2)
 
 
-def test_clamp_capacities():
+def test_gadget_caps_capacities_at_k():
+    # a capacity-10^6 edge at k = 2 gets exactly two units; capacities at
+    # or below k keep one unit per capacity
     K = FlowInstance(2, [(0, 1, 10 ** 6, 1)], 0, 1, 2)
-    assert clamp_capacities(K).edges[0][2] == 2
-    K2 = FlowInstance(2, [(0, 1, 2, 1)], 0, 1, 2)
-    assert clamp_capacities(K2) is K2
+    g = build_gadget_network(K)
+    assert g.units == [0, 0]
+    assert g.flow_instance is K
+    assert (g.instance.n, g.instance.m, g.scale) == (6, 8, 5)
+    K2 = FlowInstance(3, [(0, 1, 2, 1), (1, 2, 1, 1), (0, 2, 5, 1)], 0, 2, 2)
+    assert build_gadget_network(K2).units == [0, 0, 1, 2, 2]
 
 
 def test_clamp_preserves_optimum():
+    # capacities up to 9 at k <= 3: the capped gadget's minimum decodes
+    # to the uncapped network's minimum flow cost
     rng = random.Random(40)
     for _ in range(100):
         n = rng.randint(2, 6)
         K = random_flow_instance(rng, n, rng.randint(1, 7), rng.randint(1, 3),
                                  cap_max=9, cost_max=4)
         a = oracle.classic_min_cost_flow(K)
-        b = oracle.classic_min_cost_flow(clamp_capacities(K))
-        assert (a[0] if a else None) == (b[0] if b else None)
+        g = build_gadget_network(K)
+        assert len(g.units) == sum(min(cap, K.target_value)
+                                   for _u, _v, cap, _c in K.edges)
+        d_star = oracle.disjoint_paths_min_cost_via_flow(g.instance)
+        b = None if d_star is None else extract_cost(d_star, g.scale)
+        assert (a[0] if a else None) == b
 
 
 def test_gadget_unit_counts():
@@ -53,9 +63,10 @@ def test_gadget_unit_counts():
     # its 3 incoming units each have one edge into its 1 outgoing unit
     K = FlowInstance(4, [(0, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 1)], 0, 3, 3)
     g = build_gadget_network(K)
-    into_out = [g.instance.edges[eid] for eid, tag in g.backmap.items()
-                if tag == ("unit", 2, 1)]
-    # vertices: X = 0..2, units (0,1), (1,1), (1,2), (2,1) = 3..6, Y = 7..9
+    into_out = [(u, v) for u, v in g.instance.edges
+                if 3 <= v < 7 and g.units[v - 3] == 2]
+    # vertices: X = 0..2, units of edges 0, 1, 1, 2 = 3..6, Y = 7..9
+    assert g.units == [0, 1, 1, 2]
     assert sorted(into_out) == [(3, 6), (4, 6), (5, 6)]
     assert g.instance.n == 10
     ins_at_1 = sum(1 for eid, (u, v, cap, c) in enumerate(K.edges)
@@ -82,7 +93,7 @@ def test_gadget_deterministic_build():
     a = build_gadget_network(K)
     b = build_gadget_network(K)
     assert a.instance == b.instance
-    assert a.backmap == b.backmap
+    assert a.units == b.units
     text = serialize_paths_instance(a.instance)
     assert parse_paths_instance(text) == a.instance
 
@@ -101,6 +112,19 @@ def test_recover_flow_two_routes():
     assert flow.cost == 4
     ok, diag = validate_flow(K, flow)
     assert ok, diag
+
+
+@pytest.mark.parametrize("eid", [-1, 10])
+def test_recover_flow_rejects_foreign_edges(eid):
+    # two_routes' gadget has 10 edges; -1 must not read the last one
+    g = build_gadget_network(two_routes())
+    assert g.instance.m == 10
+    ps = find_disjoint_paths(g.instance, params64(1))
+    edge_ids = (ps.edge_ids[0] + (eid,),) + ps.edge_ids[1:]
+    foreign = PathSet(paths=ps.paths, edge_ids=edge_ids,
+                      total_cost=ps.total_cost)
+    with pytest.raises(ValueError, match="not from this gadget network"):
+        recover_flow(foreign, g)
 
 
 def test_residue_bound_on_path_sets():
@@ -129,9 +153,10 @@ def test_residue_bound_on_path_sets():
             residue = sum(len(w.edge_ids) for w in walks)
             assert residue == total % M
             assert residue < M
-            flow_cost = sum(K.edges[g.backmap[e][1]][3]
-                            for w in walks for e in w.edge_ids
-                            if g.backmap[e][0] == "unit")
+            heads = [inst.edges[e][1] - inst.k
+                     for w in walks for e in w.edge_ids]
+            flow_cost = sum(K.edges[g.units[i]][3] for i in heads
+                            if i < len(g.units))
             assert extract_cost(total, M) == flow_cost
             seen.append((K is cyclic, M, total, residue, flow_cost))
         assert examined >= at_least

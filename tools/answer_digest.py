@@ -100,7 +100,7 @@ def flows(seed, seconds):
         answers.append(None if answer is None else
                        [answer[0], list(answer[1].amounts),
                         _paths(found[0])])
-        gadget = flow.build_gadget_network(flow.clamp_capacities(inst))
+        gadget = flow.build_gadget_network(inst)
         report = {}
         start = time.perf_counter()
         ps = extraction.find_disjoint_paths(
