@@ -52,7 +52,8 @@ def _add_query(p):
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force oracle")
     p.add_argument("--memory-limit-mib", type=int, default=None,
-                   help="ceiling for DP tables (default 2048)")
+                   help="ceiling for DP tables, scan graphs and the flow "
+                        "gadget (default 2048)")
 
 
 def build_parser():
@@ -121,32 +122,32 @@ def _one_indexed(paths):
     return [[v + 1 for v in p] for p in paths]
 
 
-def _finish(args, report, t0, exit_code):
-    report["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+def _finish(args, t0, report, code):
+    """Emit report with the fields all subcommands share (a field of its
+    own takes the place of a shared one of the same name); return code."""
+    report = {"schema": 1, "subcommand": args.subcommand, "deviations": [],
+              **report,
+              "timing_ms": round((time.perf_counter() - t0) * 1000, 3)}
     _emit(args, report)
-    return exit_code
+    return code
 
 
-def _report(args, t0, params, deviations, fields, answered, got,
-            oracle_key, oracle_answer):
+def _report(args, t0, params, fields, answered, exact, got, oracle_key,
+            oracle_answer):
     """Emit the report of decide, mincost, find or flow and return its exit
-    code: the subcommand's own fields with the common ones (a field of the
-    subcommand's takes the place of a common one of the same name), exit 0
-    when answered and 1 otherwise; a None answer is exact and ran no
-    repetition.  With --verify, the report's verify block holds
-    oracle_answer() under oracle_key and whether it matches got, and a
-    mismatch exits 4."""
-    report = {"schema": 1, "subcommand": args.subcommand, "seed": args.seed,
-              "field_exponent": args.field_exp,
-              "repetitions": 0 if got is None else params.repetitions,
-              "deviations": deviations, **fields}
+    code: its fields with the seed, field and repetitions, exit 0 when
+    answered and 1 otherwise; an exact answer ran no repetition.  With
+    --verify, the verify block holds oracle_answer() under oracle_key and
+    whether it matches got, and a mismatch exits 4."""
+    report = {"seed": args.seed, "field_exponent": args.field_exp,
+              "repetitions": 0 if exact else params.repetitions, **fields}
     code = EXIT_ANSWERED if answered else EXIT_ABSENT
     if args.verify:
         want = oracle_answer()
         report["verify"] = {oracle_key: want, "match": want == got}
         if want != got:
             code = EXIT_MISMATCH
-    return _finish(args, report, t0, code)
+    return _finish(args, t0, report, code)
 
 
 def _cost(found):
@@ -166,11 +167,9 @@ def _cmd_decide(args):
     verdict = decision.decide_disjoint_paths(
         instance, l, params, parallelism=args.parallelism)
     fields = {"answer": verdict.answer, "length_bound": l,
-              "evaluated_degree": verdict.degree}
-    if verdict.degree is None:  # a floor ZERO ran no repetition
-        fields["repetitions"] = 0
+              "evaluated_degree": verdict.degree, "deviations": deviations}
     return _report(
-        args, t0, params, deviations, fields, verdict.nonzero,
+        args, t0, params, fields, verdict.nonzero, verdict.degree is None,
         verdict.answer, "oracle_answer",
         lambda: "NONZERO" if oracle.brute_force_disjoint_paths(
             instance, mode="length", bound=l) else "ZERO")
@@ -182,8 +181,8 @@ def _cmd_mincost(args):
     params = _params(args, instance.n)
     cost = decision.min_cost_disjoint_paths(instance, params)
     return _report(
-        args, t0, params, [], {"cost": cost},
-        cost is not None, cost, "oracle_cost",
+        args, t0, params, {"cost": cost}, cost is not None, cost is None,
+        cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
 
@@ -206,7 +205,7 @@ def _cmd_find(args):
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
     return _report(
-        args, t0, params, [], fields, ps is not None, cost,
+        args, t0, params, fields, ps is not None, ps is None, cost,
         "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -229,41 +228,28 @@ def _cmd_flow(args):
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
     fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
-    return _report(args, t0, params, [], fields, cost is not None, cost,
-                   "oracle_cost",
+    return _report(args, t0, params, fields, cost is not None,
+                   cost is None, cost, "oracle_cost",
                    lambda: _cost(oracle.classic_min_cost_flow(K)))
 
 
 def _cmd_oracle(args):
     t0 = time.perf_counter()
-    text = _read_input(args.input)
+    bound = args.length_bound
     if args.kind == "flow":
-        K = parse_dimacs_flow(text)
-        found = oracle.classic_min_cost_flow(K)
-        report = {
-            "schema": 1,
-            "subcommand": "oracle",
-            "kind": "flow",
-            "cost": found[0] if found else None,
-            "deviations": [],
-        }
-        code = EXIT_ANSWERED if found else EXIT_ABSENT
+        if bound is not None:
+            raise ValueError("--length-bound applies to paths instances only")
+        found = oracle.classic_min_cost_flow(
+            parse_dimacs_flow(_read_input(args.input)))
+        fields = {}
     else:
-        instance = parse_paths_instance(text)
-        bound = args.length_bound
         found = oracle.brute_force_disjoint_paths(
-            instance, mode="length" if bound is not None else "cost",
-            bound=bound)
-        report = {
-            "schema": 1,
-            "subcommand": "oracle",
-            "kind": "paths",
-            "cost": found[0] if found else None,
-            "paths": _one_indexed(found[1].paths) if found else None,
-            "deviations": [],
-        }
-        code = EXIT_ANSWERED if found else EXIT_ABSENT
-    return _finish(args, report, t0, code)
+            parse_paths_instance(_read_input(args.input)),
+            mode="cost" if bound is None else "length", bound=bound)
+        fields = {"paths": _one_indexed(found[1].paths) if found else None}
+    return _finish(args, t0, {"kind": args.kind, "cost": _cost(found),
+                              **fields},
+                   EXIT_ANSWERED if found else EXIT_ABSENT)
 
 
 def main(argv=None) -> int:

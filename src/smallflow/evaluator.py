@@ -513,8 +513,8 @@ class ScanGraph:
     index among its tail's out-edges (its slot in the scan's fan at that
     position), so a reader with a cut stops at the first move past it.
     The first move's reach is togo[state].  floor = togo[start], or None
-    when no walk set exists at all.  The memory ceiling is checked once,
-    against the states and moves of the forward pass.
+    when no walk set exists at all.  The memory ceiling is checked against
+    the states and moves of the forward pass as they are collected.
     """
 
     def __init__(self, instance: PathInstance, costs):
@@ -522,12 +522,17 @@ class ScanGraph:
         self.start = (0, instance.sources[0])
         succ = {self.start: _state_moves(instance, self.start)}
         stack = [self.start]
+        cells = 1 + len(succ[self.start])
+        most = DEFAULT_MEMORY_LIMIT // _CELL_BYTES
         while stack:
             for _, key, _ in succ[stack.pop()]:
                 if key is not None and key not in succ:
-                    succ[key] = _state_moves(instance, key)
+                    succ[key] = moves = _state_moves(instance, key)
                     stack.append(key)
-        _check_budget(len(succ) + sum(map(len, succ.values())))
+                    cells += 1 + len(moves)
+                    if cells > most:  # raise before the pass outgrows it
+                        _check_budget(cells)
+        _check_budget(cells)  # the graph's one charge when it fits
         preds = {}
         for state, moves in succ.items():
             for eid, key, _ in moves:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import TestParams
+from .evaluator import _check_budget
 from .extraction import PathSet, find_disjoint_paths
 from .network import FlowInstance, PathInstance
 
@@ -63,6 +64,11 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
     for w, eid in enumerate(units, k):
         out_at[K.edges[eid][0]].append(w)
+    # the memory ceiling, before any edge is built: a vertex is one cell,
+    # and an edge (its tuple, cost and out-edge entry, about 150 bytes) two
+    _check_budget(first_y + k + 2 * (k * len(out_at[K.source]) + sum(
+        len(out_at[v]) - (u == v) + k * (v == K.sink)
+        for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
     edges = [(x, w) for x in range(k) for w in out_at[K.source]]
     for v, eid in enumerate(units, k):
         head = K.edges[eid][1]

@@ -280,6 +280,17 @@ def test_oracle_subcommand(capsys, paths_file):
     assert rep["cost"] == 2
 
 
+def test_oracle_flow_rejects_length_bound(capsys, tmp_path):
+    # a length bound applies to paths instances only: exit 2, not a cost
+    # that ignores it
+    p = tmp_path / "k.dimacs"
+    p.write_text(TWO_ROUTES)
+    code = cli.main(["oracle", "--kind", "flow", "-l", "5", "-i", str(p)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --length-bound applies to paths")
+
+
 def test_malformed_input_exit(capsys, tmp_path):
     p = tmp_path / "bad.paths"
     p.write_text("q paths 2 1 1\nx 1\ny 1\ne 1 2\n")
@@ -346,6 +357,22 @@ def test_memory_limit_flag(capsys, paths_file):
             assert code == 2
             assert "memory-limit-mib" in capsys.readouterr().err
         assert evaluator.DEFAULT_MEMORY_LIMIT == 64 << 20
+    finally:
+        evaluator.set_default_memory_limit(before)
+
+
+def test_memory_limit_bounds_the_flow_gadget(capsys, tmp_path):
+    # a value-300 flow on one arc: its gadget (900 vertices, 180,000
+    # edges) is refused before it is built
+    from smallflow import evaluator
+    before = evaluator.DEFAULT_MEMORY_LIMIT
+    p = tmp_path / "k.dimacs"
+    p.write_text("p min 2 1\nn 1 300\nn 2 -300\na 1 2 0 300 1\n")
+    try:
+        code = cli.main(["flow", "-i", str(p), "--memory-limit-mib", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("budget error: ")
     finally:
         evaluator.set_default_memory_limit(before)
 
@@ -436,9 +463,10 @@ def test_readme_cli_examples_parse():
 GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 
 # name -> (instance text, subcommand and flags); every case runs in both
-# formats, and with --verify unless it is the oracle, which takes none.  tests/golden_cli holds the reports (without
-# timing_ms) and exit codes that each case gave before the subcommands
-# shared one report path.
+# formats, and with --verify unless it is the oracle, which takes none.
+# tests/golden_cli holds the reports (without timing_ms) and exit codes
+# that each case gave before the subcommands shared one report path; the
+# two oracle_* cases were recorded before the oracle's reports joined it.
 GOLDEN_CASES = {
     "decide_nonzero": (BIPARTITE, ["decide", "-l", "2"]),
     "decide_floor_zero": (BOTTLENECK, ["decide"]),
@@ -447,6 +475,8 @@ GOLDEN_CASES = {
     "find_isolation": (BIPARTITE, ["find", "--strategy", "isolation"]),
     "flow": (TWO_ROUTES, ["flow"]),
     "oracle": (BIPARTITE, ["oracle"]),
+    "oracle_flow": (TWO_ROUTES, ["oracle", "--kind", "flow"]),
+    "oracle_length": (BIPARTITE, ["oracle", "-l", "2"]),
 }
 
 # Fields that differ from the recordings by design (DROPPED: the field is

@@ -672,6 +672,35 @@ def test_memory_ceiling_bounds_the_scan(n, k):
     assert peak <= (charge - graph_cells) * evaluator._CELL_BYTES
 
 
+_FRESH_GRAPH_PEAK = """
+import json, sys, tracemalloc
+from smallflow import PathInstance, evaluator
+k, limit = json.load(sys.stdin)
+inst = PathInstance(2 * k, [(i, k + j) for i in range(k) for j in range(k)],
+                    range(k), range(k, 2 * k))
+evaluator.set_default_memory_limit(limit)
+tracemalloc.start()
+try:
+    evaluator.ScanGraph(inst, inst.cost_list())
+    raised = False
+except evaluator.BudgetError:
+    raised = True
+json.dump([raised, tracemalloc.get_traced_memory()[1]], sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_memory_ceiling_bounds_the_scan_graph(k):
+    # Complete bipartite X -> Y: about 2^k * k states and moves, far past a
+    # 1 MiB ceiling.  The forward pass raises as soon as its count passes
+    # the ceiling, not after it has collected every state (19 MiB at
+    # k = 14).
+    limit = 1 << 20
+    raised, peak = _fresh(_FRESH_GRAPH_PEAK, [k, limit])
+    assert raised
+    assert peak <= 2 * limit
+
+
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):
     # no walk set costs less than the floor, so a scan capped below it
     # expands no state: the cost-to-go bound skips the start's moves

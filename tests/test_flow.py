@@ -15,9 +15,12 @@ from smallflow import (
     serialize_paths_instance,
     validate_flow,
 )
-from smallflow import oracle
+from smallflow import evaluator, flow as flow_mod, oracle
 from smallflow.extraction import PathSet, find_disjoint_paths
-from smallflow.network import parse_paths_instance
+from smallflow.network import parse_dimacs_flow, parse_paths_instance
+
+# one arc of capacity 300 carrying a value-300 flow
+BIG_K = "p min 2 1\nn 1 300\nn 2 -300\na 1 2 0 300 1\n"
 
 
 def params64(seed=0, reps=1):
@@ -96,6 +99,39 @@ def test_gadget_deterministic_build():
     assert a.units == b.units
     text = serialize_paths_instance(a.instance)
     assert parse_paths_instance(text) == a.instance
+
+
+def test_gadget_charge_counts_its_vertices_and_edges(monkeypatch):
+    # the ceiling is charged one cell per gadget vertex and two per edge,
+    # counted before the build, self-loops and parallel arcs included
+    charges = []
+    monkeypatch.setattr(flow_mod, "_check_budget", charges.append)
+    rng = random.Random(42)
+    networks = [two_routes(),
+                FlowInstance(4, [(0, 1, 1, 1), (1, 1, 2, 3), (1, 3, 1, 1),
+                                 (0, 2, 1, 2), (2, 3, 1, 2)], 0, 3, 2),
+                FlowInstance(3, [(0, 1, 1, 5), (0, 1, 1, 1), (1, 2, 2, 1),
+                                 (2, 0, 3, 1), (0, 2, 4, 1)], 0, 2, 3)]
+    networks += [random_flow_instance(rng, rng.randint(2, 6),
+                                      rng.randint(1, 9), rng.randint(1, 3),
+                                      cap_max=4, cost_max=3)
+                 for _ in range(30)]
+    for K in networks:
+        inst = build_gadget_network(K).instance
+        assert charges.pop() == inst.n + 2 * inst.m
+
+
+def test_gadget_checked_against_the_ceiling_before_it_is_built():
+    # k = 300 units on one arc: 900 vertices and 180,000 edges, about
+    # 28 MiB, refused under a 1 MiB ceiling
+    K = parse_dimacs_flow(BIG_K)
+    before = evaluator.DEFAULT_MEMORY_LIMIT
+    evaluator.set_default_memory_limit(1 << 20)
+    try:
+        with pytest.raises(evaluator.BudgetError):
+            build_gadget_network(K)
+    finally:
+        evaluator.set_default_memory_limit(before)
 
 
 def test_extract_cost_examples():
