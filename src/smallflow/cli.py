@@ -99,18 +99,6 @@ def _read_input(path):
         return fh.read()
 
 
-def _emit(args, report):
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = "".join(f"{k}: {report[k]}\n" for k in sorted(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _params(args, n):
     reps = args.reps if args.reps is not None \
         else decision.default_repetitions(n)
@@ -123,12 +111,21 @@ def _one_indexed(paths):
 
 
 def _finish(args, t0, report, code):
-    """Emit report with the fields all subcommands share (a field of its
-    own takes the place of a shared one of the same name); return code."""
+    """Emit report, as JSON or text lines, to --out or stdout, with the
+    fields all subcommands share (a field of its own takes the place of a
+    shared one of the same name); return code."""
     report = {"schema": 1, "subcommand": args.subcommand, "deviations": [],
               **report,
               "timing_ms": round((time.perf_counter() - t0) * 1000, 3)}
-    _emit(args, report)
+    if args.format == "json":
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "".join(f"{k}: {report[k]}\n" for k in sorted(report))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 
@@ -241,14 +238,14 @@ def _cmd_oracle(args):
             raise ValueError("--length-bound applies to paths instances only")
         found = oracle.classic_min_cost_flow(
             parse_dimacs_flow(_read_input(args.input)))
-        fields = {}
+        fields = {"cost": _cost(found)}
     else:
         found = oracle.brute_force_disjoint_paths(
             parse_paths_instance(_read_input(args.input)),
             mode="cost" if bound is None else "length", bound=bound)
-        fields = {"paths": _one_indexed(found[1].paths) if found else None}
-    return _finish(args, t0, {"kind": args.kind, "cost": _cost(found),
-                              **fields},
+        fields = {"cost" if bound is None else "length": _cost(found),
+                  "paths": _one_indexed(found[1].paths) if found else None}
+    return _finish(args, t0, {"kind": args.kind, **fields},
                    EXIT_ANSWERED if found else EXIT_ABSENT)
 
 

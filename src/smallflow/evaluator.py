@@ -63,10 +63,11 @@ the length-bounded walk polynomial.  Two engines compute them:
   d*, expands only the states with d + togo <= d*: it serves minimum-cost
   queries and edge-essentiality tests without materializing full tables,
   and a cap below the graph's floor (the start state's togo) expands
-  nothing.  slice_support walks the same graph without field values, to
-  find the edges a slice can contain at all and those each of its
-  monomials contains: the per-edge tests skip every edge outside the
-  first set and every edge in the second.
+  nothing.  slice_support walks the same graph without field values, in
+  one forward pass that holds only its pending layers, to find the edges
+  a slice can contain at all and those each of its monomials contains:
+  the per-edge tests skip every edge outside the first set and every
+  edge in the second.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is
@@ -103,6 +104,7 @@ from .network import PathInstance
 DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
+_MOVE_CELLS = 4  # cells charged per scan-graph move (see ScanGraph)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
 
@@ -514,7 +516,11 @@ class ScanGraph:
     position), so a reader with a cut stops at the first move past it.
     The first move's reach is togo[state].  floor = togo[start], or None
     when no walk set exists at all.  The memory ceiling is checked against
-    the states and moves of the forward pass as they are collected.
+    the forward pass's states and moves as they are collected, one cell
+    per state and _MOVE_CELLS per move (the build peaks at 270-340 bytes
+    per move, states included, tracemalloc): the predecessor lists go
+    before the sorted moves are built, and each state's forward moves as
+    its sorted ones come.  cells charges the finished graph alike.
     """
 
     def __init__(self, instance: PathInstance, costs):
@@ -522,14 +528,14 @@ class ScanGraph:
         self.start = (0, instance.sources[0])
         succ = {self.start: _state_moves(instance, self.start)}
         stack = [self.start]
-        cells = 1 + len(succ[self.start])
+        cells = 1 + _MOVE_CELLS * len(succ[self.start])
         most = DEFAULT_MEMORY_LIMIT // _CELL_BYTES
         while stack:
             for _, key, _ in succ[stack.pop()]:
                 if key is not None and key not in succ:
                     succ[key] = moves = _state_moves(instance, key)
                     stack.append(key)
-                    cells += 1 + len(moves)
+                    cells += 1 + _MOVE_CELLS * len(moves)
                     if cells > most:  # raise before the pass outgrows it
                         _check_budget(cells)
         _check_budget(cells)  # the graph's one charge when it fits
@@ -538,16 +544,20 @@ class ScanGraph:
             for eid, key, _ in moves:
                 preds.setdefault(key, []).append((state, costs[eid]))
         togo = _backward_costs([None], preds)
-        self.moves = {
-            state: sorted(
-                ((eid, costs[eid], key, costs[eid] + togo[key], slot)
-                 for eid, key, slot in moves if key in togo),
-                key=lambda move: move[3])
-            for state, moves in succ.items() if state in togo}
+        del preds
+        self.moves = {}
+        while succ:  # each state's forward moves go as its sorted ones come
+            state, moves = succ.popitem()
+            if state in togo:
+                self.moves[state] = sorted(
+                    ((eid, costs[eid], key, costs[eid] + togo[key], slot)
+                     for eid, key, slot in moves if key in togo),
+                    key=lambda move: move[3])
         del togo[None]
         self.togo = togo
         self.floor = togo.get(self.start)
-        self.cells = len(self.moves) + sum(map(len, self.moves.values()))
+        self.cells = len(self.moves) + _MOVE_CELLS * sum(
+            map(len, self.moves.values()))
 
 
 def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
@@ -657,70 +667,62 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     on every, walk set of exact cost d built from alive edges only
     (alive[e] is true for a usable edge).
 
-    One forward pass collects the graph's states (finished-sinks mask,
-    position, cost) reachable from the start, skipping moves that cannot
-    finish by cost d (the bound of scan_slices), and visits the pending
-    costs from a heap in increasing cost: at an exact d the order does
-    not change which states are kept; one backward pass keeps the
-    moves that still reach a finished walk set at cost exactly d.  No
-    field arithmetic is done.  Every monomial of the cost-d slice over
-    alive edges is the product along one such walk set, so zeroing the
-    variable of an edge outside the support leaves that slice's value
-    unchanged at every assignment.  The forward pass also carries, for
-    each (cost, state), an int bitmask of the edges that some prefix
-    reaching it avoids: the start holds all m bits, and a move clears its
-    edge's bit and ORs the rest into its target, or into `done` when it
-    finishes at cost exactly d.  An edge of the support whose bit is
-    clear in `done` is forced: every monomial of the slice holds its
-    variable, so zeroing it makes the slice an empty sum, zero at every
-    assignment.  The memory ceiling is checked once per layer against the
-    graph's cells and the states kept, each charged one cell for itself
-    and 1 + m // 540 for its mask (an m-bit int takes about 24 + m/7.5
-    bytes).
+    One forward pass, without field arithmetic, visits the graph's states
+    reachable from the start in increasing cost, skipping moves that
+    cannot finish by cost d (the bound of scan_slices).  Each pending
+    (cost, state) carries two int bitmasks: the edges that some prefix
+    reaching it avoids (all m at the start) and those that some prefix
+    reaching it uses (none at the start); a move clears its edge's bit in
+    the first, sets it in the second and ORs both into its target.  A
+    prefix followed by a move that finishes at exactly d is a walk set of
+    cost d, and every such set is one: the OR of those moves' used masks
+    is the support, and an edge of it whose bit is clear in the OR of
+    their avoided masks is forced.  Every monomial of the cost-d slice is
+    the product along one such walk set, so zeroing an edge outside the
+    support leaves that slice unchanged at every assignment, and zeroing
+    a forced one makes it an empty sum.  Each layer is dropped once it is
+    expanded.  The memory ceiling is checked once per layer against the
+    graph's cells and the pending entries, each charged one cell for its
+    dict slot and pair and 1 + m // 540 for each mask (an m-bit int takes
+    about 24 + m/7.5 bytes; the pass peaked at 0.5-0.67x of that charge
+    on dense costed graphs, tracemalloc, 64-bit CPython 3.11).
     """
     m = graph.instance.m
-    layers = {}  # cost -> state -> avoided-edge mask, then its moves
-    costs = []  # heap of the costs in layers not yet expanded
-    if graph.floor is not None and graph.floor <= d:
-        layers[0] = {graph.start: (1 << m) - 1}
-        costs.append(0)
-    stored = 1
-    done = 0
+    # pending cost -> state -> (avoided mask, used mask)
+    layers = {} if graph.floor is None or graph.floor > d else \
+        {0: {graph.start: ((1 << m) - 1, 0)}}
+    costs = list(layers)  # heap of the pending costs
+    pending = len(layers)  # entries of the pending layers
+    avoided = used = 0  # over the moves that finish at exactly d
     while costs:
         at = heappop(costs)
-        states = layers[at]
-        _check_budget(stored * (2 + m // 540) + graph.cells)
-        for state, bits in states.items():
-            moves = []
+        _check_budget(pending * (3 + 2 * (m // 540)) + graph.cells)
+        states = layers.pop(at)
+        pending -= len(states)
+        for state, (avoids, uses) in states.items():
             for eid, c, key, reach, _ in graph.moves[state]:
                 if at + reach > d:
                     break
                 d2 = at + c
                 if not alive[eid] or (key is None and d2 != d):
                     continue
-                moves.append((eid, d2, key))
-                avoided = bits & ~(1 << eid)
+                bit = 1 << eid
                 if key is None:
-                    done |= avoided
+                    avoided |= avoids & ~bit
+                    used |= uses | bit
                     continue
                 tgt = layers.get(d2)
                 if tgt is None:
                     tgt = layers[d2] = {}
                     heappush(costs, d2)
-                if key not in tgt:
-                    stored += 1
-                tgt[key] = tgt.get(key, 0) | avoided
-            states[state] = moves
-    support = [False] * m
-    finishing = {}  # cost -> states that reach a finished set at cost d
-    for at in sorted(layers, reverse=True):
-        here = finishing[at] = set()
-        for state, moves in layers[at].items():
-            for eid, d2, key in moves:
-                if key is None or key in finishing.get(d2, ()):
-                    support[eid] = True
-                    here.add(state)
-    return support, [s and not done >> e & 1 for e, s in enumerate(support)]
+                old = tgt.get(key)
+                if old is None:
+                    tgt[key] = avoids & ~bit, uses | bit
+                    pending += 1
+                else:
+                    tgt[key] = old[0] | avoids & ~bit, old[1] | uses | bit
+    return tuple([bool(mask >> e & 1) for e in range(m)]
+                 for mask in (used, used & ~avoided))  # support, forced
 
 
 def scan_min_cost_slice(graph: ScanGraph, assignment, field: GF2Field,

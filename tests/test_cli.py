@@ -466,7 +466,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 # formats, and with --verify unless it is the oracle, which takes none.
 # tests/golden_cli holds the reports (without timing_ms) and exit codes
 # that each case gave before the subcommands shared one report path; the
-# two oracle_* cases were recorded before the oracle's reports joined it.
+# two oracle_* cases were recorded before the oracle's reports joined it,
+# and oracle_length again once a length-bounded answer was labelled
+# `length` instead of `cost`.
 GOLDEN_CASES = {
     "decide_nonzero": (BIPARTITE, ["decide", "-l", "2"]),
     "decide_floor_zero": (BOTTLENECK, ["decide"]),

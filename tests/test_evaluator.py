@@ -689,16 +689,62 @@ json.dump([raised, tracemalloc.get_traced_memory()[1]], sys.stdout)
 """
 
 
-@pytest.mark.parametrize("k", [12, 14])
+@pytest.mark.parametrize("k", [10, 12, 14])
 def test_memory_ceiling_bounds_the_scan_graph(k):
-    # Complete bipartite X -> Y: about 2^k * k states and moves, far past a
-    # 1 MiB ceiling.  The forward pass raises as soon as its count passes
-    # the ceiling, not after it has collected every state (19 MiB at
-    # k = 14).
+    # Complete bipartite X -> Y: about 2^k * k states and moves.  At k = 12
+    # and 14, far past a 1 MiB ceiling, the forward pass raises as soon as
+    # its count passes the ceiling, not after it has collected every state
+    # (19 MiB at k = 14).  At k = 10 (1,023 states, 5,120 moves) the build
+    # either raises or holds no more than the ceiling: the charge counts
+    # the predecessor lists and the sorted moves too.
     limit = 1 << 20
     raised, peak = _fresh(_FRESH_GRAPH_PEAK, [k, limit])
-    assert raised
-    assert peak <= 2 * limit
+    if k == 10:
+        assert raised or peak <= limit
+    else:
+        assert raised
+        assert peak <= 2 * limit
+
+
+_FRESH_SUPPORT_PEAK = """
+import json, sys, tracemalloc
+from smallflow import PathInstance, evaluator
+n, edges, sources, sinks, costs, to_cap = json.load(sys.stdin)
+inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
+                    costs=costs)
+graph = evaluator.ScanGraph(inst, inst.cost_list())
+d = inst.simple_cost_cap() if to_cap else graph.floor + 4
+charges = []
+check = evaluator._check_budget
+evaluator._check_budget = lambda cells: (charges.append(cells), check(cells))
+tracemalloc.start()
+support, _ = evaluator.slice_support(graph, [True] * inst.m, d)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+json.dump([peak, max(charges), graph.cells, len(charges), sum(support)],
+          sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("to_cap", [True, False])
+@pytest.mark.parametrize("n, k", [(14, 2), (12, 3), (10, 3)])
+def test_memory_ceiling_bounds_the_support_pass(n, k, to_cap):
+    # The dense costed instances of test_memory_ceiling_bounds_the_scan,
+    # at d = simple_cost_cap() and at d = floor + 4.  The graph is built
+    # before the measurement; the support pass allocates no more than its
+    # largest check charges beyond the graph's cells (the pending layers'
+    # entries and their two masks each).
+    inner = range(2 * k, n)
+    edges = [(x, v) for x in range(k) for v in inner]
+    edges += [(u, v) for u in inner for v in inner if u != v]
+    edges += [(u, y) for u in inner for y in range(k, 2 * k)]
+    rng = random.Random(3)
+    costs = [rng.randint(1, 4) for _ in edges]
+    peak, charge, graph_cells, checks, support = _fresh(
+        _FRESH_SUPPORT_PEAK, [n, edges, list(range(k)),
+                              list(range(k, 2 * k)), costs, to_cap])
+    assert checks > 5 and support > 30
+    assert peak <= (charge - graph_cells) * evaluator._CELL_BYTES
 
 
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):

@@ -138,6 +138,25 @@ def test_forced_edges_lie_on_every_walk_set(inst, seed):
                              not any(slice_support(graph, without, d)[0]))
 
 
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(tiny_instances(), st.integers(0, 2**32))
+def test_support_is_the_union_of_walk_sets(inst, seed):
+    # against an independent enumeration: support is the union, and forced
+    # the intersection, of the edge sets of the walk sets of exact cost d
+    # on alive edges; with no such walk set, both are empty
+    rng = random.Random(seed)
+    alive = [rng.random() < 0.8 for _ in range(inst.m)]
+    d = rng.randint(inst.k, max(inst.simple_cost_cap(), inst.k))
+    sets = [set(ws.monomial())
+            for ws in oracle.enumerate_proper_walk_sets(inst, d, "cost")]
+    sets = [edges for edges in sets if all(alive[e] for e in edges)]
+    support, forced = slice_support(ScanGraph(inst, inst.cost_list()),
+                                    alive, d)
+    assert {e for e in range(inst.m) if support[e]} == set().union(*sets)
+    assert {e for e in range(inst.m) if forced[e]} == \
+        (set.intersection(*sets) if sets else set())
+
+
 def _scan(inst, costs, f, field, top):
     """Exact-cost slices 0..top at `costs`, read off the scan engine."""
     slices = [0] * (top + 1)

@@ -15,7 +15,10 @@ One line is printed per digest:
   path set (deletion strategy) it reads each flow from;
 * `isolation`: the path sets find_disjoint_paths returns with
   strategy="isolation" on the same `flow` gadgets, with the attempts
-  made.
+  made;
+* `support`: the (support, forced) edge ids evaluator.slice_support
+  returns with every edge alive at d0, the cost of the deletion path
+  set, on each `flow` gadget that has a flow.
 
 Each line also gives the query count and the seconds spent in the
 queries (wall time on this host, not scaled like perfbench's).
@@ -33,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from smallflow import GF2Field, decision, extraction, flow  # noqa: E402
+from smallflow import GF2Field, decision, evaluator, extraction, flow  # noqa: E402
 from smallflow.network import parse_dimacs_flow, parse_paths_instance  # noqa: E402
 from workloads import make_batch  # noqa: E402
 
@@ -86,6 +89,7 @@ def flows(seed, seconds):
         return found[-1]
 
     answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
+    supports, support_s = [], 0.0
     for q in make_batch("flow", seed, seconds):
         inst = parse_dimacs_flow(q.text)
         params = _params(q, inst)
@@ -101,6 +105,15 @@ def flows(seed, seconds):
                        [answer[0], list(answer[1].amounts),
                         _paths(found[0])])
         gadget = flow.build_gadget_network(inst)
+        if answer is not None:
+            g = gadget.instance
+            start = time.perf_counter()
+            masks = evaluator.slice_support(
+                evaluator.ScanGraph(g, g.cost_list()), [True] * g.m,
+                found[0].total_cost)
+            support_s += time.perf_counter() - start
+            supports.append([[e for e, on in enumerate(mask) if on]
+                             for mask in masks])
         report = {}
         start = time.perf_counter()
         ps = extraction.find_disjoint_paths(
@@ -111,6 +124,7 @@ def flows(seed, seconds):
         isolated.append(_paths(ps))
     _line("flow", answers, spent)
     _line("isolation", isolated, isolation_s, f"  {attempts} attempts")
+    _line("support", supports, support_s)
 
 
 def main(argv=None):
