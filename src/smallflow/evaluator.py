@@ -17,12 +17,20 @@ the length-bounded walk polynomial.  Two engines compute them:
   the edge values and is built once per query, the table engine's
   counterpart of ScanGraph; plan.slices(assignment, field) is one
   evaluation, the plain list of slice values up to the plan's bound (l
-  at unit costs, eval_length_bounded_seq).  The edges a row relaxes are
-  grouped by cost and tail into fans, whose values are packed one per
-  slot and windowed once per evaluation, so one scalar product per
-  (layer, tail, cost) gives every out-edge's product; the products go
-  unreduced into their heads' cells, and each cell is reduced once, when
-  its layer is complete.  A row's table holds only the cells that can
+  at unit costs, eval_length_bounded_seq).  The rows take one of two
+  routes, which give bit-identical rows.  Per row (_pair_by_cost), the
+  edges a row relaxes are grouped by cost and tail into fans, whose
+  values are packed one per slot and windowed once per evaluation, so
+  one scalar product per (layer, tail, cost) gives every out-edge's
+  product; the products go unreduced into their heads' cells, and each
+  cell is reduced once, when its layer is complete.  Packed
+  (_packed_rows), all k rows run as one recurrence whose cell (q, v)
+  holds row r's value in slot r: each cell is reduced and windowed
+  once, and one scalar product per out-edge gives that edge's product
+  for every row, the way the paper evaluates its rows side by side.
+  A plan packs when its fans are narrower than k on average (_packs),
+  and then its serial route is the packed pass; the pool always maps
+  the per-row task.  A row's table holds only the cells that can
   still finish within the bound.  sink_distances gives togo(v), the
   least cost from v to a sink along the recurrence's edges, and d_i =
   togo(source i) (one backward bucket-queue pass, shared with the scan
@@ -75,7 +83,8 @@ over source rows, and then over the sink masks of one popcount: walks
 from different sources never meet in the pair recurrence, and a level of
 the subset recurrence reads only the level below.  So the pipeline maps
 the rows, then the subset levels one at a time, either in this process
-or over one pool of worker processes, with bit-identical results.
+(the packed pass in place of the rows on a packing plan) or over one
+pool of worker processes, with bit-identical results.
 
 Layer tables and scan fans live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -94,6 +103,7 @@ from itertools import starmap
 from .field import (
     GF2Field,
     SLOT_BITS,
+    vec_pack,
     vec_reduce,
     vec_scalar_mul_w,
     vec_unpack,
@@ -105,6 +115,7 @@ DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
 _MOVE_CELLS = 4  # cells charged per scan-graph move (see ScanGraph)
+_TAIL_CELLS = 2  # cells charged per TablePlan.tails entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
 
@@ -156,6 +167,29 @@ def subset_table_cells(k: int, bound: int) -> int:
 # Table engine (pair tables + subset table)
 # ---------------------------------------------------------------------------
 
+def _packs(k: int, widths) -> bool:
+    """Whether a plan's serial route is the packed row pass, from its k
+    and the widths of its fans: k > 1 and a mean fan width below k.
+
+    Per cell, the packed pass makes one product per out-edge and the
+    per-row route one per row and fan, and a product costs about the same
+    at 1 to 4 slots (tools/kernel_timing.py), so packing pays below some
+    mean width above k.  Measured crossover (whole serial
+    evaluations, same-process A/B, layered unit-cost instances of width 5
+    and depth 6, 2-core host, CPython 3.11): packed over per-row time
+    0.89-0.96 at k = 2 for mean fans 1.6-2.6 and 1.17 at 3.6; 0.67-0.87
+    at k = 3 for 1.8-3.7 and 0.98-1.03 at 4.7; 0.69-0.93 at k = 4 for
+    2.0-5.9.  The rule packs only where packing won at every k measured,
+    which stops short of the crossover at k = 3 and 4: on criterion 7's
+    instance (mean fan 4.9 at k = 4, l = 252) packing took 0.81 of the
+    per-row time (medians of 8 alternating fresh-process runs).  Those
+    wide-fan plans, and decide's k = 2 shapes, keep the per-row route,
+    the one the pool maps; moving the rule up to the crossover would make
+    criterion 7 time the pool against the packed pass (ROADMAP item 7).
+    """
+    return k > 1 and sum(widths) < k * len(widths)
+
+
 class TablePlan:
     """The table engine's plan for one instance, bound and cost vector:
     everything an evaluation reads that does not depend on the edge
@@ -173,10 +207,18 @@ class TablePlan:
     increasing togo(head), keys those togo values, and the fans of one
     cost in increasing first key.  The fans are built at every bound.
 
+    packs (_packs, from k and the fans' widths) says whether the serial
+    route is the packed row pass (_packed_rows) or one _pair_by_cost per
+    row; the pool always maps _pair_by_cost.  A packing plan also holds
+    tails: for each vertex, the (reach, c, head, edge id) of its fans'
+    edges in increasing reach = c + togo(head), () for a vertex with no
+    fan; it is None on any other plan.
+
     The memory ceiling is charged pair_cells, the pair rows unpruned at
     bound - k + 1 layers each (each other walk costs at least d_i >= 1,
     so no budget exceeds that), subset_cells and fan_cells (_fan_cells
-    of each fan), and checked once per evaluation, before any row runs.
+    of each fan, and _TAIL_CELLS per entry of tails), and checked once
+    per evaluation, before any row runs.
     """
 
     def __init__(self, instance: PathInstance, bound: int, costs):
@@ -207,19 +249,34 @@ class TablePlan:
                              [edge[2] for edge in fan]))
             fans.sort(key=lambda fan: fan[0])
             self.fans.append((c, fans))
+        widths = [len(fan[3]) for _, fans in self.fans for fan in fans]
+        self.packs = _packs(k, widths)
+        self.tails = None
+        if self.packs:
+            tails = {}
+            for c, fans in groups.items():
+                for u, fan in fans.items():
+                    tails.setdefault(u, []).extend(
+                        (c + key, c, v, eid) for key, v, eid in fan)
+            self.tails = [()] * instance.n
+            for u, out in tails.items():
+                self.tails[u] = sorted(out)
         self.pair_cells = max(bound - k + 1, 0) * instance.n * k
         self.subset_cells = subset_table_cells(k, bound)
-        self.fan_cells = sum(_fan_cells(len(fan[3]))
-                             for _, fans in self.fans for fan in fans)
+        self.fan_cells = sum(_fan_cells(width) for width in widths) + \
+            (_TAIL_CELLS * sum(widths) if self.packs else 0)
 
     def slices(self, assignment, field: GF2Field,
                parallelism: int = 1) -> list[int]:
         """One evaluation: the slice values 0..bound at the given edge
         values.
 
-        Each fan's values are packed one per 128-bit slot and windowed
-        once (vec_window), so that one scalar product gives every edge's
-        product at once.  With parallelism > 1, k > 1 and two or more
+        On a packing plan (self.packs) the serial route is one packed
+        pass over all k rows (_packed_rows), which windows no fan.  On any
+        other plan, and on the pool, each fan's values are packed one per
+        128-bit slot and windowed once (vec_window), so that one scalar
+        product gives every edge's product at once, and each row is one
+        _pair_by_cost.  With parallelism > 1, k > 1 and two or more
         usable cores, one fork pool of min(parallelism, k, usable cores)
         workers serves the whole evaluation: the workers inherit the
         windowed plan when they fork (the pool's initializer), so no task
@@ -227,15 +284,21 @@ class TablePlan:
         usable cores) are queued first, then each level of the subset
         phase as soon as the row it reads is in, one task at a time, so
         a level's terms can run while a later row is still out.
-        Otherwise both phases map inline, in this process, by the same
-        code, so the result is bit-identical for every parallelism
-        degree.
+        Otherwise both phases map inline, in this process.  Both row
+        routes give the same rows and the subset phase is one code, so
+        the result is bit-identical for every parallelism degree.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
         _check_assignment(self.instance, assignment)
         k, bound = self.instance.k, self.bound
         _check_budget(self.pair_cells + self.subset_cells + self.fan_cells)
+        cores = _usable_cores()
+        procs = min(parallelism, k, len(cores))
+        forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
+        if self.packs and not forks:
+            rows = _packed_rows(self, assignment, field)
+            return _subset_phase(k, bound, rows, field, starmap)
         windowed = []
         for c, fans in self.fans:
             group = []
@@ -246,9 +309,7 @@ class TablePlan:
                 group.append((first, u, keys, heads, vec_window(packed)))
             windowed.append((c, group))
         rows_plan = (self, assignment, field, windowed)
-        cores = _usable_cores()
-        procs = min(parallelism, k, len(cores))
-        if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        if forks:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=procs, initializer=_set_plan,
                           initargs=(rows_plan,)) as pool:
@@ -402,6 +463,67 @@ def _pair_by_cost(plan, assignment, field, fans_by_cost, xi):
             for y in instance.sinks]
 
 
+def _packed_rows(plan, assignment, field):
+    """The rows of _pair_by_cost for every source at once, from one
+    recurrence in which cell (q, v) holds row r's value in 128-bit slot
+    r: a packing plan's serial route.
+
+    A source's out-edges within its own budget write its slot of their
+    heads' cells.  Then, layer by layer, each nonzero cell is reduced
+    once (vec_reduce, all k slots) and windowed once, and for each
+    out-edge e = (u, v) in
+    plan.tails[u] one scalar product of that window by e's value gives
+    e's product for every row; the k-slot product goes unreduced into
+    cell (q + c(e), v).  Both operands are reduced, so no slot spills
+    into the next one.  Cells are pruned as in _pair_by_cost, against
+    the deepest budget top = max(plan.budgets): cell (q, v) is written
+    only when q + togo(v) <= top, so a cell's out-edges are read up to
+    the first with reach > top - q.  Each row's column is then cut to
+    that row's own budget: every cell a row's column reads within its
+    budget is exact, here as in _pair_by_cost (a cell kept at the row's
+    budget is kept at top, and a cell kept at top reads only kept
+    cells), so the rows are bit-identical to _pair_by_cost's.
+
+    Each cell costs one window and one product per out-edge, where the
+    row route pays one product per row and fan, one slot extraction per
+    row and edge, and one reduction per row and cell; so packing pays
+    on narrow fans (see _packs).
+    """
+    instance, costs, togo = plan.instance, plan.costs, plan.togo
+    k, budgets, tails = instance.k, plan.budgets, plan.tails
+    top = max(budgets)
+    pair = [[0] * instance.n for _ in range(top + 1)]
+    for r, x in enumerate(instance.sources):
+        for eid in instance.out_edges[x]:
+            v = instance.edges[eid][1]
+            if v not in instance.source_index and v in togo and \
+                    costs[eid] + togo[v] <= budgets[r]:
+                pair[costs[eid]][v] ^= assignment[eid] << (SLOT_BITS * r)
+    reduce, window, mul = vec_reduce, vec_window, vec_scalar_mul_w
+    for q in range(1, top + 1):
+        layer = pair[q]
+        cut = top - q
+        for u, cell in enumerate(layer):
+            if not cell:
+                continue
+            layer[u] = cell = reduce(cell, k, field)
+            out = tails[u]
+            if not out or out[0][0] > cut or not cell:
+                continue
+            win = window(cell)
+            for reach, c, v, eid in out:
+                if reach > cut:
+                    break
+                pair[q + c][v] ^= mul(win, assignment[eid])
+    rows = []
+    for r, budget in enumerate(budgets):
+        shift = SLOT_BITS * r
+        rows.append([[pair[q][y] >> shift & _SLOT_MASK
+                      for q in range(1, budget + 1)]
+                     for y in instance.sinks])
+    return rows
+
+
 def _subset_phase(k, bound, rows, field, mapper):
     """Subset recurrence over sink masks, index = exact length or cost.
 
@@ -414,8 +536,10 @@ def _subset_phase(k, bound, rows, field, mapper):
     starmap, or itertools.starmap inline) computes the level's terms, and
     each mask XORs its terms and is reduced once.  Level t reads row t-1
     only, so rows is read in order, one row per level (a list, or a
-    generator that waits for each of the pool's rows).  Returns the full slice
-    list for the Y mask, indices 0..bound.
+    generator that waits for each of the pool's rows).  Level 1 needs no
+    product: the table of {j} is row 0's column j itself, packed one
+    slot up, and its entries are reduced already.  Returns the full
+    slice list for the Y mask, indices 0..bound.
     """
     size = bound + 1
     tables = [0] * (1 << k)
@@ -423,7 +547,10 @@ def _subset_phase(k, bound, rows, field, mapper):
     levels = [[] for _ in range(k)]
     for mask in range(1, 1 << k):
         levels[bin(mask).count("1") - 1].append(mask)
-    for row, level in zip(rows, levels):
+    rows = iter(rows)
+    for j, column in enumerate(next(rows, ())):
+        tables[1 << j] = vec_pack([0, *column])
+    for row, level in zip(rows, levels[1:]):
         owners, terms = [], []
         for mask in level:
             for j, column in enumerate(row):

@@ -15,10 +15,10 @@ one big int, 128 bits per slot, so that a whole vector can be multiplied
 by a shared scalar with a handful of CPython big-int operations
 (vec_window once per vector, then vec_scalar_mul_w per scalar).
 Products are left unreduced (< 2^(2s-1) per slot) and may be XORed
-together before they are folded back below 2^s: the evaluator's row
+together before they are folded back below 2^s: the evaluator's per-row
 recurrence and scans fold each cell or state they take out of a product
-with GF2Field.reduce, and its subset phase folds whole packed tables with
-vec_reduce.
+with GF2Field.reduce, and its packed row pass and subset phase fold
+whole packed cells and tables with vec_reduce.
 
 The kernels are straight-line code with these preconditions:
 vec_scalar_mul_w takes a scalar below 2^64 (every element of every
@@ -172,6 +172,12 @@ def _low_mask(count: int, s: int) -> int:
         m = int.from_bytes(chunk * count, "little")
         _LOW_MASKS[key] = m
     return m
+
+
+def vec_pack(values) -> int:
+    """Pack values (each below 2^128) one per slot, the first in slot 0."""
+    return int.from_bytes(b"".join(v.to_bytes(SLOT_BYTES, "little")
+                                   for v in values), "little")
 
 
 def vec_unpack(packed: int, count: int) -> list[int]:

@@ -160,11 +160,12 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
                 assert length_plan(inst, 14).slices(
                     f, field64, parallelism=degree) == serial
                 procs = min(degree, k, len(listed))
-                # one pool per evaluation: every row, then one map per level
+                # one pool per evaluation: every row, then one map per
+                # level above the first, whose tables are the packed columns
                 assert asked == ([] if procs == 1 else [procs])
                 assert mapped == ([] if procs == 1 else
                                   ["_pair_row_on_core"] * k
-                                  + ["_subset_term"] * k)
+                                  + ["_subset_term"] * (k - 1))
     # a row task moves this process to a core and gives it back the cores
     # it was allowed
     if cores[0] is not None:
@@ -460,38 +461,45 @@ def looped_chains():
 def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
     # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
     # z reaches no sink, so a -> z is in no fan.  The fans: a -> {b},
-    # b -> {y, c} (keys 0, 3) and c -> {a}, one product each.  A walk
-    # from x_i stands at a at q = 1, 4, 7, ..., at b at 2, 5, ... and at
-    # c at 3, 6, ...; cell (q, v) is written only when q + togo(v) <=
-    # l - 3.  Per row, at l = 11 (budget 8): q=2 a->b, q=3 b->y and b->c,
-    # q=4 c->a, q=5 a->b, q=6 b->y (b->c would need 9): 5 products
-    # writing 6 cells.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 =
-    # d_0 + d_1, none.  Each written cell is reduced once.
+    # b -> {y, c} (keys 0, 3) and c -> {a}: widths 1, 2, 1, below k = 2,
+    # so the plan packs.  A walk from x_i stands at a at q = 1, 4, 7, ...,
+    # at b at 2, 5, ... and at c at 3, 6, ...; cell (q, v) is written only
+    # when q + togo(v) <= l - 3.
+    #
+    # Per row (the pool's task, also the serial route of a plan that does
+    # not pack), one product per fan, into layer q: at l = 11 (budget 8):
+    # q=2 a->b, q=3 b->y and b->c, q=4 c->a, q=5 a->b, q=6 b->y (b->c
+    # would need 9): 5 products writing 6 cells, each reduced once by
+    # GF2Field.reduce.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 =
+    # d_0 + d_1, none.
+    #
+    # Packed, one product per out-edge of a kept cell, out of layer q, and
+    # one vec_reduce per written cell, layer 1 included.  The chains share
+    # no vertex, so each cell holds one row's walks: at l = 11 the cells
+    # (1, a), (2, b), (3, y), (3, c), (4, a), (5, b), (6, y) of each chain
+    # are reduced and a->b, b->y, b->c, c->a, a->b, b->y multiplied: 6
+    # products and 7 reductions per chain.  At l = 6: (1, a), (2, b),
+    # (3, y) and a->b, b->y.
     inst = looped_chains()
     f = [3 + e for e in range(inst.m)]
-    products = cells = 0
-    in_pairs = False
-    real_row = evaluator._pair_by_cost
-    real_product = evaluator.vec_scalar_mul_w
-    real_reduce = GF2Field.reduce
+    counts = dict.fromkeys(("products", "reduce", "vec_reduce"), 0)
+    inside = False
 
-    def row(*args):
-        nonlocal in_pairs
-        in_pairs = True
-        try:
-            return real_row(*args)
-        finally:
-            in_pairs = False
+    def rows(real):
+        def wrapper(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return real(*args)
+            finally:
+                inside = False
+        return wrapper
 
-    def product(win, scalar):
-        nonlocal products
-        products += in_pairs
-        return real_product(win, scalar)
-
-    def reduce(self, p):
-        nonlocal cells
-        cells += in_pairs
-        return real_reduce(self, p)
+    def tally(key, real):
+        def wrapper(*args):
+            counts[key] += inside
+            return real(*args)
+        return wrapper
 
     def no_call(*args, **kwargs):
         raise AssertionError("a worker pool was started or GF2Field.mul "
@@ -500,17 +508,33 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
     if "fork" in multiprocessing.get_all_start_methods():
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
                             no_call)
-    monkeypatch.setattr(evaluator, "_pair_by_cost", row)
-    monkeypatch.setattr(evaluator, "vec_scalar_mul_w", product)
-    monkeypatch.setattr(GF2Field, "reduce", reduce)
+    monkeypatch.setattr(evaluator, "_pair_by_cost",
+                        rows(evaluator._pair_by_cost))
+    monkeypatch.setattr(evaluator, "_packed_rows",
+                        rows(evaluator._packed_rows))
+    monkeypatch.setattr(evaluator, "vec_scalar_mul_w",
+                        tally("products", evaluator.vec_scalar_mul_w))
+    monkeypatch.setattr(evaluator, "vec_reduce",
+                        tally("vec_reduce", evaluator.vec_reduce))
+    monkeypatch.setattr(GF2Field, "reduce", tally("reduce", GF2Field.reduce))
     monkeypatch.setattr(GF2Field, "mul", no_call)
-    for l, want_products, want_cells in ((1, 0, 0), (5, 0, 0),
-                                         (6, 2 * 2, 2 * 2),
-                                         (11, 2 * 5, 2 * 6)):
-        products = cells = 0
-        slices = length_plan(inst, l).slices(f, field64)
-        assert (products, cells) == (want_products, want_cells), l
+    per_row = {1: (0, 0), 5: (0, 0), 6: (2 * 2, 2 * 2), 11: (2 * 5, 2 * 6)}
+    packed = {1: (0, 0), 5: (0, 0), 6: (2 * 2, 2 * 3), 11: (2 * 6, 2 * 7)}
+    for l in per_row:
+        plan = length_plan(inst, l)
+        assert plan.packs
+        counts.update(dict.fromkeys(counts, 0))
+        slices = plan.slices(f, field64)
+        assert (counts["products"], counts["vec_reduce"]) == packed[l], l
+        assert counts["reduce"] == 0
         assert slices == scan_cost_slices(inst, f, field64, l)
+        with monkeypatch.context() as m:
+            m.setattr(evaluator, "_packs", lambda k, widths: False)
+            plan = length_plan(inst, l)
+            counts.update(dict.fromkeys(counts, 0))
+            assert plan.slices(f, field64) == slices
+        assert (counts["products"], counts["reduce"]) == per_row[l], l
+        assert counts["vec_reduce"] == 0
     assert slices[6] and slices[9] and not any(slices[:6])
 
 
@@ -555,6 +579,88 @@ def test_full_slots_do_not_spill(s):
         assert any(length_slices) and any(slices)
 
 
+@pytest.mark.parametrize("s", [8, 64])
+def test_row_routes_are_bit_identical(s, monkeypatch):
+    # The packed pass and the per-row route (the pool's task), each forced
+    # through the plan's serial route, against the scan engine: k = 1..4,
+    # unit and costed plans, at random values and at every edge value
+    # 2^s - 1, whose products fill a slot up to bit 2s - 2 next to the
+    # other rows' slots.
+    field = GF2Field(s)
+    rng = random.Random(40 + s)
+    nonzero = 0
+    for k in range(1, 5):
+        for _ in range(6):
+            n = rng.randint(2 * k + 1, 2 * k + 8)
+            inst = random_paths_instance(rng, n, k,
+                                         extra_edges=rng.randint(0, 3 * n),
+                                         cost_max=3,
+                                         plant=rng.random() < 0.8)
+            unit = [1] * inst.m
+            l = min(k * (n - 1), 14)
+            u = min(inst.simple_cost_cap(), 20)
+            for f in ([field.mask] * inst.m,
+                      random_assignment(field, inst.m, rng)):
+                want = (scan_cost_slices(inst, f, field, l, unit),
+                        scan_cost_slices(inst, f, field, u))
+                for packs in (True, False):
+                    monkeypatch.setattr(evaluator, "_packs",
+                                        lambda k, widths, packs=packs: packs)
+                    plans = (length_plan(inst, l), cost_plan(inst, u))
+                    assert [plan.packs for plan in plans] == [packs] * 2
+                    assert tuple(plan.slices(f, field)
+                                 for plan in plans) == want
+                nonzero += any(want[0]) + any(want[1])
+    assert nonzero >= 60  # of 96 slice lists
+
+
+def layered_instance(rng, k, width, depth):
+    """A unit-cost instance shaped like decide's benchmark instances:
+    `depth` layers of `width` inner vertices (width >= k), k chains
+    planted straight through them, two random edges from every source
+    and inner vertex into the next layer (the sinks after the last),
+    and `width` random edges one layer back."""
+    sources, sinks = list(range(k)), list(range(k, 2 * k))
+    layers = [list(range(2 * k + j * width, 2 * k + (j + 1) * width))
+              for j in range(depth)]
+    steps = [sources] + layers + [sinks]
+    edges = [(a[i], b[i]) for a, b in zip(steps, steps[1:]) for i in range(k)]
+    edges += [(u, rng.choice(b)) for a, b in zip(steps, steps[1:])
+              for u in a for _ in range(2)]
+    for _ in range(width):
+        j = rng.randrange(1, depth)
+        edges.append((rng.choice(layers[j]), rng.choice(layers[j - 1])))
+    return PathInstance(2 * k + width * depth, edges, sources, sinks)
+
+
+def test_row_route_choice(field64, monkeypatch):
+    # Criterion 7's instance has fans 4.9 wide on average at k = 4, so its
+    # serial route stays per row; decide's k >= 3 shapes have fans about 3
+    # wide and pack, and one source never packs.
+    inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
+    plan = length_plan(inst, 4 * 63)
+    widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+    assert 4.5 < sum(widths) / len(widths) and not plan.packs
+    assert plan.tails is None
+    ran = []
+    for name in ("_pair_by_cost", "_packed_rows"):
+        def spy(*args, real=getattr(evaluator, name), name=name):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(evaluator, name, spy)
+    for k in (1, 3, 4):
+        inst = layered_instance(random.Random(k), k, 5, 6)
+        plan = length_plan(inst, inst.max_path_edges())
+        assert plan.packs == (k > 1)
+        ran.clear()
+        f = random_assignment(field64, inst.m, random.Random(k))
+        slices = plan.slices(f, field64)
+        assert ran == (["_packed_rows"] if k > 1 else ["_pair_by_cost"])
+        assert any(slices)
+        assert slices == scan_cost_slices(inst, f, field64, plan.bound,
+                                          [1] * inst.m)
+
+
 _FRESH_PEAK = """
 import json, random, sys, tracemalloc
 from smallflow import GF2Field, PathInstance, TablePlan, random_assignment
@@ -568,7 +674,9 @@ slices = plan.slices(f, field)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 json.dump([peak, plan.pair_cells, plan.subset_cells, plan.fan_cells,
-           [bool(v) for v in slices]], sys.stdout)
+           [bool(v) for v in slices],
+           None if plan.tails is None else sum(map(len, plan.tails))],
+          sys.stdout)
 """
 
 
@@ -576,7 +684,8 @@ def fresh_peak(inst, l):
     """Build inst's unit-cost plan at bound l and evaluate it once, at the
     values random_assignment draws from random.Random(8), as the first
     evaluation of a fresh interpreter: (tracemalloc peak, pair_cells,
-    subset_cells, fan_cells, which slices are nonzero).  Later evaluations
+    subset_cells, fan_cells, which slices are nonzero, the entries of
+    plan.tails or None when the plan does not pack).  Later evaluations
     in one process read lower: they take tuples from CPython's free lists,
     which tracemalloc does not count again."""
     return _fresh(_FRESH_PEAK, [inst.n, inst.edges, inst.sources,
@@ -607,8 +716,9 @@ def test_memory_ceiling_bounds_the_tables():
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     inst = PathInstance(n, edges, range(k), range(k, 2 * k))
-    peak, pair_cells, subset_cells, _, nonzero = \
+    peak, pair_cells, subset_cells, _, nonzero, tails = \
         fresh_peak(inst, k * (n - 1))
+    assert tails is None
     assert all(nonzero[2 * k:])
     assert peak <= (pair_cells + subset_cells) * evaluator._CELL_BYTES
 
@@ -624,9 +734,30 @@ def test_memory_ceiling_charges_the_fans(l):
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, 1) for u in inner]
     inst = PathInstance(n, edges, [0], [1])
-    peak, pair_cells, subset_cells, fan_cells, nonzero = fresh_peak(inst, l)
+    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
+        fresh_peak(inst, l)
+    assert tails is None
     assert fan_cells == 12 * evaluator._fan_cells(12)
     assert not any(nonzero[:2]) and all(nonzero[2:])
+    assert peak <= (pair_cells + subset_cells + fan_cells) * \
+        evaluator._CELL_BYTES
+
+
+@pytest.mark.parametrize("l", [48, 60, 4 * 67])
+def test_memory_ceiling_bounds_a_packing_plan(l):
+    # decide's shape at k = 4, from its floor, 48, to its deepest bound:
+    # the packed pass holds one table of 4-slot cells, and the plan its
+    # tail lists, which fan_cells charges beside the windowed fans that
+    # the pool would build.
+    inst = layered_instance(random.Random(9), 4, 6, 11)
+    plan = length_plan(inst, l)
+    widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
+        fresh_peak(inst, l)
+    assert plan.packs and tails == sum(widths)
+    assert fan_cells == sum(map(evaluator._fan_cells, widths)) + \
+        evaluator._TAIL_CELLS * tails
+    assert any(nonzero)
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
 

@@ -1,4 +1,5 @@
-"""Median time per call of the GF(2^64) packed-vector kernels.
+"""Median time per call of the GF(2^64) packed-vector kernels, and of
+one table evaluation by each row route.
 
     python3 tools/kernel_timing.py
 
@@ -10,8 +11,18 @@ vec_reduce.  reduce folds one element, so it is timed once.  Each of
 the REPEATS repeats times one pass over every kernel's inputs, so a
 drift in the host's speed reaches every kernel alike; the median over
 the repeats is printed in ns per call, with the cost of an empty call through the same
-loop (`call`) for reference.  The last line is the same table as one
-JSON object.
+loop (`call`) for reference.
+
+Then one serial TablePlan(...).slices, plan build included, is timed by
+each row route, the packed pass and one _pair_by_cost per row, with the
+route forced through evaluator._packs: on criterion 7's instance
+(random_paths_instance(random.Random(71), 64, 4, extra_edges=256) at
+l = 252) and on one of decide's k = 4 benchmark shapes (perfbench's
+layered_paths, width 6, depth 8, at l one below its optimum).  The
+routes alternate, and each one's median over ROUTE_REPEATS evaluations
+is printed in ms beside the plan's mean fan width and the route that
+evaluator._packs picks, so the crossover can be measured again on
+another host.  The last line is both tables as one JSON object.
 """
 
 from __future__ import annotations
@@ -26,6 +37,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from smallflow import (  # noqa: E402
+    TablePlan,
+    evaluator,
+    oracle,
+    random_assignment,
+    random_paths_instance,
+)
 from smallflow.field import (  # noqa: E402
     SLOT_BITS,
     GF2Field,
@@ -37,6 +55,7 @@ from smallflow.field import (  # noqa: E402
 SLOTS = (1, 2, 4, 8)
 INPUTS = 2000
 REPEATS = 31
+ROUTE_REPEATS = {"criterion 7": 5, "decide k=4": 31}
 
 
 def _pass_ns(fn, args):
@@ -82,6 +101,45 @@ def measure() -> dict:
     return table
 
 
+def route_cases() -> dict:
+    """name -> (instance, length bound) of the two route timings."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import layered_paths
+    from smallflow.network import parse_paths_instance
+    c7 = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
+    decide = parse_paths_instance(
+        layered_paths(random.Random(1), 4, 6, 8, 2, 8))
+    l = oracle.disjoint_paths_min_cost_via_flow(decide) - 1
+    return {"criterion 7": (c7, 4 * 63), "decide k=4": (decide, l)}
+
+
+def measure_routes() -> dict:
+    field = GF2Field(64)
+    rule = evaluator._packs
+    table = {}
+    try:
+        for name, (inst, l) in route_cases().items():
+            plan = TablePlan(inst, l, [1] * inst.m)
+            widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+            f = random_assignment(field, inst.m, random.Random(72))
+            ms = {"packed": [], "per-row": []}
+            for i in range(ROUTE_REPEATS[name]):
+                for route in sorted(ms, reverse=i % 2 == 1):
+                    evaluator._packs = \
+                        lambda k, widths, packs=route == "packed": packs
+                    start = time.perf_counter()
+                    TablePlan(inst, l, [1] * inst.m).slices(f, field)
+                    ms[route].append((time.perf_counter() - start) * 1e3)
+            evaluator._packs = rule
+            table[name] = {route: statistics.median(t)
+                           for route, t in ms.items()}
+            table[name].update(mean_fan=sum(widths) / len(widths),
+                               rule="packed" if plan.packs else "per-row")
+    finally:
+        evaluator._packs = rule
+    return table
+
+
 def main():
     table = measure()
     names = ("call", "vec_window", "vec_scalar_mul_w", "reduce",
@@ -92,8 +150,16 @@ def main():
         cells = [table[c].get(name) for c in SLOTS]
         print(f"{name:<18}" + "".join(
             f"{'-' if v is None else f'{v:.0f}':>15}" for v in cells))
+    routes = measure_routes()
+    print(f"\n{'ms per slices':<18}{'mean fan':>10}{'per-row':>10}"
+          f"{'packed':>10}{'rule':>10}")
+    for name, row in routes.items():
+        print(f"{name:<18}{row['mean_fan']:>10.2f}{row['per-row']:>10.1f}"
+              f"{row['packed']:>10.1f}{row['rule']:>10}")
     print(json.dumps({"unit": "ns per call, median", "repeats": REPEATS,
-                      "slots": {str(c): table[c] for c in SLOTS}}))
+                      "slots": {str(c): table[c] for c in SLOTS},
+                      "routes": {"unit": "ms per TablePlan.slices, median",
+                                 "repeats": ROUTE_REPEATS, **routes}}))
 
 
 if __name__ == "__main__":
