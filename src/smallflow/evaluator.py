@@ -103,7 +103,6 @@ from itertools import starmap
 from .field import (
     GF2Field,
     SLOT_BITS,
-    vec_pack,
     vec_reduce,
     vec_scalar_mul_w,
     vec_unpack,
@@ -174,18 +173,18 @@ def _packs(k: int, widths) -> bool:
     Per cell, the packed pass makes one product per out-edge and the
     per-row route one per row and fan, and a product costs about the same
     at 1 to 4 slots (tools/kernel_timing.py), so packing pays below some
-    mean width above k.  Measured crossover (whole serial
-    evaluations, same-process A/B, layered unit-cost instances of width 5
-    and depth 6, 2-core host, CPython 3.11): packed over per-row time
-    0.89-0.96 at k = 2 for mean fans 1.6-2.6 and 1.17 at 3.6; 0.67-0.87
-    at k = 3 for 1.8-3.7 and 0.98-1.03 at 4.7; 0.69-0.93 at k = 4 for
-    2.0-5.9.  The rule packs only where packing won at every k measured,
-    which stops short of the crossover at k = 3 and 4: on criterion 7's
-    instance (mean fan 4.9 at k = 4, l = 252) packing took 0.81 of the
-    per-row time (medians of 8 alternating fresh-process runs).  Those
-    wide-fan plans, and decide's k = 2 shapes, keep the per-row route,
-    the one the pool maps; moving the rule up to the crossover would make
-    criterion 7 time the pool against the packed pass (ROADMAP item 7).
+    mean width above k.  Measured crossover (whole serial evaluations,
+    same-process A/B, layered unit-cost instances of width 5 and depth 6,
+    2-core host, CPython 3.11): packed over per-row time 0.89-0.96 at
+    k = 2 for mean fans 1.6-2.6 and 1.17 at 3.6; 0.67-0.87 at k = 3 for
+    1.8-3.7 and 0.98-1.03 at 4.7; 0.69-0.93 at k = 4 for 2.0-5.9.  The
+    rule packs only where packing won at every k, and so stops short of
+    the crossover at each k: it leaves per row decide's k = 2 shapes
+    (mean fan 2.5-2.6), where packing took 0.82-0.86 of the per-row
+    time, and criterion 7's instance (4.9 at k = 4, l = 252), where it
+    took 0.81 (medians of 8 alternating fresh-process runs).  Moving the
+    rule up to the crossover would make criterion 7 time the pool, which
+    maps the per-row task, against the packed pass (ROADMAP item 7).
     """
     return k > 1 and sum(widths) < k * len(widths)
 
@@ -471,10 +470,9 @@ def _packed_rows(plan, assignment, field):
     A source's out-edges within its own budget write its slot of their
     heads' cells.  Then, layer by layer, each nonzero cell is reduced
     once (vec_reduce, all k slots) and windowed once, and for each
-    out-edge e = (u, v) in
-    plan.tails[u] one scalar product of that window by e's value gives
-    e's product for every row; the k-slot product goes unreduced into
-    cell (q + c(e), v).  Both operands are reduced, so no slot spills
+    out-edge e = (u, v) in plan.tails[u] one scalar product of that
+    window by e's value gives e's product for every row; the k-slot
+    product goes unreduced into cell (q + c(e), v).  Both operands are reduced, so no slot spills
     into the next one.  Cells are pruned as in _pair_by_cost, against
     the deepest budget top = max(plan.budgets): cell (q, v) is written
     only when q + togo(v) <= top, so a cell's out-edges are read up to
@@ -483,11 +481,6 @@ def _packed_rows(plan, assignment, field):
     budget is exact, here as in _pair_by_cost (a cell kept at the row's
     budget is kept at top, and a cell kept at top reads only kept
     cells), so the rows are bit-identical to _pair_by_cost's.
-
-    Each cell costs one window and one product per out-edge, where the
-    row route pays one product per row and fan, one slot extraction per
-    row and edge, and one reduction per row and cell; so packing pays
-    on narrow fans (see _packs).
     """
     instance, costs, togo = plan.instance, plan.costs, plan.togo
     k, budgets, tails = instance.k, plan.budgets, plan.tails
@@ -549,7 +542,8 @@ def _subset_phase(k, bound, rows, field, mapper):
         levels[bin(mask).count("1") - 1].append(mask)
     rows = iter(rows)
     for j, column in enumerate(next(rows, ())):
-        tables[1 << j] = vec_pack([0, *column])
+        for q, a in enumerate(column, 1):
+            tables[1 << j] |= a << (SLOT_BITS * q)
     for row, level in zip(rows, levels[1:]):
         owners, terms = [], []
         for mask in level:

@@ -174,12 +174,6 @@ def _low_mask(count: int, s: int) -> int:
     return m
 
 
-def vec_pack(values) -> int:
-    """Pack values (each below 2^128) one per slot, the first in slot 0."""
-    return int.from_bytes(b"".join(v.to_bytes(SLOT_BYTES, "little")
-                                   for v in values), "little")
-
-
 def vec_unpack(packed: int, count: int) -> list[int]:
     """Unpack `count` slots (values may be unreduced, up to 128 bits)."""
     buf = packed.to_bytes(SLOT_BYTES * count, "little")

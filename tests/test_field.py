@@ -7,7 +7,6 @@ from smallflow import GF2Field, derive_rng
 from smallflow.field import (
     SLOT_BITS,
     is_irreducible,
-    vec_pack,
     vec_reduce,
     vec_scalar_mul_w,
     vec_unpack,
@@ -192,20 +191,10 @@ def test_packed_vectors_match_elementwise(s):
         vals = [f.random_element(rng) for _ in range(count)]
         packed = pack(vals)
         assert vec_unpack(packed, count) == vals
-        assert vec_pack(vals) == packed
         scalar = f.random_element(rng)
         prod = vec_reduce(vec_scalar_mul_w(vec_window(packed), scalar),
                           count, f)
         assert vec_unpack(prod, count) == [f.mul(scalar, v) for v in vals]
-
-
-def test_pack_keeps_full_slots_apart():
-    # unreduced values up to 2^128 - 1 each fill their slot and no more
-    rng = random.Random(3)
-    vals = [(1 << SLOT_BITS) - 1, 0, rng.getrandbits(SLOT_BITS), 1]
-    assert vec_unpack(vec_pack(vals), len(vals)) == vals
-    assert vec_pack([0, *vals]) == pack(vals) << SLOT_BITS
-    assert vec_pack([]) == 0
 
 
 def test_packed_accumulation_reduces_like_field(field64):
