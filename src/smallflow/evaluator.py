@@ -74,8 +74,9 @@ the length-bounded walk polynomial.  Two engines compute them:
   nothing.  slice_support walks the same graph without field values, in
   one forward pass that holds only its pending layers, to find the edges
   a slice can contain at all and those each of its monomials contains:
-  the per-edge tests skip every edge outside the first set and every
-  edge in the second.
+  deletion, the one strategy with per-edge tests, skips the test of
+  every edge outside the first set and of every edge in the second, and
+  isolation reads its essential edges off the two sets.
 
 The two engines are independent routes to the same slices, and each
 checks the other in the tests.  The table engine's data parallelism is

@@ -23,16 +23,14 @@ Two strategies produce the same object:
   w(e) in [1, r], r = n^2 m, making the minimum-cost set unique with
   probability >= 1 - m/r = 1 - 1/n^2; build the scan graph at the
   perturbed costs, the same scan that the optimum and deletion use; find
-  the minimum perturbed cost U*, its least nonzero slice; mark an edge
-  essential when deleting it kills every slice at or below U*; assemble
-  the essential edges into paths.  The search for U* stops at
-  (D0 + 1) * (r*m + 1) - 1, above every cost-D0 set.
-  Edges off the support of the U* slice are non-essential without a
-  test, and edges on every walk set of perturbed cost U* essential
-  without one.  The rest are tested by scans capped at U*, and all
-  per-edge tests in one repetition share a fresh assignment.
+  the minimum perturbed cost U*, its least nonzero slice; read the
+  essential edges off slice_support at U*; assemble them into paths.
+  The search for U* stops at (D0 + 1) * (r*m + 1) - 1, above every
+  cost-D0 set.  The paper marks each essential edge by a polynomial
+  test; here no edge is tested (classify_edges), and an attempt whose
+  support at U* leaves some edge unsettled is retried.
 
-Either way a failed assembly (a rare false zero, or a perturbation that
+Either way a failed attempt (a rare false zero, or a perturbation that
 failed to isolate) is detected structurally and retried with fresh
 randomness.
 """
@@ -48,8 +46,9 @@ from .decision import (
     min_cost_disjoint_paths,
 )
 from .evaluator import ScanGraph, scan_min_cost_slice, slice_support
-# isolation's edge-test scans, by the name under which perfbench traces them
-from .evaluator import scan_min_cost_slice as perturbed_scan
+# not called here: kept only because perfbench/tracing.py patches this
+# name, until ROADMAP item 15 or phase B of item 2 frees it
+from .evaluator import scan_min_cost_slice as perturbed_scan  # noqa: F401
 from .field import derive_rng
 from .network import PathInstance
 
@@ -121,45 +120,34 @@ def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts, d0: int,
     checked against.  At any positive integer costs a nonzero slice is
     certified by k disjoint simple paths, whose weights sum to less than
     the scale: every set of original cost d0 lies under the cap, and a
-    hit under it decodes (U* // scale) to d0 or less.
+    hit under it decodes (U* // scale) to d0 or less.  d0 caps the search
+    because of that field check: simple_cost_cap at the perturbed costs
+    can outgrow a field that holds this cap (76,093 against 61,454 in
+    test_isolation_field_checked_below_the_optimum's GF(2^16) instance).
     """
     cap = (d0 + 1) * pc.scale - 1
     params.check_degree(cap)
     return least_nonzero_slice(pgraph, params, cap, "find-perturbed")
 
 
-def classify_edges(pgraph: ScanGraph, u_star: int,
-                   params: TestParams) -> set:
-    """Edges whose removal kills every slice at or below the optimum U*.
+def classify_edges(pgraph: ScanGraph, u_star: int) -> set:
+    """The edges of the disjoint path set of least perturbed cost U*, read
+    off slice_support at U* without a scan.
 
     pgraph is the attempt's ScanGraph at the perturbed costs, and U* its
-    least nonzero slice.  Under a unique perturbed optimum these are
-    exactly the optimum's edges.  A false zero can only add edges (never
-    drop one), which the assembly checks catch.  slice_support at U*
-    settles most edges without a scan: an edge off the support of the U*
-    slice is non-essential, since deleting it leaves that slice as it
-    was, and a forced edge (on every walk set of perturbed cost U*) is
-    essential, since deleting it zeroes that slice.  Each other support
-    edge is tested by scans capped at U*, one per repetition, each at
-    that repetition's fresh assignment, which all tests share, with the
-    edge's variable zeroed: it is essential when no scan finds a nonzero
-    slice.
+    least nonzero slice.  Colliding walk systems cancel in pairs with the
+    same edges, so the nonzero U* slice holds a disjoint path set; when
+    support equals forced, every walk system of cost U* uses that set's
+    edges, which are returned.  Otherwise some support edge is unsettled,
+    and AssemblyError is raised so that the attempt is retried with fresh
+    weights.
     """
     m = pgraph.instance.m
-    assignments = list(params.assignments(m, "classify"))
     support, forced = slice_support(pgraph, [True] * m, u_star)
-    essential = {e for e in range(m) if forced[e]}
-    for eid in range(m):
-        if not support[eid] or forced[eid]:
-            continue
-        for f in assignments:
-            patched = list(f)
-            patched[eid] = 0
-            if perturbed_scan(pgraph, patched, params.field, u_star):
-                break  # a slice at or below U* survives the deletion
-        else:
-            essential.add(eid)
-    return essential
+    if support != forced:
+        raise AssemblyError("support at U* leaves "
+                            f"{sum(support) - sum(forced)} edges unsettled")
+    return {e for e in range(m) if forced[e]}
 
 
 def assemble_paths(instance: PathInstance, essential, cost_map,
@@ -238,7 +226,7 @@ def _isolation_attempt(instance, params, attempt, r, d0):
     u_star = find_min_perturbed_cost(pgraph, pc, d0, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    essential = classify_edges(pgraph, u_star, sub)
+    essential = classify_edges(pgraph, u_star)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 

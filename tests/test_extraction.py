@@ -30,6 +30,7 @@ from smallflow.evaluator import (
     ScanGraph,
     random_assignment,
     scan_min_cost_slice,
+    slice_support,
 )
 from smallflow.field import derive_rng
 
@@ -162,7 +163,7 @@ def test_unique_path_instance_pipeline():
     pgraph = ScanGraph(inst, list(pc.perturbed))
     u_star = find_min_perturbed_cost(pgraph, pc, 4, p)  # the chain's cost
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
-    essential = classify_edges(pgraph, u_star, p)
+    essential = classify_edges(pgraph, u_star)
     assert essential == {0, 1, 2}
 
 
@@ -171,8 +172,7 @@ def test_classify_unique_optimum():
     rng = random.Random(7)
     pc = perturb_costs(inst, 64, rng)
     u_star = pc.perturbed[0] + pc.perturbed[3]
-    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star,
-                               params64(123))
+    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star)
     assert essential == {0, 3}
 
 
@@ -233,12 +233,13 @@ def test_find_disjoint_paths_strategies_agree():
 
 def test_retries_exhausted_on_degenerate_isolation(monkeypatch):
     # r = 1 makes every weight 1: the two optima of the all-ones bipartite
-    # instance stay tied, classification returns no essential edges, and
-    # every attempt fails the same way.
+    # instance stay tied, so the support at U* holds all four edges and
+    # forces none, and every attempt fails the same way.
     monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
     inst = costed_bipartite((1, 1, 1, 1))
     with pytest.raises(RetriesExhaustedError,
-                       match=r"strategy=isolation, r=1\)"):
+                       match=r"strategy=isolation, r=1\): attempt 0: "
+                             r"support at U\* leaves 4 edges unsettled"):
         find_disjoint_paths(inst, params64(11), max_retries=2,
                             strategy="isolation")
     # the deletion strategy does not rely on isolation and succeeds
@@ -530,20 +531,68 @@ def criterion_5_instances():
     return out
 
 
-def test_classify_matches_patched_scan_reference(monkeypatch):
-    checked = []
-
-    def classify_and_check(pgraph, u_star, params):
-        got = classify_edges(pgraph, u_star, params)
-        assert got == patched_scan_classify(pgraph, u_star, params)
-        checked.append(got)
-        return got
-
-    monkeypatch.setattr(extraction, "classify_edges", classify_and_check)
+def isolate_criterion_5(monkeypatch, classify):
+    """Isolation on the criterion-5 battery, with its seeds, and with
+    classify in place of extraction.classify_edges."""
+    monkeypatch.setattr(extraction, "classify_edges", classify)
     rng = random.Random(505)
     for inst in criterion_5_instances():
         params = TestParams(field=GF2Field(64), repetitions=1,
                             seed=rng.getrandbits(48))
         find_disjoint_paths(inst, params, max_retries=3,
                             strategy="isolation")
+
+
+def test_classify_matches_patched_scan_reference(monkeypatch):
+    # every returned set is the patched-scan reference's, and an attempt
+    # is refused only where the support at U* leaves edges unsettled
+    checked = []
+    refused = []
+    reference = TestParams(field=GF2Field(64), repetitions=1, seed=505)
+
+    def classify_and_check(pgraph, u_star):
+        try:
+            got = classify_edges(pgraph, u_star)
+        except AssemblyError:
+            support, forced = slice_support(pgraph, [True] * pgraph.instance.m,
+                                            u_star)
+            assert support != forced
+            refused.append(u_star)
+            raise
+        assert got == patched_scan_classify(pgraph, u_star, reference)
+        checked.append(got)
+        return got
+
+    isolate_criterion_5(monkeypatch, classify_and_check)
     assert len(checked) > 50
+    assert refused  # the battery meets an unsettled support
+
+
+def test_settled_support_is_the_unique_perturbed_optimum(monkeypatch):
+    # each isolation attempt of the criterion-5 battery: wherever the
+    # support at U* equals its forced set, that set is the edge set of the
+    # oracle's minimum path set at the attempt's perturbed costs
+    drawn = []
+    checked = 0
+    real_perturb = extraction.perturb_costs
+
+    def recording_perturb(*args):
+        drawn.append(real_perturb(*args))
+        return drawn[-1]
+
+    def check(pgraph, u_star):
+        nonlocal checked
+        inst = pgraph.instance
+        support, forced = slice_support(pgraph, [True] * inst.m, u_star)
+        if support == forced:
+            cost, ps = oracle.brute_force_disjoint_paths(
+                inst, mode="cost", costs=list(drawn[-1].perturbed))
+            assert cost == u_star
+            assert {e for e in range(inst.m) if forced[e]} == \
+                set(ps.all_edge_ids())
+            checked += 1
+        return classify_edges(pgraph, u_star)
+
+    monkeypatch.setattr(extraction, "perturb_costs", recording_perturb)
+    isolate_criterion_5(monkeypatch, check)
+    assert checked > 50
