@@ -33,32 +33,35 @@ the length-bounded walk polynomial.  Two engines compute them:
   the per-row task.  A row's table holds only the cells that can
   still finish within the bound.  sink_distances gives togo(v), the
   least cost from v to a sink along the recurrence's edges, and d_i =
-  togo(source i) (one backward bucket-queue pass, shared with the scan
-  graph).  A walk set of total cost <= bound holds its source-r walk at
-  cost at most budget_r = bound - sum_{i != r} d_i, and a prefix of that
-  walk at (q, v) still needs at least togo(v): so row r is budget_r
-  layers deep and computes cell (q, v) only when q + togo(v) <= budget_r,
-  and a source that reaches no sink leaves every row empty.  Every kept
-  cell reads only kept cells, because togo(u) <= c(e) + togo(v) on each
-  edge e = (u, v), so its value is the unpruned one, and every dropped
-  cell lies on walk sets of total cost above the bound only: no slice at
-  or below the bound changes.
+  togo(source i) (one backward bucket-queue pass, over the edges that the
+  scan graph's per-sink distances read too).  A walk set of total cost
+  <= bound holds its source-r walk at cost at most budget_r = bound -
+  sum_{i != r} d_i, and a prefix of that walk at (q, v) still needs at
+  least togo(v): so row r is budget_r layers deep and computes cell
+  (q, v) only when q + togo(v) <= budget_r, and a source that reaches
+  no sink leaves every row empty.  Every kept cell reads only kept
+  cells, because togo(u) <= c(e) + togo(v) on each edge e = (u, v), so
+  its value is the unpruned one, and every dropped cell lies on walk
+  sets of total cost above the bound only: no slice at or below the
+  bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask, current walk position), one field
   element per (cost, state), popped best first: in increasing cost plus
   cost to go.
-  _state_moves is the one transition rule of that state graph, and
-  ScanGraph builds the graph once per cost vector: its reachable states,
-  their moves, and for each state togo, the least cost that finishes
-  every remaining walk (one backward shortest-path pass, the exact lower
-  bound of A*).  Every scan skips a move out of a state at cost d into a
+  ScanGraph is that state graph for one cost vector, built on demand.
+  Its togo, the least cost that finishes every remaining walk (the exact
+  lower bound of A*), comes in closed form from k per-sink vertex
+  distances and a DP over sink masks, which are all a new graph holds;
+  a state's moves are built by the one transition rule (_MoveTable) the
+  first time a reader reads them, so a scan materializes only the states
+  it expands.  Every scan skips a move out of a state at cost d into a
   state with d + c(e) + togo > cap.  That is exact: a walk set of cost
   <= cap has, at each of its states, a prefix cost d and a remainder of
   cost at least togo, so it passes only through moves that are kept, and
   a skipped move carries no walk set the scan could yield.  Each state's
   moves are sorted by c(e) + togo, so a scan stops at the first one past
-  its cap.  States that cannot finish at all are dropped from the graph.
+  its cap.  Moves into states that cannot finish at all are dropped.
   The scan takes the table engine's fan layout: the values of a
   position's out-edges are packed one per slot and windowed once per
   scan, one scalar product per expanded state gives every move's
@@ -100,6 +103,7 @@ from bisect import bisect_right
 from functools import partial
 from heapq import heappop, heappush
 from itertools import starmap
+from operator import itemgetter
 
 from .field import (
     GF2Field,
@@ -114,7 +118,10 @@ from .network import PathInstance
 DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
-_MOVE_CELLS = 4  # cells charged per scan-graph move (see ScanGraph)
+_MOVE_CELLS = 2  # cells charged per scan-graph move (see _MoveTable)
+_ROW_SLOTS = 12  # slots of a togo-table row charged as one cell
+_UNREAD = object()  # a togo-table slot not read yet
+_REACH = itemgetter(3)  # a scan-graph move's reach
 _TAIL_CELLS = 2  # cells charged per TablePlan.tails entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
@@ -394,11 +401,17 @@ def sink_distances(instance: PathInstance, costs) -> dict:
     head not a source); sinks have 0, and a vertex with no such walk has
     no entry.  At a source it is d_i, the least cost of any walk from
     source i, so no walk set costs less than sum(d_i)."""
+    return _backward_costs(instance.sinks, _recurrence_preds(instance, costs))
+
+
+def _recurrence_preds(instance: PathInstance, costs) -> dict:
+    """preds[v]: (u, c(e)) for each edge e = (u, v) a walk may take, tail
+    not a sink and head not a source, for _backward_costs."""
     preds = {}
     for eid, (u, v) in enumerate(instance.edges):
         if u not in instance.sink_index and v not in instance.source_index:
             preds.setdefault(v, []).append((u, costs[eid]))
-    return _backward_costs(instance.sinks, preds)
+    return preds
 
 
 def _pair_by_cost(plan, assignment, field, fans_by_cost, xi):
@@ -594,92 +607,156 @@ def eval_length_bounded_seq(plan: TablePlan, assignment, field: GF2Field,
 # Combined-state scan engine
 # ---------------------------------------------------------------------------
 
-def _state_moves(instance: PathInstance, state):
-    """Moves out of scan state (B, z) as (edge id, next state, slot)
-    triples, slot the edge's index in instance.out_edges[z].
-
-    Walks are built in source order, and a walk passes only through
-    non-terminals: an edge into a non-terminal extends it, an edge into an
-    unfinished sink finishes it and starts the next source's walk, and
-    every other edge is no move.  The next state is None when the edge
-    finishes the last walk.
-    """
-    bmask, z = state
-    moves = []
-    for slot, eid in enumerate(instance.out_edges[z]):
-        w = instance.edges[eid][1]
-        if not instance.is_terminal(w):
-            moves.append((eid, (bmask, w), slot))
-            continue
-        j = instance.sink_index.get(w)
-        if j is None or bmask & (1 << j):
-            continue
-        b2 = bmask | (1 << j)
-        moves.append((eid, None if b2 == (1 << instance.k) - 1 else
-                      (b2, instance.sources[bin(bmask).count("1") + 1]),
-                      slot))
-    return moves
-
-
 class ScanGraph:
     """The scan engine's state graph for one instance and one cost vector,
-    with the exact cost still to go from every state.
+    with the exact cost still to go from every state, built on demand.
 
-    One forward pass collects the states (finished-sinks mask, position)
-    reachable from the start (0, first source), at most 2^k * n of them,
-    with their moves from _state_moves.  One backward pass from the
-    finished state, a bucket queue over the integer costs (Dial), gives
-    togo[state]: the least cost of moves that finishes every remaining
-    walk.  A state that cannot finish has no entry, and no move into it
-    is kept.  moves[state] lists (edge id, cost, next state, reach, slot)
-    in increasing reach, where reach = cost + togo[next state] (just the
+    A state (B, z) has finished the walks to the sinks in B, and its
+    current walk stands at z (the next unstarted source, sources[|B|],
+    between walks); the start is (0, sources[0]).  togo(state) is the
+    least cost of moves that finishes every remaining walk, in closed
+    form.  dist_j(v) is the least cost of a walk from v to sink j through
+    non-terminals: one _backward_costs pass per sink, over the edges whose
+    tail is not a sink and whose head is not a source.  rest(M) is the
+    least cost of the walks of sources |M|..k-1 once the sinks in M are
+    finished, a DP over sink masks: rest(full) = 0, and rest(M) = min over
+    j not in M of dist_j(sources[|M|]) + rest(M | j).  Then togo(B, z) =
+    min over j not in B of dist_j(z) + rest(B | j), None when no walk set
+    finishes from there, and floor = togo(start) = rest(0), None when no
+    walk set exists at all.
+
+    moves[state] lists (edge id, cost, next state, reach, slot) in
+    increasing reach, where reach = cost + togo(next state) (just the
     cost when the move finishes the last walk) and slot is the edge's
     index among its tail's out-edges (its slot in the scan's fan at that
     position), so a reader with a cut stops at the first move past it.
-    The first move's reach is togo[state].  floor = togo[start], or None
-    when no walk set exists at all.  The memory ceiling is checked against
-    the forward pass's states and moves as they are collected, one cell
-    per state and _MOVE_CELLS per move (the build peaks at 270-340 bytes
-    per move, states included, tracemalloc): the predecessor lists go
-    before the sorted moves are built, and each state's forward moves as
-    its sorted ones come.  cells charges the finished graph alike.
+    Walks are built in source order and pass only through non-terminals:
+    an edge into a non-terminal extends the walk, one into an unfinished
+    sink finishes it and starts the next source's walk (next state None
+    when it finishes the last), every other edge is no move, and a move
+    into a state that cannot finish is dropped.  So the first move's
+    reach is togo(state).  A state's moves are built the first time a
+    reader reads them (_MoveTable), so scan_slices and slice_support
+    materialize only the states they expand, not the whole reachable
+    space of up to 2^k * n states.
+
+    The memory ceiling is charged the distance tables before they are
+    built, one cell per edge (the predecessor lists) and per two (sink,
+    vertex) pairs or sink masks, and then the materialized states as they
+    come (see _MoveTable); cells is the running charge, which every reader
+    adds to its own.
     """
 
     def __init__(self, instance: PathInstance, costs):
+        k, n = instance.k, instance.n
+        cells = instance.m + (k * n + (1 << k)) // 2
+        _check_budget(cells)
+        preds = _recurrence_preds(instance, costs)
+        dist = []
+        for y in instance.sinks:
+            to_y = _backward_costs([y], preds)
+            dist.append([to_y.get(v) for v in range(n)])
+        full = (1 << k) - 1
+        rest = [None] * full + [0]
+        for mask in range(full - 1, -1, -1):
+            rest[mask] = _least_to_go(dist, rest, mask,
+                                      instance.sources[bin(mask).count("1")])
         self.instance = instance
         self.start = (0, instance.sources[0])
-        succ = {self.start: _state_moves(instance, self.start)}
-        stack = [self.start]
-        cells = 1 + _MOVE_CELLS * len(succ[self.start])
-        most = DEFAULT_MEMORY_LIMIT // _CELL_BYTES
-        while stack:
-            for _, key, _ in succ[stack.pop()]:
-                if key is not None and key not in succ:
-                    succ[key] = moves = _state_moves(instance, key)
-                    stack.append(key)
-                    cells += 1 + _MOVE_CELLS * len(moves)
-                    if cells > most:  # raise before the pass outgrows it
-                        _check_budget(cells)
-        _check_budget(cells)  # the graph's one charge when it fits
-        preds = {}
-        for state, moves in succ.items():
-            for eid, key, _ in moves:
-                preds.setdefault(key, []).append((state, costs[eid]))
-        togo = _backward_costs([None], preds)
-        del preds
-        self.moves = {}
-        while succ:  # each state's forward moves go as its sorted ones come
-            state, moves = succ.popitem()
-            if state in togo:
-                self.moves[state] = sorted(
-                    ((eid, costs[eid], key, costs[eid] + togo[key], slot)
-                     for eid, key, slot in moves if key in togo),
-                    key=lambda move: move[3])
-        del togo[None]
-        self.togo = togo
-        self.floor = togo.get(self.start)
-        self.cells = len(self.moves) + _MOVE_CELLS * sum(
-            map(len, self.moves.values()))
+        self.floor = rest[0]
+        self.moves = _MoveTable(instance, costs, dist, rest, cells)
+
+    @property
+    def cells(self) -> int:
+        return self.moves.cells
+
+    def togo(self, state):
+        """The least cost of moves that finishes every remaining walk from
+        state, or None when no move sequence does."""
+        return _least_to_go(self.moves.dist, self.moves.rest, *state)
+
+
+def _least_to_go(dist, rest, bmask, z):
+    """min over sinks j not in bmask of dist[j][z] + rest[bmask | j]: the
+    cost to go from state (bmask, z), or None when nothing finishes."""
+    best = None
+    for j, to_j in enumerate(dist):
+        if bmask >> j & 1 or to_j[z] is None:
+            continue
+        after = rest[bmask | 1 << j]
+        if after is not None and (best is None or to_j[z] + after < best):
+            best = to_j[z] + after
+    return best
+
+
+class _MoveTable(dict):
+    """A ScanGraph's moves, state -> its moves in increasing reach, each
+    state's built by __missing__ the first time it is read and kept.
+
+    Only states that can finish are read: the start when the floor is not
+    None, and the targets of moves.  Move targets are interned through the
+    togo table: one row per sink mask, a list over positions whose slot
+    holds (togo, the state's one tuple), or None when that state cannot
+    finish, filled the first time a move reaches it.  So every move into
+    a state shares that state's tuple.  cells charges one cell per state
+    built and per table entry, 1 + n // _ROW_SLOTS per row, and
+    _MOVE_CELLS per move, and the ceiling is checked as soon as cells
+    passes it.  Fully materialized graphs took 100-225 bytes per move,
+    states and table included, 0.47-0.82 of that charge (tracemalloc,
+    64-bit CPython 3.11).
+    """
+
+    def __init__(self, instance, costs, dist, rest, cells):
+        super().__init__()
+        self.instance = instance
+        self.costs = costs
+        self.dist = dist
+        self.rest = rest
+        self.rows = {}  # sink mask -> its row of the togo table
+        self.cells = cells
+
+    def __missing__(self, state):
+        instance, costs = self.instance, self.costs
+        bmask, z = state
+        row = self._row(bmask)
+        after = bin(bmask).count("1") + 1  # the next walk's source index
+        moves = []
+        for slot, eid in enumerate(instance.out_edges[z]):
+            w = instance.edges[eid][1]
+            c = costs[eid]
+            if not instance.is_terminal(w):
+                into, mask = row, bmask
+            else:
+                j = instance.sink_index.get(w)
+                if j is None or bmask >> j & 1:
+                    continue
+                if after == instance.k:
+                    moves.append((eid, c, None, c, slot))
+                    continue
+                mask, w = bmask | 1 << j, instance.sources[after]
+                into = self._row(mask)
+            entry = into[w]
+            if entry is _UNREAD:
+                t = _least_to_go(self.dist, self.rest, mask, w)
+                entry = into[w] = None if t is None else (t, (mask, w))
+                self.cells += t is not None
+            if entry is not None:
+                moves.append((eid, c, entry[1], c + entry[0], slot))
+        moves.sort(key=_REACH)
+        self[state] = moves
+        self.cells += 1 + _MOVE_CELLS * len(moves)
+        if self.cells * _CELL_BYTES > DEFAULT_MEMORY_LIMIT:
+            _check_budget(self.cells)  # raise before the graph outgrows it
+        return moves
+
+    def _row(self, bmask):
+        """The togo table's row for sink mask bmask, every slot _UNREAD
+        until a move reaches it."""
+        row = self.rows.get(bmask)
+        if row is None:
+            row = self.rows[bmask] = [_UNREAD] * self.instance.n
+            self.cells += 1 + self.instance.n // _ROW_SLOTS
+        return row
 
 
 def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
@@ -717,10 +794,15 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     product.  Both operands are field elements (< 2^s, s <= 64), so a
     slot stays below 2^127 and never spills into the next one.  Moves
     come in increasing reach, so each state's scan stops at its first
-    move past the cap.  The memory ceiling is checked once per popped
-    group against the states still pending (the popped group's and every
-    later group's, finished entries included), one cell for each pending
-    group, the graph's cells and the fans built so far.
+    move past the cap.  A state's moves are read from graph.moves, which
+    builds them the first time any reader expands that state, so a scan
+    materializes only the states it expands.  The memory ceiling is
+    checked once per popped group against the states still pending (the
+    popped group's and every later group's, finished entries included),
+    one cell for each pending group, the graph's cells so far (its
+    distance tables and every state materialized yet) and the fans built
+    so far; the graph also checks its own charge as soon as that passes
+    the ceiling, in the middle of a group.
     """
     instance = graph.instance
     _check_assignment(instance, assignment)
@@ -791,7 +873,9 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
 
     One forward pass, without field arithmetic, visits the graph's states
     reachable from the start in increasing cost, skipping moves that
-    cannot finish by cost d (the bound of scan_slices).  Each pending
+    cannot finish by cost d (the bound of scan_slices), and reads each
+    state's moves from graph.moves, which materializes a state the first
+    time any reader expands it.  Each pending
     (cost, state) carries two int bitmasks: the edges that some prefix
     reaching it avoids (all m at the start) and those that some prefix
     reaching it uses (none at the start); a move clears its edge's bit in
@@ -804,12 +888,14 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     support leaves that slice unchanged at every assignment, and zeroing
     a forced one makes it an empty sum.  Each layer is dropped once it is
     expanded.  The memory ceiling is checked once per layer against the
-    graph's cells and the pending entries, each charged one cell for its
+    graph's cells so far (as in scan_slices) and the pending entries, each
+    charged one cell for its
     dict slot and pair and 1 + m // 540 for each mask (an m-bit int takes
     about 24 + m/7.5 bytes; the pass peaked at 0.5-0.67x of that charge
     on dense costed graphs, tracemalloc, 64-bit CPython 3.11).
     """
     m = graph.instance.m
+    moves_of = graph.moves
     # pending cost -> state -> (avoided mask, used mask)
     layers = {} if graph.floor is None or graph.floor > d else \
         {0: {graph.start: ((1 << m) - 1, 0)}}
@@ -822,7 +908,7 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
         states = layers.pop(at)
         pending -= len(states)
         for state, (avoids, uses) in states.items():
-            for eid, c, key, reach, _ in graph.moves[state]:
+            for eid, c, key, reach, _ in moves_of[state]:
                 if at + reach > d:
                     break
                 d2 = at + c

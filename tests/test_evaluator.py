@@ -771,6 +771,7 @@ inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
 field = GF2Field(64)
 f = random_assignment(field, inst.m, random.Random(8))
 graph = evaluator.ScanGraph(inst, inst.cost_list())
+tables = graph.cells
 charges = []
 check = evaluator._check_budget
 evaluator._check_budget = lambda cells: (charges.append(cells), check(cells))
@@ -778,8 +779,8 @@ tracemalloc.start()
 slices = list(evaluator.scan_slices(graph, f, field, inst.simple_cost_cap()))
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-json.dump([peak, max(charges), graph.cells, len(charges), len(slices)],
-          sys.stdout)
+json.dump([peak, max(charges), tables, len(charges), len(slices),
+           len(graph.moves)], sys.stdout)
 """
 
 
@@ -787,53 +788,61 @@ json.dump([peak, max(charges), graph.cells, len(charges), len(slices)],
 def test_memory_ceiling_bounds_the_scan(n, k):
     # Dense and costed, scanned to simple_cost_cap(): states at one cost
     # spread over many (d + togo, d) groups, so hundreds of small groups
-    # are popped.  The graph is built before the measurement; the scan
-    # allocates no more than its largest check charges beyond the graph's
-    # cells (pending entries, pending groups and fans).
+    # are popped.  The graph's distance tables are built before the
+    # measurement; the scan, which materializes the states it expands,
+    # allocates no more than its largest check charges beyond them
+    # (materialized states and moves, pending entries, pending groups and
+    # fans).
     inner = range(2 * k, n)
     edges = [(x, v) for x in range(k) for v in inner]
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     rng = random.Random(3)
     costs = [rng.randint(1, 4) for _ in edges]
-    peak, charge, graph_cells, checks, slices = _fresh(
+    peak, charge, tables, checks, slices, states = _fresh(
         _FRESH_SCAN_PEAK, [n, edges, list(range(k)), list(range(k, 2 * k)),
                            costs])
-    assert checks > 100 and slices > 10
-    assert peak <= (charge - graph_cells) * evaluator._CELL_BYTES
+    assert checks > 100 and slices > 10 and states > 30
+    assert peak <= (charge - tables) * evaluator._CELL_BYTES
 
 
 _FRESH_GRAPH_PEAK = """
-import json, sys, tracemalloc
-from smallflow import PathInstance, evaluator
+import json, random, sys, tracemalloc
+from smallflow import GF2Field, PathInstance, evaluator, random_assignment
 k, limit = json.load(sys.stdin)
 inst = PathInstance(2 * k, [(i, k + j) for i in range(k) for j in range(k)],
                     range(k), range(k, 2 * k))
+field = GF2Field(64)
+f = random_assignment(field, inst.m, random.Random(8))
 evaluator.set_default_memory_limit(limit)
 tracemalloc.start()
+graph = evaluator.ScanGraph(inst, inst.cost_list())
 try:
-    evaluator.ScanGraph(inst, inst.cost_list())
+    list(evaluator.scan_slices(graph, f, field, inst.simple_cost_cap()))
     raised = False
 except evaluator.BudgetError:
     raised = True
-json.dump([raised, tracemalloc.get_traced_memory()[1]], sys.stdout)
+json.dump([raised, tracemalloc.get_traced_memory()[1], len(graph.moves)],
+          sys.stdout)
 """
 
 
 @pytest.mark.parametrize("k", [10, 12, 14])
 def test_memory_ceiling_bounds_the_scan_graph(k):
-    # Complete bipartite X -> Y: about 2^k * k states and moves.  At k = 12
-    # and 14, far past a 1 MiB ceiling, the forward pass raises as soon as
-    # its count passes the ceiling, not after it has collected every state
-    # (19 MiB at k = 14).  At k = 10 (1,023 states, 5,120 moves) the build
-    # either raises or holds no more than the ceiling: the charge counts
-    # the predecessor lists and the sorted moves too.
+    # Complete bipartite X -> Y: about 2^k * k states and moves, and a
+    # full scan expands every one of them.  The graph itself holds only
+    # its distance tables, so it is built under a 1 MiB ceiling at every k
+    # here.  At k = 12 and 14, far past that ceiling, the scan raises as
+    # soon as the states it materializes pass it, not after it has built
+    # every state (19 MiB at k = 14).  At k = 10 (1,023 states, 5,120
+    # moves) the scan either raises or holds no more than the ceiling: the
+    # charge counts the togo table and the sorted moves too.
     limit = 1 << 20
-    raised, peak = _fresh(_FRESH_GRAPH_PEAK, [k, limit])
+    raised, peak, states = _fresh(_FRESH_GRAPH_PEAK, [k, limit])
     if k == 10:
         assert raised or peak <= limit
     else:
-        assert raised
+        assert raised and 0 < states < (1 << k) - 1
         assert peak <= 2 * limit
 
 
@@ -844,6 +853,7 @@ n, edges, sources, sinks, costs, to_cap = json.load(sys.stdin)
 inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
                     costs=costs)
 graph = evaluator.ScanGraph(inst, inst.cost_list())
+tables = graph.cells
 d = inst.simple_cost_cap() if to_cap else graph.floor + 4
 charges = []
 check = evaluator._check_budget
@@ -852,8 +862,8 @@ tracemalloc.start()
 support, _ = evaluator.slice_support(graph, [True] * inst.m, d)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-json.dump([peak, max(charges), graph.cells, len(charges), sum(support)],
-          sys.stdout)
+json.dump([peak, max(charges), tables, len(charges), sum(support),
+           len(graph.moves)], sys.stdout)
 """
 
 
@@ -861,21 +871,22 @@ json.dump([peak, max(charges), graph.cells, len(charges), sum(support)],
 @pytest.mark.parametrize("n, k", [(14, 2), (12, 3), (10, 3)])
 def test_memory_ceiling_bounds_the_support_pass(n, k, to_cap):
     # The dense costed instances of test_memory_ceiling_bounds_the_scan,
-    # at d = simple_cost_cap() and at d = floor + 4.  The graph is built
-    # before the measurement; the support pass allocates no more than its
-    # largest check charges beyond the graph's cells (the pending layers'
-    # entries and their two masks each).
+    # at d = simple_cost_cap() and at d = floor + 4.  The graph's distance
+    # tables are built before the measurement; the support pass, which
+    # materializes the states it expands, allocates no more than its
+    # largest check charges beyond them (materialized states and moves,
+    # and the pending layers' entries with their two masks each).
     inner = range(2 * k, n)
     edges = [(x, v) for x in range(k) for v in inner]
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     rng = random.Random(3)
     costs = [rng.randint(1, 4) for _ in edges]
-    peak, charge, graph_cells, checks, support = _fresh(
+    peak, charge, tables, checks, support, states = _fresh(
         _FRESH_SUPPORT_PEAK, [n, edges, list(range(k)),
                               list(range(k, 2 * k)), costs, to_cap])
-    assert checks > 5 and support > 30
-    assert peak <= (charge - graph_cells) * evaluator._CELL_BYTES
+    assert checks > 5 and support > 30 and states > 10
+    assert peak <= (charge - tables) * evaluator._CELL_BYTES
 
 
 def test_scan_below_floor_makes_no_products(field64, monkeypatch):
@@ -961,16 +972,30 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     assert [d for d, _ in got] == [3]
 
 
+def materialize(graph):
+    """Read the moves of every state reachable from graph's start that can
+    finish, so that graph.moves holds them all; returns graph.moves."""
+    todo = [] if graph.floor is None else [graph.start]
+    while todo:
+        for _, _, key, _, _ in graph.moves[todo.pop()]:
+            if key is not None and key not in graph.moves:
+                todo.append(key)
+    return graph.moves
+
+
 def test_scan_graph_keeps_only_states_that_finish(bottleneck):
     # x1, x2 -> v -> y1, y2 plus an edge into a dead end u: walk sets
     # exist (they collide at v), and u cannot finish
     inst = PathInstance(6, bottleneck.edges + [(2, 5)], [0, 1], [3, 4])
     graph = ScanGraph(inst, [1, 1, 1, 1, 1])
     assert graph.floor == 4
-    assert graph.togo[(0, 0)] == 4 and graph.togo[(0, 2)] == 3
-    assert not any(key == (0, 5) for moves in graph.moves.values()
+    assert not graph.moves  # nothing is built before a reader asks
+    assert graph.togo((0, 0)) == 4 and graph.togo((0, 2)) == 3
+    moves = materialize(graph)
+    assert set(moves) == {(0, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)}
+    assert not any(key == (0, 5) for moves in moves.values()
                    for _, _, key, _, _ in moves)
-    assert (0, 5) not in graph.togo
+    assert graph.togo((0, 5)) is None
     assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
                      [1]).floor is None
 

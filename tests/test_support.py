@@ -400,6 +400,80 @@ def test_fan_scan_matches_tables(inst, s, seed):
             assert list(scan_slices(graph, f, field, d_cap)) == want
 
 
+def _materialize(graph):
+    """Read the moves of every state reachable from graph's start that can
+    finish, so that graph.moves holds them all; returns graph.moves."""
+    todo = [] if graph.floor is None else [graph.start]
+    while todo:
+        for _, _, key, _, _ in graph.moves[todo.pop()]:
+            if key is not None and key not in graph.moves:
+                todo.append(key)
+    return graph.moves
+
+
+def _eager_graph(inst, costs):
+    """Reference for ScanGraph: (states, togo, moves) of the whole state
+    graph, built the way the scan engine once built it.  A forward pass
+    collects the states reachable from the start with their moves, one
+    backward bucket-queue pass from the finished state (None) over those
+    moves gives togo for each state that can finish, and each such
+    state's moves into states that can finish are sorted by reach."""
+    def state_moves(bmask, z):
+        for slot, eid in enumerate(inst.out_edges[z]):
+            w = inst.edges[eid][1]
+            if not inst.is_terminal(w):
+                yield eid, (bmask, w), slot
+                continue
+            j = inst.sink_index.get(w)
+            if j is None or bmask & (1 << j):
+                continue
+            b2 = bmask | (1 << j)
+            yield eid, None if b2 == (1 << inst.k) - 1 else \
+                (b2, inst.sources[bin(bmask).count("1") + 1]), slot
+
+    start = (0, inst.sources[0])
+    succ = {start: list(state_moves(*start))}
+    todo = [start]
+    while todo:
+        for _, key, _ in succ[todo.pop()]:
+            if key is not None and key not in succ:
+                succ[key] = list(state_moves(*key))
+                todo.append(key)
+    preds = {}
+    for state, moves in succ.items():
+        for eid, key, _ in moves:
+            preds.setdefault(key, []).append((state, costs[eid]))
+    togo = evaluator._backward_costs([None], preds)
+    del togo[None]
+    moves = {state: sorted(((eid, costs[eid], key,
+                             costs[eid] + togo.get(key, 0), slot)
+                            for eid, key, slot in succ[state]
+                            if key is None or key in togo),
+                           key=lambda move: move[3])
+             for state in togo}
+    return set(succ), togo, moves
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(tiny_instances(max_k=3), st.sampled_from([None, 1, 10**6]))
+def test_on_demand_graph_matches_eager_reference(inst, scale):
+    # at unit costs (None), at the instance's costs and at those times
+    # 10^6: the closed-form togo, the floor and every state's sorted moves
+    # equal the eager reference's on every state it enumerates, a state
+    # the reference finds unable to finish has no togo, and the states
+    # reachable through the moves are exactly the reference's
+    costs = [1] * inst.m if scale is None else \
+        [c * scale for c in inst.cost_list()]
+    states, togo, moves = _eager_graph(inst, costs)
+    graph = ScanGraph(inst, costs)
+    assert graph.floor == togo.get(graph.start)
+    for state in states:
+        assert graph.togo(state) == togo.get(state)
+        if state in togo:
+            assert graph.moves[state] == moves[state]
+    assert set(_materialize(ScanGraph(inst, costs))) == set(moves)
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_scan_at_sparse_costs_matches_unscaled(field64, inst, seed):
@@ -410,7 +484,9 @@ def test_scan_at_sparse_costs_matches_unscaled(field64, inst, seed):
     K = 10 ** 6
     graph = ScanGraph(inst, inst.cost_list())
     big = ScanGraph(inst, [c * K for c in inst.cost_list()])
-    assert big.togo == {state: t * K for state, t in graph.togo.items()}
+    states = set(_materialize(graph))
+    assert set(_materialize(big)) == states
+    assert all(big.togo(state) == graph.togo(state) * K for state in states)
     assert big.floor == (None if graph.floor is None else graph.floor * K)
     top = max(inst.simple_cost_cap(), inst.k)
     rng = random.Random(seed)

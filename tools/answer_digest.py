@@ -20,8 +20,12 @@ One line is printed per digest:
   returns with every edge alive at d0, the cost of the deletion path
   set, on each `flow` gadget that has a flow.
 
-Each line also gives the query count and the seconds spent in the
-queries (wall time on this host, not scaled like perfbench's).
+Each line also gives the query count, the seconds spent in the
+queries (wall time on this host, not scaled like perfbench's), and the
+scan states and moves that the queries' ScanGraphs materialized (the
+states whose moves a scan or support pass read, and those moves).  The
+counts are deterministic for a seed, so they measure the scans' work
+without timing it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,33 @@ from smallflow.network import parse_dimacs_flow, parse_paths_instance  # noqa: E
 from workloads import make_batch  # noqa: E402
 
 
+_GRAPHS = []  # the ScanGraphs built since the last _materialized()
+
+
+class _RecordedGraph(evaluator.ScanGraph):
+    """A ScanGraph that records itself in _GRAPHS, swapped in for
+    ScanGraph in the modules that build one (main)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _GRAPHS.append(self)
+
+
+def _materialized():
+    """[states, moves] materialized by the ScanGraphs built since the last
+    call, which are then dropped."""
+    states = sum(len(g.moves) for g in _GRAPHS)
+    moves = sum(len(m) for g in _GRAPHS for m in g.moves.values())
+    _GRAPHS.clear()
+    return [states, moves]
+
+
+def _tally(totals):
+    """Add the states and moves materialized since the last call."""
+    for i, count in enumerate(_materialized()):
+        totals[i] += count
+
+
 def _params(query, instance):
     return decision.TestParams(
         field=GF2Field(64),
@@ -53,10 +84,11 @@ def _paths(ps):
                                     ps.total_cost]
 
 
-def _line(name, answers, seconds, extra=""):
+def _line(name, answers, seconds, materialized, extra=""):
     blob = json.dumps(answers, separators=(",", ":")).encode()
     print(f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
-          f"{len(answers)} queries  {seconds:.2f} s{extra}")
+          f"{len(answers)} queries  {seconds:.2f} s{extra}  "
+          f"{materialized[0]} states  {materialized[1]} moves")
 
 
 def decide(seed, seconds):
@@ -67,7 +99,7 @@ def decide(seed, seconds):
         v = decision.decide_disjoint_paths(inst, q.bound, _params(q, inst))
         spent += time.perf_counter() - start
         answers.append([v.answer, v.degree, v.witness_assignment])
-    _line("decide", answers, spent)
+    _line("decide", answers, spent, _materialized())
 
 
 def mincost(seed, seconds):
@@ -77,7 +109,7 @@ def mincost(seed, seconds):
         start = time.perf_counter()
         answers.append(decision.min_cost_disjoint_paths(inst, _params(q, inst)))
         spent += time.perf_counter() - start
-    _line("mincost", answers, spent)
+    _line("mincost", answers, spent, _materialized())
 
 
 def flows(seed, seconds):
@@ -90,6 +122,7 @@ def flows(seed, seconds):
 
     answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
     supports, support_s = [], 0.0
+    flow_work, isolation_work, support_work = [0, 0], [0, 0], [0, 0]
     for q in make_batch("flow", seed, seconds):
         inst = parse_dimacs_flow(q.text)
         params = _params(q, inst)
@@ -101,6 +134,7 @@ def flows(seed, seconds):
             spent += time.perf_counter() - start
         finally:
             flow.find_disjoint_paths = find
+        _tally(flow_work)
         answers.append(None if answer is None else
                        [answer[0], list(answer[1].amounts),
                         _paths(found[0])])
@@ -109,9 +143,10 @@ def flows(seed, seconds):
             g = gadget.instance
             start = time.perf_counter()
             masks = evaluator.slice_support(
-                evaluator.ScanGraph(g, g.cost_list()), [True] * g.m,
+                _RecordedGraph(g, g.cost_list()), [True] * g.m,
                 found[0].total_cost)
             support_s += time.perf_counter() - start
+            _tally(support_work)
             supports.append([[e for e, on in enumerate(mask) if on]
                              for mask in masks])
         report = {}
@@ -120,11 +155,13 @@ def flows(seed, seconds):
             gadget.instance, params, max_retries=3, strategy="isolation",
             report=report)
         isolation_s += time.perf_counter() - start
+        _tally(isolation_work)
         attempts += report["attempts"]
         isolated.append(_paths(ps))
-    _line("flow", answers, spent)
-    _line("isolation", isolated, isolation_s, f"  {attempts} attempts")
-    _line("support", supports, support_s)
+    _line("flow", answers, spent, flow_work)
+    _line("isolation", isolated, isolation_s, isolation_work,
+          f"  {attempts} attempts")
+    _line("support", supports, support_s, support_work)
 
 
 def main(argv=None):
@@ -132,6 +169,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
+    decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
     decide(args.seed, args.seconds)
     mincost(args.seed, args.seconds)
     flows(args.seed, args.seconds)
