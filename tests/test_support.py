@@ -413,11 +413,12 @@ def _materialize(graph):
 
 def _eager_graph(inst, costs):
     """Reference for ScanGraph: (states, togo, moves) of the whole state
-    graph, built the way the scan engine once built it.  A forward pass
-    collects the states reachable from the start with their moves, one
-    backward bucket-queue pass from the finished state (None) over those
-    moves gives togo for each state that can finish, and each such
-    state's moves into states that can finish are sorted by reach."""
+    graph, enumerated eagerly.  A forward pass collects the states
+    reachable from the start with their moves (the transition rule
+    written out on its own), one backward bucket-queue pass from the
+    finished state (None) over those moves gives togo for each state
+    that can finish, and each such state's moves into states that can
+    finish are sorted by reach."""
     def state_moves(bmask, z):
         for slot, eid in enumerate(inst.out_edges[z]):
             w = inst.edges[eid][1]

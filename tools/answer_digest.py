@@ -45,7 +45,7 @@ from smallflow.network import parse_dimacs_flow, parse_paths_instance  # noqa: E
 from workloads import make_batch  # noqa: E402
 
 
-_GRAPHS = []  # the ScanGraphs built since the last _materialized()
+_GRAPHS = []  # the ScanGraphs built since the last _tally()
 
 
 class _RecordedGraph(evaluator.ScanGraph):
@@ -57,19 +57,13 @@ class _RecordedGraph(evaluator.ScanGraph):
         _GRAPHS.append(self)
 
 
-def _materialized():
-    """[states, moves] materialized by the ScanGraphs built since the last
-    call, which are then dropped."""
-    states = sum(len(g.moves) for g in _GRAPHS)
-    moves = sum(len(m) for g in _GRAPHS for m in g.moves.values())
+def _tally(work):
+    """Add to work, [states, moves], what the ScanGraphs built since the
+    last call materialized, and drop those graphs."""
+    for g in _GRAPHS:
+        work[0] += len(g.moves)
+        work[1] += sum(map(len, g.moves.values()))
     _GRAPHS.clear()
-    return [states, moves]
-
-
-def _tally(totals):
-    """Add the states and moves materialized since the last call."""
-    for i, count in enumerate(_materialized()):
-        totals[i] += count
 
 
 def _params(query, instance):
@@ -92,24 +86,26 @@ def _line(name, answers, seconds, materialized, extra=""):
 
 
 def decide(seed, seconds):
-    answers, spent = [], 0.0
+    answers, spent, work = [], 0.0, [0, 0]
     for q in make_batch("decide", seed, seconds):
         inst = parse_paths_instance(q.text)
         start = time.perf_counter()
         v = decision.decide_disjoint_paths(inst, q.bound, _params(q, inst))
         spent += time.perf_counter() - start
+        _tally(work)
         answers.append([v.answer, v.degree, v.witness_assignment])
-    _line("decide", answers, spent, _materialized())
+    _line("decide", answers, spent, work)
 
 
 def mincost(seed, seconds):
-    answers, spent = [], 0.0
+    answers, spent, work = [], 0.0, [0, 0]
     for q in make_batch("mincost", seed, seconds):
         inst = parse_paths_instance(q.text)
         start = time.perf_counter()
         answers.append(decision.min_cost_disjoint_paths(inst, _params(q, inst)))
         spent += time.perf_counter() - start
-    _line("mincost", answers, spent, _materialized())
+        _tally(work)
+    _line("mincost", answers, spent, work)
 
 
 def flows(seed, seconds):
