@@ -178,7 +178,8 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
         return None
     cap = instance.simple_cost_cap()
     params.check_degree(cap)
-    graph = _graph or ScanGraph(instance, instance.cost_list())
+    graph = ScanGraph(instance, instance.cost_list()) if _graph is None \
+        else _graph
     best = least_nonzero_slice(graph, params, cap, "min-cost")
     if best is None:
         raise RetriesExhaustedError(

@@ -46,16 +46,16 @@ the length-bounded walk polynomial.  Two engines compute them:
   bound changes.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
-  state space (finished-sinks mask, current walk position), one field
-  element per (cost, state), popped best first: in increasing cost plus
-  cost to go.
-  ScanGraph is that state graph for one cost vector, built on demand.
-  Its togo, the least cost that finishes every remaining walk (the exact
-  lower bound of A*), comes in closed form from k per-sink vertex
-  distances and a DP over sink masks, which are all a new graph holds;
-  a state's moves are built by the one transition rule (_MoveTable) the
-  first time a reader reads them, so a scan materializes only the states
-  it expands.  Every scan skips a move out of a state at cost d into a
+  state space (finished-sinks mask B, current walk position z), one
+  integer B * n + z per state and one field element per (cost, state),
+  popped best first: in increasing cost plus cost to go.
+  ScanGraph is that state graph for one cost vector, built on demand: a
+  dict from state to moves.  Its togo, the least cost that finishes
+  every remaining walk (the exact lower bound of A*), comes in closed
+  form from k per-sink vertex distances and a DP over sink masks, which
+  are all a new graph holds; a state's moves are built by the one
+  transition rule (ScanGraph.__missing__) the first time a reader reads
+  them, so a scan materializes only the states it expands.  Every scan skips a move out of a state at cost d into a
   state with d + c(e) + togo > cap.  That is exact: a walk set of cost
   <= cap has, at each of its states, a prefix cost d and a remainder of
   cost at least togo, so it passes only through moves that are kept, and
@@ -118,9 +118,7 @@ from .network import PathInstance
 DEFAULT_MEMORY_LIMIT = 2 << 30  # bytes, process-wide default ceiling
 _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
-_MOVE_CELLS = 2  # cells charged per scan-graph move (see _MoveTable)
-_ROW_SLOTS = 12  # slots of a togo-table row charged as one cell
-_UNREAD = object()  # a togo-table slot not read yet
+_MOVE_CELLS = 2  # cells charged per scan-graph move (see ScanGraph)
 _REACH = itemgetter(3)  # a scan-graph move's reach
 _TAIL_CELLS = 2  # cells charged per TablePlan.tails entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
@@ -607,14 +605,15 @@ def eval_length_bounded_seq(plan: TablePlan, assignment, field: GF2Field,
 # Combined-state scan engine
 # ---------------------------------------------------------------------------
 
-class ScanGraph:
+class ScanGraph(dict):
     """The scan engine's state graph for one instance and one cost vector,
-    with the exact cost still to go from every state, built on demand.
+    with the exact cost still to go from every state, built on demand: a
+    dict from each state read so far to its moves.
 
-    A state (B, z) has finished the walks to the sinks in B, and its
-    current walk stands at z (the next unstarted source, sources[|B|],
-    between walks); the start is (0, sources[0]).  togo(state) is the
-    least cost of moves that finishes every remaining walk, in closed
+    A state is the integer B * n + z: the walks to the sinks in mask B are
+    finished, and the current walk stands at z (the next unstarted source,
+    sources[|B|], between walks); the start is sources[0].  togo(state) is
+    the least cost of moves that finishes every remaining walk, in closed
     form.  dist_j(v) is the least cost of a walk from v to sink j through
     non-terminals: one _backward_costs pass per sink, over the edges whose
     tail is not a sink and whose head is not a source.  rest(M) is the
@@ -625,7 +624,7 @@ class ScanGraph:
     finishes from there, and floor = togo(start) = rest(0), None when no
     walk set exists at all.
 
-    moves[state] lists (edge id, cost, next state, reach, slot) in
+    graph[state] lists (edge id, cost, next state, reach, slot) in
     increasing reach, where reach = cost + togo(next state) (just the
     cost when the move finishes the last walk) and slot is the edge's
     index among its tail's out-edges (its slot in the scan's fan at that
@@ -635,22 +634,30 @@ class ScanGraph:
     sink finishes it and starts the next source's walk (next state None
     when it finishes the last), every other edge is no move, and a move
     into a state that cannot finish is dropped.  So the first move's
-    reach is togo(state).  A state's moves are built the first time a
-    reader reads them (_MoveTable), so scan_slices and slice_support
-    materialize only the states they expand, not the whole reachable
-    space of up to 2^k * n states.
+    reach is togo(state).  A state's moves are built by __missing__, the
+    one transition rule, the first time a reader reads them, so
+    scan_slices and slice_support materialize only the states they
+    expand, not the whole reachable space of up to 2^k * n states.  Only
+    states that can finish are read: the start when the floor is not
+    None, and the targets of moves.  memo holds the togo of every move
+    target met so far, None for one that cannot finish.
 
     The memory ceiling is charged the distance tables before they are
     built, one cell per edge (the predecessor lists) and per two (sink,
-    vertex) pairs or sink masks, and then the materialized states as they
-    come (see _MoveTable); cells is the running charge, which every reader
-    adds to its own.
+    vertex) pairs or sink masks; then one cell per state built and per
+    memo entry, and _MOVE_CELLS per move.  cells is that running charge,
+    which every reader adds to its own, and it is checked as soon as it
+    passes the ceiling.  Fully materialized graphs took 130-162 bytes per
+    move, distance tables, states and memo included, 0.53-0.63 of that
+    charge (complete bipartite k = 8-12 and dense costed instances,
+    tracemalloc after emptying the free lists, 64-bit CPython 3.11).
     """
 
     def __init__(self, instance: PathInstance, costs):
+        super().__init__()
         k, n = instance.k, instance.n
-        cells = instance.m + (k * n + (1 << k)) // 2
-        _check_budget(cells)
+        self.cells = instance.m + (k * n + (1 << k)) // 2
+        _check_budget(self.cells)
         preds = _recurrence_preds(instance, costs)
         dist = []
         for y in instance.sinks:
@@ -662,18 +669,51 @@ class ScanGraph:
             rest[mask] = _least_to_go(dist, rest, mask,
                                       instance.sources[bin(mask).count("1")])
         self.instance = instance
-        self.start = (0, instance.sources[0])
+        self.costs = costs
+        self.dist = dist
+        self.rest = rest
+        self.start = instance.sources[0]
         self.floor = rest[0]
-        self.moves = _MoveTable(instance, costs, dist, rest, cells)
-
-    @property
-    def cells(self) -> int:
-        return self.moves.cells
+        self.memo = {}  # move target -> its togo, None when it cannot finish
 
     def togo(self, state):
         """The least cost of moves that finishes every remaining walk from
         state, or None when no move sequence does."""
-        return _least_to_go(self.moves.dist, self.moves.rest, *state)
+        return _least_to_go(self.dist, self.rest,
+                            *divmod(state, self.instance.n))
+
+    def __missing__(self, state):
+        instance, costs, memo = self.instance, self.costs, self.memo
+        n = instance.n
+        bmask, z = divmod(state, n)
+        after = bin(bmask).count("1") + 1  # the next walk's source index
+        moves = []
+        for slot, eid in enumerate(instance.out_edges[z]):
+            w = instance.edges[eid][1]
+            c = costs[eid]
+            mask = bmask
+            if instance.is_terminal(w):
+                j = instance.sink_index.get(w)
+                if j is None or bmask >> j & 1:
+                    continue
+                if after == instance.k:
+                    moves.append((eid, c, None, c, slot))
+                    continue
+                mask, w = bmask | 1 << j, instance.sources[after]
+            key = mask * n + w
+            if key in memo:
+                t = memo[key]
+            else:
+                t = memo[key] = _least_to_go(self.dist, self.rest, mask, w)
+                self.cells += 1
+            if t is not None:
+                moves.append((eid, c, key, c + t, slot))
+        moves.sort(key=_REACH)
+        self[state] = moves
+        self.cells += 1 + _MOVE_CELLS * len(moves)
+        if self.cells * _CELL_BYTES > DEFAULT_MEMORY_LIMIT:
+            _check_budget(self.cells)  # raise before the graph outgrows it
+        return moves
 
 
 def _least_to_go(dist, rest, bmask, z):
@@ -689,83 +729,14 @@ def _least_to_go(dist, rest, bmask, z):
     return best
 
 
-class _MoveTable(dict):
-    """A ScanGraph's moves, state -> its moves in increasing reach, each
-    state's built by __missing__ the first time it is read and kept.
-
-    Only states that can finish are read: the start when the floor is not
-    None, and the targets of moves.  Move targets are interned through the
-    togo table: one row per sink mask, a list over positions whose slot
-    holds (togo, the state's one tuple), or None when that state cannot
-    finish, filled the first time a move reaches it.  So every move into
-    a state shares that state's tuple.  cells charges one cell per state
-    built and per table entry, 1 + n // _ROW_SLOTS per row, and
-    _MOVE_CELLS per move, and the ceiling is checked as soon as cells
-    passes it.  Fully materialized graphs took 100-225 bytes per move,
-    states and table included, 0.47-0.82 of that charge (tracemalloc,
-    64-bit CPython 3.11).
-    """
-
-    def __init__(self, instance, costs, dist, rest, cells):
-        super().__init__()
-        self.instance = instance
-        self.costs = costs
-        self.dist = dist
-        self.rest = rest
-        self.rows = {}  # sink mask -> its row of the togo table
-        self.cells = cells
-
-    def __missing__(self, state):
-        instance, costs = self.instance, self.costs
-        bmask, z = state
-        row = self._row(bmask)
-        after = bin(bmask).count("1") + 1  # the next walk's source index
-        moves = []
-        for slot, eid in enumerate(instance.out_edges[z]):
-            w = instance.edges[eid][1]
-            c = costs[eid]
-            if not instance.is_terminal(w):
-                into, mask = row, bmask
-            else:
-                j = instance.sink_index.get(w)
-                if j is None or bmask >> j & 1:
-                    continue
-                if after == instance.k:
-                    moves.append((eid, c, None, c, slot))
-                    continue
-                mask, w = bmask | 1 << j, instance.sources[after]
-                into = self._row(mask)
-            entry = into[w]
-            if entry is _UNREAD:
-                t = _least_to_go(self.dist, self.rest, mask, w)
-                entry = into[w] = None if t is None else (t, (mask, w))
-                self.cells += t is not None
-            if entry is not None:
-                moves.append((eid, c, entry[1], c + entry[0], slot))
-        moves.sort(key=_REACH)
-        self[state] = moves
-        self.cells += 1 + _MOVE_CELLS * len(moves)
-        if self.cells * _CELL_BYTES > DEFAULT_MEMORY_LIMIT:
-            _check_budget(self.cells)  # raise before the graph outgrows it
-        return moves
-
-    def _row(self, bmask):
-        """The togo table's row for sink mask bmask, every slot _UNREAD
-        until a move reaches it."""
-        row = self.rows.get(bmask)
-        if row is None:
-            row = self.rows[bmask] = [_UNREAD] * self.instance.n
-            self.cells += 1 + self.instance.n // _ROW_SLOTS
-        return row
-
-
 def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     """Yield (d, value) for each nonzero exact-cost slice d <= cap, in
     increasing d, by a single walk-at-a-time pass over the graph's states
     at the graph's costs.
 
-    State (B, z): sinks in B are finished, the current walk stands at z
-    (the next unstarted source when between walks).  Pending states are
+    State B * n + z: sinks in B are finished, the current walk stands at
+    z = state % n (the next unstarted source when between walks), as in
+    ScanGraph.  Pending states are
     grouped by the key (d + togo(state), d) and the least key is popped
     first (A* order, Hart, Nilsson and Raphael 1968): a move of cost c
     goes to group (d + reach, d + c), and a move that finishes the last
@@ -794,7 +765,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     product.  Both operands are field elements (< 2^s, s <= 64), so a
     slot stays below 2^127 and never spills into the next one.  Moves
     come in increasing reach, so each state's scan stops at its first
-    move past the cap.  A state's moves are read from graph.moves, which
+    move past the cap.  A state's moves are read from graph[state], which
     builds them the first time any reader expands that state, so a scan
     materializes only the states it expands.  The memory ceiling is
     checked once per popped group against the states still pending (the
@@ -805,9 +776,9 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     the ceiling, in the middle of a group.
     """
     instance = graph.instance
+    n = instance.n
     _check_assignment(instance, assignment)
     reduce = field.reduce
-    moves_of = graph.moves
     fans = {}  # position -> window of its packed out-edge values, or 0
     fan_cells = 0
     # (d + togo, d) -> state -> value (unreduced); the state None holds
@@ -837,7 +808,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
             value = reduce(raw)
             if not value:
                 continue
-            z = state[1]
+            z = state % n
             win = fans.get(z)
             if win is None:
                 packed = 0
@@ -848,7 +819,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
             if not win:
                 continue  # every out-edge of z carries zero
             products = vec_scalar_mul_w(win, value)
-            for _, c, key, reach, slot in moves_of[state]:
+            for _, c, key, reach, slot in graph[state]:
                 if reach > cut:
                     break
                 carried = products >> (SLOT_BITS * slot) & _SLOT_MASK
@@ -874,7 +845,7 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     One forward pass, without field arithmetic, visits the graph's states
     reachable from the start in increasing cost, skipping moves that
     cannot finish by cost d (the bound of scan_slices), and reads each
-    state's moves from graph.moves, which materializes a state the first
+    state's moves from graph[state], which materializes a state the first
     time any reader expands it.  Each pending
     (cost, state) carries two int bitmasks: the edges that some prefix
     reaching it avoids (all m at the start) and those that some prefix
@@ -895,7 +866,6 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
     on dense costed graphs, tracemalloc, 64-bit CPython 3.11).
     """
     m = graph.instance.m
-    moves_of = graph.moves
     # pending cost -> state -> (avoided mask, used mask)
     layers = {} if graph.floor is None or graph.floor > d else \
         {0: {graph.start: ((1 << m) - 1, 0)}}
@@ -908,7 +878,7 @@ def slice_support(graph: ScanGraph, alive, d: int) -> tuple[list, list]:
         states = layers.pop(at)
         pending -= len(states)
         for state, (avoids, uses) in states.items():
-            for eid, c, key, reach, _ in moves_of[state]:
+            for eid, c, key, reach, _ in graph[state]:
                 if at + reach > d:
                     break
                 d2 = at + c

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from smallflow import GF2Field, PathInstance
@@ -36,5 +34,16 @@ def bottleneck():
     return PathInstance(5, [(0, 2), (1, 2), (2, 3), (2, 4)], [0, 1], [3, 4])
 
 
-def seeded(n=0):
-    return random.Random(n)
+@pytest.fixture(scope="session")
+def materialize():
+    """materialize(graph): read the moves of every state reachable from
+    the ScanGraph's start that can finish, so that the graph holds them
+    all; returns the graph."""
+    def read_all(graph):
+        todo = [] if graph.floor is None else [graph.start]
+        while todo:
+            for _, _, key, _, _ in graph[todo.pop()]:
+                if key is not None and key not in graph:
+                    todo.append(key)
+        return graph
+    return read_all

@@ -402,4 +402,4 @@ def test_criterion_7_scaling_smoke(capsys):
         f"environment limitation: measured {speedup:.2f}x at degree 4 vs "
         f"the serial route; the host caps two pure-CPU processes at "
         f"{ceiling:.2f}x, so the 1.5x criterion is unattainable here "
-        f"(see the decisions ledger)")
+        f"(see the Criterion 7 section of ROADMAP.md)")

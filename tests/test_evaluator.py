@@ -780,7 +780,7 @@ slices = list(evaluator.scan_slices(graph, f, field, inst.simple_cost_cap()))
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 json.dump([peak, max(charges), tables, len(charges), len(slices),
-           len(graph.moves)], sys.stdout)
+           len(graph)], sys.stdout)
 """
 
 
@@ -822,7 +822,7 @@ try:
     raised = False
 except evaluator.BudgetError:
     raised = True
-json.dump([raised, tracemalloc.get_traced_memory()[1], len(graph.moves)],
+json.dump([raised, tracemalloc.get_traced_memory()[1], len(graph)],
           sys.stdout)
 """
 
@@ -863,7 +863,7 @@ support, _ = evaluator.slice_support(graph, [True] * inst.m, d)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 json.dump([peak, max(charges), tables, len(charges), sum(support),
-           len(graph.moves)], sys.stdout)
+           len(graph)], sys.stdout)
 """
 
 
@@ -972,30 +972,21 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     assert [d for d, _ in got] == [3]
 
 
-def materialize(graph):
-    """Read the moves of every state reachable from graph's start that can
-    finish, so that graph.moves holds them all; returns graph.moves."""
-    todo = [] if graph.floor is None else [graph.start]
-    while todo:
-        for _, _, key, _, _ in graph.moves[todo.pop()]:
-            if key is not None and key not in graph.moves:
-                todo.append(key)
-    return graph.moves
-
-
-def test_scan_graph_keeps_only_states_that_finish(bottleneck):
+def test_scan_graph_keeps_only_states_that_finish(bottleneck, materialize):
     # x1, x2 -> v -> y1, y2 plus an edge into a dead end u: walk sets
-    # exist (they collide at v), and u cannot finish
+    # exist (they collide at v), and u cannot finish.  State (B, z) is the
+    # integer B * n + z, n = 6.
     inst = PathInstance(6, bottleneck.edges + [(2, 5)], [0, 1], [3, 4])
     graph = ScanGraph(inst, [1, 1, 1, 1, 1])
-    assert graph.floor == 4
-    assert not graph.moves  # nothing is built before a reader asks
-    assert graph.togo((0, 0)) == 4 and graph.togo((0, 2)) == 3
-    moves = materialize(graph)
-    assert set(moves) == {(0, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)}
-    assert not any(key == (0, 5) for moves in moves.values()
+    assert not graph  # nothing is built before a reader asks
+    assert graph.start == 0 and graph.floor == 4
+    assert graph.togo(0) == 4 and graph.togo(2) == 3
+    materialize(graph)
+    assert set(graph) == {b * 6 + z for b, z in
+                          [(0, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]}
+    assert not any(key == 5 for moves in graph.values()
                    for _, _, key, _, _ in moves)
-    assert graph.togo((0, 5)) is None
+    assert graph.togo(5) is None and graph.memo[5] is None
     assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
                      [1]).floor is None
 
@@ -1023,7 +1014,7 @@ def d_ordered_scan(graph, assignment, field, cap):
             value = field.reduce(raw)
             if not value:
                 continue
-            z = state[1]
+            z = state % instance.n
             if z not in fans:
                 packed = 0
                 for slot, eid in enumerate(instance.out_edges[z]):
@@ -1032,7 +1023,7 @@ def d_ordered_scan(graph, assignment, field, cap):
             if not fans[z]:
                 continue
             products = evaluator.vec_scalar_mul_w(fans[z], value)
-            for _, c, key, reach, slot in graph.moves[state]:
+            for _, c, key, reach, slot in graph[state]:
                 if d + reach > cap:
                     break
                 carried = products >> (SLOT_BITS * slot) & \

@@ -400,17 +400,6 @@ def test_fan_scan_matches_tables(inst, s, seed):
             assert list(scan_slices(graph, f, field, d_cap)) == want
 
 
-def _materialize(graph):
-    """Read the moves of every state reachable from graph's start that can
-    finish, so that graph.moves holds them all; returns graph.moves."""
-    todo = [] if graph.floor is None else [graph.start]
-    while todo:
-        for _, _, key, _, _ in graph.moves[todo.pop()]:
-            if key is not None and key not in graph.moves:
-                todo.append(key)
-    return graph.moves
-
-
 def _eager_graph(inst, costs):
     """Reference for ScanGraph: (states, togo, moves) of the whole state
     graph, enumerated eagerly.  A forward pass collects the states
@@ -418,27 +407,30 @@ def _eager_graph(inst, costs):
     written out on its own), one backward bucket-queue pass from the
     finished state (None) over those moves gives togo for each state
     that can finish, and each such state's moves into states that can
-    finish are sorted by reach."""
-    def state_moves(bmask, z):
+    finish are sorted by reach.  State (B, z) is the integer B * n + z."""
+    n = inst.n
+
+    def state_moves(state):
+        bmask, z = divmod(state, n)
         for slot, eid in enumerate(inst.out_edges[z]):
             w = inst.edges[eid][1]
             if not inst.is_terminal(w):
-                yield eid, (bmask, w), slot
+                yield eid, bmask * n + w, slot
                 continue
             j = inst.sink_index.get(w)
             if j is None or bmask & (1 << j):
                 continue
             b2 = bmask | (1 << j)
             yield eid, None if b2 == (1 << inst.k) - 1 else \
-                (b2, inst.sources[bin(bmask).count("1") + 1]), slot
+                b2 * n + inst.sources[bin(bmask).count("1") + 1], slot
 
-    start = (0, inst.sources[0])
-    succ = {start: list(state_moves(*start))}
+    start = inst.sources[0]
+    succ = {start: list(state_moves(start))}
     todo = [start]
     while todo:
         for _, key, _ in succ[todo.pop()]:
             if key is not None and key not in succ:
-                succ[key] = list(state_moves(*key))
+                succ[key] = list(state_moves(key))
                 todo.append(key)
     preds = {}
     for state, moves in succ.items():
@@ -457,7 +449,7 @@ def _eager_graph(inst, costs):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(tiny_instances(max_k=3), st.sampled_from([None, 1, 10**6]))
-def test_on_demand_graph_matches_eager_reference(inst, scale):
+def test_on_demand_graph_matches_eager_reference(materialize, inst, scale):
     # at unit costs (None), at the instance's costs and at those times
     # 10^6: the closed-form togo, the floor and every state's sorted moves
     # equal the eager reference's on every state it enumerates, a state
@@ -471,13 +463,14 @@ def test_on_demand_graph_matches_eager_reference(inst, scale):
     for state in states:
         assert graph.togo(state) == togo.get(state)
         if state in togo:
-            assert graph.moves[state] == moves[state]
-    assert set(_materialize(ScanGraph(inst, costs))) == set(moves)
+            assert graph[state] == moves[state]
+    assert set(materialize(ScanGraph(inst, costs))) == set(moves)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_scan_at_sparse_costs_matches_unscaled(field64, inst, seed):
+def test_scan_at_sparse_costs_matches_unscaled(field64, materialize, inst,
+                                               seed):
     # every cost times K = 10^6, as sparse as isolation's perturbed costs:
     # the cost to go scales by K, the slices are the unscaled ones at d * K
     # at every cap, and the support at d * K is the support at d.  A pass
@@ -485,8 +478,8 @@ def test_scan_at_sparse_costs_matches_unscaled(field64, inst, seed):
     K = 10 ** 6
     graph = ScanGraph(inst, inst.cost_list())
     big = ScanGraph(inst, [c * K for c in inst.cost_list()])
-    states = set(_materialize(graph))
-    assert set(_materialize(big)) == states
+    states = set(materialize(graph))
+    assert set(materialize(big)) == states
     assert all(big.togo(state) == graph.togo(state) * K for state in states)
     assert big.floor == (None if graph.floor is None else graph.floor * K)
     top = max(inst.simple_cost_cap(), inst.k)

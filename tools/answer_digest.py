@@ -61,8 +61,8 @@ def _tally(work):
     """Add to work, [states, moves], what the ScanGraphs built since the
     last call materialized, and drop those graphs."""
     for g in _GRAPHS:
-        work[0] += len(g.moves)
-        work[1] += sum(map(len, g.moves.values()))
+        work[0] += len(g)
+        work[1] += sum(map(len, g.values()))
     _GRAPHS.clear()
 
 
