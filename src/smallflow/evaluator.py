@@ -55,11 +55,12 @@ the length-bounded walk polynomial.  Two engines compute them:
   form from k per-sink vertex distances and a DP over sink masks, which
   are all a new graph holds; a state's moves are built by the one
   transition rule (ScanGraph.__missing__) the first time a reader reads
-  them, so a scan materializes only the states it expands.  Every scan skips a move out of a state at cost d into a
-  state with d + c(e) + togo > cap.  That is exact: a walk set of cost
-  <= cap has, at each of its states, a prefix cost d and a remainder of
-  cost at least togo, so it passes only through moves that are kept, and
-  a skipped move carries no walk set the scan could yield.  Each state's
+  them, so a scan materializes only the states it expands.  Every scan
+  skips a move out of a state at cost d into a state with d + c(e) +
+  togo > cap.  That is exact: a walk set of cost <= cap has, at each of
+  its states, a prefix cost d and a remainder of cost at least togo, so
+  it passes only through moves that are kept, and a skipped move carries
+  no walk set the scan could yield.  Each state's
   moves are sorted by c(e) + togo, so a scan stops at the first one past
   its cap.  Moves into states that cannot finish at all are dropped.
   The scan takes the table engine's fan layout: the values of a
