@@ -110,8 +110,11 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     (degree / 2^s)^t.
     parallelism > 1 spreads the table engine's source rows and subset
     terms over up to that many worker processes (at most k and the
-    usable cores); the verdict is the same.
+    usable cores); the verdict is the same.  A parallelism below 1 is
+    refused before any check, so it fails alike on every instance.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism {parallelism} below 1")
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")

@@ -6,10 +6,10 @@ sum over proper walk sets of total cost exactly p.  Length is the
 unit-cost case, and the cumulative XOR of the slices up to a bound l is
 the length-bounded walk polynomial.  Two engines compute them:
 
-* the table engine (TablePlan): one pipeline that produces each source
-  row's table by the cost-indexed pair recurrence (_pair_by_cost, one
-  walk extended one edge at a time, q -> q + c(e)) and combines the rows
-  by the subset recurrence over sink masks (_subset_phase).  Edge costs
+* the table engine (TablePlan): one pipeline that produces the source
+  rows' tables by the cost-indexed pair recurrence (_rows, one walk
+  extended one edge at a time, q -> q + c(e)) and combines the rows by
+  the subset recurrence over sink masks (_subset_phase).  Edge costs
   are handled implicitly instead of materializing the subdivided network
   (an edge of cost c replaced by a unit-cost path of length c);
   oracle.subdivide_costs builds the explicit subdivision as the ground
@@ -17,21 +17,22 @@ the length-bounded walk polynomial.  Two engines compute them:
   the edge values and is built once per query, the table engine's
   counterpart of ScanGraph; plan.slices(assignment, field) is one
   evaluation, the plain list of slice values up to the plan's bound (l
-  at unit costs, eval_length_bounded_seq).  The rows take one of two
-  routes, which give bit-identical rows.  Per row (_pair_by_cost), the
-  edges a row relaxes are grouped by cost and tail into fans, whose
-  values are packed one per slot and windowed once per evaluation, so
-  one scalar product per (layer, tail, cost) gives every out-edge's
-  product; the products go unreduced into their heads' cells, and each
-  cell is reduced once, when its layer is complete.  Packed
-  (_packed_rows), all k rows run as one recurrence whose cell (q, v)
-  holds row r's value in slot r: each cell is reduced and windowed
-  once, and one scalar product per out-edge gives that edge's product
-  for every row, the way the paper evaluates its rows side by side.
-  A plan packs when its fans are narrower than k on average (_packs),
-  and then its serial route is the packed pass; the pool always maps
-  the per-row task.  A row's table holds only the cells that can
-  still finish within the bound.  sink_distances gives togo(v), the
+  at unit costs, eval_length_bounded_seq).  The rows come from one push
+  pass over one layout, each vertex's out-edges in increasing reach
+  (plan.tails): every nonzero cell is reduced once, when its layer is
+  complete, and pushed along its out-edges, the products going
+  unreduced into their heads' cells.  The pass takes one of two routes,
+  which give bit-identical rows.  Packed, all k rows run as one
+  recurrence whose cell (q, v) holds row r's value in slot r: each cell
+  is windowed once, and one scalar product per out-edge gives that
+  edge's product for every row, the way the paper evaluates its rows
+  side by side.  Per row, each vertex's out-edge values are packed one
+  per slot and windowed once per evaluation, so one scalar product per
+  cell gives every out-edge's product.  A plan packs when the vertices
+  with out-edges have fewer than k each on average (_packs), and then
+  its serial route is the packed pass; the pool always maps per-row
+  passes.  A row's table holds only the cells that can still finish
+  within the bound.  sink_distances gives togo(v), the
   least cost from v to a sink along the recurrence's edges, and d_i =
   togo(source i) (one backward bucket-queue pass, over the edges that the
   scan graph's per-sink distances read too).  A walk set of total cost
@@ -63,7 +64,7 @@ the length-bounded walk polynomial.  Two engines compute them:
   no walk set the scan could yield.  Each state's
   moves are sorted by c(e) + togo, so a scan stops at the first one past
   its cap.  Moves into states that cannot finish at all are dropped.
-  The scan takes the table engine's fan layout: the values of a
+  The scan takes the per-row table route's fan layout: the values of a
   position's out-edges are packed one per slot and windowed once per
   scan, one scalar product per expanded state gives every move's
   product, and each state is reduced once.  Pending states are visited
@@ -88,7 +89,7 @@ over source rows, and then over the sink masks of one popcount: walks
 from different sources never meet in the pair recurrence, and a level of
 the subset recurrence reads only the level below.  So the pipeline maps
 the rows, then the subset levels one at a time, either in this process
-(the packed pass in place of the rows on a packing plan) or over one
+(one packed pass for all rows on a packing plan) or over one
 pool of worker processes, with bit-identical results.
 
 Layer tables and scan fans live in packed-vector form (see field.vec_*)
@@ -100,7 +101,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from bisect import bisect_right
 from functools import partial
 from heapq import heappop, heappush
 from itertools import starmap
@@ -158,9 +158,10 @@ def _check_budget(cells: int):
 def _fan_cells(slots: int) -> int:
     """Cells charged for one windowed fan of `slots` packed edges: 5 per
     edge and 10 for the window.  A window of D slots takes about 450 +
-    240 D bytes, a table fan holds two lists of its heads beside it, and
-    building the table fans and the sink distances holds about 140 bytes
-    more per edge (tracemalloc, 64-bit CPython 3.11)."""
+    240 D bytes, and building the plan's tail lists and the sink
+    distances holds about 140 bytes more per edge (tracemalloc, 64-bit
+    CPython 3.11); the tail lists themselves are charged apart
+    (_TAIL_CELLS)."""
     return _FAN_CELLS * (slots + 2)
 
 
@@ -175,10 +176,11 @@ def subset_table_cells(k: int, bound: int) -> int:
 
 def _packs(k: int, widths) -> bool:
     """Whether a plan's serial route is the packed row pass, from its k
-    and the widths of its fans: k > 1 and a mean fan width below k.
+    and the widths of its fans, the out-edge counts of the vertices that
+    have any: k > 1 and a mean fan width below k.
 
     Per cell, the packed pass makes one product per out-edge and the
-    per-row route one per row and fan, and a product costs about the same
+    per-row route one per row, and a product costs about the same
     at 1 to 4 slots (tools/kernel_timing.py), so packing pays below some
     mean width above k.  Measured crossover (whole serial evaluations,
     same-process A/B, layered unit-cost instances of width 5 and depth 6,
@@ -206,25 +208,22 @@ class TablePlan:
     sink (then no walk set exists at all).  Row i's walk in a set of
     total cost <= bound costs at most budgets[i] = bound - floor + d_i,
     since every other walk costs at least its own d (-1, an empty row,
-    when floor is None).  fans groups the relaxable edges (tail
-    non-terminal, head not a source and reaching a sink) by cost and then
-    by tail: [(c, fans)] in increasing c, each fan (first key, u, keys,
-    heads, edge ids) for the cost-c out-edges of tail u, heads in
-    increasing togo(head), keys those togo values, and the fans of one
-    cost in increasing first key.  The fans are built at every bound.
+    when floor is None).  tails[u] lists the edges a row relaxes out of
+    vertex u (u non-terminal, head not a source and reaching a sink, so
+    it is empty at a terminal u) as (reach, c, head, edge id) in
+    increasing reach = c + togo(head), so a reader with a cut stops at
+    the first edge past it.
 
-    packs (_packs, from k and the fans' widths) says whether the serial
-    route is the packed row pass (_packed_rows) or one _pair_by_cost per
-    row; the pool always maps _pair_by_cost.  A packing plan also holds
-    tails: for each vertex, the (reach, c, head, edge id) of its fans'
-    edges in increasing reach = c + togo(head), () for a vertex with no
-    fan; it is None on any other plan.
+    packs (_packs, from k and the out-edge counts in tails) says whether
+    the serial route is the packed row pass or one per-row pass per row
+    (both _rows); the pool always maps per-row passes.
 
     The memory ceiling is charged pair_cells, the pair rows unpruned at
     bound - k + 1 layers each (each other walk costs at least d_i >= 1,
     so no budget exceeds that), subset_cells and fan_cells (_fan_cells
-    of each fan, and _TAIL_CELLS per entry of tails), and checked once
-    per evaluation, before any row runs.
+    of each vertex's out-edges, windowed on the per-row route, and
+    _TAIL_CELLS per entry of tails), and checked once per evaluation,
+    before any row runs.
     """
 
     def __init__(self, instance: PathInstance, bound: int, costs):
@@ -239,38 +238,19 @@ class TablePlan:
         self.floor = None if None in floors else sum(floors)
         self.budgets = [-1] * k if self.floor is None else \
             [bound - self.floor + d for d in floors]
-        groups = {}
+        self.tails = tails = [[] for _ in range(instance.n)]
         for eid, (u, v) in enumerate(instance.edges):
             if not instance.is_terminal(u) and \
                     v not in instance.source_index and v in togo:
-                groups.setdefault(costs[eid], {}).setdefault(u, []).append(
-                    (togo[v], v, eid))
-        self.fans = []
-        for c, tails in sorted(groups.items()):
-            fans = []
-            for u, fan in tails.items():
-                fan.sort(key=lambda edge: edge[0])
-                keys = [edge[0] for edge in fan]
-                fans.append((keys[0], u, keys, [edge[1] for edge in fan],
-                             [edge[2] for edge in fan]))
-            fans.sort(key=lambda fan: fan[0])
-            self.fans.append((c, fans))
-        widths = [len(fan[3]) for _, fans in self.fans for fan in fans]
+                tails[u].append((costs[eid] + togo[v], costs[eid], v, eid))
+        for out in tails:
+            out.sort()
+        widths = [len(out) for out in tails if out]
         self.packs = _packs(k, widths)
-        self.tails = None
-        if self.packs:
-            tails = {}
-            for c, fans in groups.items():
-                for u, fan in fans.items():
-                    tails.setdefault(u, []).extend(
-                        (c + key, c, v, eid) for key, v, eid in fan)
-            self.tails = [()] * instance.n
-            for u, out in tails.items():
-                self.tails[u] = sorted(out)
         self.pair_cells = max(bound - k + 1, 0) * instance.n * k
         self.subset_cells = subset_table_cells(k, bound)
-        self.fan_cells = sum(_fan_cells(width) for width in widths) + \
-            (_TAIL_CELLS * sum(widths) if self.packs else 0)
+        self.fan_cells = sum(map(_fan_cells, widths)) + \
+            _TAIL_CELLS * sum(widths)
 
     def slices(self, assignment, field: GF2Field,
                parallelism: int = 1) -> list[int]:
@@ -278,21 +258,22 @@ class TablePlan:
         values.
 
         On a packing plan (self.packs) the serial route is one packed
-        pass over all k rows (_packed_rows), which windows no fan.  On any
-        other plan, and on the pool, each fan's values are packed one per
-        128-bit slot and windowed once (vec_window), so that one scalar
-        product gives every edge's product at once, and each row is one
-        _pair_by_cost.  With parallelism > 1, k > 1 and two or more
-        usable cores, one fork pool of min(parallelism, k, usable cores)
-        workers serves the whole evaluation: the workers inherit the
-        windowed plan when they fork (the pool's initializer), so no task
-        carries it.  All source rows (_pair_by_cost, round-robin over the
-        usable cores) are queued first, then each level of the subset
-        phase as soon as the row it reads is in, one task at a time, so
-        a level's terms can run while a later row is still out.
-        Otherwise both phases map inline, in this process.  Both row
-        routes give the same rows and the subset phase is one code, so
-        the result is bit-identical for every parallelism degree.
+        pass over all k rows (_rows with no windows), which windows no
+        fan.  On any other plan, and on the pool, each vertex's out-edge
+        values are packed one per 128-bit slot in tails order and
+        windowed once (vec_window), so that one scalar product gives
+        every out-edge's product at once, and each row is one per-row
+        _rows pass.  With parallelism > 1, k > 1 and two or more usable
+        cores, one fork pool of min(parallelism, k, usable cores) workers
+        serves the whole evaluation: the workers inherit the windowed
+        plan when they fork (the pool's initializer), so no task carries
+        it.  All source rows (round-robin over the usable cores) are
+        queued first, then each level of the subset phase as soon as the
+        row it reads is in, one task at a time, so a level's terms can
+        run while a later row is still out.  Otherwise both phases map
+        inline, in this process.  Both row routes give the same rows and
+        the subset phase is one code, so the result is bit-identical for
+        every parallelism degree.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
@@ -303,18 +284,15 @@ class TablePlan:
         procs = min(parallelism, k, len(cores))
         forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
         if self.packs and not forks:
-            rows = _packed_rows(self, assignment, field)
+            rows = _rows(self, assignment, field, None, range(k))
             return _subset_phase(k, bound, rows, field, starmap)
-        windowed = []
-        for c, fans in self.fans:
-            group = []
-            for first, u, keys, heads, eids in fans:
-                packed = 0
-                for slot, eid in enumerate(eids):
-                    packed |= assignment[eid] << (SLOT_BITS * slot)
-                group.append((first, u, keys, heads, vec_window(packed)))
-            windowed.append((c, group))
-        rows_plan = (self, assignment, field, windowed)
+        windows = []
+        for out in self.tails:
+            packed = 0
+            for slot, edge in enumerate(out):
+                packed |= assignment[edge[3]] << (SLOT_BITS * slot)
+            windows.append(vec_window(packed) if out else None)
+        rows_plan = (self, assignment, field, windows)
         if forks:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=procs, initializer=_set_plan,
@@ -325,7 +303,7 @@ class TablePlan:
                 return _subset_phase(k, bound, (row.get() for row in rows),
                                      field, partial(pool.starmap,
                                                     chunksize=1))
-        rows = [_pair_by_cost(*rows_plan, xi) for xi in range(k)]
+        rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
         return _subset_phase(k, bound, rows, field, starmap)
 
 
@@ -367,7 +345,7 @@ def _pair_row_on_core(core, xi):
     moved to the given core (rows go round-robin over the usable
     cores)."""
     _move_to_core(core)
-    return _pair_by_cost(*_PLAN, xi)
+    return _rows(*_PLAN, (xi,))[0]
 
 
 def _backward_costs(targets, preds):
@@ -413,121 +391,89 @@ def _recurrence_preds(instance: PathInstance, costs) -> dict:
     return preds
 
 
-def _pair_by_cost(plan, assignment, field, fans_by_cost, xi):
-    """Walk-table values at the sinks for source row xi: out[j][q-1] sums
-    the walks of exact cost q from source xi to sink j, for every q that
-    the row's walk in a set of total cost <= plan.bound can have, at the
-    plan's costs; fans_by_cost is plan.fans with each fan's edge ids
-    replaced by the window of its packed values, which every row shares.
+def _rows(plan, assignment, field, windows, rows):
+    """Walk-table values at the sinks for the source rows listed in rows,
+    from one recurrence in which cell (q, v) holds row rows[i]'s value in
+    128-bit slot i: out[i][j][q-1] sums the walks of exact cost q from
+    source rows[i] to sink j, for every q that the row's walk in a set of
+    total cost <= plan.bound can have, at the plan's costs.
 
     One walk is extended one edge at a time, q -> q + c(e): the network
     with every cost-c edge implicitly replaced by a unit-cost path of
     length c (first edge carrying the variable, the rest carrying one).
-    Layer q reads the cells (q - c, u) of every cost-c fan of tail u: one
-    scalar product of the fan's window by the cell gives all of its
-    edges' products, one per slot, and each slot is XORed unreduced into
-    its head's cell.  Both operands are reduced (< 2^64), so a slot stays
-    below 2^127 and never spills into the next one.  Once layer q is
-    complete, each of its nonzero cells is reduced once (field.reduce),
-    before any later layer reads it; reduction is GF(2)-linear, so this
-    equals reducing every product.
-
-    Only cells that can still finish within the bound are computed.  The
-    row needs walks of cost at most budget = plan.budgets[xi], and a
-    prefix at (q, v) still needs togo(v) more: cell (q, v) is computed
-    only when q + togo(v) <= budget, that is, a fan scatters to the
-    prefix of its heads with key <= budget - q, and a fan whose first
-    head fails is skipped; the row is budget layers deep.  Every cell
-    that passes is exact, since it reads only cells (q - c(e), u) that
-    pass too (togo(u) <= c(e) + togo(v)), so every slice at or below the
-    bound is unchanged.  With a source that reaches no sink the budget
-    is -1 and every column is empty.  Rows never read one another, so
-    each is computed alone, in any process.
-    """
-    instance, costs, togo = plan.instance, plan.costs, plan.togo
-    budget = plan.budgets[xi]
-    pair = [[0] * instance.n for _ in range(budget + 1)]
-    for eid in instance.out_edges[instance.sources[xi]]:
-        v = instance.edges[eid][1]
-        if v not in instance.source_index and v in togo and \
-                costs[eid] + togo[v] <= budget:
-            pair[costs[eid]][v] ^= assignment[eid]
-    reduce = field.reduce
-    for q in range(2, budget + 1):
-        layer = pair[q]
-        cut = budget - q
-        for c, fans in fans_by_cost:
-            if c >= q:
-                break
-            prev = pair[q - c]
-            for first, u, keys, heads, win in fans:
-                if first > cut:
-                    break
-                a = prev[u]
-                if not a:
-                    continue
-                products = vec_scalar_mul_w(win, a)
-                for v in heads[:bisect_right(keys, cut)]:
-                    layer[v] ^= products & _SLOT_MASK
-                    products >>= SLOT_BITS
-        pair[q] = [reduce(x) if x else 0 for x in layer]
-    return [[pair[q][y] for q in range(1, budget + 1)]
-            for y in instance.sinks]
-
-
-def _packed_rows(plan, assignment, field):
-    """The rows of _pair_by_cost for every source at once, from one
-    recurrence in which cell (q, v) holds row r's value in 128-bit slot
-    r: a packing plan's serial route.
-
     A source's out-edges within its own budget write its slot of their
-    heads' cells.  Then, layer by layer, each nonzero cell is reduced
-    once (vec_reduce, all k slots) and windowed once, and for each
-    out-edge e = (u, v) in plan.tails[u] one scalar product of that
-    window by e's value gives e's product for every row; the k-slot
-    product goes unreduced into cell (q + c(e), v).  Both operands are reduced, so no slot spills
-    into the next one.  Cells are pruned as in _pair_by_cost, against
-    the deepest budget top = max(plan.budgets): cell (q, v) is written
-    only when q + togo(v) <= top, so a cell's out-edges are read up to
-    the first with reach > top - q.  Each row's column is then cut to
-    that row's own budget: every cell a row's column reads within its
-    budget is exact, here as in _pair_by_cost (a cell kept at the row's
-    budget is kept at top, and a cell kept at top reads only kept
-    cells), so the rows are bit-identical to _pair_by_cost's.
+    heads' cells.  Then, layer by layer, each nonzero cell (q, u) is
+    reduced once and pushed along the out-edges in plan.tails[u], each
+    product going unreduced into cell (q + c(e), v); reduction is
+    GF(2)-linear, so this equals reducing every product.  Both operands
+    of a product are reduced (< 2^64), so a slot stays below 2^127 and
+    never spills into the next one.  Two routes give the products:
+    * packed (windows None, any number of rows): the cell is reduced by
+      vec_reduce and windowed, and one scalar product of that window by
+      e's value gives e's product for every row;
+    * per row (one row): the cell is reduced by GF2Field.reduce, and
+      windows[u] packs the values of u's tails one per slot, in tails
+      order, so one scalar product of it by the cell gives every
+      out-edge's product, each taking its slot, the way scan_slices
+      splits a state's product.
+
+    Only cells that can still finish within the bound are computed.  Row
+    r needs walks of cost at most budget_r = plan.budgets[r], and a prefix
+    at (q, v) still needs togo(v) more.  The pass runs to the deepest
+    budget top of its rows and writes cell (q, v) only when q + togo(v)
+    <= top, so a cell's out-edges are read up to the first with reach >
+    top - q; each row's column is then cut to its own budget.  Every cell
+    a row reads within its budget is exact, since a cell kept at the
+    row's budget is kept at top and reads only cells (q - c(e), u) that
+    are kept too (togo(u) <= c(e) + togo(v)), so every slice at or below
+    the bound is unchanged and both routes give bit-identical rows.  With
+    a source that reaches no sink its budget is -1 and its columns are
+    empty.  Rows never read one another, so each can be computed alone,
+    in any process.
     """
-    instance, costs, togo = plan.instance, plan.costs, plan.togo
-    k, budgets, tails = instance.k, plan.budgets, plan.tails
+    instance, costs, togo, tails = plan.instance, plan.costs, plan.togo, \
+        plan.tails
+    budgets = [plan.budgets[r] for r in rows]
     top = max(budgets)
     pair = [[0] * instance.n for _ in range(top + 1)]
-    for r, x in enumerate(instance.sources):
-        for eid in instance.out_edges[x]:
+    for slot, r in enumerate(rows):
+        for eid in instance.out_edges[instance.sources[r]]:
             v = instance.edges[eid][1]
             if v not in instance.source_index and v in togo and \
-                    costs[eid] + togo[v] <= budgets[r]:
-                pair[costs[eid]][v] ^= assignment[eid] << (SLOT_BITS * r)
-    reduce, window, mul = vec_reduce, vec_window, vec_scalar_mul_w
+                    costs[eid] + togo[v] <= budgets[slot]:
+                pair[costs[eid]][v] ^= assignment[eid] << (SLOT_BITS * slot)
+    width = len(budgets)
+    reduce, vreduce = field.reduce, vec_reduce
+    window, mul = vec_window, vec_scalar_mul_w
     for q in range(1, top + 1):
         layer = pair[q]
         cut = top - q
         for u, cell in enumerate(layer):
             if not cell:
                 continue
-            layer[u] = cell = reduce(cell, k, field)
+            if windows is None:
+                layer[u] = cell = vreduce(cell, width, field)
+            else:
+                layer[u] = cell = reduce(cell)
             out = tails[u]
-            if not out or out[0][0] > cut or not cell:
+            if not cell or not out or out[0][0] > cut:
                 continue
-            win = window(cell)
-            for reach, c, v, eid in out:
+            if windows is None:
+                win = window(cell)
+                for reach, c, v, eid in out:
+                    if reach > cut:
+                        break
+                    pair[q + c][v] ^= mul(win, assignment[eid])
+                continue
+            products = mul(windows[u], cell)
+            for reach, c, v, _ in out:
                 if reach > cut:
                     break
-                pair[q + c][v] ^= mul(win, assignment[eid])
-    rows = []
-    for r, budget in enumerate(budgets):
-        shift = SLOT_BITS * r
-        rows.append([[pair[q][y] >> shift & _SLOT_MASK
-                      for q in range(1, budget + 1)]
-                     for y in instance.sinks])
-    return rows
+                pair[q + c][v] ^= products & _SLOT_MASK
+                products >>= SLOT_BITS
+    return [[[pair[q][y] >> (SLOT_BITS * slot) & _SLOT_MASK
+              for q in range(1, budget + 1)] for y in instance.sinks]
+            for slot, budget in enumerate(budgets)]
 
 
 def _subset_phase(k, bound, rows, field, mapper):

@@ -338,9 +338,19 @@ def test_decide_parallelism_same_answer(capsys, paths_file):
     assert strip(a) == strip(b)
 
 
-def test_parallelism_below_one_exit(capsys, paths_file):
-    assert run_cli(capsys, "decide", "-i", paths_file, "-l", "2",
-                   "--parallelism", "0")[0] == 2
+def test_parallelism_below_one_exit(capsys, paths_file, tmp_path):
+    # exit 2 whether or not the query evaluates a table: an evaluated
+    # bound, one below the floor (2 at k = 2), and an instance without
+    # two disjoint paths all answer without one at a valid parallelism
+    p = tmp_path / "b.paths"
+    p.write_text(BOTTLENECK)
+    for inst, l in ((paths_file, "2"), (paths_file, "1"), (str(p), "4")):
+        for value in ("0", "-3"):
+            code = cli.main(["decide", "-i", inst, "-l", l,
+                             "--parallelism", value])
+            assert code == 2, (inst, l, value)
+            assert f"parallelism {value} below 1" in \
+                capsys.readouterr().err
 
 
 def test_memory_limit_flag(capsys, paths_file):

@@ -178,14 +178,14 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
 def test_worker_failure_raised_in_caller(field64, monkeypatch):
     # every row is computed in a pool worker, and each one fails there
     caller = os.getpid()
-    pair_by_cost = evaluator._pair_by_cost
+    rows = evaluator._rows
 
     def failing(*args):
         if os.getpid() != caller:
             raise ValueError("a worker's row failed")
-        return pair_by_cost(*args)
+        return rows(*args)
 
-    monkeypatch.setattr(evaluator, "_pair_by_cost", failing)
+    monkeypatch.setattr(evaluator, "_rows", failing)
     monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 2)
     inst = random_paths_instance(random.Random(5), 8, 3, extra_edges=12)
     f = random_assignment(field64, inst.m, random.Random(6))
@@ -460,26 +460,27 @@ def looped_chains():
 
 def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
     # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
-    # z reaches no sink, so a -> z is in no fan.  The fans: a -> {b},
-    # b -> {y, c} (keys 0, 3) and c -> {a}: widths 1, 2, 1, below k = 2,
+    # z reaches no sink, so a -> z is in no tail list.  The tails: a -> {b},
+    # b -> {y, c} (reach 1, 4) and c -> {a}: widths 1, 2, 1, below k = 2,
     # so the plan packs.  A walk from x_i stands at a at q = 1, 4, 7, ...,
     # at b at 2, 5, ... and at c at 3, 6, ...; cell (q, v) is written only
-    # when q + togo(v) <= l - 3.
+    # when q + togo(v) <= l - 3.  Both routes reduce every written cell
+    # once, layer 1 included; the chains share no vertex, so each cell
+    # holds one row's walks.  At l = 11 (budget 8) the cells (1, a),
+    # (2, b), (3, y), (3, c), (4, a), (5, b), (6, y) of each chain are
+    # written: 7 reductions per chain.  At l = 6 (budget 3): (1, a),
+    # (2, b), (3, y).  Below l = 6 = d_0 + d_1, none.
     #
     # Per row (the pool's task, also the serial route of a plan that does
-    # not pack), one product per fan, into layer q: at l = 11 (budget 8):
-    # q=2 a->b, q=3 b->y and b->c, q=4 c->a, q=5 a->b, q=6 b->y (b->c
-    # would need 9): 5 products writing 6 cells, each reduced once by
-    # GF2Field.reduce.  At l = 6 (budget 3): a->b, b->y.  Below l = 6 =
-    # d_0 + d_1, none.
+    # not pack), one product per kept cell with a kept out-edge, each
+    # cell reduced by GF2Field.reduce: at l = 11, out of (1, a), (2, b)
+    # (one product for b->y and b->c), (3, c), (4, a) and (5, b) (b->c
+    # would need 9): 5 products per chain.  At l = 6: out of (1, a) and
+    # (2, b) (b->y only).
     #
-    # Packed, one product per out-edge of a kept cell, out of layer q, and
-    # one vec_reduce per written cell, layer 1 included.  The chains share
-    # no vertex, so each cell holds one row's walks: at l = 11 the cells
-    # (1, a), (2, b), (3, y), (3, c), (4, a), (5, b), (6, y) of each chain
-    # are reduced and a->b, b->y, b->c, c->a, a->b, b->y multiplied: 6
-    # products and 7 reductions per chain.  At l = 6: (1, a), (2, b),
-    # (3, y) and a->b, b->y.
+    # Packed, one product per kept out-edge of a kept cell, each cell
+    # reduced by vec_reduce: at l = 11 a->b, b->y, b->c, c->a, a->b, b->y,
+    # 6 products per chain.  At l = 6: a->b, b->y.
     inst = looped_chains()
     f = [3 + e for e in range(inst.m)]
     counts = dict.fromkeys(("products", "reduce", "vec_reduce"), 0)
@@ -508,17 +509,14 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
     if "fork" in multiprocessing.get_all_start_methods():
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
                             no_call)
-    monkeypatch.setattr(evaluator, "_pair_by_cost",
-                        rows(evaluator._pair_by_cost))
-    monkeypatch.setattr(evaluator, "_packed_rows",
-                        rows(evaluator._packed_rows))
+    monkeypatch.setattr(evaluator, "_rows", rows(evaluator._rows))
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w",
                         tally("products", evaluator.vec_scalar_mul_w))
     monkeypatch.setattr(evaluator, "vec_reduce",
                         tally("vec_reduce", evaluator.vec_reduce))
     monkeypatch.setattr(GF2Field, "reduce", tally("reduce", GF2Field.reduce))
     monkeypatch.setattr(GF2Field, "mul", no_call)
-    per_row = {1: (0, 0), 5: (0, 0), 6: (2 * 2, 2 * 2), 11: (2 * 5, 2 * 6)}
+    per_row = {1: (0, 0), 5: (0, 0), 6: (2 * 2, 2 * 3), 11: (2 * 5, 2 * 7)}
     packed = {1: (0, 0), 5: (0, 0), 6: (2 * 2, 2 * 3), 11: (2 * 6, 2 * 7)}
     for l in per_row:
         plan = length_plan(inst, l)
@@ -551,16 +549,17 @@ def spill_instance():
 @pytest.mark.parametrize("s", [8, 64])
 def test_full_slots_do_not_spill(s):
     # every edge value 2^s - 1: the largest unreduced products, which at
-    # s = 64 fill a slot up to bit 126, next to the slots of the fan's
-    # other heads
+    # s = 64 fill a slot up to bit 126, next to the slots of the tail's
+    # other out-edges
     field = GF2Field(s)
     inst = spill_instance()
     unit = [1] * inst.m
     for costs in (unit, inst.cost_list()):
-        fans = TablePlan(inst, 10, costs).fans
-        assert any(len(heads) >= 3 and len(set(heads)) < len(heads)
-                   for _, group in fans for _, _, _, heads, _ in group)
-    assert len(fans) == 3
+        tails = TablePlan(inst, 10, costs).tails
+        assert any(len(out) >= 3 and
+                   len({v for _, _, v, _ in out}) < len(out)
+                   for out in tails)
+    assert len({c for out in tails for _, c, _, _ in out}) == 3
     l = inst.k * (inst.n - 1)
     u = 10
     for f in ([field.mask] * inst.m,
@@ -639,15 +638,15 @@ def test_row_route_choice(field64, monkeypatch):
     # wide and pack, and one source never packs.
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
     plan = length_plan(inst, 4 * 63)
-    widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+    widths = [len(out) for out in plan.tails if out]
     assert 4.5 < sum(widths) / len(widths) and not plan.packs
-    assert plan.tails is None
     ran = []
-    for name in ("_pair_by_cost", "_packed_rows"):
-        def spy(*args, real=getattr(evaluator, name), name=name):
-            ran.append(name)
-            return real(*args)
-        monkeypatch.setattr(evaluator, name, spy)
+
+    def spy(plan, assignment, field, windows, rows, real=evaluator._rows):
+        ran.append("packed" if windows is None else "per-row")
+        return real(plan, assignment, field, windows, rows)
+
+    monkeypatch.setattr(evaluator, "_rows", spy)
     for k in (1, 3, 4):
         inst = layered_instance(random.Random(k), k, 5, 6)
         plan = length_plan(inst, inst.max_path_edges())
@@ -655,27 +654,27 @@ def test_row_route_choice(field64, monkeypatch):
         ran.clear()
         f = random_assignment(field64, inst.m, random.Random(k))
         slices = plan.slices(f, field64)
-        assert ran == (["_packed_rows"] if k > 1 else ["_pair_by_cost"])
+        assert ran == (["packed"] if k > 1 else ["per-row"])
         assert any(slices)
         assert slices == scan_cost_slices(inst, f, field64, plan.bound,
                                           [1] * inst.m)
 
 
 _FRESH_PEAK = """
-import json, random, sys, tracemalloc
+import gc, json, random, sys, tracemalloc
 from smallflow import GF2Field, PathInstance, TablePlan, random_assignment
 n, edges, sources, sinks, l = json.load(sys.stdin)
 inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks)
 field = GF2Field(64)
 f = random_assignment(field, inst.m, random.Random(8))
+gc.collect()
 tracemalloc.start()
 plan = TablePlan(inst, l, [1] * inst.m)
 slices = plan.slices(f, field)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 json.dump([peak, plan.pair_cells, plan.subset_cells, plan.fan_cells,
-           [bool(v) for v in slices],
-           None if plan.tails is None else sum(map(len, plan.tails))],
+           [bool(v) for v in slices], sum(map(len, plan.tails))],
           sys.stdout)
 """
 
@@ -685,9 +684,10 @@ def fresh_peak(inst, l):
     values random_assignment draws from random.Random(8), as the first
     evaluation of a fresh interpreter: (tracemalloc peak, pair_cells,
     subset_cells, fan_cells, which slices are nonzero, the entries of
-    plan.tails or None when the plan does not pack).  Later evaluations
-    in one process read lower: they take tuples from CPython's free lists,
-    which tracemalloc does not count again."""
+    plan.tails).  The free lists are emptied (gc.collect) before tracing
+    starts, so every tuple the pass makes is counted; later evaluations
+    in one process read lower, as they take tuples from CPython's free
+    lists, which tracemalloc does not count again."""
     return _fresh(_FRESH_PEAK, [inst.n, inst.edges, inst.sources,
                                 inst.sinks, l])
 
@@ -716,18 +716,21 @@ def test_memory_ceiling_bounds_the_tables():
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     inst = PathInstance(n, edges, range(k), range(k, 2 * k))
-    peak, pair_cells, subset_cells, _, nonzero, tails = \
+    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
         fresh_peak(inst, k * (n - 1))
-    assert tails is None
+    assert tails == 8 * 10
+    assert fan_cells == 8 * evaluator._fan_cells(10) + \
+        evaluator._TAIL_CELLS * tails
     assert all(nonzero[2 * k:])
     assert peak <= (pair_cells + subset_cells) * evaluator._CELL_BYTES
 
 
 @pytest.mark.parametrize("l", [1, 2, 13])
 def test_memory_ceiling_charges_the_fans(l):
-    # Dense with one source: each of the 12 inner vertices is one fan of
-    # 12 heads, so the fans outweigh the shallow tables, and the ceiling
-    # must charge them too.
+    # Dense with one source: each of the 12 inner vertices has 12
+    # out-edges, windowed as one fan per evaluation, so the fans and tail
+    # lists outweigh the shallow tables, and the ceiling must charge them
+    # too.
     n = 14
     inner = range(2, n)
     edges = [(0, v) for v in inner]
@@ -736,8 +739,9 @@ def test_memory_ceiling_charges_the_fans(l):
     inst = PathInstance(n, edges, [0], [1])
     peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
         fresh_peak(inst, l)
-    assert tails is None
-    assert fan_cells == 12 * evaluator._fan_cells(12)
+    assert tails == 12 * 12
+    assert fan_cells == 12 * evaluator._fan_cells(12) + \
+        evaluator._TAIL_CELLS * tails
     assert not any(nonzero[:2]) and all(nonzero[2:])
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
@@ -751,7 +755,7 @@ def test_memory_ceiling_bounds_a_packing_plan(l):
     # the pool would build.
     inst = layered_instance(random.Random(9), 4, 6, 11)
     plan = length_plan(inst, l)
-    widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+    widths = [len(out) for out in plan.tails if out]
     peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
         fresh_peak(inst, l)
     assert plan.packs and tails == sum(widths)
@@ -763,7 +767,7 @@ def test_memory_ceiling_bounds_a_packing_plan(l):
 
 
 _FRESH_SCAN_PEAK = """
-import json, random, sys, tracemalloc
+import gc, json, random, sys, tracemalloc
 from smallflow import GF2Field, PathInstance, evaluator, random_assignment
 n, edges, sources, sinks, costs = json.load(sys.stdin)
 inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
@@ -775,6 +779,7 @@ tables = graph.cells
 charges = []
 check = evaluator._check_budget
 evaluator._check_budget = lambda cells: (charges.append(cells), check(cells))
+gc.collect()
 tracemalloc.start()
 slices = list(evaluator.scan_slices(graph, f, field, inst.simple_cost_cap()))
 peak = tracemalloc.get_traced_memory()[1]
@@ -807,7 +812,7 @@ def test_memory_ceiling_bounds_the_scan(n, k):
 
 
 _FRESH_GRAPH_PEAK = """
-import json, random, sys, tracemalloc
+import gc, json, random, sys, tracemalloc
 from smallflow import GF2Field, PathInstance, evaluator, random_assignment
 k, limit = json.load(sys.stdin)
 inst = PathInstance(2 * k, [(i, k + j) for i in range(k) for j in range(k)],
@@ -815,6 +820,7 @@ inst = PathInstance(2 * k, [(i, k + j) for i in range(k) for j in range(k)],
 field = GF2Field(64)
 f = random_assignment(field, inst.m, random.Random(8))
 evaluator.set_default_memory_limit(limit)
+gc.collect()
 tracemalloc.start()
 graph = evaluator.ScanGraph(inst, inst.cost_list())
 try:
@@ -847,7 +853,7 @@ def test_memory_ceiling_bounds_the_scan_graph(k):
 
 
 _FRESH_SUPPORT_PEAK = """
-import json, sys, tracemalloc
+import gc, json, sys, tracemalloc
 from smallflow import PathInstance, evaluator
 n, edges, sources, sinks, costs, to_cap = json.load(sys.stdin)
 inst = PathInstance(n, [tuple(e) for e in edges], sources, sinks,
@@ -858,6 +864,7 @@ d = inst.simple_cost_cap() if to_cap else graph.floor + 4
 charges = []
 check = evaluator._check_budget
 evaluator._check_budget = lambda cells: (charges.append(cells), check(cells))
+gc.collect()
 tracemalloc.start()
 support, _ = evaluator.slice_support(graph, [True] * inst.m, d)
 peak = tracemalloc.get_traced_memory()[1]

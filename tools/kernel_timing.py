@@ -14,15 +14,16 @@ the repeats is printed in ns per call, with the cost of an empty call through th
 loop (`call`) for reference.
 
 Then one serial TablePlan(...).slices, plan build included, is timed by
-each row route, the packed pass and one _pair_by_cost per row, with the
-route forced through evaluator._packs: on criterion 7's instance
-(random_paths_instance(random.Random(71), 64, 4, extra_edges=256) at
-l = 252) and on one of decide's k = 4 benchmark shapes (perfbench's
-layered_paths, width 6, depth 8, at l one below its optimum).  The
-routes alternate, and each one's median over ROUTE_REPEATS evaluations
-is printed in ms beside the plan's mean fan width and the route that
-evaluator._packs picks, so the crossover can be measured again on
-another host.  The last line is both tables as one JSON object.
+each row route of evaluator._rows, the packed pass over all rows and one
+per-row pass per row, with the route forced through evaluator._packs: on
+criterion 7's instance (random_paths_instance(random.Random(71), 64, 4,
+extra_edges=256) at l = 252) and on one of decide's k = 4 benchmark
+shapes (perfbench's layered_paths, width 6, depth 8, at l one below its
+optimum).  The routes alternate, and each one's median over
+ROUTE_REPEATS evaluations is printed in ms beside the plan's mean fan
+width (out-edges per vertex that has any, from TablePlan.tails) and the
+route that evaluator._packs picks, so the crossover can be measured
+again on another host.  The last line is both tables as one JSON object.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def measure_routes() -> dict:
     try:
         for name, (inst, l) in route_cases().items():
             plan = TablePlan(inst, l, [1] * inst.m)
-            widths = [len(fan[3]) for _, fans in plan.fans for fan in fans]
+            widths = [len(out) for out in plan.tails if out]
             f = random_assignment(field, inst.m, random.Random(72))
             ms = {"packed": [], "per-row": []}
             for i in range(ROUTE_REPEATS[name]):
