@@ -121,7 +121,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     if not instance.has_disjoint_paths():
         return Verdict(ZERO)
     degree = min(l, instance.max_path_edges())
-    plan = TablePlan(instance, degree, [1] * instance.m)
+    plan = TablePlan(instance, degree)
     if degree < plan.floor:
         return Verdict(ZERO)
     params.check_degree(degree)

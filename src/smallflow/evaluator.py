@@ -6,23 +6,19 @@ sum over proper walk sets of total cost exactly p.  Length is the
 unit-cost case, and the cumulative XOR of the slices up to a bound l is
 the length-bounded walk polynomial.  Two engines compute them:
 
-* the table engine (TablePlan): one pipeline that produces the source
-  rows' tables by the cost-indexed pair recurrence (_rows, one walk
-  extended one edge at a time, q -> q + c(e)) and combines the rows by
-  the subset recurrence over sink masks (_subset_phase).  Edge costs
-  are handled implicitly instead of materializing the subdivided network
-  (an edge of cost c replaced by a unit-cost path of length c);
-  oracle.subdivide_costs builds the explicit subdivision as the ground
-  truth for this equivalence.  A TablePlan holds what does not depend on
-  the edge values and is built once per query, the table engine's
-  counterpart of ScanGraph; plan.slices(assignment, field) is one
-  evaluation, the plain list of slice values up to the plan's bound (l
-  at unit costs, eval_length_bounded_seq).  The rows come from one push
-  pass over one layout, each vertex's out-edges in increasing reach
-  (plan.tails): every nonzero cell is reduced once, when its layer is
-  complete, and pushed along its out-edges, the products going
-  unreduced into their heads' cells.  The pass takes one of two routes,
-  which give bit-identical rows.  Packed, all k rows run as one
+* the table engine (TablePlan), the length tables at unit costs that
+  decide reads: one pipeline that produces the source rows' tables by
+  the pair recurrence (_rows, one walk extended one edge at a time, q ->
+  q + 1) and combines the rows by the subset recurrence over sink masks
+  (_subset_phase).  A TablePlan holds what does not depend on the edge
+  values and is built once per query, the table engine's counterpart of
+  ScanGraph; plan.slices(assignment, field) is one evaluation, the plain
+  list of slice values up to the plan's bound l.  The rows come from one
+  push pass over each vertex's out-edges in increasing reach
+  (plan.tails), that holds two layers at a time: every nonzero cell is
+  reduced once, when its layer is complete, and pushed along its
+  out-edges into the next layer, unreduced.  The pass takes one of two
+  routes, which give bit-identical rows.  Packed, all k rows run as one
   recurrence whose cell (q, v) holds row r's value in slot r: each cell
   is windowed once, and one scalar product per out-edge gives that
   edge's product for every row, the way the paper evaluates its rows
@@ -31,20 +27,15 @@ the length-bounded walk polynomial.  Two engines compute them:
   cell gives every out-edge's product.  A plan packs when the vertices
   with out-edges have fewer than k each on average (_packs), and then
   its serial route is the packed pass; the pool always maps per-row
-  passes.  A row's table holds only the cells that can still finish
-  within the bound.  sink_distances gives togo(v), the
-  least cost from v to a sink along the recurrence's edges, and d_i =
-  togo(source i) (one backward bucket-queue pass, over the edges that the
-  scan graph's per-sink distances read too).  A walk set of total cost
-  <= bound holds its source-r walk at cost at most budget_r = bound -
-  sum_{i != r} d_i, and a prefix of that walk at (q, v) still needs at
-  least togo(v): so row r is budget_r layers deep and computes cell
-  (q, v) only when q + togo(v) <= budget_r, and a source that reaches
-  no sink leaves every row empty.  Every kept cell reads only kept
-  cells, because togo(u) <= c(e) + togo(v) on each edge e = (u, v), so
-  its value is the unpruned one, and every dropped cell lies on walk
-  sets of total cost above the bound only: no slice at or below the
-  bound changes.
+  passes.  sink_distances gives togo(v), the least length from v to a
+  sink along the recurrence's edges, and d_i = togo(source i) (one
+  backward bucket-queue pass, over the edges that the scan graph's
+  per-sink distances read too).  A walk set of total length <= l holds
+  its source-r walk at budget_r = l - sum_{i != r} d_i edges at most,
+  and a prefix of that walk at (q, v) still needs at least togo(v): so
+  row r is budget_r layers deep and computes cell (q, v) only when q +
+  togo(v) <= budget_r, which changes no slice at or below the bound
+  (_rows).
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask B, current walk position z), one
@@ -84,13 +75,16 @@ the length-bounded walk polynomial.  Two engines compute them:
   isolation reads its essential edges off the two sets.
 
 The two engines are independent routes to the same slices, and each
-checks the other in the tests.  The table engine's data parallelism is
-over source rows, and then over the sink masks of one popcount: walks
-from different sources never meet in the pair recurrence, and a level of
-the subset recurrence reads only the level below.  So the pipeline maps
-the rows, then the subset levels one at a time, either in this process
-(one packed pass for all rows on a packing plan) or over one
-pool of worker processes, with bit-identical results.
+checks the other in the tests: at unit costs directly, and at costs
+through oracle.subdivide_costs, which replaces each cost-c edge by a
+path of c unit edges that the table engine evaluates.  The table
+engine's data parallelism is over source rows, and then over the sink
+masks of one popcount: walks from different sources never meet in the
+pair recurrence, and a level of the subset recurrence reads only the
+level below.  So the pipeline maps the rows, then the subset levels one
+at a time, either in this process (one packed pass for all rows on a
+packing plan) or over one pool of worker processes, with bit-identical
+results.
 
 Layer tables and scan fans live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -199,41 +193,43 @@ def _packs(k: int, widths) -> bool:
 
 
 class TablePlan:
-    """The table engine's plan for one instance, bound and cost vector:
-    everything an evaluation reads that does not depend on the edge
-    values, built once per query.
+    """The table engine's plan for one instance and length bound, at unit
+    costs: everything an evaluation reads that does not depend on the
+    edge values, built once per query.
 
-    togo is sink_distances at these costs, and floor = sum of the
-    sources' d_i = togo(source i), or None when some source reaches no
-    sink (then no walk set exists at all).  Row i's walk in a set of
-    total cost <= bound costs at most budgets[i] = bound - floor + d_i,
-    since every other walk costs at least its own d (-1, an empty row,
-    when floor is None).  tails[u] lists the edges a row relaxes out of
-    vertex u (u non-terminal, head not a source and reaching a sink, so
-    it is empty at a terminal u) as (reach, c, head, edge id) in
-    increasing reach = c + togo(head), so a reader with a cut stops at
-    the first edge past it.
+    togo is sink_distances, and floor = sum of the sources' d_i =
+    togo(source i), or None when some source reaches no sink (then no
+    walk set exists at all).  Row i's walk in a set of total length <=
+    bound has at most budgets[i] = bound - floor + d_i edges, since every
+    other walk has at least its own d (-1, an empty row, when floor is
+    None).  tails[u] lists the edges a row relaxes out of vertex u (u
+    non-terminal, head not a source and reaching a sink, so it is empty
+    at a terminal u) as (reach, head, edge id) in increasing reach = 1 +
+    togo(head), so a reader with a cut stops at the first edge past it.
 
     packs (_packs, from k and the out-edge counts in tails) says whether
     the serial route is the packed row pass or one per-row pass per row
     (both _rows); the pool always maps per-row passes.
 
-    The memory ceiling is charged pair_cells, the pair rows unpruned at
-    bound - k + 1 layers each (each other walk costs at least d_i >= 1,
-    so no budget exceeds that), subset_cells and fan_cells (_fan_cells
-    of each vertex's out-edges, windowed on the per-row route, and
-    _TAIL_CELLS per entry of tails), and checked once per evaluation,
-    before any row runs.
+    The memory ceiling is charged pair_cells, subset_cells and fan_cells
+    (_fan_cells of each vertex's out-edges, windowed on the per-row
+    route, and _TAIL_CELLS per entry of tails), and checked once per
+    evaluation, before any row runs.  pair_cells is, per row, k sink
+    columns of budget cells, and one cell per non-source vertex for the
+    two layers a pass holds (two slots, a reduced and an unreduced
+    product: at most 96 bytes per row, about half that packed).  Dense
+    and layered plans peaked at 0.2-0.61 of their whole charge in one
+    build and evaluation (tracemalloc after emptying the free lists,
+    64-bit CPython 3.11).
     """
 
-    def __init__(self, instance: PathInstance, bound: int, costs):
+    def __init__(self, instance: PathInstance, bound: int):
         if bound < 1:
             raise ValueError(f"bound {bound} below 1")
         k = instance.k
         self.instance = instance
         self.bound = bound
-        self.costs = costs
-        self.togo = togo = sink_distances(instance, costs)
+        self.togo = togo = sink_distances(instance)
         floors = [togo.get(x) for x in instance.sources]
         self.floor = None if None in floors else sum(floors)
         self.budgets = [-1] * k if self.floor is None else \
@@ -242,12 +238,13 @@ class TablePlan:
         for eid, (u, v) in enumerate(instance.edges):
             if not instance.is_terminal(u) and \
                     v not in instance.source_index and v in togo:
-                tails[u].append((costs[eid] + togo[v], costs[eid], v, eid))
+                tails[u].append((1 + togo[v], v, eid))
         for out in tails:
             out.sort()
         widths = [len(out) for out in tails if out]
         self.packs = _packs(k, widths)
-        self.pair_cells = max(bound - k + 1, 0) * instance.n * k
+        self.pair_cells = sum(instance.n - k + k * max(budget, 0)
+                              for budget in self.budgets)
         self.subset_cells = subset_table_cells(k, bound)
         self.fan_cells = sum(map(_fan_cells, widths)) + \
             _TAIL_CELLS * sum(widths)
@@ -258,22 +255,20 @@ class TablePlan:
         values.
 
         On a packing plan (self.packs) the serial route is one packed
-        pass over all k rows (_rows with no windows), which windows no
-        fan.  On any other plan, and on the pool, each vertex's out-edge
-        values are packed one per 128-bit slot in tails order and
-        windowed once (vec_window), so that one scalar product gives
-        every out-edge's product at once, and each row is one per-row
-        _rows pass.  With parallelism > 1, k > 1 and two or more usable
-        cores, one fork pool of min(parallelism, k, usable cores) workers
-        serves the whole evaluation: the workers inherit the windowed
-        plan when they fork (the pool's initializer), so no task carries
-        it.  All source rows (round-robin over the usable cores) are
-        queued first, then each level of the subset phase as soon as the
-        row it reads is in, one task at a time, so a level's terms can
-        run while a later row is still out.  Otherwise both phases map
-        inline, in this process.  Both row routes give the same rows and
-        the subset phase is one code, so the result is bit-identical for
-        every parallelism degree.
+        _rows pass over all k rows.  On any other plan, and on the pool,
+        each vertex's out-edge values are packed one per 128-bit slot in
+        tails order and windowed once (vec_window), and each row is one
+        per-row _rows pass.  With parallelism > 1, k > 1 and two or more
+        usable cores, one fork pool of min(parallelism, k, usable cores)
+        workers serves the whole evaluation: the workers inherit the
+        windowed plan when they fork (the pool's initializer), so no task
+        carries it.  All source rows (round-robin over the usable cores)
+        are queued first, then each level of the subset phase as soon as
+        the row it reads is in, one task at a time, so a level's terms
+        can run while a later row is still out.  Otherwise both phases
+        map inline, in this process.  Both row routes give the same rows
+        and the subset phase is one code, so the result is bit-identical
+        for every parallelism degree.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
@@ -289,8 +284,8 @@ class TablePlan:
         windows = []
         for out in self.tails:
             packed = 0
-            for slot, edge in enumerate(out):
-                packed |= assignment[edge[3]] << (SLOT_BITS * slot)
+            for slot, (_, _, eid) in enumerate(out):
+                packed |= assignment[eid] << (SLOT_BITS * slot)
             windows.append(vec_window(packed) if out else None)
         rows_plan = (self, assignment, field, windows)
         if forks:
@@ -304,6 +299,7 @@ class TablePlan:
                                      field, partial(pool.starmap,
                                                     chunksize=1))
         rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
+        del windows, rows_plan  # the subset phase reads no window
         return _subset_phase(k, bound, rows, field, starmap)
 
 
@@ -372,13 +368,14 @@ def _backward_costs(targets, preds):
     return togo
 
 
-def sink_distances(instance: PathInstance, costs) -> dict:
-    """togo[v]: the least cost of a walk from v to a sink along the pair
-    recurrence's edges (tail not a sink, inner vertices non-terminal,
-    head not a source); sinks have 0, and a vertex with no such walk has
-    no entry.  At a source it is d_i, the least cost of any walk from
-    source i, so no walk set costs less than sum(d_i)."""
-    return _backward_costs(instance.sinks, _recurrence_preds(instance, costs))
+def sink_distances(instance: PathInstance) -> dict:
+    """togo[v]: the least length of a walk from v to a sink along the
+    table recurrence's edges (tail not a sink, inner vertices
+    non-terminal, head not a source); sinks have 0, and a vertex with no
+    such walk has no entry.  At a source it is d_i, the least length of
+    any walk from source i, so no walk set is shorter than sum(d_i)."""
+    return _backward_costs(instance.sinks,
+                           _recurrence_preds(instance, [1] * instance.m))
 
 
 def _recurrence_preds(instance: PathInstance, costs) -> dict:
@@ -394,20 +391,20 @@ def _recurrence_preds(instance: PathInstance, costs) -> dict:
 def _rows(plan, assignment, field, windows, rows):
     """Walk-table values at the sinks for the source rows listed in rows,
     from one recurrence in which cell (q, v) holds row rows[i]'s value in
-    128-bit slot i: out[i][j][q-1] sums the walks of exact cost q from
+    128-bit slot i: out[i][j][q-1] sums the walks of exactly q edges from
     source rows[i] to sink j, for every q that the row's walk in a set of
-    total cost <= plan.bound can have, at the plan's costs.
+    total length <= plan.bound can have.
 
-    One walk is extended one edge at a time, q -> q + c(e): the network
-    with every cost-c edge implicitly replaced by a unit-cost path of
-    length c (first edge carrying the variable, the rest carrying one).
-    A source's out-edges within its own budget write its slot of their
-    heads' cells.  Then, layer by layer, each nonzero cell (q, u) is
-    reduced once and pushed along the out-edges in plan.tails[u], each
-    product going unreduced into cell (q + c(e), v); reduction is
-    GF(2)-linear, so this equals reducing every product.  Both operands
-    of a product are reduced (< 2^64), so a slot stays below 2^127 and
-    never spills into the next one.  Two routes give the products:
+    One walk is extended one edge at a time, q -> q + 1, so the pass holds
+    only layers q and q + 1 and each sink's column.  A source's out-edges
+    within its own budget write its slot of their heads' cells in layer
+    1.  Then, layer by layer, each nonzero cell (q, u) is reduced once,
+    its value at a sink joins that sink's column, and it is pushed along
+    the out-edges in plan.tails[u], each product going unreduced into
+    cell (q + 1, v); reduction is GF(2)-linear, so this equals reducing
+    every product.  Both operands of a product are reduced (< 2^64), so a
+    slot stays below 2^127 and never spills into the next one.  Two
+    routes give the products:
     * packed (windows None, any number of rows): the cell is reduced by
       vec_reduce and windowed, and one scalar product of that window by
       e's value gives e's product for every row;
@@ -415,38 +412,35 @@ def _rows(plan, assignment, field, windows, rows):
       windows[u] packs the values of u's tails one per slot, in tails
       order, so one scalar product of it by the cell gives every
       out-edge's product, each taking its slot, the way scan_slices
-      splits a state's product.
+      splits a state's product.  Its columns are its row.
 
-    Only cells that can still finish within the bound are computed.  Row
-    r needs walks of cost at most budget_r = plan.budgets[r], and a prefix
-    at (q, v) still needs togo(v) more.  The pass runs to the deepest
-    budget top of its rows and writes cell (q, v) only when q + togo(v)
-    <= top, so a cell's out-edges are read up to the first with reach >
-    top - q; each row's column is then cut to its own budget.  Every cell
-    a row reads within its budget is exact, since a cell kept at the
-    row's budget is kept at top and reads only cells (q - c(e), u) that
-    are kept too (togo(u) <= c(e) + togo(v)), so every slice at or below
-    the bound is unchanged and both routes give bit-identical rows.  With
-    a source that reaches no sink its budget is -1 and its columns are
-    empty.  Rows never read one another, so each can be computed alone,
-    in any process.
+    Row r needs walks of at most budget_r = plan.budgets[r] edges, and a
+    prefix at (q, v) still needs togo(v) more.  The pass runs to the
+    deepest budget top of its rows and writes cell (q, v) only when q +
+    togo(v) <= top, so a cell's out-edges are read up to the first with
+    reach > top - q; each row's column is then cut to its own budget.  A
+    cell kept at the row's budget is kept at top and reads only kept
+    cells (togo(u) <= 1 + togo(v)), so both routes give bit-identical,
+    unpruned values at or below the bound.  A source that reaches no sink
+    has budget -1 and empty columns.  Rows never read one another, so
+    each can be computed alone, in any process.
     """
-    instance, costs, togo, tails = plan.instance, plan.costs, plan.togo, \
-        plan.tails
+    instance, togo, tails = plan.instance, plan.togo, plan.tails
     budgets = [plan.budgets[r] for r in rows]
     top = max(budgets)
-    pair = [[0] * instance.n for _ in range(top + 1)]
+    layer = [0] * instance.n
     for slot, r in enumerate(rows):
         for eid in instance.out_edges[instance.sources[r]]:
             v = instance.edges[eid][1]
             if v not in instance.source_index and v in togo and \
-                    costs[eid] + togo[v] <= budgets[slot]:
-                pair[costs[eid]][v] ^= assignment[eid] << (SLOT_BITS * slot)
+                    1 + togo[v] <= budgets[slot]:
+                layer[v] ^= assignment[eid] << (SLOT_BITS * slot)
+    columns = [[] for _ in instance.sinks]
     width = len(budgets)
     reduce, vreduce = field.reduce, vec_reduce
     window, mul = vec_window, vec_scalar_mul_w
     for q in range(1, top + 1):
-        layer = pair[q]
+        after = [0] * instance.n
         cut = top - q
         for u, cell in enumerate(layer):
             if not cell:
@@ -460,19 +454,24 @@ def _rows(plan, assignment, field, windows, rows):
                 continue
             if windows is None:
                 win = window(cell)
-                for reach, c, v, eid in out:
+                for reach, v, eid in out:
                     if reach > cut:
                         break
-                    pair[q + c][v] ^= mul(win, assignment[eid])
+                    after[v] ^= mul(win, assignment[eid])
                 continue
             products = mul(windows[u], cell)
-            for reach, c, v, _ in out:
+            for reach, v, _ in out:
                 if reach > cut:
                     break
-                pair[q + c][v] ^= products & _SLOT_MASK
+                after[v] ^= products & _SLOT_MASK
                 products >>= SLOT_BITS
-    return [[[pair[q][y] >> (SLOT_BITS * slot) & _SLOT_MASK
-              for q in range(1, budget + 1)] for y in instance.sinks]
+        for column, y in zip(columns, instance.sinks):
+            column.append(layer[y])
+        layer = after
+    if windows is not None:  # one row, reduced: each cell is its own slot
+        return [columns]
+    return [[[cell >> (SLOT_BITS * slot) & _SLOT_MASK
+              for cell in column[:budget]] for column in columns]
             for slot, budget in enumerate(budgets)]
 
 
@@ -539,8 +538,8 @@ def _subset_term(prev, column, size):
 
 def eval_length_bounded_seq(plan: TablePlan, assignment, field: GF2Field,
                             parallelism: int = 1) -> int:
-    """Value of the length-bounded walk polynomial at a unit-cost plan:
-    the XOR of its slices k..bound, the source rows across `parallelism`
+    """Value of the length-bounded walk polynomial at a plan: the XOR of
+    its slices k..bound, the source rows across `parallelism`
     processes."""
     acc = 0
     for value in plan.slices(assignment, field, parallelism)[plan.instance.k:]:

@@ -1,6 +1,7 @@
 import pytest
 
-from smallflow import GF2Field, PathInstance
+from smallflow import GF2Field, PathInstance, TablePlan
+from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,18 @@ def materialize():
                     todo.append(key)
         return graph
     return read_all
+
+
+@pytest.fixture(scope="session")
+def subdivided_slices():
+    """subdivided_slices(inst, f, field, bound): the exact-cost slices
+    0..bound of inst at its own costs and edge values f, read off the
+    unit-cost table engine on the explicit subdivision (each cost-c edge
+    a path of c unit edges, oracle.subdivide_costs, whose first edge
+    carries the edge's value and the rest carry one): the reference for
+    the scan engine, which walks the costs themselves."""
+    def slices(inst, f, field, bound):
+        sub, carry = subdivide_costs(inst)
+        return TablePlan(sub, bound).slices(
+            subdivision_assignment(sub, carry, f), field)
+    return slices

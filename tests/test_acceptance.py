@@ -30,7 +30,6 @@ from smallflow.evaluator import (
     scan_slices,
 )
 from smallflow import oracle
-from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 FIELD = GF2Field(64)
 
@@ -148,9 +147,20 @@ def test_criterion_2_involution_machinery(capsys):
     assert examined > 1000
 
 
-def test_criterion_3_evaluator_correctness(capsys):
-    """(a) table engine == scan engine bit-identical; (b) implicit ==
-    explicit subdivision; (c) evaluator == symbolic oracle."""
+def _scan_slices(inst, f, cap, costs=None):
+    """Exact-cost slices 0..cap read off the scan engine, at the given
+    costs (the instance's by default)."""
+    slices = [0] * (cap + 1)
+    graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
+    for d, vec in scan_slices(graph, f, FIELD, cap):
+        slices[d] = vec
+    return slices
+
+
+def test_criterion_3_evaluator_correctness(capsys, subdivided_slices):
+    """(a) table engine == scan engine bit-identical at unit costs; (b)
+    the scan's implicit costs == the explicit subdivision, evaluated by
+    the table engine; (c) the scan at costs == symbolic oracle."""
     t0 = time.time()
     rng = random.Random(303)
     a_bad = 0
@@ -158,12 +168,8 @@ def test_criterion_3_evaluator_correctness(capsys):
         l = rng.randint(1, inst.k * (inst.n - 1))
         for _ in range(5):
             f = random_assignment(FIELD, inst.m, rng)
-            table = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD)
-            scan = [0] * (l + 1)
-            for d, vec in scan_slices(ScanGraph(inst, [1] * inst.m), f,
-                                      FIELD, l):
-                scan[d] = vec
-            a_bad += table != scan
+            table = TablePlan(inst, l).slices(f, FIELD)
+            a_bad += table != _scan_slices(inst, f, l, [1] * inst.m)
 
     b_bad = b_n = 0
     rng_b = random.Random(302)
@@ -176,13 +182,11 @@ def test_criterion_3_evaluator_correctness(capsys):
         if inst.m < k or sum(inst.costs) > 40 or sum(inst.costs) < k:
             continue
         b_n += 1
-        sub, carry = subdivide_costs(inst)
+        sub, _ = oracle.subdivide_costs(inst)
         f = random_assignment(FIELD, inst.m, rng_b)
-        lifted = subdivision_assignment(sub, carry, f)
         u = min(sum(inst.costs), k * (sub.n - 1))
-        cost_slices = TablePlan(inst, u, inst.cost_list()).slices(f, FIELD)
-        length_slices = TablePlan(sub, u, [1] * sub.m).slices(lifted, FIELD)
-        b_bad += cost_slices != length_slices[: u + 1]
+        b_bad += _scan_slices(inst, f, u) != \
+            subdivided_slices(inst, f, FIELD, u)
 
     c_bad = 0
     for inst in _small_instances(303, 50, n_hi=6, k_hi=3, cost_max=3,
@@ -191,7 +195,7 @@ def test_criterion_3_evaluator_correctness(capsys):
         sym = oracle.symbolic_cost_slices(inst, u, budget=400_000)
         for _ in range(25):
             f = random_assignment(FIELD, inst.m, rng)
-            slices = TablePlan(inst, u, inst.cost_list()).slices(f, FIELD)
+            slices = _scan_slices(inst, f, u)
             want = [sym[p].evaluate(FIELD, f) if p in sym else 0
                     for p in range(u + 1)]
             c_bad += slices != want
@@ -365,14 +369,16 @@ def _burn_helper(core, n):
 def test_criterion_7_scaling_smoke(capsys):
     """Subset-table work doubles exactly per unit of k; degree-4 evaluation
     (source rows across worker processes) is >= 1.5x faster than the
-    serial route, the fastest single-process one, with identical output."""
+    serial route that evaluator._packs picks for this instance, one
+    per-row pass per source row (its mean fan is wider than k, so it does
+    not pack), with identical output."""
     rng = random.Random(707)
     inst16 = {k: random_paths_instance(random.Random(70 + k), 16, k,
                                        extra_edges=32)
               for k in (1, 2, 3)}
     cells = {}
     for k, inst in inst16.items():
-        plan = TablePlan(inst, 15, [1] * inst.m)
+        plan = TablePlan(inst, 15)
         plan.slices(random_assignment(FIELD, inst.m, rng), FIELD)
         cells[k] = plan.subset_cells
     cells_double = cells[2] == 2 * cells[1] and cells[3] == 2 * cells[2]
@@ -382,9 +388,9 @@ def test_criterion_7_scaling_smoke(capsys):
     l = 4 * 63
     # each side times its plan's construction and its evaluation
     t0 = time.time()
-    v1 = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD, parallelism=1)
+    v1 = TablePlan(inst, l).slices(f, FIELD, parallelism=1)
     t1 = time.time()
-    v4 = TablePlan(inst, l, [1] * inst.m).slices(f, FIELD, parallelism=4)
+    v4 = TablePlan(inst, l).slices(f, FIELD, parallelism=4)
     t2 = time.time()
     speedup = (t1 - t0) / (t2 - t1)
     identical = v1 == v4
@@ -392,7 +398,7 @@ def test_criterion_7_scaling_smoke(capsys):
     ok = cells_double and identical and speedup >= 1.5
     _report(capsys, 7, ok,
             f"subset cells {cells} doubling per unit of k: {cells_double}; "
-            f"n=64 k=4 degree-4 speedup over the serial route "
+            f"n=64 k=4 degree-4 speedup over the serial per-row route "
             f"{speedup:.2f}x "
             f"(need >= 1.5x; this host's 2-process IPC-free ceiling "
             f"measures {ceiling:.2f}x), outputs identical={identical}")
@@ -400,6 +406,6 @@ def test_criterion_7_scaling_smoke(capsys):
     assert identical
     assert speedup >= 1.5, (
         f"environment limitation: measured {speedup:.2f}x at degree 4 vs "
-        f"the serial route; the host caps two pure-CPU processes at "
+        f"the serial per-row route; the host caps two pure-CPU processes at "
         f"{ceiling:.2f}x, so the 1.5x criterion is unattainable here "
         f"(see the Criterion 7 section of ROADMAP.md)")

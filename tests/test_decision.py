@@ -40,7 +40,7 @@ def _assert_polynomials_vanish(inst, l, params):
     """The cancellation theorem, at the engines: on an instance without k
     disjoint paths, the length tables at l and the cost scan to the
     simple-set cap are zero at every assignment the query would draw."""
-    plan = TablePlan(inst, l, [1] * inst.m)
+    plan = TablePlan(inst, l)
     graph = ScanGraph(inst, inst.cost_list())
     for f in params.assignments(inst.m, "decide-length"):
         assert eval_length_bounded_seq(plan, f, params.field) == 0

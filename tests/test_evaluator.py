@@ -19,7 +19,7 @@ from smallflow import (
     random_assignment,
     random_paths_instance,
 )
-from smallflow import evaluator
+from smallflow import cli, evaluator
 from smallflow.evaluator import (
     ScanGraph,
     scan_min_cost_slice,
@@ -29,6 +29,7 @@ from smallflow.evaluator import (
 from smallflow import oracle
 from smallflow.extraction import paper_isolation_range, perturb_costs
 from smallflow.field import SLOT_BITS, vec_window
+from smallflow.network import serialize_paths_instance
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
@@ -43,13 +44,8 @@ def scan_cost_slices(inst, f, field, cap, costs=None):
 
 
 def length_plan(inst, l):
-    """The unit-cost table plan of inst at length bound l."""
-    return TablePlan(inst, l, [1] * inst.m)
-
-
-def cost_plan(inst, u):
-    """The table plan of inst at its own costs and cost bound u."""
-    return TablePlan(inst, u, inst.cost_list())
+    """The table plan of inst at length bound l."""
+    return TablePlan(inst, l)
 
 
 def first_nonzero(slices):
@@ -209,15 +205,16 @@ def test_length_slices_match_symbolic(field64):
             assert slices[p] == sym.evaluate(field64, f), (p, inst.edges)
 
 
-def test_cost_slices_bipartite_example(field64):
+def test_cost_slices_bipartite_example(field64, subdivided_slices):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
-    cs = cost_plan(inst, 8).slices(f, field64)
-    assert len(cs) == 9
-    assert cs[2] == field64.mul(3, 9)
-    assert cs[4] == field64.mul(5, 7)
-    assert all(v == 0 for p, v in enumerate(cs) if p not in (2, 4))
+    for cs in (scan_cost_slices(inst, f, field64, 8),
+               subdivided_slices(inst, f, field64, 8)):
+        assert len(cs) == 9
+        assert cs[2] == field64.mul(3, 9)
+        assert cs[4] == field64.mul(5, 7)
+        assert all(v == 0 for p, v in enumerate(cs) if p not in (2, 4))
 
 
 def test_unit_costs_match_length_slices(field64):
@@ -229,14 +226,15 @@ def test_unit_costs_match_length_slices(field64):
                                      cost_max=1)
         l = k * (n - 1)
         f = random_assignment(field64, inst.m, rng)
-        cs = cost_plan(inst, l).slices(f, field64)
+        cs = scan_cost_slices(inst, f, field64, l)
         assert cs == length_plan(inst, l).slices(f, field64)
 
 
 def test_empty_edge_set(field64):
     inst = PathInstance(2, [], [0], [1])
-    cs = cost_plan(inst, 4).slices([], field64)
-    assert all(v == 0 for v in cs)
+    for cs in (length_plan(inst, 4).slices([], field64),
+               scan_cost_slices(inst, [], field64, 4)):
+        assert cs == [0] * 5
 
 
 def test_edge_removed_matches_deleted_instance(field64):
@@ -249,22 +247,22 @@ def test_edge_removed_matches_deleted_instance(field64):
         eid = rng.randrange(inst.m)
         u = inst.simple_cost_cap()
         f = random_assignment(field64, inst.m, rng)
-        got = cost_plan(inst, u).slices(zeroed(f, eid), field64)
+        got = scan_cost_slices(inst, zeroed(f, eid), field64, u)
         kept = [i for i in range(inst.m) if i != eid]
         smaller = PathInstance(inst.n, [inst.edges[i] for i in kept],
                                inst.sources, inst.sinks,
                                costs=[inst.costs[i] for i in kept])
         f2 = [f[i] for i in kept]
-        assert got == cost_plan(smaller, u).slices(f2, field64)
+        assert got == scan_cost_slices(smaller, f2, field64, u)
 
 
 def test_edge_removed_cases(single_edge, field64):
-    cs = cost_plan(single_edge, 3).slices(zeroed([7], 0), field64)
+    cs = scan_cost_slices(single_edge, zeroed([7], 0), field64, 3)
     assert all(v == 0 for v in cs)
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
-    cs = cost_plan(inst, 8).slices(zeroed(f, 0), field64)
+    cs = scan_cost_slices(inst, zeroed(f, 0), field64, 8)
     assert cs[4] == field64.mul(5, 7)
     assert all(v == 0 for p, v in enumerate(cs) if p != 4)
 
@@ -284,6 +282,8 @@ def test_subdivide_costs():
 
 
 def test_implicit_matches_explicit_subdivision(field64):
+    # the scan walks each edge at its cost at once; the table engine on
+    # the subdivision walks c unit edges
     rng = random.Random(14)
     for _ in range(15):
         n = rng.randint(3, 6)
@@ -296,12 +296,11 @@ def test_implicit_matches_explicit_subdivision(field64):
         f = random_assignment(field64, inst.m, rng)
         lifted = subdivision_assignment(sub, carry, f)
         u = min(inst.simple_cost_cap(), k * (sub.n - 1), 30)
-        cs = cost_plan(inst, u).slices(f, field64)
-        ls = length_plan(sub, u).slices(lifted, field64)
-        assert cs == ls[: u + 1]
+        cs = scan_cost_slices(inst, f, field64, u)
+        assert cs == length_plan(sub, u).slices(lifted, field64)
 
 
-def test_scan_engine_matches_tables(field64, field8):
+def test_scan_engine_matches_tables(field64, field8, subdivided_slices):
     # GF(2^8) makes false zeros common, so cancellation inside a scan
     # state and zero-valued edges are both exercised
     for field in (field64, field8):
@@ -314,17 +313,18 @@ def test_scan_engine_matches_tables(field64, field8):
                                          cost_max=4)
             u = min(inst.simple_cost_cap(), 25)
             f = random_assignment(field, inst.m, rng)
-            cs = cost_plan(inst, u).slices(f, field)
+            cs = subdivided_slices(inst, f, field, u)
             assert scan_cost_slices(inst, f, field, u) == cs
             graph = ScanGraph(inst, inst.cost_list())
             hit = scan_min_cost_slice(graph, f, field, cap=u)
             assert (hit[0] if hit else None) == first_nonzero(cs)
 
 
-def test_perturbed_scan_matches_tables(field64, field8):
+def test_perturbed_scan_matches_tables(field64, field8, subdivided_slices):
     # The scan of a graph at the perturbed costs c * scale + w against the
-    # table engine at the same costs, with scale > w_cap so that every
-    # (d, w) with w <= w_cap has its own perturbed index.
+    # table engine on the subdivision at the same costs, with scale >
+    # w_cap so that every (d, w) with w <= w_cap has its own perturbed
+    # index.
     for field in (field64, field8):
         rng = random.Random(19)
         for _ in range(12):
@@ -343,7 +343,7 @@ def test_perturbed_scan_matches_tables(field64, field8):
                 costs=[c * scale + w for c, w in zip(costs, weights)])
             u = max(d_cap * scale + w_cap, k)
             f = random_assignment(field, inst.m, rng)
-            cs = cost_plan(perturbed, u).slices(f, field)
+            cs = subdivided_slices(perturbed, f, field, u)
             graph = ScanGraph(perturbed, perturbed.cost_list())
             hit = scan_min_cost_slice(graph, f, field, u)
             assert (None if hit is None else hit[0]) == first_nonzero(cs)
@@ -356,7 +356,7 @@ def test_perturbed_scan_matches_tables(field64, field8):
 
 
 def test_small_field_matches_symbolic(field8):
-    # GF(2^8): frequent zero values and tight collisions stress the tables
+    # GF(2^8): frequent zero values and tight collisions stress the scan
     rng = random.Random(17)
     for _ in range(50):
         n = rng.randint(3, 6)
@@ -368,7 +368,7 @@ def test_small_field_matches_symbolic(field8):
         u = max(inst.simple_cost_cap(), k)
         sym = oracle.symbolic_cost_slices(inst, u)
         f = random_assignment(field8, inst.m, rng)
-        cs = cost_plan(inst, u).slices(f, field8)
+        cs = scan_cost_slices(inst, f, field8, u)
         want = [sym[p].evaluate(field8, f) if p in sym else 0
                 for p in range(u + 1)]
         assert cs == want
@@ -395,14 +395,14 @@ def test_monotone_support_under_edge_addition(field64):
 
 def test_bound_validation(single_edge, field64):
     # the length range 1..k(n-1) is the query's check; the plan's is
-    # bound >= 1, at any costs
+    # bound >= 1
     params = TestParams(field=field64)
     for l in (0, 2):
         with pytest.raises(ValueError, match="outside"):
             decide_disjoint_paths(single_edge, l, params)
-    for costs in ([1], [2]):
+    for bound in (0, -1):
         with pytest.raises(ValueError, match="below 1"):
-            TablePlan(single_edge, 0, costs)
+            TablePlan(single_edge, bound)
     plan = length_plan(single_edge, 1)
     with pytest.raises(ValueError, match="assignment covers"):
         eval_length_bounded_seq(plan, [1, 2], field64)
@@ -415,7 +415,7 @@ def test_memory_budget(field64, monkeypatch):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 1, 1, 1])
     with pytest.raises(BudgetError):
-        cost_plan(inst, 10 ** 9).slices([1, 1, 1, 1], field64)
+        length_plan(inst, 10 ** 9).slices([1, 1, 1, 1], field64)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -427,7 +427,7 @@ def test_memory_budget(field64, monkeypatch):
     evaluator.set_default_memory_limit(1024)
     try:
         with pytest.raises(BudgetError):
-            cost_plan(inst, 100).slices([1, 1, 1, 1], field64)
+            length_plan(inst, 100).slices([1, 1, 1, 1], field64)
         # the ceiling is checked before the pair rows run, so at degree 2
         # it fires before any worker is forked
         for degree in (1, 2):
@@ -442,7 +442,18 @@ def test_cell_count_formula(field64):
     inst = random_paths_instance(random.Random(1), 10, 2, extra_edges=8)
     plan = length_plan(inst, 9)
     assert plan.subset_cells == subset_table_cells(2, 9) == 4 * 10
-    assert plan.pair_cells == (9 - 2 + 1) * inst.n * inst.k
+    # per row: one cell per vertex but the sources for the pass's two
+    # layers, and k sink columns of budget cells
+    assert plan.pair_cells == sum(inst.n - inst.k + inst.k * max(budget, 0)
+                                  for budget in plan.budgets)
+    # d_i = 3 on each chain, so at l = 11 each row's budget is 8
+    plan = length_plan(looped_chains(), 11)
+    assert plan.budgets == [8, 8]
+    assert plan.pair_cells == 2 * (12 - 2 + 2 * 8)
+    # no source reaches a sink: empty rows, and their layers only
+    plan = length_plan(PathInstance(4, [(2, 0)], [0, 1], [2, 3]), 5)
+    assert plan.budgets == [-1, -1]
+    assert plan.pair_cells == 2 * (4 - 2)
 
 
 def looped_chains():
@@ -547,19 +558,16 @@ def spill_instance():
 
 
 @pytest.mark.parametrize("s", [8, 64])
-def test_full_slots_do_not_spill(s):
+def test_full_slots_do_not_spill(s, subdivided_slices):
     # every edge value 2^s - 1: the largest unreduced products, which at
     # s = 64 fill a slot up to bit 126, next to the slots of the tail's
     # other out-edges
     field = GF2Field(s)
     inst = spill_instance()
     unit = [1] * inst.m
-    for costs in (unit, inst.cost_list()):
-        tails = TablePlan(inst, 10, costs).tails
-        assert any(len(out) >= 3 and
-                   len({v for _, _, v, _ in out}) < len(out)
-                   for out in tails)
-    assert len({c for out in tails for _, c, _, _ in out}) == 3
+    assert any(len(out) >= 3 and len({v for _, v, _ in out}) < len(out)
+               for out in length_plan(inst, 10).tails)
+    assert set(inst.costs) == {1, 2, 3}
     l = inst.k * (inst.n - 1)
     u = 10
     for f in ([field.mask] * inst.m,
@@ -570,8 +578,8 @@ def test_full_slots_do_not_spill(s):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost",
                                                    costs=unit)
             assert length_slices[p] == sym.evaluate(field, f), p
-        slices = cost_plan(inst, u).slices(f, field)
-        assert slices == scan_cost_slices(inst, f, field, u)
+        slices = scan_cost_slices(inst, f, field, u)
+        assert slices == subdivided_slices(inst, f, field, u)
         for p in range(u + 1):
             sym = oracle.symbolic_char2_polynomial(inst, p, "cost")
             assert slices[p] == sym.evaluate(field, f), p
@@ -579,12 +587,12 @@ def test_full_slots_do_not_spill(s):
 
 
 @pytest.mark.parametrize("s", [8, 64])
-def test_row_routes_are_bit_identical(s, monkeypatch):
+def test_row_routes_are_bit_identical(s, monkeypatch, subdivided_slices):
     # The packed pass and the per-row route (the pool's task), each forced
     # through the plan's serial route, against the scan engine: k = 1..4,
-    # unit and costed plans, at random values and at every edge value
-    # 2^s - 1, whose products fill a slot up to bit 2s - 2 next to the
-    # other rows' slots.
+    # plans of the instance and of its subdivision at costs up to 3, at
+    # random values and at every edge value 2^s - 1, whose products fill
+    # a slot up to bit 2s - 2 next to the other rows' slots.
     field = GF2Field(s)
     rng = random.Random(40 + s)
     nonzero = 0
@@ -605,10 +613,10 @@ def test_row_routes_are_bit_identical(s, monkeypatch):
                 for packs in (True, False):
                     monkeypatch.setattr(evaluator, "_packs",
                                         lambda k, widths, packs=packs: packs)
-                    plans = (length_plan(inst, l), cost_plan(inst, u))
-                    assert [plan.packs for plan in plans] == [packs] * 2
-                    assert tuple(plan.slices(f, field)
-                                 for plan in plans) == want
+                    plan = length_plan(inst, l)
+                    assert plan.packs == packs
+                    assert (plan.slices(f, field),
+                            subdivided_slices(inst, f, field, u)) == want
                 nonzero += any(want[0]) + any(want[1])
     assert nonzero >= 60  # of 96 slice lists
 
@@ -669,7 +677,7 @@ field = GF2Field(64)
 f = random_assignment(field, inst.m, random.Random(8))
 gc.collect()
 tracemalloc.start()
-plan = TablePlan(inst, l, [1] * inst.m)
+plan = TablePlan(inst, l)
 slices = plan.slices(f, field)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
@@ -750,9 +758,9 @@ def test_memory_ceiling_charges_the_fans(l):
 @pytest.mark.parametrize("l", [48, 60, 4 * 67])
 def test_memory_ceiling_bounds_a_packing_plan(l):
     # decide's shape at k = 4, from its floor, 48, to its deepest bound:
-    # the packed pass holds one table of 4-slot cells, and the plan its
-    # tail lists, which fan_cells charges beside the windowed fans that
-    # the pool would build.
+    # the packed pass holds two layers of 4-slot cells and the sink
+    # columns, and the plan its tail lists, which fan_cells charges
+    # beside the windowed fans that the pool would build.
     inst = layered_instance(random.Random(9), 4, 6, 11)
     plan = length_plan(inst, l)
     widths = [len(out) for out in plan.tails if out]
@@ -764,6 +772,35 @@ def test_memory_ceiling_bounds_a_packing_plan(l):
     assert any(nonzero)
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
+
+
+def test_memory_ceiling_admits_decide_at_its_clamped_degree(capsys,
+                                                           tmp_path):
+    # decide's k = 4 shape at its deepest bound, 4 * 67, evaluates at the
+    # clamped degree n - k = 70, where each row's budget is 34.  Charged
+    # per row for two layers and its sink columns, the plan takes about
+    # 0.37 MB, so a 1 MiB ceiling answers the query (a (bound + 1) x n
+    # table per row was charged 2.2 MB and refused it, exit 3), and one
+    # fresh build and evaluation peaks under that ceiling.
+    inst = layered_instance(random.Random(9), 4, 6, 11)
+    degree = inst.max_path_edges()
+    peak, pair_cells, subset_cells, fan_cells, nonzero, _ = \
+        fresh_peak(inst, degree)
+    assert degree == 70 and any(nonzero)
+    assert pair_cells == 4 * (inst.n - 4 + 4 * 34)
+    assert peak <= (pair_cells + subset_cells + fan_cells) * \
+        evaluator._CELL_BYTES <= 1 << 20
+    path = tmp_path / "layered.paths"
+    path.write_text(serialize_paths_instance(inst))
+    before = evaluator.DEFAULT_MEMORY_LIMIT
+    try:
+        code = cli.main(["decide", "-i", str(path), "-l", str(4 * 67),
+                         "--memory-limit-mib", "1"])
+    finally:
+        evaluator.set_default_memory_limit(before)
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["answer"], report["evaluated_degree"]) == \
+        (0, "NONZERO", degree)
 
 
 _FRESH_SCAN_PEAK = """
@@ -957,7 +994,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     # window per position 0, 3, 2, 4
     assert (products, windows) == (6, 4)
     assert got == [(d, v) for d, v in
-                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
+                   enumerate(length_plan(inst, 4).slices(f, field64)) if v]
     # equal values on the parallel edges cancel at (0, 2) at cost 1: that
     # state has value zero and is not expanded, and (0, 4) is reached at
     # cost 3 only
@@ -967,7 +1004,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     assert (products, windows) == (4, 4)
     assert [d for d, _ in got] == [2, 4]
     assert got == [(d, v) for d, v in
-                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
+                   enumerate(length_plan(inst, 4).slices(f, field64)) if v]
     # both out-edges of 3 deleted: its fan is all zero, so (0, 3) makes no
     # product and position 3 is not windowed
     products = windows = 0
@@ -975,7 +1012,7 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     got = list(scan_slices(graph, f, field64, 4))
     assert (products, windows) == (3, 3)
     assert got == [(d, v) for d, v in
-                   enumerate(cost_plan(inst, 4).slices(f, field64)) if v]
+                   enumerate(length_plan(inst, 4).slices(f, field64)) if v]
     assert [d for d, _ in got] == [3]
 
 

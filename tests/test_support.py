@@ -87,25 +87,26 @@ def test_optimal_systems_lie_in_support(inst):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_edges_off_support_leave_slices_unchanged(field64, inst, seed):
+def test_edges_off_support_leave_slices_unchanged(field64, subdivided_slices,
+                                                  inst, seed):
     _, d0 = _slice_bound(inst)
     support, forced = slice_support(ScanGraph(inst, inst.cost_list()),
                                     [True] * inst.m, d0)
     rng = random.Random(seed)
-    plan = TablePlan(inst, d0, inst.cost_list())
     for _ in range(2):
         f = random_assignment(field64, inst.m, rng)
-        full = plan.slices(f, field64)
+        full = subdivided_slices(inst, f, field64, d0)
         for e in range(inst.m):
+            zeroed = subdivided_slices(inst, _zeroed(f, e), field64, d0)
             if not support[e]:
-                assert plan.slices(_zeroed(f, e), field64) == full
+                assert zeroed == full
             elif forced[e]:  # on every walk set: the d0 slice empties
-                assert plan.slices(_zeroed(f, e), field64)[d0] == 0
+                assert zeroed[d0] == 0
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_support_under_alive_mask(field64, inst, seed):
+def test_support_under_alive_mask(field64, subdivided_slices, inst, seed):
     # dead edges count as deleted: off the mask's support, a live edge's
     # removal leaves the slice at d unchanged
     rng = random.Random(seed)
@@ -115,11 +116,11 @@ def test_support_under_alive_mask(field64, inst, seed):
     assert not any(s and not a for s, a in zip(support, alive))
     f = [fe if a else 0
          for fe, a in zip(random_assignment(field64, inst.m, rng), alive)]
-    plan = TablePlan(inst, d, inst.cost_list())
-    want = plan.slices(f, field64)[d]
+    want = subdivided_slices(inst, f, field64, d)[d]
     for e in range(inst.m):
         if alive[e] and not support[e]:
-            assert plan.slices(_zeroed(f, e), field64)[d] == want
+            assert subdivided_slices(inst, _zeroed(f, e), field64, d)[d] == \
+                want
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -165,9 +166,9 @@ def _scan(inst, costs, f, field, top):
     return slices
 
 
-def _floor(inst, costs):
-    """Sum of the sources' least costs to a sink, or None."""
-    return TablePlan(inst, 1, costs).floor
+def _floor(inst):
+    """Sum of the sources' least lengths to a sink, or None."""
+    return TablePlan(inst, 1).floor
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -179,23 +180,25 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
     f = random_assignment(field64, inst.m, random.Random(seed))
     scan = _scan(inst, [1] * inst.m, f, field64, top)
     for l in range(1, top + 1):
-        assert TablePlan(inst, l, [1] * inst.m).slices(f, field64) == \
+        assert TablePlan(inst, l).slices(f, field64) == \
             scan[:l + 1]
     # no walk set is shorter than the sum of the sources' least lengths
-    floor = _floor(inst, [1] * inst.m)
+    floor = _floor(inst)
     assert not any(scan[:top + 1 if floor is None else floor])
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_cost_tables_match_scan_at_every_bound(field64, inst, seed):
-    # costs up to 3: the row budgets and per-cell cuts at every u_max
+def test_cost_tables_match_scan_at_every_bound(field64, subdivided_slices,
+                                               inst, seed):
+    # costs up to 3, as paths of unit edges: the row budgets and per-cell
+    # cuts of the subdivision's tables at every u_max
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
     scan = _scan(inst, inst.cost_list(), f, field64, top)
     for u_max in range(inst.k, top + 1):
-        assert TablePlan(inst, u_max, inst.cost_list()).slices(
-            f, field64) == scan[:u_max + 1]
+        assert subdivided_slices(inst, f, field64, u_max) == \
+            scan[:u_max + 1]
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -204,7 +207,7 @@ def test_pruned_rows_identical_across_parallelism(field64, inst, seed, data):
     # each pool worker prunes its own row with the same budgets
     l = data.draw(st.integers(1, inst.k * (inst.n - 1)))
     f = random_assignment(field64, inst.m, random.Random(seed))
-    plan = TablePlan(inst, l, [1] * inst.m)
+    plan = TablePlan(inst, l)
     assert plan.slices(f, field64, parallelism=3) == \
         plan.slices(f, field64, parallelism=1)
 
@@ -214,14 +217,16 @@ def test_pruned_rows_identical_across_parallelism(field64, inst, seed, data):
 def test_one_plan_serves_every_assignment(field64, inst, seed, data):
     # a plan holds no edge value: evaluated at one assignment after
     # another, serially and on the pool, it gives what a plan built for
-    # that assignment alone gives
-    costs = data.draw(st.sampled_from([[1] * inst.m, inst.cost_list()]))
-    bound = data.draw(st.integers(1, inst.k * (inst.n - 1)))
-    plan = TablePlan(inst, bound, costs)
+    # that assignment alone gives, on the instance or on its subdivision
+    # at its costs
+    target = data.draw(st.sampled_from([inst,
+                                        oracle.subdivide_costs(inst)[0]]))
+    bound = data.draw(st.integers(1, target.k * (target.n - 1)))
+    plan = TablePlan(target, bound)
     rng = random.Random(seed)
     for _ in range(3):
-        f = random_assignment(field64, inst.m, rng)
-        fresh = TablePlan(inst, bound, costs).slices(f, field64)
+        f = random_assignment(field64, target.m, rng)
+        fresh = TablePlan(target, bound).slices(f, field64)
         for degree in (1, 3):
             assert plan.slices(f, field64, parallelism=degree) == fresh
 
@@ -278,7 +283,7 @@ def test_has_disjoint_paths_is_the_oracles_feasibility(inst):
 @hypothesis.given(tiny_instances(max_k=3))
 def test_distance_floor_answers_zero_exactly(field64, inst):
     unit = [1] * inst.m
-    floor = _floor(inst, unit)
+    floor = _floor(inst)
     shortest = oracle.disjoint_paths_min_cost_via_flow(inst, unit)
     if floor is None:
         assert shortest is None
@@ -327,11 +332,12 @@ def test_one_sided_error_over_gf256(field8, inst, seed):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_pruned_scan_matches_tables_at_every_cap(field64, inst, seed):
+def test_pruned_scan_matches_tables_at_every_cap(field64, subdivided_slices,
+                                                 inst, seed):
     # tight caps are where the cost-to-go bound prunes
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
-    slices = TablePlan(inst, top, inst.cost_list()).slices(f, field64)
+    slices = subdivided_slices(inst, f, field64, top)
     graph = ScanGraph(inst, inst.cost_list())
     for d_cap in range(inst.k, top + 1):
         want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
@@ -340,7 +346,7 @@ def test_pruned_scan_matches_tables_at_every_cap(field64, inst, seed):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_floor_bounds_the_optimum(field64, inst, seed):
+def test_floor_bounds_the_optimum(field64, subdivided_slices, inst, seed):
     graph = ScanGraph(inst, inst.cost_list())
     best = oracle.brute_force_disjoint_paths(inst, mode="cost")
     if best is not None:
@@ -349,7 +355,7 @@ def test_floor_bounds_the_optimum(field64, inst, seed):
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
     assert graph.floor is None or not any(
-        TablePlan(inst, top, inst.cost_list()).slices(f, field64))
+        subdivided_slices(inst, f, field64, top))
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -380,7 +386,7 @@ def test_clamped_decide_matches_oracle(field64, inst, seed):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(hub_instances(), st.sampled_from([8, 64]),
                   st.integers(0, 2**32))
-def test_fan_scan_matches_tables(inst, s, seed):
+def test_fan_scan_matches_tables(subdivided_slices, inst, s, seed):
     # the scan's fans (one packed product per expanded state) against the
     # table engine, at drawn values, at full-width values (2^s - 1, the
     # largest slot products), and at a drawn point patched as a deletion
@@ -389,12 +395,11 @@ def test_fan_scan_matches_tables(inst, s, seed):
     rng = random.Random(seed)
     top = max(inst.simple_cost_cap(), inst.k)
     graph = ScanGraph(inst, inst.cost_list())
-    plan = TablePlan(inst, top, inst.cost_list())
     drawn = random_assignment(field, inst.m, rng)
     live = [rng.random() < 0.7 for _ in range(inst.m)]
     for f in (drawn, [field.mask] * inst.m,
               [fe if keep else 0 for fe, keep in zip(drawn, live)]):
-        slices = plan.slices(f, field)
+        slices = subdivided_slices(inst, f, field, top)
         for d_cap in {inst.k, graph.floor or top, top}:
             want = [(d, v) for d, v in enumerate(slices[:d_cap + 1]) if v]
             assert list(scan_slices(graph, f, field, d_cap)) == want

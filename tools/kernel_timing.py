@@ -120,7 +120,7 @@ def measure_routes() -> dict:
     table = {}
     try:
         for name, (inst, l) in route_cases().items():
-            plan = TablePlan(inst, l, [1] * inst.m)
+            plan = TablePlan(inst, l)
             widths = [len(out) for out in plan.tails if out]
             f = random_assignment(field, inst.m, random.Random(72))
             ms = {"packed": [], "per-row": []}
@@ -129,7 +129,7 @@ def measure_routes() -> dict:
                     evaluator._packs = \
                         lambda k, widths, packs=route == "packed": packs
                     start = time.perf_counter()
-                    TablePlan(inst, l, [1] * inst.m).slices(f, field)
+                    TablePlan(inst, l).slices(f, field)
                     ms[route].append((time.perf_counter() - start) * 1e3)
             evaluator._packs = rule
             table[name] = {route: statistics.median(t)
