@@ -262,11 +262,10 @@ class TablePlan:
         usable cores, one fork pool of min(parallelism, k, usable cores)
         workers serves the whole evaluation: the workers inherit the
         windowed plan when they fork (the pool's initializer), so no task
-        carries it, and each first moves to a usable core of its own.
-        All source rows are queued first, each taken by the next free
-        worker, then each level of the subset phase as soon as the row
-        it reads is in, one task at a time, so a level's terms can run
-        while a later row is still out.  Otherwise both phases
+        carries it.  All source rows (round-robin over the usable cores)
+        are queued first, then each level of the subset phase as soon as
+        the row it reads is in, one task at a time, so a level's terms
+        can run while a later row is still out.  Otherwise both phases
         map inline, in this process.  Both row routes give the same rows
         and the subset phase is one code, so the result is bit-identical
         for every parallelism degree.
@@ -291,10 +290,10 @@ class TablePlan:
         rows_plan = (self, assignment, field, windows)
         if forks:
             ctx = multiprocessing.get_context("fork")
-            started = ctx.Value("i", 0)  # workers placed on a core so far
             with ctx.Pool(processes=procs, initializer=_set_plan,
-                          initargs=(rows_plan, cores, started)) as pool:
-                rows = [pool.apply_async(_pair_row, (xi,))
+                          initargs=(rows_plan,)) as pool:
+                rows = [pool.apply_async(_pair_row_on_core,
+                                         (cores[xi % len(cores)], xi))
                         for xi in range(k)]
                 return _subset_phase(k, bound, (row.get() for row in rows),
                                      field, partial(pool.starmap,
@@ -312,21 +311,11 @@ def _usable_cores() -> list:
     return [None] * (os.cpu_count() or 1)
 
 
-def _set_plan(plan, cores, started):
+def _set_plan(plan):
     """Pool initializer: the row plan, inherited by fork, for the row
-    tasks of this worker, which first moves to the next of the usable
-    cores, counting the workers started before it.
-
-    A worker is moved once, when it starts, so no task moves it onto a
-    core where another worker is still busy, and whichever worker is
-    free takes the next task: the one on a faster core takes more.
-    """
+    tasks of this worker."""
     global _PLAN
     _PLAN = plan
-    with started.get_lock():
-        core = cores[started.value % len(cores)]
-        started.value += 1
-    _move_to_core(core)
 
 
 def _move_to_core(core):
@@ -347,8 +336,11 @@ def _move_to_core(core):
         pass
 
 
-def _pair_row(xi):
-    """Pool task: source row xi of the inherited plan."""
+def _pair_row_on_core(core, xi):
+    """Pool task: source row xi of the inherited plan, its worker first
+    moved to the given core (rows go round-robin over the usable
+    cores)."""
+    _move_to_core(core)
     return _rows(*_PLAN, (xi,))[0]
 
 
@@ -420,7 +412,7 @@ def _rows(plan, assignment, field, windows, rows):
       windows[u] packs the values of u's tails one per slot, in tails
       order, so one scalar product of it by the cell gives every
       out-edge's product, each taking its slot, the way scan_slices
-      splits a state's product.  Its columns are its row.
+      splits a state's product.
 
     Row r needs walks of at most budget_r = plan.budgets[r] edges, and a
     prefix at (q, v) still needs togo(v) more.  The pass runs to the
@@ -476,8 +468,6 @@ def _rows(plan, assignment, field, windows, rows):
         for column, y in zip(columns, instance.sinks):
             column.append(layer[y])
         layer = after
-    if windows is not None:  # one row, reduced: each cell is its own slot
-        return [columns]
     return [[[cell >> (SLOT_BITS * slot) & _SLOT_MASK
               for cell in column[:budget]] for column in columns]
             for slot, budget in enumerate(budgets)]

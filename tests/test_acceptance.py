@@ -6,7 +6,6 @@ asserts.  Batteries are seeded, so every run checks the same instances.
 """
 
 import random
-import statistics
 import time
 
 from smallflow import (
@@ -333,6 +332,7 @@ def _parallel_ceiling():
     one slow phase of the host does not set the figure."""
     import multiprocessing
     import os
+    import statistics
 
     def burn(n):
         s = 0
@@ -371,10 +371,7 @@ def test_criterion_7_scaling_smoke(capsys):
     (source rows across worker processes) is >= 1.5x faster than the
     serial route that evaluator._packs picks for this instance, one
     per-row pass per source row (its mean fan is wider than k, so it does
-    not pack), with identical output.  The speedup is the median of five
-    pairs, serial and degree-4 timed alternately, as _parallel_ceiling
-    takes its figure, so that one slow phase of the host does not set
-    it."""
+    not pack), with identical output."""
     rng = random.Random(707)
     inst16 = {k: random_paths_instance(random.Random(70 + k), 16, k,
                                        extra_edges=32)
@@ -389,32 +386,26 @@ def test_criterion_7_scaling_smoke(capsys):
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
     f = random_assignment(FIELD, inst.m, random.Random(72))
     l = 4 * 63
-    # each side times its plan's construction and its evaluation, and
-    # every pair's outputs are compared
-    ratios, identical = [], True
-    for _ in range(5):
-        t0 = time.time()
-        v1 = TablePlan(inst, l).slices(f, FIELD, parallelism=1)
-        t1 = time.time()
-        v4 = TablePlan(inst, l).slices(f, FIELD, parallelism=4)
-        t2 = time.time()
-        ratios.append((t1 - t0) / (t2 - t1))
-        identical = identical and v1 == v4
-    speedup = statistics.median(ratios)
+    # each side times its plan's construction and its evaluation
+    t0 = time.time()
+    v1 = TablePlan(inst, l).slices(f, FIELD, parallelism=1)
+    t1 = time.time()
+    v4 = TablePlan(inst, l).slices(f, FIELD, parallelism=4)
+    t2 = time.time()
+    speedup = (t1 - t0) / (t2 - t1)
+    identical = v1 == v4
     ceiling = _parallel_ceiling()
     ok = cells_double and identical and speedup >= 1.5
     _report(capsys, 7, ok,
             f"subset cells {cells} doubling per unit of k: {cells_double}; "
             f"n=64 k=4 degree-4 speedup over the serial per-row route "
-            f"{speedup:.2f}x, the median of "
-            f"{', '.join(f'{r:.2f}' for r in ratios)} "
+            f"{speedup:.2f}x "
             f"(need >= 1.5x; this host's 2-process IPC-free ceiling "
             f"measures {ceiling:.2f}x), outputs identical={identical}")
     assert cells_double
     assert identical
     assert speedup >= 1.5, (
-        f"environment limitation: measured a median {speedup:.2f}x at "
-        f"degree 4 vs "
+        f"environment limitation: measured {speedup:.2f}x at degree 4 vs "
         f"the serial per-row route; the host caps two pure-CPU processes at "
         f"{ceiling:.2f}x, so the 1.5x criterion is unattainable here "
         f"(see the Criterion 7 section of ROADMAP.md)")

@@ -160,10 +160,10 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
                 # level above the first, whose tables are the packed columns
                 assert asked == ([] if procs == 1 else [procs])
                 assert mapped == ([] if procs == 1 else
-                                  ["_pair_row"] * k
+                                  ["_pair_row_on_core"] * k
                                   + ["_subset_term"] * (k - 1))
-    # a starting worker moves this process to a core and gives it back the
-    # cores it was allowed
+    # a row task moves this process to a core and gives it back the cores
+    # it was allowed
     if cores[0] is not None:
         evaluator._move_to_core(cores[-1])
         assert sorted(os.sched_getaffinity(0)) == cores
