@@ -117,7 +117,7 @@ _MOVE_CELLS = 2  # cells charged per scan-graph move (see ScanGraph)
 _REACH = itemgetter(3)  # a scan-graph move's reach
 _TAIL_CELLS = 2  # cells charged per TablePlan.tails entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-_PLAN = None  # a pool worker's row plan, inherited by fork (_set_plan)
+_PLAN = None  # a pool worker's row plan, inherited by fork (_start_worker)
 
 
 class BudgetError(RuntimeError):
@@ -260,10 +260,11 @@ class TablePlan:
         tails order and windowed once (vec_window), and each row is one
         per-row _rows pass.  With parallelism > 1, k > 1 and two or more
         usable cores, one fork pool of min(parallelism, k, usable cores)
-        workers serves the whole evaluation: the workers inherit the
-        windowed plan when they fork (the pool's initializer), so no task
-        carries it.  All source rows (round-robin over the usable cores)
-        are queued first, then each level of the subset phase as soon as
+        workers serves the whole evaluation.  Each worker starts in the
+        pool's initializer: it inherits the windowed plan when it forks,
+        so no task carries it, and moves once to a core of its own.  All
+        source rows are queued first (pool.imap, in order, to whichever
+        worker is free), then each level of the subset phase as soon as
         the row it reads is in, one task at a time, so a level's terms
         can run while a later row is still out.  Otherwise both phases
         map inline, in this process.  Both row routes give the same rows
@@ -290,12 +291,12 @@ class TablePlan:
         rows_plan = (self, assignment, field, windows)
         if forks:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=procs, initializer=_set_plan,
-                          initargs=(rows_plan,)) as pool:
-                rows = [pool.apply_async(_pair_row_on_core,
-                                         (cores[xi % len(cores)], xi))
-                        for xi in range(k)]
-                return _subset_phase(k, bound, (row.get() for row in rows),
+            places = ctx.SimpleQueue()
+            for core in cores[:procs]:
+                places.put(core)
+            with ctx.Pool(processes=procs, initializer=_start_worker,
+                          initargs=(rows_plan, places)) as pool:
+                return _subset_phase(k, bound, pool.imap(_pair_row, range(k)),
                                      field, partial(pool.starmap,
                                                     chunksize=1))
         rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
@@ -311,11 +312,13 @@ def _usable_cores() -> list:
     return [None] * (os.cpu_count() or 1)
 
 
-def _set_plan(plan):
-    """Pool initializer: the row plan, inherited by fork, for the row
-    tasks of this worker."""
+def _start_worker(plan, places):
+    """Pool initializer, once in each worker as it starts: the row plan,
+    inherited by fork, for its row tasks, and its one move, to the next
+    core in places, which holds a distinct usable core for each worker."""
     global _PLAN
     _PLAN = plan
+    _move_to_core(places.get())
 
 
 def _move_to_core(core):
@@ -336,11 +339,8 @@ def _move_to_core(core):
         pass
 
 
-def _pair_row_on_core(core, xi):
-    """Pool task: source row xi of the inherited plan, its worker first
-    moved to the given core (rows go round-robin over the usable
-    cores)."""
-    _move_to_core(core)
+def _pair_row(xi):
+    """Pool task: source row xi of the inherited plan."""
     return _rows(*_PLAN, (xi,))[0]
 
 
@@ -474,9 +474,9 @@ def _rows(plan, assignment, field, windows, rows):
 
 
 def _subset_phase(k, bound, rows, field, mapper):
-    """Subset recurrence over sink masks, index = exact length or cost.
+    """Subset recurrence over sink masks, index = exact length.
 
-    rows[i][j][q-1] is the walk-table value for walks of measure q from
+    rows[i][j][q-1] is the walk-table value for walks of q edges from
     source i to sink j, read as zero past row i's depth (at most bound).
     The table for mask B peels source |B|-1 (0-based) against each sink j
     in B: one (B, j) term (_subset_term) multiplies the table of B - {j}
@@ -485,7 +485,7 @@ def _subset_phase(k, bound, rows, field, mapper):
     starmap, or itertools.starmap inline) computes the level's terms, and
     each mask XORs its terms and is reduced once.  Level t reads row t-1
     only, so rows is read in order, one row per level (a list, or a
-    generator that waits for each of the pool's rows).  Level 1 needs no
+    pool.imap, which waits for each of the pool's rows).  Level 1 needs no
     product: the table of {j} is row 0's column j itself, packed one
     slot up, and its entries are reduced already.  Returns the full
     slice list for the Y mask, indices 0..bound.

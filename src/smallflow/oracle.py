@@ -76,6 +76,29 @@ def _walks_from(instance, start, max_measure, measures, budget):
     yield from extend(start, (start,), (), 0)
 
 
+def _walk_sets(instance, cap, measures, budget):
+    """(total measure, walk set) for every proper set of k walks of total
+    measure <= cap, each exactly once, in one fixed order, spending the
+    step budget as _walks_from reads edges."""
+    b = _Budget(budget)
+    k = instance.k
+    sources = instance.sources
+
+    def rec(i, used_sinks, total, acc):
+        if i == k:
+            yield total, ProperWalkSet(tuple(acc))
+            return
+        for vs, es, meas in _walks_from(instance, sources[i],
+                                        cap - total - (k - i - 1),
+                                        measures, b):
+            sink = vs[-1]
+            if sink not in used_sinks:
+                yield from rec(i + 1, used_sinks | {sink}, total + meas,
+                               acc + [Walk(vs, es)])
+
+    yield from rec(0, frozenset(), 0, [])
+
+
 def enumerate_proper_walk_sets(instance: PathInstance, bound: int,
                                mode: str = "length",
                                budget: int = DEFAULT_BUDGET,
@@ -96,26 +119,9 @@ def enumerate_proper_walk_sets(instance: PathInstance, bound: int,
     else:
         measures = instance.cost_list() if costs is None else list(costs)
         cap = bound
-    b = _Budget(budget)
-    k = instance.k
-    sources = instance.sources
-
-    def rec(i, used_sinks, total, acc):
-        if i == k:
-            if mode == "length" or total == bound:
-                yield ProperWalkSet(tuple(acc))
-            return
-        remaining_walks = k - i - 1
-        for vs, es, meas in _walks_from(instance, sources[i],
-                                        cap - total - remaining_walks,
-                                        measures, b):
-            sink = vs[-1]
-            if sink in used_sinks:
-                continue
-            yield from rec(i + 1, used_sinks | {sink}, total + meas,
-                           acc + [Walk(vs, es)])
-
-    yield from rec(0, frozenset(), 0, [])
+    for total, walk_set in _walk_sets(instance, cap, measures, budget):
+        if mode == "length" or total == bound:
+            yield walk_set
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +168,9 @@ def symbolic_cost_slices(instance: PathInstance, up_to: int,
     """Exact-cost slice polynomials for every cost p in [0, up_to]."""
     measures = instance.cost_list() if costs is None else list(costs)
     buckets = {}
-    b = _Budget(budget)
-    k = instance.k
-    sources = instance.sources
-
-    def rec(i, used_sinks, total, acc):
-        if i == k:
-            buckets.setdefault(total, set()).symmetric_difference_update(
-                {ProperWalkSet(tuple(acc)).monomial()})
-            return
-        remaining = k - i - 1
-        for vs, es, meas in _walks_from(instance, sources[i],
-                                        up_to - total - remaining,
-                                        measures, b):
-            sink = vs[-1]
-            if sink in used_sinks:
-                continue
-            rec(i + 1, used_sinks | {sink}, total + meas, acc + [Walk(vs, es)])
-
-    rec(0, frozenset(), 0, [])
+    for total, walk_set in _walk_sets(instance, up_to, measures, budget):
+        buckets.setdefault(total, set()).symmetric_difference_update(
+            {walk_set.monomial()})
     return {
         p: SymbolicPolynomial(frozenset(monos))
         for p, monos in buckets.items() if monos

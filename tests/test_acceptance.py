@@ -26,7 +26,7 @@ from smallflow import (
 from smallflow.evaluator import (
     ScanGraph,
     TablePlan,
-    _move_to_core,
+    _start_worker,
     scan_slices,
 )
 from smallflow import oracle
@@ -327,39 +327,36 @@ def test_criterion_6_flow_pipeline(capsys):
 
 def _parallel_ceiling():
     """Measured speedup of two IPC-free CPU-bound processes on this host,
-    each first moved to its own core as the row workers are: the median
-    of three ratios, serial and parallel burns timed alternately, so that
-    one slow phase of the host does not set the figure."""
+    each moved once, as it starts, to its own core by the row pool's
+    initializer: the median of three ratios, serial and parallel burns
+    timed alternately, so that one slow phase of the host does not set
+    the figure."""
     import multiprocessing
     import os
     import statistics
 
-    def burn(n):
-        s = 0
-        for i in range(n):
-            s += i * i
-        return s
-
     n = 4_000_000
     cores = sorted(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else [None]
-    placed = [cores[0], cores[1 % len(cores)]]
     ctx = multiprocessing.get_context("fork")
+    places = ctx.SimpleQueue()
+    for core in (cores[0], cores[1 % len(cores)]):
+        places.put(core)
     ratios = []
-    with ctx.Pool(2) as pool:
-        pool.starmap(_burn_helper, [(core, 1000) for core in placed])
+    with ctx.Pool(2, initializer=_start_worker,
+                  initargs=(None, places)) as pool:
+        pool.map(_burn_helper, [1000, 1000])
         for _ in range(3):
             t0 = time.time()
-            burn(n), burn(n)
+            _burn_helper(n), _burn_helper(n)
             serial = time.time() - t0
             t0 = time.time()
-            pool.starmap(_burn_helper, [(core, n) for core in placed])
+            pool.map(_burn_helper, [n, n])
             ratios.append(serial / (time.time() - t0))
     return statistics.median(ratios)
 
 
-def _burn_helper(core, n):
-    _move_to_core(core)
+def _burn_helper(n):
     s = 0
     for i in range(n):
         s += i * i

@@ -106,20 +106,15 @@ def test_seq_par_equivalence_battery(field64, monkeypatch):
                     reason="rows run inline without fork")
 def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     # a recording stand-in for the fork pool: tasks run inline, no process
-    # starts, and the requested worker count and every task are kept
+    # starts, and the requested worker count, each worker start's core
+    # moves and every task are kept, in the order they happen
     asked, mapped = [], []
-
-    class Done:
-        def __init__(self, value):
-            self.value = value
-
-        def get(self):
-            return self.value
 
     class InlinePool:
         def __init__(self, processes, initializer, initargs):
             asked.append(processes)
-            initializer(*initargs)
+            for _ in range(processes):
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -127,9 +122,13 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def apply_async(self, fn, args):
-            mapped.append(fn.__name__)
-            return Done(fn(*args))
+        def imap(self, fn, tasks):
+            # every row is queued before any subset level, as on the pool
+            done = []
+            for task in tasks:
+                mapped.append(fn.__name__)
+                done.append(fn(task))
+            return iter(done)
 
         def starmap(self, fn, tasks, chunksize):
             # one task at a time, so a level's terms spread over the pool
@@ -140,6 +139,9 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
                         InlinePool)
     monkeypatch.setattr(evaluator, "_PLAN", None)
+    move = evaluator._move_to_core
+    monkeypatch.setattr(evaluator, "_move_to_core",
+                        lambda core: mapped.append(("_move_to_core", core)))
     cores = evaluator._usable_cores()
     for listed in (cores, cores * 3):
         # listing each core three times lets the pool grow past the host
@@ -156,16 +158,20 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
                 assert length_plan(inst, 14).slices(
                     f, field64, parallelism=degree) == serial
                 procs = min(degree, k, len(listed))
-                # one pool per evaluation: every row, then one map per
-                # level above the first, whose tables are the packed columns
+                # one pool per evaluation: one core move per worker start,
+                # the workers to the first listed cores, and none in a
+                # task; every row, then one map per level above the first,
+                # whose tables are the packed columns
                 assert asked == ([] if procs == 1 else [procs])
                 assert mapped == ([] if procs == 1 else
-                                  ["_pair_row_on_core"] * k
+                                  [("_move_to_core", core)
+                                   for core in listed[:procs]]
+                                  + ["_pair_row"] * k
                                   + ["_subset_term"] * (k - 1))
-    # a row task moves this process to a core and gives it back the cores
-    # it was allowed
+    # a worker's start moves it to a core and gives it back the cores it
+    # was allowed
     if cores[0] is not None:
-        evaluator._move_to_core(cores[-1])
+        move(cores[-1])
         assert sorted(os.sched_getaffinity(0)) == cores
 
 
