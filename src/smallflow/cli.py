@@ -129,13 +129,13 @@ def _finish(args, t0, report, code):
     return code
 
 
-def _report(args, t0, params, fields, answered, exact, got, oracle_key,
+def _report(args, params, fields, answered, exact, got, oracle_key,
             oracle_answer):
-    """Emit the report of decide, mincost, find or flow and return its exit
-    code: its fields with the seed, field and repetitions, exit 0 when
-    answered and 1 otherwise; an exact answer ran no repetition.  With
-    --verify, the verify block holds oracle_answer() under oracle_key and
-    whether it matches got, and a mismatch exits 4."""
+    """The report fields and exit code of decide, mincost, find or flow:
+    its fields with the seed, field and repetitions, exit 0 when answered
+    and 1 otherwise; an exact answer ran no repetition.  With --verify,
+    the verify block holds oracle_answer() under oracle_key and whether
+    it matches got, and a mismatch exits 4."""
     report = {"seed": args.seed, "field_exponent": args.field_exp,
               "repetitions": 0 if exact else params.repetitions, **fields}
     code = EXIT_ANSWERED if answered else EXIT_ABSENT
@@ -144,7 +144,7 @@ def _report(args, t0, params, fields, answered, exact, got, oracle_key,
         report["verify"] = {oracle_key: want, "match": want == got}
         if want != got:
             code = EXIT_MISMATCH
-    return _finish(args, t0, report, code)
+    return report, code
 
 
 def _cost(found):
@@ -152,42 +152,33 @@ def _cost(found):
     return found[0] if found else None
 
 
-def _cmd_decide(args):
-    t0 = time.perf_counter()
-    instance = parse_paths_instance(_read_input(args.input))
+def _cmd_decide(args, instance, params):
     l = args.length_bound
     deviations = []
     if l is None:
         l = instance.k * (instance.n - 1)
         deviations.append(f"length bound defaulted to k(n-1) = {l}")
-    params = _params(args, instance.n)
     verdict = decision.decide_disjoint_paths(
         instance, l, params, parallelism=args.parallelism)
     fields = {"answer": verdict.answer, "length_bound": l,
               "evaluated_degree": verdict.degree, "deviations": deviations}
     return _report(
-        args, t0, params, fields, verdict.nonzero, verdict.degree is None,
+        args, params, fields, verdict.nonzero, verdict.degree is None,
         verdict.answer, "oracle_answer",
         lambda: "NONZERO" if oracle.brute_force_disjoint_paths(
             instance, mode="length", bound=l) else "ZERO")
 
 
-def _cmd_mincost(args):
-    t0 = time.perf_counter()
-    instance = parse_paths_instance(_read_input(args.input))
-    params = _params(args, instance.n)
+def _cmd_mincost(args, instance, params):
     cost = decision.min_cost_disjoint_paths(instance, params)
     return _report(
-        args, t0, params, {"cost": cost}, cost is not None, cost is None,
+        args, params, {"cost": cost}, cost is not None, cost is None,
         cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
 
 
-def _cmd_find(args):
-    t0 = time.perf_counter()
-    instance = parse_paths_instance(_read_input(args.input))
-    params = _params(args, instance.n)
+def _cmd_find(args, instance, params):
     stats = {}
     ps = extraction.find_disjoint_paths(instance, params,
                                         max_retries=args.max_retries,
@@ -202,16 +193,13 @@ def _cmd_find(args):
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
     return _report(
-        args, t0, params, fields, ps is not None, ps is None, cost,
+        args, params, fields, ps is not None, ps is None, cost,
         "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
 
 
-def _cmd_flow(args):
-    t0 = time.perf_counter()
-    K = parse_dimacs_flow(_read_input(args.input))
-    params = _params(args, K.n)
+def _cmd_flow(args, K, params):
     if args.dump_gadget:
         gadget = flow_mod.build_gadget_network(K)
         with open(args.dump_gadget, "w", encoding="utf-8") as fh:
@@ -225,28 +213,24 @@ def _cmd_flow(args):
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
     fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
-    return _report(args, t0, params, fields, cost is not None,
+    return _report(args, params, fields, cost is not None,
                    cost is None, cost, "oracle_cost",
                    lambda: _cost(oracle.classic_min_cost_flow(K)))
 
 
-def _cmd_oracle(args):
-    t0 = time.perf_counter()
+def _cmd_oracle(args, instance, params):
     bound = args.length_bound
     if args.kind == "flow":
-        if bound is not None:
-            raise ValueError("--length-bound applies to paths instances only")
-        found = oracle.classic_min_cost_flow(
-            parse_dimacs_flow(_read_input(args.input)))
+        found = oracle.classic_min_cost_flow(instance)
         fields = {"cost": _cost(found)}
     else:
         found = oracle.brute_force_disjoint_paths(
-            parse_paths_instance(_read_input(args.input)),
-            mode="cost" if bound is None else "length", bound=bound)
+            instance, mode="cost" if bound is None else "length",
+            bound=bound)
         fields = {"cost" if bound is None else "length": _cost(found),
                   "paths": _one_indexed(found[1].paths) if found else None}
-    return _finish(args, t0, {"kind": args.kind, **fields},
-                   EXIT_ANSWERED if found else EXIT_ABSENT)
+    return ({"kind": args.kind, **fields},
+            EXIT_ANSWERED if found else EXIT_ABSENT)
 
 
 def main(argv=None) -> int:
@@ -258,13 +242,22 @@ def main(argv=None) -> int:
         "flow": _cmd_flow,
         "oracle": _cmd_oracle,
     }[args.subcommand]
+    t0 = time.perf_counter()
+    ceiling = evaluator.DEFAULT_MEMORY_LIMIT  # restored on every exit
     try:
         limit_mib = getattr(args, "memory_limit_mib", None)
         if limit_mib is not None:
             if limit_mib < 1:
                 raise ValueError(f"--memory-limit-mib {limit_mib} below 1")
             evaluator.set_default_memory_limit(limit_mib << 20)
-        return handler(args)
+        dimacs = "flow" in (args.subcommand, getattr(args, "kind", None))
+        if dimacs and getattr(args, "length_bound", None) is not None:
+            raise ValueError("--length-bound applies to paths instances only")
+        instance = (parse_dimacs_flow if dimacs else parse_paths_instance)(
+            _read_input(args.input))
+        params = None if args.subcommand == "oracle" \
+            else _params(args, instance.n)
+        return _finish(args, t0, *handler(args, instance, params))
     except (ParseError, ValueError, OSError) as exc:
         # an OSError that names a file comes from -i, --out or
         # --dump-gadget (missing, a directory, no permission)
@@ -276,6 +269,8 @@ def main(argv=None) -> int:
             oracle.EnumerationBudgetError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        evaluator.set_default_memory_limit(ceiling)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ that the queried structure exists (NONZERO answers are never wrong); a run
 of zero evaluations is a probabilistic ZERO with per-repetition failure at
 most degree / field size.  Repetitions draw independent derived streams
 from (seed, repetition), so verdicts are reproducible byte for byte and
-monotone in the repetition count.
+monotone in the repetition count.  Every query draws its points with
+TestParams.assignments at its degree, which first checks the field.
 
 Before any field check or evaluation, every query asks
 PathInstance.has_disjoint_paths() whether k disjoint paths exist at all.
@@ -48,7 +49,8 @@ def default_repetitions(n: int) -> int:
 @dataclass(frozen=True)
 class TestParams:
     """Field, repetition count, and root seed for one randomized query;
-    assignments() draws the query's random points from them."""
+    assignments() checks the field against the query's degree and draws
+    the query's random points from them."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -60,21 +62,20 @@ class TestParams:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
-    def check_degree(self, degree: int):
-        """The error bound d/r needs the field larger than the degree."""
+    def assignments(self, m: int, degree: int, *stream):
+        """One random point per repetition of a test at `degree`: the
+        assignment of m edges drawn from derive_rng(seed, *stream, rep).
+        A field no larger than the degree (no error bound) raises
+        ValueError at the call, before any point is drawn.  Each query
+        names its own stream, so its points are independent of other
+        queries' and reproducible byte for byte."""
         if self.field.order <= degree:
             raise ValueError(
                 f"field of size 2^{self.field.exponent} too small for a "
                 f"degree-{degree} polynomial test")
-
-    def assignments(self, m: int, *stream):
-        """One random point per repetition: the assignment of m edges
-        drawn from derive_rng(seed, *stream, rep).  Each query names its
-        own stream, so its points are independent of other queries' and
-        reproducible byte for byte."""
-        for rep in range(self.repetitions):
-            yield random_assignment(self.field, m,
-                                    derive_rng(self.seed, *stream, rep))
+        return (random_assignment(self.field, m,
+                                  derive_rng(self.seed, *stream, rep))
+                for rep in range(self.repetitions))
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     plan = TablePlan(instance, degree)
     if degree < plan.floor:
         return Verdict(ZERO)
-    params.check_degree(degree)
-    for f in params.assignments(instance.m, "decide-length"):
+    for f in params.assignments(instance.m, degree, "decide-length"):
         if eval_length_bounded_seq(plan, f, params.field, parallelism):
             return Verdict(NONZERO, tuple(f), degree)
     return Verdict(ZERO, degree=degree)
@@ -153,8 +153,7 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     graph = ScanGraph(instance, instance.cost_list())
     if cap < graph.floor:
         return Verdict(ZERO)
-    params.check_degree(cap)
-    for f in params.assignments(instance.m, "decide-cost"):
+    for f in params.assignments(instance.m, cap, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f), cap)
     return Verdict(ZERO, degree=cap)
@@ -180,10 +179,10 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     if _graph is None and not instance.has_disjoint_paths():
         return None
     cap = instance.simple_cost_cap()
-    params.check_degree(cap)
+    points = params.assignments(instance.m, cap, "min-cost")
     graph = ScanGraph(instance, instance.cost_list()) if _graph is None \
         else _graph
-    best = least_nonzero_slice(graph, params, cap, "min-cost")
+    best = least_nonzero_slice(graph, points, params.field, cap)
     if best is None:
         raise RetriesExhaustedError(
             f"no nonzero slice up to cost {cap} in {params.repetitions} "
@@ -191,10 +190,11 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     return best
 
 
-def least_nonzero_slice(graph: ScanGraph, params: TestParams, cap: int,
-                        stream: str) -> int | None:
+def least_nonzero_slice(graph: ScanGraph, points, field: GF2Field,
+                        cap: int) -> int | None:
     """Least cost at most cap with a nonzero slice at the graph's costs,
-    over one assignment per repetition drawn from `stream`, or None.
+    over `points`, the caller's TestParams.assignments at cap (one per
+    repetition, drawn as the scans read them), or None.
 
     One slice scan per repetition; the least nonzero slice index is the
     answer for that repetition (each monomial lives in exactly one
@@ -209,10 +209,10 @@ def least_nonzero_slice(graph: ScanGraph, params: TestParams, cap: int,
     it no repetition is left that could hit, and none is run.
     """
     best = None
-    for f in params.assignments(graph.instance.m, stream):
+    for f in points:
         if graph.floor is None or cap < graph.floor:
             break
-        hit = scan_min_cost_slice(graph, f, params.field, cap=cap)
+        hit = scan_min_cost_slice(graph, f, field, cap=cap)
         if hit:
             best = hit[0]
             cap = best - 1

@@ -37,7 +37,7 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decision import (
     RetriesExhaustedError,
@@ -126,8 +126,8 @@ def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts, d0: int,
     test_isolation_field_checked_below_the_optimum's GF(2^16) instance).
     """
     cap = (d0 + 1) * pc.scale - 1
-    params.check_degree(cap)
-    return least_nonzero_slice(pgraph, params, cap, "find-perturbed")
+    points = params.assignments(pgraph.instance.m, cap, "find-perturbed")
+    return least_nonzero_slice(pgraph, points, params.field, cap)
 
 
 def classify_edges(pgraph: ScanGraph, u_star: int) -> set:
@@ -219,9 +219,8 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
 def _isolation_attempt(instance, params, attempt, r, d0):
     rng = derive_rng(params.seed, "perturb", attempt)
     pc = perturb_costs(instance, r, rng)
-    sub = TestParams(field=params.field, repetitions=params.repetitions,
-                     seed=derive_rng(params.seed, "attempt", attempt)
-                     .getrandbits(63))
+    sub = replace(params, seed=derive_rng(params.seed, "attempt", attempt)
+                  .getrandbits(63))
     pgraph = ScanGraph(instance, list(pc.perturbed))
     u_star = find_min_perturbed_cost(pgraph, pc, d0, sub)
     if u_star is None:
@@ -231,7 +230,8 @@ def _isolation_attempt(instance, params, attempt, r, d0):
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    assignments = list(params.assignments(instance.m, "deletion", attempt))
+    assignments = list(params.assignments(instance.m, d0, "deletion",
+                                          attempt))
     # Edges off the cost-d0 support pass their test without a scan: the
     # d0 slice does not contain their variable.  Forced edges, on every
     # walk set of cost d0, fail it without one: every monomial holds them.

@@ -353,22 +353,30 @@ def test_parallelism_below_one_exit(capsys, paths_file, tmp_path):
                 capsys.readouterr().err
 
 
-def test_memory_limit_flag(capsys, paths_file):
+def test_memory_limit_flag(capsys, paths_file, monkeypatch):
+    # the ceiling holds inside its own call only: the query sees it, and
+    # main restores the one it found on an answer and on an input error
     from smallflow import evaluator
     before = evaluator.DEFAULT_MEMORY_LIMIT
-    try:
-        code, _ = run_json(capsys, "mincost", "-i", paths_file,
-                           "--memory-limit-mib", "64")
-        assert code == 0
-        assert evaluator.DEFAULT_MEMORY_LIMIT == 64 << 20
-        for value in ("0", "-5"):
-            code = cli.main(["mincost", "-i", paths_file,
-                             "--memory-limit-mib", value])
-            assert code == 2
-            assert "memory-limit-mib" in capsys.readouterr().err
-        assert evaluator.DEFAULT_MEMORY_LIMIT == 64 << 20
-    finally:
-        evaluator.set_default_memory_limit(before)
+    mincost = cli.decision.min_cost_disjoint_paths
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(evaluator.DEFAULT_MEMORY_LIMIT)
+        return mincost(*args, **kwargs)
+
+    monkeypatch.setattr(cli.decision, "min_cost_disjoint_paths", spy)
+    code, _ = run_json(capsys, "mincost", "-i", paths_file,
+                       "--memory-limit-mib", "64")
+    assert code == 0
+    assert seen == [64 << 20]
+    assert evaluator.DEFAULT_MEMORY_LIMIT == before
+    for value in ("0", "-5"):
+        code = cli.main(["mincost", "-i", paths_file,
+                         "--memory-limit-mib", value])
+        assert code == 2
+        assert "memory-limit-mib" in capsys.readouterr().err
+        assert evaluator.DEFAULT_MEMORY_LIMIT == before
 
 
 def test_memory_limit_bounds_the_flow_gadget(capsys, tmp_path):
@@ -383,6 +391,7 @@ def test_memory_limit_bounds_the_flow_gadget(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("budget error: ")
+        assert evaluator.DEFAULT_MEMORY_LIMIT == before
     finally:
         evaluator.set_default_memory_limit(before)
 

@@ -42,7 +42,8 @@ def _assert_polynomials_vanish(inst, l, params):
     simple-set cap are zero at every assignment the query would draw."""
     plan = TablePlan(inst, l)
     graph = ScanGraph(inst, inst.cost_list())
-    for f in params.assignments(inst.m, "decide-length"):
+    degree = min(l, inst.max_path_edges())  # decide's, as it draws
+    for f in params.assignments(inst.m, degree, "decide-length"):
         assert eval_length_bounded_seq(plan, f, params.field) == 0
         assert scan_min_cost_slice(graph, f, params.field,
                                    cap=inst.simple_cost_cap()) is None
@@ -191,6 +192,80 @@ def test_exact_answers_before_the_field_check(bottleneck):
         min_cost_disjoint_paths(feasible, small)
     with pytest.raises(ValueError, match="too small"):
         decide_cost_bounded(feasible, 400, small)
+
+
+def test_field_checked_before_any_point_is_drawn(monkeypatch):
+    # each query has k disjoint paths and a degree beyond GF(2^8): it
+    # refuses the field before it draws a point, and
+    # min_cost_disjoint_paths before it builds its ScanGraph
+    drawn, built = [], []
+    draw, graph = decision.random_assignment, decision.ScanGraph
+    monkeypatch.setattr(decision, "random_assignment",
+                        lambda *a: drawn.append(a) or draw(*a))
+    monkeypatch.setattr(decision, "ScanGraph",
+                        lambda *a: built.append(a) or graph(*a))
+    small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
+    chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257])
+    costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
+                          costs=[200, 200])
+    queries = [lambda: decide_disjoint_paths(chain, 257, small),
+               lambda: decide_cost_bounded(costly, 400, small)] + [
+        lambda s=s: find_disjoint_paths(costly, small, strategy=s)
+        for s in ("deletion", "isolation")]
+    for query in queries:
+        with pytest.raises(ValueError, match="too small"):
+            query()
+    built.clear()  # decide_cost_bounded builds its graph before the check
+    with pytest.raises(ValueError, match="too small"):
+        min_cost_disjoint_paths(costly, small)
+    assert drawn == built == []
+    # the spies see the draw and the graph of a field that holds 400
+    assert min_cost_disjoint_paths(
+        costly, TestParams(field=GF2Field(16), repetitions=1)) == 400
+    assert len(drawn) == len(built) == 1
+
+
+def _feasible_battery(rng, count):
+    """count random instances with k disjoint paths: n 6-12, k 1-3,
+    costs 1-4 and simple_cost_cap() below 2^8."""
+    battery = []
+    while len(battery) < count:
+        n, k = rng.randint(6, 12), rng.randint(1, 3)
+        inst = random_paths_instance(rng, n, k, cost_max=4,
+                                     extra_edges=rng.randint(n, 2 * n))
+        if inst.has_disjoint_paths() and inst.simple_cost_cap() < 256:
+            battery.append(inst)
+    return battery
+
+
+@pytest.mark.parametrize("kind", ["decide", "mincost"])
+def test_false_zero_rate_within_the_stated_bound(kind):
+    # 60 instances x 100 seeds at t = 1 over GF(2^8).  A query errs with
+    # probability at most degree / 2^8 (Schwartz-Zippel): decide at its
+    # Verdict.degree, mincost at simple_cost_cap(), the degree it checks.
+    # A wrong answer is a false ZERO, a wrong cost, or
+    # RetriesExhaustedError on these feasible instances.  Each query draws
+    # its own points, so the count of wrong answers is dominated by a sum
+    # of independent Bernoulli(b_i); with mu the sum of the b_i, Chernoff
+    # gives P(count >= 2 mu) <= exp(-mu / 3), below 1e-20 here.  The field
+    # is small enough that some answers are wrong, so the count measures.
+    wrong, mu = 0, 0.0
+    for inst in _feasible_battery(random.Random(19), 60):
+        l = inst.k * (inst.n - 1)
+        want = oracle.disjoint_paths_min_cost_via_flow(inst)
+        for seed in range(100):
+            params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
+            if kind == "decide":
+                verdict = decide_disjoint_paths(inst, l, params)
+                wrong += not verdict.nonzero
+                mu += verdict.degree / 256
+                continue
+            try:
+                wrong += min_cost_disjoint_paths(inst, params) != want
+            except RetriesExhaustedError:
+                wrong += 1
+            mu += inst.simple_cost_cap() / 256
+    assert 0 < wrong < 2 * mu, (wrong, mu)
 
 
 def test_min_cost_examples(bottleneck):

@@ -18,9 +18,14 @@ One line is printed per digest:
   made;
 * `support`: the (support, forced) edge ids evaluator.slice_support
   returns with every edge alive at d0, the cost of the deletion path
-  set, on each `flow` gadget that has a flow.
+  set, on each `flow` gadget that has a flow;
+* `table`: the slices TablePlan(inst, 252).slices(f, GF(2^64)) returns
+  on the instance of tests/test_acceptance.py's criterion 7,
+  random_paths_instance(random.Random(71), 64, 4, extra_edges=256),
+  with f drawn from random.Random(72).  It hashes the list's repr, and
+  depends on no seed.
 
-Each line also gives the query count, the seconds spent in the
+Each batch line also gives the query count, the seconds spent in the
 queries (wall time on this host, not scaled like perfbench's), and the
 scan states and moves that the queries' ScanGraphs materialized (the
 states whose moves a scan or support pass read, and those moves).  The
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -41,7 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from smallflow import GF2Field, decision, evaluator, extraction, flow  # noqa: E402
-from smallflow.network import parse_dimacs_flow, parse_paths_instance  # noqa: E402
+from smallflow.network import (  # noqa: E402
+    parse_dimacs_flow,
+    parse_paths_instance,
+    random_paths_instance,
+)
 from workloads import make_batch  # noqa: E402
 
 
@@ -160,6 +170,17 @@ def flows(seed, seconds):
     _line("support", supports, support_s, support_work)
 
 
+def table():
+    inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
+    field = GF2Field(64)
+    f = evaluator.random_assignment(field, inst.m, random.Random(72))
+    start = time.perf_counter()
+    slices = evaluator.TablePlan(inst, 252).slices(f, field)
+    spent = time.perf_counter() - start
+    digest = hashlib.sha256(repr(slices).encode()).hexdigest()[:16]
+    print(f"{'table':<9} {digest}  1 evaluation  {spent:.2f} s")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -169,6 +190,7 @@ def main(argv=None):
     decide(args.seed, args.seconds)
     mincost(args.seed, args.seconds)
     flows(args.seed, args.seconds)
+    table()
 
 
 if __name__ == "__main__":
