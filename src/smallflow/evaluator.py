@@ -35,7 +35,10 @@ the length-bounded walk polynomial.  Two engines compute them:
   and a prefix of that walk at (q, v) still needs at least togo(v): so
   row r is budget_r layers deep and computes cell (q, v) only when q +
   togo(v) <= budget_r, which changes no slice at or below the bound
-  (_rows).
+  (_rows).  By the same count, a subset table of sources 0..t-1 holds
+  only the W = l - sum(d_i) + 1 lengths from sum_{i<t} d_i, its slack
+  window (_subset_phase), and a plan with no walk set within l runs no
+  row.
 
 * the scan engine (scan_slices): one walk-at-a-time pass over a combined
   state space (finished-sinks mask B, current walk position z), one
@@ -201,11 +204,11 @@ class TablePlan:
     togo(source i), or None when some source reaches no sink (then no
     walk set exists at all).  Row i's walk in a set of total length <=
     bound has at most budgets[i] = bound - floor + d_i edges, since every
-    other walk has at least its own d (-1, an empty row, when floor is
-    None).  tails[u] lists the edges a row relaxes out of vertex u (u
-    non-terminal, head not a source and reaching a sink, so it is empty
-    at a terminal u) as (reach, head, edge id) in increasing reach = 1 +
-    togo(head), so a reader with a cut stops at the first edge past it.
+    other walk has at least its own d (-1 when floor is None).  tails[u]
+    lists the edges a row relaxes out of vertex u (u non-terminal, head
+    not a source and reaching a sink, so it is empty at a terminal u) as
+    (reach, head, edge id) in increasing reach = 1 + togo(head), so a
+    reader with a cut stops at the first edge past it.
 
     packs (_packs, from k and the out-edge counts in tails) says whether
     the serial route is the packed row pass or one per-row pass per row
@@ -217,10 +220,14 @@ class TablePlan:
     evaluation, before any row runs.  pair_cells is, per row, k sink
     columns of budget cells, and one cell per non-source vertex for the
     two layers a pass holds (two slots, a reduced and an unreduced
-    product: at most 96 bytes per row, about half that packed).  Dense
-    and layered plans peaked at 0.2-0.61 of their whole charge in one
-    build and evaluation (tracemalloc after emptying the free lists,
-    64-bit CPython 3.11).
+    product: at most 96 bytes per row, about half that packed).
+    subset_cells is (1 << k)(bound + 1), though the subset tables hold
+    W = bound - floor + 1 slots each: criterion 7 asserts that the charge
+    doubles per unit of k on instances whose floors differ, which a
+    charge of (1 << k) W would not, so it over-counts floor slots per
+    mask.  Dense and layered plans peaked at 0.14-0.61 of their whole
+    charge in one build and evaluation (tracemalloc after emptying the
+    free lists, 64-bit CPython 3.11).
     """
 
     def __init__(self, instance: PathInstance, bound: int):
@@ -269,19 +276,23 @@ class TablePlan:
         can run while a later row is still out.  Otherwise both phases
         map inline, in this process.  Both row routes give the same rows
         and the subset phase is one code, so the result is bit-identical
-        for every parallelism degree.
+        for every parallelism degree.  A plan whose floor is None or
+        above its bound answers all zeros after the budget check, before
+        any row runs or any pool starts.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
         _check_assignment(self.instance, assignment)
         k, bound = self.instance.k, self.bound
         _check_budget(self.pair_cells + self.subset_cells + self.fan_cells)
+        if self.floor is None or self.floor > bound:
+            return [0] * (bound + 1)  # no walk set within the bound
         cores = _usable_cores()
         procs = min(parallelism, k, len(cores))
         forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
         if self.packs and not forks:
             rows = _rows(self, assignment, field, None, range(k))
-            return _subset_phase(k, bound, rows, field, starmap)
+            return _subset_phase(self, rows, field, starmap)
         windows = []
         for out in self.tails:
             packed = 0
@@ -296,12 +307,12 @@ class TablePlan:
                 places.put(core)
             with ctx.Pool(processes=procs, initializer=_start_worker,
                           initargs=(rows_plan, places)) as pool:
-                return _subset_phase(k, bound, pool.imap(_pair_row, range(k)),
+                return _subset_phase(self, pool.imap(_pair_row, range(k)),
                                      field, partial(pool.starmap,
                                                     chunksize=1))
         rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
         del windows, rows_plan  # the subset phase reads no window
-        return _subset_phase(k, bound, rows, field, starmap)
+        return _subset_phase(self, rows, field, starmap)
 
 
 def _usable_cores() -> list:
@@ -421,9 +432,10 @@ def _rows(plan, assignment, field, windows, rows):
     reach > top - q; each row's column is then cut to its own budget.  A
     cell kept at the row's budget is kept at top and reads only kept
     cells (togo(u) <= 1 + togo(v)), so both routes give bit-identical,
-    unpruned values at or below the bound.  A source that reaches no sink
-    has budget -1 and empty columns.  Rows never read one another, so
-    each can be computed alone, in any process.
+    unpruned values at or below the bound.  Only a plan whose floor is
+    at most its bound runs rows, so every budget is at least 1.  Rows
+    never read one another, so each can be computed alone, in any
+    process.
     """
     instance, togo, tails = plan.instance, plan.togo, plan.tails
     budgets = [plan.budgets[r] for r in rows]
@@ -473,64 +485,74 @@ def _rows(plan, assignment, field, windows, rows):
             for slot, budget in enumerate(budgets)]
 
 
-def _subset_phase(k, bound, rows, field, mapper):
-    """Subset recurrence over sink masks, index = exact length.
+def _subset_phase(plan, rows, field, mapper):
+    """Subset recurrence over sink masks, index = exact length, in the
+    plan's slack window of W = bound - floor + 1 slots.
 
     rows[i][j][q-1] is the walk-table value for walks of q edges from
-    source i to sink j, read as zero past row i's depth (at most bound).
-    The table for mask B peels source |B|-1 (0-based) against each sink j
-    in B: one (B, j) term (_subset_term) multiplies the table of B - {j}
-    by the column rows[|B|-1][j].  Masks of one popcount read only the
-    level below, so the phase runs level by level: mapper (a pool's
-    starmap, or itertools.starmap inline) computes the level's terms, and
-    each mask XORs its terms and is reduced once.  Level t reads row t-1
-    only, so rows is read in order, one row per level (a list, or a
-    pool.imap, which waits for each of the pool's rows).  Level 1 needs no
-    product: the table of {j} is row 0's column j itself, packed one
-    slot up, and its entries are reduced already.  Returns the full
-    slice list for the Y mask, indices 0..bound.
+    source i to sink j, for q up to row i's budget, bound - floor + d_i;
+    no walk from source i is shorter than d_i, so only its last W entries,
+    column[d_i - 1 : d_i - 1 + W], can be nonzero.  The table for mask B
+    peels source |B|-1 (0-based) against each sink j in B: one (B, j) term
+    (_subset_term) multiplies the table of B - {j} by that window of the
+    column rows[|B|-1][j].  So a mask of popcount t needs only the lengths
+    from sum_{i<t} d_i to bound - sum_{i>=t} d_i, since the walks still
+    to come add at least sum_{i>=t} d_i: W slots, slot s for length
+    sum_{i<t} d_i + s, and a term's shifts start at 0.  Masks of one popcount read only the level below, so the phase runs
+    level by level: mapper (a pool's starmap, or itertools.starmap
+    inline) computes the level's terms, and each mask XORs its terms and
+    is reduced once.  Level t reads row t-1 only, so rows is read in
+    order, one row per level (a list, or a pool.imap, which waits for
+    each of the pool's rows).  Level 1 needs no product: the table of {j}
+    is the window of row 0's column j itself, and its entries are reduced
+    already.  Returns the slices 0..bound: floor zeros, then the Y mask's
+    W slots.  The plan's floor must be at most its bound.
     """
-    size = bound + 1
+    k = plan.instance.k
+    width = plan.bound - plan.floor + 1
+    starts = [plan.togo[x] - 1 for x in plan.instance.sources]
     tables = [0] * (1 << k)
-    tables[0] = 1  # slot 0 holds field one: empty set at index 0
+    tables[0] = 1  # slot 0 holds field one: empty set at length 0
     levels = [[] for _ in range(k)]
     for mask in range(1, 1 << k):
         levels[bin(mask).count("1") - 1].append(mask)
     rows = iter(rows)
     for j, column in enumerate(next(rows, ())):
-        for q, a in enumerate(column, 1):
-            tables[1 << j] |= a << (SLOT_BITS * q)
-    for row, level in zip(rows, levels[1:]):
+        for s, a in enumerate(column[starts[0]:starts[0] + width]):
+            tables[1 << j] |= a << (SLOT_BITS * s)
+    for start, row, level in zip(starts[1:], rows, levels[1:]):
+        row = [column[start:start + width] for column in row]
         owners, terms = [], []
         for mask in level:
             for j, column in enumerate(row):
                 if mask >> j & 1 and tables[mask ^ (1 << j)] and any(column):
                     owners.append(mask)
-                    terms.append((tables[mask ^ (1 << j)], column, size))
+                    terms.append((tables[mask ^ (1 << j)], column, width))
         for mask, term in zip(owners, mapper(_subset_term, terms)):
             tables[mask] ^= term
         for mask in level:
             if tables[mask]:
-                tables[mask] = vec_reduce(tables[mask], size, field)
-    return vec_unpack(tables[-1], size)
+                tables[mask] = vec_reduce(tables[mask], width, field)
+    return [0] * plan.floor + vec_unpack(tables[-1], width)
 
 
 def _subset_term(prev, column, size):
     """One (mask, sink) term of the subset phase, unreduced: the sum over
-    q of column[q-1] times the packed table prev shifted up q slots, cut
-    to `size` slots.  A shift by q needs only the low size - q slots of
-    prev; its window is rebuilt from just those slots whenever that count
-    halves."""
+    s of column[s] times the packed table prev shifted up s slots, cut to
+    `size` slots: both are slack windows of at most size slots, each from
+    its least length (_subset_phase).  A shift by s needs only
+    the low size - s slots of prev; its window is rebuilt from just those
+    slots whenever that count halves."""
     acc = 0
     win = None
-    for q, a in enumerate(column, 1):
+    for s, a in enumerate(column):
         if not a:
             continue
-        need = size - q  # slots of prev that land at or below bound
+        need = size - s  # slots of prev that land inside the window
         if win is None or 2 * need <= slots:
             slots = need
             win = vec_window(prev & ((1 << (SLOT_BITS * need)) - 1))
-        acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * q)
+        acc ^= vec_scalar_mul_w(win, a) << (SLOT_BITS * s)
     return acc & ((1 << (SLOT_BITS * size)) - 1)
 
 

@@ -23,9 +23,11 @@ packed tables with vec_reduce.
 
 The kernels are straight-line code with these preconditions:
 vec_scalar_mul_w takes a scalar below 2^64 (every element of every
-built-in field), and GF2Field.reduce and vec_reduce take values (per
-slot) below 2^(2s), which every product of two elements and every XOR of
-such products is.  Every built-in tail x^c + x^b + x^a + 1 has c <= s/2,
+built-in field): it reads the 16 nibbles off the scalar's 8 bytes
+(int.to_bytes, then bytes.translate through two 256-byte nibble tables),
+so any other scalar raises.  GF2Field.reduce and vec_reduce take values
+(per slot) below 2^(2s), which every product of two elements and every
+XOR of such products is.  Every built-in tail x^c + x^b + x^a + 1 has c <= s/2,
 so two folds bring such a value below 2^s.
 """
 
@@ -162,6 +164,9 @@ def derive_rng(seed: int, *path) -> random.Random:
 # ---------------------------------------------------------------------------
 
 _LOW_MASKS: dict[tuple[int, int], int] = {}
+# byte -> its low and its high nibble, for bytes.translate (vec_scalar_mul_w)
+_LOW_NIBBLE = bytes(i & 15 for i in range(256))
+_HIGH_NIBBLE = bytes(i >> 4 for i in range(256))
 
 
 def _low_mask(count: int, s: int) -> int:
@@ -206,19 +211,24 @@ def vec_scalar_mul_w(window, a: int) -> int:
     which must be below 2^64: one window lookup per nibble of a, shifted
     to the nibble's place (the comb method of Lopez and Dahab, 2000).
 
+    The nibbles are the low and high halves of a.to_bytes(8, "little"),
+    one bytes.translate each, not a shift and a mask apiece; to_bytes
+    raises OverflowError on a negative a or one of 2^64 or more.
+
     Returns unreduced slots: below 2^(2s-1) when the slots and a are
     elements of GF(2^s).  XOR results together freely and fold them
     (GF2Field.reduce or vec_reduce) before the values feed another
     multiplication.
     """
-    return (window[a & 15] ^ window[a >> 4 & 15] << 4
-            ^ window[a >> 8 & 15] << 8 ^ window[a >> 12 & 15] << 12
-            ^ window[a >> 16 & 15] << 16 ^ window[a >> 20 & 15] << 20
-            ^ window[a >> 24 & 15] << 24 ^ window[a >> 28 & 15] << 28
-            ^ window[a >> 32 & 15] << 32 ^ window[a >> 36 & 15] << 36
-            ^ window[a >> 40 & 15] << 40 ^ window[a >> 44 & 15] << 44
-            ^ window[a >> 48 & 15] << 48 ^ window[a >> 52 & 15] << 52
-            ^ window[a >> 56 & 15] << 56 ^ window[a >> 60] << 60)
+    b = a.to_bytes(8, "little")
+    l0, l1, l2, l3, l4, l5, l6, l7 = b.translate(_LOW_NIBBLE)
+    h0, h1, h2, h3, h4, h5, h6, h7 = b.translate(_HIGH_NIBBLE)
+    return (window[l0] ^ window[h0] << 4 ^ window[l1] << 8
+            ^ window[h1] << 12 ^ window[l2] << 16 ^ window[h2] << 20
+            ^ window[l3] << 24 ^ window[h3] << 28 ^ window[l4] << 32
+            ^ window[h4] << 36 ^ window[l5] << 40 ^ window[h5] << 44
+            ^ window[l6] << 48 ^ window[h6] << 52 ^ window[l7] << 56
+            ^ window[h7] << 60)
 
 
 def vec_reduce(packed: int, count: int, field: GF2Field) -> int:

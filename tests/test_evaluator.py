@@ -674,6 +674,67 @@ def test_row_route_choice(field64, monkeypatch):
                                           [1] * inst.m)
 
 
+def test_no_walk_set_within_the_bound_runs_no_row(field64, monkeypatch):
+    # Below the floor, and where a source reaches no sink, no walk set
+    # fits the bound: slices() answers all zeros before any row pass, so
+    # neither a row nor a subset term runs, and no pool starts.
+    def no_call(*args, **kwargs):
+        raise AssertionError("a row pass, a subset term or a pool ran")
+
+    monkeypatch.setattr(evaluator, "_rows", no_call)
+    monkeypatch.setattr(evaluator, "_subset_term", no_call)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_call)
+    chains = looped_chains()  # floor 6
+    # source 0 reaches sink 2 through 4; source 1 only the dead end 5
+    stranded = PathInstance(6, [(0, 4), (4, 2), (4, 3), (1, 5)], [0, 1],
+                            [2, 3])
+    for inst, bounds in ((chains, range(1, 6)), (stranded, (1, 2, 6))):
+        f = random_assignment(field64, inst.m, random.Random(12))
+        for l in bounds:
+            plan = length_plan(inst, l)
+            assert plan.floor is None or plan.floor > l
+            for degree in (1, 2):
+                assert plan.slices(f, field64, parallelism=degree) == \
+                    [0] * (l + 1)
+
+
+@pytest.mark.parametrize("shape", ["looped chains", "layered k=4"])
+def test_subset_terms_stay_in_the_slack_window(shape, field64, monkeypatch):
+    # Only W = bound - floor + 1 lengths of a subset table can be nonzero,
+    # so every table a term reads holds at most W slots and every column
+    # window at most W entries, on both serial routes, and the slices
+    # still match the scan engine's: at the floor (W = 1), one above it
+    # and 2k above it.
+    if shape == "looped chains":
+        inst = looped_chains()
+    else:
+        inst = layered_instance(random.Random(4), 4, 5, 6)
+    floor = length_plan(inst, 1).floor
+    f = random_assignment(field64, inst.m, random.Random(13))
+    seen = []
+
+    def spy(prev, column, size, real=evaluator._subset_term):
+        seen.append((prev, len(column), size))
+        return real(prev, column, size)
+
+    monkeypatch.setattr(evaluator, "_subset_term", spy)
+    for l in (floor, floor + 1, floor + 2 * inst.k):
+        width = l - floor + 1
+        want = scan_cost_slices(inst, f, field64, l, [1] * inst.m)
+        assert any(want) and not any(want[:floor])
+        for packs in (True, False):
+            monkeypatch.setattr(evaluator, "_packs",
+                                lambda k, widths, packs=packs: packs)
+            seen.clear()
+            assert length_plan(inst, l).slices(f, field64) == want
+            assert seen
+            for prev, entries, size in seen:
+                assert size == width and entries <= width
+                assert 0 < prev < 1 << (SLOT_BITS * width)
+
+
 _FRESH_PEAK = """
 import gc, json, random, sys, tracemalloc
 from smallflow import GF2Field, PathInstance, TablePlan, random_assignment

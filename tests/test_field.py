@@ -252,6 +252,15 @@ def test_comb_product_takes_every_64_bit_scalar():
             [schoolbook_product(a, v) for v in vals]
 
 
+def test_comb_product_refuses_a_scalar_outside_64_bits():
+    # the nibbles come from the scalar's 8 unsigned bytes, so a scalar the
+    # comb cannot take whole raises instead of returning a product
+    win = vec_window(pack([3, 5]))
+    for a in (1 << 64, -1):
+        with pytest.raises(OverflowError):
+            vec_scalar_mul_w(win, a)
+
+
 @pytest.mark.parametrize("s", [8, 16, 64])
 def test_folds_at_their_largest_inputs(s):
     # reduce and vec_reduce at the largest product bound 2^(2s-1) - 1, at
