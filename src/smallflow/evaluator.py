@@ -163,7 +163,8 @@ def _fan_cells(slots: int) -> int:
 
 
 def subset_table_cells(k: int, bound: int) -> int:
-    """Exact subset-table size: one cell per (B subset of Y, index 0..bound)."""
+    """Subset-table charge: one cell per (B subset of Y, index 0..bound),
+    though the tables hold only their slack windows (TablePlan)."""
     return (1 << k) * (bound + 1)
 
 
@@ -498,30 +499,31 @@ def _subset_phase(plan, rows, field, mapper):
     column rows[|B|-1][j].  So a mask of popcount t needs only the lengths
     from sum_{i<t} d_i to bound - sum_{i>=t} d_i, since the walks still
     to come add at least sum_{i>=t} d_i: W slots, slot s for length
-    sum_{i<t} d_i + s, and a term's shifts start at 0.  Masks of one popcount read only the level below, so the phase runs
-    level by level: mapper (a pool's starmap, or itertools.starmap
-    inline) computes the level's terms, and each mask XORs its terms and
-    is reduced once.  Level t reads row t-1 only, so rows is read in
-    order, one row per level (a list, or a pool.imap, which waits for
-    each of the pool's rows).  Level 1 needs no product: the table of {j}
+    sum_{i<t} d_i + s, and a term's shifts start at 0.  Masks of one
+    popcount read only the level below, so the phase runs level by level:
+    mapper (a pool's starmap, or itertools.starmap inline) computes the
+    level's terms, and each mask XORs its terms and is reduced once.
+    Level t reads row t-1 only, so rows is read in order, one row per
+    level (a list, or a pool.imap, which waits for each of the pool's
+    rows).  Level 1 needs no product: the table of {j}
     is the window of row 0's column j itself, and its entries are reduced
     already.  Returns the slices 0..bound: floor zeros, then the Y mask's
     W slots.  The plan's floor must be at most its bound.
     """
     k = plan.instance.k
     width = plan.bound - plan.floor + 1
-    starts = [plan.togo[x] - 1 for x in plan.instance.sources]
     tables = [0] * (1 << k)
     tables[0] = 1  # slot 0 holds field one: empty set at length 0
     levels = [[] for _ in range(k)]
     for mask in range(1, 1 << k):
         levels[bin(mask).count("1") - 1].append(mask)
-    rows = iter(rows)
+    starts = (plan.togo[x] - 1 for x in plan.instance.sources)
+    rows = ([column[start:start + width] for column in row]
+            for start, row in zip(starts, rows))  # each column's window
     for j, column in enumerate(next(rows, ())):
-        for s, a in enumerate(column[starts[0]:starts[0] + width]):
+        for s, a in enumerate(column):
             tables[1 << j] |= a << (SLOT_BITS * s)
-    for start, row, level in zip(starts[1:], rows, levels[1:]):
-        row = [column[start:start + width] for column in row]
+    for row, level in zip(rows, levels[1:]):
         owners, terms = [], []
         for mask in level:
             for j, column in enumerate(row):
@@ -540,9 +542,9 @@ def _subset_term(prev, column, size):
     """One (mask, sink) term of the subset phase, unreduced: the sum over
     s of column[s] times the packed table prev shifted up s slots, cut to
     `size` slots: both are slack windows of at most size slots, each from
-    its least length (_subset_phase).  A shift by s needs only
-    the low size - s slots of prev; its window is rebuilt from just those
-    slots whenever that count halves."""
+    its least length (_subset_phase).  A shift by s needs only the low
+    size - s slots of prev; its window is rebuilt from just those slots
+    whenever that count halves."""
     acc = 0
     win = None
     for s, a in enumerate(column):
