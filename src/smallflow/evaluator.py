@@ -81,14 +81,13 @@ The two engines are independent routes to the same slices, and each
 checks the other in the tests: at unit costs directly, and at costs
 through oracle.subdivide_costs, which replaces each cost-c edge by a
 path of c unit edges that the table engine evaluates.  The table
-engine's data parallelism is over source rows, and then over the
-(mask, sink) terms of the subset recurrence: walks from different
-sources never meet in the pair recurrence, and a mask's table reads
-only one source row and the tables of its sub-masks one smaller.  So
-the pipeline submits the rows, then each subset term as soon as the
-table and the row it reads are in, either to this process (one packed
-pass for all rows on a packing plan) or to one pool of forked worker
-processes, with bit-identical results.
+engine's data parallelism is over source rows, and then over the sink
+masks of one popcount: walks from different sources never meet in the
+pair recurrence, and a level of the subset recurrence reads only the
+level below.  So the pipeline maps the rows, then the subset levels one
+at a time, either in this process (one packed pass for all rows on a
+packing plan) or over one pool of worker processes, with bit-identical
+results.
 
 Layer tables and scan fans live in packed-vector form (see field.vec_*)
 so that an update is a handful of big-int operations instead of a Python
@@ -99,12 +98,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
-import traceback
-from collections import deque
+from functools import partial
 from heapq import heappop, heappush
-from itertools import count
-from multiprocessing.connection import wait
+from itertools import starmap
 from operator import itemgetter
 
 from .field import (
@@ -125,7 +121,6 @@ _REACH = itemgetter(3)  # a scan-graph move's reach
 _TAIL_CELLS = 2  # cells charged per TablePlan.tails entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_start_worker)
-_HAND = 2  # tasks a pool worker holds: one running, one waiting in its pipe
 
 
 class BudgetError(RuntimeError):
@@ -272,19 +267,19 @@ class TablePlan:
         each vertex's out-edge values are packed one per 128-bit slot in
         tails order and windowed once (vec_window), and each row is one
         per-row _rows pass.  With parallelism > 1, k > 1 and two or more
-        usable cores, one _ForkPool of min(parallelism, k, usable cores)
+        usable cores, one fork pool of min(parallelism, k, usable cores)
         workers serves the whole evaluation.  Each worker starts in the
         pool's initializer: it inherits the windowed plan when it forks,
         so no task carries it, and moves once to a core of its own.  All
-        source rows are queued first, then each subset term as soon as
-        the table and the row it reads are in (_subset_phase), one task
-        at a time, so terms run while a later row is still out.
-        Otherwise both phases run inline, in this process (_Inline).
-        Both row routes give the same rows and the subset phase is one
-        code, so the result is bit-identical for every parallelism
-        degree.  A plan whose floor is None or above its bound answers
-        all zeros after the budget check, before any row runs or any pool
-        starts.
+        source rows are queued first (pool.imap, in order, to whichever
+        worker is free), then each level of the subset phase as soon as
+        the row it reads is in, one task at a time, so a level's terms
+        can run while a later row is still out.  Otherwise both phases
+        map inline, in this process.  Both row routes give the same rows
+        and the subset phase is one code, so the result is bit-identical
+        for every parallelism degree.  A plan whose floor is None or
+        above its bound answers all zeros after the budget check, before
+        any row runs or any pool starts.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
@@ -296,11 +291,9 @@ class TablePlan:
         cores = _usable_cores()
         procs = min(parallelism, k, len(cores))
         forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
-        inline = _Inline()
         if self.packs and not forks:
-            every = _rows(self, assignment, field, None, range(k))
-            rows = [inline.submit(itemgetter(xi), every) for xi in range(k)]
-            return _subset_phase(self, inline, rows, field)
+            rows = _rows(self, assignment, field, None, range(k))
+            return _subset_phase(self, rows, field, starmap)
         windows = []
         for out in self.tails:
             packed = 0
@@ -309,144 +302,18 @@ class TablePlan:
             windows.append(vec_window(packed) if out else None)
         rows_plan = (self, assignment, field, windows)
         if forks:
-            starts = [(rows_plan, core) for core in cores[:procs]]
-            with _ForkPool(_start_worker, starts) as pool:
-                rows = [pool.submit(_pair_row, xi) for xi in range(k)]
-                return _subset_phase(self, pool, rows, field)
-        rows = [inline.submit(_one_row, *rows_plan, xi) for xi in range(k)]
+            ctx = multiprocessing.get_context("fork")
+            places = ctx.SimpleQueue()
+            for core in cores[:procs]:
+                places.put(core)
+            with ctx.Pool(processes=procs, initializer=_start_worker,
+                          initargs=(rows_plan, places)) as pool:
+                return _subset_phase(self, pool.imap(_pair_row, range(k)),
+                                     field, partial(pool.starmap,
+                                                    chunksize=1))
+        rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
         del windows, rows_plan  # the subset phase reads no window
-        return _subset_phase(self, inline, rows, field)
-
-
-class _Inline:
-    """Runs each task in this process as it is submitted; collect hands
-    the results back in submission order.  The serial routes' runner,
-    with _ForkPool's two calls."""
-
-    def __init__(self):
-        self.done = deque()
-        self.tickets = count()
-
-    def submit(self, fn, *args):
-        ticket = next(self.tickets)
-        self.done.append((ticket, fn(*args)))
-        return ticket
-
-    def collect(self):
-        return self.done.popleft()
-
-
-class _ForkPool:
-    """Forked worker processes, each on its own end of a pipe, with no
-    thread in this process.  submit queues a task and returns its ticket;
-    collect waits for a task to finish and returns its (ticket, result),
-    in the order they finish, and raises a task's error here.  Queued
-    tasks go out in submission order, each to the worker with the fewest
-    in hand, up to _HAND each: a worker's next task waits in its pipe
-    while it runs one, so it does not idle for the round trip.  One
-    worker is forked per entry of initargs and runs initializer(*args)
-    with it once, as it starts; it exits when its pipe closes.  Leaving
-    the with block closes every pipe and reaps each worker, killing it
-    first when the block ends in an error.  The workers are forked, so
-    they inherit what the tasks read; this process starts no thread for
-    them.
-    """
-
-    def __init__(self, initializer, initargs):
-        self.pids, self.hands = [], {}  # conn -> tickets in its worker's hand
-        self.queue, self.done = deque(), deque()
-        self.tickets = count()
-        try:
-            for args in initargs:
-                self._fork(initializer, args)
-        except BaseException as exc:
-            self.__exit__(type(exc), exc, None)
-            raise
-
-    def _fork(self, initializer, args):
-        here, there = multiprocessing.Pipe()
-        pid = os.fork()
-        if pid == 0:  # the worker: it never returns to the caller
-            code = 1
-            try:
-                for conn in self.hands:
-                    conn.close()
-                here.close()
-                initializer(*args)
-                _serve(there)
-                code = 0
-            finally:
-                os._exit(code)
-        there.close()
-        self.pids.append(pid)
-        self.hands[here] = deque()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, *exc):
-        for conn in self.hands:
-            conn.close()
-        for pid in self.pids:
-            if kind is not None:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except OSError:
-                    pass
-            os.waitpid(pid, 0)
-        return False
-
-    def submit(self, fn, *args):
-        ticket = next(self.tickets)
-        self.queue.append((ticket, fn, args))
-        self._deal()
-        return ticket
-
-    def _deal(self):
-        while self.queue:
-            conn = min(self.hands, key=lambda c: len(self.hands[c]))
-            if len(self.hands[conn]) >= _HAND:
-                return
-            ticket, fn, args = self.queue.popleft()
-            conn.send((fn, args))
-            self.hands[conn].append(ticket)
-
-    def collect(self):
-        while not self.done:
-            busy = [conn for conn, hand in self.hands.items() if hand]
-            if not busy:
-                raise RuntimeError("collect with no task outstanding")
-            for conn in wait(busy):
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    raise RuntimeError("a pool worker exited") from None
-                if not ok:
-                    error, trace = value
-                    raise error from RuntimeError(f"in a worker:\n{trace}")
-                self.done.append((self.hands[conn].popleft(), value))
-            self._deal()
-        return self.done.popleft()
-
-
-def _serve(conn):
-    """A _ForkPool worker's loop: run each task that arrives on conn and
-    send back (True, result), or (False, (the error, its traceback)),
-    until conn closes."""
-    while True:
-        try:
-            fn, args = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, fn(*args))
-        except Exception as exc:
-            reply = (False, (exc, traceback.format_exc()))
-        try:
-            conn.send(reply)
-        except Exception as exc:  # a result or an error that cannot pickle
-            conn.send((False, (RuntimeError(f"a pool task's reply: {exc!r}"),
-                               traceback.format_exc())))
+        return _subset_phase(self, rows, field, starmap)
 
 
 def _usable_cores() -> list:
@@ -457,13 +324,13 @@ def _usable_cores() -> list:
     return [None] * (os.cpu_count() or 1)
 
 
-def _start_worker(plan, core):
-    """The pool's initializer, once in each worker as it starts: the row
-    plan, inherited by fork, for its row tasks, and its one move, to its
-    own core, a usable core that no other worker of the pool is given."""
+def _start_worker(plan, places):
+    """Pool initializer, once in each worker as it starts: the row plan,
+    inherited by fork, for its row tasks, and its one move, to the next
+    core in places, which holds a distinct usable core for each worker."""
     global _PLAN
     _PLAN = plan
-    _move_to_core(core)
+    _move_to_core(places.get())
 
 
 def _move_to_core(core):
@@ -484,14 +351,9 @@ def _move_to_core(core):
         pass
 
 
-def _one_row(plan, assignment, field, windows, xi):
-    """Source row xi alone, from one per-row _rows pass."""
-    return _rows(plan, assignment, field, windows, (xi,))[0]
-
-
 def _pair_row(xi):
     """Pool task: source row xi of the inherited plan."""
-    return _one_row(*_PLAN, xi)
+    return _rows(*_PLAN, (xi,))[0]
 
 
 def _backward_costs(targets, preds):
@@ -624,91 +486,56 @@ def _rows(plan, assignment, field, windows, rows):
             for slot, budget in enumerate(budgets)]
 
 
-def _subset_phase(plan, runner, rows, field):
+def _subset_phase(plan, rows, field, mapper):
     """Subset recurrence over sink masks, index = exact length, in the
     plan's slack window of W = bound - floor + 1 slots.
 
-    rows[i] is the runner's ticket for source row i, whose [j][q-1] is
-    the walk-table value for walks of q edges from source i to sink j,
-    for q up to row i's budget, bound - floor + d_i; no walk from source
-    i is shorter than d_i, so only its last W entries, column[d_i - 1 :
-    d_i - 1 + W], can be nonzero.  The table for mask B peels source
-    |B|-1 (0-based) against each sink j in B: one (B, j) term
+    rows[i][j][q-1] is the walk-table value for walks of q edges from
+    source i to sink j, for q up to row i's budget, bound - floor + d_i;
+    no walk from source i is shorter than d_i, so only its last W entries,
+    column[d_i - 1 : d_i - 1 + W], can be nonzero.  The table for mask B
+    peels source |B|-1 (0-based) against each sink j in B: one (B, j) term
     (_subset_term) multiplies the table of B - {j} by that window of the
-    column rows[|B|-1][j].  So a mask of popcount t needs only the
-    lengths from sum_{i<t} d_i to bound - sum_{i>=t} d_i, since the walks
-    still to come add at least sum_{i>=t} d_i: W slots, slot s for length
-    sum_{i<t} d_i + s, and a term's shifts start at 0.  The table of {j}
-    needs no product: it is the window of row 0's column j itself, and
-    its entries are reduced already.
-
-    The phase runs as its inputs arrive, with no barrier between levels.
-    runner (_Inline, or a _ForkPool) hands back finished tasks, rows and
-    terms, one at a time.  As soon as the table of a mask S is final and
-    row |S| is in, S is spread: the term of S + {j} through S is
-    submitted for each sink j not in S (none when either operand is
-    zero).  The table of a mask B of popcount 2 or more is final once
-    each of its sub-masks B - {j} has been spread and each of its terms
-    has come back; its terms are XORed and reduced once.  So a term waits
-    only for its own table and row, and may run while the rest of its
-    level is still out.  Returns the slices 0..bound: floor zeros, then
-    the Y mask's W slots.  The plan's floor must be at most its bound.
+    column rows[|B|-1][j].  So a mask of popcount t needs only the lengths
+    from sum_{i<t} d_i to bound - sum_{i>=t} d_i, since the walks still
+    to come add at least sum_{i>=t} d_i: W slots, slot s for length
+    sum_{i<t} d_i + s, and a term's shifts start at 0.  Masks of one
+    popcount read only the level below, so the phase runs level by level:
+    mapper (a pool's starmap, or itertools.starmap inline) computes the
+    level's terms, and each mask XORs its terms and is reduced once.
+    Level t reads row t-1 only, so rows is read in order, one row per
+    level (a list, or a pool.imap, which waits for each of the pool's
+    rows).  Level 1 needs no product: the table of {j}
+    is the window of row 0's column j itself, and its entries are reduced
+    already.  Returns the slices 0..bound: floor zeros, then the Y mask's
+    W slots.  The plan's floor must be at most its bound.
     """
     k = plan.instance.k
     width = plan.bound - plan.floor + 1
-    full = (1 << k) - 1
-    starts = [plan.togo[x] - 1 for x in plan.instance.sources]
-    columns = [None] * k  # each row's column windows, once it is in
     tables = [0] * (1 << k)
-    final = [False] * (1 << k)
-    sizes = [bin(mask).count("1") for mask in range(1 << k)]
-    unsent = sizes[:]  # each mask's sub-masks not yet spread
-    out = [0] * (1 << k)  # each mask's terms not yet back
-    owners = dict.fromkeys(rows)  # ticket -> its term's mask (None: a row)
-
-    def spread(sub):  # the terms through the final table of sub
-        for j, column in enumerate(columns[sizes[sub]]):
-            if sub >> j & 1:
-                continue
-            mask = sub | 1 << j
-            if tables[sub] and any(column):
-                ticket = runner.submit(_subset_term, tables[sub], column,
-                                       width)
-                owners[ticket] = mask
-                out[mask] += 1
-            unsent[mask] -= 1
-            if not unsent[mask] and not out[mask]:
-                finish(mask)
-
-    def finish(mask):  # mask's table is final; spread it once its row is in
-        if sizes[mask] > 1 and tables[mask]:
-            tables[mask] = vec_reduce(tables[mask], width, field)
-        final[mask] = True
-        if sizes[mask] < k and columns[sizes[mask]] is not None:
-            spread(mask)
-
-    while not final[full]:
-        ticket, value = runner.collect()
-        mask = owners.pop(ticket)
-        if mask is not None:  # a term
-            tables[mask] ^= value
-            out[mask] -= 1
-            if not unsent[mask] and not out[mask]:
-                finish(mask)
-            continue
-        xi = rows.index(ticket)
-        columns[xi] = [column[starts[xi]:starts[xi] + width]
-                       for column in value]
-        if xi == 0:
-            for j, column in enumerate(columns[0]):
-                for s, a in enumerate(column):
-                    tables[1 << j] |= a << (SLOT_BITS * s)
-                finish(1 << j)
-        else:
-            for sub in range(1 << k):
-                if final[sub] and sizes[sub] == xi:
-                    spread(sub)
-    return [0] * plan.floor + vec_unpack(tables[full], width)
+    tables[0] = 1  # slot 0 holds field one: empty set at length 0
+    levels = [[] for _ in range(k)]
+    for mask in range(1, 1 << k):
+        levels[bin(mask).count("1") - 1].append(mask)
+    starts = (plan.togo[x] - 1 for x in plan.instance.sources)
+    rows = ([column[start:start + width] for column in row]
+            for start, row in zip(starts, rows))  # each column's window
+    for j, column in enumerate(next(rows, ())):
+        for s, a in enumerate(column):
+            tables[1 << j] |= a << (SLOT_BITS * s)
+    for row, level in zip(rows, levels[1:]):
+        owners, terms = [], []
+        for mask in level:
+            for j, column in enumerate(row):
+                if mask >> j & 1 and tables[mask ^ (1 << j)] and any(column):
+                    owners.append(mask)
+                    terms.append((tables[mask ^ (1 << j)], column, width))
+        for mask, term in zip(owners, mapper(_subset_term, terms)):
+            tables[mask] ^= term
+        for mask in level:
+            if tables[mask]:
+                tables[mask] = vec_reduce(tables[mask], width, field)
+    return [0] * plan.floor + vec_unpack(tables[-1], width)
 
 
 def _subset_term(prev, column, size):

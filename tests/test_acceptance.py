@@ -26,7 +26,6 @@ from smallflow import (
 from smallflow.evaluator import (
     ScanGraph,
     TablePlan,
-    _ForkPool,
     _start_worker,
     scan_slices,
 )
@@ -332,26 +331,27 @@ def _parallel_ceiling():
     initializer: the median of three ratios, serial and parallel burns
     timed alternately, so that one slow phase of the host does not set
     the figure."""
+    import multiprocessing
     import os
     import statistics
 
     n = 4_000_000
     cores = sorted(os.sched_getaffinity(0)) \
         if hasattr(os, "sched_getaffinity") else [None]
-    starts = [(None, cores[0]), (None, cores[1 % len(cores)])]
+    ctx = multiprocessing.get_context("fork")
+    places = ctx.SimpleQueue()
+    for core in (cores[0], cores[1 % len(cores)]):
+        places.put(core)
     ratios = []
-    with _ForkPool(_start_worker, starts) as pool:
-        def both(size):  # one burn in each worker
-            pool.submit(_burn_helper, size), pool.submit(_burn_helper, size)
-            pool.collect(), pool.collect()
-
-        both(1000)
+    with ctx.Pool(2, initializer=_start_worker,
+                  initargs=(None, places)) as pool:
+        pool.map(_burn_helper, [1000, 1000])
         for _ in range(3):
             t0 = time.time()
             _burn_helper(n), _burn_helper(n)
             serial = time.time() - t0
             t0 = time.time()
-            both(n)
+            pool.map(_burn_helper, [n, n])
             ratios.append(serial / (time.time() - t0))
     return statistics.median(ratios)
 

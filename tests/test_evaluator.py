@@ -1,4 +1,3 @@
-import functools
 import heapq
 import json
 import multiprocessing
@@ -109,14 +108,13 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     # a recording stand-in for the fork pool: tasks run inline, no process
     # starts, and the requested worker count, each worker start's core
     # moves and every task are kept, in the order they happen
-    asked, mapped, terms = [], [], []
+    asked, mapped = [], []
 
     class InlinePool:
-        def __init__(self, initializer, initargs):
-            asked.append(len(initargs))
-            for args in initargs:
-                initializer(*args)
-            self.done = []
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            for _ in range(processes):
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -124,24 +122,22 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
+        def imap(self, fn, tasks):
+            # every row is queued before any subset level, as on the pool
+            done = []
+            for task in tasks:
+                mapped.append(fn.__name__)
+                done.append(fn(task))
+            return iter(done)
+
+        def starmap(self, fn, tasks, chunksize):
             # one task at a time, so a level's terms spread over the pool
+            assert chunksize == 1
             mapped.append(fn.__name__)
-            self.done.append((len(mapped), fn(*args)))
-            return len(mapped)
+            return [fn(*t) for t in tasks]
 
-        def collect(self):
-            return self.done.pop(0)
-
-    subset_term = evaluator._subset_term
-
-    @functools.wraps(subset_term)
-    def counted(*args):
-        terms.append(1)
-        return subset_term(*args)
-
-    monkeypatch.setattr(evaluator, "_ForkPool", InlinePool)
-    monkeypatch.setattr(evaluator, "_subset_term", counted)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                        InlinePool)
     monkeypatch.setattr(evaluator, "_PLAN", None)
     move = evaluator._move_to_core
     monkeypatch.setattr(evaluator, "_move_to_core",
@@ -154,11 +150,8 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
             inst = random_paths_instance(random.Random(5), 8, k,
                                          extra_edges=12)
             f = random_assignment(field64, inst.m, random.Random(6))
-            terms.clear()
             serial = length_plan(inst, 14).slices(f, field64)
             assert any(serial)
-            serial_terms = len(terms)
-            assert serial_terms >= k - 1  # at least one per level above 1
             for degree in degrees:
                 asked.clear()
                 mapped.clear()
@@ -167,14 +160,14 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
                 procs = min(degree, k, len(listed))
                 # one pool per evaluation: one core move per worker start,
                 # the workers to the first listed cores, and none in a
-                # task; every row, then each subset term of the serial
-                # route, one task each
+                # task; every row, then one map per level above the first,
+                # whose tables are the packed columns
                 assert asked == ([] if procs == 1 else [procs])
                 assert mapped == ([] if procs == 1 else
                                   [("_move_to_core", core)
                                    for core in listed[:procs]]
                                   + ["_pair_row"] * k
-                                  + ["_subset_term"] * serial_terms)
+                                  + ["_subset_term"] * (k - 1))
     # a worker's start moves it to a core and gives it back the cores it
     # was allowed
     if cores[0] is not None:
@@ -194,54 +187,13 @@ def test_worker_failure_raised_in_caller(field64, monkeypatch):
             raise ValueError("a worker's row failed")
         return rows(*args)
 
-    pools = []
-
-    class Kept(evaluator._ForkPool):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pools.append(self)
-
     monkeypatch.setattr(evaluator, "_rows", failing)
-    monkeypatch.setattr(evaluator, "_ForkPool", Kept)
     monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 2)
     inst = random_paths_instance(random.Random(5), 8, 3, extra_edges=12)
     f = random_assignment(field64, inst.m, random.Random(6))
-    with pytest.raises(ValueError, match="a worker's row failed") as caught:
+    with pytest.raises(ValueError, match="a worker's row failed"):
         length_plan(inst, 14).slices(f, field64, parallelism=2)
-    # the worker's traceback comes along as the error's cause
-    assert "in failing" in str(caught.value.__cause__)
     assert multiprocessing.active_children() == []
-    # both workers were reaped: neither is a child of this process now
-    assert [len(pool.pids) for pool in pools] == [2]
-    for pid in pools[0].pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="rows run inline without fork")
-def test_failed_pool_start_reaps_its_workers(field64, monkeypatch):
-    # the pool's second fork fails: the error reaches the caller, and the
-    # worker that had started is reaped
-    forked, real_fork = [], os.fork
-
-    def fork():
-        if forked:
-            raise OSError("no second fork")
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 2)
-    inst = random_paths_instance(random.Random(5), 8, 3, extra_edges=12)
-    f = random_assignment(field64, inst.m, random.Random(6))
-    with pytest.raises(OSError, match="no second fork"):
-        length_plan(inst, 14).slices(f, field64, parallelism=2)
-    assert len(forked) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(forked[0], os.WNOHANG)
 
 
 def test_length_slices_match_symbolic(field64):
@@ -474,7 +426,9 @@ def test_memory_budget(field64, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(evaluator, "_ForkPool", no_pool)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1024)
     try:
@@ -569,7 +523,9 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
         raise AssertionError("a worker pool was started or GF2Field.mul "
                              "was called")
 
-    monkeypatch.setattr(evaluator, "_ForkPool", no_call)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_call)
     monkeypatch.setattr(evaluator, "_rows", rows(evaluator._rows))
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w",
                         tally("products", evaluator.vec_scalar_mul_w))
@@ -727,7 +683,9 @@ def test_no_walk_set_within_the_bound_runs_no_row(field64, monkeypatch):
 
     monkeypatch.setattr(evaluator, "_rows", no_call)
     monkeypatch.setattr(evaluator, "_subset_term", no_call)
-    monkeypatch.setattr(evaluator, "_ForkPool", no_call)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_call)
     chains = looped_chains()  # floor 6
     # source 0 reaches sink 2 through 4; source 1 only the dead end 5
     stranded = PathInstance(6, [(0, 4), (4, 2), (4, 3), (1, 5)], [0, 1],
