@@ -175,7 +175,7 @@ def subset_table_cells(k: int, bound: int) -> int:
 def _packs(k: int, widths) -> bool:
     """Whether a plan's serial route is the packed row pass, from its k
     and the widths of its fans, the out-edge counts of the vertices that
-    have any: k > 1 and a mean fan width below k.
+    have any: a mean fan width below k, so never at k = 1.
 
     Per cell, the packed pass makes one product per out-edge and the
     per-row route one per row, and a product costs about the same
@@ -193,7 +193,7 @@ def _packs(k: int, widths) -> bool:
     rule up to the crossover would make criterion 7 time the pool, which
     maps the per-row task, against the packed pass (ROADMAP item 7).
     """
-    return k > 1 and sum(widths) < k * len(widths)
+    return sum(widths) < k * len(widths)
 
 
 class TablePlan:
@@ -288,7 +288,7 @@ class TablePlan:
         _check_budget(self.pair_cells + self.subset_cells + self.fan_cells)
         if self.floor is None or self.floor > bound:
             return [0] * (bound + 1)  # no walk set within the bound
-        cores = _usable_cores()
+        cores = _usable_cores() if min(parallelism, k) > 1 else []
         procs = min(parallelism, k, len(cores))
         forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
         if self.packs and not forks:

@@ -2,37 +2,28 @@
 
 Two strategies produce the same object:
 
-* deletion (the default): with the optimum D0 known, walk the edges in
-  id order and delete each one whose removal still leaves a cost-D0 set
-  among the survivors.  What remains is the support of a single optimal
-  set.  It needs no perturbed costs, and it was the faster strategy on
-  every input measured, gadget networks and small path instances alike.
-  Most edges lie on no walk set of cost D0 at all (evaluator.slice_support,
-  a boolean pass over the scan's state graph).  Their variables do not
-  occur in the D0 slice, so deleting one leaves the slice's values as
-  they were, and the test would pass: such edges are deleted without a
-  scan, before the first test and again after each deletion, as the
-  support shrinks.  The same pass finds the forced edges, those on every
-  walk set of cost D0: deleting one leaves the D0 slice an empty sum,
-  and the slices below D0 are zero at the optimum, so the test would
-  fail, and they are kept without a scan.  The result is the one the
-  edge-by-edge tests give.
+* deletion (the default): with the optimum D0 known, classify_edges
+  walks the edges in id order and deletes each one whose removal still
+  leaves a cost-D0 set among the survivors.  What remains is the support
+  of a single optimal set.  It needs no perturbed costs, and it was the
+  faster strategy on every input measured, gadget networks and small
+  path instances alike.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
   w(e) in [1, r], r = n^2 m, making the minimum-cost set unique with
   probability >= 1 - m/r = 1 - 1/n^2; build the scan graph at the
   perturbed costs, the same scan that the optimum and deletion use; find
-  the minimum perturbed cost U*, its least nonzero slice; read the
-  essential edges off slice_support at U*; assemble them into paths.
+  the minimum perturbed cost U*, its least nonzero slice; mark the
+  essential edges with classify_edges at U*; assemble them into paths.
   The search for U* stops at (D0 + 1) * (r*m + 1) - 1, above every
-  cost-D0 set.  The paper marks each essential edge by a polynomial
-  test; here no edge is tested (classify_edges), and an attempt whose
-  support at U* leaves some edge unsettled is retried.
+  cost-D0 set.  Where the support at U* settles every edge, no edge is
+  tested; where a tie, between optima or with a colliding walk system,
+  leaves some edge unsettled, the polynomial tests run on
+  exactly those edges.
 
-Either way a failed attempt (a rare false zero, or a perturbation that
-failed to isolate) is detected structurally and retried with fresh
-randomness.
+Either way a failed attempt (a rare false zero) is detected
+structurally and retried with fresh randomness.
 """
 
 from __future__ import annotations
@@ -130,24 +121,41 @@ def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts, d0: int,
     return least_nonzero_slice(pgraph, points, params.field, cap)
 
 
-def classify_edges(pgraph: ScanGraph, u_star: int) -> set:
-    """The edges of the disjoint path set of least perturbed cost U*, read
-    off slice_support at U* without a scan.
+def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
+    """The edges of one minimum set of slice d, d the least nonzero slice
+    of graph (a ScanGraph at any costs) that the caller's search found.
 
-    pgraph is the attempt's ScanGraph at the perturbed costs, and U* its
-    least nonzero slice.  Colliding walk systems cancel in pairs with the
-    same edges, so the nonzero U* slice holds a disjoint path set; when
-    support equals forced, every walk system of cost U* uses that set's
-    edges, which are returned.  Otherwise some support edge is unsettled,
-    and AssemblyError is raised so that the attempt is retried with fresh
-    weights.
+    points are the caller's assignments at degree d, one per repetition,
+    drawn at the first test.  Most edges lie on no walk set of cost d at
+    all (slice_support, a boolean pass over the scan's state graph).
+    Their variables do not occur in the d slice, so deleting one leaves
+    the slice's values as they were, and the test would pass: such edges
+    are deleted without a scan, before the first test and again after
+    each deletion, as the support shrinks.  The same pass finds the
+    forced edges, those on every walk set of cost d: deleting one leaves
+    the d slice an empty sum, and the slices below d are zero, so the
+    test would fail, and they are kept without a scan.  Every other edge
+    is tested in id order and deleted for good when some point still
+    finds a nonzero slice at or below d without it.  Colliding walk
+    systems cancel in pairs with the same edges, so what remains is the
+    edge set of one disjoint path set of cost d, unless a test erred.
     """
-    m = pgraph.instance.m
-    support, forced = slice_support(pgraph, [True] * m, u_star)
-    if support != forced:
-        raise AssemblyError("support at U* leaves "
-                            f"{sum(support) - sum(forced)} edges unsettled")
-    return {e for e in range(m) if forced[e]}
+    m = graph.instance.m
+    live, forced = slice_support(graph, [True] * m, d)
+    tests = None
+    for eid in range(m):
+        if not live[eid] or forced[eid]:
+            continue
+        tests = tests or list(points)
+        live[eid] = False
+        # Subgraphs only ever raise the optimum, so any hit means == d.
+        if any(scan_min_cost_slice(
+                graph, [fe if keep else 0 for fe, keep in zip(f, live)],
+                field, cap=d) for f in tests):
+            live, forced = slice_support(graph, live, d)
+        else:
+            live[eid] = True
+    return {e for e in range(m) if live[e]}
 
 
 def assemble_paths(instance: PathInstance, essential, cost_map,
@@ -225,33 +233,14 @@ def _isolation_attempt(instance, params, attempt, r, d0):
     u_star = find_min_perturbed_cost(pgraph, pc, d0, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    essential = classify_edges(pgraph, u_star)
+    points = sub.assignments(instance.m, u_star, "isolation-tests")
+    essential = classify_edges(pgraph, u_star, points, sub.field)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    assignments = list(params.assignments(instance.m, d0, "deletion",
-                                          attempt))
-    # Edges off the cost-d0 support pass their test without a scan: the
-    # d0 slice does not contain their variable.  Forced edges, on every
-    # walk set of cost d0, fail it without one: every monomial holds them.
-    live, forced = slice_support(graph, [True] * instance.m, d0)
-
-    def survives():
-        # Subgraphs only ever raise the optimum, so any hit means == d0.
-        return any(scan_min_cost_slice(
-            graph, [fe if keep else 0 for fe, keep in zip(f, live)],
-            params.field, cap=d0) for f in assignments)
-
-    for eid in range(instance.m):
-        if not live[eid] or forced[eid]:
-            continue
-        live[eid] = False
-        if survives():
-            live, forced = slice_support(graph, live, d0)
-        else:
-            live[eid] = True
-    kept = [e for e in range(instance.m) if live[e]]
+    points = params.assignments(instance.m, d0, "deletion", attempt)
+    kept = classify_edges(graph, d0, points, params.field)
     return assemble_paths(instance, kept, instance.cost_list(), d0)
 
 

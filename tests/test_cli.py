@@ -202,9 +202,11 @@ def test_find_infeasible_exit(capsys, tmp_path):
 
 
 def test_find_retries_exhausted_exit(capsys, tmp_path, monkeypatch):
-    # r = 1 leaves the two optima of SYMMETRIC tied on every attempt
-    monkeypatch.setattr(cli.extraction, "paper_isolation_range",
-                        lambda inst: 1)
+    # every attempt's assembly fails
+    def failing(*args):
+        raise cli.extraction.AssemblyError("no paths")
+
+    monkeypatch.setattr(cli.extraction, "assemble_paths", failing)
     p = tmp_path / "sym.paths"
     p.write_text(SYMMETRIC)
     code = cli.main(["find", "-i", str(p),
@@ -212,6 +214,7 @@ def test_find_retries_exhausted_exit(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "budget" in err
+    assert "no attempt succeeded in 2 tries" in err
 
 
 def test_negative_max_retries_exit(capsys, paths_file, tmp_path):

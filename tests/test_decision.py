@@ -22,7 +22,9 @@ from smallflow.evaluator import (
     TablePlan,
     eval_length_bounded_seq,
     scan_min_cost_slice,
+    slice_support,
 )
+from smallflow.field import derive_rng
 
 
 def params64(seed=0, reps=3):
@@ -238,11 +240,21 @@ def _feasible_battery(rng, count):
     return battery
 
 
-@pytest.mark.parametrize("kind", ["decide", "mincost"])
+def unsettled_edges(graph, d):
+    """How many edges classify_edges can test at slice d: those on some
+    walk set of cost d and not on every one (it tests no other)."""
+    support, forced = slice_support(graph, [True] * graph.instance.m, d)
+    return sum(support) - sum(forced)
+
+
+@pytest.mark.parametrize("kind", ["decide", "mincost", "deletion"])
 def test_false_zero_rate_within_the_stated_bound(kind):
     # 60 instances x 100 seeds at t = 1 over GF(2^8).  A query errs with
     # probability at most degree / 2^8 (Schwartz-Zippel): decide at its
     # Verdict.degree, mincost at simple_cost_cap(), the degree it checks.
+    # find (deletion) adds, by a union bound, d0 / 2^8 for each edge test
+    # at d0, one at most per edge its support at d0 leaves unsettled; it
+    # makes one attempt, so the error of every test counts.
     # A wrong answer is a false ZERO, a wrong cost, or
     # RetriesExhaustedError on these feasible instances.  Each query draws
     # its own points, so the count of wrong answers is dominated by a sum
@@ -253,6 +265,10 @@ def test_false_zero_rate_within_the_stated_bound(kind):
     for inst in _feasible_battery(random.Random(19), 60):
         l = inst.k * (inst.n - 1)
         want = oracle.disjoint_paths_min_cost_via_flow(inst)
+        bound = inst.simple_cost_cap() / 256
+        if kind == "deletion":
+            tests = unsettled_edges(ScanGraph(inst, inst.cost_list()), want)
+            bound = min(1.0, bound + tests * want / 256)
         for seed in range(100):
             params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             if kind == "decide":
@@ -261,11 +277,61 @@ def test_false_zero_rate_within_the_stated_bound(kind):
                 mu += verdict.degree / 256
                 continue
             try:
-                wrong += min_cost_disjoint_paths(inst, params) != want
+                if kind == "mincost":
+                    wrong += min_cost_disjoint_paths(inst, params) != want
+                else:
+                    wrong += find_disjoint_paths(
+                        inst, params, max_retries=0).total_cost != want
             except RetriesExhaustedError:
                 wrong += 1
-            mu += inst.simple_cost_cap() / 256
+            mu += bound
     assert 0 < wrong < 2 * mu, (wrong, mu)
+
+
+def test_isolation_false_zero_rate_within_the_stated_bound():
+    # 60 tiny feasible instances x 50 seeds at t = 1 over GF(2^16), the
+    # least built-in field their perturbed caps (d0 + 1)(rm + 1) - 1 fit,
+    # r = n^2 m.  One attempt, so the error of every scan counts.  By a
+    # union bound a query errs with probability at most the sum over the
+    # degrees its scans check, over 2^16: simple_cost_cap() for the
+    # optimum, the perturbed cap for U*, and U* for each edge test, one at
+    # most per edge that the support at U* leaves unsettled at the
+    # attempt's weights.  A wrong answer is a wrong cost or
+    # RetriesExhaustedError; the count is bounded as in the test above.
+    # The perturbed costs make the degrees large beside a walk set's few
+    # variables, so the bound is loose and the count can read 0.
+    rng = random.Random(29)
+    battery = []
+    while len(battery) < 60:
+        n = rng.randint(3, 6)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(2, n // 2)),
+                                     cost_max=4, extra_edges=rng.randint(0, n))
+        if not inst.has_disjoint_paths():
+            continue
+        d0 = oracle.disjoint_paths_min_cost_via_flow(inst)
+        r = extraction.paper_isolation_range(inst)
+        cap = (d0 + 1) * (r * inst.m + 1) - 1
+        if cap < 1 << 16:
+            battery.append((inst, d0, r, cap))
+    wrong, mu = 0, 0.0
+    for inst, d0, r, cap in battery:
+        for seed in range(50):
+            pc = extraction.perturb_costs(
+                inst, r, derive_rng(seed, "perturb", 0))
+            u_star, _ = oracle.brute_force_disjoint_paths(
+                inst, mode="cost", costs=list(pc.perturbed))
+            tests = unsettled_edges(ScanGraph(inst, list(pc.perturbed)),
+                                    u_star)
+            mu += min(1.0, (inst.simple_cost_cap() + cap + tests * u_star)
+                      / (1 << 16))
+            params = TestParams(field=GF2Field(16), repetitions=1, seed=seed)
+            try:
+                wrong += find_disjoint_paths(
+                    inst, params, max_retries=0,
+                    strategy="isolation").total_cost != d0
+            except RetriesExhaustedError:
+                wrong += 1
+    assert wrong < 2 * mu, (wrong, mu)
 
 
 def test_min_cost_examples(bottleneck):

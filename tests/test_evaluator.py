@@ -102,6 +102,32 @@ def test_seq_par_equivalence_battery(field64, monkeypatch):
             assert plan.slices(f, field64, parallelism=degree) == seq
 
 
+def test_serial_evaluation_reads_no_cores(field64, monkeypatch):
+    # at parallelism 1, or k = 1 at any parallelism, no pool can start, so
+    # an evaluation asks no core list; packing and per-row plans alike
+    rng = random.Random(12)
+    cases = []
+    for _ in range(20):
+        n = rng.randint(3, 10)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(4, n // 2)),
+                                     extra_edges=rng.randint(0, 2 * n))
+        plan = length_plan(inst, rng.randint(1, inst.k * (n - 1)))
+        f = random_assignment(field64, inst.m, rng)
+        cases.append((plan, f, plan.slices(f, field64)))
+    assert {plan.packs for plan, _, _ in cases} == {False, True}
+    assert not any(plan.packs for plan, _, _ in cases
+                   if plan.instance.k == 1)
+
+    def refuse():
+        raise AssertionError("a serial evaluation read the usable cores")
+
+    monkeypatch.setattr(evaluator, "_usable_cores", refuse)
+    for plan, f, want in cases:
+        degrees = (1, 4) if plan.instance.k == 1 else (1,)
+        for degree in degrees:
+            assert plan.slices(f, field64, parallelism=degree) == want
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="rows run inline without fork")
 def test_pool_workers_bounded_by_sources(field64, monkeypatch):

@@ -163,7 +163,8 @@ def test_unique_path_instance_pipeline():
     pgraph = ScanGraph(inst, list(pc.perturbed))
     u_star = find_min_perturbed_cost(pgraph, pc, 4, p)  # the chain's cost
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
-    essential = classify_edges(pgraph, u_star)
+    points = p.assignments(inst.m, u_star, "classify")
+    essential = classify_edges(pgraph, u_star, points, p.field)
     assert essential == {0, 1, 2}
 
 
@@ -172,7 +173,10 @@ def test_classify_unique_optimum():
     rng = random.Random(7)
     pc = perturb_costs(inst, 64, rng)
     u_star = pc.perturbed[0] + pc.perturbed[3]
-    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star)
+    p = params64(7)
+    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star,
+                               p.assignments(inst.m, u_star, "classify"),
+                               p.field)
     assert essential == {0, 3}
 
 
@@ -231,20 +235,42 @@ def test_find_disjoint_paths_strategies_agree():
                 check_path_set(inst, ps)
 
 
-def test_retries_exhausted_on_degenerate_isolation(monkeypatch):
+def test_retries_exhausted_when_every_attempt_fails(monkeypatch):
+    # every attempt's assembly fails, so every attempt is retried and the
+    # query names each failure with its strategy (and r under isolation)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise AssemblyError("no paths")
+
+    monkeypatch.setattr(extraction, "assemble_paths", failing)
+    inst = costed_bipartite((1, 1, 1, 1))
+    r = paper_isolation_range(inst)
+    for strategy, how in (("isolation", f"isolation, r={r}"),
+                          ("deletion", "deletion")):
+        calls.clear()
+        with pytest.raises(RetriesExhaustedError,
+                           match=rf"in 3 tries \(strategy={how}\): "
+                                 r"attempt 0: no paths; attempt 1: no "
+                                 r"paths; attempt 2: no paths$"):
+            find_disjoint_paths(inst, params64(11), max_retries=2,
+                                strategy=strategy)
+        assert len(calls) == 3
+
+
+def test_tied_isolation_tests_the_unsettled_edges(monkeypatch):
     # r = 1 makes every weight 1: the two optima of the all-ones bipartite
     # instance stay tied, so the support at U* holds all four edges and
-    # forces none, and every attempt fails the same way.
+    # forces none; the polynomial tests settle them on the first attempt
     monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
     inst = costed_bipartite((1, 1, 1, 1))
-    with pytest.raises(RetriesExhaustedError,
-                       match=r"strategy=isolation, r=1\): attempt 0: "
-                             r"support at U\* leaves 4 edges unsettled"):
-        find_disjoint_paths(inst, params64(11), max_retries=2,
-                            strategy="isolation")
-    # the deletion strategy does not rely on isolation and succeeds
-    ps = find_disjoint_paths(inst, params64(11), strategy="deletion")
+    report = {}
+    ps = find_disjoint_paths(inst, params64(11), max_retries=2,
+                             strategy="isolation", report=report)
+    check_path_set(inst, ps)
     assert ps.total_cost == 2
+    assert report == {"strategy": "isolation", "attempts": 1, "r": 1}
 
 
 def test_none_only_without_disjoint_paths():
@@ -544,28 +570,32 @@ def isolate_criterion_5(monkeypatch, classify):
 
 
 def test_classify_matches_patched_scan_reference(monkeypatch):
-    # every returned set is the patched-scan reference's, and an attempt
-    # is refused only where the support at U* leaves edges unsettled
+    # where the support at U* settles every edge, the returned set is the
+    # patched-scan reference's; where it leaves edges unsettled, the
+    # tests settle them to an optimum at the attempt's perturbed costs
     checked = []
-    refused = []
+    unsettled = []
     reference = TestParams(field=GF2Field(64), repetitions=1, seed=505)
 
-    def classify_and_check(pgraph, u_star):
-        try:
-            got = classify_edges(pgraph, u_star)
-        except AssemblyError:
-            support, forced = slice_support(pgraph, [True] * pgraph.instance.m,
-                                            u_star)
-            assert support != forced
-            refused.append(u_star)
-            raise
-        assert got == patched_scan_classify(pgraph, u_star, reference)
-        checked.append(got)
+    def classify_and_check(pgraph, u_star, *args):
+        inst = pgraph.instance
+        got = classify_edges(pgraph, u_star, *args)
+        support, forced = slice_support(pgraph, [True] * inst.m, u_star)
+        if support == forced:
+            assert got == patched_scan_classify(pgraph, u_star, reference)
+            checked.append(got)
+        else:
+            cost, _ = oracle.brute_force_disjoint_paths(
+                inst, mode="cost", costs=list(pgraph.costs))
+            assert cost == u_star
+            # raises unless got is k disjoint paths of perturbed cost U*
+            assemble_paths(inst, got, pgraph.costs, u_star)
+            unsettled.append(got)
         return got
 
     isolate_criterion_5(monkeypatch, classify_and_check)
     assert len(checked) > 50
-    assert refused  # the battery meets an unsettled support
+    assert unsettled  # the battery meets an unsettled support
 
 
 def test_settled_support_is_the_unique_perturbed_optimum(monkeypatch):
@@ -580,7 +610,7 @@ def test_settled_support_is_the_unique_perturbed_optimum(monkeypatch):
         drawn.append(real_perturb(*args))
         return drawn[-1]
 
-    def check(pgraph, u_star):
+    def check(pgraph, u_star, *args):
         nonlocal checked
         inst = pgraph.instance
         support, forced = slice_support(pgraph, [True] * inst.m, u_star)
@@ -591,7 +621,7 @@ def test_settled_support_is_the_unique_perturbed_optimum(monkeypatch):
             assert {e for e in range(inst.m) if forced[e]} == \
                 set(ps.all_edge_ids())
             checked += 1
-        return classify_edges(pgraph, u_star)
+        return classify_edges(pgraph, u_star, *args)
 
     monkeypatch.setattr(extraction, "perturb_costs", recording_perturb)
     isolate_criterion_5(monkeypatch, check)

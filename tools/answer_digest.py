@@ -15,7 +15,9 @@ One line is printed per digest:
   path set (deletion strategy) it reads each flow from;
 * `isolation`: the path sets find_disjoint_paths returns with
   strategy="isolation" on the same `flow` gadgets, with the attempts
-  made;
+  made and the count of gadgets whose isolation cost differs from the
+  deletion path set's (0 on working code: both are minimum costs, so a
+  changed isolation digest is checked for optimality here);
 * `support`: the (support, forced) edge ids evaluator.slice_support
   returns with every edge alive at d0, the cost of the deletion path
   set, on each `flow` gadget that has a flow;
@@ -127,6 +129,7 @@ def flows(seed, seconds):
         return found[-1]
 
     answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
+    differ = 0
     supports, support_s = [], 0.0
     flow_work, isolation_work, support_work = [0, 0], [0, 0], [0, 0]
     for q in make_batch("flow", seed, seconds):
@@ -163,10 +166,12 @@ def flows(seed, seconds):
         isolation_s += time.perf_counter() - start
         _tally(isolation_work)
         attempts += report["attempts"]
+        costs = [None if p is None else p.total_cost for p in (ps, found[0])]
+        differ += costs[0] != costs[1]
         isolated.append(_paths(ps))
     _line("flow", answers, spent, flow_work)
     _line("isolation", isolated, isolation_s, isolation_work,
-          f"  {attempts} attempts")
+          f"  {attempts} attempts  {differ} costs differ from deletion's")
     _line("support", supports, support_s, support_work)
 
 
