@@ -1,0 +1,40 @@
+"""The answers on perfbench's seed-1 batches, pinned by digest.
+
+tools/answer_digest.py hashes every answer, witness and path set that
+the library gives on the `decide`, `mincost` and `flow` batches (and
+isolation, the d0 supports and criterion 7's table).  This test runs the
+tool's own functions on the 1-s batches and compares with the values
+that `python3 tools/answer_digest.py --seed 1 --seconds 1` printed.  A
+change that means to change an answer edits the pinned value here and
+says why.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
+
+PINNED = {
+    "decide": "b25a28daf1abc536",
+    "mincost": "aef65ae1bf826d68",
+    "flow": "28935df36624f702",
+    "isolation": "08a8156bd1dcd143",
+    "support": "c623955425644688",
+    "table": "a830a810b637427e",
+}
+
+
+def test_answers_match_the_pinned_digests(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends
+    spec = importlib.util.spec_from_file_location("answer_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    got = {}
+    for line in tool.lines(seed=1, seconds=1):
+        name, digest = line.split()[:2]
+        got[name] = digest
+        if name == "isolation":
+            # both strategies give minimum costs, so they agree on each
+            assert "  0 costs differ from deletion's" in line, line
+    assert got == PINNED

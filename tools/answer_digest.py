@@ -92,9 +92,9 @@ def _paths(ps):
 
 def _line(name, answers, seconds, materialized, extra=""):
     blob = json.dumps(answers, separators=(",", ":")).encode()
-    print(f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
-          f"{len(answers)} queries  {seconds:.2f} s{extra}  "
-          f"{materialized[0]} states  {materialized[1]} moves")
+    return (f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
+            f"{len(answers)} queries  {seconds:.2f} s{extra}  "
+            f"{materialized[0]} states  {materialized[1]} moves")
 
 
 def decide(seed, seconds):
@@ -106,7 +106,7 @@ def decide(seed, seconds):
         spent += time.perf_counter() - start
         _tally(work)
         answers.append([v.answer, v.degree, v.witness_assignment])
-    _line("decide", answers, spent, work)
+    return _line("decide", answers, spent, work)
 
 
 def mincost(seed, seconds):
@@ -117,7 +117,7 @@ def mincost(seed, seconds):
         answers.append(decision.min_cost_disjoint_paths(inst, _params(q, inst)))
         spent += time.perf_counter() - start
         _tally(work)
-    _line("mincost", answers, spent, work)
+    return _line("mincost", answers, spent, work)
 
 
 def flows(seed, seconds):
@@ -169,10 +169,11 @@ def flows(seed, seconds):
         costs = [None if p is None else p.total_cost for p in (ps, found[0])]
         differ += costs[0] != costs[1]
         isolated.append(_paths(ps))
-    _line("flow", answers, spent, flow_work)
-    _line("isolation", isolated, isolation_s, isolation_work,
-          f"  {attempts} attempts  {differ} costs differ from deletion's")
-    _line("support", supports, support_s, support_work)
+    return (_line("flow", answers, spent, flow_work),
+            _line("isolation", isolated, isolation_s, isolation_work,
+                  f"  {attempts} attempts  {differ} costs differ from "
+                  "deletion's"),
+            _line("support", supports, support_s, support_work))
 
 
 def table():
@@ -183,7 +184,21 @@ def table():
     slices = evaluator.TablePlan(inst, 252).slices(f, field)
     spent = time.perf_counter() - start
     digest = hashlib.sha256(repr(slices).encode()).hexdigest()[:16]
-    print(f"{'table':<9} {digest}  1 evaluation  {spent:.2f} s")
+    return f"{'table':<9} {digest}  1 evaluation  {spent:.2f} s"
+
+
+def lines(seed, seconds):
+    """The six digest lines, in order, each as it is computed.  While it
+    runs, the modules that build a ScanGraph build a _RecordedGraph."""
+    built = decision.ScanGraph, extraction.ScanGraph
+    decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
+    try:
+        yield decide(seed, seconds)
+        yield mincost(seed, seconds)
+        yield from flows(seed, seconds)
+        yield table()
+    finally:
+        decision.ScanGraph, extraction.ScanGraph = built
 
 
 def main(argv=None):
@@ -191,11 +206,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
-    decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
-    decide(args.seed, args.seconds)
-    mincost(args.seed, args.seconds)
-    flows(args.seed, args.seconds)
-    table()
+    for line in lines(args.seed, args.seconds):
+        print(line)
 
 
 if __name__ == "__main__":
