@@ -46,6 +46,13 @@ def default_repetitions(n: int) -> int:
     return max(3, math.ceil(math.log2(max(n, 2))))
 
 
+def costed_degree(cap: int, costs) -> int:
+    """The degree of a test of the slices up to cost cap at these edge
+    costs: a monomial has one variable per edge, with multiplicity, and
+    no walk set of cost at most cap has more than cap // min(costs)."""
+    return cap // min(costs)
+
+
 @dataclass(frozen=True)
 class TestParams:
     """Field, repetition count, and root seed for one randomized query;
@@ -82,8 +89,8 @@ class TestParams:
 class Verdict:
     answer: str  # NONZERO (certain) or ZERO
     witness_assignment: tuple | None = None
-    # degree of the polynomial the query evaluated, whose ZERO errs with
-    # probability at most (degree / 2^s)^t; None for an exact ZERO answered
+    # edge-count degree of the evaluated polynomial; its ZERO errs with
+    # probability at most (degree / 2^s)^t.  None for an exact ZERO answered
     # without an evaluation (below a floor, or no k disjoint paths at all)
     degree: int | None = None
 
@@ -142,8 +149,8 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     disjoint paths exist at all (has_disjoint_paths, checked before the
     scan graph is built) or when the cap is below the graph's floor, the
     least cost of any walk set; bounds below k are such a case (k walks
-    cost >= k).  Otherwise the field is checked against the cap, and the
-    verdict's degree is the cap.
+    cost >= k).  Otherwise the field is checked against the cap's degree,
+    costed_degree(cap, costs), and that is the verdict's degree.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
@@ -153,10 +160,11 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     graph = ScanGraph(instance, instance.cost_list())
     if cap < graph.floor:
         return Verdict(ZERO)
-    for f in params.assignments(instance.m, cap, "decide-cost"):
+    degree = costed_degree(cap, graph.costs)
+    for f in params.assignments(instance.m, degree, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
-            return Verdict(NONZERO, tuple(f), cap)
-    return Verdict(ZERO, degree=cap)
+            return Verdict(NONZERO, tuple(f), degree)
+    return Verdict(ZERO, degree=degree)
 
 
 def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
@@ -165,12 +173,13 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
 
     None is exact: has_disjoint_paths() found no k disjoint paths, before
     any field check.  Otherwise the search is least_nonzero_slice over one
-    ScanGraph, capped at simple_cost_cap(), the degree the field is
-    checked against: the least nonzero slice is certified by k disjoint
-    simple paths, which cost at most the cap.  Such paths are a walk set,
-    so the cap is at least the graph's floor and the search scans at
-    least once.  When no repetition finds a nonzero slice, every one was a
-    false zero, and it raises RetriesExhaustedError.
+    ScanGraph, capped at simple_cost_cap(), whose costed_degree the field
+    is checked against before the graph is built: the least nonzero slice
+    is certified by k disjoint simple paths, which cost at most the cap.
+    Such paths are a walk set, so the cap is at least the graph's floor
+    and the search scans at least once.  When no repetition finds a
+    nonzero slice, every one was a false zero, and it raises
+    RetriesExhaustedError.
     `_graph` is internal: a query that scans the same graph again
     (find_disjoint_paths) passes the ScanGraph it built at the instance's
     costs, so that it is built once; that query has already run
@@ -178,10 +187,10 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     """
     if _graph is None and not instance.has_disjoint_paths():
         return None
-    cap = instance.simple_cost_cap()
-    points = params.assignments(instance.m, cap, "min-cost")
-    graph = ScanGraph(instance, instance.cost_list()) if _graph is None \
-        else _graph
+    cap, costs = instance.simple_cost_cap(), instance.cost_list()
+    points = params.assignments(instance.m, costed_degree(cap, costs),
+                                "min-cost")
+    graph = ScanGraph(instance, costs) if _graph is None else _graph
     best = least_nonzero_slice(graph, points, params.field, cap)
     if best is None:
         raise RetriesExhaustedError(
@@ -193,8 +202,8 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
 def least_nonzero_slice(graph: ScanGraph, points, field: GF2Field,
                         cap: int) -> int | None:
     """Least cost at most cap with a nonzero slice at the graph's costs,
-    over `points`, the caller's TestParams.assignments at cap (one per
-    repetition, drawn as the scans read them), or None.
+    over `points`, the caller's TestParams.assignments at the cap's
+    degree (one per repetition, drawn as the scans read them), or None.
 
     One slice scan per repetition; the least nonzero slice index is the
     answer for that repetition (each monomial lives in exactly one

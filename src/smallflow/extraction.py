@@ -15,15 +15,15 @@ Two strategies produce the same object:
   probability >= 1 - m/r = 1 - 1/n^2; build the scan graph at the
   perturbed costs, the same scan that the optimum and deletion use; find
   the minimum perturbed cost U*, its least nonzero slice; mark the
-  essential edges with classify_edges at U*; assemble them into paths.
-  The search for U* stops at (D0 + 1) * (r*m + 1) - 1, above every
-  cost-D0 set.  Where the support at U* settles every edge, no edge is
-  tested; where a tie, between optima or with a colliding walk system,
-  leaves some edge unsettled, the polynomial tests run on
-  exactly those edges.
+  essential edges with classify_edges at U*; assemble them into paths,
+  of original cost U* // (r*m + 1).  It runs no search at the
+  instance's costs.  Where a tie, between optima or with a colliding
+  walk system, leaves some edge unsettled by the support at U*, the
+  polynomial tests run on exactly those edges.
 
-Either way a failed attempt (a rare false zero) is detected
-structurally and retried with fresh randomness.
+Either way every test checks its field at its edge-count degree
+(decision.costed_degree), and a failed attempt (a rare false zero) is
+detected structurally and retried with fresh randomness.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from .decision import (
     RetriesExhaustedError,
     TestParams,
+    costed_degree,
     least_nonzero_slice,
     min_cost_disjoint_paths,
 )
@@ -100,24 +101,20 @@ def paper_isolation_range(instance: PathInstance) -> int:
     return instance.n * instance.n * instance.m
 
 
-def find_min_perturbed_cost(pgraph: ScanGraph, pc: PerturbedCosts, d0: int,
+def find_min_perturbed_cost(pgraph: ScanGraph,
                             params: TestParams) -> int | None:
-    """Least perturbed cost U* of a disjoint path set of original cost at
-    most d0, or None when no repetition finds one.
+    """Least perturbed cost U* of a disjoint path set, or None when no
+    repetition finds one.
 
-    pgraph is a ScanGraph at the perturbed costs pc.perturbed, and the
-    search is min_cost_disjoint_paths' (least_nonzero_slice) at those
-    costs, capped at (d0 + 1) * pc.scale - 1, the degree the field is
-    checked against.  At any positive integer costs a nonzero slice is
-    certified by k disjoint simple paths, whose weights sum to less than
-    the scale: every set of original cost d0 lies under the cap, and a
-    hit under it decodes (U* // scale) to d0 or less.  d0 caps the search
-    because of that field check: simple_cost_cap at the perturbed costs
-    can outgrow a field that holds this cap (76,093 against 61,454 in
-    test_isolation_field_checked_below_the_optimum's GF(2^16) instance).
+    The search is min_cost_disjoint_paths' (least_nonzero_slice) on
+    pgraph, a ScanGraph at perturbed costs, capped at their
+    simple_cost_cap, and its degree is costed_degree(cap, pgraph.costs):
+    each perturbed edge costs more than the scale, so that is about the
+    instance's own cap (76,093 // 4,098 = 18 in a GF(2^8) CLI test).
     """
-    cap = (d0 + 1) * pc.scale - 1
-    points = params.assignments(pgraph.instance.m, cap, "find-perturbed")
+    cap = pgraph.instance.simple_cost_cap(pgraph.costs)
+    degree = costed_degree(cap, pgraph.costs)
+    points = params.assignments(pgraph.instance.m, degree, "find-perturbed")
     return least_nonzero_slice(pgraph, points, params.field, cap)
 
 
@@ -125,20 +122,20 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     """The edges of one minimum set of slice d, d the least nonzero slice
     of graph (a ScanGraph at any costs) that the caller's search found.
 
-    points are the caller's assignments at degree d, one per repetition,
-    drawn at the first test.  Most edges lie on no walk set of cost d at
-    all (slice_support, a boolean pass over the scan's state graph).
-    Their variables do not occur in the d slice, so deleting one leaves
-    the slice's values as they were, and the test would pass: such edges
-    are deleted without a scan, before the first test and again after
-    each deletion, as the support shrinks.  The same pass finds the
+    points are the caller's assignments at costed_degree(d, graph.costs),
+    one per repetition, drawn at the first test.  Most edges lie on no walk
+    set of cost d at all (slice_support, a boolean pass over the scan's
+    state graph).  Their variables do not occur in the d slice, so deleting
+    one leaves the slice's values as they were, and the test would pass:
+    such edges are deleted without a scan, before the first test and again
+    after each deletion, as the support shrinks.  The same pass finds the
     forced edges, those on every walk set of cost d: deleting one leaves
-    the d slice an empty sum, and the slices below d are zero, so the
-    test would fail, and they are kept without a scan.  Every other edge
-    is tested in id order and deleted for good when some point still
-    finds a nonzero slice at or below d without it.  Colliding walk
-    systems cancel in pairs with the same edges, so what remains is the
-    edge set of one disjoint path set of cost d, unless a test erred.
+    the d slice an empty sum, and the slices below d are zero, so the test
+    would fail, and they are kept without a scan.  Every other edge is
+    tested in id order and deleted for good when some point still finds a
+    nonzero slice at or below d without it.  Colliding walk systems cancel
+    in pairs with the same edges, so what remains is the edge set of one
+    disjoint path set of cost d, unless a test erred.
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)
@@ -224,22 +221,24 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
                    total_cost=original)
 
 
-def _isolation_attempt(instance, params, attempt, r, d0):
+def _isolation_attempt(instance, params, attempt, r):
     rng = derive_rng(params.seed, "perturb", attempt)
     pc = perturb_costs(instance, r, rng)
     sub = replace(params, seed=derive_rng(params.seed, "attempt", attempt)
                   .getrandbits(63))
     pgraph = ScanGraph(instance, list(pc.perturbed))
-    u_star = find_min_perturbed_cost(pgraph, pc, d0, sub)
+    u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    points = sub.assignments(instance.m, u_star, "isolation-tests")
+    points = sub.assignments(instance.m, costed_degree(u_star, pc.perturbed),
+                             "isolation-tests")
     essential = classify_edges(pgraph, u_star, points, sub.field)
     return assemble_paths(instance, essential, pc.perturbed, u_star)
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    points = params.assignments(instance.m, d0, "deletion", attempt)
+    points = params.assignments(instance.m, costed_degree(d0, graph.costs),
+                                "deletion", attempt)
     kept = classify_edges(graph, d0, points, params.field)
     return assemble_paths(instance, kept, instance.cost_list(), d0)
 
@@ -254,9 +253,10 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     paper_isolation_range(instance) = n^2 m.  A dict passed as `report`
     receives attempts/strategy for reporting, and r under isolation.
     None is exact, with 0 attempts, before any field check or scan graph:
-    has_disjoint_paths() found no k disjoint paths.  False zeros in the
-    search for the optimum, or failed attempts, raise
-    RetriesExhaustedError.
+    has_disjoint_paths() found no k disjoint paths.  Deletion first finds
+    the optimum d0 on the ScanGraph that its attempts share; isolation
+    builds one per attempt.  False zeros in the search for d0, or failed
+    attempts, raise RetriesExhaustedError.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -269,28 +269,19 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
             report["r"] = r
     if not instance.has_disjoint_paths():
         return None
-    # one state graph at the instance's costs serves the optimum and every
-    # deletion attempt; an isolation attempt builds its own at its
-    # perturbed costs
-    graph = ScanGraph(instance, instance.cost_list())
-    d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
+    if strategy == "deletion":
+        graph = ScanGraph(instance, instance.cost_list())
+        d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     failures = []
     for attempt in range(max_retries + 1):
         if report is not None:
             report["attempts"] = attempt + 1
         try:
             if strategy == "isolation":
-                ps = _isolation_attempt(instance, params, attempt, r, d0)
-            else:
-                ps = _deletion_attempt(instance, params, attempt, d0, graph)
+                return _isolation_attempt(instance, params, attempt, r)
+            return _deletion_attempt(instance, params, attempt, d0, graph)
         except AssemblyError as exc:
             failures.append(f"attempt {attempt}: {exc}")
-            continue
-        if ps.total_cost != d0:
-            failures.append(
-                f"attempt {attempt}: assembled cost {ps.total_cost} != {d0}")
-            continue
-        return ps
     how = strategy if r is None else f"{strategy}, r={r}"
     raise RetriesExhaustedError(
         f"no attempt succeeded in {max_retries + 1} tries "

@@ -416,16 +416,20 @@ def test_isolation_range_options(capsys, paths_file, tmp_path):
 
 
 def test_isolation_field_checked_below_the_optimum(capsys, tmp_path):
-    # isolation searches its perturbed costs only up to (d0 + 1) * scale
-    # - 1 = 15 * 4097 - 1 here, which GF(2^16) holds; the simple-set cap
-    # at the perturbed costs (76,093) did not
+    # isolation searches its perturbed costs up to their simple-set cap,
+    # 76,093 here, beyond GF(2^16).  The field is checked at that cap's
+    # edge-count degree: every perturbed edge costs at least the scale
+    # 4097 plus 1, so the degree is at most 76,093 // 4,098 = 18, which
+    # GF(2^8) holds as well as GF(2^16)
     p = tmp_path / "chain.paths"
     p.write_text("q paths 8 8 1\nx 6\ny 1\ne 6 5 3\ne 5 7 1\ne 7 2 2\n"
                  "e 2 8 3\ne 8 4 3\ne 4 1 2\ne 5 7 2\ne 1 6 3\n")
-    code, rep = run_json(capsys, "find", "-i", str(p), "--strategy",
-                         "isolation", "--field-exp", "16", "--verify")
-    assert (code, rep["cost"], rep["isolation_range"]) == (0, 14, 512)
-    assert rep["verify"] == {"oracle_cost": 14, "match": True}
+    for exponent in ("16", "8"):
+        code, rep = run_json(capsys, "find", "-i", str(p), "--strategy",
+                             "isolation", "--field-exp", exponent,
+                             "--verify")
+        assert (code, rep["cost"], rep["isolation_range"]) == (0, 14, 512)
+        assert rep["verify"] == {"oracle_cost": 14, "match": True}
 
 
 def test_isolation_range_is_n2m(capsys, tmp_path):

@@ -8,12 +8,14 @@ from smallflow import (
     PathInstance,
     RetriesExhaustedError,
     TestParams,
+    build_gadget_network,
     decide_cost_bounded,
     decide_disjoint_paths,
     default_repetitions,
     find_disjoint_paths,
     min_cost_disjoint_paths,
     min_cost_flow,
+    random_flow_instance,
     random_paths_instance,
 )
 from smallflow import decision, evaluator, extraction, oracle
@@ -176,30 +178,33 @@ def test_false_zero_raises_instead_of_none():
     assert min_cost_disjoint_paths(inst, params64(263)) == 4
 
 
-def test_exact_answers_before_the_field_check(bottleneck):
-    # no two disjoint paths at cost 100 per edge: the caps (300) are
-    # beyond GF(2^8), but every query answers exactly before checking
-    inst = PathInstance(5, bottleneck.edges, [0, 1], [3, 4],
-                        costs=[100] * 4)
+def test_exact_answers_before_the_field_check():
+    # no two disjoint paths: both sources enter vertex 2, whose one way on
+    # is a unit chain to 297.  The queries' edge-count degrees (298, the
+    # simple-set cap) are beyond GF(2^8), but each answers exactly first
+    inst = PathInstance(300, [(0, 2), (1, 2)]
+                        + [(v, v + 1) for v in range(2, 297)]
+                        + [(297, 298), (297, 299)], [0, 1], [298, 299])
+    assert inst.simple_cost_cap() == 298
     small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
     v = decide_cost_bounded(inst, 300, small)
     assert (v.answer, v.degree) == ("ZERO", None)
     assert min_cost_disjoint_paths(inst, small) is None
     for strategy in ("deletion", "isolation"):
         assert find_disjoint_paths(inst, small, strategy=strategy) is None
-    # with the paths in place, the field check refuses as before
-    feasible = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
-                            costs=[200, 200])
+    # with the paths in place, a unit chain of 257 edges, degree 257: the
+    # field check refuses as before
+    feasible = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257])
     with pytest.raises(ValueError, match="too small"):
         min_cost_disjoint_paths(feasible, small)
     with pytest.raises(ValueError, match="too small"):
-        decide_cost_bounded(feasible, 400, small)
+        decide_cost_bounded(feasible, 300, small)
 
 
 def test_field_checked_before_any_point_is_drawn(monkeypatch):
-    # each query has k disjoint paths and a degree beyond GF(2^8): it
-    # refuses the field before it draws a point, and
-    # min_cost_disjoint_paths before it builds its ScanGraph
+    # each query has k disjoint paths and an edge-count degree beyond
+    # GF(2^8), 257 on the unit chain: it refuses the field before it draws
+    # a point, and min_cost_disjoint_paths before it builds its ScanGraph
     drawn, built = [], []
     draw, graph = decision.random_assignment, decision.ScanGraph
     monkeypatch.setattr(decision, "random_assignment",
@@ -211,20 +216,47 @@ def test_field_checked_before_any_point_is_drawn(monkeypatch):
     costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
                           costs=[200, 200])
     queries = [lambda: decide_disjoint_paths(chain, 257, small),
-               lambda: decide_cost_bounded(costly, 400, small)] + [
-        lambda s=s: find_disjoint_paths(costly, small, strategy=s)
+               lambda: decide_cost_bounded(chain, 257, small)] + [
+        lambda s=s: find_disjoint_paths(chain, small, strategy=s)
         for s in ("deletion", "isolation")]
     for query in queries:
         with pytest.raises(ValueError, match="too small"):
             query()
     built.clear()  # decide_cost_bounded builds its graph before the check
     with pytest.raises(ValueError, match="too small"):
-        min_cost_disjoint_paths(costly, small)
+        min_cost_disjoint_paths(chain, small)
     assert drawn == built == []
-    # the spies see the draw and the graph of a field that holds 400
-    assert min_cost_disjoint_paths(
-        costly, TestParams(field=GF2Field(16), repetitions=1)) == 400
+    # the spies see the draw and the graph of a field that holds the
+    # degree, 2 at cost 400 (two edges of cost 200)
+    assert min_cost_disjoint_paths(costly, small) == 400
     assert len(drawn) == len(built) == 1
+
+
+def test_costed_queries_checked_at_their_edge_count_degree():
+    # a costed test's degree is cap // (least edge cost), the most edges a
+    # walk set under the cap can have.  Two edges of cost 200: the caps
+    # (400) are beyond GF(2^8), the degree 2 is not, and every costed
+    # query answers.  A chain of 257 edges of cost 3: the degree is
+    # 771 // 3 = 257, and every one refuses the field
+    small = TestParams(field=GF2Field(8), repetitions=3, seed=0)
+    costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
+                          costs=[200, 200])
+    chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257],
+                         costs=[3] * 257)
+    assert decision.costed_degree(chain.simple_cost_cap(),
+                                  chain.cost_list()) == 257
+    queries = [lambda inst: decide_cost_bounded(
+                   inst, inst.simple_cost_cap(), small),
+               lambda inst: min_cost_disjoint_paths(inst, small)] + [
+        lambda inst, s=s: find_disjoint_paths(inst, small, strategy=s)
+        for s in ("deletion", "isolation")]
+    verdict, cost, *found = [query(costly) for query in queries]
+    assert verdict.nonzero and verdict.degree == 2
+    assert cost == 400
+    assert [ps.total_cost for ps in found] == [400, 400]
+    for query in queries:
+        with pytest.raises(ValueError, match="too small"):
+            query(chain)
 
 
 def _feasible_battery(rng, count):
@@ -251,10 +283,11 @@ def unsettled_edges(graph, d):
 def test_false_zero_rate_within_the_stated_bound(kind):
     # 60 instances x 100 seeds at t = 1 over GF(2^8).  A query errs with
     # probability at most degree / 2^8 (Schwartz-Zippel): decide at its
-    # Verdict.degree, mincost at simple_cost_cap(), the degree it checks.
-    # find (deletion) adds, by a union bound, d0 / 2^8 for each edge test
-    # at d0, one at most per edge its support at d0 leaves unsettled; it
-    # makes one attempt, so the error of every test counts.
+    # Verdict.degree, mincost at the degree it checks, the costed_degree
+    # of simple_cost_cap().  find (deletion) adds, by a union bound, the
+    # costed_degree of d0 over 2^8 for each edge test at d0, one at most
+    # per edge its support at d0 leaves unsettled; it makes one attempt,
+    # so the error of every test counts.
     # A wrong answer is a false ZERO, a wrong cost, or
     # RetriesExhaustedError on these feasible instances.  Each query draws
     # its own points, so the count of wrong answers is dominated by a sum
@@ -265,10 +298,12 @@ def test_false_zero_rate_within_the_stated_bound(kind):
     for inst in _feasible_battery(random.Random(19), 60):
         l = inst.k * (inst.n - 1)
         want = oracle.disjoint_paths_min_cost_via_flow(inst)
-        bound = inst.simple_cost_cap() / 256
+        costs = inst.cost_list()
+        bound = decision.costed_degree(inst.simple_cost_cap(), costs) / 256
         if kind == "deletion":
-            tests = unsettled_edges(ScanGraph(inst, inst.cost_list()), want)
-            bound = min(1.0, bound + tests * want / 256)
+            tests = unsettled_edges(ScanGraph(inst, costs), want)
+            bound = min(1.0, bound + tests
+                        * decision.costed_degree(want, costs) / 256)
         for seed in range(100):
             params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             if kind == "decide":
@@ -289,42 +324,39 @@ def test_false_zero_rate_within_the_stated_bound(kind):
 
 
 def test_isolation_false_zero_rate_within_the_stated_bound():
-    # 60 tiny feasible instances x 50 seeds at t = 1 over GF(2^16), the
-    # least built-in field their perturbed caps (d0 + 1)(rm + 1) - 1 fit,
+    # 60 tiny feasible instances x 50 seeds at t = 1 over GF(2^8), which
+    # every degree below fits (a query would refuse it otherwise), with
     # r = n^2 m.  One attempt, so the error of every scan counts.  By a
     # union bound a query errs with probability at most the sum over the
-    # degrees its scans check, over 2^16: simple_cost_cap() for the
-    # optimum, the perturbed cap for U*, and U* for each edge test, one at
-    # most per edge that the support at U* leaves unsettled at the
-    # attempt's weights.  A wrong answer is a wrong cost or
+    # degrees its scans check, over 2^8: the costed_degree of the
+    # perturbed simple_cost_cap() for U*, and that of U* for each edge
+    # test, one at most per edge that the support at U* leaves unsettled
+    # at the attempt's weights.  A wrong answer is a wrong cost or
     # RetriesExhaustedError; the count is bounded as in the test above.
-    # The perturbed costs make the degrees large beside a walk set's few
-    # variables, so the bound is loose and the count can read 0.
+    # An isolated optimum's slice is one monomial, which is zero only
+    # where a variable is, so the bound is loose and the count can read 0.
     rng = random.Random(29)
     battery = []
     while len(battery) < 60:
         n = rng.randint(3, 6)
         inst = random_paths_instance(rng, n, rng.randint(1, min(2, n // 2)),
                                      cost_max=4, extra_edges=rng.randint(0, n))
-        if not inst.has_disjoint_paths():
-            continue
-        d0 = oracle.disjoint_paths_min_cost_via_flow(inst)
-        r = extraction.paper_isolation_range(inst)
-        cap = (d0 + 1) * (r * inst.m + 1) - 1
-        if cap < 1 << 16:
-            battery.append((inst, d0, r, cap))
+        if inst.has_disjoint_paths():
+            battery.append((inst,
+                            oracle.disjoint_paths_min_cost_via_flow(inst),
+                            extraction.paper_isolation_range(inst)))
     wrong, mu = 0, 0.0
-    for inst, d0, r, cap in battery:
+    for inst, d0, r in battery:
         for seed in range(50):
-            pc = extraction.perturb_costs(
-                inst, r, derive_rng(seed, "perturb", 0))
+            costs = list(extraction.perturb_costs(
+                inst, r, derive_rng(seed, "perturb", 0)).perturbed)
             u_star, _ = oracle.brute_force_disjoint_paths(
-                inst, mode="cost", costs=list(pc.perturbed))
-            tests = unsettled_edges(ScanGraph(inst, list(pc.perturbed)),
-                                    u_star)
-            mu += min(1.0, (inst.simple_cost_cap() + cap + tests * u_star)
-                      / (1 << 16))
-            params = TestParams(field=GF2Field(16), repetitions=1, seed=seed)
+                inst, mode="cost", costs=costs)
+            tests = unsettled_edges(ScanGraph(inst, costs), u_star)
+            mu += min(1.0, (decision.costed_degree(
+                inst.simple_cost_cap(costs), costs) + tests
+                * decision.costed_degree(u_star, costs)) / 256)
+            params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             try:
                 wrong += find_disjoint_paths(
                     inst, params, max_retries=0,
@@ -332,6 +364,44 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
             except RetriesExhaustedError:
                 wrong += 1
     assert wrong < 2 * mu, (wrong, mu)
+
+
+def test_flow_false_zero_rate_within_the_stated_bound():
+    # 60 tiny feasible flow networks x 50 seeds at t = 1 over GF(2^8), the
+    # least built-in field that their gadgets' degrees fit: the gadget's
+    # least edge cost is 1 (the connectors), so the costed_degree of its
+    # simple_cost_cap() is that cap, kept below 2^8.  min_cost_flow
+    # extracts by deletion with one attempt, so, as for deletion above, a
+    # query errs with probability at most b = (cap + u * D) / 2^8, D the
+    # gadget's optimum and u the edges its support at D leaves unsettled.
+    # Networks with b >= 1 are skipped, so that 2 mu stays below the query
+    # count.  A wrong answer is a wrong cost or RetriesExhaustedError, the
+    # truth from the classic min-cost-flow oracle; the count is bounded as
+    # above
+    rng = random.Random(43)
+    wrong, mu, battery = 0, 0.0, 0
+    while battery < 60:
+        K = random_flow_instance(rng, rng.randint(3, 5), rng.randint(2, 6),
+                                 rng.randint(1, 2), 2, 3,
+                                 plant=rng.random() < 0.9)
+        want = oracle.classic_min_cost_flow(K)
+        gadget = build_gadget_network(K).instance
+        if want is None or gadget.simple_cost_cap() >= 256:
+            continue
+        d = oracle.disjoint_paths_min_cost_via_flow(gadget)
+        tests = unsettled_edges(ScanGraph(gadget, gadget.cost_list()), d)
+        bound = (gadget.simple_cost_cap() + tests * d) / 256
+        if bound >= 1:
+            continue
+        battery += 1
+        for seed in range(50):
+            params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
+            try:
+                wrong += min_cost_flow(K, params, max_retries=0)[0] != want[0]
+            except RetriesExhaustedError:
+                wrong += 1
+            mu += bound
+    assert wrong < 2 * mu < 50 * battery, (wrong, mu)
 
 
 def test_min_cost_examples(bottleneck):

@@ -26,6 +26,7 @@ from smallflow.extraction import (
     paper_isolation_range,
 )
 from smallflow import decision, evaluator, extraction, oracle
+from smallflow.decision import costed_degree
 from smallflow.evaluator import (
     ScanGraph,
     random_assignment,
@@ -135,12 +136,8 @@ def test_find_min_perturbed_cost_matches_oracle():
                                      extra_edges=rng.randint(0, n),
                                      cost_max=3, plant=rng.random() < 0.8)
         pc = perturb_costs(inst, 16, rng)
-        # the search stops at the optimum's perturbed ceiling; any cost
-        # serves an infeasible instance
-        opt = oracle.brute_force_disjoint_paths(inst, mode="cost")
-        d0 = opt[0] if opt else 1
         got = find_min_perturbed_cost(ScanGraph(inst, list(pc.perturbed)),
-                                      pc, d0, params64(rng.getrandbits(32)))
+                                      params64(rng.getrandbits(32)))
         bf = oracle.brute_force_disjoint_paths(inst, mode="cost",
                                                costs=list(pc.perturbed))
         assert got == (bf[0] if bf else None)
@@ -149,7 +146,7 @@ def test_find_min_perturbed_cost_matches_oracle():
 def test_find_min_perturbed_absent(bottleneck):
     pc = perturb_costs(bottleneck, 8, random.Random(6))
     pgraph = ScanGraph(bottleneck, list(pc.perturbed))
-    assert find_min_perturbed_cost(pgraph, pc, 4, params64()) is None
+    assert find_min_perturbed_cost(pgraph, params64()) is None
 
 
 def test_unique_path_instance_pipeline():
@@ -161,9 +158,10 @@ def test_unique_path_instance_pipeline():
     pc = perturb_costs(inst, 32, rng)
     p = params64(77)
     pgraph = ScanGraph(inst, list(pc.perturbed))
-    u_star = find_min_perturbed_cost(pgraph, pc, 4, p)  # the chain's cost
+    u_star = find_min_perturbed_cost(pgraph, p)
     assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
-    points = p.assignments(inst.m, u_star, "classify")
+    points = p.assignments(inst.m, costed_degree(u_star, pgraph.costs),
+                           "classify")
     essential = classify_edges(pgraph, u_star, points, p.field)
     assert essential == {0, 1, 2}
 
@@ -174,8 +172,9 @@ def test_classify_unique_optimum():
     pc = perturb_costs(inst, 64, rng)
     u_star = pc.perturbed[0] + pc.perturbed[3]
     p = params64(7)
+    degree = costed_degree(u_star, pc.perturbed)
     essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star,
-                               p.assignments(inst.m, u_star, "classify"),
+                               p.assignments(inst.m, degree, "classify"),
                                p.field)
     assert essential == {0, 3}
 
@@ -345,10 +344,12 @@ def test_report_dict():
 
 def test_deletion_query_builds_one_scan_graph(monkeypatch):
     # under deletion the optimum and every attempt share one state graph,
-    # also when the first attempt fails assembly and a second one runs;
-    # under isolation each attempt adds one at its own perturbed costs.
-    # An instance without k disjoint paths builds none
-    built = []
+    # also when the first attempt fails assembly and a second one runs.
+    # Isolation searches for no optimum at the instance's costs: it calls
+    # min_cost_disjoint_paths never and builds only one graph per attempt,
+    # at that attempt's perturbed costs.  An instance without k disjoint
+    # paths builds none
+    built, searched = [], []
 
     class CountingGraph(ScanGraph):
         def __init__(self, *args):
@@ -356,8 +357,12 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
             super().__init__(*args)
 
     real_assemble = extraction.assemble_paths
+    real_search = extraction.min_cost_disjoint_paths
     monkeypatch.setattr(extraction, "ScanGraph", CountingGraph)
     monkeypatch.setattr(decision, "ScanGraph", CountingGraph)
+    monkeypatch.setattr(extraction, "min_cost_disjoint_paths",
+                        lambda *a, **kw: searched.append(a)
+                        or real_search(*a, **kw))
     for strategy in ("deletion", "isolation"):
         failed = []
 
@@ -369,18 +374,21 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
 
         monkeypatch.setattr(extraction, "assemble_paths", fail_once)
         built.clear()
+        searched.clear()
         report = {}
         inst = costed_bipartite()
         ps = find_disjoint_paths(inst, params64(8), strategy=strategy,
                                  report=report)
         assert ps is not None and ps.total_cost == 2
         assert report["attempts"] == 2, strategy
-        want = [inst.cost_list()]
         if strategy == "isolation":
-            want += [list(perturb_costs(inst, report["r"],
-                                        derive_rng(8, "perturb", a))
-                          .perturbed) for a in range(2)]
+            want = [list(perturb_costs(inst, report["r"],
+                                       derive_rng(8, "perturb", a))
+                         .perturbed) for a in range(2)]
+        else:
+            want = [inst.cost_list()]
         assert [list(args[1]) for args in built] == want, strategy
+        assert len(searched) == (strategy == "deletion"), strategy
         built.clear()
         report = {}
         # no two disjoint paths: answered exactly, before any graph
