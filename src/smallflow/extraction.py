@@ -122,20 +122,20 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     """The edges of one minimum set of slice d, d the least nonzero slice
     of graph (a ScanGraph at any costs) that the caller's search found.
 
-    points are the caller's assignments at costed_degree(d, graph.costs),
-    one per repetition, drawn at the first test.  Most edges lie on no walk
-    set of cost d at all (slice_support, a boolean pass over the scan's
-    state graph).  Their variables do not occur in the d slice, so deleting
-    one leaves the slice's values as they were, and the test would pass:
-    such edges are deleted without a scan, before the first test and again
-    after each deletion, as the support shrinks.  The same pass finds the
+    points are the caller's assignments at d's degree, one per repetition,
+    drawn at the first test.  Most edges lie on no walk set of cost d at
+    all (slice_support, a boolean pass over the scan's state graph).
+    Their variables do not occur in the d slice, so deleting one leaves
+    the slice's values as they were, and the test would pass: such edges
+    are deleted without a scan, before the first test and again after
+    each deletion, as the support shrinks.  The same pass finds the
     forced edges, those on every walk set of cost d: deleting one leaves
-    the d slice an empty sum, and the slices below d are zero, so the test
-    would fail, and they are kept without a scan.  Every other edge is
-    tested in id order and deleted for good when some point still finds a
-    nonzero slice at or below d without it.  Colliding walk systems cancel
-    in pairs with the same edges, so what remains is the edge set of one
-    disjoint path set of cost d, unless a test erred.
+    the d slice an empty sum, and the slices below d are zero, so the
+    test would fail, and they are kept without a scan.  Every other edge
+    is tested in id order and deleted for good when some point still
+    finds a nonzero slice at or below d without it.  Colliding walk
+    systems cancel in pairs with the same edges, so what remains is the
+    edge set of one disjoint path set of cost d, unless a test erred.
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)
