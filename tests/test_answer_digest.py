@@ -2,11 +2,11 @@
 
 tools/answer_digest.py hashes every answer, witness and path set that
 the library gives on the `decide`, `mincost` and `flow` batches (and
-isolation, the d0 supports and criterion 7's table).  This test runs the
-tool's own functions on the 1-s batches and compares with the values
-that `python3 tools/answer_digest.py --seed 1 --seconds 1` printed.  A
-change that means to change an answer edits the pinned value here and
-says why.
+the `flow` costs alone, isolation, the d0 supports and criterion 7's
+table).  This test runs the tool's own functions on the 1-s batches and
+compares with the values that `python3 tools/answer_digest.py --seed 1
+--seconds 1` printed.  A change that means to change an answer edits the
+pinned value here and says why.
 """
 
 import importlib.util
@@ -19,6 +19,7 @@ PINNED = {
     "decide": "b25a28daf1abc536",
     "mincost": "aef65ae1bf826d68",
     "flow": "28935df36624f702",
+    "flowcost": "7a62fe35ecb508a0",
     "isolation": "08a8156bd1dcd143",
     "support": "c623955425644688",
     "table": "a830a810b637427e",

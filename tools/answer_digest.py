@@ -13,6 +13,10 @@ One line is printed per digest:
 * `mincost`: the costs min_cost_disjoint_paths returns;
 * `flow`: the costs and amounts min_cost_flow returns, and the disjoint
   path set (deletion strategy) it reads each flow from;
+* `flowcost`: the costs alone of the `flow` line's answers (None for an
+  infeasible network), with that line's seconds and states.  A change
+  that may pick another optimum flow or path set changes `flow`, but
+  must keep `flowcost`;
 * `isolation`: the path sets find_disjoint_paths returns with
   strategy="isolation" on the same `flow` gadgets, with the attempts
   made and the count of gadgets whose isolation cost differs from the
@@ -169,7 +173,9 @@ def flows(seed, seconds):
         costs = [None if p is None else p.total_cost for p in (ps, found[0])]
         differ += costs[0] != costs[1]
         isolated.append(_paths(ps))
+    costs = [None if a is None else a[0] for a in answers]
     return (_line("flow", answers, spent, flow_work),
+            _line("flowcost", costs, spent, flow_work),
             _line("isolation", isolated, isolation_s, isolation_work,
                   f"  {attempts} attempts  {differ} costs differ from "
                   "deletion's"),
@@ -188,7 +194,7 @@ def table():
 
 
 def lines(seed, seconds):
-    """The six digest lines, in order, each as it is computed.  While it
+    """The seven digest lines, in order, each as it is computed.  While it
     runs, the modules that build a ScanGraph build a _RecordedGraph."""
     built = decision.ScanGraph, extraction.ScanGraph
     decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
