@@ -2,22 +2,26 @@
 
 The gadget network has min(c(e), k) unit vertices per edge e of the flow
 network.  An edge unit(e, i) -> unit(f, j) joins every unit of an edge
-into a vertex to every other unit of an edge out of it, and fresh
-terminals X enter the units of the source's out-edges: every edge
-entering unit(f, j) costs c(f) * M + 1.  The units of the sink's
-in-edges reach every terminal of Y by cost-1 connector edges.
+into a vertex to every other unit of an edge out of it, and every edge
+entering unit(f, j) costs c(f) * M + 1.  With S and T the units of the
+source's out-edges and of the sink's in-edges in id order, terminal x_i
+of X enters S[i : |S| - k + 1 + i], and T[r] enters y_j of Y by a cost-1
+connector edge when j <= r <= |T| - k + j.
 
 A gadget path X -> unit(f1) -> ... -> unit(fr) -> Y is a source-to-sink
 walk along f1 ... fr, and vertex-disjoint paths use every unit at most
 once, so k of them form a value-k flow within the capacities; a value-k
 flow of cost D splits into k simple paths (costs are positive, so an
 optimal flow holds no cycle), which take distinct units, at most k per
-edge, so capping the units at k loses no optimum.  A set of k
-disjoint paths has gadget cost D * M + (units entered + k): every edge
-adds 1, and a path that enters r units has r + 1 edges.  With M = (unit
-count) + k + 1 that residue stays below M for every path set, so
-floor(D* / M) = D exactly, and a minimum gadget cost decodes to a
-minimum flow cost.
+edge, so capping the units at k loses no optimum.  Nor do the windows
+(sorted matching): the path with the i-th smallest first unit starts at
+rank i to |S| - k + i of S, in x_i's window, and the one with the j-th
+smallest last unit ends in y_j's, so giving them those terminals keeps
+every path set and its cost.  A set of k disjoint paths has gadget cost
+D * M + (units entered + k): every edge adds 1, and a path that enters
+r units has r + 1 edges.  With M = (unit count) + k + 1 that residue
+stays below M for every path set, so floor(D* / M) = D exactly, and a
+minimum gadget cost decodes to a minimum flow cost.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ class GadgetNetwork:
 
     Vertex ids run X first, then the units, min(capacity, k) per edge in
     edge-id order, then Y: units[i] is the original edge id of unit
-    vertex k + i.  Edges follow X, then each unit in order, so repeated
-    builds are identical.  scale = (unit count) + k + 1.
+    vertex k + i.  Edges follow X (each x_i's into its window), then each
+    unit in order, so repeated builds are identical.
+    scale = (unit count) + k + 1.
     """
 
     instance: PathInstance
@@ -64,18 +69,25 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
     for w, eid in enumerate(units, k):
         out_at[K.edges[eid][0]].append(w)
+    # the windows' widths, 0 (no terminal edge) below k units
+    span_s = max(0, len(out_at[K.source]) - k + 1)
+    span_t = max(0, sum(K.edges[eid][1] == K.sink for eid in units) - k + 1)
     # the memory ceiling, before any edge is built: a vertex is one cell,
     # and an edge (its tuple, cost and out-edge entry, about 150 bytes) two
-    _check_budget(first_y + k + 2 * (k * len(out_at[K.source]) + sum(
-        len(out_at[v]) - (u == v) + k * (v == K.sink)
+    _check_budget(first_y + k + 2 * (k * (span_s + span_t) + sum(
+        len(out_at[v]) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
-    edges = [(x, w) for x in range(k) for w in out_at[K.source]]
+    edges = [(x, w) for x in range(k)
+             for w in out_at[K.source][x:x + span_s]]
+    rank = 0  # of the next sink unit, in id order
     for v, eid in enumerate(units, k):
         head = K.edges[eid][1]
         # a flow self-loop's unit does not enter itself
         edges += [(v, w) for w in out_at[head] if w != v]
-        if head == K.sink:
-            edges += [(v, y) for y in range(first_y, first_y + k)]
+        if head == K.sink:  # into y_j for j <= rank <= |T| - k + j
+            ys = range(max(0, rank - span_t + 1), min(k, rank + 1))
+            edges += [(v, first_y + j) for j in ys]
+            rank += 1
     costs = [1 if w >= first_y else K.edges[units[w - k]][3] * scale + 1
              for _v, w in edges]
     instance = PathInstance(first_y + k, edges, list(range(k)),

@@ -18,10 +18,10 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
 PINNED = {
     "decide": "b25a28daf1abc536",
     "mincost": "aef65ae1bf826d68",
-    "flow": "28935df36624f702",
+    "flow": "260cf0770fe15404",
     "flowcost": "7a62fe35ecb508a0",
-    "isolation": "08a8156bd1dcd143",
-    "support": "c623955425644688",
+    "isolation": "b48fb2fda7791d4f",
+    "support": "2e867299465be35e",
     "table": "a830a810b637427e",
 }
 

@@ -247,7 +247,7 @@ def test_flow_verify(capsys, tmp_path):
     gadget = parse_paths_instance(gout.read_text())
     K = parse_dimacs_flow(TWO_ROUTES)
     assert gadget == build_gadget_network(K).instance
-    assert (gadget.k, gadget.n, gadget.m) == (2, 8, 10)
+    assert (gadget.k, gadget.n, gadget.m) == (2, 8, 6)
 
 
 def test_flow_exact_none(capsys, tmp_path):

@@ -426,9 +426,10 @@ def test_scans_enforce_memory_ceiling():
 
 def test_forced_edges_kept_without_a_scan(monkeypatch):
     # an edge on every walk set of cost d0 would fail its test at every
-    # assignment: a single chain makes no test scan, and the two-route
-    # network's gadget (t = 3, 6 of its 10 edges kept) makes 6, where a
-    # test of every kept edge took 21
+    # assignment: a single chain makes no test scan, nor does the
+    # two-route network's gadget, whose 6 edges are its one path set; the
+    # same network with every terminal joined to every unit (t = 3, 6 of
+    # its 10 edges kept) makes 6, where a test of every kept edge took 21
     scans = []
     real = extraction.scan_min_cost_slice
 
@@ -446,7 +447,14 @@ def test_forced_edges_kept_without_a_scan(monkeypatch):
                                   (2, 3, 1, 1)], 0, 3, 2)
     gadget = build_gadget_network(two_routes).instance
     ps = find_disjoint_paths(gadget, params)
-    assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 6)
+    assert (gadget.m, len(ps.all_edge_ids()), len(scans)) == (6, 6, 0)
+    # X = 0, 1; the units of the four arcs, 2..5; Y = 6, 7; scale 7
+    edges = [(0, 2), (0, 4), (1, 2), (1, 4), (2, 3), (3, 6), (3, 7),
+             (4, 5), (5, 6), (5, 7)]
+    joined = PathInstance(8, edges, [0, 1], [6, 7],
+                          costs=[1 if w >= 6 else 8 for _u, w in edges])
+    ps = find_disjoint_paths(joined, params)
+    assert (joined.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 6)
 
 
 def test_auto_strategy_rejected():

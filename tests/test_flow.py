@@ -19,8 +19,8 @@ from smallflow import evaluator, flow as flow_mod, oracle
 from smallflow.extraction import PathSet, find_disjoint_paths
 from smallflow.network import parse_dimacs_flow, parse_paths_instance
 
-# one arc of capacity 300 carrying a value-300 flow
-BIG_K = "p min 2 1\nn 1 300\nn 2 -300\na 1 2 0 300 1\n"
+# two arcs of capacity 300 in series, carrying a value-300 flow
+BIG_K = "p min 3 2\nn 1 300\nn 3 -300\na 1 2 0 300 1\na 2 3 0 300 1\n"
 
 
 def params64(seed=0, reps=1):
@@ -33,13 +33,14 @@ def two_routes():
 
 
 def test_gadget_caps_capacities_at_k():
-    # a capacity-10^6 edge at k = 2 gets exactly two units; capacities at
-    # or below k keep one unit per capacity
+    # a capacity-10^6 edge at k = 2 gets exactly two units, each with one
+    # terminal edge in and one out; capacities at or below k keep one
+    # unit per capacity
     K = FlowInstance(2, [(0, 1, 10 ** 6, 1)], 0, 1, 2)
     g = build_gadget_network(K)
     assert g.units == [0, 0]
     assert g.flow_instance is K
-    assert (g.instance.n, g.instance.m, g.scale) == (6, 8, 5)
+    assert (g.instance.n, g.instance.m, g.scale) == (6, 4, 5)
     K2 = FlowInstance(3, [(0, 1, 2, 1), (1, 2, 1, 1), (0, 2, 5, 1)], 0, 2, 2)
     assert build_gadget_network(K2).units == [0, 0, 1, 2, 2]
 
@@ -76,6 +77,67 @@ def test_gadget_unit_counts():
                    if v == 1 for _ in range(cap))
     outs_at_1 = sum(cap for (u, v, cap, c) in K.edges if u == 1)
     assert (ins_at_1, outs_at_1) == (3, 1)
+
+
+def test_gadget_terminals_follow_their_rank_windows():
+    # x_i enters the source units of rank i to |S| - k + i, and the sink
+    # unit of rank r enters y_j for j <= r <= |T| - k + j, at cost 1;
+    # below k units on either side no terminal edge is built
+    rng = random.Random(43)
+    networks = [two_routes(),
+                FlowInstance(3, [(0, 1, 3, 1), (0, 0, 2, 1), (1, 2, 1, 2),
+                                 (0, 2, 3, 1), (1, 2, 2, 1)], 0, 2, 3),
+                FlowInstance(3, [(0, 1, 1, 1), (1, 2, 3, 1)], 0, 2, 2)]
+    networks += [random_flow_instance(rng, rng.randint(2, 6),
+                                      rng.randint(1, 9), rng.randint(1, 3),
+                                      cap_max=4, cost_max=3)
+                 for _ in range(30)]
+    for K in networks:
+        g = build_gadget_network(K)
+        inst, k = g.instance, K.target_value
+        first_y = k + len(g.units)
+        S = [k + i for i, e in enumerate(g.units) if K.edges[e][0] == K.source]
+        T = [k + i for i, e in enumerate(g.units) if K.edges[e][1] == K.sink]
+        for x in range(k):
+            assert [w for u, w in inst.edges if u == x] == [
+                w for r, w in enumerate(S) if x <= r <= len(S) - k + x]
+        into_y = {(u, w - first_y): inst.cost(e)
+                  for e, (u, w) in enumerate(inst.edges) if w >= first_y}
+        assert into_y == {(v, j): 1 for r, v in enumerate(T)
+                          for j in range(k) if j <= r <= len(T) - k + j}
+
+
+def test_gadget_keeps_every_flow_decomposable():
+    # random networks with self-loops and parallel arcs: the gadget's
+    # minimum decodes to the classical minimum flow cost, and None comes
+    # exactly when no value-k flow exists
+    rng = random.Random(44)
+    infeasible = looped = brute = 0
+    for _ in range(300):
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        s, t = rng.sample(range(n), 2)
+        arcs = [(s, t, rng.randint(1, 3), rng.randint(1, 4))] * (
+            rng.random() < 0.3)
+        arcs += [(rng.randrange(n), rng.randrange(n), rng.randint(1, 4),
+                  rng.randint(1, 4)) for _ in range(rng.randint(1, 10))]
+        arcs += rng.choices(arcs, k=rng.randint(0, 2))  # parallel copies
+        looped += any(u == v for u, v, _cap, _cost in arcs)
+        K = FlowInstance(n, arcs, s, t, k)
+        want = oracle.classic_min_cost_flow(K)
+        got = min_cost_flow(K, params64(rng.getrandbits(32)))
+        assert (got is None) == (want is None)
+        infeasible += want is None
+        if got is not None:
+            assert got[0] == want[0]
+            assert validate_flow(K, got[1])[0]
+        g = build_gadget_network(K)
+        if g.instance.n <= 12:
+            best = oracle.brute_force_disjoint_paths(g.instance, limit=12)
+            assert (None if best is None
+                    else extract_cost(best[0], g.scale)) == (
+                None if want is None else want[0])
+            brute += 1
+    assert 30 <= infeasible <= 270 and looped >= 30 and brute >= 100
 
 
 def test_gadget_single_edge_costs():
@@ -122,8 +184,9 @@ def test_gadget_charge_counts_its_vertices_and_edges(monkeypatch):
 
 
 def test_gadget_checked_against_the_ceiling_before_it_is_built():
-    # k = 300 units on one arc: 900 vertices and 180,000 edges, about
-    # 28 MiB, refused under a 1 MiB ceiling
+    # k = 300 units on each of two arcs in series: 1,200 vertices and
+    # 90,600 edges (90,000 from unit to unit), a charge of about 17 MiB,
+    # refused under a 1 MiB ceiling
     K = parse_dimacs_flow(BIG_K)
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1 << 20)
@@ -150,11 +213,12 @@ def test_recover_flow_two_routes():
     assert ok, diag
 
 
-@pytest.mark.parametrize("eid", [-1, 10])
+@pytest.mark.parametrize("eid", [-1, 6, 10])
 def test_recover_flow_rejects_foreign_edges(eid):
-    # two_routes' gadget has 10 edges; -1 must not read the last one
+    # two_routes' gadget has 6 edges: -1 must not read the last one, and
+    # ids from 6 on are past the end
     g = build_gadget_network(two_routes())
-    assert g.instance.m == 10
+    assert g.instance.m == 6
     ps = find_disjoint_paths(g.instance, params64(1))
     edge_ids = (ps.edge_ids[0] + (eid,),) + ps.edge_ids[1:]
     foreign = PathSet(paths=ps.paths, edge_ids=edge_ids,
