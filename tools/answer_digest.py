@@ -173,9 +173,9 @@ def flows(seed, seconds):
         costs = [None if p is None else p.total_cost for p in (ps, found[0])]
         differ += costs[0] != costs[1]
         isolated.append(_paths(ps))
-    costs = [None if a is None else a[0] for a in answers]
+    flow_costs = [None if a is None else a[0] for a in answers]
     return (_line("flow", answers, spent, flow_work),
-            _line("flowcost", costs, spent, flow_work),
+            _line("flowcost", flow_costs, spent, flow_work),
             _line("isolation", isolated, isolation_s, isolation_work,
                   f"  {attempts} attempts  {differ} costs differ from "
                   "deletion's"),
