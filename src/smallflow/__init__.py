@@ -39,7 +39,6 @@ from .decision import (
 from .extraction import (
     AssemblyError,
     PathSet,
-    PerturbedCosts,
     assemble_paths,
     classify_edges,
     find_disjoint_paths,

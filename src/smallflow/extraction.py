@@ -50,26 +50,6 @@ class AssemblyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PerturbedCosts:
-    """Isolation-perturbed costs c'(e) = c(e)*scale + w(e), w uniform on
-    [1, r], scale = r*m + 1.
-
-    The scale exceeds any weight sum over distinct edges (at most r*m), so
-    a set's perturbed total decomposes as original_cost * scale +
-    weight_sum.
-    """
-
-    r: int
-    m: int
-    weights: tuple
-    perturbed: tuple
-
-    @property
-    def scale(self) -> int:
-        return self.r * self.m + 1
-
-
-@dataclass(frozen=True)
 class PathSet:
     """k pairwise vertex-disjoint simple paths, one per terminal pair."""
 
@@ -85,14 +65,18 @@ class PathSet:
         return [e for es in self.edge_ids for e in es]
 
 
-def perturb_costs(instance: PathInstance, r: int, rng) -> PerturbedCosts:
+def perturb_costs(instance: PathInstance, r: int, rng) -> tuple:
+    """Isolation-perturbed costs c'(e) = c(e)*scale + w(e), edge by edge,
+    with w(e) = rng.randint(1, r) drawn in id order and scale = r*m + 1.
+
+    The scale exceeds any weight sum over distinct edges (at most r*m), so
+    a set's perturbed total decomposes as original_cost * scale +
+    weight_sum.
+    """
     if r < 1:
         raise ValueError("isolation range must be >= 1")
-    m = instance.m
-    weights = tuple(rng.randint(1, r) for _ in range(m))
-    costs = instance.cost_list()
-    perturbed = tuple(costs[e] * (r * m + 1) + weights[e] for e in range(m))
-    return PerturbedCosts(r=r, m=m, weights=weights, perturbed=perturbed)
+    scale = r * instance.m + 1
+    return tuple(c * scale + rng.randint(1, r) for c in instance.cost_list())
 
 
 def paper_isolation_range(instance: PathInstance) -> int:
@@ -123,8 +107,10 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     of graph (a ScanGraph at any costs) that the caller's search found.
 
     points are the caller's assignments at d's degree, one per repetition,
-    drawn at the first test.  Most edges lie on no walk set of cost d at
-    all (slice_support, a boolean pass over the scan's state graph).
+    each drawn the first time a test reaches it (most deleting tests hit
+    at the first point, so the later ones are often never drawn).  Most
+    edges lie on no walk set of cost d at all (slice_support, a boolean
+    pass over the scan's state graph).
     Their variables do not occur in the d slice, so deleting one leaves
     the slice's values as they were, and the test would pass: such edges
     are deleted without a scan, before the first test and again after
@@ -139,16 +125,22 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)
-    tests = None
+    drawn, undrawn = [], iter(points)
+
+    def tests():
+        yield from drawn
+        for f in undrawn:
+            drawn.append(f)
+            yield f
+
     for eid in range(m):
         if not live[eid] or forced[eid]:
             continue
-        tests = tests or list(points)
         live[eid] = False
         # Subgraphs only ever raise the optimum, so any hit means == d.
         if any(scan_min_cost_slice(
                 graph, [fe if keep else 0 for fe, keep in zip(f, live)],
-                field, cap=d) for f in tests):
+                field, cap=d) for f in tests()):
             live, forced = slice_support(graph, live, d)
         else:
             live[eid] = True
@@ -223,17 +215,17 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
 
 def _isolation_attempt(instance, params, attempt, r):
     rng = derive_rng(params.seed, "perturb", attempt)
-    pc = perturb_costs(instance, r, rng)
+    perturbed = perturb_costs(instance, r, rng)
     sub = replace(params, seed=derive_rng(params.seed, "attempt", attempt)
                   .getrandbits(63))
-    pgraph = ScanGraph(instance, list(pc.perturbed))
+    pgraph = ScanGraph(instance, list(perturbed))
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    points = sub.assignments(instance.m, costed_degree(u_star, pc.perturbed),
+    points = sub.assignments(instance.m, costed_degree(u_star, perturbed),
                              "isolation-tests")
     essential = classify_edges(pgraph, u_star, points, sub.field)
-    return assemble_paths(instance, essential, pc.perturbed, u_star)
+    return assemble_paths(instance, essential, perturbed, u_star)
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):

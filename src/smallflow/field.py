@@ -29,12 +29,26 @@ so any other scalar raises.  GF2Field.reduce and vec_reduce take values
 (per slot) below 2^(2s), which every product of two elements and every
 XOR of such products is.  Every built-in tail x^c + x^b + x^a + 1 has c <= s/2,
 so two folds bring such a value below 2^s.
+
+derive_rng keys every random stream by a SHA-256 of (seed, *path).  The
+hash comes from the interpreter's built-in module (_sha2 on CPython 3.12
+and later, _sha256 on 3.10-3.11), as random.py takes its _sha512, because
+hashlib loads OpenSSL's libcrypto (about 3.6 MiB of resident memory); only
+an interpreter built without that module falls back to hashlib.  SHA-256
+is the same function from either, so every stream is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # Verified irreducible reduction polynomials (low-weight, standard tables).
 # Key: exponent s; value: full polynomial including the x^s bit.
@@ -151,11 +165,14 @@ class GF2Field:
 def derive_rng(seed: int, *path) -> random.Random:
     """Independent child stream keyed by (seed, *path).
 
-    Hash-based so the mapping is stable across runs and platforms; used to
-    hand each repetition / edge test / retry attempt its own stream.
+    Seeded with the first 16 bytes (big-endian) of the SHA-256 of
+    "seed:path0:path1:...", so the mapping is stable across runs,
+    platforms and Python versions, whichever module supplies the hash
+    (see the module docstring); used to hand each repetition / edge test
+    / retry attempt its own stream.
     """
     key = ":".join(str(p) for p in (seed, *path)).encode()
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(key).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 

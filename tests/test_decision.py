@@ -349,7 +349,7 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
     for inst, d0, r in battery:
         for seed in range(50):
             costs = list(extraction.perturb_costs(
-                inst, r, derive_rng(seed, "perturb", 0)).perturbed)
+                inst, r, derive_rng(seed, "perturb", 0)))
             u_star, _ = oracle.brute_force_disjoint_paths(
                 inst, mode="cost", costs=costs)
             tests = unsettled_edges(ScanGraph(inst, costs), u_star)

@@ -69,12 +69,29 @@ def check_path_set(instance, ps):
     assert ps.total_cost == sum(instance.cost(e) for e in ps.all_edge_ids())
 
 
+def replayed_weights(rng, r, m):
+    """The m weights perturb_costs draws from rng's current state, drawn
+    from a copy of that state: randint(1, r) once per edge, in id order."""
+    replay = random.Random()
+    replay.setstate(rng.getstate())
+    return [replay.randint(1, r) for _ in range(m)], replay.getstate()
+
+
 def test_perturb_formula():
+    # every weight 7, scale r*m + 1 = 51: 2 * 51 + 7 per edge
     inst = PathInstance(7, [(0, 2)] * 5, [0], [1], costs=[2] * 5)
-    pc = perturb_costs(inst, 10, FixedRng(7))
-    assert pc.m == 5 and pc.scale == 51
-    assert pc.perturbed == (109,) * 5
-    assert pc.weights == (7,) * 5
+    assert perturb_costs(inst, 10, FixedRng(7)) == (109,) * 5
+    # c(e) * (r*m + 1) + w(e), w(e) the rng's next draw in [1, r], and
+    # exactly m draws taken
+    rng = random.Random(3)
+    for r in (1, 2, 10, 1000):
+        inst = random_paths_instance(rng, 7, 2, extra_edges=6, cost_max=5)
+        weights, after = replayed_weights(rng, r, inst.m)
+        assert all(1 <= w <= r for w in weights)
+        got = perturb_costs(inst, r, rng)
+        assert got == tuple(c * (r * inst.m + 1) + w
+                            for c, w in zip(inst.cost_list(), weights))
+        assert rng.getstate() == after
 
 
 def test_perturbed_ordering_preserved():
@@ -83,23 +100,25 @@ def test_perturbed_ordering_preserved():
     rng = random.Random(1)
     for _ in range(50):
         pc = perturb_costs(inst, 8, rng)
-        cheap = pc.perturbed[0] + pc.perturbed[3]   # original cost 2
-        costly = pc.perturbed[1] + pc.perturbed[2]  # original cost 4
+        cheap = pc[0] + pc[3]   # original cost 2
+        costly = pc[1] + pc[2]  # original cost 4
         assert cheap < costly
 
 
 def test_decoding_identity():
     rng = random.Random(2)
     inst = random_paths_instance(rng, 8, 2, extra_edges=8, cost_max=4)
+    weights, _ = replayed_weights(rng, 16, inst.m)
     pc = perturb_costs(inst, 16, rng)
+    scale = 16 * inst.m + 1
     for _ in range(100):
         subset = [e for e in range(inst.m) if rng.random() < 0.4]
-        w = sum(pc.weights[e] for e in subset)
+        w = sum(weights[e] for e in subset)
         d = sum(inst.costs[e] for e in subset)
-        total = sum(pc.perturbed[e] for e in subset)
-        assert total == d * pc.scale + w
-        if w < pc.scale:
-            assert total // pc.scale == d
+        total = sum(pc[e] for e in subset)
+        assert total == d * scale + w
+        if w < scale:
+            assert total // scale == d
 
 
 def test_isolation_ranges():
@@ -117,8 +136,8 @@ def test_uniqueness_fraction_with_two_optima():
     rng = random.Random(4)
     for _ in range(trials):
         pc = perturb_costs(inst, r, rng)
-        a = pc.perturbed[0] + pc.perturbed[3]
-        b = pc.perturbed[1] + pc.perturbed[2]
+        a = pc[0] + pc[3]
+        b = pc[1] + pc[2]
         unique += a != b
     # spec bound with 3 sigma slack; the true collision rate here is ~1/r
     import math
@@ -136,16 +155,16 @@ def test_find_min_perturbed_cost_matches_oracle():
                                      extra_edges=rng.randint(0, n),
                                      cost_max=3, plant=rng.random() < 0.8)
         pc = perturb_costs(inst, 16, rng)
-        got = find_min_perturbed_cost(ScanGraph(inst, list(pc.perturbed)),
+        got = find_min_perturbed_cost(ScanGraph(inst, list(pc)),
                                       params64(rng.getrandbits(32)))
         bf = oracle.brute_force_disjoint_paths(inst, mode="cost",
-                                               costs=list(pc.perturbed))
+                                               costs=list(pc))
         assert got == (bf[0] if bf else None)
 
 
 def test_find_min_perturbed_absent(bottleneck):
     pc = perturb_costs(bottleneck, 8, random.Random(6))
-    pgraph = ScanGraph(bottleneck, list(pc.perturbed))
+    pgraph = ScanGraph(bottleneck, list(pc))
     assert find_min_perturbed_cost(pgraph, params64()) is None
 
 
@@ -157,9 +176,9 @@ def test_unique_path_instance_pipeline():
     rng = random.Random(8)
     pc = perturb_costs(inst, 32, rng)
     p = params64(77)
-    pgraph = ScanGraph(inst, list(pc.perturbed))
+    pgraph = ScanGraph(inst, list(pc))
     u_star = find_min_perturbed_cost(pgraph, p)
-    assert u_star == pc.perturbed[0] + pc.perturbed[1] + pc.perturbed[2]
+    assert u_star == pc[0] + pc[1] + pc[2]
     points = p.assignments(inst.m, costed_degree(u_star, pgraph.costs),
                            "classify")
     essential = classify_edges(pgraph, u_star, points, p.field)
@@ -170,10 +189,10 @@ def test_classify_unique_optimum():
     inst = costed_bipartite()  # unique optimum {e0, e3}, cost 2
     rng = random.Random(7)
     pc = perturb_costs(inst, 64, rng)
-    u_star = pc.perturbed[0] + pc.perturbed[3]
+    u_star = pc[0] + pc[3]
     p = params64(7)
-    degree = costed_degree(u_star, pc.perturbed)
-    essential = classify_edges(ScanGraph(inst, list(pc.perturbed)), u_star,
+    degree = costed_degree(u_star, pc)
+    essential = classify_edges(ScanGraph(inst, list(pc)), u_star,
                                p.assignments(inst.m, degree, "classify"),
                                p.field)
     assert essential == {0, 3}
@@ -383,8 +402,8 @@ def test_deletion_query_builds_one_scan_graph(monkeypatch):
         assert report["attempts"] == 2, strategy
         if strategy == "isolation":
             want = [list(perturb_costs(inst, report["r"],
-                                       derive_rng(8, "perturb", a))
-                         .perturbed) for a in range(2)]
+                                       derive_rng(8, "perturb", a)))
+                    for a in range(2)]
         else:
             want = [inst.cost_list()]
         assert [list(args[1]) for args in built] == want, strategy
@@ -632,7 +651,7 @@ def test_settled_support_is_the_unique_perturbed_optimum(monkeypatch):
         support, forced = slice_support(pgraph, [True] * inst.m, u_star)
         if support == forced:
             cost, ps = oracle.brute_force_disjoint_paths(
-                inst, mode="cost", costs=list(drawn[-1].perturbed))
+                inst, mode="cost", costs=list(drawn[-1]))
             assert cost == u_star
             assert {e for e in range(inst.m) if forced[e]} == \
                 set(ps.all_edge_ids())

@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import smallflow
 from smallflow import GF2Field, derive_rng
 from smallflow.field import (
     SLOT_BITS,
@@ -181,6 +187,97 @@ def test_derive_rng_stable_and_distinct():
     d = derive_rng(2, "x", 2).getrandbits(64)
     assert a == b
     assert len({a, c, d}) == 3
+
+
+# (seed, *path) keys as the library forms them: repetitions, perturbation
+# and retry streams, seeds of every sign and size, and a few odd parts
+STREAM_KEYS = [
+    (0,), (1,), (-1,), (2 ** 63 - 1,), (2 ** 200 + 3,),
+    (0, "deletion", 0), (1, "deletion", 2, 1), (7, "find-perturbed", 0),
+    (7, "perturb", 0), (7, "perturb", 3), (7, "attempt", 1),
+    (123456789, "isolation-tests", 2), (-42, "mincost", 0),
+    (5, "decide", 1), (5, "decide", 10), (3, "x", 2.5), (3, "", ""),
+    (9, "cost", 4, "rep", 0), (2 ** 63 - 1, "attempt", 99),
+    (11, "caf\u00e9", None),
+]
+
+
+def reference_draws(seed, *path):
+    """The first draws of the stream that derive_rng(seed, *path) stands
+    for, seeded from hashlib's SHA-256 of "seed:path0:...": the first 16
+    bytes of the digest, big-endian."""
+    key = ":".join(str(p) for p in (seed, *path)).encode()
+    rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:16],
+                                       "big"))
+    return [rng.getrandbits(64) for _ in range(3)] + [rng.random()]
+
+
+def stream_draws(rng):
+    return [rng.getrandbits(64) for _ in range(3)] + [rng.random()]
+
+
+def run_fresh(script, *args):
+    """Run script with args in a fresh interpreter on this checkout's
+    smallflow: the JSON it prints last."""
+    src = os.path.dirname(os.path.dirname(smallflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_derive_rng_is_the_sha256_stream():
+    for key in STREAM_KEYS:
+        assert stream_draws(derive_rng(*key)) == reference_draws(*key), key
+
+
+_HASHLIB_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in SHA-256
+from smallflow import field
+streams = [field.derive_rng(*key) for key in json.loads(sys.argv[1])]
+draws = [[rng.getrandbits(64) for _ in range(3)] + [rng.random()]
+         for rng in streams]
+print(json.dumps([field.sha256.__module__, "hashlib" in sys.modules, draws]))
+"""
+
+
+def test_derive_rng_falls_back_to_hashlib():
+    # an interpreter without the built-in hash module hashes with hashlib,
+    # to the same streams
+    module, loaded, draws = run_fresh(_HASHLIB_FALLBACK,
+                                      json.dumps(STREAM_KEYS))
+    assert module == hashlib.sha256.__module__ and loaded
+    assert draws == [reference_draws(*key) for key in STREAM_KEYS]
+
+
+_SERIAL_QUERIES = """
+import json, sys
+from smallflow import (FlowInstance, PathInstance, TestParams,
+                       decide_disjoint_paths, find_disjoint_paths,
+                       min_cost_disjoint_paths, min_cost_flow)
+inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
+                    costs=[1, 2, 2, 1])
+params = TestParams(seed=5)
+assert decide_disjoint_paths(inst, 2, params).nonzero
+assert min_cost_disjoint_paths(inst, params) == 2
+for strategy in ("deletion", "isolation"):
+    assert find_disjoint_paths(inst, params,
+                               strategy=strategy).total_cost == 2
+flow = FlowInstance(4, [(0, 1, 1, 1), (0, 2, 1, 2), (1, 3, 1, 1),
+                        (2, 3, 1, 1)], 0, 3, 2)
+assert min_cost_flow(flow, params)[0] == 5
+print(json.dumps([m for m in ("hashlib", "_hashlib") if m in sys.modules]))
+"""
+
+
+def test_serial_queries_leave_hashlib_unloaded():
+    # every random stream hashes its key with the built-in SHA-256, so a
+    # process that answers one serial query of each kind never loads
+    # hashlib, nor OpenSSL's libcrypto under it (about 3.6 MiB resident)
+    assert run_fresh(_SERIAL_QUERIES) == []
 
 
 @pytest.mark.parametrize("s", [8, 16, 64])
