@@ -102,7 +102,6 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import starmap
 from operator import itemgetter
-from struct import unpack
 
 from .field import (
     GF2Field,
@@ -135,19 +134,8 @@ def set_default_memory_limit(limit_bytes: int):
 
 
 def random_assignment(field: GF2Field, m: int, rng) -> list[int]:
-    """Independent uniform field values, one per edge id.
-
-    In GF(2^64) one rng.getrandbits(64 m), split into little-endian 64-bit
-    values, draws them all: getrandbits fills its 32-bit words lowest
-    first, so the values, and the rng's state after them, are those of m
-    draws of field.random_element (any width that is a multiple of 32
-    would do; 64 is the only built-in one).  Smaller fields draw one
-    element at a time, as a draw of fewer than 32 bits takes a whole word.
-    """
-    if field.exponent != 64:
-        return [field.random_element(rng) for _ in range(m)]
-    return list(unpack("<%dQ" % m, rng.getrandbits(64 * m).to_bytes(
-        8 * m, "little")))
+    """Independent uniform field values, one per edge id."""
+    return [field.random_element(rng) for _ in range(m)]
 
 
 def _check_assignment(instance, assignment):

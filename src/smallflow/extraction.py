@@ -107,10 +107,8 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     of graph (a ScanGraph at any costs) that the caller's search found.
 
     points are the caller's assignments at d's degree, one per repetition,
-    each drawn the first time a test reaches it (most deleting tests hit
-    at the first point, so the later ones are often never drawn).  Most
-    edges lie on no walk set of cost d at all (slice_support, a boolean
-    pass over the scan's state graph).
+    drawn at the first test.  Most edges lie on no walk set of cost d at
+    all (slice_support, a boolean pass over the scan's state graph).
     Their variables do not occur in the d slice, so deleting one leaves
     the slice's values as they were, and the test would pass: such edges
     are deleted without a scan, before the first test and again after
@@ -125,22 +123,16 @@ def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)
-    drawn, undrawn = [], iter(points)
-
-    def tests():
-        yield from drawn
-        for f in undrawn:
-            drawn.append(f)
-            yield f
-
+    tests = None
     for eid in range(m):
         if not live[eid] or forced[eid]:
             continue
+        tests = tests or list(points)
         live[eid] = False
         # Subgraphs only ever raise the optimum, so any hit means == d.
         if any(scan_min_cost_slice(
                 graph, [fe if keep else 0 for fe, keep in zip(f, live)],
-                field, cap=d) for f in tests()):
+                field, cap=d) for f in tests):
             live, forced = slice_support(graph, live, d)
         else:
             live[eid] = True

@@ -58,20 +58,6 @@ def zeroed(f, e):
     return f[:e] + [0] + f[e + 1:]
 
 
-@pytest.mark.parametrize("s", [8, 16, 64])
-@pytest.mark.parametrize("m", [0, 1, 37])
-def test_random_assignment_is_per_element_draws(s, m):
-    # the values, and the draw after them, equal m draws of
-    # random_element from the same state (one wide draw in GF(2^64))
-    field = GF2Field(s)
-    for seed in range(5):
-        got, want = random.Random(seed), random.Random(seed)
-        assert random_assignment(field, m, got) == \
-            [field.random_element(want) for _ in range(m)]
-        assert got.getrandbits(64) == want.getrandbits(64)
-        assert got.getstate() == want.getstate()
-
-
 def test_single_edge(single_edge, field64):
     a = 0xABCDEF
     plan = length_plan(single_edge, 1)
