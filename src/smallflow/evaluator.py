@@ -607,18 +607,19 @@ class ScanGraph(dict):
     scan_slices and slice_support materialize only the states they
     expand, not the whole reachable space of up to 2^k * n states.  Only
     states that can finish are read: the start when the floor is not
-    None, and the targets of moves.  memo holds the togo of every move
-    target met so far, None for one that cannot finish.
+    None, and the targets of moves.  A move target's togo is read from
+    the closed form each time a move reaches it.
 
     The memory ceiling is charged the distance tables before they are
     built, one cell per edge (the predecessor lists) and per two (sink,
-    vertex) pairs or sink masks; then one cell per state built and per
-    memo entry, and _MOVE_CELLS per move.  cells is that running charge,
-    which every reader adds to its own, and it is checked as soon as it
-    passes the ceiling.  Fully materialized graphs took 130-162 bytes per
-    move, distance tables, states and memo included, 0.53-0.63 of that
-    charge (complete bipartite k = 8-12 and dense costed instances,
-    tracemalloc after emptying the free lists, 64-bit CPython 3.11).
+    vertex) pairs or sink masks; then one cell per state built and
+    _MOVE_CELLS per move.  cells is that running charge, which every
+    reader adds to its own, and it is checked as soon as it passes the
+    ceiling.  Fully materialized graphs took 107-149 bytes per move,
+    distance tables and states included, 0.44-0.64 of that charge
+    (complete bipartite k = 8-12 and the dense costed instances of the
+    scan's ceiling tests, tracemalloc after emptying the free lists,
+    64-bit CPython 3.11).
     """
 
     def __init__(self, instance: PathInstance, costs):
@@ -642,7 +643,6 @@ class ScanGraph(dict):
         self.rest = rest
         self.start = instance.sources[0]
         self.floor = rest[0]
-        self.memo = {}  # move target -> its togo, None when it cannot finish
 
     def togo(self, state):
         """The least cost of moves that finishes every remaining walk from
@@ -651,7 +651,7 @@ class ScanGraph(dict):
                             *divmod(state, self.instance.n))
 
     def __missing__(self, state):
-        instance, costs, memo = self.instance, self.costs, self.memo
+        instance, costs = self.instance, self.costs
         n = instance.n
         bmask, z = divmod(state, n)
         after = bin(bmask).count("1") + 1  # the next walk's source index
@@ -669,11 +669,7 @@ class ScanGraph(dict):
                     continue
                 mask, w = bmask | 1 << j, instance.sources[after]
             key = mask * n + w
-            if key in memo:
-                t = memo[key]
-            else:
-                t = memo[key] = _least_to_go(self.dist, self.rest, mask, w)
-                self.cells += 1
+            t = _least_to_go(self.dist, self.rest, mask, w)
             if t is not None:
                 moves.append((eid, c, key, c + t, slot))
         moves.sort(key=_REACH)

@@ -148,6 +148,11 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
     no leftover edges (a leftover cycle or stray edge means the tests did
     not isolate), and the total under cost_map must equal expected_total.
     Raises AssemblyError naming the first violated condition.
+
+    Once the degrees hold, each trace ends at a sink: an edge's head is a
+    sink or a non-terminal with one out-edge, and a trace's first repeated
+    vertex would be the source (which has no in-edge) or would share its
+    one in-edge with an earlier vertex, repeated before it.
     """
     essential = sorted(essential)
     out_by_vertex = {}
@@ -179,18 +184,12 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
         vs = [x]
         es = []
         v = x
-        for _ in range(instance.n):
+        while v not in instance.sink_index:
             eid = out_by_vertex[v][0]
             es.append(eid)
             used.add(eid)
             v = instance.edges[eid][1]
             vs.append(v)
-            if v in instance.sink_index:
-                break
-            if v not in out_by_vertex:
-                raise AssemblyError(f"trace from source {x} dead-ends at {v}")
-        else:
-            raise AssemblyError(f"trace from source {x} does not terminate")
         paths.append(tuple(vs))
         edge_ids.append(tuple(es))
     if len(used) != len(essential):

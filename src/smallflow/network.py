@@ -270,19 +270,14 @@ class ProperWalkSet:
 # Parsing / serialization
 # ---------------------------------------------------------------------------
 
-def _tokens(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        yield lineno, line.split()
-
-
 def parse_paths_instance(text: str) -> PathInstance:
     header = None
     sources, sinks, edges, costs = [], [], [], []
     any_cost = False
-    for lineno, toks in _tokens(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks:
+            continue
         tag = toks[0]
         if tag.startswith("#"):
             continue
@@ -347,7 +342,10 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
     header = None
     supplies = {}
     arcs = []
-    for lineno, toks in _tokens(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks:
+            continue
         tag = toks[0]
         if tag == "c" or tag.startswith("#"):
             continue

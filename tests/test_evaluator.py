@@ -1123,9 +1123,25 @@ def test_scan_graph_keeps_only_states_that_finish(bottleneck, materialize):
                           [(0, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]}
     assert not any(key == 5 for moves in graph.values()
                    for _, _, key, _, _ in moves)
-    assert graph.togo(5) is None and graph.memo[5] is None
+    assert graph.togo(5) is None
     assert ScanGraph(PathInstance(4, [(0, 2)], [0, 1], [2, 3]),
                      [1]).floor is None
+
+
+def test_scan_graph_checks_its_own_charge(bipartite22, monkeypatch):
+    # Under a ceiling of exactly its construction charge the graph is
+    # built, and the first state it materializes passes the ceiling: the
+    # graph raises from its own transition rule, before any reader has
+    # charged a thing.
+    charge = ScanGraph(bipartite22, [1, 1, 1, 1]).cells
+    monkeypatch.setattr(evaluator, "DEFAULT_MEMORY_LIMIT",
+                        charge * evaluator._CELL_BYTES)
+    graph = ScanGraph(bipartite22, [1, 1, 1, 1])
+    assert graph.cells == charge
+    with pytest.raises(BudgetError) as info:
+        graph[graph.start]
+    assert [entry.name for entry in info.traceback[-2:]] == \
+        ["__missing__", "_check_budget"]
 
 
 def d_ordered_scan(graph, assignment, field, cap):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from smallflow import (
+    FlowInstance,
     ParseError,
     PathInstance,
     parse_dimacs_flow,
@@ -137,6 +138,22 @@ def test_instance_invariant_errors():
         PathInstance(2, [(0, 1)], [], [])
     with pytest.raises(ValueError, match="cost list"):
         PathInstance(2, [(0, 1)], [0], [1], costs=[1, 2])
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: PathInstance(1, [], [0], [0]), "at least 2 vertices"),
+    (lambda: PathInstance(3, [], [0], [3]), "terminal vertex 3 out of range"),
+    (lambda: FlowInstance(2, [(0, 1, 1, 1)], 1, 1, 1), "source equals sink"),
+    (lambda: FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 0), "target flow value"),
+    (lambda: FlowInstance(2, [(0, 1, 0, 1)], 0, 1, 1), "capacity below 1"),
+    (lambda: FlowInstance(2, [(0, 1, 1, 0)], 0, 1, 1), "cost below 1"),
+], ids=["one-vertex", "terminal-range", "source-is-sink", "zero-target",
+        "zero-capacity", "zero-cost"])
+def test_constructor_checks(make, fragment):
+    # The DIMACS parser rejects the four flow cases before it builds a
+    # FlowInstance, so only direct construction reaches those checks.
+    with pytest.raises(ValueError, match=fragment):
+        make()
 
 
 def test_generators_deterministic():

@@ -196,3 +196,38 @@ def test_nonzero_polynomial_iff_disjoint_paths():
         poly = symbolic_char2_polynomial(inst, l)
         found = brute_force_disjoint_paths(inst, mode="length", bound=l)
         assert poly.is_zero() == (found is None)
+
+
+
+
+def test_least_slice_monomials_are_disjoint_path_systems():
+    # Monomials that survive cancellation come from pairwise disjoint walk
+    # sets, but a walk may still repeat a vertex: x -> a -> b -> a -> b ->
+    # y has no other ordering, so its five edges survive in slice 5,
+    # above max_path_edges() = 3.  Removing a cycle leaves a cheaper
+    # disjoint set, so at the least nonzero cost slice, the one slice
+    # whose false zero changes an answer, every surviving monomial is k
+    # disjoint simple paths: distinct edges, at most max_path_edges() =
+    # min(m, n - k) of them.
+    loop = PathInstance(4, [(0, 2), (2, 3), (3, 2), (3, 1)], [0], [1])
+    assert symbolic_cost_slices(loop, 5)[5].monomials == {(0, 1, 1, 2, 3)}
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        k = rng.randint(1, min(3, n // 2))
+        inst = random_paths_instance(rng, n, k,
+                                     extra_edges=rng.randint(0, 2 * n),
+                                     cost_max=4, plant=rng.random() < 0.7)
+        found = brute_force_disjoint_paths(inst, mode="cost")
+        if found is None:
+            continue
+        slices = symbolic_cost_slices(inst, found[0])
+        assert min(slices) == found[0]
+        for mono in slices[found[0]].monomials:
+            heads = {inst.edges[e][1] for e in mono}
+            tails = {inst.edges[e][0] for e in mono}
+            assert len(set(mono)) == len(mono) <= inst.max_path_edges()
+            assert len(heads) == len(tails) == len(mono)
+            checked += 1
+    assert checked > 20

@@ -17,9 +17,10 @@ Then one serial TablePlan(...).slices, plan build included, is timed by
 each row route of evaluator._rows, the packed pass over all rows and one
 per-row pass per row, with the route forced through evaluator._packs: on
 criterion 7's instance (random_paths_instance(random.Random(71), 64, 4,
-extra_edges=256) at l = 252) and on one of decide's k = 4 benchmark
-shapes (perfbench's layered_paths, width 6, depth 8, at l one below its
-optimum).  The routes alternate, and each one's median over
+extra_edges=256) at l = 252) and on two of decide's benchmark shapes
+(perfbench's layered_paths, at l one below its optimum): k = 4, width 6,
+depth 8, which evaluator._packs packs, and k = 2, width 4, depth 6,
+which it leaves per row.  The routes alternate, and each one's median over
 ROUTE_REPEATS evaluations is printed in ms beside the plan's mean fan
 width (out-edges per vertex that has any, from TablePlan.tails) and the
 route that evaluator._packs picks, so the crossover can be measured
@@ -56,7 +57,7 @@ from smallflow.field import (  # noqa: E402
 SLOTS = (1, 2, 4, 8)
 INPUTS = 2000
 REPEATS = 31
-ROUTE_REPEATS = {"criterion 7": 5, "decide k=4": 31}
+ROUTE_REPEATS = {"criterion 7": 5, "decide k=4": 31, "decide k=2": 31}
 
 
 def _pass_ns(fn, args):
@@ -103,15 +104,17 @@ def measure() -> dict:
 
 
 def route_cases() -> dict:
-    """name -> (instance, length bound) of the two route timings."""
+    """name -> (instance, length bound) of the route timings."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import layered_paths
     from smallflow.network import parse_paths_instance
-    c7 = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
-    decide = parse_paths_instance(
-        layered_paths(random.Random(1), 4, 6, 8, 2, 8))
-    l = oracle.disjoint_paths_min_cost_via_flow(decide) - 1
-    return {"criterion 7": (c7, 4 * 63), "decide k=4": (decide, l)}
+    cases = {"criterion 7": (random_paths_instance(
+        random.Random(71), 64, 4, extra_edges=256), 4 * 63)}
+    for name, shape in (("decide k=4", (4, 6, 8, 2, 8)),
+                        ("decide k=2", (2, 4, 6, 2, 4))):
+        inst = parse_paths_instance(layered_paths(random.Random(1), *shape))
+        cases[name] = inst, oracle.disjoint_paths_min_cost_via_flow(inst) - 1
+    return cases
 
 
 def measure_routes() -> dict:
@@ -155,8 +158,8 @@ def main():
     print(f"\n{'ms per slices':<18}{'mean fan':>10}{'per-row':>10}"
           f"{'packed':>10}{'rule':>10}")
     for name, row in routes.items():
-        print(f"{name:<18}{row['mean_fan']:>10.2f}{row['per-row']:>10.1f}"
-              f"{row['packed']:>10.1f}{row['rule']:>10}")
+        print(f"{name:<18}{row['mean_fan']:>10.2f}{row['per-row']:>10.2f}"
+              f"{row['packed']:>10.2f}{row['rule']:>10}")
     print(json.dumps({"unit": "ns per call, median", "repeats": REPEATS,
                       "slots": {str(c): table[c] for c in SLOTS},
                       "routes": {"unit": "ms per TablePlan.slices, median",
