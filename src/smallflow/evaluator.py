@@ -607,8 +607,7 @@ class ScanGraph(dict):
     scan_slices and slice_support materialize only the states they
     expand, not the whole reachable space of up to 2^k * n states.  Only
     states that can finish are read: the start when the floor is not
-    None, and the targets of moves.  A move target's togo is read from
-    the closed form each time a move reaches it.
+    None, and the targets of moves.
 
     The memory ceiling is charged the distance tables before they are
     built, one cell per edge (the predecessor lists) and per two (sink,

@@ -198,19 +198,17 @@ def test_nonzero_polynomial_iff_disjoint_paths():
         assert poly.is_zero() == (found is None)
 
 
-
-
 def test_least_slice_monomials_are_disjoint_path_systems():
     # Monomials that survive cancellation come from pairwise disjoint walk
-    # sets, but a walk may still repeat a vertex: x -> a -> b -> a -> b ->
-    # y has no other ordering, so its five edges survive in slice 5,
-    # above max_path_edges() = 3.  Removing a cycle leaves a cheaper
-    # disjoint set, so at the least nonzero cost slice, the one slice
-    # whose false zero changes an answer, every surviving monomial is k
-    # disjoint simple paths: distinct edges, at most max_path_edges() =
-    # min(m, n - k) of them.
-    loop = PathInstance(4, [(0, 2), (2, 3), (3, 2), (3, 1)], [0], [1])
-    assert symbolic_cost_slices(loop, 5)[5].monomials == {(0, 1, 1, 2, 3)}
+    # sets, but a walk may still repeat a vertex.  x -> a -> b -> a -> b ->
+    # y has no other ordering, so at l = k(n - 1) = 5 its five edges
+    # survive, above max_path_edges() = min(m, n - k) = 4.  Removing a
+    # cycle leaves a cheaper disjoint set, so at the least nonzero cost
+    # slice, the one slice whose false zero changes an answer, every
+    # surviving monomial is k disjoint simple paths: distinct edges, at
+    # most max_path_edges() of them.
+    loop = PathInstance(6, [(0, 2), (2, 3), (3, 2), (3, 1)], [0], [1])
+    assert (0, 1, 1, 2, 3) in symbolic_char2_polynomial(loop, 5).monomials
     rng = random.Random(29)
     checked = 0
     for _ in range(40):
