@@ -5,9 +5,9 @@ Two strategies produce the same object:
 * deletion (the default): with the optimum D0 known, classify_edges
   walks the edges in id order and deletes each one whose removal still
   leaves a cost-D0 set among the survivors.  What remains is the support
-  of a single optimal set.  It needs no perturbed costs, and it was the
-  faster strategy on every input measured, gadget networks and small
-  path instances alike.
+  of a single optimal set.  It needs no perturbed costs.  On path
+  instances it is the faster strategy (12x on `mincost`'s batches); on
+  the small gadget networks of `flow` isolation is about 10% faster.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
@@ -22,8 +22,8 @@ Two strategies produce the same object:
   polynomial tests run on exactly those edges.
 
 Either way every test checks its field at its edge-count degree
-(decision.costed_degree), and a failed attempt (a rare false zero) is
-detected structurally and retried with fresh randomness.
+(decision.costed_degree).  An edge test runs at one point: its false
+zero fails assembly, and the attempt is retried with fresh randomness.
 """
 
 from __future__ import annotations
@@ -102,37 +102,36 @@ def find_min_perturbed_cost(pgraph: ScanGraph,
     return least_nonzero_slice(pgraph, points, params.field, cap)
 
 
-def classify_edges(graph: ScanGraph, d: int, points, field) -> set:
+def classify_edges(graph: ScanGraph, d: int, point, field) -> set:
     """The edges of one minimum set of slice d, d the least nonzero slice
     of graph (a ScanGraph at any costs) that the caller's search found.
 
-    points are the caller's assignments at d's degree, one per repetition,
-    drawn at the first test.  Most edges lie on no walk set of cost d at
-    all (slice_support, a boolean pass over the scan's state graph).
-    Their variables do not occur in the d slice, so deleting one leaves
-    the slice's values as they were, and the test would pass: such edges
-    are deleted without a scan, before the first test and again after
-    each deletion, as the support shrinks.  The same pass finds the
-    forced edges, those on every walk set of cost d: deleting one leaves
-    the d slice an empty sum, and the slices below d are zero, so the
-    test would fail, and they are kept without a scan.  Every other edge
-    is tested in id order and deleted for good when some point still
-    finds a nonzero slice at or below d without it.  Colliding walk
-    systems cancel in pairs with the same edges, so what remains is the
-    edge set of one disjoint path set of cost d, unless a test erred.
+    point is the caller's one assignment at d's degree.  Most edges lie
+    on no walk set of cost d at all (slice_support, a boolean pass over
+    the scan's state graph).  Their variables do not occur in the d
+    slice, so deleting one leaves the slice's values as they were, and
+    the test would pass: such edges are deleted without a scan, before
+    the first test and again after each deletion, as the support
+    shrinks.  The same pass finds the forced edges, those on every walk
+    set of cost d: deleting one leaves the d slice an empty sum, and the
+    slices below d are zero, so the test would fail, and they are kept
+    without a scan.  Every other edge is tested in id order, by one scan
+    at point, and deleted for good when that scan finds a nonzero slice
+    at or below d without it.  Colliding walk systems cancel in pairs
+    with the same edges, so what remains is the edge set of one disjoint
+    path set of cost d, unless a false zero kept an edge that could go:
+    assemble_paths then fails, which costs a retry, never a wrong answer.
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)
-    tests = None
     for eid in range(m):
         if not live[eid] or forced[eid]:
             continue
-        tests = tests or list(points)
         live[eid] = False
         # Subgraphs only ever raise the optimum, so any hit means == d.
-        if any(scan_min_cost_slice(
-                graph, [fe if keep else 0 for fe, keep in zip(f, live)],
-                field, cap=d) for f in tests):
+        if scan_min_cost_slice(
+                graph, [fe if keep else 0 for fe, keep in zip(point, live)],
+                field, cap=d):
             live, forced = slice_support(graph, live, d)
         else:
             live[eid] = True
@@ -213,16 +212,16 @@ def _isolation_attempt(instance, params, attempt, r):
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    points = sub.assignments(instance.m, costed_degree(u_star, perturbed),
-                             "isolation-tests")
-    essential = classify_edges(pgraph, u_star, points, sub.field)
+    point = next(sub.assignments(instance.m, costed_degree(u_star, perturbed),
+                                 "isolation-tests"))
+    essential = classify_edges(pgraph, u_star, point, sub.field)
     return assemble_paths(instance, essential, perturbed, u_star)
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    points = params.assignments(instance.m, costed_degree(d0, graph.costs),
-                                "deletion", attempt)
-    kept = classify_edges(graph, d0, points, params.field)
+    point = next(params.assignments(instance.m, costed_degree(d0, graph.costs),
+                                    "deletion", attempt))
+    kept = classify_edges(graph, d0, point, params.field)
     return assemble_paths(instance, kept, instance.cost_list(), d0)
 
 
@@ -231,15 +230,15 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
                         report: dict | None = None) -> PathSet | None:
     """Minimum original-cost PathSet, or None when no k disjoint paths exist.
 
-    strategy is "deletion" (the default) or "isolation", the paper's
-    route, which draws its weights from [1, r] with r =
-    paper_isolation_range(instance) = n^2 m.  A dict passed as `report`
-    receives attempts/strategy for reporting, and r under isolation.
+    strategy is "deletion" (the default) or "isolation", the paper's route,
+    with weights from [1, r], r = paper_isolation_range(instance).  A dict
+    passed as `report` receives attempts/strategy, and r under isolation.
     None is exact, with 0 attempts, before any field check or scan graph:
     has_disjoint_paths() found no k disjoint paths.  Deletion first finds
     the optimum d0 on the ScanGraph that its attempts share; isolation
-    builds one per attempt.  False zeros in the search for d0, or failed
-    attempts, raise RetriesExhaustedError.
+    builds one per attempt.  An answer errs only by a false zero in the
+    search for d0 or U*; an edge test's costs a retry.  A search's false
+    zeros, or failed attempts, raise RetriesExhaustedError.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")

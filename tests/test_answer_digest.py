@@ -4,12 +4,12 @@ scan work that gives them, pinned by count.
 tools/answer_digest.py hashes every answer, witness and path set that
 the library gives on the `decide`, `mincost` and `flow` batches (and
 the `flow` costs alone, isolation, the d0 supports and criterion 7's
-table), and counts the scan states and moves each batch materialized
-and the isolation attempts.  This test runs the tool's own functions on
-the 1-s batches and compares with the values that `python3
-tools/answer_digest.py --seed 1 --seconds 1` printed.  A change that
-means to change an answer, or to materialize other states, edits the
-pinned value here and says why.
+table), and counts the slice scans each batch ran, the scan states and
+moves it materialized, and the isolation attempts.  This test runs the
+tool's own functions on the 1-s batches and compares with the values
+that `python3 tools/answer_digest.py --seed 1 --seconds 1` printed.  A
+change that means to change an answer, or to run other scans or
+materialize other states, edits the pinned value here and says why.
 """
 
 import importlib.util
@@ -38,6 +38,14 @@ WORK = {
     "isolation": (199, 397),
     "support": (313, 608),
 }
+# name -> slice scans run, on the lines whose queries scan; `flow` ran
+# 123 while each edge test scanned at all t points
+SCANS = {
+    "mincost": 30,
+    "flow": 97,
+    "flowcost": 97,
+    "isolation": 39,
+}
 ISOLATION_ATTEMPTS = 31
 
 
@@ -46,16 +54,20 @@ def test_answers_match_the_pinned_digests(monkeypatch):
     spec = importlib.util.spec_from_file_location("answer_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    got, work = {}, {}
+    got, work, scans = {}, {}, {}
     for line in tool.lines(seed=1, seconds=1):
         name, digest = line.split()[:2]
         got[name] = digest
         counts = re.search(r"  (\d+) states  (\d+) moves$", line)
         if counts:
             work[name] = tuple(map(int, counts.groups()))
+        ran = re.search(r"  (\d+) scans  ", line)
+        if ran:
+            scans[name] = int(ran.group(1))
         if name == "isolation":
             # both strategies give minimum costs, so they agree on each
             assert "  0 costs differ from deletion's" in line, line
             assert f"  {ISOLATION_ATTEMPTS} attempts  " in line, line
     assert got == PINNED
     assert work == WORK
+    assert scans == SCANS

@@ -179,9 +179,9 @@ def test_unique_path_instance_pipeline():
     pgraph = ScanGraph(inst, list(pc))
     u_star = find_min_perturbed_cost(pgraph, p)
     assert u_star == pc[0] + pc[1] + pc[2]
-    points = p.assignments(inst.m, costed_degree(u_star, pgraph.costs),
-                           "classify")
-    essential = classify_edges(pgraph, u_star, points, p.field)
+    point = next(p.assignments(inst.m, costed_degree(u_star, pgraph.costs),
+                               "classify"))
+    essential = classify_edges(pgraph, u_star, point, p.field)
     assert essential == {0, 1, 2}
 
 
@@ -193,7 +193,8 @@ def test_classify_unique_optimum():
     p = params64(7)
     degree = costed_degree(u_star, pc)
     essential = classify_edges(ScanGraph(inst, list(pc)), u_star,
-                               p.assignments(inst.m, degree, "classify"),
+                               next(p.assignments(inst.m, degree,
+                                                  "classify")),
                                p.field)
     assert essential == {0, 3}
 
@@ -289,6 +290,77 @@ def test_tied_isolation_tests_the_unsettled_edges(monkeypatch):
     check_path_set(inst, ps)
     assert ps.total_cost == 2
     assert report == {"strategy": "isolation", "attempts": 1, "r": 1}
+
+
+def test_assembly_catches_an_edge_tests_false_zero(monkeypatch):
+    # every edge test of attempt 0 answers a false zero, which keeps its
+    # edge: attempt 0 keeps all four tied edges of the all-ones bipartite
+    # instance (its d0 support, none forced), assembly rejects them, and
+    # attempt 1 answers the optimum.  The searches for d0 and U* call
+    # decision's scan, which stays real; r = 1 keeps isolation's optima
+    # tied, as in the test above
+    real = extraction.scan_min_cost_slice
+    report = {}
+    scans = []
+
+    def false_zero_in_attempt_0(*args, **kwargs):
+        scans.append(report["attempts"] - 1)
+        return None if report["attempts"] == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "scan_min_cost_slice",
+                        false_zero_in_attempt_0)
+    monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
+    inst = costed_bipartite((1, 1, 1, 1))
+    for strategy in ("deletion", "isolation"):
+        with pytest.raises(RetriesExhaustedError,
+                           match=r"attempt 0: degree violation at source 0: "
+                                 r"out=2 in=0$"):
+            find_disjoint_paths(inst, params64(11), max_retries=0,
+                                strategy=strategy, report=report)
+        scans.clear()
+        ps = find_disjoint_paths(inst, params64(11), max_retries=1,
+                                 strategy=strategy, report=report)
+        check_path_set(inst, ps)
+        assert ps.total_cost == 2
+        assert report["attempts"] == 2
+        assert scans == [0, 0, 0, 0, 1], strategy
+
+
+def test_edge_tests_read_repetition_0s_point(monkeypatch):
+    # at t = 3, every edge test scans its attempt's repetition-0 point,
+    # with the deleted edges (the tested one among them) zeroed: under
+    # deletion the ("deletion", attempt, 0) stream, under isolation the
+    # ("isolation-tests", 0) stream of the attempt's sub-seed.  r = 1
+    # leaves isolation's ties for the tests to settle
+    real = extraction.scan_min_cost_slice
+    report = {}
+    scanned = []
+
+    def recording(graph, f, *args, **kwargs):
+        scanned.append((report["attempts"] - 1, f))
+        return real(graph, f, *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "scan_min_cost_slice", recording)
+    monkeypatch.setattr(extraction, "paper_isolation_range", lambda inst: 1)
+    field = GF2Field(64)
+    checked = {"deletion": 0, "isolation": 0}
+    for inst, seed in list(criterion_6_gadgets())[:40]:
+        params = TestParams(field=field, repetitions=3, seed=seed)
+        for strategy in checked:
+            scanned.clear()
+            find_disjoint_paths(inst, params, strategy=strategy,
+                                report=report)
+            for attempt, f in scanned:
+                if strategy == "deletion":
+                    rng = derive_rng(seed, "deletion", attempt, 0)
+                else:
+                    sub = derive_rng(seed, "attempt", attempt).getrandbits(63)
+                    rng = derive_rng(sub, "isolation-tests", 0)
+                point = random_assignment(field, inst.m, rng)
+                assert all(fe in (0, pe) for fe, pe in zip(f, point))
+                assert 0 < f.count(0) < inst.m
+                checked[strategy] += 1
+    assert min(checked.values()) > 10, checked
 
 
 def test_none_only_without_disjoint_paths():
@@ -447,8 +519,9 @@ def test_forced_edges_kept_without_a_scan(monkeypatch):
     # an edge on every walk set of cost d0 would fail its test at every
     # assignment: a single chain makes no test scan, nor does the
     # two-route network's gadget, whose 6 edges are its one path set; the
-    # same network with every terminal joined to every unit (t = 3, 6 of
-    # its 10 edges kept) makes 6, where a test of every kept edge took 21
+    # same network with every terminal joined to every unit (6 of its 10
+    # edges kept) makes 4, one per tested edge, where tests at all t = 3
+    # points made 6 and a test of every kept edge took 21
     scans = []
     real = extraction.scan_min_cost_slice
 
@@ -473,7 +546,7 @@ def test_forced_edges_kept_without_a_scan(monkeypatch):
     joined = PathInstance(8, edges, [0, 1], [6, 7],
                           costs=[1 if w >= 6 else 8 for _u, w in edges])
     ps = find_disjoint_paths(joined, params)
-    assert (joined.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 6)
+    assert (joined.m, len(ps.all_edge_ids()), len(scans)) == (10, 6, 4)
 
 
 def test_auto_strategy_rejected():

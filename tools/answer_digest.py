@@ -32,11 +32,13 @@ One line is printed per digest:
   depends on no seed.
 
 Each batch line also gives the query count, the seconds spent in the
-queries (wall time on this host, not scaled like perfbench's), and the
-scan states and moves that the queries' ScanGraphs materialized (the
-states whose moves a scan or support pass read, and those moves).  The
-counts are deterministic for a seed, so they measure the scans' work
-without timing it.
+queries (wall time on the machine that runs it, not scaled like
+perfbench's), the slice scans they ran (calls of scan_min_cost_slice
+through decision and extraction, on the lines whose queries scan), and
+the scan states and moves that the queries' ScanGraphs materialized
+(the states whose moves a scan or support pass read, and those moves).
+The counts are deterministic for a seed, so they measure the scans'
+work without timing it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from workloads import make_batch  # noqa: E402
 
 
 _GRAPHS = []  # the ScanGraphs built since the last _tally()
+_SCANS = [0]  # scan_min_cost_slice calls since the last _tally()
 
 
 class _RecordedGraph(evaluator.ScanGraph):
@@ -73,13 +76,23 @@ class _RecordedGraph(evaluator.ScanGraph):
         _GRAPHS.append(self)
 
 
+def _counted_scan(*args, **kwargs):
+    """scan_min_cost_slice, counted in _SCANS, swapped in for it in the
+    modules that call it (main)."""
+    _SCANS[0] += 1
+    return evaluator.scan_min_cost_slice(*args, **kwargs)
+
+
 def _tally(work):
-    """Add to work, [states, moves], what the ScanGraphs built since the
-    last call materialized, and drop those graphs."""
+    """Add to work, [states, moves, scans], what the ScanGraphs built
+    since the last call materialized and the scans run since then, and
+    drop those graphs."""
     for g in _GRAPHS:
         work[0] += len(g)
         work[1] += sum(map(len, g.values()))
     _GRAPHS.clear()
+    work[2] += _SCANS[0]
+    _SCANS[0] = 0
 
 
 def _params(query, instance):
@@ -94,15 +107,16 @@ def _paths(ps):
                                     ps.total_cost]
 
 
-def _line(name, answers, seconds, materialized, extra=""):
+def _line(name, answers, seconds, work, extra=""):
     blob = json.dumps(answers, separators=(",", ":")).encode()
+    scans = f"  {work[2]} scans" if work[2] else ""
     return (f"{name:<9} {hashlib.sha256(blob).hexdigest()[:16]}  "
-            f"{len(answers)} queries  {seconds:.2f} s{extra}  "
-            f"{materialized[0]} states  {materialized[1]} moves")
+            f"{len(answers)} queries  {seconds:.2f} s{extra}{scans}  "
+            f"{work[0]} states  {work[1]} moves")
 
 
 def decide(seed, seconds):
-    answers, spent, work = [], 0.0, [0, 0]
+    answers, spent, work = [], 0.0, [0, 0, 0]
     for q in make_batch("decide", seed, seconds):
         inst = parse_paths_instance(q.text)
         start = time.perf_counter()
@@ -114,7 +128,7 @@ def decide(seed, seconds):
 
 
 def mincost(seed, seconds):
-    answers, spent, work = [], 0.0, [0, 0]
+    answers, spent, work = [], 0.0, [0, 0, 0]
     for q in make_batch("mincost", seed, seconds):
         inst = parse_paths_instance(q.text)
         start = time.perf_counter()
@@ -135,7 +149,7 @@ def flows(seed, seconds):
     answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
     differ = 0
     supports, support_s = [], 0.0
-    flow_work, isolation_work, support_work = [0, 0], [0, 0], [0, 0]
+    flow_work, isolation_work, support_work = [0, 0, 0], [0, 0, 0], [0, 0, 0]
     for q in make_batch("flow", seed, seconds):
         inst = parse_dimacs_flow(q.text)
         params = _params(q, inst)
@@ -195,9 +209,12 @@ def table():
 
 def lines(seed, seconds):
     """The seven digest lines, in order, each as it is computed.  While it
-    runs, the modules that build a ScanGraph build a _RecordedGraph."""
+    runs, the modules that build a ScanGraph build a _RecordedGraph, and
+    those that scan call _counted_scan."""
     built = decision.ScanGraph, extraction.ScanGraph
     decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
+    decision.scan_min_cost_slice = extraction.scan_min_cost_slice = \
+        _counted_scan
     try:
         yield decide(seed, seconds)
         yield mincost(seed, seconds)
@@ -205,6 +222,8 @@ def lines(seed, seconds):
         yield table()
     finally:
         decision.ScanGraph, extraction.ScanGraph = built
+        decision.scan_min_cost_slice = extraction.scan_min_cost_slice = \
+            evaluator.scan_min_cost_slice
 
 
 def main(argv=None):
