@@ -6,7 +6,7 @@ Two strategies produce the same object:
   walks the edges in id order and deletes each one whose removal still
   leaves a cost-D0 set among the survivors.  What remains is the support
   of a single optimal set.  It needs no perturbed costs.  On path
-  instances it is the faster strategy (12x on `mincost`'s batches); on
+  instances it is the faster strategy (12x on a `mincost` batch); on
   the small gadget networks of `flow` isolation is about 10% faster.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):

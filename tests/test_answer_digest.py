@@ -38,8 +38,7 @@ WORK = {
     "isolation": (199, 397),
     "support": (313, 608),
 }
-# name -> slice scans run, on the lines whose queries scan; `flow` ran
-# 123 while each edge test scanned at all t points
+# name -> slice scans run, on the lines whose queries scan
 SCANS = {
     "mincost": 30,
     "flow": 97,

@@ -212,6 +212,7 @@ def lines(seed, seconds):
     runs, the modules that build a ScanGraph build a _RecordedGraph, and
     those that scan call _counted_scan."""
     built = decision.ScanGraph, extraction.ScanGraph
+    scans = decision.scan_min_cost_slice, extraction.scan_min_cost_slice
     decision.ScanGraph = extraction.ScanGraph = _RecordedGraph
     decision.scan_min_cost_slice = extraction.scan_min_cost_slice = \
         _counted_scan
@@ -222,8 +223,7 @@ def lines(seed, seconds):
         yield table()
     finally:
         decision.ScanGraph, extraction.ScanGraph = built
-        decision.scan_min_cost_slice = extraction.scan_min_cost_slice = \
-            evaluator.scan_min_cost_slice
+        decision.scan_min_cost_slice, extraction.scan_min_cost_slice = scans
 
 
 def main(argv=None):
