@@ -21,7 +21,7 @@ that finds no nonzero slice raises RetriesExhaustedError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 
 from .evaluator import (
     ScanGraph,
@@ -53,21 +53,18 @@ def costed_degree(cap: int, costs) -> int:
     return cap // min(costs)
 
 
-@dataclass(frozen=True)
-class TestParams:
+class TestParams(namedtuple("TestParams", "field repetitions seed")):
     """Field, repetition count, and root seed for one randomized query;
     assignments() checks the field against the query's degree and draws
     the query's random points from them."""
 
+    __slots__ = ()
     __test__ = False  # not a pytest class, despite the name
 
-    field: GF2Field = dataclass_field(default_factory=lambda: GF2Field(64))
-    repetitions: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.repetitions < 1:
+    def __new__(cls, field=GF2Field(64), repetitions=3, seed=0):
+        if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        return super().__new__(cls, field, repetitions, seed)
 
     def assignments(self, m: int, degree: int, *stream):
         """One random point per repetition of a test at `degree`: the
@@ -85,14 +82,14 @@ class TestParams:
                 for rep in range(self.repetitions))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    answer: str  # NONZERO (certain) or ZERO
-    witness_assignment: tuple | None = None
-    # edge-count degree of the evaluated polynomial; its ZERO errs with
-    # probability at most (degree / 2^s)^t.  None for an exact ZERO answered
-    # without an evaluation (below a floor, or no k disjoint paths at all)
-    degree: int | None = None
+class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
+                         defaults=(None, None))):
+    """answer: NONZERO (certain) or ZERO.  degree: the edge-count degree of
+    the evaluated polynomial; its ZERO errs with probability at most
+    (degree / 2^s)^t.  None for an exact ZERO answered without an
+    evaluation (below a floor, or no k disjoint paths at all)."""
+
+    __slots__ = ()
 
     @property
     def nonzero(self) -> bool:
@@ -218,8 +215,10 @@ def least_nonzero_slice(graph: ScanGraph, points, field: GF2Field,
     it no repetition is left that could hit, and none is run.
     """
     best = None
-    for f in points:
-        if graph.floor is None or cap < graph.floor:
+    points = iter(points)
+    while graph.floor is not None and cap >= graph.floor:
+        f = next(points, None)
+        if f is None:
             break
         hit = scan_min_cost_slice(graph, f, field, cap=cap)
         if hit:

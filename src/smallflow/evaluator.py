@@ -96,7 +96,6 @@ loop per cell.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import partial
 from heapq import heappop, heappush
@@ -279,7 +278,9 @@ class TablePlan:
         and the subset phase is one code, so the result is bit-identical
         for every parallelism degree.  A plan whose floor is None or
         above its bound answers all zeros after the budget check, before
-        any row runs or any pool starts.
+        any row runs or any pool starts.  multiprocessing is imported
+        here, at the first evaluation that can start a pool, so a process
+        that only evaluates serially never loads it.
         """
         if parallelism < 1:
             raise ValueError(f"parallelism {parallelism} below 1")
@@ -290,6 +291,8 @@ class TablePlan:
             return [0] * (bound + 1)  # no walk set within the bound
         cores = _usable_cores() if min(parallelism, k) > 1 else []
         procs = min(parallelism, k, len(cores))
+        if procs > 1:
+            import multiprocessing
         forks = procs > 1 and "fork" in multiprocessing.get_all_start_methods()
         if self.packs and not forks:
             rows = _rows(self, assignment, field, None, range(k))

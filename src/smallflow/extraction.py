@@ -28,7 +28,7 @@ zero fails assembly, and the attempt is retried with fresh randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .decision import (
     RetriesExhaustedError,
@@ -49,13 +49,13 @@ class AssemblyError(RuntimeError):
     """Essential edges do not form k disjoint paths of the expected cost."""
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """k pairwise vertex-disjoint simple paths, one per terminal pair."""
+class PathSet(namedtuple("PathSet", "paths edge_ids total_cost")):
+    """k pairwise vertex-disjoint simple paths, one per terminal pair:
+    paths holds vertex tuples, in source order, edge_ids the matching
+    edge-id tuples, and total_cost is under the instance's original
+    costs."""
 
-    paths: tuple      # tuple of vertex tuples, in source order
-    edge_ids: tuple   # matching tuple of edge-id tuples
-    total_cost: int   # under the instance's original costs
+    __slots__ = ()
 
     @property
     def k(self):
@@ -206,8 +206,9 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
 def _isolation_attempt(instance, params, attempt, r):
     rng = derive_rng(params.seed, "perturb", attempt)
     perturbed = perturb_costs(instance, r, rng)
-    sub = replace(params, seed=derive_rng(params.seed, "attempt", attempt)
-                  .getrandbits(63))
+    sub = TestParams(params.field, params.repetitions,
+                     derive_rng(params.seed, "attempt", attempt)
+                     .getrandbits(63))
     pgraph = ScanGraph(instance, list(perturbed))
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:

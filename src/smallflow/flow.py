@@ -26,7 +26,7 @@ minimum gadget cost decodes to a minimum flow cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decision import TestParams
 from .evaluator import _check_budget
@@ -34,17 +34,14 @@ from .extraction import PathSet, find_disjoint_paths
 from .network import FlowInstance, PathInstance
 
 
-@dataclass
-class Flow:
+class Flow(namedtuple("Flow", "amounts value cost")):
     """Integral flow described by per-edge amounts."""
 
-    amounts: list
-    value: int
-    cost: int
+    __slots__ = ()
 
 
-@dataclass
-class GadgetNetwork:
+class GadgetNetwork(namedtuple(
+        "GadgetNetwork", "instance flow_instance units scale")):
     """Disjoint-paths encoding of a flow instance.
 
     Vertex ids run X first, then the units, min(capacity, k) per edge in
@@ -54,10 +51,7 @@ class GadgetNetwork:
     scale = (unit count) + k + 1.
     """
 
-    instance: PathInstance
-    flow_instance: FlowInstance
-    units: list
-    scale: int
+    __slots__ = ()
 
 
 def build_gadget_network(K: FlowInstance) -> GadgetNetwork:

@@ -31,7 +31,7 @@ Vertices are 1-indexed in files and 0-indexed in memory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ParseError(ValueError):
@@ -65,18 +65,21 @@ class PathInstance:
             if not 0 <= v < n:
                 raise ValueError(f"terminal vertex {v} out of range")
         edges = [tuple(e) for e in edges]
-        for u, v in edges:
+        # adjacency: edge ids grouped by tail
+        out_edges = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+            out_edges[u].append(eid)
         if costs is not None:
             costs = list(costs)
             if len(costs) != len(edges):
                 raise ValueError("cost list length != edge count")
-            for c in costs:
-                if c < 1:
-                    raise ValueError(f"cost below 1: {c}")
+            if min(costs, default=1) < 1:
+                raise ValueError(
+                    f"cost below 1: {next(c for c in costs if c < 1)}")
         self.n = n
         self.m = len(edges)
         self.k = k
@@ -87,10 +90,7 @@ class PathInstance:
         self.source_index = {v: i for i, v in enumerate(sources)}
         self.sink_index = {v: i for i, v in enumerate(sinks)}
         self._terminal = set(terminals)
-        # adjacency: edge ids grouped by tail
-        self.out_edges = [[] for _ in range(n)]
-        for eid, (u, _v) in enumerate(edges):
-            self.out_edges[u].append(eid)
+        self.out_edges = out_edges
 
     def is_terminal(self, v) -> bool:
         return v in self._terminal
@@ -194,32 +194,31 @@ class PathInstance:
                 f"costed={self.costs is not None})")
 
 
-@dataclass
-class FlowInstance:
-    """Directed network for min-cost flow of a small target value."""
+class FlowInstance(namedtuple(
+        "FlowInstance", "vertex_count edges source sink target_value")):
+    """Directed network for min-cost flow of a small target value; edges
+    is a list of (u, v, capacity, cost) tuples."""
 
-    vertex_count: int
-    edges: list  # (u, v, capacity, cost)
-    source: int
-    sink: int
-    target_value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.vertex_count
-        if not (0 <= self.source < n and 0 <= self.sink < n):
+    def __new__(cls, vertex_count, edges, source, sink, target_value):
+        n = vertex_count
+        if not (0 <= source < n and 0 <= sink < n):
             raise ValueError("source/sink out of range")
-        if self.source == self.sink:
+        if source == sink:
             raise ValueError("source equals sink")
-        if self.target_value < 1:
+        if target_value < 1:
             raise ValueError("target flow value must be >= 1")
-        self.edges = [tuple(e) for e in self.edges]
-        for u, v, cap, cost in self.edges:
+        edges = [tuple(e) for e in edges]
+        for u, v, cap, cost in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range")
             if cap < 1:
                 raise ValueError(f"capacity below 1 on arc ({u}, {v})")
             if cost < 1:
                 raise ValueError(f"cost below 1 on arc ({u}, {v})")
+        return super().__new__(cls, vertex_count, edges, source, sink,
+                               target_value)
 
     @property
     def n(self):
@@ -230,8 +229,7 @@ class FlowInstance:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("Walk", "vertices edge_ids")):
     """A not-necessarily-simple source-to-sink walk.
 
     vertices[0] is a source terminal, vertices[-1] a sink terminal, and
@@ -240,19 +238,17 @@ class Walk:
     distinguishes otherwise identical vertex sequences.
     """
 
-    vertices: tuple
-    edge_ids: tuple
+    __slots__ = ()
 
     @property
     def length(self):
         return len(self.edge_ids)
 
 
-@dataclass(frozen=True)
-class ProperWalkSet:
+class ProperWalkSet(namedtuple("ProperWalkSet", "walks")):
     """k walks with distinct starts in X and distinct ends in Y."""
 
-    walks: tuple
+    __slots__ = ()
 
     @property
     def total_length(self):
@@ -279,10 +275,20 @@ def parse_paths_instance(text: str) -> PathInstance:
         if not toks:
             continue
         tag = toks[0]
-        if tag.startswith("#"):
-            continue
         try:
-            if tag == "q":
+            if tag == "e":
+                if len(toks) not in (3, 4):
+                    raise ParseError(
+                        f"line {lineno}: expected 'e <u> <v> [cost]'")
+                edges.append((int(toks[1]) - 1, int(toks[2]) - 1))
+                if len(toks) == 4:
+                    costs.append(int(toks[3]))
+                    any_cost = True
+                else:
+                    costs.append(1)
+            elif tag.startswith("#"):
+                continue
+            elif tag == "q":
                 if header is not None:
                     raise ParseError(f"line {lineno}: duplicate header")
                 if len(toks) != 5 or toks[1] != "paths":
@@ -293,16 +299,6 @@ def parse_paths_instance(text: str) -> PathInstance:
                 if len(toks) != 2:
                     raise ParseError(f"line {lineno}: expected '{tag} <v>'")
                 (sources if tag == "x" else sinks).append(int(toks[1]) - 1)
-            elif tag == "e":
-                if len(toks) not in (3, 4):
-                    raise ParseError(
-                        f"line {lineno}: expected 'e <u> <v> [cost]'")
-                edges.append((int(toks[1]) - 1, int(toks[2]) - 1))
-                if len(toks) == 4:
-                    costs.append(int(toks[3]))
-                    any_cost = True
-                else:
-                    costs.append(1)
             else:
                 raise ParseError(f"line {lineno}: unknown record '{tag}'")
         except (ValueError, IndexError) as exc:
@@ -347,10 +343,25 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
         if not toks:
             continue
         tag = toks[0]
-        if tag == "c" or tag.startswith("#"):
-            continue
         try:
-            if tag == "p":
+            if tag == "a":
+                if len(toks) != 6:
+                    raise ParseError(
+                        f"line {lineno}: expected 'a <u> <v> <low> <cap> <cost>'")
+                _, u, v, low, cap, cost = toks
+                u, v, low = int(u) - 1, int(v) - 1, int(low)
+                cap, cost = int(cap), int(cost)
+                if low != 0:
+                    raise ParseError(
+                        f"line {lineno}: nonzero lower bound unsupported")
+                if cap < 1:
+                    raise ParseError(f"line {lineno}: capacity below 1")
+                if cost < 1:
+                    raise ParseError(f"line {lineno}: cost below 1")
+                arcs.append((u, v, cap, cost))
+            elif tag == "c" or tag.startswith("#"):
+                continue
+            elif tag == "p":
                 if header is not None:
                     raise ParseError(f"line {lineno}: duplicate problem line")
                 if len(toks) != 4 or toks[1] != "min":
@@ -366,19 +377,6 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
                     raise ParseError(
                         f"line {lineno}: duplicate node descriptor")
                 supplies[v] = supply
-            elif tag == "a":
-                if len(toks) != 6:
-                    raise ParseError(
-                        f"line {lineno}: expected 'a <u> <v> <low> <cap> <cost>'")
-                u, v, low, cap, cost = (int(t) for t in toks[1:])
-                if low != 0:
-                    raise ParseError(
-                        f"line {lineno}: nonzero lower bound unsupported")
-                if cap < 1:
-                    raise ParseError(f"line {lineno}: capacity below 1")
-                if cost < 1:
-                    raise ParseError(f"line {lineno}: cost below 1")
-                arcs.append((u - 1, v - 1, cap, cost))
             else:
                 raise ParseError(f"line {lineno}: unknown record '{tag}'")
         except (ValueError, IndexError) as exc:

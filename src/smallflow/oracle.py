@@ -19,7 +19,7 @@ randomized components on desk-scale instances:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .network import FlowInstance, PathInstance, ProperWalkSet, Walk
 from .extraction import PathSet
@@ -128,13 +128,12 @@ def enumerate_proper_walk_sets(instance: PathInstance, bound: int,
 # Symbolic characteristic-two polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicPolynomial:
-    """XOR-set of monomials; a monomial is a sorted tuple of edge ids
-    (with repetition for multiplicity).  Present an even number of times
-    means absent: arithmetic is over characteristic two."""
+class SymbolicPolynomial(namedtuple("SymbolicPolynomial", "monomials")):
+    """XOR-set of monomials, a frozenset; a monomial is a sorted tuple of
+    edge ids (with repetition for multiplicity).  Present an even number of
+    times means absent: arithmetic is over characteristic two."""
 
-    monomials: frozenset
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.monomials

@@ -506,7 +506,8 @@ def test_agreement_battery():
 
 def test_min_cost_at_floor_scans_once(monkeypatch):
     # the optimum equals the scan graph's floor: after the first hit the
-    # cap drops below the floor, so no other repetition makes a product
+    # cap drops below the floor, so no other repetition draws a point or
+    # makes a product
     inst = random_paths_instance(random.Random(3), 12, 2, extra_edges=16,
                                  cost_max=4)
     assert evaluator.ScanGraph(inst, inst.cost_list()).floor == 9
@@ -527,7 +528,16 @@ def test_min_cost_at_floor_scans_once(monkeypatch):
         per_scan.append(products - before)
         return hit
 
+    drawn = []
+    real_draw = decision.random_assignment
+
+    def draw(*args):
+        drawn.append(args)
+        return real_draw(*args)
+
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w", counted)
     monkeypatch.setattr(decision, "scan_min_cost_slice", scan)
+    monkeypatch.setattr(decision, "random_assignment", draw)
     assert min_cost_disjoint_paths(inst, params64(8, reps=5)) == 9
     assert sum(1 for n in per_scan if n) == 1
+    assert len(drawn) == 1

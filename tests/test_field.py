@@ -284,6 +284,27 @@ def test_serial_queries_leave_hashlib_unloaded():
     assert run_fresh(_SERIAL_QUERIES) == []
 
 
+_POOL_AFTER_SERIAL = _SERIAL_QUERIES + """
+from random import Random
+from smallflow import random_assignment
+from smallflow.evaluator import TablePlan, _usable_cores
+loaded = [m for m in ("dataclasses", "multiprocessing") if m in sys.modules]
+f = random_assignment(params.field, inst.m, Random(1))
+serial = TablePlan(inst, 3).slices(f, params.field)
+pooled = TablePlan(inst, 3).slices(f, params.field, parallelism=2)
+print(json.dumps([loaded, "multiprocessing" in sys.modules,
+                  len(_usable_cores()) > 1, pooled == serial]))
+"""
+
+
+def test_serial_queries_leave_the_pool_module_unloaded():
+    # the records are plain classes, and multiprocessing loads only where
+    # an evaluation can start a pool: on two or more usable cores
+    loaded, pool_loaded, pool_can_start, same = run_fresh(_POOL_AFTER_SERIAL)
+    assert loaded == [] and same
+    assert pool_loaded == pool_can_start
+
+
 @pytest.mark.parametrize("s", [8, 16, 64])
 def test_packed_vectors_match_elementwise(s):
     f = GF2Field(s)

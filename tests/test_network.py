@@ -40,6 +40,14 @@ def test_parse_paths_costs():
     assert inst.costs == [5]
 
 
+def test_parse_paths_mixed_costs_and_comments():
+    # once any edge has a cost, an uncosted one costs 1; '#' lines between
+    # records, '#e 1 2' too, are comments
+    text = "q paths 3 2 1\n# s\nx 1\n#e 1 2\ny 3\ne 1 2\n  # e\ne 2 3 4\n"
+    inst = parse_paths_instance(text)
+    assert (inst.edges, inst.costs) == ([(0, 1), (1, 2)], [1, 4])
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("q paths 2 1 1\nx 1\ny 1\ne 1 2\n", "not disjoint"),
     ("q paths 2 1 1\nx 1\ny 2\ne 1 2 0\n", "below 1"),
@@ -54,6 +62,10 @@ def test_parse_paths_costs():
     ("q paths 2 1 1\nx 1 2\ny 2\ne 1 2\n", "line 2: expected 'x <v>'"),
     ("q paths 2 1 1\nx 1\ny 2 7\ne 1 2\n", "line 3: expected 'y <v>'"),
     ("q paths 2 1 1\nx\ny 2\ne 1 2\n", "line 2: expected 'x <v>'"),
+    ("q paths 2 1 1\nx 1\ny 2\ne 1\n",
+     r"line 4: expected 'e <u> <v> \[cost\]'"),
+    ("q paths 2 1 1\nx 1\ny 2\ne 1 2 3 4\n",
+     r"line 4: expected 'e <u> <v> \[cost\]'"),
 ])
 def test_parse_paths_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -117,10 +129,20 @@ def test_parse_dimacs_basic():
      "line 2: expected 'n <v> <supply>'"),
     ("p min 2 1\nn 1 1\nn 2\na 1 2 0 1 1\n",
      "line 3: expected 'n <v> <supply>'"),
+    ("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 1\n",
+     "line 4: expected 'a <u> <v> <low> <cap> <cost>'"),
+    ("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 1 1 9\n",
+     "line 4: expected 'a <u> <v> <low> <cap> <cost>'"),
+    ("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 one 1\n", "line 4: malformed line"),
 ])
 def test_parse_dimacs_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_dimacs_flow(text)
+
+
+def test_parse_dimacs_comments_between_records():
+    text = DIMACS_TEXT.replace("a 1 3", "c a 1 3 0 1 1\n#a 1 3 0 1 1\na 1 3")
+    assert parse_dimacs_flow(text) == parse_dimacs_flow(DIMACS_TEXT)
 
 
 def test_dimacs_roundtrip():
