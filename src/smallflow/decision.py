@@ -46,11 +46,15 @@ def default_repetitions(n: int) -> int:
     return max(3, math.ceil(math.log2(max(n, 2))))
 
 
-def costed_degree(cap: int, costs) -> int:
-    """The degree of a test of the slices up to cost cap at these edge
-    costs: a monomial has one variable per edge, with multiplicity, and
-    no walk set of cost at most cap has more than cap // min(costs)."""
-    return cap // min(costs)
+def slice_degree(instance: PathInstance, cap: int, least_cost=1) -> int:
+    """The degree of a test of the slices up to cost cap, at edge costs
+    whose least is least_cost (1 for lengths).  An answer changes only by
+    a false zero at the least nonzero slice of the graph tested: the
+    optimum, U* at perturbed costs, or d0 of a subgraph (deleting edges
+    only zeroes variables).  That slice's monomials are k disjoint simple
+    paths, of at most max_path_edges() edges, and no walk set within cap
+    has more than cap // least_cost, so Schwartz-Zippel holds here."""
+    return min(cap // least_cost, instance.max_path_edges())
 
 
 class TestParams(namedtuple("TestParams", "field repetitions seed")):
@@ -84,10 +88,10 @@ class TestParams(namedtuple("TestParams", "field repetitions seed")):
 
 class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
                          defaults=(None, None))):
-    """answer: NONZERO (certain) or ZERO.  degree: the edge-count degree of
-    the evaluated polynomial; its ZERO errs with probability at most
-    (degree / 2^s)^t.  None for an exact ZERO answered without an
-    evaluation (below a floor, or no k disjoint paths at all)."""
+    """answer: NONZERO (certain) or ZERO.  degree: the test's slice_degree;
+    its ZERO errs with probability at most (degree / 2^s)^t.  None for an
+    exact ZERO answered without an evaluation (below a floor, or no k
+    disjoint paths at all)."""
 
     __slots__ = ()
 
@@ -100,19 +104,15 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
                           params: TestParams, parallelism: int = 1) -> Verdict:
     """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
 
-    One TablePlan at unit costs serves every repetition.  The tables are
-    evaluated at degree min(l, max_path_edges()): slices are homogeneous
-    of distinct degrees, and the least nonzero one, when there is one, is
-    certified by k disjoint simple paths, which have at most that many
-    edges.  So the polynomial at l is nonzero exactly when it is nonzero
-    at the clamped degree.  An instance without k disjoint paths at any
+    One TablePlan at unit costs serves every repetition.  Slices are
+    homogeneous of distinct degrees, and a least nonzero one lies at or
+    below slice_degree(instance, l), so the tables are evaluated up to
+    that degree only.  An instance without k disjoint paths at any
     length (has_disjoint_paths, checked first) is ZERO without a plan.
     Otherwise no walk set is shorter than the plan's floor, the sum of
-    the sources' least lengths to a sink, so a clamped degree below it is
-    ZERO without an evaluation.  Those ZEROs are exact (their verdict has
-    degree None; every other verdict has the clamped degree).  NONZERO is
-    certain; an evaluated ZERO errs with probability at most
-    (degree / 2^s)^t.
+    the sources' least lengths to a sink, so a degree below it is ZERO
+    without an evaluation.  Those ZEROs are exact, with degree None;
+    every other verdict states the slice degree (see Verdict).
     parallelism > 1 spreads the table engine's source rows and subset
     terms over up to that many worker processes (at most k and the
     usable cores); the verdict is the same.  A parallelism below 1 is
@@ -125,7 +125,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
     if not instance.has_disjoint_paths():
         return Verdict(ZERO)
-    degree = min(l, instance.max_path_edges())
+    degree = slice_degree(instance, l)
     plan = TablePlan(instance, degree)
     if degree < plan.floor:
         return Verdict(ZERO)
@@ -146,8 +146,8 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     disjoint paths exist at all (has_disjoint_paths, checked before the
     scan graph is built) or when the cap is below the graph's floor, the
     least cost of any walk set; bounds below k are such a case (k walks
-    cost >= k).  Otherwise the field is checked against the cap's degree,
-    costed_degree(cap, costs), and that is the verdict's degree.
+    cost >= k).  Otherwise the field is checked against the cap's
+    slice_degree, and that is the verdict's degree.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
@@ -157,7 +157,7 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     graph = ScanGraph(instance, instance.cost_list())
     if cap < graph.floor:
         return Verdict(ZERO)
-    degree = costed_degree(cap, graph.costs)
+    degree = slice_degree(instance, cap, min(graph.costs))
     for f in params.assignments(instance.m, degree, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f), degree)
@@ -170,7 +170,7 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
 
     None is exact: has_disjoint_paths() found no k disjoint paths, before
     any field check.  Otherwise the search is least_nonzero_slice over one
-    ScanGraph, capped at simple_cost_cap(), whose costed_degree the field
+    ScanGraph, capped at simple_cost_cap(), whose slice_degree the field
     is checked against before the graph is built: the least nonzero slice
     is certified by k disjoint simple paths, which cost at most the cap.
     Such paths are a walk set, so the cap is at least the graph's floor
@@ -185,8 +185,8 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     if _graph is None and not instance.has_disjoint_paths():
         return None
     cap, costs = instance.simple_cost_cap(), instance.cost_list()
-    points = params.assignments(instance.m, costed_degree(cap, costs),
-                                "min-cost")
+    points = params.assignments(
+        instance.m, slice_degree(instance, cap, min(costs)), "min-cost")
     graph = ScanGraph(instance, costs) if _graph is None else _graph
     best = least_nonzero_slice(graph, points, params.field, cap)
     if best is None:

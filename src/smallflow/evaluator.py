@@ -190,7 +190,8 @@ def _packs(k: int, widths) -> bool:
     time, and criterion 7's instance (4.9 at k = 4, l = 252), where it
     took 0.81 (medians of 8 alternating fresh-process runs).  Moving the
     rule up to the crossover would make criterion 7 time the pool, which
-    maps the per-row task, against the packed pass (ROADMAP item 7).
+    maps the per-row task, against the packed pass (ROADMAP, "Measured
+    and kept": the packing rule at k).
     """
     return sum(widths) < k * len(widths)
 

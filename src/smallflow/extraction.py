@@ -21,9 +21,9 @@ Two strategies produce the same object:
   walk system, leaves some edge unsettled by the support at U*, the
   polynomial tests run on exactly those edges.
 
-Either way every test checks its field at its edge-count degree
-(decision.costed_degree).  An edge test runs at one point: its false
-zero fails assembly, and the attempt is retried with fresh randomness.
+Either way every test checks its field at decision.slice_degree.  An
+edge test runs at one point: its false zero fails assembly, and the
+attempt is retried with fresh randomness.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from collections import namedtuple
 from .decision import (
     RetriesExhaustedError,
     TestParams,
-    costed_degree,
     least_nonzero_slice,
     min_cost_disjoint_paths,
+    slice_degree,
 )
 from .evaluator import ScanGraph, scan_min_cost_slice, slice_support
 # not called here: kept only because perfbench/tracing.py patches this
@@ -92,12 +92,10 @@ def find_min_perturbed_cost(pgraph: ScanGraph,
 
     The search is min_cost_disjoint_paths' (least_nonzero_slice) on
     pgraph, a ScanGraph at perturbed costs, capped at their
-    simple_cost_cap, and its degree is costed_degree(cap, pgraph.costs):
-    each perturbed edge costs more than the scale, so that is about the
-    instance's own cap (76,093 // 4,098 = 18 in a GF(2^8) CLI test).
+    simple_cost_cap, at that cap's slice_degree.
     """
     cap = pgraph.instance.simple_cost_cap(pgraph.costs)
-    degree = costed_degree(cap, pgraph.costs)
+    degree = slice_degree(pgraph.instance, cap, min(pgraph.costs))
     points = params.assignments(pgraph.instance.m, degree, "find-perturbed")
     return least_nonzero_slice(pgraph, points, params.field, cap)
 
@@ -213,15 +211,15 @@ def _isolation_attempt(instance, params, attempt, r):
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    point = next(sub.assignments(instance.m, costed_degree(u_star, perturbed),
-                                 "isolation-tests"))
+    degree = slice_degree(instance, u_star, min(perturbed))
+    point = next(sub.assignments(instance.m, degree, "isolation-tests"))
     essential = classify_edges(pgraph, u_star, point, sub.field)
     return assemble_paths(instance, essential, perturbed, u_star)
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    point = next(params.assignments(instance.m, costed_degree(d0, graph.costs),
-                                    "deletion", attempt))
+    degree = slice_degree(instance, d0, min(graph.costs))
+    point = next(params.assignments(instance.m, degree, "deletion", attempt))
     kept = classify_edges(graph, d0, point, params.field)
     return assemble_paths(instance, kept, instance.cost_list(), d0)
 

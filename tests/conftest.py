@@ -1,6 +1,7 @@
 import pytest
 
 from smallflow import GF2Field, PathInstance, TablePlan
+from smallflow.evaluator import ScanGraph, scan_slices
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
@@ -62,4 +63,18 @@ def subdivided_slices():
         sub, carry = subdivide_costs(inst)
         return TablePlan(sub, bound).slices(
             subdivision_assignment(sub, carry, f), field)
+    return slices
+
+
+@pytest.fixture(scope="session")
+def scan_cost_slices():
+    """scan_cost_slices(inst, f, field, cap, costs=None): the exact-cost
+    slices 0..cap of inst at edge values f, read off the scan engine at
+    the given costs (the instance's by default)."""
+    def slices(inst, f, field, cap, costs=None):
+        out = [0] * (cap + 1)
+        graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
+        for d, vec in scan_slices(graph, f, field, cap):
+            out[d] = vec
+        return out
     return slices

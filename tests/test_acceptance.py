@@ -27,12 +27,7 @@ from smallflow import (
     random_paths_instance,
     validate_flow,
 )
-from smallflow.evaluator import (
-    ScanGraph,
-    TablePlan,
-    _start_worker,
-    scan_slices,
-)
+from smallflow.evaluator import TablePlan, _start_worker
 from smallflow import oracle
 
 FIELD = GF2Field(64)
@@ -151,17 +146,8 @@ def test_criterion_2_involution_machinery(capsys):
     assert examined > 1000
 
 
-def _scan_slices(inst, f, cap, costs=None):
-    """Exact-cost slices 0..cap read off the scan engine, at the given
-    costs (the instance's by default)."""
-    slices = [0] * (cap + 1)
-    graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
-    for d, vec in scan_slices(graph, f, FIELD, cap):
-        slices[d] = vec
-    return slices
-
-
-def test_criterion_3_evaluator_correctness(capsys, subdivided_slices):
+def test_criterion_3_evaluator_correctness(capsys, subdivided_slices,
+                                           scan_cost_slices):
     """(a) table engine == scan engine bit-identical at unit costs; (b)
     the scan's implicit costs == the explicit subdivision, evaluated by
     the table engine; (c) the scan at costs == symbolic oracle."""
@@ -173,7 +159,7 @@ def test_criterion_3_evaluator_correctness(capsys, subdivided_slices):
         for _ in range(5):
             f = random_assignment(FIELD, inst.m, rng)
             table = TablePlan(inst, l).slices(f, FIELD)
-            a_bad += table != _scan_slices(inst, f, l, [1] * inst.m)
+            a_bad += table != scan_cost_slices(inst, f, FIELD, l, [1] * inst.m)
 
     b_bad = b_n = 0
     rng_b = random.Random(302)
@@ -189,7 +175,7 @@ def test_criterion_3_evaluator_correctness(capsys, subdivided_slices):
         sub, _ = oracle.subdivide_costs(inst)
         f = random_assignment(FIELD, inst.m, rng_b)
         u = min(sum(inst.costs), k * (sub.n - 1))
-        b_bad += _scan_slices(inst, f, u) != \
+        b_bad += scan_cost_slices(inst, f, FIELD, u) != \
             subdivided_slices(inst, f, FIELD, u)
 
     c_bad = 0
@@ -199,7 +185,7 @@ def test_criterion_3_evaluator_correctness(capsys, subdivided_slices):
         sym = oracle.symbolic_cost_slices(inst, u, budget=400_000)
         for _ in range(25):
             f = random_assignment(FIELD, inst.m, rng)
-            slices = _scan_slices(inst, f, u)
+            slices = scan_cost_slices(inst, f, FIELD, u)
             want = [sym[p].evaluate(FIELD, f) if p in sym else 0
                     for p in range(u + 1)]
             c_bad += slices != want

@@ -418,9 +418,10 @@ def test_isolation_range_options(capsys, paths_file, tmp_path):
 def test_isolation_field_checked_below_the_optimum(capsys, tmp_path):
     # isolation searches its perturbed costs up to their simple-set cap,
     # 76,093 here, beyond GF(2^16).  The field is checked at that cap's
-    # edge-count degree: every perturbed edge costs at least the scale
-    # 4097 plus 1, so the degree is at most 76,093 // 4,098 = 18, which
-    # GF(2^8) holds as well as GF(2^16)
+    # slice_degree: every perturbed edge costs at least the scale 4097
+    # plus 1, so it is at most 76,093 // 4,098 = 18, and a path set has
+    # at most min(m, n - k) = 7 edges, so the degree is 7, which GF(2^8)
+    # holds as well as GF(2^16)
     p = tmp_path / "chain.paths"
     p.write_text("q paths 8 8 1\nx 6\ny 1\ne 6 5 3\ne 5 7 1\ne 7 2 2\n"
                  "e 2 8 3\ne 8 4 3\ne 4 1 2\ne 5 7 2\ne 1 6 3\n")

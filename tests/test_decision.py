@@ -46,7 +46,7 @@ def _assert_polynomials_vanish(inst, l, params):
     simple-set cap are zero at every assignment the query would draw."""
     plan = TablePlan(inst, l)
     graph = ScanGraph(inst, inst.cost_list())
-    degree = min(l, inst.max_path_edges())  # decide's, as it draws
+    degree = decision.slice_degree(inst, l)  # decide's, as it draws
     for f in params.assignments(inst.m, degree, "decide-length"):
         assert eval_length_bounded_seq(plan, f, params.field) == 0
         assert scan_min_cost_slice(graph, f, params.field,
@@ -233,27 +233,34 @@ def test_field_checked_before_any_point_is_drawn(monkeypatch):
 
 
 def test_costed_queries_checked_at_their_edge_count_degree():
-    # a costed test's degree is cap // (least edge cost), the most edges a
-    # walk set under the cap can have.  Two edges of cost 200: the caps
-    # (400) are beyond GF(2^8), the degree 2 is not, and every costed
-    # query answers.  A chain of 257 edges of cost 3: the degree is
-    # 771 // 3 = 257, and every one refuses the field
+    # a costed test's degree is slice_degree: cap // (least edge cost),
+    # the most edges a walk set under the cap can have, clamped at
+    # max_path_edges(), the most a set of disjoint simple paths can have.
+    # Two edges of cost 200: the caps (400) are beyond GF(2^8), the degree
+    # 2 is not, and every costed query answers.  A path of costs 1, 300,
+    # 1: its cap 302 over the least cost 1 is beyond GF(2^8) too, and only
+    # the clamp at its 3 edges admits the field.  A chain of 257 edges of
+    # cost 3: both give 257 (771 // 3 and 258 - 1), and every query
+    # refuses the field
     small = TestParams(field=GF2Field(8), repetitions=3, seed=0)
     costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
                           costs=[200, 200])
+    tall = PathInstance(4, [(0, 2), (2, 3), (3, 1)], [0], [1],
+                        costs=[1, 300, 1])
+    assert (tall.simple_cost_cap(), tall.max_path_edges()) == (302, 3)
     chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257],
                          costs=[3] * 257)
-    assert decision.costed_degree(chain.simple_cost_cap(),
-                                  chain.cost_list()) == 257
+    assert decision.slice_degree(chain, chain.simple_cost_cap(), 3) == 257
     queries = [lambda inst: decide_cost_bounded(
                    inst, inst.simple_cost_cap(), small),
                lambda inst: min_cost_disjoint_paths(inst, small)] + [
         lambda inst, s=s: find_disjoint_paths(inst, small, strategy=s)
         for s in ("deletion", "isolation")]
-    verdict, cost, *found = [query(costly) for query in queries]
-    assert verdict.nonzero and verdict.degree == 2
-    assert cost == 400
-    assert [ps.total_cost for ps in found] == [400, 400]
+    for inst, degree, want in ((costly, 2, 400), (tall, 3, 302)):
+        verdict, cost, *found = [query(inst) for query in queries]
+        assert verdict.nonzero and verdict.degree == degree
+        assert cost == want
+        assert [ps.total_cost for ps in found] == [want, want]
     for query in queries:
         with pytest.raises(ValueError, match="too small"):
             query(chain)
@@ -282,12 +289,12 @@ def unsettled_edges(graph, d):
 @pytest.mark.parametrize("kind", ["decide", "mincost", "deletion"])
 def test_false_zero_rate_within_the_stated_bound(kind):
     # 60 instances x 100 seeds at t = 1 over GF(2^8).  A query errs with
-    # probability at most degree / 2^8 (Schwartz-Zippel): decide at its
-    # Verdict.degree, mincost at the degree it checks, the costed_degree
-    # of simple_cost_cap().  find (deletion) adds, by a union bound, the
-    # costed_degree of d0 over 2^8 for each edge test at d0, one at most
-    # per edge its support at d0 leaves unsettled; it makes one attempt,
-    # so the error of every test counts.
+    # probability at most degree / 2^8 (Schwartz-Zippel), every degree its
+    # slice_degree: decide at its Verdict.degree, mincost at the degree it
+    # checks, that of simple_cost_cap().  find (deletion) adds, by a union
+    # bound, the slice_degree of d0 over 2^8 for each edge test at d0, one
+    # at most per edge its support at d0 leaves unsettled; it makes one
+    # attempt, so the error of every test counts.
     # A wrong answer is a false ZERO, a wrong cost, or
     # RetriesExhaustedError on these feasible instances.  Each query draws
     # its own points, so the count of wrong answers is dominated by a sum
@@ -299,11 +306,12 @@ def test_false_zero_rate_within_the_stated_bound(kind):
         l = inst.k * (inst.n - 1)
         want = oracle.disjoint_paths_min_cost_via_flow(inst)
         costs = inst.cost_list()
-        bound = decision.costed_degree(inst.simple_cost_cap(), costs) / 256
+        bound = decision.slice_degree(inst, inst.simple_cost_cap(),
+                                      min(costs)) / 256
         if kind == "deletion":
             tests = unsettled_edges(ScanGraph(inst, costs), want)
-            bound = min(1.0, bound + tests
-                        * decision.costed_degree(want, costs) / 256)
+            bound = min(1.0, bound + tests * decision.slice_degree(
+                inst, want, min(costs)) / 256)
         for seed in range(100):
             params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             if kind == "decide":
@@ -328,7 +336,7 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
     # every degree below fits (a query would refuse it otherwise), with
     # r = n^2 m.  One attempt, so the error of every scan counts.  By a
     # union bound a query errs with probability at most the sum over the
-    # degrees its scans check, over 2^8: the costed_degree of the
+    # degrees its scans check, over 2^8: the slice_degree of the
     # perturbed simple_cost_cap() for U*, and that of U* for each edge
     # test, one at most per edge that the support at U* leaves unsettled
     # at the attempt's weights.  A wrong answer is a wrong cost or
@@ -353,9 +361,9 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
             u_star, _ = oracle.brute_force_disjoint_paths(
                 inst, mode="cost", costs=costs)
             tests = unsettled_edges(ScanGraph(inst, costs), u_star)
-            mu += min(1.0, (decision.costed_degree(
-                inst.simple_cost_cap(costs), costs) + tests
-                * decision.costed_degree(u_star, costs)) / 256)
+            mu += min(1.0, (decision.slice_degree(
+                inst, inst.simple_cost_cap(costs), min(costs)) + tests
+                * decision.slice_degree(inst, u_star, min(costs))) / 256)
             params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             try:
                 wrong += find_disjoint_paths(
@@ -366,32 +374,32 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
     assert wrong < 2 * mu, (wrong, mu)
 
 
-def test_flow_false_zero_rate_within_the_stated_bound():
-    # 60 tiny feasible flow networks x 50 seeds at t = 1 over GF(2^8), the
-    # least built-in field that their gadgets' degrees fit: the gadget's
-    # least edge cost is 1 (the connectors), so the costed_degree of its
-    # simple_cost_cap() is that cap, kept below 2^8.  min_cost_flow
-    # extracts by deletion with one attempt, so, as for deletion above, a
-    # query errs with probability at most b = (cap + u * D) / 2^8, D the
-    # gadget's optimum and u the edges its support at D leaves unsettled.
-    # Networks with b >= 1 are skipped, so that 2 mu stays below the query
-    # count.  A wrong answer is a wrong cost or RetriesExhaustedError, the
-    # truth from the classic min-cost-flow oracle; the count is bounded as
-    # above
-    rng = random.Random(43)
+def _flow_false_zeros(rng, sizes, keep):
+    """Wrong answers and their mu for min_cost_flow on 60 feasible
+    networks x 50 seeds at t = 1 over GF(2^8), one attempt each.  A
+    network is random_flow_instance(rng, *sizes(rng), plant=...), kept
+    when keep(gadget, D, u) holds, D the gadget's optimum and u the edges
+    its support at D leaves unsettled.  min_cost_flow extracts by
+    deletion, so, as for deletion above, a query errs with probability at
+    most b = (slice_degree of simple_cost_cap() + u * slice_degree of D)
+    / 2^8.  Networks with b >= 1 are skipped, so that 2 mu stays below
+    the query count.  A wrong answer is a wrong cost or
+    RetriesExhaustedError, the truth from the classic min-cost-flow
+    oracle."""
     wrong, mu, battery = 0, 0.0, 0
     while battery < 60:
-        K = random_flow_instance(rng, rng.randint(3, 5), rng.randint(2, 6),
-                                 rng.randint(1, 2), 2, 3,
-                                 plant=rng.random() < 0.9)
+        K = random_flow_instance(rng, *sizes(rng), plant=rng.random() < 0.9)
         want = oracle.classic_min_cost_flow(K)
-        gadget = build_gadget_network(K).instance
-        if want is None or gadget.simple_cost_cap() >= 256:
+        if want is None:
             continue
+        gadget = build_gadget_network(K).instance
+        costs = gadget.cost_list()
         d = oracle.disjoint_paths_min_cost_via_flow(gadget)
-        tests = unsettled_edges(ScanGraph(gadget, gadget.cost_list()), d)
-        bound = (gadget.simple_cost_cap() + tests * d) / 256
-        if bound >= 1:
+        tests = unsettled_edges(ScanGraph(gadget, costs), d)
+        bound = (decision.slice_degree(gadget, gadget.simple_cost_cap(),
+                                       min(costs)) + tests
+                 * decision.slice_degree(gadget, d, min(costs))) / 256
+        if not keep(gadget, d, tests) or bound >= 1:
             continue
         battery += 1
         for seed in range(50):
@@ -401,7 +409,33 @@ def test_flow_false_zero_rate_within_the_stated_bound():
             except RetriesExhaustedError:
                 wrong += 1
             mu += bound
-    assert wrong < 2 * mu < 50 * battery, (wrong, mu)
+    return wrong, mu
+
+
+def test_flow_false_zero_rate_within_the_stated_bound():
+    # tiny networks whose gadgets have simple_cost_cap() + u * D below
+    # 2^8, so that every one of their degrees fits GF(2^8) even before
+    # the clamp at max_path_edges(); the count is bounded as above
+    wrong, mu = _flow_false_zeros(
+        random.Random(43),
+        lambda rng: (rng.randint(3, 5), rng.randint(2, 6),
+                     rng.randint(1, 2), 2, 3),
+        lambda gadget, d, tests: gadget.simple_cost_cap() + tests * d < 256)
+    assert wrong < 2 * mu < 50 * 60, (wrong, mu)
+
+
+def test_flow_false_zero_rate_where_only_the_clamp_admits_the_field():
+    # gadgets whose simple_cost_cap() is at least 2^8: their least edge
+    # cost is 1 (the connectors), so only the clamp of slice_degree at
+    # max_path_edges() lets a search at that cap run over GF(2^8).  The
+    # count is bounded as above, and the field is small enough that some
+    # answers are wrong, so the count measures the clamped bound
+    wrong, mu = _flow_false_zeros(
+        random.Random(47),
+        lambda rng: (rng.randint(4, 6), rng.randint(4, 8),
+                     rng.randint(1, 3), 3, 4),
+        lambda gadget, d, tests: gadget.simple_cost_cap() >= 256)
+    assert 0 < wrong < 2 * mu, (wrong, mu)
 
 
 def test_min_cost_examples(bottleneck):

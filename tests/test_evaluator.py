@@ -33,16 +33,6 @@ from smallflow.network import serialize_paths_instance
 from smallflow.oracle import subdivide_costs, subdivision_assignment
 
 
-def scan_cost_slices(inst, f, field, cap, costs=None):
-    """Exact-cost slices 0..cap read off the scan engine, at the given
-    costs (the instance's by default)."""
-    slices = [0] * (cap + 1)
-    graph = ScanGraph(inst, inst.cost_list() if costs is None else costs)
-    for d, vec in scan_slices(graph, f, field, cap):
-        slices[d] = vec
-    return slices
-
-
 def length_plan(inst, l):
     """The table plan of inst at length bound l."""
     return TablePlan(inst, l)
@@ -237,7 +227,8 @@ def test_length_slices_match_symbolic(field64):
             assert slices[p] == sym.evaluate(field64, f), (p, inst.edges)
 
 
-def test_cost_slices_bipartite_example(field64, subdivided_slices):
+def test_cost_slices_bipartite_example(field64, subdivided_slices,
+                                       scan_cost_slices):
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])
     f = [3, 5, 7, 9]
@@ -249,7 +240,7 @@ def test_cost_slices_bipartite_example(field64, subdivided_slices):
         assert all(v == 0 for p, v in enumerate(cs) if p not in (2, 4))
 
 
-def test_unit_costs_match_length_slices(field64):
+def test_unit_costs_match_length_slices(field64, scan_cost_slices):
     rng = random.Random(12)
     for _ in range(10):
         n = rng.randint(3, 7)
@@ -262,14 +253,14 @@ def test_unit_costs_match_length_slices(field64):
         assert cs == length_plan(inst, l).slices(f, field64)
 
 
-def test_empty_edge_set(field64):
+def test_empty_edge_set(field64, scan_cost_slices):
     inst = PathInstance(2, [], [0], [1])
     for cs in (length_plan(inst, 4).slices([], field64),
                scan_cost_slices(inst, [], field64, 4)):
         assert cs == [0] * 5
 
 
-def test_edge_removed_matches_deleted_instance(field64):
+def test_edge_removed_matches_deleted_instance(field64, scan_cost_slices):
     rng = random.Random(13)
     for _ in range(10):
         n = rng.randint(3, 6)
@@ -288,7 +279,7 @@ def test_edge_removed_matches_deleted_instance(field64):
         assert got == scan_cost_slices(smaller, f2, field64, u)
 
 
-def test_edge_removed_cases(single_edge, field64):
+def test_edge_removed_cases(single_edge, field64, scan_cost_slices):
     cs = scan_cost_slices(single_edge, zeroed([7], 0), field64, 3)
     assert all(v == 0 for v in cs)
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
@@ -313,7 +304,7 @@ def test_subdivide_costs():
     assert lifted == [5, 9, 1, 1]
 
 
-def test_implicit_matches_explicit_subdivision(field64):
+def test_implicit_matches_explicit_subdivision(field64, scan_cost_slices):
     # the scan walks each edge at its cost at once; the table engine on
     # the subdivision walks c unit edges
     rng = random.Random(14)
@@ -332,7 +323,8 @@ def test_implicit_matches_explicit_subdivision(field64):
         assert cs == length_plan(sub, u).slices(lifted, field64)
 
 
-def test_scan_engine_matches_tables(field64, field8, subdivided_slices):
+def test_scan_engine_matches_tables(field64, field8, subdivided_slices,
+                                    scan_cost_slices):
     # GF(2^8) makes false zeros common, so cancellation inside a scan
     # state and zero-valued edges are both exercised
     for field in (field64, field8):
@@ -387,7 +379,7 @@ def test_perturbed_scan_matches_tables(field64, field8, subdivided_slices):
                 assert (low is None) is clear
 
 
-def test_small_field_matches_symbolic(field8):
+def test_small_field_matches_symbolic(field8, scan_cost_slices):
     # GF(2^8): frequent zero values and tight collisions stress the scan
     rng = random.Random(17)
     for _ in range(50):
@@ -501,7 +493,8 @@ def looped_chains():
     return PathInstance(12, edges, [0, 1], [2, 3])
 
 
-def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch):
+def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch,
+                                                      scan_cost_slices):
     # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
     # z reaches no sink, so a -> z is in no tail list.  The tails: a -> {b},
     # b -> {y, c} (reach 1, 4) and c -> {a}: widths 1, 2, 1, below k = 2,
@@ -590,7 +583,7 @@ def spill_instance():
 
 
 @pytest.mark.parametrize("s", [8, 64])
-def test_full_slots_do_not_spill(s, subdivided_slices):
+def test_full_slots_do_not_spill(s, subdivided_slices, scan_cost_slices):
     # every edge value 2^s - 1: the largest unreduced products, which at
     # s = 64 fill a slot up to bit 126, next to the slots of the tail's
     # other out-edges
@@ -619,7 +612,8 @@ def test_full_slots_do_not_spill(s, subdivided_slices):
 
 
 @pytest.mark.parametrize("s", [8, 64])
-def test_row_routes_are_bit_identical(s, monkeypatch, subdivided_slices):
+def test_row_routes_are_bit_identical(s, monkeypatch, subdivided_slices,
+                                      scan_cost_slices):
     # The packed pass and the per-row route (the pool's task), each forced
     # through the plan's serial route, against the scan engine: k = 1..4,
     # plans of the instance and of its subdivision at costs up to 3, at
@@ -672,7 +666,7 @@ def layered_instance(rng, k, width, depth):
     return PathInstance(2 * k + width * depth, edges, sources, sinks)
 
 
-def test_row_route_choice(field64, monkeypatch):
+def test_row_route_choice(field64, monkeypatch, scan_cost_slices):
     # Criterion 7's instance has fans 4.9 wide on average at k = 4, so its
     # serial route stays per row; decide's k >= 3 shapes have fans about 3
     # wide and pack, and one source never packs.
@@ -727,7 +721,8 @@ def test_no_walk_set_within_the_bound_runs_no_row(field64, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ["looped chains", "layered k=4"])
-def test_subset_terms_stay_in_the_slack_window(shape, field64, monkeypatch):
+def test_subset_terms_stay_in_the_slack_window(shape, field64, monkeypatch,
+                                               scan_cost_slices):
     # Only W = bound - floor + 1 lengths of a subset table can be nonzero,
     # so every table a term reads holds at most W slots and every column
     # window at most W entries, on both serial routes, and the slices

@@ -26,7 +26,7 @@ from smallflow.extraction import (
     paper_isolation_range,
 )
 from smallflow import decision, evaluator, extraction, oracle
-from smallflow.decision import costed_degree
+from smallflow.decision import slice_degree
 from smallflow.evaluator import (
     ScanGraph,
     random_assignment,
@@ -179,8 +179,8 @@ def test_unique_path_instance_pipeline():
     pgraph = ScanGraph(inst, list(pc))
     u_star = find_min_perturbed_cost(pgraph, p)
     assert u_star == pc[0] + pc[1] + pc[2]
-    point = next(p.assignments(inst.m, costed_degree(u_star, pgraph.costs),
-                               "classify"))
+    point = next(p.assignments(
+        inst.m, slice_degree(inst, u_star, min(pgraph.costs)), "classify"))
     essential = classify_edges(pgraph, u_star, point, p.field)
     assert essential == {0, 1, 2}
 
@@ -191,7 +191,7 @@ def test_classify_unique_optimum():
     pc = perturb_costs(inst, 64, rng)
     u_star = pc[0] + pc[3]
     p = params64(7)
-    degree = costed_degree(u_star, pc)
+    degree = slice_degree(inst, u_star, min(pc))
     essential = classify_edges(ScanGraph(inst, list(pc)), u_star,
                                next(p.assignments(inst.m, degree,
                                                   "classify")),

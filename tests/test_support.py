@@ -32,11 +32,12 @@ st = pytest.importorskip("hypothesis.strategies")
 def tiny_instances(draw, max_k=2):
     """n <= 6, k <= max_k, any edges between distinct vertices: parallel
     edges, edges into sources or out of sinks, unreachable sinks and
-    sources with no route to a sink all occur."""
+    sources with no route to a sink all occur.  A head is drawn as an
+    offset in [1, n - 1] from its tail, so no draw is a self-loop."""
     n = draw(st.integers(2, 6))
     k = draw(st.integers(1, min(max_k, n // 2)))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda e: e[0] != e[1])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda e: (e[0], (e[0] + e[1]) % n))
     edges = draw(st.lists(pair, max_size=10))
     costs = draw(st.lists(st.integers(1, 3), min_size=len(edges),
                           max_size=len(edges)))
@@ -50,8 +51,8 @@ def hub_instances(draw):
     that position spans more than 16 slots."""
     inst = draw(tiny_instances())
     hub = draw(st.integers(0, inst.n - 1))
-    heads = draw(st.lists(st.integers(0, inst.n - 1).filter(
-        lambda v: v != hub), min_size=17, max_size=24))
+    heads = draw(st.lists(st.integers(1, inst.n - 1).map(
+        lambda d: (hub + d) % inst.n), min_size=17, max_size=24))
     costs = draw(st.lists(st.integers(1, 3), min_size=len(heads),
                           max_size=len(heads)))
     return PathInstance(inst.n, list(inst.edges) + [(hub, v) for v in heads],
@@ -158,14 +159,6 @@ def test_support_is_the_union_of_walk_sets(inst, seed):
         (set.intersection(*sets) if sets else set())
 
 
-def _scan(inst, costs, f, field, top):
-    """Exact-cost slices 0..top at `costs`, read off the scan engine."""
-    slices = [0] * (top + 1)
-    for d, vec in scan_slices(ScanGraph(inst, costs), f, field, top):
-        slices[d] = vec
-    return slices
-
-
 def _floor(inst):
     """Sum of the sources' least lengths to a sink, or None."""
     return TablePlan(inst, 1).floor
@@ -173,12 +166,13 @@ def _floor(inst):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-def test_length_tables_match_unit_cost_scan(field64, inst, seed):
+def test_length_tables_match_unit_cost_scan(field64, scan_cost_slices, inst,
+                                            seed):
     # every length bound, l < k included, so every row budget from below
     # zero up to unpruned; serial only (no pool per example)
     top = inst.k * (inst.n - 1)
     f = random_assignment(field64, inst.m, random.Random(seed))
-    scan = _scan(inst, [1] * inst.m, f, field64, top)
+    scan = scan_cost_slices(inst, f, field64, top, [1] * inst.m)
     for l in range(1, top + 1):
         assert TablePlan(inst, l).slices(f, field64) == \
             scan[:l + 1]
@@ -190,12 +184,12 @@ def test_length_tables_match_unit_cost_scan(field64, inst, seed):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_cost_tables_match_scan_at_every_bound(field64, subdivided_slices,
-                                               inst, seed):
+                                               scan_cost_slices, inst, seed):
     # costs up to 3, as paths of unit edges: the row budgets and per-cell
     # cuts of the subdivision's tables at every u_max
     top = max(inst.simple_cost_cap(), inst.k)
     f = random_assignment(field64, inst.m, random.Random(seed))
-    scan = _scan(inst, inst.cost_list(), f, field64, top)
+    scan = scan_cost_slices(inst, f, field64, top)
     for u_max in range(inst.k, top + 1):
         assert subdivided_slices(inst, f, field64, u_max) == \
             scan[:u_max + 1]
@@ -299,7 +293,7 @@ def test_distance_floor_answers_zero_exactly(field64, inst):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decision, "eval_length_bounded_seq", refuse)
         for l in range(1, inst.k * (inst.n - 1) + 1):
-            if floor is None or min(l, inst.max_path_edges()) < floor:
+            if floor is None or decision.slice_degree(inst, l) < floor:
                 assert not decide_disjoint_paths(inst, l, params).nonzero
 
 
