@@ -161,12 +161,6 @@ def _fan_cells(slots: int) -> int:
     return _FAN_CELLS * (slots + 2)
 
 
-def subset_table_cells(k: int, bound: int) -> int:
-    """Subset-table charge: one cell per (B subset of Y, index 0..bound),
-    though the tables hold only their slack windows (TablePlan)."""
-    return (1 << k) * (bound + 1)
-
-
 # ---------------------------------------------------------------------------
 # Table engine (pair tables + subset table)
 # ---------------------------------------------------------------------------
@@ -253,7 +247,7 @@ class TablePlan:
         self.packs = _packs(k, widths)
         self.pair_cells = sum(instance.n - k + k * max(budget, 0)
                               for budget in self.budgets)
-        self.subset_cells = subset_table_cells(k, bound)
+        self.subset_cells = (1 << k) * (bound + 1)
         self.fan_cells = sum(map(_fan_cells, widths)) + \
             _TAIL_CELLS * sum(widths)
 

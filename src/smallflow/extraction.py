@@ -6,8 +6,8 @@ Two strategies produce the same object:
   walks the edges in id order and deletes each one whose removal still
   leaves a cost-D0 set among the survivors.  What remains is the support
   of a single optimal set.  It needs no perturbed costs.  On path
-  instances it is the faster strategy (12x on a `mincost` batch); on
-  the small gadget networks of `flow` isolation is about 10% faster.
+  instances it is the faster strategy (about 15x on a `mincost` batch);
+  on the small gadget networks of `flow` isolation is about 10% faster.
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
@@ -211,17 +211,20 @@ def _isolation_attempt(instance, params, attempt, r):
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
         raise AssemblyError("no perturbed optimum found")
-    degree = slice_degree(instance, u_star, min(perturbed))
-    point = next(sub.assignments(instance.m, degree, "isolation-tests"))
-    essential = classify_edges(pgraph, u_star, point, sub.field)
-    return assemble_paths(instance, essential, perturbed, u_star)
+    return _settle(pgraph, u_star, sub, "isolation-tests")
 
 
 def _deletion_attempt(instance, params, attempt, d0, graph):
-    degree = slice_degree(instance, d0, min(graph.costs))
-    point = next(params.assignments(instance.m, degree, "deletion", attempt))
-    kept = classify_edges(graph, d0, point, params.field)
-    return assemble_paths(instance, kept, instance.cost_list(), d0)
+    return _settle(graph, d0, params, "deletion", attempt)
+
+
+def _settle(graph, d, params, *stream):
+    """classify_edges at d, graph's least nonzero slice, by one point of
+    stream at slice_degree; then assemble_paths at graph.costs."""
+    degree = slice_degree(graph.instance, d, min(graph.costs))
+    point = next(params.assignments(graph.instance.m, degree, *stream))
+    essential = classify_edges(graph, d, point, params.field)
+    return assemble_paths(graph.instance, essential, graph.costs, d)
 
 
 def find_disjoint_paths(instance: PathInstance, params: TestParams,
@@ -231,23 +234,23 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
 
     strategy is "deletion" (the default) or "isolation", the paper's route,
     with weights from [1, r], r = paper_isolation_range(instance).  A dict
-    passed as `report` receives attempts/strategy, and r under isolation.
-    None is exact, with 0 attempts, before any field check or scan graph:
-    has_disjoint_paths() found no k disjoint paths.  Deletion first finds
-    the optimum d0 on the ScanGraph that its attempts share; isolation
-    builds one per attempt.  An answer errs only by a false zero in the
-    search for d0 or U*; an edge test's costs a retry.  A search's false
-    zeros, or failed attempts, raise RetriesExhaustedError.
+    passed as `report` receives strategy, attempts made and, under
+    isolation, r.  None is exact, with 0 attempts, before any field check
+    or scan graph: has_disjoint_paths() found no k disjoint paths.
+    Deletion first finds the optimum d0 on the ScanGraph that its attempts
+    share; isolation builds one per attempt.  An answer errs only by a
+    false zero in the search for d0 or U*; an edge test's costs a retry.
+    A search's false zeros, or failed attempts, raise
+    RetriesExhaustedError.
     """
     if strategy not in ("isolation", "deletion"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if max_retries < 0:
         raise ValueError(f"max_retries {max_retries} below 0")
-    r = paper_isolation_range(instance) if strategy == "isolation" else None
-    if report is not None:
-        report.update(strategy=strategy, attempts=0)
-        if r is not None:
-            report["r"] = r
+    report = {} if report is None else report
+    report.update(strategy=strategy, attempts=0)
+    if strategy == "isolation":
+        r = report["r"] = paper_isolation_range(instance)
     if not instance.has_disjoint_paths():
         return None
     if strategy == "deletion":
@@ -255,15 +258,14 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
         d0 = min_cost_disjoint_paths(instance, params, _graph=graph)
     failures = []
     for attempt in range(max_retries + 1):
-        if report is not None:
-            report["attempts"] = attempt + 1
+        report["attempts"] = attempt + 1
         try:
             if strategy == "isolation":
                 return _isolation_attempt(instance, params, attempt, r)
             return _deletion_attempt(instance, params, attempt, d0, graph)
         except AssemblyError as exc:
             failures.append(f"attempt {attempt}: {exc}")
-    how = strategy if r is None else f"{strategy}, r={r}"
+    how = f"{strategy}, r={r}" if strategy == "isolation" else strategy
     raise RetriesExhaustedError(
         f"no attempt succeeded in {max_retries + 1} tries "
         f"(strategy={how}): " + "; ".join(failures))

@@ -149,12 +149,6 @@ class GF2Field:
         """Product of the elements a and b: b as a one-slot packed
         vector, windowed, times the scalar a (vec_scalar_mul_w), then
         folded by reduce."""
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
         return self.reduce(vec_scalar_mul_w(vec_window(b), a))
 
     def random_element(self, rng: random.Random) -> int:

@@ -7,8 +7,8 @@ Two instance kinds are handled:
   Parallel edges are allowed and keep distinct ids; self-loops are
   rejected.
 
-* FlowInstance: a directed network with a source, a sink, integral
-  capacities >= 1, costs >= 1, and a target flow value.
+* FlowInstance: a directed network with a source, a sink, and integer
+  capacities >= 1, costs >= 1 and target flow value >= 1.
 
 Text formats (line oriented):
 
@@ -39,7 +39,7 @@ class ParseError(ValueError):
 
 
 class PathInstance:
-    """Directed graph with terminal lists X, Y and optional edge costs.
+    """Directed graph with terminal lists X, Y and optional integer costs.
 
     Edge ids are assigned in construction order and are stable under
     re-parsing the same file.  Missing costs default to 1 per edge, which
@@ -77,9 +77,9 @@ class PathInstance:
             costs = list(costs)
             if len(costs) != len(edges):
                 raise ValueError("cost list length != edge count")
-            if min(costs, default=1) < 1:
-                raise ValueError(
-                    f"cost below 1: {next(c for c in costs if c < 1)}")
+            bad = [c for c in costs if not isinstance(c, int) or c < 1]
+            if bad:
+                raise ValueError(f"cost below 1 or not an integer: {bad[0]}")
         self.n = n
         self.m = len(edges)
         self.k = k
@@ -196,8 +196,8 @@ class PathInstance:
 
 class FlowInstance(namedtuple(
         "FlowInstance", "vertex_count edges source sink target_value")):
-    """Directed network for min-cost flow of a small target value; edges
-    is a list of (u, v, capacity, cost) tuples."""
+    """Directed network for min-cost flow of a small integer target value;
+    edges is a list of (u, v, capacity, cost) tuples of integers."""
 
     __slots__ = ()
 
@@ -207,16 +207,18 @@ class FlowInstance(namedtuple(
             raise ValueError("source/sink out of range")
         if source == sink:
             raise ValueError("source equals sink")
-        if target_value < 1:
-            raise ValueError("target flow value must be >= 1")
+        if not isinstance(target_value, int) or target_value < 1:
+            raise ValueError("target flow value must be an integer >= 1")
         edges = [tuple(e) for e in edges]
         for u, v, cap, cost in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range")
-            if cap < 1:
-                raise ValueError(f"capacity below 1 on arc ({u}, {v})")
-            if cost < 1:
-                raise ValueError(f"cost below 1 on arc ({u}, {v})")
+            if not isinstance(cap, int) or cap < 1:
+                raise ValueError(f"capacity below 1 or not an integer on "
+                                 f"arc ({u}, {v})")
+            if not isinstance(cost, int) or cost < 1:
+                raise ValueError(f"cost below 1 or not an integer on arc "
+                                 f"({u}, {v})")
         return super().__new__(cls, vertex_count, edges, source, sink,
                                target_value)
 

@@ -426,10 +426,10 @@ def _mcmf(n, arcs_spec, s, t, value):
     return total_cost, flow_by_tag
 
 
-def classic_min_cost_flow(K: FlowInstance, value: int | None = None):
+def classic_min_cost_flow(K: FlowInstance):
     """Exact minimum-cost flow of the target value, or None if the maximum
     flow falls short."""
-    value = K.target_value if value is None else value
+    value = K.target_value
     spec = [(u, v, cap, cost, eid)
             for eid, (u, v, cap, cost) in enumerate(K.edges)]
     res = _mcmf(K.n, spec, K.source, K.sink, value)

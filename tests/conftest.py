@@ -78,3 +78,34 @@ def scan_cost_slices():
             out[d] = vec
         return out
     return slices
+
+
+@pytest.fixture(scope="session")
+def path_set_problem():
+    """path_set_problem(instance, ps): the first way in which the PathSet
+    ps is not k simple, pairwise vertex-disjoint paths along the
+    instance's edges, from every source to every sink, priced at the
+    declared total_cost; None when it is."""
+    def problem(instance, ps):
+        seen = set()
+        for path, eids in zip(ps.paths, ps.edge_ids):
+            if len(set(path)) != len(path):
+                return f"path {path} is not simple"
+            if set(path) & seen:
+                return f"path {path} meets another path"
+            seen |= set(path)
+            if path[0] not in instance.source_index or \
+                    path[-1] not in instance.sink_index:
+                return f"path {path} does not run from a source to a sink"
+            for i, eid in enumerate(eids):
+                if instance.edges[eid] != (path[i], path[i + 1]):
+                    return f"step {i} of path {path} is not edge {eid}"
+        if sorted(p[0] for p in ps.paths) != sorted(instance.sources):
+            return "the paths do not start at the sources"
+        if sorted(p[-1] for p in ps.paths) != sorted(instance.sinks):
+            return "the paths do not end at the sinks"
+        total = sum(instance.cost(e) for e in ps.all_edge_ids())
+        if ps.total_cost != total:
+            return f"the edges cost {total}, declared {ps.total_cost}"
+        return None
+    return problem

@@ -78,19 +78,6 @@ def _cancellation_battery():
     return out
 
 
-def _check_path_set(instance, ps):
-    seen = set()
-    for path, eids in zip(ps.paths, ps.edge_ids):
-        if len(set(path)) != len(path) or (set(path) & seen):
-            return False
-        seen |= set(path)
-        for i, eid in enumerate(eids):
-            if instance.edges[eid] != (path[i], path[i + 1]):
-                return False
-    return (sorted(p[0] for p in ps.paths) == sorted(instance.sources)
-            and sorted(p[-1] for p in ps.paths) == sorted(instance.sinks))
-
-
 def test_criterion_1_cancellation_theorem(capsys):
     """Symbolic char-2 nonemptiness == brute-force existence, 200 instances."""
     t0 = time.time()
@@ -232,7 +219,7 @@ def test_criterion_4_decision_agreement(capsys):
     assert nonzero_wrong == 0
 
 
-def test_criterion_5_extraction(capsys):
+def test_criterion_5_extraction(capsys, path_set_problem):
     """Isolation-strategy construction returns a valid minimum-cost path
     set in 100% of feasible cases; per-attempt success rate within the
     isolation bound."""
@@ -256,7 +243,7 @@ def test_criterion_5_extraction(capsys):
         feasible += 1
         attempts += report["attempts"]
         bound_sum += inst.m / paper_isolation_range(inst)
-        if ps is not None and _check_path_set(inst, ps) \
+        if ps is not None and path_set_problem(inst, ps) is None \
                 and ps.total_cost == bf[0]:
             successes += 1
         else:

@@ -24,7 +24,6 @@ from smallflow.evaluator import (
     ScanGraph,
     scan_min_cost_slice,
     scan_slices,
-    subset_table_cells,
 )
 from smallflow import oracle
 from smallflow.extraction import paper_isolation_range, perturb_costs
@@ -465,7 +464,7 @@ def test_memory_budget(field64, monkeypatch):
 def test_cell_count_formula(field64):
     inst = random_paths_instance(random.Random(1), 10, 2, extra_edges=8)
     plan = length_plan(inst, 9)
-    assert plan.subset_cells == subset_table_cells(2, 9) == 4 * 10
+    assert plan.subset_cells == 4 * 10
     # per row: one cell per vertex but the sources for the pass's two
     # layers, and k sink columns of budget cells
     assert plan.pair_cells == sum(inst.n - inst.k + inst.k * max(budget, 0)

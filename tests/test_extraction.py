@@ -54,21 +54,6 @@ def costed_bipartite(costs=(1, 2, 2, 1)):
                         costs=list(costs))
 
 
-def check_path_set(instance, ps):
-    seen = set()
-    for path, eids in zip(ps.paths, ps.edge_ids):
-        assert len(set(path)) == len(path)  # simple
-        assert not (set(path) & seen)       # disjoint
-        seen |= set(path)
-        assert path[0] in instance.source_index
-        assert path[-1] in instance.sink_index
-        for i, eid in enumerate(eids):
-            assert instance.edges[eid] == (path[i], path[i + 1])
-    assert sorted(p[0] for p in ps.paths) == sorted(instance.sources)
-    assert sorted(p[-1] for p in ps.paths) == sorted(instance.sinks)
-    assert ps.total_cost == sum(instance.cost(e) for e in ps.all_edge_ids())
-
-
 def replayed_weights(rng, r, m):
     """The m weights perturb_costs draws from rng's current state, drawn
     from a copy of that state: randint(1, r) once per edge, in id order."""
@@ -199,12 +184,17 @@ def test_classify_unique_optimum():
     assert essential == {0, 3}
 
 
-def test_assemble_success():
+def test_assemble_success(path_set_problem):
     inst = costed_bipartite()
     ps = assemble_paths(inst, {0, 3}, inst.cost_list(), 2)
-    check_path_set(inst, ps)
+    assert path_set_problem(inst, ps) is None
     assert ps.paths == ((0, 2), (1, 3))
     assert ps.total_cost == 2
+    # the checker itself: a wrong price, a wrong edge, a shared vertex
+    for bad in (ps._replace(total_cost=3),
+                ps._replace(edge_ids=((1,), (3,))),
+                ps._replace(paths=((0, 2), (1, 2)), edge_ids=((0,), (2,)))):
+        assert path_set_problem(inst, bad) is not None
 
 
 def test_assemble_failures():
@@ -225,17 +215,18 @@ def test_assemble_failures():
         assemble_paths(inst3, {0, 1, 2}, inst3.cost_list(), 3)
 
 
-def test_find_disjoint_paths_examples(single_edge, bottleneck):
+def test_find_disjoint_paths_examples(single_edge, bottleneck,
+                                      path_set_problem):
     inst = costed_bipartite()
     ps = find_disjoint_paths(inst, params64(9))
-    check_path_set(inst, ps)
+    assert path_set_problem(inst, ps) is None
     assert ps.total_cost == 2
     lone = find_disjoint_paths(single_edge, params64(9))
     assert lone.paths == ((0, 1),)
     assert find_disjoint_paths(bottleneck, params64(9)) is None
 
 
-def test_find_disjoint_paths_strategies_agree():
+def test_find_disjoint_paths_strategies_agree(path_set_problem):
     rng = random.Random(10)
     for _ in range(25):
         n = rng.randint(4, 8)
@@ -251,7 +242,7 @@ def test_find_disjoint_paths_strategies_agree():
             got = ps.total_cost if ps else None
             assert got == want, (strategy, inst.edges, inst.costs)
             if ps is not None:
-                check_path_set(inst, ps)
+                assert path_set_problem(inst, ps) is None
 
 
 def test_retries_exhausted_when_every_attempt_fails(monkeypatch):
@@ -278,7 +269,8 @@ def test_retries_exhausted_when_every_attempt_fails(monkeypatch):
         assert len(calls) == 3
 
 
-def test_tied_isolation_tests_the_unsettled_edges(monkeypatch):
+def test_tied_isolation_tests_the_unsettled_edges(monkeypatch,
+                                                  path_set_problem):
     # r = 1 makes every weight 1: the two optima of the all-ones bipartite
     # instance stay tied, so the support at U* holds all four edges and
     # forces none; the polynomial tests settle them on the first attempt
@@ -287,12 +279,13 @@ def test_tied_isolation_tests_the_unsettled_edges(monkeypatch):
     report = {}
     ps = find_disjoint_paths(inst, params64(11), max_retries=2,
                              strategy="isolation", report=report)
-    check_path_set(inst, ps)
+    assert path_set_problem(inst, ps) is None
     assert ps.total_cost == 2
     assert report == {"strategy": "isolation", "attempts": 1, "r": 1}
 
 
-def test_assembly_catches_an_edge_tests_false_zero(monkeypatch):
+def test_assembly_catches_an_edge_tests_false_zero(monkeypatch,
+                                                   path_set_problem):
     # every edge test of attempt 0 answers a false zero, which keeps its
     # edge: attempt 0 keeps all four tied edges of the all-ones bipartite
     # instance (its d0 support, none forced), assembly rejects them, and
@@ -320,7 +313,7 @@ def test_assembly_catches_an_edge_tests_false_zero(monkeypatch):
         scans.clear()
         ps = find_disjoint_paths(inst, params64(11), max_retries=1,
                                  strategy=strategy, report=report)
-        check_path_set(inst, ps)
+        assert path_set_problem(inst, ps) is None
         assert ps.total_cost == 2
         assert report["attempts"] == 2
         assert scans == [0, 0, 0, 0, 1], strategy

@@ -72,8 +72,8 @@ def test_mul_identities(field64):
     rng = random.Random(2)
     for _ in range(200):
         a = field64.random_element(rng)
-        assert field64.mul(a, 1) == a
-        assert field64.mul(a, 0) == 0
+        assert field64.mul(a, 1) == field64.mul(1, a) == a
+        assert field64.mul(a, 0) == field64.mul(0, a) == 0
 
 
 def test_mul_matches_schoolbook_oracle():

@@ -169,11 +169,22 @@ def test_instance_invariant_errors():
     (lambda: FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 0), "target flow value"),
     (lambda: FlowInstance(2, [(0, 1, 0, 1)], 0, 1, 1), "capacity below 1"),
     (lambda: FlowInstance(2, [(0, 1, 1, 0)], 0, 1, 1), "cost below 1"),
+    (lambda: PathInstance(5, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 3), (1, 4)],
+                          [0, 1], [3, 4],
+                          costs=[2.2, 2.5, 2.6, 2.9, 30, 30]), "cost below 1"),
+    (lambda: FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 1.5), "target flow value"),
+    (lambda: FlowInstance(2, [(0, 1, 1.5, 1)], 0, 1, 1), "capacity below 1"),
+    (lambda: FlowInstance(2, [(0, 1, 1, 2.5)], 0, 1, 1), "cost below 1"),
 ], ids=["one-vertex", "terminal-range", "source-is-sink", "zero-target",
-        "zero-capacity", "zero-cost"])
+        "zero-capacity", "zero-cost", "float-path-cost", "float-target",
+        "float-capacity", "float-cost"])
 def test_constructor_checks(make, fragment):
-    # The DIMACS parser rejects the four flow cases before it builds a
-    # FlowInstance, so only direct construction reaches those checks.
+    # The DIMACS parser rejects the first four flow cases before it builds
+    # a FlowInstance, and passes only ints, so only direct construction
+    # reaches the flow checks.  On float costs colliding walk systems fall
+    # into different cost groups and no longer cancel: the float-cost path
+    # instance would be priced at 10.2, against a brute-force optimum of
+    # 34.8.
     with pytest.raises(ValueError, match=fragment):
         make()
 
