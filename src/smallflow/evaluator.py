@@ -237,7 +237,7 @@ class TablePlan:
         self.budgets = [-1] * k if self.floor is None else \
             [bound - self.floor + d for d in floors]
         self.tails = tails = [[] for _ in range(instance.n)]
-        for eid, (u, v) in enumerate(instance.edges):
+        for eid, (u, v) in enumerate(zip(instance.tails, instance.heads)):
             if not instance.is_terminal(u) and \
                     v not in instance.source_index and v in togo:
                 tails[u].append((1 + togo[v], v, eid))
@@ -392,7 +392,7 @@ def _recurrence_preds(instance: PathInstance, costs) -> dict:
     """preds[v]: (u, c(e)) for each edge e = (u, v) a walk may take, tail
     not a sink and head not a source, for _backward_costs."""
     preds = {}
-    for eid, (u, v) in enumerate(instance.edges):
+    for eid, (u, v) in enumerate(zip(instance.tails, instance.heads)):
         if u not in instance.sink_index and v not in instance.source_index:
             preds.setdefault(v, []).append((u, costs[eid]))
     return preds
@@ -442,7 +442,7 @@ def _rows(plan, assignment, field, windows, rows):
     layer = [0] * instance.n
     for slot, r in enumerate(rows):
         for eid in instance.out_edges[instance.sources[r]]:
-            v = instance.edges[eid][1]
+            v = instance.heads[eid]
             if v not in instance.source_index and v in togo and \
                     1 + togo[v] <= budgets[slot]:
                 layer[v] ^= assignment[eid] << (SLOT_BITS * slot)
@@ -654,7 +654,7 @@ class ScanGraph(dict):
         after = bin(bmask).count("1") + 1  # the next walk's source index
         moves = []
         for slot, eid in enumerate(instance.out_edges[z]):
-            w = instance.edges[eid][1]
+            w = instance.heads[eid]
             c = costs[eid]
             mask = bmask
             if instance.is_terminal(w):

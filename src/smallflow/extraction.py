@@ -155,7 +155,7 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
     out_by_vertex = {}
     in_by_vertex = {}
     for eid in essential:
-        u, v = instance.edges[eid]
+        u, v = instance.tails[eid], instance.heads[eid]
         out_by_vertex.setdefault(u, []).append(eid)
         in_by_vertex.setdefault(v, []).append(eid)
     for v in set(out_by_vertex) | set(in_by_vertex):
@@ -185,7 +185,7 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
             eid = out_by_vertex[v][0]
             es.append(eid)
             used.add(eid)
-            v = instance.edges[eid][1]
+            v = instance.heads[eid]
             vs.append(v)
         paths.append(tuple(vs))
         edge_ids.append(tuple(es))

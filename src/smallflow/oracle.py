@@ -57,14 +57,14 @@ def _walks_from(instance, start, max_measure, measures, budget):
     positive per-edge measure bounds the recursion depth.
     """
     out_edges = instance.out_edges
-    heads = instance.edges
+    heads = instance.heads
     sink_index = instance.sink_index
     is_term = instance.is_terminal
 
     def extend(v, vs, es, used):
         for eid in out_edges[v]:
             budget.spend()
-            w = heads[eid][1]
+            w = heads[eid]
             used2 = used + measures[eid]
             if used2 > max_measure:
                 continue
@@ -292,7 +292,7 @@ def brute_force_disjoint_paths(instance: PathInstance, mode: str = "cost",
 
         def extend(v, vs, es, meas):
             for eid in instance.out_edges[v]:
-                w = instance.edges[eid][1]
+                w = instance.heads[eid]
                 m2 = meas + measures[eid]
                 if m2 > cap or w in used_vertices or w in vs_set:
                     continue

@@ -383,8 +383,9 @@ def test_memory_limit_flag(capsys, paths_file, monkeypatch):
 
 
 def test_memory_limit_bounds_the_flow_gadget(capsys, tmp_path):
-    # a value-300 flow on one arc: its gadget (900 vertices, 180,000
-    # edges) is refused before it is built
+    # a value-300 flow on one arc: its gadget (900 vertices, 600 edges)
+    # fits, but the scan graph's distance tables over 2^300 terminal masks
+    # are refused before they are built
     from smallflow import evaluator
     before = evaluator.DEFAULT_MEMORY_LIMIT
     p = tmp_path / "k.dimacs"

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from smallflow import network
 from smallflow import (
     FlowInstance,
     ParseError,
@@ -94,7 +99,61 @@ def test_edge_id_stability():
 def test_parallel_edges_distinct_ids():
     inst = PathInstance(2, [(0, 1), (0, 1)], [0], [1])
     assert inst.m == 2
-    assert inst.out_edges[0] == [0, 1]
+    assert inst.out_edges[0] == (0, 1)
+
+
+def test_edge_layout():
+    # An instance stores its edges as two vertex lists in id order;
+    # edges is built from them, and out_edges[u] is the tuple of u's edge
+    # ids in increasing order, parallel edges apart.
+    inst = PathInstance(3, [(0, 2), (0, 1), (1, 2), (0, 1)], [0], [2])
+    assert (inst.tails, inst.heads) == ([0, 0, 1, 0], [2, 1, 2, 1])
+    assert inst.out_edges == [(0, 1, 3), (2,), ()]
+    rng = random.Random(2)
+    for _ in range(10):
+        inst = random_paths_instance(rng, 9, 2, extra_edges=12,
+                                     cost_max=rng.choice([None, 3]))
+        assert inst.edges == list(zip(inst.tails, inst.heads))
+        assert inst.out_edges == [
+            tuple(e for e in range(inst.m) if inst.tails[e] == u)
+            for u in range(inst.n)]
+        again = parse_paths_instance(serialize_paths_instance(inst))
+        assert again == inst
+        assert (again.tails, again.heads, again.out_edges) == \
+            (inst.tails, inst.heads, inst.out_edges)
+
+
+_FOOTPRINT = """
+import gc, json, random, tracemalloc
+from smallflow import (parse_paths_instance, random_paths_instance,
+                       serialize_paths_instance)
+inst = random_paths_instance(random.Random(3), 60, 4, 200)
+text = serialize_paths_instance(inst)
+parse_paths_instance(text)
+gc.collect()
+tracemalloc.start()
+kept = [parse_paths_instance(text) for _ in range(20)]
+print(json.dumps([inst.n, inst.m, tracemalloc.get_traced_memory()[0] / 20]))
+"""
+
+
+def test_parsed_instance_footprint():
+    # What a parsed instance retains, per instance over 20 parses of one
+    # text after a warm-up parse, in a fresh interpreter: at most 32 bytes
+    # per edge (its slots in tails, heads and an out-edge tuple, with list
+    # growth), 80 per vertex (its out-edge tuple and that tuple's slot)
+    # and 1 KiB for the fields and terminal dicts.  A (tail, head) tuple
+    # per edge takes 64 bytes with its slot, twice the edge budget; that
+    # layout read 22.4 KB here, and the list layout 10.0 KB.
+    src = os.path.dirname(os.path.dirname(network.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    n, m, retained = json.loads(out)
+    assert (n, m) == (60, 222)
+    assert retained <= 32 * m + 80 * n + 1024
 
 
 DIMACS_TEXT = """\
@@ -175,16 +234,27 @@ def test_instance_invariant_errors():
     (lambda: FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 1.5), "target flow value"),
     (lambda: FlowInstance(2, [(0, 1, 1.5, 1)], 0, 1, 1), "capacity below 1"),
     (lambda: FlowInstance(2, [(0, 1, 1, 2.5)], 0, 1, 1), "cost below 1"),
+    (lambda: PathInstance(5, [(0, 2), (2, 3), (1, 4), (0, 4)], [0.0, 1],
+                          [3, 4]), "out of range"),
+    (lambda: PathInstance(5, [(0.0, 2), (2, 3)], [0], [3]), "out of range"),
+    (lambda: PathInstance(5.0, [(0, 2), (2, 3)], [0], [3]),
+     "at least 2 vertices"),
+    (lambda: FlowInstance(3, [(0.0, 1, 1, 1), (1, 2, 1, 1)], 0, 2, 1),
+     "out of range"),
+    (lambda: FlowInstance(3, [(0, 1, 1, 1), (1, 2, 1, 1)], 0.0, 2, 1),
+     "out of range"),
 ], ids=["one-vertex", "terminal-range", "source-is-sink", "zero-target",
         "zero-capacity", "zero-cost", "float-path-cost", "float-target",
-        "float-capacity", "float-cost"])
+        "float-capacity", "float-cost", "float-terminal", "float-tail",
+        "float-count", "float-arc-tail", "float-source"])
 def test_constructor_checks(make, fragment):
     # The DIMACS parser rejects the first four flow cases before it builds
     # a FlowInstance, and passes only ints, so only direct construction
     # reaches the flow checks.  On float costs colliding walk systems fall
     # into different cost groups and no longer cancel: the float-cost path
     # instance would be priced at 10.2, against a brute-force optimum of
-    # 34.8.
+    # 34.8.  A float vertex id would be accepted, or fail as an index, and
+    # the float-terminal instance would then raise TypeError in a query.
     with pytest.raises(ValueError, match=fragment):
         make()
 
