@@ -234,6 +234,10 @@ def _cmd_oracle(args, instance, params):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on argv (sys.argv when None), write its report,
+    and return its exit code (module docstring).  Input errors, budget
+    errors and exhausted retries are messages and exit codes, not
+    tracebacks; the memory ceiling is restored on every exit."""
     args = build_parser().parse_args(argv)
     handler = {
         "decide": _cmd_decide,

@@ -1,21 +1,18 @@
 """Randomized non-identity tests with one-sided error.
 
 A query evaluates its cancellation polynomial at uniformly random field
-points.  A nonzero value certifies that the polynomial is nonzero, hence
-that the queried structure exists (NONZERO answers are never wrong); a run
-of zero evaluations is a probabilistic ZERO with per-repetition failure at
-most degree / field size.  Repetitions draw independent derived streams
-from (seed, repetition), so verdicts are reproducible byte for byte and
-monotone in the repetition count.  Every query draws its points with
-TestParams.assignments at its degree, which first checks the field.
+points, drawn by TestParams.assignments at the query's degree.  A nonzero
+value certifies that the queried paths exist, so NONZERO is never wrong;
+a run of t zero evaluations is a ZERO that errs with probability at most
+(degree / 2^s)^t.  Each repetition draws from its own (seed, repetition)
+stream, so verdicts are reproducible byte for byte.
 
-Before any field check or evaluation, every query asks
-PathInstance.has_disjoint_paths() whether k disjoint paths exist at all.
-When they do not, the polynomial is identically zero, and the query
-answers an exact "none" (a ZERO verdict with degree None, or None) in
-one linear pass.  When they do, a minimum cost exists, so only a bounded
-query (decide_*) answers a probabilistic ZERO, and a minimum-cost search
-that finds no nonzero slice raises RetriesExhaustedError.
+Every query first asks PathInstance.has_disjoint_paths() whether k
+disjoint paths exist at all.  When they do not, it answers an exact
+"none" (a ZERO with degree None, or None) before any field check.  When
+they do, a minimum cost exists, so only a bounded query (decide_*)
+answers a probabilistic ZERO, and a minimum-cost search that finds no
+nonzero slice raises RetriesExhaustedError.
 """
 
 from __future__ import annotations
@@ -43,6 +40,9 @@ class RetriesExhaustedError(RuntimeError):
 
 
 def default_repetitions(n: int) -> int:
+    """The repetition count t of a query on n vertices when none is given,
+    max(3, ceil(log2 n)): a probabilistic ZERO then errs with
+    probability at most (degree / 2^s)^t."""
     return max(3, math.ceil(math.log2(max(n, 2))))
 
 
@@ -102,21 +102,17 @@ class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
 
 def decide_disjoint_paths(instance: PathInstance, l: int,
                           params: TestParams, parallelism: int = 1) -> Verdict:
-    """Do k mutually vertex-disjoint X->Y paths of total length <= l exist?
+    """The Verdict on whether k vertex-disjoint X->Y paths of total length
+    <= l exist, for l in [1, k(n - 1)] (ValueError otherwise).
 
-    One TablePlan at unit costs serves every repetition.  Slices are
-    homogeneous of distinct degrees, and a least nonzero one lies at or
-    below slice_degree(instance, l), so the tables are evaluated up to
-    that degree only.  An instance without k disjoint paths at any
-    length (has_disjoint_paths, checked first) is ZERO without a plan.
-    Otherwise no walk set is shorter than the plan's floor, the sum of
-    the sources' least lengths to a sink, so a degree below it is ZERO
-    without an evaluation.  Those ZEROs are exact, with degree None;
-    every other verdict states the slice degree (see Verdict).
-    parallelism > 1 spreads the table engine's source rows and subset
-    terms over up to that many worker processes (at most k and the
-    usable cores); the verdict is the same.  A parallelism below 1 is
-    refused before any check, so it fails alike on every instance.
+    One TablePlan at unit costs serves every repetition, evaluated up to
+    degree = slice_degree(instance, l) only: the least nonzero slice lies
+    at or below it.  The ZERO is exact, with degree None and no
+    evaluation, when has_disjoint_paths() finds no k disjoint paths or
+    the degree is below the plan's floor (no walk set is shorter); every
+    other verdict states the degree (Verdict).  parallelism > 1 spreads
+    the table engine over up to that many worker processes with the
+    same verdict; below 1 it raises ValueError before any check.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism {parallelism} below 1")
@@ -137,17 +133,16 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
 
 def decide_cost_bounded(instance: PathInstance, u: int,
                         params: TestParams) -> Verdict:
-    """Do k disjoint paths of total cost <= u exist?
+    """The Verdict on whether k disjoint paths of total cost <= u exist,
+    for u >= 1 (ValueError otherwise).
 
-    Scans exact-cost slices upward, capped by min(u, simple-set cost
-    bound): when the cost-bounded polynomial is nonzero at all, its least
-    nonzero slice is witnessed by simple paths and lies under that cap.
-    The ZERO is exact, with degree None and no assignment drawn, when no k
-    disjoint paths exist at all (has_disjoint_paths, checked before the
-    scan graph is built) or when the cap is below the graph's floor, the
-    least cost of any walk set; bounds below k are such a case (k walks
-    cost >= k).  Otherwise the field is checked against the cap's
-    slice_degree, and that is the verdict's degree.
+    One scan per repetition, capped at min(u, simple_cost_cap()): the
+    least nonzero slice, when there is one, is witnessed by simple paths
+    under that cap.  The ZERO is exact, with degree None and no point
+    drawn, when has_disjoint_paths() finds no k disjoint paths or the
+    cap is below the graph's floor (no walk set costs less); otherwise
+    the verdict's degree is the cap's slice_degree, which the field is
+    checked against.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
@@ -171,16 +166,14 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     None is exact: has_disjoint_paths() found no k disjoint paths, before
     any field check.  Otherwise the search is least_nonzero_slice over one
     ScanGraph, capped at simple_cost_cap(), whose slice_degree the field
-    is checked against before the graph is built: the least nonzero slice
-    is certified by k disjoint simple paths, which cost at most the cap.
-    Such paths are a walk set, so the cap is at least the graph's floor
-    and the search scans at least once.  When no repetition finds a
-    nonzero slice, every one was a false zero, and it raises
-    RetriesExhaustedError.
-    `_graph` is internal: a query that scans the same graph again
-    (find_disjoint_paths) passes the ScanGraph it built at the instance's
-    costs, so that it is built once; that query has already run
-    has_disjoint_paths(), so it is not run again.
+    is checked against before the graph is built.  A cost it returns is
+    never below the optimum (a nonzero slice certifies k pairwise
+    disjoint walks of that cost), and above it only when every
+    repetition misses the optimum's slice, each with probability at most
+    degree / 2^s.  When none finds a nonzero slice it raises
+    RetriesExhaustedError.  `_graph` is internal:
+    find_disjoint_paths passes the ScanGraph it built at the instance's
+    costs, after its own has_disjoint_paths() check.
     """
     if _graph is None and not instance.has_disjoint_paths():
         return None
@@ -201,18 +194,15 @@ def least_nonzero_slice(graph: ScanGraph, points, field: GF2Field,
     """Least cost at most cap with a nonzero slice at the graph's costs,
     over `points`, the caller's TestParams.assignments at the cap's
     degree (one per repetition, drawn as the scans read them), or None.
+    A nonzero slice certifies its cost; the answer misses the least one
+    only when it vanishes at every point.
 
-    One slice scan per repetition; the least nonzero slice index is the
-    answer for that repetition (each monomial lives in exactly one
-    exact-cost slice), and repetitions combine by taking the minimum.
+    One scan per repetition; repetitions combine by taking the minimum.
     After a hit at cost `best`, later repetitions scan only to best - 1,
-    since only a lower hit changes the minimum; each still tests the true
-    least nonzero slice when it lies below the cap, so the error bound is
-    that of the initial cap.  A scan that finds no hit below best expands
-    exactly the states with d + togo <= best - 1 (scan_slices' order and
-    cap), and one that hits at d* < best those with d + togo <= d*.  No
-    walk set costs less than the graph's floor, so once the cap is below
-    it no repetition is left that could hit, and none is run.
+    since only a lower hit changes the minimum; each still tests the
+    true least nonzero slice when it lies below the cap, so the error
+    bound is that of the initial cap.  No walk set costs less than the
+    graph's floor, so once the cap is below it no repetition is run.
     """
     best = None
     points = iter(points)

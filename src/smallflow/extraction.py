@@ -1,13 +1,13 @@
 """Construction of a minimum-cost set of k vertex-disjoint paths.
 
-Two strategies produce the same object:
+Two strategies return a PathSet of the same least original cost:
 
 * deletion (the default): with the optimum D0 known, classify_edges
   walks the edges in id order and deletes each one whose removal still
   leaves a cost-D0 set among the survivors.  What remains is the support
-  of a single optimal set.  It needs no perturbed costs.  On path
-  instances it is the faster strategy (about 15x on a `mincost` batch);
-  on the small gadget networks of `flow` isolation is about 10% faster.
+  of a single optimal set.  It needs no perturbed costs.  It is the
+  faster strategy on path instances, and isolation on small flow gadgets
+  (ROADMAP, "Measured and kept": deletion as the default strategy).
 
 * isolation, the paper's construction (Mulmuley-Vazirani-Vazirani):
   perturb edge costs to c'(e) = c(e)*(r*m + 1) + w(e) with random weights
@@ -22,8 +22,9 @@ Two strategies produce the same object:
   polynomial tests run on exactly those edges.
 
 Either way every test checks its field at decision.slice_degree.  An
-edge test runs at one point: its false zero fails assembly, and the
-attempt is retried with fresh randomness.
+answer errs only by a false zero in the search for D0 or U*.  An edge
+test runs at one point: its false zero fails assembly, and the attempt
+is retried with fresh randomness.
 """
 
 from __future__ import annotations
@@ -101,24 +102,20 @@ def find_min_perturbed_cost(pgraph: ScanGraph,
 
 
 def classify_edges(graph: ScanGraph, d: int, point, field) -> set:
-    """The edges of one minimum set of slice d, d the least nonzero slice
-    of graph (a ScanGraph at any costs) that the caller's search found.
+    """The edge ids of one disjoint path set of cost d, d the least
+    nonzero slice of graph (a ScanGraph at any costs) that the caller's
+    search found, unless a false zero at point (the caller's one
+    assignment at d's degree) kept an edge that could go: assemble_paths
+    then fails, which costs a retry, never a wrong answer.
 
-    point is the caller's one assignment at d's degree.  Most edges lie
-    on no walk set of cost d at all (slice_support, a boolean pass over
-    the scan's state graph).  Their variables do not occur in the d
-    slice, so deleting one leaves the slice's values as they were, and
-    the test would pass: such edges are deleted without a scan, before
-    the first test and again after each deletion, as the support
-    shrinks.  The same pass finds the forced edges, those on every walk
-    set of cost d: deleting one leaves the d slice an empty sum, and the
-    slices below d are zero, so the test would fail, and they are kept
-    without a scan.  Every other edge is tested in id order, by one scan
-    at point, and deleted for good when that scan finds a nonzero slice
-    at or below d without it.  Colliding walk systems cancel in pairs
-    with the same edges, so what remains is the edge set of one disjoint
-    path set of cost d, unless a false zero kept an edge that could go:
-    assemble_paths then fails, which costs a retry, never a wrong answer.
+    slice_support settles most edges without a scan, before the first
+    test and again after each deletion: an edge on no walk set of cost d
+    is deleted (its variable is not in slice d), and one on every such
+    set is kept (deleting it empties slice d, and the slices below d are
+    zero).  Every other edge is tested in id order by one scan at point,
+    and deleted for good when that scan finds a nonzero slice at or below
+    d without it.  Colliding walk systems cancel in pairs with the same
+    edges, so what remains is one disjoint path set of cost d.
     """
     m = graph.instance.m
     live, forced = slice_support(graph, [True] * m, d)

@@ -1,40 +1,25 @@
-"""Arithmetic in binary fields GF(2^s).
+"""Arithmetic in binary fields GF(2^s), packed vectors, and seeded streams.
 
 Field elements are plain Python ints in [0, 2^s): bit i is the coefficient
-of x^i in the polynomial basis.  The zero and one elements are 0 and 1.
-Addition is XOR; multiplication is carryless (polynomial) multiplication
-reduced modulo an irreducible polynomial of degree s.
+of x^i in the polynomial basis.  Addition is XOR; multiplication is
+carryless multiplication reduced modulo the irreducible polynomial of
+degree s in DEFAULT_POLYS.  The default field is GF(2^64); s = 8 and 16
+serve exhaustive cross-checks.  A nonzero polynomial of degree d vanishes
+at a uniform random point with probability at most d / 2^s
+(Schwartz-Zippel), which is what every randomized test relies on.
 
-The default field is GF(2^64) with reduction polynomial
-x^64 + x^4 + x^3 + x + 1, large enough that a random evaluation of a
-polynomial of degree ~10^7 is zero with probability below 10^-11.  Small
-fields (s = 8, 16) are supported for exhaustive cross-checks.
-
-The module also provides "packed vectors": many field elements stored in
-one big int, 128 bits per slot, so that a whole vector can be multiplied
-by a shared scalar with a handful of CPython big-int operations
-(vec_window once per vector, then vec_scalar_mul_w per scalar).
-Products are left unreduced (< 2^(2s-1) per slot) and may be XORed
-together before they are folded back below 2^s: the evaluator's row
-pass folds each cell once, with GF2Field.reduce on its per-row route and
-with vec_reduce (all rows' slots at once) on its packed route, its scans
-fold each state with GF2Field.reduce, and its subset phase folds whole
-packed tables with vec_reduce.
-
-The kernels are straight-line code with these preconditions:
-vec_scalar_mul_w takes a scalar below 2^64 (every element of every
-built-in field): it reads the 16 nibbles off the scalar's 8 bytes
-(int.to_bytes, then bytes.translate through two 256-byte nibble tables),
-so any other scalar raises.  GF2Field.reduce and vec_reduce take values
-(per slot) below 2^(2s), which every product of two elements and every
-XOR of such products is.  Every built-in tail x^c + x^b + x^a + 1 has c <= s/2,
-so two folds bring such a value below 2^s.
+A packed vector holds many field elements in one big int, 128 bits per
+slot, so that a whole vector is multiplied by a shared scalar in a
+handful of big-int operations (vec_window once per vector, then
+vec_scalar_mul_w per scalar).  Products are left unreduced, below
+2^(2s-1) per slot, and may be XORed together before GF2Field.reduce or
+vec_reduce folds them below 2^s.
 
 derive_rng keys every random stream by a SHA-256 of (seed, *path).  The
 hash comes from the interpreter's built-in module (_sha2 on CPython 3.12
-and later, _sha256 on 3.10-3.11), as random.py takes its _sha512, because
-hashlib loads OpenSSL's libcrypto (about 3.6 MiB of resident memory); only
-an interpreter built without that module falls back to hashlib.  SHA-256
+and later, _sha256 on 3.10-3.11), as random.py takes its _sha512, so a
+query process does not load hashlib and OpenSSL's libcrypto; only an
+interpreter built without that module falls back to hashlib.  SHA-256
 is the same function from either, so every stream is the same.
 """
 
@@ -75,11 +60,10 @@ def _poly_mod(a: int, b: int) -> int:
 
 
 def is_irreducible(poly: int, s: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..s//2.
-
-    Only intended for s <= 16; the shipped defaults for larger s come from
-    a verified table.
-    """
+    """Whether poly has degree s and is irreducible over GF(2), by
+    exhaustive trial division by every polynomial of degree 1..s//2:
+    exact, but only intended for s <= 16.  The defaults for larger s
+    come from a verified table."""
     if _poly_degree(poly) != s:
         return False
     if poly & 1 == 0:  # divisible by x
@@ -93,13 +77,8 @@ def is_irreducible(poly: int, s: int) -> bool:
 
 
 class GF2Field:
-    """GF(2^s) with a fixed degree-s irreducible reduction polynomial.
-
-    Parameters
-    ----------
-    exponent : int
-        s, one of the built-ins in DEFAULT_POLYS (8, 16 or 64); the field
-        has 2^s elements and reduces by DEFAULT_POLYS[s].
+    """GF(2^s) for an exponent s in DEFAULT_POLYS (8, 16 or 64; ValueError
+    otherwise): 2^s elements, reduced by the irreducible DEFAULT_POLYS[s].
     """
 
     def __init__(self, exponent: int):

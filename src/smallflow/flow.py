@@ -55,6 +55,11 @@ class GadgetNetwork(namedtuple(
 
 
 def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
+    """The gadget of K (module docstring): its minimum path-set cost D*
+    decodes to K's minimum value-k flow cost D* // scale, and it has k
+    disjoint paths exactly when K has a value-k flow.  Exact and
+    deterministic.  Raises BudgetError, before any edge is built, when
+    its vertices and edges would pass the memory ceiling."""
     k = K.target_value
     units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
              for _ in range(min(cap, k))]
@@ -67,9 +72,8 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     span_s = max(0, len(out_at[K.source]) - k + 1)
     span_t = max(0, sum(K.edges[eid][1] == K.sink for eid in units) - k + 1)
     # the memory ceiling, before any edge is built: a vertex is one cell,
-    # and an edge two.  With the pair list below, an edge peaked at 164-178
-    # bytes during the build, and 96-101 stay in the instance (tracemalloc,
-    # 64-bit CPython 3.11, gadgets of 5,240 and 90,600 edges)
+    # and an edge two, since its pair in the list below and its slots in
+    # the instance are both alive at the build's peak
     _check_budget(first_y + k + 2 * (k * (span_s + span_t) + sum(
         len(out_at[v]) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))

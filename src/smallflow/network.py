@@ -137,10 +137,10 @@ class PathInstance:
         fin[v] and fout[v] are the edges carrying a path into and out of v
         (-1: none).  Each search is a DFS over the residual states: at a
         vertex on a path, a used sink included, it may back out along that
-        path's edge into it, which reroutes the path.  O(k (n + m)) time;
-        the lists peak at about 54 bytes per vertex, 1-3% of what the
-        instance itself holds on flow gadgets of 5,240 and 90,600 edges
-        (tracemalloc), so nothing is charged against the memory ceiling.
+        path's edge into it, which reroutes the path.  Exact, in O(k (n +
+        m)) time.  Its lists hold a few slots per vertex, a small part of
+        what the instance holds, so nothing is charged against the memory
+        ceiling.
         """
         tails, heads, out_edges = self.tails, self.heads, self.out_edges
         sources, sinks = self.source_index, self.sink_index
@@ -282,6 +282,10 @@ class ProperWalkSet(namedtuple("ProperWalkSet", "walks")):
 # ---------------------------------------------------------------------------
 
 def parse_paths_instance(text: str) -> PathInstance:
+    """The PathInstance that paths-format text (module docstring)
+    describes, costed when any edge line gives a cost.  Raises
+    ParseError, naming the line where it can, on malformed text or on
+    values the constructor refuses."""
     header = None
     sources, sinks, edges, costs = [], [], [], []
     any_cost = False
@@ -338,6 +342,8 @@ def parse_paths_instance(text: str) -> PathInstance:
 
 
 def serialize_paths_instance(instance: PathInstance) -> str:
+    """Paths-format text that parse_paths_instance reads back to an equal
+    instance."""
     lines = [f"q paths {instance.n} {instance.m} {instance.k}"]
     lines += [f"x {v + 1}" for v in instance.sources]
     lines += [f"y {v + 1}" for v in instance.sinks]
@@ -350,6 +356,10 @@ def serialize_paths_instance(instance: PathInstance) -> str:
 
 
 def parse_dimacs_flow(text: str) -> FlowInstance:
+    """The FlowInstance that DIMACS min-cost flow text (module docstring)
+    describes: one source of supply k, one sink of demand k, zero lower
+    bounds.  Raises ParseError, naming the line where it can, on
+    malformed text or on values the constructor refuses."""
     header = None
     supplies = {}
     arcs = []
@@ -417,6 +427,8 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
 
 
 def serialize_dimacs_flow(instance: FlowInstance) -> str:
+    """DIMACS text that parse_dimacs_flow reads back to an equal
+    instance."""
     lines = [f"p min {instance.n} {instance.m}"]
     lines.append(f"n {instance.source + 1} {instance.target_value}")
     lines.append(f"n {instance.sink + 1} {-instance.target_value}")

@@ -154,6 +154,9 @@ def symbolic_char2_polynomial(instance: PathInstance, bound: int,
                               mode: str = "length",
                               budget: int = DEFAULT_BUDGET,
                               costs=None) -> SymbolicPolynomial:
+    """The XOR-set of the monomials of enumerate_proper_walk_sets' family
+    (same arguments): exact, by exhaustive enumeration, so exponential;
+    raises EnumerationBudgetError past the step budget."""
     monos = set()
     for ws in enumerate_proper_walk_sets(instance, bound, mode,
                                          budget=budget, costs=costs):

@@ -495,7 +495,7 @@ def looped_chains():
 def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch,
                                                       scan_cost_slices):
     # Row i's budget is l - 3, and togo is 0 at y, 1 at b, 2 at a, 3 at c;
-    # z reaches no sink, so a -> z is in no tail list.  The tails: a -> {b},
+    # z reaches no sink, so a -> z is in no fan.  The fans: a -> {b},
     # b -> {y, c} (reach 1, 4) and c -> {a}: widths 1, 2, 1, below k = 2,
     # so the plan packs.  A walk from x_i stands at a at q = 1, 4, 7, ...,
     # at b at 2, 5, ... and at c at 3, 6, ...; cell (q, v) is written only
@@ -590,7 +590,7 @@ def test_full_slots_do_not_spill(s, subdivided_slices, scan_cost_slices):
     inst = spill_instance()
     unit = [1] * inst.m
     assert any(len(out) >= 3 and len({v for _, v, _ in out}) < len(out)
-               for out in length_plan(inst, 10).tails)
+               for out in length_plan(inst, 10).fans)
     assert set(inst.costs) == {1, 2, 3}
     l = inst.k * (inst.n - 1)
     u = 10
@@ -671,7 +671,7 @@ def test_row_route_choice(field64, monkeypatch, scan_cost_slices):
     # wide and pack, and one source never packs.
     inst = random_paths_instance(random.Random(71), 64, 4, extra_edges=256)
     plan = length_plan(inst, 4 * 63)
-    widths = [len(out) for out in plan.tails if out]
+    widths = [len(out) for out in plan.fans if out]
     assert 4.5 < sum(widths) / len(widths) and not plan.packs
     ran = []
 
@@ -769,7 +769,7 @@ slices = plan.slices(f, field)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 json.dump([peak, plan.pair_cells, plan.subset_cells, plan.fan_cells,
-           [bool(v) for v in slices], sum(map(len, plan.tails))],
+           [bool(v) for v in slices], sum(map(len, plan.fans))],
           sys.stdout)
 """
 
@@ -779,7 +779,7 @@ def fresh_peak(inst, l):
     values random_assignment draws from random.Random(8), as the first
     evaluation of a fresh interpreter: (tracemalloc peak, pair_cells,
     subset_cells, fan_cells, which slices are nonzero, the entries of
-    plan.tails).  The free lists are emptied (gc.collect) before tracing
+    plan.fans).  The free lists are emptied (gc.collect) before tracing
     starts, so every tuple the pass makes is counted; later evaluations
     in one process read lower, as they take tuples from CPython's free
     lists, which tracemalloc does not count again."""
@@ -850,7 +850,7 @@ def test_memory_ceiling_bounds_a_packing_plan(l):
     # beside the windowed fans that the pool would build.
     inst = layered_instance(random.Random(9), 4, 6, 11)
     plan = length_plan(inst, l)
-    widths = [len(out) for out in plan.tails if out]
+    widths = [len(out) for out in plan.fans if out]
     peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
         fresh_peak(inst, l)
     assert plan.packs and tails == sum(widths)

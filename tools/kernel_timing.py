@@ -22,7 +22,7 @@ extra_edges=256) at l = 252) and on two of decide's benchmark shapes
 depth 8, which evaluator._packs packs, and k = 2, width 4, depth 6,
 which it leaves per row.  The routes alternate, and each one's median over
 ROUTE_REPEATS evaluations is printed in ms beside the plan's mean fan
-width (out-edges per vertex that has any, from TablePlan.tails) and the
+width (out-edges per vertex that has any, from TablePlan.fans) and the
 route that evaluator._packs picks, so the crossover can be measured
 again on another host.  The last line is both tables as one JSON object.
 """
@@ -124,7 +124,7 @@ def measure_routes() -> dict:
     try:
         for name, (inst, l) in route_cases().items():
             plan = TablePlan(inst, l)
-            widths = [len(out) for out in plan.tails if out]
+            widths = [len(out) for out in plan.fans if out]
             f = random_assignment(field, inst.m, random.Random(72))
             ms = {"packed": [], "per-row": []}
             for i in range(ROUTE_REPEATS[name]):
