@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -47,7 +48,12 @@ def _add_query(p):
     p.add_argument("--field-exp", type=int, default=64,
                    help="field exponent s for GF(2^s)")
     p.add_argument("--reps", type=int, default=None,
-                   help="repetitions (default max(3, ceil(log2 n)))")
+                   help="repetitions (default: the least t with "
+                        "((n-1)/2^s)^t <= 2^-max(n, 64); a small field "
+                        "on a large instance needs many, e.g. 551 at "
+                        "GF(2^8) and n = 200, and none suffices when "
+                        "2^s <= n - 1, which exits 2 unless --reps is "
+                        "given)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force oracle")
@@ -100,10 +106,11 @@ def _read_input(path):
 
 
 def _params(args, n):
+    field = GF2Field(args.field_exp)
     reps = args.reps if args.reps is not None \
-        else decision.default_repetitions(n)
-    return decision.TestParams(field=GF2Field(args.field_exp),
-                               repetitions=reps, seed=args.seed)
+        else decision.default_repetitions(n, args.field_exp)
+    return decision.TestParams(field=field, repetitions=reps,
+                               seed=args.seed)
 
 
 def _one_indexed(paths):
@@ -160,8 +167,12 @@ def _cmd_decide(args, instance, params):
         deviations.append(f"length bound defaulted to k(n-1) = {l}")
     verdict = decision.decide_disjoint_paths(
         instance, l, params, parallelism=args.parallelism)
+    # log2 of the probabilistic ZERO's error bound (degree / 2^s)^t
+    bound = None if verdict.nonzero or verdict.degree is None else round(
+        params.repetitions * (math.log2(verdict.degree) - args.field_exp), 2)
     fields = {"answer": verdict.answer, "length_bound": l,
-              "evaluated_degree": verdict.degree, "deviations": deviations}
+              "evaluated_degree": verdict.degree,
+              "error_bound_log2": bound, "deviations": deviations}
     return _report(
         args, params, fields, verdict.nonzero, verdict.degree is None,
         verdict.answer, "oracle_answer",

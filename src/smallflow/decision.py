@@ -4,7 +4,9 @@ A query evaluates its cancellation polynomial at uniformly random field
 points, drawn by TestParams.assignments at the query's degree.  A nonzero
 value certifies that the queried paths exist, so NONZERO is never wrong;
 a run of t zero evaluations is a ZERO that errs with probability at most
-(degree / 2^s)^t.  Each repetition draws from its own (seed, repetition)
+(degree / 2^s)^t (Schwartz-Zippel).  The degree is never above n - 1, so
+default_repetitions(n) picks the least t that puts this bound at or below
+2^-max(n, 64).  Each repetition draws from its own (seed, repetition)
 stream, so verdicts are reproducible byte for byte.
 
 Every query first asks PathInstance.has_disjoint_paths() whether k
@@ -17,7 +19,6 @@ nonzero slice raises RetriesExhaustedError.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .evaluator import (
@@ -39,11 +40,36 @@ class RetriesExhaustedError(RuntimeError):
     zero, or every attempt (fresh seed each) failed assembly."""
 
 
-def default_repetitions(n: int) -> int:
-    """The repetition count t of a query on n vertices when none is given,
-    max(3, ceil(log2 n)): a probabilistic ZERO then errs with
-    probability at most (degree / 2^s)^t."""
-    return max(3, math.ceil(math.log2(max(n, 2))))
+def default_repetitions(n: int, field_exponent: int = 64) -> int:
+    """The repetition count t of a query on n vertices when none is given:
+    the least t with ((n - 1) / 2^s)^t <= 2^-max(n, 64), s the field
+    exponent, found in integers as (n - 1)^t * 2^max(n, 64) <= 2^(s t).
+
+    Every test's degree is a slice_degree, at most max_path_edges() <=
+    n - 1, so a probabilistic ZERO at this t errs with probability at
+    most 2^-max(n, 64), exponentially small in n.  A flow query passes
+    its network's n, below its gadget's, so its gadget's tests are held
+    to 2^-64 alone at desk scale.  A field with 2^s <= n - 1 meets the
+    target at no t: ValueError, naming the field."""
+    degree, target = max(n - 1, 0), max(n, 64)
+    if 1 << field_exponent <= degree:
+        raise ValueError(
+            f"field of size 2^{field_exponent} meets no error target at "
+            f"n = {n}: a test's degree reaches n - 1 = {degree}")
+
+    def meets(t):
+        return (degree ** t << target) <= 1 << (field_exponent * t)
+
+    low, high = 0, 1  # meets(0) is false: 2^target > 1
+    while not meets(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if meets(mid):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def slice_degree(instance: PathInstance, cap: int, least_cost=1) -> int:

@@ -42,7 +42,7 @@ _CELL_BYTES = 96  # rough per-table-cell footprint used for budget checks
 _FAN_CELLS = 5  # cells charged per packed edge of a windowed fan
 _MOVE_CELLS = 2  # cells charged per scan-graph move (see ScanGraph)
 _REACH = itemgetter(3)  # a scan-graph move's reach
-_TAIL_CELLS = 2  # cells charged per TablePlan.fans entry (~106 bytes)
+_FAN_ENTRY_CELLS = 2  # cells charged per TablePlan.fans entry (~106 bytes)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _PLAN = None  # a pool worker's row plan, inherited by fork (_start_worker)
 
@@ -81,7 +81,7 @@ def _fan_cells(slots: int) -> int:
     edge and 10 for the window.  A window of D slots is 15 nonzero ints
     of 16 bytes per slot, and building the plan's fan lists and the sink
     distances holds more per edge; the fan lists themselves are charged
-    apart (_TAIL_CELLS)."""
+    apart (_FAN_ENTRY_CELLS)."""
     return _FAN_CELLS * (slots + 2)
 
 
@@ -121,7 +121,7 @@ class TablePlan:
     the first edge past it.  packs is _packs of the fans' widths.
 
     The memory ceiling is charged pair_cells, subset_cells and fan_cells
-    (_fan_cells of each fan, and _TAIL_CELLS per fan entry), and checked
+    (_fan_cells of each fan, and _FAN_ENTRY_CELLS per fan entry), and checked
     once per evaluation, before any row runs.  pair_cells is, per row, k
     sink columns of budget cells, and one cell per non-source vertex for
     the two layers a pass holds (a reduced and an unreduced value, at
@@ -155,7 +155,7 @@ class TablePlan:
                               for budget in self.budgets)
         self.subset_cells = (1 << k) * (bound + 1)
         self.fan_cells = sum(map(_fan_cells, widths)) + \
-            _TAIL_CELLS * sum(widths)
+            _FAN_ENTRY_CELLS * sum(widths)
 
     def slices(self, assignment, field: GF2Field,
                parallelism: int = 1) -> list[int]:

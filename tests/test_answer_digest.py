@@ -38,12 +38,13 @@ WORK = {
     "isolation": (199, 397),
     "support": (313, 608),
 }
-# name -> slice scans run, on the lines whose queries scan
+# name -> slice scans run, on the lines whose queries scan, at
+# t = default_repetitions(n): 2 on every query of these batches
 SCANS = {
-    "mincost": 30,
-    "flow": 97,
-    "flowcost": 97,
-    "isolation": 39,
+    "mincost": 16,
+    "flow": 96,
+    "flowcost": 96,
+    "isolation": 35,
 }
 ISOLATION_ATTEMPTS = 31
 

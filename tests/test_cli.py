@@ -109,13 +109,16 @@ def test_decide_zero_exit(capsys, tmp_path):
     assert (code, rep["answer"], rep["evaluated_degree"],
             rep["repetitions"]) == (1, "ZERO", None, 0)
     assert rep["verify"]["match"] is True
+    assert rep["error_bound_log2"] is None
     # feasible, with every walk set of length <= 4 meeting at vertex 3: the
-    # tables run at degree 4, all 3 repetitions, and answer ZERO
+    # tables run at degree 4, both repetitions of n = 8, and answer ZERO,
+    # which errs with probability at most (4 / 2^64)^2 = 2^-124
     p.write_text(HUB_BELOW)
     code, rep = run_json(capsys, "decide", "-i", str(p), "-l", "4",
                          "--verify")
     assert (code, rep["answer"], rep["evaluated_degree"],
-            rep["repetitions"]) == (1, "ZERO", 4, 3)
+            rep["repetitions"]) == (1, "ZERO", 4, 2)
+    assert rep["error_bound_log2"] == -124.0
     assert rep["verify"]["match"] is True
 
 
@@ -166,6 +169,28 @@ def test_mincost_false_zero_exits_3(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("budget error: no nonzero slice")
+
+
+# one path 1 -> 2 -> 3 among 257 vertices: the tests run at degree 2, but
+# the default repetitions must cover degree n - 1 = 256
+LONE_PATH_257 = "q paths 257 2 1\nx 1\ny 3\ne 1 2\ne 2 3\n"
+
+
+def test_field_too_small_for_the_error_target(capsys, tmp_path):
+    # GF(2^8) has 256 <= n - 1 elements: no repetition count meets
+    # 2^-max(n, 64), so the default is an input error, and an explicit
+    # --reps runs
+    p = tmp_path / "lone.paths"
+    p.write_text(LONE_PATH_257)
+    code = cli.main(["decide", "-i", str(p), "--field-exp", "8"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: field of size 2^8 meets no error")
+    code, rep = run_json(capsys, "decide", "-i", str(p), "--field-exp", "8",
+                         "--reps", "3")
+    assert (code, rep["answer"], rep["evaluated_degree"],
+            rep["repetitions"], rep["error_bound_log2"]) == (
+                0, "NONZERO", 2, 3, None)
 
 
 @pytest.mark.parametrize("subcommand", ["mincost", "find"])

@@ -504,8 +504,130 @@ def test_param_validation(single_edge):
         decide_disjoint_paths(single_edge, 9, params64())
     with pytest.raises(ValueError, match=">= 1"):
         decide_cost_bounded(single_edge, 0, params64())
-    assert default_repetitions(4) == 3
-    assert default_repetitions(1000) == 10
+    assert default_repetitions(4) == 2
+    assert default_repetitions(1000) == 19
+
+
+def _meets_target(degree, t, s, n):
+    """(degree / 2^s)^t <= 2^-max(n, 64), in integers."""
+    return degree ** t * 2 ** max(n, 64) <= 2 ** (s * t)
+
+
+@pytest.mark.parametrize("s", [8, 16, 32, 64])
+def test_default_repetitions_is_the_least_count_meeting_the_target(s):
+    # every test's degree is at most n - 1, so the default t is the least
+    # with ((n - 1) / 2^s)^t <= 2^-max(n, 64); no t meets it where
+    # 2^s <= n - 1
+    for n in range(1, 2001):
+        if 2 ** s <= n - 1:
+            with pytest.raises(ValueError, match=rf"2\^{s} meets no"):
+                default_repetitions(n, s)
+            continue
+        t = default_repetitions(n, s)
+        assert _meets_target(n - 1, t, s, n), (n, t)
+        assert not _meets_target(n - 1, t - 1, s, n), (n, t)
+    assert [default_repetitions(n) for n in (2, 57, 331, 1000)] == [
+        1, 2, 6, 19]
+    assert default_repetitions(200, 8) == 551
+
+
+# The tests whose ZERO an answer rests on, by the stream each draws its
+# points from.  An edge test ("deletion", "isolation-tests") runs at one
+# point, and its false zero costs a retry, never an answer.
+SEARCH_STREAMS = {"decide-length", "decide-cost", "min-cost",
+                  "find-perturbed"}
+
+
+def _record_tests(monkeypatch):
+    """A list that receives (stream, degree, params) for every test that
+    draws its points through TestParams.assignments."""
+    tests = []
+    draw = TestParams.assignments
+
+    def spy(self, m, degree, *stream):
+        tests.append((stream[0], degree, self))
+        return draw(self, m, degree, *stream)
+
+    monkeypatch.setattr(TestParams, "assignments", spy)
+    return tests
+
+
+@pytest.mark.parametrize("s", [8, 16, 64])
+def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
+                                                              s):
+    # every path query at t = default_repetitions(n, s): each search's
+    # slice_degree, at the query's own cap and costs, gives a ZERO that
+    # errs with probability at most 2^-max(n, 64); at s = 64 two
+    # instances past n = 64 hold the tests to 2^-n
+    rng = random.Random(48)
+    tests = _record_tests(monkeypatch)
+    sizes = [rng.randint(4, 12) for _ in range(12)]
+    if s == 64:
+        sizes += [120, 130]
+    searched = dict.fromkeys(
+        ["decide", "decide_cost", "mincost", "deletion", "isolation"], 0)
+    for n in sizes:
+        k = rng.randint(1, min(3 if n <= 12 else 2, n // 2))
+        inst = random_paths_instance(rng, n, k,
+                                     extra_edges=rng.randint(n, 2 * n),
+                                     cost_max=4, plant=rng.random() < 0.8)
+        params = TestParams(field=GF2Field(s),
+                            repetitions=default_repetitions(n, s),
+                            seed=rng.getrandbits(32))
+        cap, least = inst.simple_cost_cap(), min(inst.cost_list())
+        l = rng.randint(1, k * (n - 1))
+        u = rng.randint(1, cap)
+        queries = {
+            "decide": (lambda: decide_disjoint_paths(inst, l, params),
+                       decision.slice_degree(inst, l)),
+            "decide_cost": (lambda: decide_cost_bounded(inst, u, params),
+                            decision.slice_degree(inst, min(u, cap), least)),
+            "mincost": (lambda: min_cost_disjoint_paths(inst, params),
+                        decision.slice_degree(inst, cap, least)),
+            "deletion": (lambda: find_disjoint_paths(inst, params),
+                         decision.slice_degree(inst, cap, least)),
+        }
+        if n <= 12:
+            queries["isolation"] = (lambda: find_disjoint_paths(
+                inst, params, strategy="isolation"), None)
+        for kind, (query, degree) in queries.items():
+            tests.clear()
+            query()
+            searches = [t for t in tests if t[0] in SEARCH_STREAMS]
+            for _stream, got, p in searches:
+                assert p.repetitions == params.repetitions
+                assert degree is None or got == degree, (kind, got, degree)
+                assert got <= n - 1
+                assert _meets_target(got, p.repetitions, s, n), (kind, n)
+            searched[kind] += bool(searches)
+    assert min(searched.values()) >= 5, searched
+
+
+def test_flow_gadget_bound_within_2_to_the_minus_64(monkeypatch):
+    # a flow query's t comes from the network's n, as the CLI and the
+    # benchmark compute it, while its tests run on the larger gadget: on
+    # criterion 6's battery every gadget search still errs with
+    # probability at most 2^-64
+    rng = random.Random(606)
+    tests = _record_tests(monkeypatch)
+    searched = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        m = rng.randint(2, min(2 * n, 10))
+        k = rng.choice([1, 1, 2, 2, 3])
+        K = random_flow_instance(rng, n, m, k, cap_max=3, cost_max=4,
+                                 plant=rng.random() < 0.75)
+        params = TestParams(field=GF2Field(64),
+                            repetitions=default_repetitions(K.n),
+                            seed=rng.getrandbits(48))
+        tests.clear()
+        min_cost_flow(K, params, max_retries=3)
+        searches = [t for t in tests if t[0] in SEARCH_STREAMS]
+        for _stream, degree, p in searches:
+            assert p.repetitions == 2  # K.n >= 3
+            assert _meets_target(degree, p.repetitions, 64, 64), degree
+        searched += bool(searches)
+    assert searched >= 100, searched
 
 
 def test_degree_checked_after_capping():

@@ -811,11 +811,11 @@ def test_memory_ceiling_bounds_the_tables():
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, y) for u in inner for y in range(k, 2 * k)]
     inst = PathInstance(n, edges, range(k), range(k, 2 * k))
-    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
+    peak, pair_cells, subset_cells, fan_cells, nonzero, fan_entries = \
         fresh_peak(inst, k * (n - 1))
-    assert tails == 8 * 10
+    assert fan_entries == 8 * 10
     assert fan_cells == 8 * evaluator._fan_cells(10) + \
-        evaluator._TAIL_CELLS * tails
+        evaluator._FAN_ENTRY_CELLS * fan_entries
     assert all(nonzero[2 * k:])
     assert peak <= (pair_cells + subset_cells) * evaluator._CELL_BYTES
 
@@ -823,20 +823,20 @@ def test_memory_ceiling_bounds_the_tables():
 @pytest.mark.parametrize("l", [1, 2, 13])
 def test_memory_ceiling_charges_the_fans(l):
     # Dense with one source: each of the 12 inner vertices has 12
-    # out-edges, windowed as one fan per evaluation, so the fans and tail
-    # lists outweigh the shallow tables, and the ceiling must charge them
-    # too.
+    # out-edges, windowed as one fan per evaluation, so the windowed fans
+    # and the plan's fan lists outweigh the shallow tables, and the
+    # ceiling must charge them too.
     n = 14
     inner = range(2, n)
     edges = [(0, v) for v in inner]
     edges += [(u, v) for u in inner for v in inner if u != v]
     edges += [(u, 1) for u in inner]
     inst = PathInstance(n, edges, [0], [1])
-    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
+    peak, pair_cells, subset_cells, fan_cells, nonzero, fan_entries = \
         fresh_peak(inst, l)
-    assert tails == 12 * 12
+    assert fan_entries == 12 * 12
     assert fan_cells == 12 * evaluator._fan_cells(12) + \
-        evaluator._TAIL_CELLS * tails
+        evaluator._FAN_ENTRY_CELLS * fan_entries
     assert not any(nonzero[:2]) and all(nonzero[2:])
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
@@ -846,16 +846,16 @@ def test_memory_ceiling_charges_the_fans(l):
 def test_memory_ceiling_bounds_a_packing_plan(l):
     # decide's shape at k = 4, from its floor, 48, to its deepest bound:
     # the packed pass holds two layers of 4-slot cells and the sink
-    # columns, and the plan its tail lists, which fan_cells charges
+    # columns, and the plan its fan lists, which fan_cells charges
     # beside the windowed fans that the pool would build.
     inst = layered_instance(random.Random(9), 4, 6, 11)
     plan = length_plan(inst, l)
     widths = [len(out) for out in plan.fans if out]
-    peak, pair_cells, subset_cells, fan_cells, nonzero, tails = \
+    peak, pair_cells, subset_cells, fan_cells, nonzero, fan_entries = \
         fresh_peak(inst, l)
-    assert plan.packs and tails == sum(widths)
+    assert plan.packs and fan_entries == sum(widths)
     assert fan_cells == sum(map(evaluator._fan_cells, widths)) + \
-        evaluator._TAIL_CELLS * tails
+        evaluator._FAN_ENTRY_CELLS * fan_entries
     assert any(nonzero)
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES
