@@ -48,12 +48,13 @@ def _add_query(p):
     p.add_argument("--field-exp", type=int, default=64,
                    help="field exponent s for GF(2^s)")
     p.add_argument("--reps", type=int, default=None,
-                   help="repetitions (default: the least t with "
-                        "((n-1)/2^s)^t <= 2^-max(n, 64); a small field "
-                        "on a large instance needs many, e.g. 551 at "
-                        "GF(2^8) and n = 200, and none suffices when "
-                        "2^s <= n - 1, which exits 2 unless --reps is "
-                        "given)")
+                   help="repetitions of each search (default: the least "
+                        "t with ((n-1)/2^s)^t <= 2^-max(n, 64), n the "
+                        "vertices of the graph searched, for flow its "
+                        "gadget; a small field on a large instance needs "
+                        "many, e.g. 551 at GF(2^8) and n = 200, and none "
+                        "suffices when 2^s <= n - 1, which exits 2 "
+                        "unless --reps is given)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force oracle")
@@ -105,12 +106,9 @@ def _read_input(path):
         return fh.read()
 
 
-def _params(args, n):
-    field = GF2Field(args.field_exp)
-    reps = args.reps if args.reps is not None \
-        else decision.default_repetitions(n, args.field_exp)
-    return decision.TestParams(field=field, repetitions=reps,
-                               seed=args.seed)
+def _params(args):
+    return decision.TestParams(field=GF2Field(args.field_exp),
+                               repetitions=args.reps, seed=args.seed)
 
 
 def _one_indexed(paths):
@@ -136,15 +134,17 @@ def _finish(args, t0, report, code):
     return code
 
 
-def _report(args, params, fields, answered, exact, got, oracle_key,
+def _report(args, params, n, fields, answered, exact, got, oracle_key,
             oracle_answer):
     """The report fields and exit code of decide, mincost, find or flow:
     its fields with the seed, field and repetitions, exit 0 when answered
-    and 1 otherwise; an exact answer ran no repetition.  With --verify,
-    the verify block holds oracle_answer() under oracle_key and whether
-    it matches got, and a mismatch exits 4."""
+    and 1 otherwise.  repetitions is the count each search drew on its
+    graph of n vertices, and 0 for an exact answer, which ran no search.
+    With --verify, the verify block holds oracle_answer() under
+    oracle_key and whether it matches got, and a mismatch exits 4."""
     report = {"seed": args.seed, "field_exponent": args.field_exp,
-              "repetitions": 0 if exact else params.repetitions, **fields}
+              "repetitions": 0 if exact else params.repetitions_for(n),
+              **fields}
     code = EXIT_ANSWERED if answered else EXIT_ABSENT
     if args.verify:
         want = oracle_answer()
@@ -169,13 +169,14 @@ def _cmd_decide(args, instance, params):
         instance, l, params, parallelism=args.parallelism)
     # log2 of the probabilistic ZERO's error bound (degree / 2^s)^t
     bound = None if verdict.nonzero or verdict.degree is None else round(
-        params.repetitions * (math.log2(verdict.degree) - args.field_exp), 2)
+        params.repetitions_for(instance.n)
+        * (math.log2(verdict.degree) - args.field_exp), 2)
     fields = {"answer": verdict.answer, "length_bound": l,
               "evaluated_degree": verdict.degree,
               "error_bound_log2": bound, "deviations": deviations}
     return _report(
-        args, params, fields, verdict.nonzero, verdict.degree is None,
-        verdict.answer, "oracle_answer",
+        args, params, instance.n, fields, verdict.nonzero,
+        verdict.degree is None, verdict.answer, "oracle_answer",
         lambda: "NONZERO" if oracle.brute_force_disjoint_paths(
             instance, mode="length", bound=l) else "ZERO")
 
@@ -183,8 +184,8 @@ def _cmd_decide(args, instance, params):
 def _cmd_mincost(args, instance, params):
     cost = decision.min_cost_disjoint_paths(instance, params)
     return _report(
-        args, params, {"cost": cost}, cost is not None, cost is None,
-        cost, "oracle_cost",
+        args, params, instance.n, {"cost": cost}, cost is not None,
+        cost is None, cost, "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
 
@@ -204,7 +205,7 @@ def _cmd_find(args, instance, params):
         "retries_used": stats.get("attempts", 1) - 1 if ps else None,
     }
     return _report(
-        args, params, fields, ps is not None, ps is None, cost,
+        args, params, instance.n, fields, ps is not None, ps is None, cost,
         "oracle_cost",
         lambda: _cost(oracle.brute_force_disjoint_paths(instance,
                                                         mode="cost")))
@@ -224,8 +225,8 @@ def _cmd_flow(args, K, params):
                 for eid, (u, v, _cap, c) in enumerate(K.edges)
                 if f.amounts[eid] > 0]
     fields = {"cost": cost, "flow": rows, "target_value": K.target_value}
-    return _report(args, params, fields, cost is not None,
-                   cost is None, cost, "oracle_cost",
+    return _report(args, params, flow_mod.gadget_vertex_count(K), fields,
+                   cost is not None, cost is None, cost, "oracle_cost",
                    lambda: _cost(oracle.classic_min_cost_flow(K)))
 
 
@@ -270,8 +271,7 @@ def main(argv=None) -> int:
             raise ValueError("--length-bound applies to paths instances only")
         instance = (parse_dimacs_flow if dimacs else parse_paths_instance)(
             _read_input(args.input))
-        params = None if args.subcommand == "oracle" \
-            else _params(args, instance.n)
+        params = None if args.subcommand == "oracle" else _params(args)
         return _finish(args, t0, *handler(args, instance, params))
     except (ParseError, ValueError, OSError) as exc:
         # an OSError that names a file comes from -i, --out or

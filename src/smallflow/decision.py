@@ -4,10 +4,13 @@ A query evaluates its cancellation polynomial at uniformly random field
 points, drawn by TestParams.assignments at the query's degree.  A nonzero
 value certifies that the queried paths exist, so NONZERO is never wrong;
 a run of t zero evaluations is a ZERO that errs with probability at most
-(degree / 2^s)^t (Schwartz-Zippel).  The degree is never above n - 1, so
-default_repetitions(n) picks the least t that puts this bound at or below
-2^-max(n, 64).  Each repetition draws from its own (seed, repetition)
-stream, so verdicts are reproducible byte for byte.
+(degree / 2^s)^t (Schwartz-Zippel).  The degree is never above n - 1,
+n the vertex count of the graph tested, so default_repetitions(n, s) is
+the least t that puts this bound at or below 2^-max(n, 64).  TestParams
+owns t: the count given, or by default that least t, which
+assignments() resolves for each test from the graph it runs on (for a
+flow, its gadget).  Each repetition draws from its own (seed,
+repetition) stream, so verdicts are reproducible byte for byte.
 
 Every query first asks PathInstance.has_disjoint_paths() whether k
 disjoint paths exist at all.  When they do not, it answers an exact
@@ -41,16 +44,16 @@ class RetriesExhaustedError(RuntimeError):
 
 
 def default_repetitions(n: int, field_exponent: int = 64) -> int:
-    """The repetition count t of a query on n vertices when none is given:
-    the least t with ((n - 1) / 2^s)^t <= 2^-max(n, 64), s the field
-    exponent, found in integers as (n - 1)^t * 2^max(n, 64) <= 2^(s t).
+    """The repetition count t of a test on a graph of n vertices when
+    TestParams gives none: the least t with ((n - 1) / 2^s)^t <=
+    2^-max(n, 64), s the field exponent, found in integers as
+    (n - 1)^t * 2^max(n, 64) <= 2^(s t).
 
     Every test's degree is a slice_degree, at most max_path_edges() <=
     n - 1, so a probabilistic ZERO at this t errs with probability at
-    most 2^-max(n, 64), exponentially small in n.  A flow query passes
-    its network's n, below its gadget's, so its gadget's tests are held
-    to 2^-64 alone at desk scale.  A field with 2^s <= n - 1 meets the
-    target at no t: ValueError, naming the field."""
+    most 2^-max(n, 64), exponentially small in n.  A field with
+    2^s <= n - 1 meets the target at no t: ValueError, naming the
+    field."""
     degree, target = max(n - 1, 0), max(n, 64)
     if 1 << field_exponent <= degree:
         raise ValueError(
@@ -84,32 +87,42 @@ def slice_degree(instance: PathInstance, cap: int, least_cost=1) -> int:
 
 
 class TestParams(namedtuple("TestParams", "field repetitions seed")):
-    """Field, repetition count, and root seed for one randomized query;
-    assignments() checks the field against the query's degree and draws
-    the query's random points from them."""
+    """Field, repetition count, and root seed for one randomized query.
+
+    repetitions is a count >= 1, used as given, or None (the default):
+    each test then draws default_repetitions(n, s) points, n the vertex
+    count of the graph it runs on, so its ZERO errs with probability at
+    most 2^-max(n, 64).  assignments() resolves the count, checks the
+    field against the test's degree and draws the test's points."""
 
     __slots__ = ()
     __test__ = False  # not a pytest class, despite the name
 
-    def __new__(cls, field=GF2Field(64), repetitions=3, seed=0):
-        if repetitions < 1:
+    def __new__(cls, field=GF2Field(64), repetitions=None, seed=0):
+        if repetitions is not None and repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         return super().__new__(cls, field, repetitions, seed)
 
-    def assignments(self, m: int, degree: int, *stream):
-        """One random point per repetition of a test at `degree`: the
-        assignment of m edges drawn from derive_rng(seed, *stream, rep).
-        A field no larger than the degree (no error bound) raises
-        ValueError at the call, before any point is drawn.  Each query
-        names its own stream, so its points are independent of other
-        queries' and reproducible byte for byte."""
+    def repetitions_for(self, n: int) -> int:
+        """The count of points a test on a graph of n vertices draws."""
+        return self.repetitions or default_repetitions(n, self.field.exponent)
+
+    def assignments(self, instance: PathInstance, degree: int, *stream):
+        """One random point per repetition of a test of instance at
+        `degree`: repetitions_for(instance.n) assignments of its m edges,
+        each drawn from derive_rng(seed, *stream, rep).  A field no
+        larger than the degree (no error bound), or one that meets no
+        error target at the default count, raises ValueError at the
+        call, before any point is drawn.  Each query names its own
+        stream, so its points are independent of other queries' and
+        reproducible byte for byte."""
         if self.field.order <= degree:
             raise ValueError(
                 f"field of size 2^{self.field.exponent} too small for a "
                 f"degree-{degree} polynomial test")
-        return (random_assignment(self.field, m,
+        return (random_assignment(self.field, instance.m,
                                   derive_rng(self.seed, *stream, rep))
-                for rep in range(self.repetitions))
+                for rep in range(self.repetitions_for(instance.n)))
 
 
 class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
@@ -151,7 +164,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
     plan = TablePlan(instance, degree)
     if degree < plan.floor:
         return Verdict(ZERO)
-    for f in params.assignments(instance.m, degree, "decide-length"):
+    for f in params.assignments(instance, degree, "decide-length"):
         if eval_length_bounded_seq(plan, f, params.field, parallelism):
             return Verdict(NONZERO, tuple(f), degree)
     return Verdict(ZERO, degree=degree)
@@ -179,7 +192,7 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     if cap < graph.floor:
         return Verdict(ZERO)
     degree = slice_degree(instance, cap, min(graph.costs))
-    for f in params.assignments(instance.m, degree, "decide-cost"):
+    for f in params.assignments(instance, degree, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
             return Verdict(NONZERO, tuple(f), degree)
     return Verdict(ZERO, degree=degree)
@@ -205,13 +218,14 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
         return None
     cap, costs = instance.simple_cost_cap(), instance.cost_list()
     points = params.assignments(
-        instance.m, slice_degree(instance, cap, min(costs)), "min-cost")
+        instance, slice_degree(instance, cap, min(costs)), "min-cost")
     graph = ScanGraph(instance, costs) if _graph is None else _graph
     best = least_nonzero_slice(graph, points, params.field, cap)
     if best is None:
         raise RetriesExhaustedError(
-            f"no nonzero slice up to cost {cap} in {params.repetitions} "
-            f"repetition(s), though {instance.k} disjoint paths exist")
+            f"no nonzero slice up to cost {cap} in "
+            f"{params.repetitions_for(instance.n)} repetition(s), though "
+            f"{instance.k} disjoint paths exist")
     return best
 
 

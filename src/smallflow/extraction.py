@@ -97,7 +97,7 @@ def find_min_perturbed_cost(pgraph: ScanGraph,
     """
     cap = pgraph.instance.simple_cost_cap(pgraph.costs)
     degree = slice_degree(pgraph.instance, cap, min(pgraph.costs))
-    points = params.assignments(pgraph.instance.m, degree, "find-perturbed")
+    points = params.assignments(pgraph.instance, degree, "find-perturbed")
     return least_nonzero_slice(pgraph, points, params.field, cap)
 
 
@@ -201,9 +201,8 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
 def _isolation_attempt(instance, params, attempt, r):
     rng = derive_rng(params.seed, "perturb", attempt)
     perturbed = perturb_costs(instance, r, rng)
-    sub = TestParams(params.field, params.repetitions,
-                     derive_rng(params.seed, "attempt", attempt)
-                     .getrandbits(63))
+    sub = params._replace(seed=derive_rng(params.seed, "attempt", attempt)
+                          .getrandbits(63))
     pgraph = ScanGraph(instance, list(perturbed))
     u_star = find_min_perturbed_cost(pgraph, sub)
     if u_star is None:
@@ -219,7 +218,7 @@ def _settle(graph, d, params, *stream):
     """classify_edges at d, graph's least nonzero slice, by one point of
     stream at slice_degree; then assemble_paths at graph.costs."""
     degree = slice_degree(graph.instance, d, min(graph.costs))
-    point = next(params.assignments(graph.instance.m, degree, *stream))
+    point = next(params.assignments(graph.instance, degree, *stream))
     essential = classify_edges(graph, d, point, params.field)
     return assemble_paths(graph.instance, essential, graph.costs, d)
 

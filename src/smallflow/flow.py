@@ -54,6 +54,13 @@ class GadgetNetwork(namedtuple(
     __slots__ = ()
 
 
+def gadget_vertex_count(K: FlowInstance) -> int:
+    """The vertex count of K's gadget, the n its tests run at: k
+    terminals on each side and min(capacity, k) units per edge."""
+    k = K.target_value
+    return 2 * k + sum(min(cap, k) for _u, _v, cap, _cost in K.edges)
+
+
 def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     """The gadget of K (module docstring): its minimum path-set cost D*
     decodes to K's minimum value-k flow cost D* // scale, and it has k
@@ -63,7 +70,8 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     k = K.target_value
     units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
              for _ in range(min(cap, k))]
-    first_y = k + len(units)
+    n = gadget_vertex_count(K)
+    first_y = n - k
     scale = first_y + 1
     out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
     for w, eid in enumerate(units, k):
@@ -74,7 +82,7 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     # the memory ceiling, before any edge is built: a vertex is one cell,
     # and an edge two, since its pair in the list below and its slots in
     # the instance are both alive at the build's peak
-    _check_budget(first_y + k + 2 * (k * (span_s + span_t) + sum(
+    _check_budget(n + 2 * (k * (span_s + span_t) + sum(
         len(out_at[v]) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
     edges = [(x, w) for x in range(k)
@@ -90,8 +98,8 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
             rank += 1
     costs = [1 if w >= first_y else K.edges[units[w - k]][3] * scale + 1
              for _v, w in edges]
-    instance = PathInstance(first_y + k, edges, list(range(k)),
-                            list(range(first_y, first_y + k)), costs=costs)
+    instance = PathInstance(n, edges, list(range(k)),
+                            list(range(first_y, n)), costs=costs)
     return GadgetNetwork(instance=instance, flow_instance=K, units=units,
                          scale=scale)
 
@@ -154,11 +162,12 @@ def min_cost_flow(K: FlowInstance, params: TestParams,
 
     Pipeline: build the gadget network, extract a minimum-cost disjoint
     path set on it (deletion strategy), read the flow off the units it
-    enters, validate.  No flow query uses
-    isolation, so r takes only None; it is kept because the benchmark
-    (perfbench/run.py) passes r=None.  None is exact: the gadget has no k
-    disjoint paths (no value-k flow exists), and find_disjoint_paths
-    answers before any scan graph is built.
+    enters, validate.  Every test runs on the gadget, so a default
+    repetition count comes from its n, gadget_vertex_count(K).  No flow
+    query uses isolation, so r takes only None; it is kept because the
+    benchmark (perfbench/run.py) passes r=None.  None is exact: the
+    gadget has no k disjoint paths (no value-k flow exists), and
+    find_disjoint_paths answers before any scan graph is built.
     """
     if r is not None:
         raise ValueError("min_cost_flow takes no isolation range")

@@ -196,13 +196,55 @@ def test_field_too_small_for_the_error_target(capsys, tmp_path):
 @pytest.mark.parametrize("subcommand", ["mincost", "find"])
 def test_exact_none_before_field_check(capsys, tmp_path, subcommand):
     # no two disjoint paths: the exact None comes before the field check,
-    # which GF(2^8) would fail at degree 300
+    # which GF(2^8) would fail at degree 300, and on 257 vertices (past
+    # the oracle's reach) before the default repetition count, which
+    # GF(2^8) meets at no t there
     p = tmp_path / "b.paths"
-    p.write_text(BOTTLENECK_100)
-    code, rep = run_json(capsys, subcommand, "-i", str(p), "--field-exp",
-                         "8", "--verify")
-    assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
-    assert rep["verify"] == {"oracle_cost": None, "match": True}
+    for text, verify in (
+            (BOTTLENECK_100, ["--verify"]),
+            (BOTTLENECK.replace("q paths 5 4 2", "q paths 257 4 2"), [])):
+        p.write_text(text)
+        code, rep = run_json(capsys, subcommand, "-i", str(p),
+                             "--field-exp", "8", *verify)
+        assert (code, rep["cost"], rep["repetitions"]) == (1, None, 0)
+        if verify:
+            assert rep["verify"] == {"oracle_cost": None, "match": True}
+
+
+# two parallel capacity-3 arcs carrying a value-3 flow: the network has
+# 2 vertices, its gadget 2k + 6 = 12, and the gadget's search runs at
+# degree 9, where the default count is 2 (1 at n = 2)
+PARALLEL_ARCS = "p min 2 2\nn 1 3\nn 2 -3\na 1 2 0 3 1\na 1 2 0 3 2\n"
+
+
+@pytest.mark.parametrize("argv, text, reps", [
+    (["decide", "-l", "4"], HUB_BELOW, 2),
+    (["mincost"], BIPARTITE, 2),
+    (["find"], BIPARTITE, 2),
+    (["find", "--strategy", "isolation"], BIPARTITE, 2),
+    (["flow"], PARALLEL_ARCS, 2),
+    (["mincost", "--reps", "5"], BIPARTITE, 5),
+], ids=["decide", "mincost", "find", "isolation", "flow", "reps"])
+def test_reported_repetitions_are_the_points_drawn(capsys, tmp_path,
+                                                   monkeypatch, argv, text,
+                                                   reps):
+    # every search (not the one-point edge tests) draws as many points as
+    # the report's repetitions, the count resolved on the graph searched
+    drawn = []
+    draw = cli.decision.TestParams.assignments
+
+    def spy(self, instance, degree, *stream):
+        points = list(draw(self, instance, degree, *stream))
+        if stream[0] not in ("deletion", "isolation-tests"):
+            drawn.append(len(points))
+        return iter(points)
+
+    monkeypatch.setattr(cli.decision.TestParams, "assignments", spy)
+    p = tmp_path / "inst.in"
+    p.write_text(text)
+    _, rep = run_json(capsys, *argv, "-i", str(p), "--verify")
+    assert rep["verify"]["match"] is True
+    assert drawn and set(drawn) == {rep["repetitions"]} == {reps}
 
 
 def test_find(capsys, paths_file):

@@ -18,7 +18,7 @@ from smallflow import (
     random_flow_instance,
     random_paths_instance,
 )
-from smallflow import decision, evaluator, extraction, oracle
+from smallflow import decision, evaluator, extraction, flow, oracle
 from smallflow.evaluator import (
     ScanGraph,
     TablePlan,
@@ -47,7 +47,7 @@ def _assert_polynomials_vanish(inst, l, params):
     plan = TablePlan(inst, l)
     graph = ScanGraph(inst, inst.cost_list())
     degree = decision.slice_degree(inst, l)  # decide's, as it draws
-    for f in params.assignments(inst.m, degree, "decide-length"):
+    for f in params.assignments(inst, degree, "decide-length"):
         assert eval_length_bounded_seq(plan, f, params.field) == 0
         assert scan_min_cost_slice(graph, f, params.field,
                                    cap=inst.simple_cost_cap()) is None
@@ -539,14 +539,17 @@ SEARCH_STREAMS = {"decide-length", "decide-cost", "min-cost",
 
 
 def _record_tests(monkeypatch):
-    """A list that receives (stream, degree, params) for every test that
-    draws its points through TestParams.assignments."""
+    """A list that receives (stream, degree, t, n) for every test that
+    draws its points through TestParams.assignments: t is the count it
+    resolved, n the vertex count of the graph tested."""
     tests = []
     draw = TestParams.assignments
 
-    def spy(self, m, degree, *stream):
-        tests.append((stream[0], degree, self))
-        return draw(self, m, degree, *stream)
+    def spy(self, instance, degree, *stream):
+        points = draw(self, instance, degree, *stream)
+        tests.append((stream[0], degree, self.repetitions_for(instance.n),
+                      instance.n))
+        return points
 
     monkeypatch.setattr(TestParams, "assignments", spy)
     return tests
@@ -555,15 +558,16 @@ def _record_tests(monkeypatch):
 @pytest.mark.parametrize("s", [8, 16, 64])
 def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
                                                               s):
-    # every path query at t = default_repetitions(n, s): each search's
-    # slice_degree, at the query's own cap and costs, gives a ZERO that
-    # errs with probability at most 2^-max(n, 64); at s = 64 two
-    # instances past n = 64 hold the tests to 2^-n
+    # every path query at the default TestParams count: each search draws
+    # t = default_repetitions(n, s) points, and its slice_degree, at the
+    # query's own cap and costs, gives a ZERO that errs with probability
+    # at most 2^-max(n, 64); at s = 64 three instances past n = 64 hold
+    # the tests to 2^-n, and n = 200 needs t = 4
     rng = random.Random(48)
     tests = _record_tests(monkeypatch)
     sizes = [rng.randint(4, 12) for _ in range(12)]
     if s == 64:
-        sizes += [120, 130]
+        sizes += [120, 130, 200]
     searched = dict.fromkeys(
         ["decide", "decide_cost", "mincost", "deletion", "isolation"], 0)
     for n in sizes:
@@ -571,9 +575,7 @@ def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
         inst = random_paths_instance(rng, n, k,
                                      extra_edges=rng.randint(n, 2 * n),
                                      cost_max=4, plant=rng.random() < 0.8)
-        params = TestParams(field=GF2Field(s),
-                            repetitions=default_repetitions(n, s),
-                            seed=rng.getrandbits(32))
+        params = TestParams(field=GF2Field(s), seed=rng.getrandbits(32))
         cap, least = inst.simple_cost_cap(), min(inst.cost_list())
         l = rng.randint(1, k * (n - 1))
         u = rng.randint(1, cap)
@@ -594,40 +596,48 @@ def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
             tests.clear()
             query()
             searches = [t for t in tests if t[0] in SEARCH_STREAMS]
-            for _stream, got, p in searches:
-                assert p.repetitions == params.repetitions
+            for _stream, got, t, tested_n in searches:
+                assert (tested_n, t) == (n, default_repetitions(n, s))
                 assert degree is None or got == degree, (kind, got, degree)
                 assert got <= n - 1
-                assert _meets_target(got, p.repetitions, s, n), (kind, n)
+                assert _meets_target(got, t, s, n), (kind, n)
             searched[kind] += bool(searches)
     assert min(searched.values()) >= 5, searched
 
 
-def test_flow_gadget_bound_within_2_to_the_minus_64(monkeypatch):
-    # a flow query's t comes from the network's n, as the CLI and the
-    # benchmark compute it, while its tests run on the larger gadget: on
-    # criterion 6's battery every gadget search still errs with
-    # probability at most 2^-64
+def test_flow_gadget_bound_within_the_target_of_the_gadget(monkeypatch):
+    # a flow query's tests run on its gadget, so at the default TestParams
+    # count every gadget search draws t = default_repetitions(gadget n)
+    # points and errs with probability at most 2^-max(gadget n, 64), on
+    # criterion 6's battery and on a 2-vertex network whose gadget of 12
+    # vertices searches at degree 9: t = 1 at the network's n would bound
+    # it by 2^-60.8 alone
     rng = random.Random(606)
     tests = _record_tests(monkeypatch)
-    searched = 0
+    battery = []
     for _ in range(200):
         n = rng.randint(3, 7)
         m = rng.randint(2, min(2 * n, 10))
         k = rng.choice([1, 1, 2, 2, 3])
         K = random_flow_instance(rng, n, m, k, cap_max=3, cost_max=4,
                                  plant=rng.random() < 0.75)
-        params = TestParams(field=GF2Field(64),
-                            repetitions=default_repetitions(K.n),
-                            seed=rng.getrandbits(48))
+        battery.append((K, rng.getrandbits(48)))
+    battery.append((FlowInstance(2, [(0, 1, 3, 1), (0, 1, 3, 2)], 0, 1, 3),
+                    0))
+    searched = 0
+    for K, seed in battery:
+        gadget_n = flow.gadget_vertex_count(K)
         tests.clear()
-        min_cost_flow(K, params, max_retries=3)
+        min_cost_flow(K, TestParams(field=GF2Field(64), seed=seed),
+                      max_retries=3)
         searches = [t for t in tests if t[0] in SEARCH_STREAMS]
-        for _stream, degree, p in searches:
-            assert p.repetitions == 2  # K.n >= 3
-            assert _meets_target(degree, p.repetitions, 64, 64), degree
+        for _stream, degree, t, tested_n in searches:
+            assert (tested_n, t) == (gadget_n, default_repetitions(gadget_n))
+            assert _meets_target(degree, t, 64, gadget_n), degree
         searched += bool(searches)
     assert searched >= 100, searched
+    # the 2-vertex network's one search
+    assert [rec[1:] for rec in searches] == [(9, 2, 12)]
 
 
 def test_degree_checked_after_capping():

@@ -165,7 +165,7 @@ def test_unique_path_instance_pipeline():
     u_star = find_min_perturbed_cost(pgraph, p)
     assert u_star == pc[0] + pc[1] + pc[2]
     point = next(p.assignments(
-        inst.m, slice_degree(inst, u_star, min(pgraph.costs)), "classify"))
+        inst, slice_degree(inst, u_star, min(pgraph.costs)), "classify"))
     essential = classify_edges(pgraph, u_star, point, p.field)
     assert essential == {0, 1, 2}
 
@@ -178,7 +178,7 @@ def test_classify_unique_optimum():
     p = params64(7)
     degree = slice_degree(inst, u_star, min(pc))
     essential = classify_edges(ScanGraph(inst, list(pc)), u_star,
-                               next(p.assignments(inst.m, degree,
+                               next(p.assignments(inst, degree,
                                                   "classify")),
                                p.field)
     assert essential == {0, 3}

@@ -79,6 +79,21 @@ def test_gadget_unit_counts():
     assert (ins_at_1, outs_at_1) == (3, 1)
 
 
+def test_gadget_vertex_count_is_the_built_gadgets():
+    # the count the CLI reports repetitions at, without a second build,
+    # on criterion 6's battery
+    rng = random.Random(606)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        m = rng.randint(2, min(2 * n, 10))
+        k = rng.choice([1, 1, 2, 2, 3])
+        K = random_flow_instance(rng, n, m, k, cap_max=3, cost_max=4,
+                                 plant=rng.random() < 0.75)
+        rng.getrandbits(48)  # criterion 6's seed of the instance's query
+        assert flow_mod.gadget_vertex_count(K) == \
+            build_gadget_network(K).instance.n
+
+
 def test_gadget_terminals_follow_their_rank_windows():
     # x_i enters the source units of rank i to |S| - k + i, and the sink
     # unit of rank r enters y_j for j <= r <= |T| - k + j, at cost 1;

@@ -6,8 +6,10 @@ PARENT and CHANGE are checkout directories.  Each one's src/smallflow is
 copied into a temporary directory under its own package name, so both
 load into this one interpreter.  The batch comes from this checkout's
 perfbench/workloads.py, imported read-only, and every query runs with
-the parameters perfbench/run.py gives it (GF(2^64),
-default_repetitions(n), the query's own seed, max_retries=3 for `flow`).
+GF(2^64), each side's default repetition count, the query's own seed and
+max_retries=3 for `flow`.  On every batch query the library's default
+equals the count perfbench/run.py passes, which it takes from the
+instance's n: at a flow network's n and its gadget's alike, t = 2.
 Each side parses the query's text with its own parser, untimed, and the
 query call alone is timed.  The sides alternate query by query in ABBA
 order (A first on even queries, B first on odd), so a drift in the
@@ -65,9 +67,7 @@ def runner(pkg, workload):
 
     def run(q):
         inst = parse(q.text)
-        params = decision.TestParams(
-            field=field, repetitions=decision.default_repetitions(inst.n),
-            seed=q.seed)
+        params = decision.TestParams(field=field, seed=q.seed)
         start = time.perf_counter()
         answer = call(q, inst, params)
         return answer, time.perf_counter() - start
