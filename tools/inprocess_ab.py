@@ -9,7 +9,10 @@ perfbench/workloads.py, imported read-only, and every query runs with
 GF(2^64), each side's default repetition count, the query's own seed and
 max_retries=3 for `flow`.  On every batch query the library's default
 equals the count perfbench/run.py passes, which it takes from the
-instance's n: at a flow network's n and its gadget's alike, t = 2.
+instance's n: at a flow network's n and its gadget's alike, t = 2.  A
+checkout from before TestParams resolved the count defaults to t = 3,
+so against one the sides do different work, and the ratio measures
+that, not the code.
 Each side parses the query's text with its own parser, untimed, and the
 query call alone is timed.  The sides alternate query by query in ABBA
 order (A first on even queries, B first on odd), so a drift in the
