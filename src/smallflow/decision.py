@@ -22,6 +22,7 @@ nonzero slice raises RetriesExhaustedError.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 
 from .evaluator import (
@@ -127,10 +128,13 @@ class TestParams(namedtuple("TestParams", "field repetitions seed")):
 
 class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
                          defaults=(None, None))):
-    """answer: NONZERO (certain) or ZERO.  degree: the test's slice_degree;
-    its ZERO errs with probability at most (degree / 2^s)^t.  None for an
-    exact ZERO answered without an evaluation (below a floor, or no k
-    disjoint paths at all)."""
+    """answer: NONZERO (certain) or ZERO.  witness_assignment: for a
+    NONZERO, the point at which the test was nonzero, as an array("Q")
+    of one field element per edge id, 8 bytes each; None for a ZERO.  An
+    array is mutable and unhashable, so a NONZERO verdict is too.
+    degree: the test's slice_degree; its ZERO errs with probability at
+    most (degree / 2^s)^t.  None for an exact ZERO answered without an
+    evaluation (below a floor, or no k disjoint paths at all)."""
 
     __slots__ = ()
 
@@ -166,7 +170,7 @@ def decide_disjoint_paths(instance: PathInstance, l: int,
         return Verdict(ZERO)
     for f in params.assignments(instance, degree, "decide-length"):
         if eval_length_bounded_seq(plan, f, params.field, parallelism):
-            return Verdict(NONZERO, tuple(f), degree)
+            return Verdict(NONZERO, array("Q", f), degree)
     return Verdict(ZERO, degree=degree)
 
 
@@ -194,7 +198,7 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     degree = slice_degree(instance, cap, min(graph.costs))
     for f in params.assignments(instance, degree, "decide-cost"):
         if scan_min_cost_slice(graph, f, params.field, cap=cap):
-            return Verdict(NONZERO, tuple(f), degree)
+            return Verdict(NONZERO, array("Q", f), degree)
     return Verdict(ZERO, degree=degree)
 
 

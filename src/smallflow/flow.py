@@ -80,26 +80,29 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     span_s = max(0, len(out_at[K.source]) - k + 1)
     span_t = max(0, sum(K.edges[eid][1] == K.sink for eid in units) - k + 1)
     # the memory ceiling, before any edge is built: a vertex is one cell,
-    # and an edge two, since its pair in the list below and its slots in
-    # the instance are both alive at the build's peak
+    # and an edge two, since its tail, head and cost slots in the lists
+    # below and its slots in the instance are all alive at the build's peak
     _check_budget(n + 2 * (k * (span_s + span_t) + sum(
         len(out_at[v]) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
-    edges = [(x, w) for x in range(k)
-             for w in out_at[K.source][x:x + span_s]]
+    tails = [x for x in range(k) for _ in range(span_s)]
+    heads = [w for x in range(k) for w in out_at[K.source][x:x + span_s]]
     rank = 0  # of the next sink unit, in id order
     for v, eid in enumerate(units, k):
         head = K.edges[eid][1]
         # a flow self-loop's unit does not enter itself
-        edges += [(v, w) for w in out_at[head] if w != v]
+        ws = [w for w in out_at[head] if w != v]
         if head == K.sink:  # into y_j for j <= rank <= |T| - k + j
-            ys = range(max(0, rank - span_t + 1), min(k, rank + 1))
-            edges += [(v, first_y + j) for j in ys]
+            ws += range(first_y + max(0, rank - span_t + 1),
+                        first_y + min(k, rank + 1))
             rank += 1
-    costs = [1 if w >= first_y else K.edges[units[w - k]][3] * scale + 1
-             for _v, w in edges]
-    instance = PathInstance(n, edges, list(range(k)),
-                            list(range(first_y, n)), costs=costs)
+        tails += [v] * len(ws)
+        heads += ws
+    # the cost of every edge into vertex k + i, one int shared by them all
+    enter = [K.edges[eid][3] * scale + 1 for eid in units] + [1] * k
+    instance = PathInstance(n, zip(tails, heads), list(range(k)),
+                            list(range(first_y, n)),
+                            costs=[enter[w - k] for w in heads])
     return GadgetNetwork(instance=instance, flow_instance=K, units=units,
                          scale=scale)
 

@@ -31,6 +31,7 @@ Vertices are 1-indexed in files and 0-indexed in memory.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import namedtuple
 
 
@@ -43,15 +44,19 @@ class PathInstance:
 
     Edge ids are assigned in construction order and are stable under
     re-parsing the same file.  Edge eid runs from tails[eid] to
-    heads[eid], and out_edges[u] is the tuple of u's out-edge ids in
-    increasing order.  Missing costs default to 1 per edge, which makes
-    total cost coincide with total length.
+    heads[eid], two array("I") of vertex ids, 4 bytes per edge each;
+    out_edges[u] is the tuple of u's out-edge ids in increasing order.
+    The vertex count n runs from 2 to 2^32 - 1, the ids an array("I")
+    holds; any other n raises ValueError before any per-vertex list is
+    allocated.  Missing costs default to 1 per edge, which makes total
+    cost coincide with total length.
     """
 
     def __init__(self, vertex_count, edges, sources, sinks, costs=None):
         n = vertex_count
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"need at least 2 vertices (an integer), got {n}")
+        if not (isinstance(n, int) and 2 <= n < 1 << 32):
+            raise ValueError(f"need at least 2 vertices and fewer than "
+                             f"2^32 (an integer), got {n}")
         sources = tuple(sources)
         sinks = tuple(sinks)
         k = len(sources)
@@ -66,7 +71,7 @@ class PathInstance:
                 raise ValueError(f"terminal vertex {v} out of range")
         if len(set(terminals)) != 2 * k:
             raise ValueError("terminal sets not disjoint")
-        tails, heads = [], []
+        tails, heads = array("I"), array("I")
         out_edges = [[] for _ in range(n)]
         for u, v in edges:
             if not (isinstance(u, int) and isinstance(v, int)
@@ -194,9 +199,10 @@ class PathInstance:
     def __eq__(self, other):
         return (
             isinstance(other, PathInstance)
-            and (self.n, self.edges, self.sources, self.sinks, self.costs)
-            == (other.n, other.edges, other.sources, other.sinks,
-                other.costs)
+            and (self.n, self.tails, self.heads, self.sources, self.sinks,
+                 self.costs)
+            == (other.n, other.tails, other.heads, other.sources,
+                other.sinks, other.costs)
         )
 
     def __repr__(self):

@@ -371,6 +371,18 @@ def test_malformed_input_exit(capsys, tmp_path):
     assert "not disjoint" in err
 
 
+def test_vertex_count_past_32_bits_exit(capsys, tmp_path):
+    # vertex ids are held 4 bytes each, so a header of 2^32 vertices is an
+    # input error, refused before any per-vertex list is allocated
+    p = tmp_path / "huge.paths"
+    p.write_text("q paths 4294967296 1 1\nx 1\ny 2\ne 1 2\n")
+    code = cli.main(["decide", "-i", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err
+    assert "fewer than 2^32" in err
+
+
 def test_report_reproducible(capsys, paths_file):
     def strip(rep):
         rep.pop("timing_ms")

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -707,3 +711,53 @@ def test_min_cost_at_floor_scans_once(monkeypatch):
     assert min_cost_disjoint_paths(inst, params64(8, reps=5)) == 9
     assert sum(1 for n in per_scan if n) == 1
     assert len(drawn) == 1
+
+
+_WITNESS = """
+import gc, json, random, tracemalloc
+from array import array
+from smallflow import (TestParams, decide_cost_bounded,
+                       decide_disjoint_paths, decision, random_paths_instance)
+drawn = []
+draw = decision.TestParams.assignments
+def spy(self, instance, degree, *stream):
+    for f in draw(self, instance, degree, *stream):
+        drawn.append(array("Q", f))  # a copy that shares no int with f
+        yield f
+decision.TestParams.assignments = spy
+out = []
+for cost_max, decide in ((None, decide_disjoint_paths),
+                         (4, decide_cost_bounded)):
+    inst = random_paths_instance(random.Random(3), 60, 4, 200, cost_max)
+    bound = inst.simple_cost_cap()
+    decide(inst, bound, TestParams(seed=1))
+    gc.collect()
+    tracemalloc.start()
+    v = decide(inst, bound, TestParams(seed=2))
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    same = v.nonzero and list(v.witness_assignment) == list(drawn[-1])
+    del v
+    gc.collect()
+    out.append([inst.m, held - tracemalloc.get_traced_memory()[0], same])
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+def test_nonzero_verdict_holds_its_witness_in_8_bytes_per_edge():
+    # In a fresh interpreter, what dropping a NONZERO verdict frees: its
+    # own tuple, and its witness of m field elements at 8 bytes each
+    # with a small header.  A tuple of m Python ints takes about 48
+    # bytes per edge (9.8 KB here).  The witness is the point the test
+    # was nonzero at: the last one TestParams.assignments drew.
+    src = os.path.dirname(os.path.dirname(decision.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _WITNESS],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    for m, freed, same in json.loads(out):
+        assert m == 222
+        assert same
+        assert freed <= 8 * m + 256

@@ -103,11 +103,12 @@ def test_parallel_edges_distinct_ids():
 
 
 def test_edge_layout():
-    # An instance stores its edges as two vertex lists in id order;
+    # An instance stores its edges as two vertex arrays in id order;
     # edges is built from them, and out_edges[u] is the tuple of u's edge
     # ids in increasing order, parallel edges apart.
     inst = PathInstance(3, [(0, 2), (0, 1), (1, 2), (0, 1)], [0], [2])
-    assert (inst.tails, inst.heads) == ([0, 0, 1, 0], [2, 1, 2, 1])
+    assert (list(inst.tails), list(inst.heads)) == (
+        [0, 0, 1, 0], [2, 1, 2, 1])
     assert inst.out_edges == [(0, 1, 3), (2,), ()]
     rng = random.Random(2)
     for _ in range(10):
@@ -139,12 +140,13 @@ print(json.dumps([inst.n, inst.m, tracemalloc.get_traced_memory()[0] / 20]))
 
 def test_parsed_instance_footprint():
     # What a parsed instance retains, per instance over 20 parses of one
-    # text after a warm-up parse, in a fresh interpreter: at most 32 bytes
-    # per edge (its slots in tails, heads and an out-edge tuple, with list
-    # growth), 80 per vertex (its out-edge tuple and that tuple's slot)
-    # and 1 KiB for the fields and terminal dicts.  A (tail, head) tuple
-    # per edge takes 64 bytes with its slot, twice the edge budget; that
-    # layout read 22.4 KB here, and the list layout 10.0 KB.
+    # text after a warm-up parse, in a fresh interpreter: at most 17 bytes
+    # per edge (its 4-byte slots in the tails and heads arrays, with array
+    # growth of 1/16, and its 8-byte slot in an out-edge tuple), 80 per
+    # vertex (its out-edge tuple and that tuple's slot) and 1 KiB for the
+    # fields and terminal dicts.  A (tail, head) tuple per edge takes 64
+    # bytes with its slot; that layout read 22.4 KB here, tails and heads
+    # as lists of 8-byte slots 10.1 KB, and as arrays 8.4 KB.
     src = os.path.dirname(os.path.dirname(network.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -153,7 +155,7 @@ def test_parsed_instance_footprint():
                          check=True).stdout
     n, m, retained = json.loads(out)
     assert (n, m) == (60, 222)
-    assert retained <= 32 * m + 80 * n + 1024
+    assert retained <= 17 * m + 80 * n + 1024
 
 
 DIMACS_TEXT = """\
@@ -223,6 +225,8 @@ def test_instance_invariant_errors():
 
 @pytest.mark.parametrize("make, fragment", [
     (lambda: PathInstance(1, [], [0], [0]), "at least 2 vertices"),
+    (lambda: PathInstance(1 << 32, [(0, 1)], [0], [1]),
+     r"fewer than 2\^32"),
     (lambda: PathInstance(3, [], [0], [3]), "terminal vertex 3 out of range"),
     (lambda: FlowInstance(2, [(0, 1, 1, 1)], 1, 1, 1), "source equals sink"),
     (lambda: FlowInstance(2, [(0, 1, 1, 1)], 0, 1, 0), "target flow value"),
@@ -243,10 +247,10 @@ def test_instance_invariant_errors():
      "out of range"),
     (lambda: FlowInstance(3, [(0, 1, 1, 1), (1, 2, 1, 1)], 0.0, 2, 1),
      "out of range"),
-], ids=["one-vertex", "terminal-range", "source-is-sink", "zero-target",
-        "zero-capacity", "zero-cost", "float-path-cost", "float-target",
-        "float-capacity", "float-cost", "float-terminal", "float-tail",
-        "float-count", "float-arc-tail", "float-source"])
+], ids=["one-vertex", "2^32-vertices", "terminal-range", "source-is-sink",
+        "zero-target", "zero-capacity", "zero-cost", "float-path-cost",
+        "float-target", "float-capacity", "float-cost", "float-terminal",
+        "float-tail", "float-count", "float-arc-tail", "float-source"])
 def test_constructor_checks(make, fragment):
     # The DIMACS parser rejects the first four flow cases before it builds
     # a FlowInstance, and passes only ints, so only direct construction

@@ -123,7 +123,8 @@ def decide(seed, seconds):
         v = decision.decide_disjoint_paths(inst, q.bound, _params(q))
         spent += time.perf_counter() - start
         _tally(work)
-        answers.append([v.answer, v.degree, v.witness_assignment])
+        w = v.witness_assignment
+        answers.append([v.answer, v.degree, None if w is None else list(w)])
     return _line("decide", answers, spent, work)
 
 

@@ -73,7 +73,13 @@ def runner(pkg, workload):
         params = decision.TestParams(field=field, seed=q.seed)
         start = time.perf_counter()
         answer = call(q, inst, params)
-        return answer, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        if workload == "decide" and answer.witness_assignment is not None:
+            # an older checkout's witness is a tuple, a newer one's an
+            # array("Q"): compare the points themselves
+            answer = answer._replace(
+                witness_assignment=tuple(answer.witness_assignment))
+        return answer, seconds
     return run
 
 
