@@ -57,7 +57,8 @@ def _add_query(p):
                         "unless --reps is given)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check against the brute-force oracle")
+                   help="cross-check against the exact min-cost flow "
+                        "oracle, at any instance size")
     p.add_argument("--memory-limit-mib", type=int, default=None,
                    help="ceiling for DP tables, scan graphs and the flow "
                         "gadget (default 2048)")
@@ -141,7 +142,9 @@ def _report(args, params, n, fields, answered, exact, got, oracle_key,
     and 1 otherwise.  repetitions is the count each search drew on its
     graph of n vertices, and 0 for an exact answer, which ran no search.
     With --verify, the verify block holds oracle_answer() under
-    oracle_key and whether it matches got, and a mismatch exits 4."""
+    oracle_key and whether it matches got, and a mismatch exits 4.  The
+    oracles are exact and polynomial at any size: min-cost flow on the
+    vertex-split graph for paths queries, and on the network for flow."""
     report = {"seed": args.seed, "field_exponent": args.field_exp,
               "repetitions": 0 if exact else params.repetitions_for(n),
               **fields}
@@ -174,11 +177,15 @@ def _cmd_decide(args, instance, params):
     fields = {"answer": verdict.answer, "length_bound": l,
               "evaluated_degree": verdict.degree,
               "error_bound_log2": bound, "deviations": deviations}
-    return _report(
-        args, params, instance.n, fields, verdict.nonzero,
-        verdict.degree is None, verdict.answer, "oracle_answer",
-        lambda: "NONZERO" if oracle.brute_force_disjoint_paths(
-            instance, mode="length", bound=l) else "ZERO")
+
+    def oracle_answer():  # NONZERO when the least total length is <= l
+        least = oracle.disjoint_paths_min_cost_via_flow(instance,
+                                                        [1] * instance.m)
+        return "NONZERO" if least is not None and least <= l else "ZERO"
+
+    return _report(args, params, instance.n, fields, verdict.nonzero,
+                   verdict.degree is None, verdict.answer, "oracle_answer",
+                   oracle_answer)
 
 
 def _cmd_mincost(args, instance, params):
@@ -186,8 +193,7 @@ def _cmd_mincost(args, instance, params):
     return _report(
         args, params, instance.n, {"cost": cost}, cost is not None,
         cost is None, cost, "oracle_cost",
-        lambda: _cost(oracle.brute_force_disjoint_paths(instance,
-                                                        mode="cost")))
+        lambda: oracle.disjoint_paths_min_cost_via_flow(instance))
 
 
 def _cmd_find(args, instance, params):
@@ -207,8 +213,7 @@ def _cmd_find(args, instance, params):
     return _report(
         args, params, instance.n, fields, ps is not None, ps is None, cost,
         "oracle_cost",
-        lambda: _cost(oracle.brute_force_disjoint_paths(instance,
-                                                        mode="cost")))
+        lambda: oracle.disjoint_paths_min_cost_via_flow(instance))
 
 
 def _cmd_flow(args, K, params):

@@ -308,10 +308,11 @@ def _rows(plan, assignment, field, windows, rows):
     One recurrence extends the walks one edge at a time and holds only
     layers q and q + 1 and each sink's column; cell (q, v) holds row
     rows[i]'s value in slot i.  Each nonzero cell (q, u) is reduced once,
-    joins u's column when u is a sink, and is pushed along plan.fans[u],
-    each product going unreduced into (q + 1, v): reduction is
-    GF(2)-linear, so this equals reducing every product.  Both operands
-    are reduced (< 2^64), so a slot stays below 2^127.  Two routes:
+    by vec_reduce over one slot per row on either route, joins u's column
+    when u is a sink, and is pushed along plan.fans[u], each product
+    going unreduced into (q + 1, v): reduction is GF(2)-linear, so this
+    equals reducing every product.  Both operands are reduced (< 2^64),
+    so a slot stays below 2^127.  Two routes:
     * packed (windows None, any number of rows): the cell windowed, and
       one scalar product per out-edge gives it for every row;
     * per row (one row): windows[u], the values of fans[u] one per slot,
@@ -335,18 +336,14 @@ def _rows(plan, assignment, field, windows, rows):
                 layer[v] ^= assignment[eid] << (SLOT_BITS * slot)
     columns = [[] for _ in instance.sinks]
     width = len(budgets)
-    reduce, vreduce = field.reduce, vec_reduce
-    window, mul = vec_window, vec_scalar_mul_w
+    reduce, window, mul = vec_reduce, vec_window, vec_scalar_mul_w
     for q in range(1, top + 1):
         after = [0] * instance.n
         cut = top - q
         for u, cell in enumerate(layer):
             if not cell:
                 continue
-            if windows is None:
-                layer[u] = cell = vreduce(cell, width, field)
-            else:
-                layer[u] = cell = reduce(cell)
+            layer[u] = cell = reduce(cell, width, field)
             out = fans[u]
             if not cell or not out or out[0][0] > cut:
                 continue

@@ -99,16 +99,6 @@ class GF2Field:
     def __repr__(self):
         return f"GF2Field(2^{self.exponent}, poly=0x{self.poly:x})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF2Field)
-            and other.exponent == self.exponent
-            and other.poly == self.poly
-        )
-
-    def __hash__(self):
-        return hash((self.exponent, self.poly))
-
     def reduce(self, p: int) -> int:
         """Fold p below 2^s; p must be below 2^(2s), as a carryless
         product of two elements, or an XOR of such products, is.

@@ -66,32 +66,35 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     decodes to K's minimum value-k flow cost D* // scale, and it has k
     disjoint paths exactly when K has a value-k flow.  Exact and
     deterministic.  Raises BudgetError, before any edge is built, when
-    its vertices and edges would pass the memory ceiling."""
+    its vertices and edges would pass the memory ceiling.  Its units are
+    grouped by the flow vertices that arcs leave, so K's vertex count
+    costs no memory of its own."""
     k = K.target_value
     units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
              for _ in range(min(cap, k))]
     n = gadget_vertex_count(K)
     first_y = n - k
     scale = first_y + 1
-    out_at = [[] for _ in range(K.n)]  # units of each vertex's out-edges
+    out_at = {}  # units of each arc tail's out-edges
     for w, eid in enumerate(units, k):
-        out_at[K.edges[eid][0]].append(w)
+        out_at.setdefault(K.edges[eid][0], []).append(w)
+    source_units = out_at.get(K.source, ())
     # the windows' widths, 0 (no terminal edge) below k units
-    span_s = max(0, len(out_at[K.source]) - k + 1)
+    span_s = max(0, len(source_units) - k + 1)
     span_t = max(0, sum(K.edges[eid][1] == K.sink for eid in units) - k + 1)
     # the memory ceiling, before any edge is built: a vertex is one cell,
     # and an edge two, since its tail, head and cost slots in the lists
     # below and its slots in the instance are all alive at the build's peak
     _check_budget(n + 2 * (k * (span_s + span_t) + sum(
-        len(out_at[v]) - (u == v)
+        len(out_at.get(v, ())) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
     tails = [x for x in range(k) for _ in range(span_s)]
-    heads = [w for x in range(k) for w in out_at[K.source][x:x + span_s]]
+    heads = [w for x in range(k) for w in source_units[x:x + span_s]]
     rank = 0  # of the next sink unit, in id order
     for v, eid in enumerate(units, k):
         head = K.edges[eid][1]
         # a flow self-loop's unit does not enter itself
-        ws = [w for w in out_at[head] if w != v]
+        ws = [w for w in out_at.get(head, ()) if w != v]
         if head == K.sink:  # into y_j for j <= rank <= |T| - k + j
             ws += range(first_y + max(0, rank - span_t + 1),
                         first_y + min(k, rank + 1))
@@ -133,21 +136,23 @@ def recover_flow(paths: PathSet, gadget: GadgetNetwork) -> Flow:
 
 
 def validate_flow(K: FlowInstance, flow: Flow):
-    """(ok, diagnostic): capacity, conservation, and value-k checks."""
+    """(ok, diagnostic): capacity, conservation, and value-k checks.
+    Net flows are kept only at the source, the sink and the arc
+    endpoints, the only vertices that can carry any, and checked in
+    increasing vertex order, so the diagnostic names the least vertex
+    that breaks conservation."""
     if len(flow.amounts) != K.m:
         return False, f"amounts cover {len(flow.amounts)} of {K.m} edges"
     for eid, (u, v, cap, _cost) in enumerate(K.edges):
         a = flow.amounts[eid]
         if a < 0 or a > cap:
             return False, f"capacity violated at edge {eid}: {a} > {cap}"
-    net = [0] * K.n
+    net = dict.fromkeys((K.source, K.sink), 0)  # and each arc endpoint
     for eid, (u, v, _cap, _cost) in enumerate(K.edges):
-        net[u] += flow.amounts[eid]
-        net[v] -= flow.amounts[eid]
-    for v in range(K.n):
-        if v in (K.source, K.sink):
-            continue
-        if net[v] != 0:
+        net[u] = net.get(u, 0) + flow.amounts[eid]
+        net[v] = net.get(v, 0) - flow.amounts[eid]
+    for v in sorted(net):
+        if v not in (K.source, K.sink) and net[v] != 0:
             return False, f"conservation violated at vertex {v}"
     k = K.target_value
     if net[K.source] != k:

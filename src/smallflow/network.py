@@ -39,6 +39,14 @@ class ParseError(ValueError):
     """Malformed instance text; message carries the offending line number."""
 
 
+def _check_vertex_count(n):
+    """Refuse a vertex count that is not an integer from 2 to 2^32 - 1,
+    the ids an array("I") holds, before anything is allocated per vertex."""
+    if not (isinstance(n, int) and 2 <= n < 1 << 32):
+        raise ValueError(f"need at least 2 vertices and fewer than "
+                         f"2^32 (an integer), got {n}")
+
+
 class PathInstance:
     """Directed graph with terminal lists X, Y and optional integer costs.
 
@@ -54,9 +62,7 @@ class PathInstance:
 
     def __init__(self, vertex_count, edges, sources, sinks, costs=None):
         n = vertex_count
-        if not (isinstance(n, int) and 2 <= n < 1 << 32):
-            raise ValueError(f"need at least 2 vertices and fewer than "
-                             f"2^32 (an integer), got {n}")
+        _check_vertex_count(n)
         sources = tuple(sources)
         sinks = tuple(sinks)
         k = len(sources)
@@ -142,9 +148,13 @@ class PathInstance:
         fin[v] and fout[v] are the edges carrying a path into and out of v
         (-1: none).  Each search is a DFS over the residual states: at a
         vertex on a path, a used sink included, it may back out along that
-        path's edge into it, which reroutes the path.  Exact, in O(k (n +
-        m)) time.  Its lists hold a few slots per vertex, a small part of
-        what the instance holds, so nothing is charged against the memory
+        path's edge into it, which reroutes the path.  It pushes each
+        vertex at most once, so it keeps no visited set: a free source
+        only at the start, a free vertex only when its own back is first
+        set, and a path vertex u only as the tail of its path edge into
+        the one w whose back[w] that push sets.  Exact, in O(k (n + m))
+        time.  Its lists hold a few slots per vertex, a small part of what
+        the instance holds, so nothing is charged against the memory
         ceiling.
         """
         tails, heads, out_edges = self.tails, self.heads, self.out_edges
@@ -155,14 +165,11 @@ class PathInstance:
             # when it came from OUT(w) against the path through w.  IN(w)
             # leads on to OUT(w) when w is free, and else back along its
             # path to OUT(tail), so the stack holds only OUT(u), as u.
-            back, seen_out = [None] * self.n, [False] * self.n
+            back = [None] * self.n
             stack = [x for x in self.sources if fout[x] < 0]
             end = -1
             while stack and end < 0:
                 s = stack.pop()
-                if seen_out[s]:
-                    continue
-                seen_out[s] = True
                 for e in out_edges[s]:
                     w = heads[e]
                     if back[w] is None and e != fout[s] and w not in sources:
@@ -213,15 +220,17 @@ class PathInstance:
 class FlowInstance(namedtuple(
         "FlowInstance", "vertex_count edges source sink target_value")):
     """Directed network for min-cost flow of a small integer target value;
-    edges is a list of (u, v, capacity, cost) tuples of integers."""
+    edges is a list of (u, v, capacity, cost) tuples of integers.  The
+    vertex count n runs from 2 to 2^32 - 1, as for PathInstance; any
+    other n raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, vertex_count, edges, source, sink, target_value):
         n = vertex_count
-        if not (isinstance(n, int) and isinstance(source, int)
-                and isinstance(sink, int) and 0 <= source < n
-                and 0 <= sink < n):
+        _check_vertex_count(n)
+        if not (isinstance(source, int) and isinstance(sink, int)
+                and 0 <= source < n and 0 <= sink < n):
             raise ValueError("source/sink out of range or not an integer")
         if source == sink:
             raise ValueError("source equals sink")

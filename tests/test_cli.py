@@ -1,4 +1,5 @@
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -268,6 +269,48 @@ def test_find_infeasible_exit(capsys, tmp_path):
     assert rep["verify"] == {"oracle_cost": None, "match": True}
 
 
+def layered_text(rng, k, width, depth, cost_max=None):
+    """Paths text shaped like the benchmark's layered instances: `depth`
+    layers of `width` inner vertices, k chains planted straight through
+    them, two random edges from every source and inner vertex into the
+    next layer (the sinks after the last), and `width` random edges one
+    layer back; costs from 1 to cost_max when it is given.  Every path
+    has at least depth + 1 edges, so at unit costs the optimum is
+    k (depth + 1), the planted chains."""
+    sources, sinks = range(1, k + 1), range(k + 1, 2 * k + 1)
+    layers = [range(2 * k + 1 + j * width, 2 * k + 1 + (j + 1) * width)
+              for j in range(depth)]
+    steps = [sources, *layers, sinks]
+    edges = [(a[i], b[i]) for a, b in zip(steps, steps[1:]) for i in range(k)]
+    edges += [(u, rng.choice(b)) for a, b in zip(steps, steps[1:])
+              for u in a for _ in range(2)]
+    for _ in range(width):
+        j = rng.randrange(1, depth)
+        edges.append((rng.choice(layers[j]), rng.choice(layers[j - 1])))
+    lines = [f"q paths {2 * k + width * depth} {len(edges)} {k}"]
+    lines += [f"x {x}" for x in sources] + [f"y {y}" for y in sinks]
+    lines += [f"e {u} {v}" + (f" {rng.randint(1, cost_max)}" if cost_max
+                              else "") for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, cost_max, code", [
+    (["decide", "-l", "27"], None, 0),
+    (["decide", "-l", "26"], None, 1),
+    (["mincost"], 4, 0),
+    (["find"], 4, 0),
+], ids=["decide-at-optimum", "decide-below", "mincost", "find"])
+def test_verify_past_the_brute_force_limit(capsys, tmp_path, argv, cost_max,
+                                           code):
+    # 54 vertices, past the brute force's 10: --verify checks paths
+    # queries against the exact min-cost flow on the split graph.  At unit
+    # costs the optimum is 3 * 9 = 27.
+    p = tmp_path / "layered.paths"
+    p.write_text(layered_text(random.Random(5), 3, 6, 8, cost_max))
+    got, rep = run_json(capsys, *argv, "-i", str(p), "--verify")
+    assert (got, rep["verify"]["match"]) == (code, True)
+
+
 def test_find_retries_exhausted_exit(capsys, tmp_path, monkeypatch):
     # every attempt's assembly fails
     def failing(*args):
@@ -381,6 +424,18 @@ def test_vertex_count_past_32_bits_exit(capsys, tmp_path):
     assert code == 2
     assert "input error" in err
     assert "fewer than 2^32" in err
+
+
+def test_flow_vertex_count_past_32_bits_exit(capsys, tmp_path):
+    # a flow network has the same bound, so the header is an input error
+    # before the gadget build reads any vertex
+    p = tmp_path / "huge.dimacs"
+    p.write_text("p min 4294967296 1\nn 1 1\nn 2 -1\na 1 2 0 1 1\n")
+    code = cli.main(["flow", "-i", str(p)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: need at least 2 vertices and "
+                          "fewer than 2^32")
 
 
 def test_report_reproducible(capsys, paths_file):

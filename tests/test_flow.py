@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -290,6 +294,50 @@ def test_validate_flow_negatives():
     assert not bad[0] and "out of source" in bad[1] or "value" in bad[1]
     bad = validate_flow(K, Flow(amounts=[1, 1], value=2, cost=2))
     assert not bad[0]
+
+
+def test_validate_flow_names_the_least_unbalanced_vertex():
+    # two_routes with its routes listed in the other order, and the flow
+    # stopped at vertices 2 and 1: both break conservation, and the
+    # check, kept per arc endpoint, names vertex 1 first, as a scan over
+    # every declared vertex does
+    K = two_routes()
+    K = FlowInstance(4, K.edges[2:] + K.edges[:2], 0, 3, 2)
+    assert validate_flow(K, Flow(amounts=[1, 0, 1, 0], value=2, cost=2)) \
+        == (False, "conservation violated at vertex 1")
+    # vertices 4..9 carry no arc, and nothing is kept for them
+    K = FlowInstance(10, K.edges, 0, 3, 2)
+    assert validate_flow(K, Flow(amounts=[1, 1, 1, 1], value=2, cost=4)) \
+        == (True, None)
+
+
+_FRESH_FLOW = """
+import gc, json, tracemalloc
+from smallflow import FlowInstance, TestParams, min_cost_flow
+K = FlowInstance(10**6, [(0, 1, 1, 1)], 0, 1, 1)
+gc.collect()
+tracemalloc.start()
+cost, flow = min_cost_flow(K, TestParams(seed=1))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([cost, flow.amounts, peak]))
+"""
+
+
+def test_declared_vertices_cost_the_flow_no_memory():
+    # In a fresh interpreter, a one-arc network declared with 10^6
+    # vertices: its gadget has 3 vertices, and the gadget build and the
+    # validation hold only the arc's endpoints.  One list or one slot per
+    # declared vertex peaked at 64.45 MB here.
+    src = os.path.dirname(os.path.dirname(flow_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH_FLOW],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    cost, amounts, peak = json.loads(out)
+    assert (cost, amounts) == (1, [1])
+    assert peak < 1 << 20
 
 
 def test_min_cost_flow_two_routes():

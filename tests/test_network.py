@@ -247,10 +247,16 @@ def test_instance_invariant_errors():
      "out of range"),
     (lambda: FlowInstance(3, [(0, 1, 1, 1), (1, 2, 1, 1)], 0.0, 2, 1),
      "out of range"),
+    (lambda: FlowInstance(1, [], 0, 0, 1), "at least 2 vertices"),
+    (lambda: FlowInstance(1 << 32, [(0, 1, 1, 1)], 0, 1, 1),
+     r"fewer than 2\^32"),
+    (lambda: FlowInstance(3.0, [(0, 1, 1, 1)], 0, 1, 1),
+     "at least 2 vertices"),
 ], ids=["one-vertex", "2^32-vertices", "terminal-range", "source-is-sink",
         "zero-target", "zero-capacity", "zero-cost", "float-path-cost",
         "float-target", "float-capacity", "float-cost", "float-terminal",
-        "float-tail", "float-count", "float-arc-tail", "float-source"])
+        "float-tail", "float-count", "float-arc-tail", "float-source",
+        "one-vertex-network", "2^32-vertex-network", "float-network-count"])
 def test_constructor_checks(make, fragment):
     # The DIMACS parser rejects the first four flow cases before it builds
     # a FlowInstance, and passes only ints, so only direct construction
@@ -283,9 +289,24 @@ def test_planted_instances_feasible():
         assert inst.has_disjoint_paths()
 
 
+class _CountingList(list):
+    """A list that counts its reads by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = [0] * len(self)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
 def test_has_disjoint_paths_matches_the_flow_oracle():
     # sparse instances, most of them infeasible: the augmenting-path check
-    # agrees with the oracle's min-cost flow on the split graph
+    # agrees with the oracle's min-cost flow on the split graph.  Its k
+    # searches keep no visited set, since each pushes a vertex at most
+    # once: counted through out_edges, no vertex is expanded more than k
+    # times.
     from smallflow import oracle
     rng = random.Random(14)
     infeasible = 0
@@ -296,7 +317,9 @@ def test_has_disjoint_paths_matches_the_flow_oracle():
                                      extra_edges=rng.randint(0, 2 * n),
                                      plant=rng.random() < 0.3)
         want = oracle.disjoint_paths_min_cost_via_flow(inst) is not None
+        inst.out_edges = _CountingList(inst.out_edges)
         assert inst.has_disjoint_paths() == want
+        assert max(inst.out_edges.reads) <= k
         infeasible += not want
     assert infeasible > 750
 
