@@ -246,16 +246,16 @@ def least_nonzero_slice(graph: ScanGraph, points, field: GF2Field,
     since only a lower hit changes the minimum; each still tests the
     true least nonzero slice when it lies below the cap, so the error
     bound is that of the initial cap.  No walk set costs less than the
-    graph's floor, so once the cap is below it no repetition is run.
+    graph's floor, so once a hit puts the cap below it no further point
+    is drawn.  The graph must have k disjoint paths, so that it has a
+    floor, and cap must be at least that floor, as simple_cost_cap is.
     """
     best = None
-    points = iter(points)
-    while graph.floor is not None and cap >= graph.floor:
-        f = next(points, None)
-        if f is None:
-            break
+    for f in points:
         hit = scan_min_cost_slice(graph, f, field, cap=cap)
         if hit:
             best = hit[0]
             cap = best - 1
+            if cap < graph.floor:
+                break
     return best

@@ -539,8 +539,7 @@ class ScanGraph(dict):
         moves.sort(key=_REACH)
         self[state] = moves
         self.cells += 1 + _MOVE_CELLS * len(moves)
-        if self.cells * _CELL_BYTES > DEFAULT_MEMORY_LIMIT:
-            _check_budget(self.cells)  # raise before the graph outgrows it
+        _check_budget(self.cells)  # raise before the graph outgrows it
         return moves
 
 
@@ -581,8 +580,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     out-edges are packed one per slot and windowed the first time a state
     at z is expanded, so one scalar product per expanded state gives each
     move's product in its slot; both operands are below 2^64, so a slot
-    stays below 2^127.  A fan whose slots are all zero is not windowed,
-    and its states make no product.  The memory ceiling is checked once
+    stays below 2^127.  The memory ceiling is checked once
     per popped group against the entries still pending, one cell per
     pending group, the graph's cells and the fans built so far.
     """
@@ -590,7 +588,7 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
     n = instance.n
     _check_assignment(instance, assignment)
     reduce = field.reduce
-    fans = {}  # position -> window of its packed out-edge values, or 0
+    fans = {}  # position -> window of its packed out-edge values
     fan_cells = 0
     # (d + togo, d) -> state -> value (unreduced); the state None holds
     # the finished walk sets of cost d, in group (d, d).  keys is a heap of
@@ -625,10 +623,8 @@ def scan_slices(graph: ScanGraph, assignment, field: GF2Field, cap: int):
                 packed = 0
                 for slot, eid in enumerate(instance.out_edges[z]):
                     packed |= assignment[eid] << (SLOT_BITS * slot)
-                win = fans[z] = packed and vec_window(packed)
+                win = fans[z] = vec_window(packed)
                 fan_cells += _fan_cells(len(instance.out_edges[z]))
-            if not win:
-                continue  # every out-edge of z carries zero
             products = vec_scalar_mul_w(win, value)
             for _, c, key, reach, slot in graph[state]:
                 if reach > cut:

@@ -108,8 +108,6 @@ class GF2Field:
         a value below 2^(s+c), the second one below 2^(2c) <= 2^s."""
         s, mask, a, b, c = self._fold
         hi = p >> s
-        if not hi:
-            return p
         p = p & mask ^ hi ^ hi << a ^ hi << b ^ hi << c
         hi = p >> s
         return p & mask ^ hi ^ hi << a ^ hi << b ^ hi << c

@@ -65,14 +65,16 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     """The gadget of K (module docstring): its minimum path-set cost D*
     decodes to K's minimum value-k flow cost D* // scale, and it has k
     disjoint paths exactly when K has a value-k flow.  Exact and
-    deterministic.  Raises BudgetError, before any edge is built, when
-    its vertices and edges would pass the memory ceiling.  Its units are
-    grouped by the flow vertices that arcs leave, so K's vertex count
-    costs no memory of its own."""
+    deterministic.  Raises BudgetError when its vertices would pass the
+    memory ceiling, before its unit list is built, or its vertices and
+    edges, before any edge is built.  Its units are grouped by the flow
+    vertices that arcs leave, so K's vertex count costs no memory of its
+    own."""
     k = K.target_value
+    n = gadget_vertex_count(K)
+    _check_budget(n)  # the units below hold one slot per gadget vertex
     units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
              for _ in range(min(cap, k))]
-    n = gadget_vertex_count(K)
     first_y = n - k
     scale = first_y + 1
     out_at = {}  # units of each arc tail's out-edges
@@ -137,20 +139,20 @@ def recover_flow(paths: PathSet, gadget: GadgetNetwork) -> Flow:
 
 def validate_flow(K: FlowInstance, flow: Flow):
     """(ok, diagnostic): capacity, conservation, and value-k checks.
-    Net flows are kept only at the source, the sink and the arc
-    endpoints, the only vertices that can carry any, and checked in
-    increasing vertex order, so the diagnostic names the least vertex
-    that breaks conservation."""
+    One pass over the arcs checks each capacity and sums the net flows,
+    so a capacity violation is reported before any other.  Net flows are
+    kept only at the source, the sink and the arc endpoints, the only
+    vertices that can carry any, and checked in increasing vertex order,
+    so the diagnostic names the least vertex that breaks conservation."""
     if len(flow.amounts) != K.m:
         return False, f"amounts cover {len(flow.amounts)} of {K.m} edges"
+    net = dict.fromkeys((K.source, K.sink), 0)  # and each arc endpoint
     for eid, (u, v, cap, _cost) in enumerate(K.edges):
         a = flow.amounts[eid]
         if a < 0 or a > cap:
             return False, f"capacity violated at edge {eid}: {a} > {cap}"
-    net = dict.fromkeys((K.source, K.sink), 0)  # and each arc endpoint
-    for eid, (u, v, _cap, _cost) in enumerate(K.edges):
-        net[u] = net.get(u, 0) + flow.amounts[eid]
-        net[v] = net.get(v, 0) - flow.amounts[eid]
+        net[u] = net.get(u, 0) + a
+        net[v] = net.get(v, 0) - a
     for v in sorted(net):
         if v not in (K.source, K.sink) and net[v] != 0:
             return False, f"conservation violated at vertex {v}"

@@ -55,14 +55,16 @@ class PathInstance:
     heads[eid], two array("I") of vertex ids, 4 bytes per edge each;
     out_edges[u] is the tuple of u's out-edge ids in increasing order.
     The vertex count n runs from 2 to 2^32 - 1, the ids an array("I")
-    holds; any other n raises ValueError before any per-vertex list is
-    allocated.  Missing costs default to 1 per edge, which makes total
-    cost coincide with total length.
+    holds; any other n raises ValueError, and an n whose one cell per
+    vertex passes the memory ceiling raises evaluator.BudgetError,
+    before any per-vertex list is allocated.  Missing costs default to 1
+    per edge, which makes total cost coincide with total length.
     """
 
     def __init__(self, vertex_count, edges, sources, sinks, costs=None):
         n = vertex_count
         _check_vertex_count(n)
+        evaluator._check_budget(n)  # out_edges below: ~73 bytes a vertex
         sources = tuple(sources)
         sinks = tuple(sinks)
         k = len(sources)
@@ -394,10 +396,6 @@ def parse_dimacs_flow(text: str) -> FlowInstance:
                 if low != 0:
                     raise ParseError(
                         f"line {lineno}: nonzero lower bound unsupported")
-                if cap < 1:
-                    raise ParseError(f"line {lineno}: capacity below 1")
-                if cost < 1:
-                    raise ParseError(f"line {lineno}: cost below 1")
                 arcs.append((u, v, cap, cost))
             elif tag == "c" or tag.startswith("#"):
                 continue
@@ -522,3 +520,8 @@ def random_flow_instance(rng: random.Random, n: int, m: int, k: int,
             continue
         arcs.append((u, v, rng.randint(1, cap_max), rng.randint(1, cost_max)))
     return FlowInstance(n, arcs[:m], s, t, k)
+
+
+# Imported last: evaluator imports this module, and PathInstance reads
+# the memory ceiling from evaluator when it is called.
+from . import evaluator  # noqa: E402

@@ -354,29 +354,31 @@ class _Arc:
         return self.cap - self.flow
 
 
-def _mcmf(n, arcs_spec, s, t, value):
+def _mcmf(arcs_spec, s, t, value):
     """Successive shortest paths; nonnegative arc costs required.
 
     arcs_spec: iterable of (u, v, cap, cost, tag).  Returns
     (cost, flow_by_tag) if `value` units can be shipped, else None.
+    Every table is keyed by the vertices that s, t and the arcs name, so
+    a vertex no arc touches costs nothing.
     """
-    adj = [[] for _ in range(n)]
+    adj = {s: [], t: []}
     arcs = []
     for u, v, cap, cost, tag in arcs_spec:
         fwd = _Arc(v, cap, cost, tag)
         bwd = _Arc(u, 0, -cost)
         fwd.partner, bwd.partner = bwd, fwd
-        adj[u].append(fwd)
-        adj[v].append(bwd)
+        adj.setdefault(u, []).append(fwd)
+        adj.setdefault(v, []).append(bwd)
         arcs.append(fwd)
     INF = float("inf")
-    potential = [0] * n
+    potential = dict.fromkeys(adj, 0)
     shipped = 0
     total_cost = 0
     while shipped < value:
-        dist = [INF] * n
+        dist = dict.fromkeys(adj, INF)
         dist[s] = 0
-        parent = [None] * n
+        parent = dict.fromkeys(adj)
         heap = [(0, s)]
         while heap:
             d, u = heapq.heappop(heap)
@@ -392,9 +394,9 @@ def _mcmf(n, arcs_spec, s, t, value):
                     heapq.heappush(heap, (nd, arc.to))
         if dist[t] == INF:
             return None
-        for v in range(n):
-            if dist[v] < INF:
-                potential[v] += dist[v]
+        for v, d in dist.items():
+            if d < INF:
+                potential[v] += d
         push = value - shipped
         arc = parent[t]
         while arc is not None:
@@ -409,12 +411,12 @@ def _mcmf(n, arcs_spec, s, t, value):
         shipped += push
     # Optimality self-check: a min-cost flow admits no negative-cost cycle
     # in its residual graph.  Integer Bellman-Ford from a virtual source.
-    dist = [0] * n
-    for round_ in range(n + 1):
+    dist = dict.fromkeys(adj, 0)
+    for round_ in range(len(adj) + 1):
         changed = False
-        for u in range(n):
+        for u, out in adj.items():
             du = dist[u]
-            for arc in adj[u]:
+            for arc in out:
                 if arc.residual() > 0 and du + arc.cost < dist[arc.to]:
                     dist[arc.to] = du + arc.cost
                     changed = True
@@ -435,7 +437,7 @@ def classic_min_cost_flow(K: FlowInstance):
     value = K.target_value
     spec = [(u, v, cap, cost, eid)
             for eid, (u, v, cap, cost) in enumerate(K.edges)]
-    res = _mcmf(K.n, spec, K.source, K.sink, value)
+    res = _mcmf(spec, K.source, K.sink, value)
     if res is None:
         return None
     total_cost, by_edge = res
@@ -448,8 +450,9 @@ def disjoint_paths_min_cost_via_flow(instance: PathInstance, costs=None):
 
     Standard vertex-splitting reduction to min-cost flow: every vertex gets
     an internal capacity-one arc, so paths are disjoint over all vertices
-    including endpoints.  Polynomial time; the cross-check for instances
-    too large for the exhaustive search.
+    including endpoints.  Only the vertices that an edge or a terminal
+    names get one, since no path passes any other.  Polynomial time; the
+    cross-check for instances too large for the exhaustive search.
     """
     costs = instance.cost_list() if costs is None else list(costs)
     n = instance.n
@@ -457,7 +460,9 @@ def disjoint_paths_min_cost_via_flow(instance: PathInstance, costs=None):
     v_out = lambda v: 2 * v + 1
     S, T = 2 * n, 2 * n + 1
     spec = []
-    for v in range(n):
+    named = {*instance.tails, *instance.heads, *instance.sources,
+             *instance.sinks}
+    for v in sorted(named):
         spec.append((v_in(v), v_out(v), 1, 0, None))
     for eid, (u, v) in enumerate(instance.edges):
         spec.append((v_out(u), v_in(v), 1, costs[eid], None))
@@ -465,7 +470,7 @@ def disjoint_paths_min_cost_via_flow(instance: PathInstance, costs=None):
         spec.append((S, v_in(x), 1, 0, None))
     for y in instance.sinks:
         spec.append((v_out(y), T, 1, 0, None))
-    res = _mcmf(2 * n + 2, spec, S, T, instance.k)
+    res = _mcmf(spec, S, T, instance.k)
     if res is None:
         return None
     return res[0]

@@ -1,6 +1,10 @@
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -438,6 +442,49 @@ def test_flow_vertex_count_past_32_bits_exit(capsys, tmp_path):
                           "fewer than 2^32")
 
 
+_FRESH_HEADER = """
+import json, resource, sys, time
+from smallflow import cli
+t0 = time.perf_counter()
+codes = [cli.main([sub, "-i", sys.argv[1]])
+         for sub in ("decide", "mincost", "find")]
+print(json.dumps([codes, time.perf_counter() - t0,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_declared_vertices_charged_before_the_instance(tmp_path):
+    # In a fresh interpreter: a one-edge paths header of 2^32 - 1
+    # vertices is charged one cell per vertex against the ceiling before
+    # PathInstance builds a list per vertex (about 300 GB here), so each
+    # query exits 3 at once.  ru_maxrss is in KiB on Linux.
+    p = tmp_path / "huge.paths"
+    p.write_text("q paths 4294967295 1 1\nx 1\ny 2\ne 1 2\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _FRESH_HEADER, str(p)],
+                         capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    codes, seconds, max_rss_kib = json.loads(run.stdout)
+    assert codes == [3, 3, 3]
+    assert run.stderr.count("budget error: 4294967295 table cells") == 3
+    assert seconds < 1
+    assert max_rss_kib < 64 << 10
+
+
+def test_flow_verify_past_32_bit_header(capsys, tmp_path):
+    # the exact oracle keys its tables by the vertices that arcs name, so
+    # --verify checks a one-arc network of 2^32 - 1 vertices at once
+    p = tmp_path / "huge.dimacs"
+    p.write_text("p min 4294967295 1\nn 1 1\nn 2 -1\na 1 2 0 1 1\n")
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, "flow", "-i", str(p), "--verify")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert rep["verify"] == {"oracle_cost": 1, "match": True}
+
+
 def test_report_reproducible(capsys, paths_file):
     def strip(rep):
         rep.pop("timing_ms")
@@ -685,3 +732,4 @@ def test_reports_match_golden(capsys, tmp_path, name):
             for ln in want for key in [ln.split(": ", 1)[0]]
             if changed.get(key) is not DROPPED]
     assert (code, lines) == (codes[name], want)
+

@@ -1093,12 +1093,12 @@ def test_scan_makes_one_product_per_expanded_state(field64, monkeypatch):
     assert [d for d, _ in got] == [2, 4]
     assert got == [(d, v) for d, v in
                    enumerate(length_plan(inst, 4).slices(f, field64)) if v]
-    # both out-edges of 3 deleted: its fan is all zero, so (0, 3) makes no
-    # product and position 3 is not windowed
+    # both out-edges of 3 deleted: its fan is all zero, so (0, 3) makes
+    # one product, zero in every slot, and none of its moves is pushed
     products = windows = 0
     f = [3, 5, 7, 0, 11, 13, 0]
     got = list(scan_slices(graph, f, field64, 4))
-    assert (products, windows) == (3, 3)
+    assert (products, windows) == (4, 4)
     assert got == [(d, v) for d, v in
                    enumerate(length_plan(inst, 4).slices(f, field64)) if v]
     assert [d for d, _ in got] == [3]

@@ -340,6 +340,42 @@ def test_declared_vertices_cost_the_flow_no_memory():
     assert peak < 1 << 20
 
 
+_FRESH_GADGET = """
+import gc, json, time, tracemalloc
+from smallflow import BudgetError, FlowInstance, TestParams, min_cost_flow
+K = FlowInstance(2, [(0, 1, 10**12, 1)], 0, 1, 10**12)
+gc.collect()
+tracemalloc.start()
+t0 = time.perf_counter()
+try:
+    min_cost_flow(K, TestParams(seed=1))
+    message = None
+except BudgetError as exc:
+    message = str(exc)
+seconds = time.perf_counter() - t0
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([message, seconds, peak]))
+"""
+
+
+def test_gadget_vertices_charged_before_its_units():
+    # In a fresh interpreter, a one-arc network of capacity and value
+    # 10^12: its gadget would hold 3 * 10^12 vertices, and the build
+    # refuses them before it lists one unit.  Listing min(cap, k) units
+    # per arc first peaked at 458 MB at k = 10^7 before the refusal.
+    src = os.path.dirname(os.path.dirname(flow_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH_GADGET],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    message, seconds, peak = json.loads(out)
+    assert message.startswith(f"{3 * 10**12} table cells")
+    assert seconds < 1
+    assert peak < 1 << 14
+
+
 def test_min_cost_flow_two_routes():
     res = min_cost_flow(two_routes(), params64(2))
     assert res is not None

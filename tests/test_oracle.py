@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from smallflow import FlowInstance, PathInstance, random_paths_instance, validate_flow
+from smallflow import oracle as oracle_mod
 from smallflow.network import ProperWalkSet, Walk
 from smallflow.oracle import (
     EnumerationBudgetError,
@@ -144,6 +149,42 @@ def test_classic_mcmf_two_routes():
     assert flow.amounts == [1, 1, 1, 1]
     ok, diag = validate_flow(K, flow)
     assert ok, diag
+
+
+_FRESH_NAMED = """
+import gc, json, tracemalloc
+from smallflow import FlowInstance, PathInstance
+from smallflow.oracle import (classic_min_cost_flow,
+                              disjoint_paths_min_cost_via_flow)
+K = FlowInstance(4294967295, [(0, 1, 1, 1)], 0, 1, 1)
+inst = PathInstance(10**5, [(0, 1)], [0], [1], costs=[3])
+peaks = []
+for query in (lambda: classic_min_cost_flow(K),
+              lambda: disjoint_paths_min_cost_via_flow(inst)):
+    gc.collect()
+    tracemalloc.start()
+    answer = query()
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    print(json.dumps(answer[0] if isinstance(answer, tuple) else answer))
+print(json.dumps(peaks))
+"""
+
+
+def test_oracle_flows_hold_only_named_vertices():
+    # In a fresh interpreter: a one-arc network of 2^32 - 1 vertices, and
+    # a one-edge paths instance of 10^5.  Keyed by the vertices that the
+    # arcs and terminals name, each oracle holds a few of them; tables
+    # over every declared vertex would take 2^32 lists, and 2 * 10^5 + 2.
+    src = os.path.dirname(os.path.dirname(oracle_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH_NAMED],
+                         capture_output=True, text=True, env=env,
+                         check=True, timeout=60).stdout
+    flow_cost, paths_cost, peaks = map(json.loads, out.splitlines())
+    assert (flow_cost, paths_cost) == (1, 3)
+    assert max(peaks) < 1 << 14
 
 
 def test_classic_mcmf_infeasible():
