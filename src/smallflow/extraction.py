@@ -133,6 +133,10 @@ def classify_edges(graph: ScanGraph, d: int, point, field) -> set:
     return {e for e in range(m) if live[e]}
 
 
+# the (out, in) degree of every vertex of k disjoint paths, by its role
+_DEGREES = {"source": (1, 0), "sink": (0, 1), "vertex": (1, 1)}
+
+
 def assemble_paths(instance: PathInstance, essential, cost_map,
                    expected_total: int) -> PathSet:
     """Check that the essential edges are exactly k disjoint paths.
@@ -156,19 +160,13 @@ def assemble_paths(instance: PathInstance, essential, cost_map,
         out_by_vertex.setdefault(u, []).append(eid)
         in_by_vertex.setdefault(v, []).append(eid)
     for v in set(out_by_vertex) | set(in_by_vertex):
+        role = ("source" if v in instance.source_index
+                else "sink" if v in instance.sink_index else "vertex")
         outs = len(out_by_vertex.get(v, ()))
         ins = len(in_by_vertex.get(v, ()))
-        if v in instance.source_index:
-            if outs != 1 or ins != 0:
-                raise AssemblyError(
-                    f"degree violation at source {v}: out={outs} in={ins}")
-        elif v in instance.sink_index:
-            if ins != 1 or outs != 0:
-                raise AssemblyError(
-                    f"degree violation at sink {v}: out={outs} in={ins}")
-        elif outs != 1 or ins != 1:
+        if (outs, ins) != _DEGREES[role]:
             raise AssemblyError(
-                f"degree violation at vertex {v}: out={outs} in={ins}")
+                f"degree violation at {role} {v}: out={outs} in={ins}")
     paths = []
     edge_ids = []
     used = set()

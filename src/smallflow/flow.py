@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .decision import TestParams
-from .evaluator import _check_budget
+from . import evaluator
 from .extraction import PathSet, find_disjoint_paths
 from .network import FlowInstance, PathInstance
 
@@ -72,7 +72,7 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     own."""
     k = K.target_value
     n = gadget_vertex_count(K)
-    _check_budget(n)  # the units below hold one slot per gadget vertex
+    evaluator._check_budget(n)  # units below: one slot per gadget vertex
     units = [eid for eid, (_u, _v, cap, _cost) in enumerate(K.edges)
              for _ in range(min(cap, k))]
     first_y = n - k
@@ -87,7 +87,7 @@ def build_gadget_network(K: FlowInstance) -> GadgetNetwork:
     # the memory ceiling, before any edge is built: a vertex is one cell,
     # and an edge two, since its tail, head and cost slots in the lists
     # below and its slots in the instance are all alive at the build's peak
-    _check_budget(n + 2 * (k * (span_s + span_t) + sum(
+    evaluator._check_budget(n + 2 * (k * (span_s + span_t) + sum(
         len(out_at.get(v, ())) - (u == v)
         for u, v, _cap, _cost in map(K.edges.__getitem__, units))))
     tails = [x for x in range(k) for _ in range(span_s)]
@@ -141,12 +141,15 @@ def validate_flow(K: FlowInstance, flow: Flow):
     """(ok, diagnostic): capacity, conservation, and value-k checks.
     One pass over the arcs checks each capacity and sums the net flows,
     so a capacity violation is reported before any other.  Net flows are
-    kept only at the source, the sink and the arc endpoints, the only
-    vertices that can carry any, and checked in increasing vertex order,
-    so the diagnostic names the least vertex that breaks conservation."""
+    kept only at the source and the arc endpoints, the only vertices
+    that can carry any, and checked in increasing vertex order, so the
+    diagnostic names the least vertex that breaks conservation.  The
+    sink needs no check: every arc adds a at its tail and -a at its
+    head, so the net flows sum to zero, and once every other vertex
+    balances and k leaves the source, k enters the sink."""
     if len(flow.amounts) != K.m:
         return False, f"amounts cover {len(flow.amounts)} of {K.m} edges"
-    net = dict.fromkeys((K.source, K.sink), 0)  # and each arc endpoint
+    net = {K.source: 0}  # and each arc endpoint
     for eid, (u, v, cap, _cost) in enumerate(K.edges):
         a = flow.amounts[eid]
         if a < 0 or a > cap:
@@ -159,8 +162,6 @@ def validate_flow(K: FlowInstance, flow: Flow):
     k = K.target_value
     if net[K.source] != k:
         return False, f"value {net[K.source]} out of source, expected {k}"
-    if net[K.sink] != -k:
-        return False, f"value {-net[K.sink]} into sink, expected {k}"
     if flow.value != k:
         return False, f"declared value {flow.value} != {k}"
     return True, None

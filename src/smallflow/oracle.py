@@ -50,6 +50,17 @@ class _Budget:
             raise EnumerationBudgetError("enumeration budget exceeded")
 
 
+def _measures(instance, mode, costs):
+    """Each edge's measure under mode: 1 for "length", and for "cost" its
+    cost in costs, or the instance's when costs is None.  Raises
+    ValueError for any other mode."""
+    if mode == "length":
+        return [1] * instance.m
+    if mode != "cost":
+        raise ValueError(f"unknown mode {mode!r}")
+    return instance.cost_list() if costs is None else list(costs)
+
+
 def _walks_from(instance, start, max_measure, measures, budget):
     """All walks from a source, with measure (length or cost) <= max_measure.
 
@@ -111,14 +122,9 @@ def enumerate_proper_walk_sets(instance: PathInstance, bound: int,
     for cost-bounded families (each edge costs >= 1) and is not applied,
     matching the evaluator's cost slices.
     """
-    if mode not in ("length", "cost"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "length":
-        measures = [1] * instance.m
-        cap = min(bound, instance.k * (instance.n - 1))
-    else:
-        measures = instance.cost_list() if costs is None else list(costs)
-        cap = bound
+    measures = _measures(instance, mode, costs)
+    cap = min(bound, instance.k * (instance.n - 1)) if mode == "length" \
+        else bound
     for total, walk_set in _walk_sets(instance, cap, measures, budget):
         if mode == "length" or total == bound:
             yield walk_set
@@ -168,7 +174,7 @@ def symbolic_cost_slices(instance: PathInstance, up_to: int,
                          budget: int = DEFAULT_BUDGET,
                          costs=None) -> dict:
     """Exact-cost slice polynomials for every cost p in [0, up_to]."""
-    measures = instance.cost_list() if costs is None else list(costs)
+    measures = _measures(instance, "cost", costs)
     buckets = {}
     for total, walk_set in _walk_sets(instance, up_to, measures, budget):
         buckets.setdefault(total, set()).symmetric_difference_update(
@@ -278,10 +284,7 @@ def brute_force_disjoint_paths(instance: PathInstance, mode: str = "cost",
     if instance.n > limit:
         raise EnumerationBudgetError(
             f"instance has {instance.n} > {limit} vertices")
-    if mode not in ("length", "cost"):
-        raise ValueError(f"unknown mode {mode!r}")
-    measures = ([1] * instance.m if mode == "length"
-                else (instance.cost_list() if costs is None else list(costs)))
+    measures = _measures(instance, mode, costs)
     orig_costs = instance.cost_list()
     k = instance.k
     sources = instance.sources

@@ -63,6 +63,16 @@ def test_line_count_columns_add_up():
             len(path.read_text().splitlines()), path
     assert total == [sum(column) for column in zip(*rows.values())]
     assert all(rows["smallflow/evaluator.py"])  # every column is found
+    # src against itself: each module's code lines on both sides, no change
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "line_count.py"),
+                          str(SRC), str(SRC)], capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    assert out[0].split() == ["module", "before", "after", "change"]
+    compared = {line.split()[0]: list(map(int, line.split()[1:]))
+                for line in out[1:]}
+    rows["total"] = total
+    assert compared == {name: [row[0], row[0], 0]
+                        for name, row in rows.items()}
 
 
 def test_no_measurement_provenance_in_src():

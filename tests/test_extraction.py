@@ -215,6 +215,25 @@ def test_assemble_failures():
         assemble_paths(inst3, {0, 1, 2}, inst3.cost_list(), 3)
 
 
+@pytest.mark.parametrize("instance, essential, message", [
+    # source 0 leaves by both of its edges
+    (costed_bipartite(), {0, 1}, "degree violation at source 0: out=2 in=0"),
+    # sink 2 is entered from both sources
+    (costed_bipartite(), {0, 2}, "degree violation at sink 2: out=0 in=2"),
+    # inner vertex 2 forks to both sinks
+    (PathInstance(5, [(0, 2), (2, 3), (2, 4)], [0, 1], [3, 4]), {0, 1, 2},
+     "degree violation at vertex 2: out=2 in=1"),
+    # every vertex breaks its degrees: the first one checked is named
+    (costed_bipartite(), {0, 1, 2, 3},
+     "degree violation at source 0: out=2 in=0"),
+], ids=["source", "sink", "vertex", "first"])
+def test_assembly_names_the_vertex_and_role_that_break_the_degrees(
+        instance, essential, message):
+    with pytest.raises(AssemblyError) as info:
+        assemble_paths(instance, essential, instance.cost_list(), 0)
+    assert str(info.value) == message
+
+
 def test_find_disjoint_paths_examples(single_edge, bottleneck,
                                       path_set_problem):
     inst = costed_bipartite()

@@ -183,10 +183,13 @@ def test_gadget_deterministic_build():
 
 
 def test_gadget_charge_counts_its_vertices_and_edges(monkeypatch):
-    # the ceiling is charged one cell per gadget vertex and two per edge,
-    # counted before the build, self-loops and parallel arcs included
+    # the ceiling is charged one cell per gadget vertex, then one per
+    # vertex and two per edge, counted before the build, self-loops and
+    # parallel arcs included; then the gadget's instance charges its n.
+    # Each charge goes through evaluator._check_budget, the one name
+    # that a tracer or a test patches
     charges = []
-    monkeypatch.setattr(flow_mod, "_check_budget", charges.append)
+    monkeypatch.setattr(evaluator, "_check_budget", charges.append)
     rng = random.Random(42)
     networks = [two_routes(),
                 FlowInstance(4, [(0, 1, 1, 1), (1, 1, 2, 3), (1, 3, 1, 1),
@@ -199,7 +202,8 @@ def test_gadget_charge_counts_its_vertices_and_edges(monkeypatch):
                  for _ in range(30)]
     for K in networks:
         inst = build_gadget_network(K).instance
-        assert charges.pop() == inst.n + 2 * inst.m
+        assert charges == [inst.n, inst.n + 2 * inst.m, inst.n]
+        charges.clear()
 
 
 def test_gadget_checked_against_the_ceiling_before_it_is_built():
@@ -309,6 +313,66 @@ def test_validate_flow_names_the_least_unbalanced_vertex():
     K = FlowInstance(10, K.edges, 0, 3, 2)
     assert validate_flow(K, Flow(amounts=[1, 1, 1, 1], value=2, cost=4)) \
         == (True, None)
+
+
+def _is_value_k_flow(K, flow):
+    """validate_flow's verdict from its definition, over every declared
+    vertex: each amount within [0, capacity], every vertex other than
+    the source and the sink balanced, k net out of the source, and the
+    declared value k."""
+    if len(flow.amounts) != K.m:
+        return False
+    net = [0] * K.n
+    for (u, v, cap, _cost), a in zip(K.edges, flow.amounts):
+        if not 0 <= a <= cap:
+            return False
+        net[u] += a
+        net[v] -= a
+    k = K.target_value
+    return net[K.source] == k and flow.value == k and all(
+        net[v] == 0 for v in range(K.n) if v not in (K.source, K.sink))
+
+
+def test_validate_flow_matches_its_definition():
+    # random networks with self-loops and parallel arcs; amounts drawn at
+    # random (which mostly unbalance the sink too), a minimum flow, and
+    # that flow with one arc moved by one, with a unit around a self-loop,
+    # or cut short; each declared as value k and k + 1.  Whenever the
+    # verdict is ok the sink takes exactly k, with no check of its own
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        s, t = rng.sample(range(n), 2)
+        k = rng.randint(1, 3)
+        arcs = [(s, t, rng.randint(1, 3), 1)] if rng.random() < 0.5 else []
+        arcs += [(rng.choice((s, rng.randrange(n))),
+                  rng.choice((t, rng.randrange(n))), rng.randint(1, 3),
+                  rng.randint(1, 3)) for _ in range(rng.randint(1, 8))]
+        arcs += [rng.choice(arcs)]  # a parallel arc
+        loop = rng.randrange(n)
+        arcs += [(loop, loop, rng.randint(1, 2), 1)]
+        K = FlowInstance(n, arcs, s, t, k)
+        candidates = [[rng.randint(-1, cap + 1) for _u, _v, cap, _c in arcs]]
+        best = oracle.classic_min_cost_flow(K)
+        if best is not None:
+            amounts = best[1].amounts
+            moved = list(amounts)
+            moved[rng.randrange(K.m)] += rng.choice((-1, 1))
+            looped = list(amounts)
+            looped[-1] += 1
+            candidates += [amounts, moved, looped, amounts[:-1]]
+        for amounts in candidates:
+            for value in (k, k + 1):
+                flow = Flow(amounts=amounts, value=value, cost=0)
+                ok, diag = validate_flow(K, flow)
+                assert ok == _is_value_k_flow(K, flow), (K, flow, diag)
+                assert (diag is None) == ok
+                if ok:
+                    assert k == sum(a * ((v == t) - (u == t)) for
+                                    (u, v, _cap, _c), a in zip(arcs, amounts))
+                verdicts.append(ok)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 1000
 
 
 _FRESH_FLOW = """

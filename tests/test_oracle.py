@@ -31,6 +31,21 @@ def test_enumeration_counts(single_edge, bipartite22, bottleneck):
     assert all(2 in ws.walks[0].vertices for ws in sets)
 
 
+def test_unknown_mode_raises_value_error(single_edge):
+    walk_sets = enumerate_proper_walk_sets(single_edge, 1, "width")
+    with pytest.raises(ValueError) as info:  # a generator: on first draw
+        next(walk_sets)
+    assert str(info.value) == "unknown mode 'width'"
+    for call in (lambda: symbolic_char2_polynomial(single_edge, 1, "width"),
+                 lambda: brute_force_disjoint_paths(single_edge, "width")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "unknown mode 'width'"
+    # the exhaustive search checks its vertex limit first
+    with pytest.raises(EnumerationBudgetError):
+        brute_force_disjoint_paths(single_edge, "width", limit=1)
+
+
 def test_enumeration_exact_cost_mode():
     inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                         costs=[1, 2, 2, 1])

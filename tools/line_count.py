@@ -1,6 +1,7 @@
 """Code, docstring, comment and blank lines of each Python module.
 
     python3 tools/line_count.py [DIR]
+    python3 tools/line_count.py BEFORE AFTER
 
 DIR defaults to src/smallflow; every *.py file under it is counted.  Each
 line of a file falls in exactly one column, so the four add up to its
@@ -12,7 +13,9 @@ line count:
 * comment: a line whose only token is a comment;
 * blank: every other line.
 
-One row is printed per module, then a total row.
+One row is printed per module, then a total row.  Given two directories,
+each row holds a module's code lines under BEFORE and under AFTER and
+the change; a module missing from one side counts 0 there.
 """
 
 from __future__ import annotations
@@ -72,15 +75,25 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("directory", type=Path, nargs="?",
                     default=ROOT / "src" / "smallflow")
-    rows = table(ap.parse_args(argv).directory)
-    rows["total"] = {c: sum(r[c] for r in rows.values())
-                     for c in COLUMNS + ("total",)}
+    ap.add_argument("after", type=Path, nargs="?")
+    args = ap.parse_args(argv)
+    if args.after is None:
+        header = COLUMNS + ("total",)
+        rows = {name: [row[c] for c in header]
+                for name, row in table(args.directory).items()}
+    else:
+        header = ("before", "after", "change")
+        tables = table(args.directory), table(args.after)
+        rows = {}
+        for name in sorted(tables[0].keys() | tables[1].keys()):
+            before, after = (t[name]["code"] if name in t else 0
+                             for t in tables)
+            rows[name] = [before, after, after - before]
+    rows["total"] = [sum(column) for column in zip(*rows.values())]
     width = max(map(len, rows))
-    print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in
-                                           COLUMNS + ("total",)))
+    print(f"{'module':<{width}}" + "".join(f"{c:>11}" for c in header))
     for name, row in rows.items():
-        print(f"{name:<{width}}" + "".join(f"{row[c]:>11}" for c in
-                                           COLUMNS + ("total",)))
+        print(f"{name:<{width}}" + "".join(f"{v:>11}" for v in row))
 
 
 if __name__ == "__main__":
