@@ -12,12 +12,15 @@ assignments() resolves for each test from the graph it runs on (for a
 flow, its gadget).  Each repetition draws from its own (seed,
 repetition) stream, so verdicts are reproducible byte for byte.
 
-Every query first asks PathInstance.has_disjoint_paths() whether k
-disjoint paths exist at all.  When they do not, it answers an exact
-"none" (a ZERO with degree None, or None) before any field check.  When
-they do, a minimum cost exists, so only a bounded query (decide_*)
-answers a probabilistic ZERO, and a minimum-cost search that finds no
-nonzero slice raises RetriesExhaustedError.
+Every query first asks PathInstance.menger_paths() for k disjoint
+paths.  When there are none, it answers an exact "none" (a ZERO with
+degree None, or None) before any field check.  A bounded query
+(decide_*) whose found paths already meet its bound answers an exact
+NONZERO, also before any field check: the paths are the certificate, so
+the non-identity test runs only when no certificate is at hand.  Past
+those, a minimum cost exists, so only a bounded query answers a
+probabilistic ZERO, and a minimum-cost search that finds no nonzero
+slice raises RetriesExhaustedError.
 """
 
 from __future__ import annotations
@@ -128,13 +131,15 @@ class TestParams(namedtuple("TestParams", "field repetitions seed")):
 
 class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
                          defaults=(None, None))):
-    """answer: NONZERO (certain) or ZERO.  witness_assignment: for a
-    NONZERO, the point at which the test was nonzero, as an array("Q")
-    of one field element per edge id, 8 bytes each; None for a ZERO.  An
-    array is mutable and unhashable, so a NONZERO verdict is too.
-    degree: the test's slice_degree; its ZERO errs with probability at
-    most (degree / 2^s)^t.  None for an exact ZERO answered without an
-    evaluation (below a floor, or no k disjoint paths at all)."""
+    """answer: NONZERO (certain) or ZERO.  witness_assignment: for an
+    evaluated NONZERO, the point at which the test was nonzero, as an
+    array("Q") of one field element per edge id, 8 bytes each; None
+    otherwise.  An array is mutable and unhashable, so such a verdict is
+    too.  degree: the test's slice_degree; its ZERO errs with
+    probability at most (degree / 2^s)^t.  None, with no witness, for an
+    exact answer given without an evaluation: a ZERO below a floor or
+    with no k disjoint paths at all, or a NONZERO whose certificate is
+    the paths PathInstance.menger_paths() found within the bound."""
 
     __slots__ = ()
 
@@ -143,27 +148,43 @@ class Verdict(namedtuple("Verdict", "answer witness_assignment degree",
         return self.answer == NONZERO
 
 
+def _settled(instance: PathInstance, bound: int, price) -> Verdict | None:
+    """The exact Verdict of a bounded query that menger_paths() settles,
+    with degree and witness None, before any plan, graph, point or field
+    check: ZERO when there are no k disjoint paths, NONZERO when the paths
+    it found total at most bound, each priced by price(edge ids).  None
+    when the query needs the non-identity test."""
+    paths = instance.menger_paths()
+    if paths is None:
+        return Verdict(ZERO)
+    if sum(map(price, paths)) <= bound:
+        return Verdict(NONZERO)
+    return None
+
+
 def decide_disjoint_paths(instance: PathInstance, l: int,
                           params: TestParams, parallelism: int = 1) -> Verdict:
     """The Verdict on whether k vertex-disjoint X->Y paths of total length
     <= l exist, for l in [1, k(n - 1)] (ValueError otherwise).
 
-    One TablePlan at unit costs serves every repetition, evaluated up to
-    degree = slice_degree(instance, l) only: the least nonzero slice lies
-    at or below it.  The ZERO is exact, with degree None and no
-    evaluation, when has_disjoint_paths() finds no k disjoint paths or
-    the degree is below the plan's floor (no walk set is shorter); every
-    other verdict states the degree (Verdict).  parallelism > 1 spreads
-    the table engine over up to that many worker processes with the
-    same verdict; below 1 it raises ValueError before any check.
+    The answer is exact, with degree None and no evaluation, when
+    menger_paths() settles it (_settled) or the degree is below the
+    plan's floor (no walk set is shorter).  Otherwise one TablePlan at
+    unit costs serves every repetition, evaluated up to degree =
+    slice_degree(instance, l) only (l itself, as l lies below the found
+    paths' length): the least nonzero slice lies at or below it, and the
+    verdict states the degree (Verdict).  parallelism > 1 spreads the
+    table engine over up to that many worker processes with the same
+    verdict; below 1 it raises ValueError before any check.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism {parallelism} below 1")
     if not 1 <= l <= instance.k * (instance.n - 1):
         raise ValueError(
             f"length bound {l} outside [1, {instance.k * (instance.n - 1)}]")
-    if not instance.has_disjoint_paths():
-        return Verdict(ZERO)
+    exact = _settled(instance, l, len)
+    if exact:
+        return exact
     degree = slice_degree(instance, l)
     plan = TablePlan(instance, degree)
     if degree < plan.floor:
@@ -179,25 +200,26 @@ def decide_cost_bounded(instance: PathInstance, u: int,
     """The Verdict on whether k disjoint paths of total cost <= u exist,
     for u >= 1 (ValueError otherwise).
 
-    One scan per repetition, capped at min(u, simple_cost_cap()): the
-    least nonzero slice, when there is one, is witnessed by simple paths
-    under that cap.  The ZERO is exact, with degree None and no point
-    drawn, when has_disjoint_paths() finds no k disjoint paths or the
-    cap is below the graph's floor (no walk set costs less); otherwise
-    the verdict's degree is the cap's slice_degree, which the field is
-    checked against.
+    The answer is exact, with degree None and no point drawn, when
+    menger_paths() settles it (_settled) or u is below the graph's floor
+    (no walk set costs less).  Otherwise one scan per repetition runs to
+    u, which lies below the cost of the found paths and so below
+    simple_cost_cap(), and the verdict's degree is u's slice_degree,
+    which the field is checked against.
     """
     if u < 1:
         raise ValueError(f"cost bound {u} must be >= 1")
-    if not instance.has_disjoint_paths():
+    costs = instance.cost_list()
+    exact = _settled(instance, u,
+                     lambda path: sum(costs[e] for e in path))
+    if exact:
+        return exact
+    graph = ScanGraph(instance, costs)
+    if u < graph.floor:
         return Verdict(ZERO)
-    cap = min(u, instance.simple_cost_cap())
-    graph = ScanGraph(instance, instance.cost_list())
-    if cap < graph.floor:
-        return Verdict(ZERO)
-    degree = slice_degree(instance, cap, min(graph.costs))
+    degree = slice_degree(instance, u, min(costs))
     for f in params.assignments(instance, degree, "decide-cost"):
-        if scan_min_cost_slice(graph, f, params.field, cap=cap):
+        if scan_min_cost_slice(graph, f, params.field, cap=u):
             return Verdict(NONZERO, array("Q", f), degree)
     return Verdict(ZERO, degree=degree)
 
@@ -206,7 +228,7 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
                             _graph: ScanGraph | None = None) -> int | None:
     """Minimum total cost of k disjoint paths, or None if none exist.
 
-    None is exact: has_disjoint_paths() found no k disjoint paths, before
+    None is exact: menger_paths() found no k disjoint paths, before
     any field check.  Otherwise the search is least_nonzero_slice over one
     ScanGraph, capped at simple_cost_cap(), whose slice_degree the field
     is checked against before the graph is built.  A cost it returns is
@@ -216,9 +238,9 @@ def min_cost_disjoint_paths(instance: PathInstance, params: TestParams, *,
     degree / 2^s.  When none finds a nonzero slice it raises
     RetriesExhaustedError.  `_graph` is internal:
     find_disjoint_paths passes the ScanGraph it built at the instance's
-    costs, after its own has_disjoint_paths() check.
+    costs, after its own menger_paths() check.
     """
-    if _graph is None and not instance.has_disjoint_paths():
+    if _graph is None and instance.menger_paths() is None:
         return None
     cap, costs = instance.simple_cost_cap(), instance.cost_list()
     points = params.assignments(

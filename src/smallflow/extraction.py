@@ -230,7 +230,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     with weights from [1, r], r = paper_isolation_range(instance).  A dict
     passed as `report` receives strategy, attempts made and, under
     isolation, r.  None is exact, with 0 attempts, before any field check
-    or scan graph: has_disjoint_paths() found no k disjoint paths.
+    or scan graph: menger_paths() found no k disjoint paths.
     Deletion first finds the optimum d0 on the ScanGraph that its attempts
     share; isolation builds one per attempt.  An answer errs only by a
     false zero in the search for d0 or U*; an edge test's costs a retry.
@@ -245,7 +245,7 @@ def find_disjoint_paths(instance: PathInstance, params: TestParams,
     report.update(strategy=strategy, attempts=0)
     if strategy == "isolation":
         r = report["r"] = paper_isolation_range(instance)
-    if not instance.has_disjoint_paths():
+    if instance.menger_paths() is None:
         return None
     if strategy == "deletion":
         graph = ScanGraph(instance, instance.cost_list())

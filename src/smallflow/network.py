@@ -140,24 +140,27 @@ class PathInstance:
                     reverse=True)
         return sum(cs[: self.max_path_edges()])
 
-    def has_disjoint_paths(self) -> bool:
-        """Whether k vertex-disjoint X->Y paths exist, at any cost.
+    def menger_paths(self) -> list | None:
+        """k vertex-disjoint X->Y paths, each the list of its edge ids from
+        its source to its sink, in source order; None when there are not k.
 
-        By Menger's theorem, exactly when k augmenting paths exist in the
-        vertex-split graph (Ford-Fulkerson).  Vertex v has the states
-        IN(v) and OUT(v); a non-terminal passes at most one path from IN
-        to OUT, and edges into a source or out of a sink carry none.
-        fin[v] and fout[v] are the edges carrying a path into and out of v
-        (-1: none).  Each search is a DFS over the residual states: at a
-        vertex on a path, a used sink included, it may back out along that
-        path's edge into it, which reroutes the path.  It pushes each
-        vertex at most once, so it keeps no visited set: a free source
-        only at the start, a free vertex only when its own back is first
-        set, and a path vertex u only as the tail of its path edge into
-        the one w whose back[w] that push sets.  Exact, in O(k (n + m))
-        time.  Its lists hold a few slots per vertex, a small part of what
-        the instance holds, so nothing is charged against the memory
-        ceiling.
+        By Menger's theorem, k such paths exist exactly when k augmenting
+        paths exist in the vertex-split graph (Ford-Fulkerson).  Vertex v
+        has the states IN(v) and OUT(v); a non-terminal passes at most one
+        path from IN to OUT, and edges into a source or out of a sink carry
+        none.  fin[v] and fout[v] are the edges carrying a path into and
+        out of v (-1: none).  Each search is a DFS over the residual
+        states: at a vertex on a path, a used sink included, it may back
+        out along that path's edge into it, which reroutes the path.  It
+        pushes each vertex at most once, so it keeps no visited set: a free
+        source only at the start, a free vertex only when its own back is
+        first set, and a path vertex u only as the tail of its path edge
+        into the one w whose back[w] that push sets.  After k augmentations
+        every source starts a path, read off fout up to its sink.  The
+        paths are whatever the searches found, not the shortest or
+        cheapest.  Exact, in O(k (n + m)) time.  Its lists hold a few slots
+        per vertex, a small part of what the instance holds, so nothing is
+        charged against the memory ceiling.
         """
         tails, heads, out_edges = self.tails, self.heads, self.out_edges
         sources, sinks = self.source_index, self.sink_index
@@ -187,7 +190,7 @@ class PathInstance:
                     back[s] = -1
                     stack.append(tails[fin[s]])
             if end < 0:
-                return False
+                return None
             v = end  # augment, from the free sink back to a free source
             while True:
                 e = back[v]
@@ -203,7 +206,15 @@ class PathInstance:
                     break
                 else:
                     v = u
-        return True
+        paths = []
+        for x in self.sources:
+            e = fout[x]
+            path = [e]
+            while (v := heads[e]) not in sinks:
+                e = fout[v]
+                path.append(e)
+            paths.append(path)
+        return paths
 
     def __eq__(self, other):
         return (

@@ -31,6 +31,18 @@ def bipartite22():
 
 
 @pytest.fixture
+def detour():
+    """x1 -> 4 -> y1 and x2 -> 7 -> y2, each with a route one edge longer
+    listed after it (x1 -> 5 -> 6 -> y1, x2 -> 8 -> 9 -> y2).  The Menger
+    search follows the last head it pushed, so its paths take both long
+    routes, of total length 6: at l = 4 (the optimum and the floor) and
+    l = 5 the query is answered by the length tables."""
+    return PathInstance(10, [(0, 4), (4, 2), (0, 5), (5, 6), (6, 2),
+                             (1, 7), (7, 3), (1, 8), (8, 9), (9, 3)],
+                        [0, 1], [2, 3])
+
+
+@pytest.fixture
 def bottleneck():
     """x1, x2 -> v -> y1, y2: no two disjoint paths, all monomials cancel."""
     return PathInstance(5, [(0, 2), (1, 2), (2, 3), (2, 4)], [0, 1], [3, 4])

@@ -68,6 +68,29 @@ e 8 4
 """
 
 
+# x1 -> 5 -> y1 and x2 -> 8 -> y2, each with a route one edge longer
+# listed after it: the Menger search follows the last head it pushed, so
+# its paths take both long routes, of total length 6, and a bound of 4
+# (the optimum and the floor) or 5 is answered by the length tables
+DETOUR = """\
+q paths 10 10 2
+x 1
+x 2
+y 3
+y 4
+e 1 5
+e 5 3
+e 1 6
+e 6 7
+e 7 3
+e 2 8
+e 8 4
+e 2 9
+e 9 10
+e 10 4
+"""
+
+
 @pytest.fixture
 def paths_file(tmp_path):
     p = tmp_path / "inst.paths"
@@ -178,21 +201,23 @@ def test_mincost_false_zero_exits_3(capsys, tmp_path):
 
 # one path 1 -> 2 -> 3 among 257 vertices: the tests run at degree 2, but
 # the default repetitions must cover degree n - 1 = 256
-LONE_PATH_257 = "q paths 257 2 1\nx 1\ny 3\ne 1 2\ne 2 3\n"
+# 257 vertices, x1 -> 2 -> y1 and a longer route x1 -> 4 -> 5 -> y1 that
+# the Menger search takes, so that -l 2 is answered by the tables
+DETOUR_257 = "q paths 257 5 1\nx 1\ny 3\ne 1 2\ne 2 3\ne 1 4\ne 4 5\ne 5 3\n"
 
 
 def test_field_too_small_for_the_error_target(capsys, tmp_path):
     # GF(2^8) has 256 <= n - 1 elements: no repetition count meets
     # 2^-max(n, 64), so the default is an input error, and an explicit
     # --reps runs
-    p = tmp_path / "lone.paths"
-    p.write_text(LONE_PATH_257)
-    code = cli.main(["decide", "-i", str(p), "--field-exp", "8"])
+    p = tmp_path / "detour.paths"
+    p.write_text(DETOUR_257)
+    code = cli.main(["decide", "-i", str(p), "-l", "2", "--field-exp", "8"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("input error: field of size 2^8 meets no error")
-    code, rep = run_json(capsys, "decide", "-i", str(p), "--field-exp", "8",
-                         "--reps", "3")
+    code, rep = run_json(capsys, "decide", "-i", str(p), "-l", "2",
+                         "--field-exp", "8", "--reps", "3")
     assert (code, rep["answer"], rep["evaluated_degree"],
             rep["repetitions"], rep["error_bound_log2"]) == (
                 0, "NONZERO", 2, 3, None)
@@ -511,24 +536,31 @@ def test_verification_mismatch_exit(capsys, paths_file, monkeypatch):
     assert rep["verify"]["match"] is False
 
 
-def test_decide_parallelism_same_answer(capsys, paths_file):
+def test_decide_parallelism_same_answer(capsys, tmp_path):
     def strip(rep):
         rep.pop("timing_ms")
         return rep
 
-    _, a = run_json(capsys, "decide", "-i", paths_file, "-l", "2")
-    _, b = run_json(capsys, "decide", "-i", paths_file, "-l", "2",
+    p = tmp_path / "detour.paths"
+    p.write_text(DETOUR)
+    _, a = run_json(capsys, "decide", "-i", str(p), "-l", "4")
+    _, b = run_json(capsys, "decide", "-i", str(p), "-l", "4",
                     "--parallelism", "2")
     assert strip(a) == strip(b)
+    assert (a["answer"], a["evaluated_degree"]) == ("NONZERO", 4)
 
 
 def test_parallelism_below_one_exit(capsys, paths_file, tmp_path):
     # exit 2 whether or not the query evaluates a table: an evaluated
-    # bound, one below the floor (2 at k = 2), and an instance without
-    # two disjoint paths all answer without one at a valid parallelism
+    # bound, one the Menger search's paths meet, one below the floor (2 at
+    # k = 2), and an instance without two disjoint paths all answer
+    # without one at a valid parallelism
     p = tmp_path / "b.paths"
     p.write_text(BOTTLENECK)
-    for inst, l in ((paths_file, "2"), (paths_file, "1"), (str(p), "4")):
+    detour = tmp_path / "detour.paths"
+    detour.write_text(DETOUR)
+    for inst, l in ((str(detour), "4"), (paths_file, "2"), (paths_file, "1"),
+                    (str(p), "4")):
         for value in ("0", "-3"):
             code = cli.main(["decide", "-i", inst, "-l", l,
                              "--parallelism", value])
@@ -677,9 +709,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli"
 # that each case gave before the subcommands shared one report path; the
 # two oracle_* cases were recorded before the oracle's reports joined it,
 # and oracle_length again once a length-bounded answer was labelled
-# `length` instead of `cost`.
+# `length` instead of `cost`.  decide_nonzero was recorded again once the
+# Menger search's own paths answered it exactly (no evaluated degree, no
+# repetition), and decide_evaluated_nonzero was added then, for a
+# NONZERO that the length tables give.
 GOLDEN_CASES = {
     "decide_nonzero": (BIPARTITE, ["decide", "-l", "2"]),
+    "decide_evaluated_nonzero": (DETOUR, ["decide", "-l", "4"]),
     "decide_floor_zero": (BOTTLENECK, ["decide"]),
     "mincost": (BIPARTITE, ["mincost"]),
     "find_deletion": (BIPARTITE, ["find"]),

@@ -23,6 +23,7 @@ from smallflow import (
     random_paths_instance,
 )
 from smallflow import decision, evaluator, extraction, flow, oracle
+from smallflow.decision import NONZERO, ZERO, Verdict
 from smallflow.evaluator import (
     ScanGraph,
     TablePlan,
@@ -37,11 +38,38 @@ def params64(seed=0, reps=3):
     return TestParams(field=GF2Field(64), repetitions=reps, seed=seed)
 
 
-def test_single_edge_nonzero(single_edge):
-    v = decide_disjoint_paths(single_edge, 1, params64())
+def detour_chain(short, long):
+    """k = 1, x = 0 to y = 1 by a chain of `short` >= 2 edges and by one
+    of `long` edges listed after it, which the Menger search takes (it
+    follows the last head it pushed).  Unit costs: the optimum is short,
+    and so is the floor, so every bound from short to long - 1 is
+    answered by the tables or scans at degree min(bound, n - 1)."""
+    n = short + long
+    inner = iter(range(2, n))
+    edges = []
+    for length in (short, long):
+        route = [0] + [next(inner) for _ in range(length - 1)] + [1]
+        edges += zip(route, route[1:])
+    return PathInstance(n, edges, [0], [1])
+
+
+def found_total(inst, costs=None):
+    """The total length (or cost, at `costs`) of inst.menger_paths()."""
+    return sum(1 if costs is None else costs[e]
+               for path in inst.menger_paths() for e in path)
+
+
+def test_single_edge_nonzero(single_edge, detour):
+    # the edge is the Menger search's own path, within l = 1: an exact
+    # NONZERO with no witness and no degree
+    assert decide_disjoint_paths(single_edge, 1, params64()) == \
+        Verdict(NONZERO)
+    # the search's paths total 6 and the optimum is 4: the tables answer,
+    # and the verdict holds the point they were nonzero at and the degree
+    v = decide_disjoint_paths(detour, 4, params64())
     assert v.nonzero
     assert v.witness_assignment is not None
-    assert v.degree == 1
+    assert v.degree == 4
 
 
 def _assert_polynomials_vanish(inst, l, params):
@@ -101,10 +129,11 @@ def test_cost_bounded_floor_zero_is_exact(monkeypatch):
     monkeypatch.setattr(decision, "random_assignment", draw)
     got = {u: decide_cost_bounded(inst, u, params64()) for u in (1, 3, 4, 6)}
     assert [(got[u].answer, got[u].degree) for u in (1, 3, 4, 6)] == [
-        ("ZERO", None), ("ZERO", None), ("ZERO", 4), ("NONZERO", 6)]
+        ("ZERO", None), ("ZERO", None), ("ZERO", 4), ("NONZERO", None)]
     # u = 1 and 3 lie below the floor: no assignment drawn; u = 4 draws
-    # all three, and u = 6 draws until its first hit
-    assert 3 < len(drawn) <= 6
+    # all three, and at u = 6 the Menger search's own paths, the only two
+    # disjoint ones, answer with no draw
+    assert len(drawn) == 3
 
 
 def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
@@ -168,6 +197,79 @@ def test_infeasible_queries_answer_before_any_evaluation(monkeypatch,
     assert built == [] and distances == []
 
 
+def test_found_paths_answer_nonzero_before_any_evaluation(monkeypatch,
+                                                          detour):
+    # at a bound the Menger search's own paths meet, both decide functions
+    # answer an exact NONZERO, with degree and witness None, and build no
+    # TablePlan or ScanGraph, draw no point and check no field (the check
+    # lies in TestParams.assignments)
+    built, drawn = [], []
+    draw = TestParams.assignments
+
+    class CountingPlan(TablePlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    class CountingGraph(ScanGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(decision, "TablePlan", CountingPlan)
+    monkeypatch.setattr(decision, "ScanGraph", CountingGraph)
+    monkeypatch.setattr(TestParams, "assignments",
+                        lambda self, *a: drawn.append(a) or draw(self, *a))
+    rng = random.Random(52)
+    settled = 0
+    while settled < 100:
+        n = rng.randint(3, 12)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(3, n // 2)),
+                                     extra_edges=rng.randint(0, 2 * n),
+                                     cost_max=4)
+        if inst.menger_paths() is None:
+            continue
+        settled += 1
+        length, cost = found_total(inst), found_total(inst, inst.costs)
+        p = params64(rng.getrandbits(32))
+        for l in (length, rng.randint(length, inst.k * (n - 1))):
+            assert decide_disjoint_paths(inst, l, p) == Verdict(NONZERO)
+        for u in (cost, cost + rng.randint(0, 10)):
+            assert decide_cost_bounded(inst, u, p) == Verdict(NONZERO)
+    assert built == drawn == []
+    # the spies see an evaluated query: one plan, and its points
+    assert decide_disjoint_paths(detour, 4, params64()).degree == 4
+    assert len(built) == len(drawn) == 1
+
+
+def test_tables_agree_with_the_oracle_at_tight_bounds():
+    # 500 instances whose Menger paths are longer than the least length,
+    # so the tables, not those paths, decide it, at t = 3 over GF(2^64):
+    # NONZERO at the least length, with the tables' degree, and ZERO one
+    # below it, where the floor answers exactly or the tables evaluate
+    # (at least 50 times).  Criterion 4 asks at l = k(n - 1), which the
+    # found paths always meet, so this keeps its length test randomized.
+    rng = random.Random(414)
+    battery = []
+    while len(battery) < 500:
+        n = rng.randint(4, 10)
+        inst = random_paths_instance(rng, n, rng.randint(1, min(3, n // 2)),
+                                     extra_edges=rng.randint(n, 4 * n))
+        least = _least_length(inst)
+        if least is not None and found_total(inst) > least:
+            battery.append((inst, least))
+    evaluated_zeros = 0
+    for inst, least in battery:
+        p = params64(rng.getrandbits(48))
+        v = decide_disjoint_paths(inst, least, p)
+        assert (v.answer, v.degree) == (NONZERO, least), inst
+        if least > 1:
+            v = decide_disjoint_paths(inst, least - 1, p)
+            assert v.answer == ZERO, inst
+            evaluated_zeros += v.degree is not None
+    assert evaluated_zeros >= 50, evaluated_zeros
+
+
 def test_false_zero_raises_instead_of_none():
     # one path 3 -> 0 -> 1 of cost 4, whose slice is zero at the single
     # GF(2^8) point of seed 263: the instance has k disjoint paths, so a
@@ -196,19 +298,28 @@ def test_exact_answers_before_the_field_check():
     assert min_cost_disjoint_paths(inst, small) is None
     for strategy in ("deletion", "isolation"):
         assert find_disjoint_paths(inst, small, strategy=strategy) is None
-    # with the paths in place, a unit chain of 257 edges, degree 257: the
-    # field check refuses as before
-    feasible = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257])
+    # with the paths in place, a unit chain of 257 edges: the Menger
+    # search's path meets bound 257, an exact NONZERO before the field
+    # check too, while min_cost_disjoint_paths checks its degree 257 and
+    # refuses as before
+    chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257])
+    assert decide_disjoint_paths(chain, 257, small) == Verdict(NONZERO)
+    assert decide_cost_bounded(chain, 257, small) == Verdict(NONZERO)
     with pytest.raises(ValueError, match="too small"):
-        min_cost_disjoint_paths(feasible, small)
+        min_cost_disjoint_paths(chain, small)
+    # with a chain of 257 edges that the search does not take (it finds
+    # one of 258), bound 257 is evaluated at degree 257: refused
+    feasible = detour_chain(257, 258)
     with pytest.raises(ValueError, match="too small"):
-        decide_cost_bounded(feasible, 300, small)
+        decide_cost_bounded(feasible, 257, small)
 
 
 def test_field_checked_before_any_point_is_drawn(monkeypatch):
     # each query has k disjoint paths and an edge-count degree beyond
-    # GF(2^8), 257 on the unit chain: it refuses the field before it draws
-    # a point, and min_cost_disjoint_paths before it builds its ScanGraph
+    # GF(2^8), 257 at bound 257 on chains of 257 and 258 edges, of which
+    # the Menger search takes the longer: it refuses the field before it
+    # draws a point, and min_cost_disjoint_paths before it builds its
+    # ScanGraph
     drawn, built = [], []
     draw, graph = decision.random_assignment, decision.ScanGraph
     monkeypatch.setattr(decision, "random_assignment",
@@ -216,7 +327,7 @@ def test_field_checked_before_any_point_is_drawn(monkeypatch):
     monkeypatch.setattr(decision, "ScanGraph",
                         lambda *a: built.append(a) or graph(*a))
     small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
-    chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257])
+    chain = detour_chain(257, 258)
     costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
                           costs=[200, 200])
     queries = [lambda: decide_disjoint_paths(chain, 257, small),
@@ -242,45 +353,54 @@ def test_costed_queries_checked_at_their_edge_count_degree():
     # max_path_edges(), the most a set of disjoint simple paths can have.
     # Two edges of cost 200: the caps (400) are beyond GF(2^8), the degree
     # 2 is not, and every costed query answers.  A path of costs 1, 300,
-    # 1: its cap 302 over the least cost 1 is beyond GF(2^8) too, and only
-    # the clamp at its 3 edges admits the field.  A chain of 257 edges of
-    # cost 3: both give 257 (771 // 3 and 258 - 1), and every query
-    # refuses the field
+    # 1: its caps (302, 701) over the least cost 1 are beyond GF(2^8) too,
+    # and only the clamp at its 3 edges admits the field.  A chain of 257
+    # edges of cost 3: both give 257 (771 // 3, 772 // 3 and 258 - 1), and
+    # every query refuses the field.  Each instance has a costlier
+    # parallel edge listed first, which the Menger search takes, so that
+    # decide_cost_bounded at the optimum runs its scans
     small = TestParams(field=GF2Field(8), repetitions=3, seed=0)
-    costly = PathInstance(4, [(0, 2), (1, 3)], [0, 1], [2, 3],
-                          costs=[200, 200])
-    tall = PathInstance(4, [(0, 2), (2, 3), (3, 1)], [0], [1],
-                        costs=[1, 300, 1])
-    assert (tall.simple_cost_cap(), tall.max_path_edges()) == (302, 3)
-    chain = PathInstance(258, [(v, v + 1) for v in range(257)], [0], [257],
-                         costs=[3] * 257)
+    costly = PathInstance(4, [(0, 2), (0, 2), (1, 3)], [0, 1], [2, 3],
+                          costs=[300, 200, 200])
+    tall = PathInstance(4, [(0, 2), (2, 3), (2, 3), (3, 1)], [0], [1],
+                        costs=[1, 400, 300, 1])
+    assert (tall.simple_cost_cap(), tall.max_path_edges()) == (701, 3)
+    chain = PathInstance(258, [(0, 1)] + [(v, v + 1) for v in range(257)],
+                         [0], [257], costs=[4] + [3] * 257)
     assert decision.slice_degree(chain, chain.simple_cost_cap(), 3) == 257
-    queries = [lambda inst: decide_cost_bounded(
-                   inst, inst.simple_cost_cap(), small),
-               lambda inst: min_cost_disjoint_paths(inst, small)] + [
-        lambda inst, s=s: find_disjoint_paths(inst, small, strategy=s)
+    queries = [lambda inst, u: decide_cost_bounded(inst, u, small),
+               lambda inst, u: min_cost_disjoint_paths(inst, small)] + [
+        lambda inst, u, s=s: find_disjoint_paths(inst, small, strategy=s)
         for s in ("deletion", "isolation")]
     for inst, degree, want in ((costly, 2, 400), (tall, 3, 302)):
-        verdict, cost, *found = [query(inst) for query in queries]
+        assert found_total(inst, inst.costs) == want + 100
+        verdict, cost, *found = [query(inst, want) for query in queries]
         assert verdict.nonzero and verdict.degree == degree
         assert cost == want
         assert [ps.total_cost for ps in found] == [want, want]
+    assert found_total(chain, chain.costs) == 772
     for query in queries:
         with pytest.raises(ValueError, match="too small"):
-            query(chain)
+            query(chain, 771)
 
 
-def _feasible_battery(rng, count):
+def _feasible_battery(rng, count, keep=lambda inst: True):
     """count random instances with k disjoint paths: n 6-12, k 1-3,
-    costs 1-4 and simple_cost_cap() below 2^8."""
+    costs 1-4 and simple_cost_cap() below 2^8, each kept when keep(inst)
+    holds."""
     battery = []
     while len(battery) < count:
         n, k = rng.randint(6, 12), rng.randint(1, 3)
         inst = random_paths_instance(rng, n, k, cost_max=4,
                                      extra_edges=rng.randint(n, 2 * n))
-        if inst.has_disjoint_paths() and inst.simple_cost_cap() < 256:
+        if inst.menger_paths() is not None and \
+                inst.simple_cost_cap() < 256 and keep(inst):
             battery.append(inst)
     return battery
+
+
+def _least_length(inst):
+    return oracle.disjoint_paths_min_cost_via_flow(inst, [1] * inst.m)
 
 
 def unsettled_edges(graph, d):
@@ -295,19 +415,26 @@ def test_false_zero_rate_within_the_stated_bound(kind):
     # 60 instances x 100 seeds at t = 1 over GF(2^8).  A query errs with
     # probability at most degree / 2^8 (Schwartz-Zippel), every degree its
     # slice_degree: decide at its Verdict.degree, mincost at the degree it
-    # checks, that of simple_cost_cap().  find (deletion) adds, by a union
-    # bound, the slice_degree of d0 over 2^8 for each edge test at d0, one
-    # at most per edge its support at d0 leaves unsettled; it makes one
-    # attempt, so the error of every test counts.
+    # checks, that of simple_cost_cap().  decide asks for the least
+    # length, and its battery keeps only instances whose Menger paths are
+    # longer (about 1 in 12), since those paths answer any bound they
+    # meet exactly; only evaluated verdicts count, and all 6,000 must be.
+    # find (deletion) adds, by a union bound, the slice_degree of d0 over
+    # 2^8 for each edge test at d0, one at most per edge its support at d0
+    # leaves unsettled; it makes one attempt, so the error of every test
+    # counts.
     # A wrong answer is a false ZERO, a wrong cost, or
     # RetriesExhaustedError on these feasible instances.  Each query draws
     # its own points, so the count of wrong answers is dominated by a sum
     # of independent Bernoulli(b_i); with mu the sum of the b_i, Chernoff
-    # gives P(count >= 2 mu) <= exp(-mu / 3), below 1e-20 here.  The field
-    # is small enough that some answers are wrong, so the count measures.
-    wrong, mu = 0, 0.0
-    for inst in _feasible_battery(random.Random(19), 60):
-        l = inst.k * (inst.n - 1)
+    # gives P(count >= 2 mu) <= exp(-mu / 3), below 1e-12 here (decide's
+    # mu is the least, about 84).  The field is small enough that some
+    # answers are wrong, so the count measures.
+    wrong, mu, evaluated = 0, 0.0, 0
+    keep = (lambda inst: found_total(inst) > _least_length(inst)) \
+        if kind == "decide" else (lambda inst: True)
+    for inst in _feasible_battery(random.Random(19), 60, keep):
+        l = _least_length(inst)
         want = oracle.disjoint_paths_min_cost_via_flow(inst)
         costs = inst.cost_list()
         bound = decision.slice_degree(inst, inst.simple_cost_cap(),
@@ -320,6 +447,9 @@ def test_false_zero_rate_within_the_stated_bound(kind):
             params = TestParams(field=GF2Field(8), repetitions=1, seed=seed)
             if kind == "decide":
                 verdict = decide_disjoint_paths(inst, l, params)
+                if verdict.degree is None:  # exact: not a test's answer
+                    continue
+                evaluated += 1
                 wrong += not verdict.nonzero
                 mu += verdict.degree / 256
                 continue
@@ -333,6 +463,7 @@ def test_false_zero_rate_within_the_stated_bound(kind):
                 wrong += 1
             mu += bound
     assert 0 < wrong < 2 * mu, (wrong, mu)
+    assert kind != "decide" or evaluated == 60 * 100, evaluated
 
 
 def test_isolation_false_zero_rate_within_the_stated_bound():
@@ -353,7 +484,7 @@ def test_isolation_false_zero_rate_within_the_stated_bound():
         n = rng.randint(3, 6)
         inst = random_paths_instance(rng, n, rng.randint(1, min(2, n // 2)),
                                      cost_max=4, extra_edges=rng.randint(0, n))
-        if inst.has_disjoint_paths():
+        if inst.menger_paths() is not None:
             battery.append((inst,
                             oracle.disjoint_paths_min_cost_via_flow(inst),
                             extraction.paper_isolation_range(inst)))
@@ -474,19 +605,22 @@ def test_one_sidedness_exhaustive():
             assert verdict.nonzero  # GF(2^64) false zero: < 1e-15
 
 
-def test_amplification_monotone(bipartite22):
+def test_amplification_monotone(detour):
+    # at the optimum 4, below the Menger search's paths of total 6, so the
+    # tables answer
     for seed in range(20):
-        small = decide_disjoint_paths(bipartite22, 2, params64(seed, reps=2))
-        big = decide_disjoint_paths(bipartite22, 2, params64(seed, reps=3))
+        small = decide_disjoint_paths(detour, 4, params64(seed, reps=2))
+        big = decide_disjoint_paths(detour, 4, params64(seed, reps=3))
+        assert small.degree == big.degree == 4
         if small.nonzero:
             assert big.nonzero
             assert big.witness_assignment == small.witness_assignment
 
 
-def test_seed_determinism(bipartite22):
-    a = decide_disjoint_paths(bipartite22, 2, params64(7))
-    b = decide_disjoint_paths(bipartite22, 2, params64(7))
-    assert a == b
+def test_seed_determinism(detour):
+    a = decide_disjoint_paths(detour, 4, params64(7))
+    b = decide_disjoint_paths(detour, 4, params64(7))
+    assert a == b and a.degree == 4
     c = min_cost_disjoint_paths(
         PathInstance(2, [(0, 1)], [0], [1], costs=[2]), params64(7))
     d = min_cost_disjoint_paths(
@@ -499,11 +633,10 @@ def test_param_validation(single_edge):
         TestParams(repetitions=0)
     with pytest.raises(ValueError, match="too small"):
         small = TestParams(field=GF2Field(8), repetitions=1, seed=0)
-        # the field is checked against the clamped degree min(l, n - k):
-        # n - k = 297 here (m >= 300), beyond GF(2^8)
-        inst = random_paths_instance(random.Random(1), 300, 3,
-                                     extra_edges=300)
-        decide_disjoint_paths(inst, 3 * 299, small)
+        # the field is checked against the degree min(l, m, n - k) = 257
+        # here, beyond GF(2^8): the Menger search's path has 258 edges,
+        # more than l, so the tables answer
+        decide_disjoint_paths(detour_chain(257, 258), 257, small)
     with pytest.raises(ValueError, match="outside"):
         decide_disjoint_paths(single_edge, 9, params64())
     with pytest.raises(ValueError, match=">= 1"):
@@ -566,7 +699,11 @@ def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
     # t = default_repetitions(n, s) points, and its slice_degree, at the
     # query's own cap and costs, gives a ZERO that errs with probability
     # at most 2^-max(n, 64); at s = 64 three instances past n = 64 hold
-    # the tests to 2^-n, and n = 200 needs t = 4
+    # the tests to 2^-n, and n = 200 needs t = 4.  The decide bounds lie
+    # from the floor to just below the length and cost of the Menger
+    # search's own paths, which answer any bound at or above them with no
+    # search; an instance with k disjoint paths is redrawn until its
+    # found paths are longer than its floor, so that decide searches
     rng = random.Random(48)
     tests = _record_tests(monkeypatch)
     sizes = [rng.randint(4, 12) for _ in range(12)]
@@ -576,18 +713,28 @@ def test_stated_bound_within_the_target_at_default_repetitions(monkeypatch,
         ["decide", "decide_cost", "mincost", "deletion", "isolation"], 0)
     for n in sizes:
         k = rng.randint(1, min(3 if n <= 12 else 2, n // 2))
-        inst = random_paths_instance(rng, n, k,
-                                     extra_edges=rng.randint(n, 2 * n),
-                                     cost_max=4, plant=rng.random() < 0.8)
+        while True:
+            inst = random_paths_instance(rng, n, k,
+                                         extra_edges=rng.randint(n, 2 * n),
+                                         cost_max=4, plant=rng.random() < 0.8)
+            if inst.menger_paths() is None:
+                l, u = rng.randint(1, k * (n - 1)), rng.randint(1, n)
+                break
+            l = found_total(inst) - 1
+            floor = TablePlan(inst, max(l, 1)).floor
+            if l >= floor:
+                l = rng.randint(floor, l)
+                top = found_total(inst, inst.costs) - 1
+                u = rng.randint(min(ScanGraph(inst, inst.costs).floor, top),
+                                top)
+                break
         params = TestParams(field=GF2Field(s), seed=rng.getrandbits(32))
         cap, least = inst.simple_cost_cap(), min(inst.cost_list())
-        l = rng.randint(1, k * (n - 1))
-        u = rng.randint(1, cap)
         queries = {
             "decide": (lambda: decide_disjoint_paths(inst, l, params),
                        decision.slice_degree(inst, l)),
             "decide_cost": (lambda: decide_cost_bounded(inst, u, params),
-                            decision.slice_degree(inst, min(u, cap), least)),
+                            decision.slice_degree(inst, u, least)),
             "mincost": (lambda: min_cost_disjoint_paths(inst, params),
                         decision.slice_degree(inst, cap, least)),
             "deletion": (lambda: find_disjoint_paths(inst, params),
@@ -646,14 +793,16 @@ def test_flow_gadget_bound_within_the_target_of_the_gadget(monkeypatch):
 
 def test_degree_checked_after_capping():
     # u = 300 exceeds GF(2^8), but the scans stop at the simple-set cost
-    # cap, so the field only has to exceed that degree
+    # cap, so the field only has to exceed that degree.  decide_cost_bounded
+    # needs no cap: its scans run only below the cost of the Menger
+    # search's paths, which is at most the cap, and at u = 300 those paths
+    # answer exactly, before the field check
     inst = random_paths_instance(random.Random(5), 20, 2, extra_edges=40)
     assert inst.simple_cost_cap() < 256
     small = TestParams(field=GF2Field(8), repetitions=3, seed=4)
     want = oracle.disjoint_paths_min_cost_via_flow(inst)
     assert min_cost_disjoint_paths(inst, small) == want
-    v = decide_cost_bounded(inst, 300, small)
-    assert v.nonzero and v.degree == inst.simple_cost_cap()
+    assert decide_cost_bounded(inst, 300, small) == Verdict(NONZERO)
 
 
 def test_agreement_battery():
@@ -717,7 +866,8 @@ _WITNESS = """
 import gc, json, random, tracemalloc
 from array import array
 from smallflow import (TestParams, decide_cost_bounded,
-                       decide_disjoint_paths, decision, random_paths_instance)
+                       decide_disjoint_paths, decision, oracle,
+                       random_paths_instance)
 drawn = []
 draw = decision.TestParams.assignments
 def spy(self, instance, degree, *stream):
@@ -729,14 +879,17 @@ out = []
 for cost_max, decide in ((None, decide_disjoint_paths),
                          (4, decide_cost_bounded)):
     inst = random_paths_instance(random.Random(3), 60, 4, 200, cost_max)
-    bound = inst.simple_cost_cap()
+    # the optimum, below the cost of the Menger search's own paths, so
+    # the test is evaluated and its point kept
+    bound = oracle.disjoint_paths_min_cost_via_flow(inst)
     decide(inst, bound, TestParams(seed=1))
     gc.collect()
     tracemalloc.start()
     v = decide(inst, bound, TestParams(seed=2))
     gc.collect()
     held = tracemalloc.get_traced_memory()[0]
-    same = v.nonzero and list(v.witness_assignment) == list(drawn[-1])
+    same = v.nonzero and v.degree == bound and \
+        list(v.witness_assignment) == list(drawn[-1])
     del v
     gc.collect()
     out.append([inst.m, held - tracemalloc.get_traced_memory()[0], same])
@@ -750,7 +903,8 @@ def test_nonzero_verdict_holds_its_witness_in_8_bytes_per_edge():
     # own tuple, and its witness of m field elements at 8 bytes each
     # with a small header.  A tuple of m Python ints takes about 48
     # bytes per edge (9.8 KB here).  The witness is the point the test
-    # was nonzero at: the last one TestParams.assignments drew.
+    # was nonzero at: the last one TestParams.assignments drew, at the
+    # bound as the degree.
     src = os.path.dirname(os.path.dirname(decision.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -864,25 +864,27 @@ def test_memory_ceiling_bounds_a_packing_plan(l):
 
 def test_memory_ceiling_admits_decide_at_its_clamped_degree(capsys,
                                                            tmp_path):
-    # decide's k = 4 shape at its deepest bound, 4 * 67, evaluates at the
-    # clamped degree n - k = 70, where each row's budget is 34.  Charged
-    # per row for two layers and its sink columns, the plan takes about
-    # 0.37 MB, so a 1 MiB ceiling answers the query (a (bound + 1) x n
-    # table per row was charged 2.2 MB and refused it, exit 3), and one
-    # fresh build and evaluation peaks under that ceiling.
+    # decide's k = 4 shape at its deepest evaluated bound: the Menger
+    # search's own paths have 52 edges and answer every bound from 52 on,
+    # so l = 51 evaluates, at degree min(l, m, n - k) = 51, where each
+    # row's budget is 15.  Charged per row for two layers and its sink
+    # columns, the plan takes about 0.32 MB, so a 1 MiB ceiling answers
+    # the query (a (bound + 1) x n table per row would be charged 1.5 MB
+    # and refuse it, exit 3), and one fresh build and evaluation peaks
+    # under that ceiling.
     inst = layered_instance(random.Random(9), 4, 6, 11)
-    degree = inst.max_path_edges()
+    degree = sum(map(len, inst.menger_paths())) - 1
     peak, pair_cells, subset_cells, fan_cells, nonzero, _ = \
         fresh_peak(inst, degree)
-    assert degree == 70 and any(nonzero)
-    assert pair_cells == 4 * (inst.n - 4 + 4 * 34)
+    assert degree == 51 and any(nonzero)
+    assert pair_cells == 4 * (inst.n - 4 + 4 * 15)
     assert peak <= (pair_cells + subset_cells + fan_cells) * \
         evaluator._CELL_BYTES <= 1 << 20
     path = tmp_path / "layered.paths"
     path.write_text(serialize_paths_instance(inst))
     before = evaluator.DEFAULT_MEMORY_LIMIT
     try:
-        code = cli.main(["decide", "-i", str(path), "-l", str(4 * 67),
+        code = cli.main(["decide", "-i", str(path), "-l", str(degree),
                          "--memory-limit-mib", "1"])
     finally:
         evaluator.set_default_memory_limit(before)

@@ -399,7 +399,7 @@ def test_none_only_without_disjoint_paths():
         if inst.simple_cost_cap() >= field.order:
             continue
         p = TestParams(field=field, repetitions=1, seed=rng.getrandbits(32))
-        feasible = inst.has_disjoint_paths()
+        feasible = inst.menger_paths() is not None
         for query in (min_cost_disjoint_paths, find_disjoint_paths):
             assert (answer(query, inst, p) is None) == (not feasible)
     for _ in range(400):
@@ -411,7 +411,7 @@ def test_none_only_without_disjoint_paths():
             continue
         p = TestParams(field=field, repetitions=1, seed=rng.getrandbits(32))
         assert (answer(min_cost_flow, K, p) is None) == \
-            (not gadget.has_disjoint_paths())
+            (gadget.menger_paths() is None)
     assert raised  # the battery meets false zeros
 
 

@@ -261,7 +261,11 @@ from smallflow import (FlowInstance, PathInstance, TestParams,
 inst = PathInstance(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3],
                     costs=[1, 2, 2, 1])
 params = TestParams(seed=5)
-assert decide_disjoint_paths(inst, 2, params).nonzero
+# two pairs, each with a route of 2 edges and one of 3 listed after it:
+# the Menger search takes the longer routes, so l = 4 is evaluated
+detour = PathInstance(10, [(0, 4), (4, 2), (0, 5), (5, 6), (6, 2), (1, 7),
+                           (7, 3), (1, 8), (8, 9), (9, 3)], [0, 1], [2, 3])
+assert decide_disjoint_paths(detour, 4, params).degree == 4
 assert min_cost_disjoint_paths(inst, params) == 2
 for strategy in ("deletion", "isolation"):
     assert find_disjoint_paths(inst, params,

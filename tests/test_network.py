@@ -286,7 +286,7 @@ def test_planted_instances_feasible():
         k = rng.randint(1, min(3, n // 2))
         inst = random_paths_instance(rng, n, k, extra_edges=0, plant=True)
         assert oracle.brute_force_disjoint_paths(inst) is not None
-        assert inst.has_disjoint_paths()
+        assert inst.menger_paths() is not None
 
 
 class _CountingList(list):
@@ -301,13 +301,14 @@ class _CountingList(list):
         return super().__getitem__(i)
 
 
-def test_has_disjoint_paths_matches_the_flow_oracle():
+def test_has_disjoint_paths_matches_the_flow_oracle(path_set_problem):
     # sparse instances, most of them infeasible: the augmenting-path check
-    # agrees with the oracle's min-cost flow on the split graph.  Its k
-    # searches keep no visited set, since each pushes a vertex at most
-    # once: counted through out_edges, no vertex is expanded more than k
-    # times.
+    # agrees with the oracle's min-cost flow on the split graph, and the
+    # paths it returns are k disjoint X->Y paths.  Its k searches keep no
+    # visited set, since each pushes a vertex at most once: counted
+    # through out_edges, no vertex is expanded more than k times.
     from smallflow import oracle
+    from smallflow.extraction import PathSet
     rng = random.Random(14)
     infeasible = 0
     for _ in range(1500):
@@ -318,9 +319,16 @@ def test_has_disjoint_paths_matches_the_flow_oracle():
                                      plant=rng.random() < 0.3)
         want = oracle.disjoint_paths_min_cost_via_flow(inst) is not None
         inst.out_edges = _CountingList(inst.out_edges)
-        assert inst.has_disjoint_paths() == want
+        found = inst.menger_paths()
+        assert (found is not None) == want
         assert max(inst.out_edges.reads) <= k
         infeasible += not want
+        if found:
+            vertices = [[inst.tails[p[0]]] + [inst.heads[e] for e in p]
+                        for p in found]
+            assert [p[0] for p in vertices] == list(inst.sources)
+            assert path_set_problem(inst, PathSet(
+                vertices, found, sum(map(len, found)))) is None
     assert infeasible > 750
 
 
@@ -329,17 +337,19 @@ def test_has_disjoint_paths_reroutes_through_a_used_sink():
     # leads into y1, so the second search must back out of the used sink
     # along x2's edge and move x2 on to y2
     edges = [(0, 2), (1, 2), (1, 3)]
-    assert PathInstance(4, edges, [0, 1], [2, 3]).has_disjoint_paths()
-    assert not PathInstance(4, edges[:2], [0, 1], [2, 3]).has_disjoint_paths()
+    assert PathInstance(4, edges, [0, 1], [2, 3]).menger_paths() == [[0],
+                                                                      [2]]
+    assert PathInstance(4, edges[:2], [0, 1], [2, 3]).menger_paths() is None
     # the same through a used inner vertex: x2 -> v -> y1 first (v is the
     # last head x2 pushes), then x1 reaches v, backs out along x2's edge
     # into it, and x2 moves on to y2 via w
     edges = [(0, 4), (1, 5), (1, 4), (4, 2), (5, 3)]
-    assert PathInstance(6, edges, [0, 1], [2, 3]).has_disjoint_paths()
+    assert PathInstance(6, edges, [0, 1], [2, 3]).menger_paths() == [
+        [0, 3], [1, 4]]
     # x2's only routes pass through a terminal: a sink or a source is
     # never an inner vertex
     for edges in ([(0, 2), (1, 2), (2, 3)], [(0, 2), (1, 0), (0, 3)]):
-        assert not PathInstance(4, edges, [0, 1], [2, 3]).has_disjoint_paths()
+        assert PathInstance(4, edges, [0, 1], [2, 3]).menger_paths() is None
 
 
 # -- fuzz: any token soup parses or raises ParseError ------------------------

@@ -18,6 +18,7 @@ from smallflow import (
     random_assignment,
 )
 from smallflow import decision, evaluator, oracle
+from smallflow.extraction import PathSet
 from smallflow.evaluator import (
     ScanGraph,
     scan_slices,
@@ -225,19 +226,24 @@ def test_one_plan_serves_every_assignment(field64, inst, seed, data):
             assert plan.slices(f, field64, parallelism=degree) == fresh
 
 
+# x1, x2 -> v -> y1, y2 plus a route x1 -> 5 -> 6 -> 7 -> y1: two disjoint
+# paths exist, of length 6, and the Menger search finds them.  At l = 4 and
+# 5 the degree reaches the floor 2 + 2 and every walk set that short meets
+# at v, so the tables run, and all three repetitions evaluate to ZERO.
+HUB_BELOW = PathInstance(8, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5), (5, 6),
+                             (6, 7), (7, 3)], [0, 1], [3, 4])
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
-@hypothesis.example(PathInstance(8, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5),
-                                     (5, 6), (6, 7), (7, 3)],
-                                 [0, 1], [3, 4]), 0)
+@hypothesis.example(HUB_BELOW, 0)
 def test_decide_computes_sink_distances_once(field64, inst, seed):
     # one plan per query: the sink distances are computed once, and every
-    # repetition evaluates that plan (no distances for an instance
-    # without k disjoint paths, answered before any plan is built).  In the example,
-    # x1, x2 -> v -> y1, y2 plus a route x1 -> 5 -> 6 -> 7 -> y1, two
-    # disjoint paths exist, of length 6; at l = 4 and 5 the degree reaches
-    # the floor 2 + 2, every walk set that short meets at v, and all three
-    # repetitions evaluate to ZERO.
+    # repetition evaluates that plan.  No plan is built, so no distances
+    # are computed, for a query that menger_paths() answers: an instance
+    # without k disjoint paths, or a bound at or above the found paths'
+    # total length.
+    found = inst.menger_paths()
     counts = {"distances": 0}
     plans = []
     real_distances = evaluator.sink_distances
@@ -255,22 +261,40 @@ def test_decide_computes_sink_distances_once(field64, inst, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "sink_distances", distances)
         mp.setattr(decision, "eval_length_bounded_seq", evaluation)
+        planned = 0
         for l in range(1, inst.k * (inst.n - 1) + 1):
             counts["distances"] = 0
             plans.clear()
             verdict = decide_disjoint_paths(inst, l, params)
-            assert counts["distances"] == \
-                (1 if inst.has_disjoint_paths() else 0)
+            plan = found is not None and sum(map(len, found)) > l
+            assert counts["distances"] == plan
+            planned += plan
             assert len(plans) <= 3 and all(p is plans[0] for p in plans)
             if verdict.degree is not None and not verdict.nonzero:
                 assert len(plans) == 3
+    if inst == HUB_BELOW:
+        assert planned == 5  # l = 1 to 5, below the found paths' 6
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(tiny_instances(max_k=3))
-def test_has_disjoint_paths_is_the_oracles_feasibility(inst):
-    assert inst.has_disjoint_paths() == \
-        (oracle.disjoint_paths_min_cost_via_flow(inst) is not None)
+def test_has_disjoint_paths_is_the_oracles_feasibility(path_set_problem,
+                                                       inst):
+    # menger_paths() finds k disjoint paths exactly when the oracle does,
+    # and they are k simple, pairwise vertex-disjoint paths along the
+    # instance's edges, path i from source i to a sink, costing no less
+    # than the optimum
+    found = inst.menger_paths()
+    best = oracle.disjoint_paths_min_cost_via_flow(inst)
+    assert (found is not None) == (best is not None)
+    if found is None:
+        return
+    paths = [(inst.tails[p[0]],) + tuple(inst.heads[e] for e in p)
+             for p in found]
+    total = sum(inst.cost(e) for p in found for e in p)
+    assert path_set_problem(inst, PathSet(paths, found, total)) is None
+    assert [p[0] for p in paths] == list(inst.sources)
+    assert total >= best
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -369,7 +393,9 @@ def test_least_slice_within_n_minus_k_largest_costs(inst):
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(tiny_instances(), st.integers(0, 2**32))
 def test_clamped_decide_matches_oracle(field64, inst, seed):
-    # every l up to k(n-1), most of them above the clamp min(m, n - k)
+    # every l up to k(n-1): most of them at or above the length of the
+    # Menger search's own paths, which answer them, and at or above the
+    # clamp min(m, n - k), which those paths never exceed
     params = TestParams(field=field64, repetitions=2, seed=seed)
     shortest = oracle.brute_force_disjoint_paths(inst, mode="length")
     for l in range(1, inst.k * (inst.n - 1) + 1):

@@ -12,7 +12,9 @@ t = 2.
 One line is printed per digest:
 
 * `decide`: the answer, degree and witness assignment of each verdict
-  decide_disjoint_paths returns at the query's length bound;
+  decide_disjoint_paths returns at the query's length bound, with the
+  count of exact verdicts (degree None: the Menger search's own paths,
+  or a floor, settled them) and of evaluated ones;
 * `mincost`: the costs min_cost_disjoint_paths returns;
 * `flow`: the costs and amounts min_cost_flow returns, and the disjoint
   path set (deletion strategy) it reads each flow from;
@@ -125,7 +127,9 @@ def decide(seed, seconds):
         _tally(work)
         w = v.witness_assignment
         answers.append([v.answer, v.degree, None if w is None else list(w)])
-    return _line("decide", answers, spent, work)
+    exact = sum(degree is None for _, degree, _ in answers)
+    return _line("decide", answers, spent, work,
+                 f"  {exact} exact  {len(answers) - exact} evaluated")
 
 
 def mincost(seed, seconds):

@@ -20,7 +20,10 @@ host's speed falls on both alike.
 
 One line is printed per round of the batch, with each side's seconds
 and the ratio A/B (above 1: CHANGE is faster), then the median ratio
-over the rounds with its range, and whether every answer agreed.
+over the rounds with its range, and whether every answer agreed.  A
+`decide` verdict agrees by its answer alone, and a last line counts the
+verdicts whose witness or degree differ apart: a change may answer a
+query exactly (degree and witness None) that the other side evaluated.
 
 The tool sizes a lead; it does not make a claim.  Across processes a
 shared host's speed can drift by 1.5-2x.  On a 2-core host, a checkout
@@ -83,6 +86,14 @@ def runner(pkg, workload):
     return run
 
 
+def differences(workload, a, b):
+    """(whether the answers a and b differ, whether only a decide
+    verdict's witness or degree do)."""
+    if workload != "decide":
+        return a != b, False
+    return a.answer != b.answer, a.answer == b.answer and a != b
+
+
 def compare(a: Path, b: Path, workload: str, seed: int, seconds: float):
     """Yield the report's lines for checkouts a and b."""
     batch = make_batch(workload, seed, seconds)
@@ -96,7 +107,7 @@ def compare(a: Path, b: Path, workload: str, seed: int, seconds: float):
         for side in sides:  # first-call costs, untimed
             side(batch[0])
         rounds = {}
-        differ = 0
+        differ = apart = 0
         for q in batch:
             order = (0, 1) if q.qid % 2 == 0 else (1, 0)
             got = [None, None]
@@ -104,7 +115,9 @@ def compare(a: Path, b: Path, workload: str, seed: int, seconds: float):
             for side in order:
                 got[side], s = sides[side](q)
                 spent[side] += s
-            differ += got[0] != got[1]
+            answer, detail = differences(workload, *got)
+            differ += answer
+            apart += detail
     ratios = []
     for r, (sa, sb) in sorted(rounds.items()):
         ratios.append(sa / sb)
@@ -113,6 +126,9 @@ def compare(a: Path, b: Path, workload: str, seed: int, seconds: float):
            f"{min(ratios):.4f}-{max(ratios):.4f}  over {len(ratios)} rounds")
     yield ("answers agree" if not differ else
            f"answers differ on {differ} of {len(batch)} queries")
+    if workload == "decide":
+        yield (f"witness or degree differ on {apart} of {len(batch)} "
+               "verdicts with the same answer")
 
 
 def main(argv=None):
