@@ -72,27 +72,32 @@ def build_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("decide", help="k disjoint paths of bounded length?")
+    p.set_defaults(handler=_cmd_decide)
     _add_query(p)
     p.add_argument("--length-bound", "-l", type=int, default=None,
                    help="total length bound (default k(n-1))")
     p.add_argument("--parallelism", type=int, default=1)
 
     p = sub.add_parser("mincost", help="minimum cost of k disjoint paths")
+    p.set_defaults(handler=_cmd_mincost)
     _add_query(p)
 
     p = sub.add_parser("find", help="construct a minimum-cost disjoint path set")
+    p.set_defaults(handler=_cmd_find)
     _add_query(p)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--strategy", choices=("deletion", "isolation"),
                    default="deletion")
 
     p = sub.add_parser("flow", help="minimum-cost flow of the target value")
+    p.set_defaults(handler=_cmd_flow)
     _add_query(p)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--dump-gadget", default=None,
                    help="also write the gadget network as a paths instance")
 
     p = sub.add_parser("oracle", help="brute-force answers for an instance")
+    p.set_defaults(handler=_cmd_oracle)
     _add_io(p)
     p.add_argument("--kind", choices=("paths", "flow"), default="paths")
     p.add_argument("--length-bound", "-l", type=int, default=None)
@@ -256,13 +261,6 @@ def main(argv=None) -> int:
     errors and exhausted retries are messages and exit codes, not
     tracebacks; the memory ceiling is restored on every exit."""
     args = build_parser().parse_args(argv)
-    handler = {
-        "decide": _cmd_decide,
-        "mincost": _cmd_mincost,
-        "find": _cmd_find,
-        "flow": _cmd_flow,
-        "oracle": _cmd_oracle,
-    }[args.subcommand]
     t0 = time.perf_counter()
     ceiling = evaluator.DEFAULT_MEMORY_LIMIT  # restored on every exit
     try:
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
         instance = (parse_dimacs_flow if dimacs else parse_paths_instance)(
             _read_input(args.input))
         params = None if args.subcommand == "oracle" else _params(args)
-        return _finish(args, t0, *handler(args, instance, params))
+        return _finish(args, t0, *args.handler(args, instance, params))
     except (ParseError, ValueError, OSError) as exc:
         # an OSError that names a file comes from -i, --out or
         # --dump-gadget (missing, a directory, no permission)

@@ -26,6 +26,7 @@ slice raises RetriesExhaustedError.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 
 from .evaluator import (
@@ -67,16 +68,11 @@ def default_repetitions(n: int, field_exponent: int = 64) -> int:
     def meets(t):
         return (degree ** t << target) <= 1 << (field_exponent * t)
 
-    low, high = 0, 1  # meets(0) is false: 2^target > 1
+    high = 1  # meets(0) is false: 2^target > 1
     while not meets(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if meets(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+        high *= 2
+    # meets(high // 2) is false and meets(high) true: bisect between
+    return bisect_left(range(high), True, high // 2 + 1, key=meets)
 
 
 def slice_degree(instance: PathInstance, cap: int, least_cost=1) -> int:

@@ -392,7 +392,7 @@ def _subset_phase(plan, rows, field, mapper):
     tables[0] = 1  # slot 0 holds field one: empty set at length 0
     levels = [[] for _ in range(k)]
     for mask in range(1, 1 << k):
-        levels[bin(mask).count("1") - 1].append(mask)
+        levels[mask.bit_count() - 1].append(mask)
     starts = (plan.togo[x] - 1 for x in plan.instance.sources)
     rows = ([column[start:start + width] for column in row]
             for start, row in zip(starts, rows))  # each column's window
@@ -500,7 +500,7 @@ class ScanGraph(dict):
         rest = [None] * full + [0]
         for mask in range(full - 1, -1, -1):
             rest[mask] = _least_to_go(dist, rest, mask,
-                                      instance.sources[bin(mask).count("1")])
+                                      instance.sources[mask.bit_count()])
         self.instance = instance
         self.costs = costs
         self.dist = dist
@@ -518,7 +518,7 @@ class ScanGraph(dict):
         instance, costs = self.instance, self.costs
         n = instance.n
         bmask, z = divmod(state, n)
-        after = bin(bmask).count("1") + 1  # the next walk's source index
+        after = bmask.bit_count() + 1  # the next walk's source index
         moves = []
         for slot, eid in enumerate(instance.out_edges[z]):
             w = instance.heads[eid]

@@ -26,6 +26,7 @@ is the same function from either, so every stream is the same.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 try:
     from _sha2 import sha256
@@ -141,21 +142,16 @@ def derive_rng(seed: int, *path) -> random.Random:
 # Packed vectors: field elements in 128-bit slots of one big int.
 # ---------------------------------------------------------------------------
 
-_LOW_MASKS: dict[tuple[int, int], int] = {}
 # byte -> its low and its high nibble, for bytes.translate (vec_scalar_mul_w)
 _LOW_NIBBLE = bytes(i & 15 for i in range(256))
 _HIGH_NIBBLE = bytes(i >> 4 for i in range(256))
 
 
+@cache
 def _low_mask(count: int, s: int) -> int:
     """Mask with the low s bits set in each of `count` slots."""
-    key = (count, s)
-    m = _LOW_MASKS.get(key)
-    if m is None:
-        chunk = ((1 << s) - 1).to_bytes(SLOT_BYTES, "little")
-        m = int.from_bytes(chunk * count, "little")
-        _LOW_MASKS[key] = m
-    return m
+    chunk = ((1 << s) - 1).to_bytes(SLOT_BYTES, "little")
+    return int.from_bytes(chunk * count, "little")
 
 
 def vec_unpack(packed: int, count: int) -> list[int]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import namedtuple
+from itertools import pairwise
 
 
 class ParseError(ValueError):
@@ -485,16 +486,11 @@ def random_paths_instance(rng: random.Random, n: int, k: int,
     if plant:
         rng.shuffle(middle)
         cut = sorted(rng.choices(range(len(middle) + 1), k=k - 1))
-        pieces = []
-        prev = 0
-        for c in cut + [len(middle)]:
-            pieces.append(middle[prev:c])
-            prev = c
+        pieces = [middle[a:b] for a, b in pairwise([0, *cut, len(middle)])]
         for i in range(k):
             chain = [sources[i]] + pieces[i][: rng.randint(0, len(pieces[i]))] \
                 + [sinks[i]]
-            for a, b in zip(chain, chain[1:]):
-                edges.append((a, b))
+            edges.extend(pairwise(chain))
     for _ in range(extra_edges):
         while True:
             u, v = rng.randrange(n), rng.randrange(n)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from itertools import count, pairwise
 
 from .network import FlowInstance, PathInstance, ProperWalkSet, Walk
 from .extraction import PathSet
@@ -38,18 +39,6 @@ DEFAULT_BRUTE_LIMIT = 10
 # Walk-set enumeration
 # ---------------------------------------------------------------------------
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, steps):
-        self.left = steps
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise EnumerationBudgetError("enumeration budget exceeded")
-
-
 def _measures(instance, mode, costs):
     """Each edge's measure under mode: 1 for "length", and for "cost" its
     cost in costs, or the instance's when costs is None.  Raises
@@ -61,11 +50,12 @@ def _measures(instance, mode, costs):
     return instance.cost_list() if costs is None else list(costs)
 
 
-def _walks_from(instance, start, max_measure, measures, budget):
+def _walks_from(instance, start, max_measure, measures, spend):
     """All walks from a source, with measure (length or cost) <= max_measure.
 
-    Yields (vertices, edge_ids, measure).  Walks may repeat vertices; the
-    positive per-edge measure bounds the recursion depth.
+    Yields (vertices, edge_ids, measure), calling spend() once per edge
+    read.  Walks may repeat vertices; the positive per-edge measure bounds
+    the recursion depth.
     """
     out_edges = instance.out_edges
     heads = instance.heads
@@ -74,7 +64,7 @@ def _walks_from(instance, start, max_measure, measures, budget):
 
     def extend(v, vs, es, used):
         for eid in out_edges[v]:
-            budget.spend()
+            spend()
             w = heads[eid]
             used2 = used + measures[eid]
             if used2 > max_measure:
@@ -90,8 +80,14 @@ def _walks_from(instance, start, max_measure, measures, budget):
 def _walk_sets(instance, cap, measures, budget):
     """(total measure, walk set) for every proper set of k walks of total
     measure <= cap, each exactly once, in one fixed order, spending the
-    step budget as _walks_from reads edges."""
-    b = _Budget(budget)
+    step budget as _walks_from reads edges: the (budget + 1)-th read
+    raises EnumerationBudgetError."""
+    steps = count(1)
+
+    def spend():
+        if next(steps) > budget:
+            raise EnumerationBudgetError("enumeration budget exceeded")
+
     k = instance.k
     sources = instance.sources
 
@@ -101,7 +97,7 @@ def _walk_sets(instance, cap, measures, budget):
             return
         for vs, es, meas in _walks_from(instance, sources[i],
                                         cap - total - (k - i - 1),
-                                        measures, b):
+                                        measures, spend):
             sink = vs[-1]
             if sink not in used_sinks:
                 yield from rec(i + 1, used_sinks | {sink}, total + meas,
@@ -204,8 +200,7 @@ def subdivide_costs(instance: PathInstance):
         carry[eid] = len(edges)
         chain = [u] + [next_vertex + i for i in range(c - 1)] + [v]
         next_vertex += c - 1
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b))
+        edges.extend(pairwise(chain))
     return (
         PathInstance(next_vertex, edges, instance.sources, instance.sinks),
         carry,

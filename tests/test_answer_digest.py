@@ -5,11 +5,13 @@ tools/answer_digest.py hashes every answer, witness and path set that
 the library gives on the `decide`, `mincost` and `flow` batches (and
 the `flow` costs alone, isolation, the d0 supports and criterion 7's
 table), and counts the slice scans each batch ran, the scan states and
-moves it materialized, and the isolation attempts.  This test runs the
-tool's own functions on the 1-s batches and compares with the values
-that `python3 tools/answer_digest.py --seed 1 --seconds 1` printed.  A
-change that means to change an answer, or to run other scans or
-materialize other states, edits the pinned value here and says why.
+moves it materialized, the isolation attempts, and the feasible `flow`
+gadgets whose Menger paths already cost the scan graph's floor.  This
+test runs the tool's own functions on the 1-s batches and compares with
+the values that `python3 tools/answer_digest.py --seed 1 --seconds 1`
+printed.  A change that means to change an answer, or to run other
+scans or materialize other states, edits the pinned value here and says
+why.
 
 The `decide` digest changed when the Menger search's own paths began to
 answer a NONZERO exactly wherever they meet the length bound: those
@@ -56,6 +58,8 @@ SCANS = {
 ISOLATION_ATTEMPTS = 31
 # decide's verdicts: exact (degree None) and evaluated
 DECIDE_VERDICTS = (19, 17)
+# feasible flow gadgets (31 of them) whose menger_paths() cost the floor
+FLOW_AT_FLOOR = 18
 
 
 def test_answers_match_the_pinned_digests(monkeypatch):
@@ -76,6 +80,8 @@ def test_answers_match_the_pinned_digests(monkeypatch):
         if name == "decide":
             assert f"  {DECIDE_VERDICTS[0]} exact  {DECIDE_VERDICTS[1]} " \
                 "evaluated  " in line, line
+        if name == "flow":
+            assert f"  {FLOW_AT_FLOOR} at floor  " in line, line
         if name == "isolation":
             # both strategies give minimum costs, so they agree on each
             assert "  0 costs differ from deletion's" in line, line

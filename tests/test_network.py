@@ -301,7 +301,7 @@ class _CountingList(list):
         return super().__getitem__(i)
 
 
-def test_has_disjoint_paths_matches_the_flow_oracle(path_set_problem):
+def test_menger_paths_matches_the_flow_oracle(path_set_problem):
     # sparse instances, most of them infeasible: the augmenting-path check
     # agrees with the oracle's min-cost flow on the split graph, and the
     # paths it returns are k disjoint X->Y paths.  Its k searches keep no
@@ -332,7 +332,7 @@ def test_has_disjoint_paths_matches_the_flow_oracle(path_set_problem):
     assert infeasible > 750
 
 
-def test_has_disjoint_paths_reroutes_through_a_used_sink():
+def test_menger_paths_reroutes_through_a_used_sink():
     # the first search takes x2 -> y1 (x2's first out-edge); x1's only edge
     # leads into y1, so the second search must back out of the used sink
     # along x2's edge and move x2 on to y2

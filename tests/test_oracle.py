@@ -60,6 +60,27 @@ def test_enumeration_budget():
         list(enumerate_proper_walk_sets(inst, 3, budget=2))
 
 
+def test_enumeration_budget_is_spent_one_step_per_edge_read():
+    """Both enumerations finish at exactly 35 edge reads on this costed
+    instance and raise at 34: the budget is spent once per out-edge read
+    and the error comes on the (budget + 1)-th read, so the budgets that
+    the acceptance criteria pass keep their meaning."""
+    inst = PathInstance(
+        9, [(1, 4), (4, 6), (5, 8), (8, 3), (3, 7), (7, 2), (2, 0), (8, 7),
+            (6, 2), (3, 2), (8, 6), (0, 1), (2, 0), (4, 0), (4, 7), (6, 7),
+            (2, 5), (1, 0), (2, 7), (3, 4), (6, 4)],
+        [1, 5], [6, 0],
+        costs=[2, 3, 2, 3, 2, 3, 3, 2, 3, 1, 2, 3, 1, 2, 3, 3, 3, 1, 3, 2, 3])
+    least = 35
+    assert len(list(enumerate_proper_walk_sets(inst, 8, "cost",
+                                               budget=least))) == 1
+    assert sorted(symbolic_cost_slices(inst, 8, budget=least)) == [5, 8]
+    with pytest.raises(EnumerationBudgetError):
+        list(enumerate_proper_walk_sets(inst, 8, "cost", budget=least - 1))
+    with pytest.raises(EnumerationBudgetError):
+        symbolic_cost_slices(inst, 8, budget=least - 1)
+
+
 def test_symbolic_polynomials(bipartite22, bottleneck):
     poly = symbolic_char2_polynomial(bipartite22, 2)
     assert poly.monomials == frozenset({(0, 3), (1, 2)})

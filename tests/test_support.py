@@ -278,8 +278,7 @@ def test_decide_computes_sink_distances_once(field64, inst, seed):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(tiny_instances(max_k=3))
-def test_has_disjoint_paths_is_the_oracles_feasibility(path_set_problem,
-                                                       inst):
+def test_menger_paths_is_the_oracles_feasibility(path_set_problem, inst):
     # menger_paths() finds k disjoint paths exactly when the oracle does,
     # and they are k simple, pairwise vertex-disjoint paths along the
     # instance's edges, path i from source i to a sink, costing no less

@@ -17,7 +17,11 @@ One line is printed per digest:
   or a floor, settled them) and of evaluated ones;
 * `mincost`: the costs min_cost_disjoint_paths returns;
 * `flow`: the costs and amounts min_cost_flow returns, and the disjoint
-  path set (deletion strategy) it reads each flow from;
+  path set (deletion strategy) it reads each flow from, with the count
+  of feasible gadgets whose menger_paths() cost exactly their ScanGraph's
+  floor, so that the Menger search's own paths are a minimum-cost set
+  (computed outside the timed queries, on a ScanGraph that no count
+  records);
 * `flowcost`: the costs alone of the `flow` line's answers (None for an
   infeasible network), with that line's seconds and states.  A change
   that may pick another optimum flow or path set changes `flow`, but
@@ -152,7 +156,7 @@ def flows(seed, seconds):
         return found[-1]
 
     answers, isolated, spent, isolation_s, attempts = [], [], 0.0, 0.0, 0
-    differ = 0
+    differ = at_floor = 0
     supports, support_s = [], 0.0
     flow_work, isolation_work, support_work = [0, 0, 0], [0, 0, 0], [0, 0, 0]
     for q in make_batch("flow", seed, seconds):
@@ -173,10 +177,12 @@ def flows(seed, seconds):
         gadget = flow.build_gadget_network(inst)
         if answer is not None:
             g = gadget.instance
+            costs = g.cost_list()
+            at_floor += sum(costs[e] for p in g.menger_paths() for e in p) \
+                == evaluator.ScanGraph(g, costs).floor
             start = time.perf_counter()
             masks = evaluator.slice_support(
-                _RecordedGraph(g, g.cost_list()), [True] * g.m,
-                found[0].total_cost)
+                _RecordedGraph(g, costs), [True] * g.m, found[0].total_cost)
             support_s += time.perf_counter() - start
             _tally(support_work)
             supports.append([[e for e, on in enumerate(mask) if on]
@@ -193,7 +199,8 @@ def flows(seed, seconds):
         differ += costs[0] != costs[1]
         isolated.append(_paths(ps))
     flow_costs = [None if a is None else a[0] for a in answers]
-    return (_line("flow", answers, spent, flow_work),
+    return (_line("flow", answers, spent, flow_work,
+                  f"  {at_floor} at floor"),
             _line("flowcost", flow_costs, spent, flow_work),
             _line("isolation", isolated, isolation_s, isolation_work,
                   f"  {attempts} attempts  {differ} costs differ from "
