@@ -22,7 +22,7 @@ and raise BudgetError before they outgrow the memory ceiling.
 from __future__ import annotations
 
 import os
-from functools import cache, partial
+from functools import partial
 from heapq import heappop, heappush
 from itertools import starmap
 from operator import itemgetter
@@ -204,35 +204,14 @@ class TablePlan:
             places = ctx.SimpleQueue()
             for core in cores[:procs]:
                 places.put(core)
-            with _row_pool()(procs, _start_worker, (rows_plan, places),
-                             context=ctx) as pool:
+            with ctx.Pool(processes=procs, initializer=_start_worker,
+                          initargs=(rows_plan, places)) as pool:
                 return _subset_phase(self, pool.imap(_pair_row, range(k)),
                                      field, partial(pool.starmap,
                                                     chunksize=1))
         rows = [_rows(*rows_plan, (xi,))[0] for xi in range(k)]
         del windows, rows_plan  # the subset phase reads no window
         return _subset_phase(self, rows, field, starmap)
-
-
-@cache
-def _row_pool():
-    """multiprocessing's Pool less a busy wait, made at the first pool, so
-    a serial process never loads multiprocessing.
-
-    The stock pool's worker-maintenance thread also waits on the result
-    pipe, so while a result sits there unread it wakes over and over,
-    spending the caller's CPU that the workers need where cores are few
-    (ROADMAP, "Criterion 7").  This one waits, as ThreadPool does, only
-    on its own notifier (close, terminate, a drained result cache) and
-    on its workers' exits.
-    """
-    from multiprocessing.pool import Pool
-
-    class RowPool(Pool):
-        def _get_sentinels(self):
-            return [self._change_notifier._reader]
-
-    return RowPool
 
 
 def _usable_cores() -> list:

@@ -126,7 +126,7 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
     asked, mapped = [], []
 
     class InlinePool:
-        def __init__(self, processes, initializer, initargs, context):
+        def __init__(self, processes, initializer, initargs):
             asked.append(processes)
             for _ in range(processes):
                 initializer(*initargs)
@@ -151,7 +151,8 @@ def test_pool_workers_bounded_by_sources(field64, monkeypatch):
             mapped.append(fn.__name__)
             return [fn(*t) for t in tasks]
 
-    monkeypatch.setattr(evaluator, "_row_pool", lambda: InlinePool)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                        InlinePool)
     monkeypatch.setattr(evaluator, "_PLAN", None)
     move = evaluator._move_to_core
     monkeypatch.setattr(evaluator, "_move_to_core",
@@ -208,35 +209,6 @@ def test_worker_failure_raised_in_caller(field64, monkeypatch):
     with pytest.raises(ValueError, match="a worker's row failed"):
         length_plan(inst, 14).slices(f, field64, parallelism=2)
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="rows run inline without fork")
-def test_row_pool_wakes_only_on_notice(field64, monkeypatch):
-    # the pool's maintenance thread runs once as it starts and once per
-    # notice, which comes as each map's last result is read, so at most
-    # 1 + k times per evaluation; the stock pool, which also wakes while a
-    # result waits unread, runs it dozens to hundreds of times on this
-    # instance
-    import multiprocessing.pool
-
-    runs = []
-    maintain = multiprocessing.pool.Pool._maintain_pool
-
-    def counted(*args):
-        runs.append(None)
-        return maintain(*args)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "_maintain_pool",
-                        staticmethod(counted))
-    monkeypatch.setattr(evaluator, "_usable_cores", lambda: [None] * 3)
-    inst = random_paths_instance(random.Random(71), 16, 3, extra_edges=40)
-    f = random_assignment(field64, inst.m, random.Random(72))
-    serial = length_plan(inst, 40).slices(f, field64)
-    for _ in range(3):
-        assert length_plan(inst, 40).slices(f, field64, parallelism=3) \
-            == serial
-    assert len(runs) <= 3 * (1 + inst.k)
 
 
 def test_length_slices_match_symbolic(field64):
@@ -471,7 +443,9 @@ def test_memory_budget(field64, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(evaluator, "_row_pool", no_pool)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_pool)
     before = evaluator.DEFAULT_MEMORY_LIMIT
     evaluator.set_default_memory_limit(1024)
     try:
@@ -568,7 +542,9 @@ def test_pruned_tables_make_the_hand_counted_products(field64, monkeypatch,
         raise AssertionError("a worker pool was started or GF2Field.mul "
                              "was called")
 
-    monkeypatch.setattr(evaluator, "_row_pool", no_call)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_call)
     monkeypatch.setattr(evaluator, "_rows", rows(evaluator._rows))
     monkeypatch.setattr(evaluator, "vec_scalar_mul_w",
                         tally("products", evaluator.vec_scalar_mul_w))
@@ -727,7 +703,9 @@ def test_no_walk_set_within_the_bound_runs_no_row(field64, monkeypatch):
 
     monkeypatch.setattr(evaluator, "_rows", no_call)
     monkeypatch.setattr(evaluator, "_subset_term", no_call)
-    monkeypatch.setattr(evaluator, "_row_pool", no_call)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                            no_call)
     chains = looped_chains()  # floor 6
     # source 0 reaches sink 2 through 4; source 1 only the dead end 5
     stranded = PathInstance(6, [(0, 4), (4, 2), (4, 3), (1, 5)], [0, 1],
